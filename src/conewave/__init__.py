@@ -4,12 +4,14 @@ The package is organized bottom-up:
 
 * specialfn - gamma and Bessel-J evaluation with the split into a leading
   oscillation and a decaying remainder;
-* kernel    - the unit-ball power kernel family, its spectral profile,
+* kernel    - the unit-ball power kernel family, its spectral profile
+  (Bessel series and Gauss-Jacobi quadrature of the density),
   dilations, and the main/remainder multiplier decomposition;
 * fields    - sampled functions on periodic grids, transforms, dilation,
-  and the binary/CSV interchange formats;
-* conop     - the fractional light-cone integral by three independent
-  discretizations (slices, full multiplier, direct cone quadrature);
+  and the binary interchange format;
+* conop     - the fractional light-cone integral as one assembled
+  (n+1)-dimensional symbol, with two independent spatial profiles
+  (Bessel series, Gauss-Jacobi quadrature of the cone kernel);
 * analysis  - norms, the weighted-inequality and composition-estimate
   checkers, empirical ratio statistics, and the exponent-region
   classifier;
@@ -27,6 +29,7 @@ from .kernel import (
     omega_hat,
     omega_hat_adjoint,
     omega_hat_dilated,
+    omega_hat_jacobi,
     omega_physical,
 )
 from .fields import (
@@ -48,7 +51,6 @@ from .conop import (
     RadialQuadrature,
     UnderResolvedWarning,
     apply_I_alpha_multiplier,
-    apply_I_alpha_slices,
     apply_cone_direct,
     convergence_check,
     multiplier_table,

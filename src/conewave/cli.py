@@ -30,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
-from scipy.special import roots_jacobi
 
 from . import __version__
 from .analysis import (
@@ -51,7 +50,7 @@ from .analysis import (
 from .conop import RadialQuadrature, UnderResolvedWarning, apply_path, convergence_check
 from .ensembles import gaussian, gaussian_spacetime, random_bumps
 from .fields import FieldFormatError, Grid, SpacetimeField, SpacetimeGrid, load_field, save_field
-from .kernel import KernelSpec, multiplier_split, omega_hat, write_kernel_tables
+from .kernel import KernelSpec, multiplier_split, omega_hat, omega_hat_jacobi, write_kernel_tables
 from .specialfn import bessel_remainder, reciprocal_gamma
 
 
@@ -343,31 +342,24 @@ def battery_bessel() -> list:
     return records
 
 
-def _ft_quadrature_oracle(spec: KernelSpec, xi: float, nodes: int = 1200) -> float:
-    # independent route to the spectral profile: integrate the density
-    # itself with a Gauss rule built for its endpoint singularities,
-    # bypassing the package's series/asymptotic evaluation entirely
-    lam = spec.lam.real
-    x, w = roots_jacobi(nodes, -lam, -lam)
-    return spec.gamma_c.real * float(w @ np.cos(2.0 * np.pi * xi * x))
-
-
 def battery_ft_identity() -> list:
-    """Physical-vs-spectral agreement for the distinguished n=1 kernels."""
+    """Physical-vs-spectral agreement for distinguished kernels.
+
+    The Gauss-Jacobi quadrature of the density (projected onto a line for
+    n > 1) shares no arithmetic with the Bessel-series profile it judges.
+    """
     records = []
-    xis = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
-    for alpha in (0.3, 0.5, 0.6, 0.8):
-        spec = KernelSpec(alpha, 1)
-        worst = max(
-            abs(_ft_quadrature_oracle(spec, xi) - omega_hat(xi, spec)) for xi in xis
-        )
+    xis = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
+    for alpha, n in ((0.3, 1), (0.5, 1), (0.6, 1), (0.8, 1), (0.5, 2), (1.0, 2)):
+        spec = KernelSpec(alpha, n)
+        worst = float(np.max(np.abs(omega_hat_jacobi(xis, spec) - omega_hat(xis, spec))))
         records.append(
             _rec(
-                f"transform identity alpha={alpha:g}",
+                f"transform identity alpha={alpha:g} n={n}",
                 worst,
                 1e-6,
                 worst <= 1e-6,
-                "n=1; 1200-node Jacobi quadrature of the density vs the "
+                f"n={n}; Gauss-Jacobi quadrature of the density vs the "
                 "spectral profile; xi in {0, 0.5, 1, 2, 5, 10}",
             )
         )
@@ -1023,8 +1015,17 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
 
     spec = _kernel_from(cfg)
     path = cfg[sec]["path"]
-    if path not in ("slices", "multiplier", "cone-direct"):
-        raise ConfigError(f"unknown operator path {path!r}")
+    cross = cfg[sec]["cross_check"]
+    if cross == "auto":
+        cross = "cone-direct" if path == "multiplier" else "multiplier"
+    try:
+        op = apply_path(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    try:
+        cross_op = None if cross == "none" else apply_path(cross)
+    except ValueError as exc:
+        raise ConfigError(f"cross_check: {exc}")
 
     if cfg[sec]["r_min"] == "auto" and cfg[sec]["r_max"] == "auto":
         try:
@@ -1040,12 +1041,8 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc))
 
-    op = apply_path(path)
     try:
-        if path == "slices":
-            out_field = op(field, spec, quad, jobs=jobs)
-        else:
-            out_field = op(field, spec, quad)
+        out_field = op(field, spec, quad)
     except (ValueError, TypeError) as exc:
         # validity refusals from the operator layer are configuration
         # problems at this level, not numerical failures
@@ -1061,7 +1058,7 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
     tol = _to_float(cfg, sec, "convergence_tol")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
-        diag = convergence_check(field, spec, quad, path=path, tol=tol)
+        diag = convergence_check(field, spec, quad, out_field, path=path, tol=tol)
     for key in ("r_min_halved", "r_max_doubled", "nodes_doubled"):
         flagged = diag[key] > tol
         records.append(
@@ -1073,19 +1070,11 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
                     "densify the radial window if the tail matters" if flagged else ""))
         )
 
-    cross = cfg[sec]["cross_check"]
-    if cross == "auto":
-        cross = "multiplier" if path != "multiplier" else "slices"
-    if cross != "none":
-        if cross not in ("slices", "multiplier", "cone-direct"):
-            raise ConfigError(f"unknown cross_check path {cross!r}")
+    if cross_op is not None:
         raw_tol = cfg[sec]["cross_tol"]
-        if raw_tol == "auto":
-            cross_tol = 0.02 if "cone-direct" in (path, cross) else 1e-3
-        else:
-            cross_tol = _to_float(cfg, sec, "cross_tol")
+        cross_tol = 1e-3 if raw_tol == "auto" else _to_float(cfg, sec, "cross_tol")
         try:
-            other = apply_path(cross)(field, spec, quad)
+            other = cross_op(field, spec, quad)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"cross_check path {cross!r}: {exc}")
         scale = float(np.linalg.norm(out_field.samples))
@@ -1136,14 +1125,9 @@ def cmd_norm_test(cfg, out_dir, seed, jobs) -> int:
     quad = RadialQuadrature.for_grid(stg)
     prov = f"{_grid_prov(stg)}; {_quad_prov(quad)}; path {path}"
 
-    def run(f):
-        if path == "slices":
-            return op(f, spec, quad, jobs=1)
-        return op(f, spec, quad)
-
     family = [gaussian_spacetime(stg, d) for d in deltas]
     try:
-        stats = operator_ratio_estimate(run, inv_p, inv_q, family,
+        stats = operator_ratio_estimate(lambda f: op(f, spec, quad), inv_p, inv_q, family,
                                         labels=[f"width {d:g}" for d in deltas])
     except ValueError as exc:
         raise ConfigError(str(exc))

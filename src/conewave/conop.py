@@ -2,22 +2,19 @@
 
 The operator averages spatial convolutions of f against mass-preserving
 kernel dilations over the shift radius r, with the radial measure
-|r|^(B alpha - 1) dr, B = (n+1)/n, taken over both signs of r.  Three
-independent discretizations are provided:
+|r|^(B alpha - 1) dr, B = (n+1)/n, taken over both signs of r.  In the
+Fourier domain that is one (n+1)-dimensional multiplier
 
-* slices     - per radial node: convolve in x through the exact spectral
-               profile, shift in t by the node radius (spectral phase, no
-               interpolation), accumulate with quadrature weights;
-* multiplier - assemble the full (n+1)-dimensional symbol
-               m(xi, tau) = integral of omega_hat(|r| |xi|) e^(-2 pi i r tau)
-               against the radial measure, apply it in one shot;
-* cone-direct (n = 1) - quadrature of the physical cone kernel
-               gamma_c (r^2 - u^2)^(-lam) with the substitution u = r s,
-               which turns the edge singularity into the Gauss-Jacobi
-               weight (1 - s^2)^(-lam) and resolves it exactly.
+    m(xi, tau) = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + completion * P(0),
 
-All three agree on resolved inputs; they exist separately so each can
-cross-check the others.
+assembled once and applied with one FFT pair.  Only the spatial profile P
+varies between the two evaluation paths, and the two profiles share no
+arithmetic, so each path cross-checks the other:
+
+* multiplier  - P = omega_hat, the Bessel-series spectral profile;
+* cone-direct - P = omega_hat_jacobi, Gauss-Jacobi quadrature of the
+                physical density projected onto a line, whose endpoint
+                singularity the Jacobi weight resolves exactly.
 
 The radial grid is log-uniform.  Its floor truncates an integrable
 singularity at r = 0; the truncated mass is restored by a closed-form
@@ -32,25 +29,21 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .fields import (
     PHYSICAL,
-    SPECTRAL,
     DomainTagError,
     SpacetimeField,
     SpacetimeGrid,
     forward_axes,
     inverse_axes,
 )
-from .kernel import KernelSpec, KernelValidityError, UnsupportedParameterError, omega_hat
+from .kernel import KernelSpec, omega_hat, omega_hat_jacobi
 
 __all__ = [
     "UnderResolvedWarning",
     "RadialQuadrature",
     "multiplier_table",
-    "multiplier_field",
-    "apply_I_alpha_slices",
     "apply_I_alpha_multiplier",
     "apply_cone_direct",
     "convergence_check",
@@ -148,6 +141,32 @@ def _radial_exponent(spec: KernelSpec) -> float:
     return spec.time_scale_power * spec.alpha - 1.0
 
 
+def _symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature,
+            profile) -> np.ndarray:
+    # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + completion * P(0): the
+    # profile is evaluated once on the distinct |xi| values and scattered
+    # back, so every radial node costs one row of a single matrix product
+    e = _radial_exponent(spec)
+    r = quad.nodes()
+    w = quad.measure_weights(e)
+    tau = grid.t_freq_axis()
+    xi, scatter = np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
+    weighted = (w[:, None] * profile(np.outer(r, xi), spec))[:, scatter]  # (M, space)
+    phases = 2.0 * np.cos(2.0 * np.pi * np.outer(r, tau))  # (M, Nt)
+    m = (weighted.T @ phases).reshape(grid.shape)
+    if quad.completion:
+        m = m + quad.completion_mass(e) * profile(0.0, spec)
+    return m
+
+
+def _apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
+    ndim = f.samples.ndim
+    spacings = (f.grid.space.spacing,) * f.grid.space.n + (f.grid.t_spacing,)
+    spec_samples = forward_axes(f.samples, range(ndim), spacings)
+    out = inverse_axes(spec_samples * m, range(ndim), spacings)
+    return SpacetimeField(f.grid, out, PHYSICAL)
+
+
 def multiplier_table(grid: SpacetimeGrid, spec: KernelSpec,
                      quad: RadialQuadrature | None = None) -> np.ndarray:
     """The (n+1)-dimensional symbol m(xi, tau) on the spectral grid.
@@ -158,162 +177,29 @@ def multiplier_table(grid: SpacetimeGrid, spec: KernelSpec,
     """
     if quad is None:
         quad = RadialQuadrature.for_grid(grid)
-    e = _radial_exponent(spec)
-    r = quad.nodes()
-    w = quad.measure_weights(e)
-    tau = grid.t_freq_axis()
-    xi = grid.space.freq_radius()
-
-    if grid.space.n == 1:
-        profile = omega_hat(np.outer(r, np.abs(xi)), spec)  # (M, Nx)
-        phases = 2.0 * np.cos(2.0 * np.pi * np.outer(r, tau))  # (M, Nt)
-        m = (w[:, None] * profile).T @ phases
-    else:
-        m = np.zeros(grid.shape)
-        for j in range(quad.count):
-            prof = omega_hat(r[j] * xi, spec)
-            m += w[j] * prof[..., None] * (2.0 * np.cos(2.0 * np.pi * r[j] * tau))
-    if quad.completion:
-        m = m + quad.completion_mass(e) * omega_hat(0.0, spec)
-    return m
-
-
-def multiplier_field(grid: SpacetimeGrid, spec: KernelSpec,
-                     quad: RadialQuadrature | None = None) -> SpacetimeField:
-    """The symbol packaged as a spectral-domain field, e.g. for export."""
-    return SpacetimeField(grid, multiplier_table(grid, spec, quad), SPECTRAL)
+    return _symbol(grid, spec, quad, omega_hat)
 
 
 def apply_I_alpha_multiplier(f: SpacetimeField, spec: KernelSpec,
                              quad: RadialQuadrature | None = None) -> SpacetimeField:
-    """Apply the operator as one (n+1)-dimensional spectral multiplication."""
+    """Apply the operator with the Bessel-series profile omega_hat."""
     _check_operator_input(f, spec)
     if quad is None:
         quad = RadialQuadrature.for_grid(f.grid)
-    m = multiplier_table(f.grid, spec, quad)
-    ndim = f.samples.ndim
-    spacings = (f.grid.space.spacing,) * f.grid.space.n + (f.grid.t_spacing,)
-    spec_samples = forward_axes(f.samples, range(ndim), spacings)
-    out = inverse_axes(spec_samples * m, range(ndim), spacings)
-    return SpacetimeField(f.grid, out, PHYSICAL)
-
-
-def _accumulate_nodes(per_node, count: int, jobs: int, out: np.ndarray) -> None:
-    # deterministic reduction: contributions are always summed in node
-    # order, whatever the worker count, so reports stay byte-identical
-    if jobs <= 1:
-        for j in range(count):
-            out += per_node(j)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = []
-        for j in range(count):
-            pending.append(pool.submit(per_node, j))
-            if len(pending) == jobs:
-                out += pending.pop(0).result()
-        while pending:
-            out += pending.pop(0).result()
-
-
-def apply_I_alpha_slices(f: SpacetimeField, spec: KernelSpec,
-                         quad: RadialQuadrature | None = None,
-                         jobs: int = 1) -> SpacetimeField:
-    """Apply the operator node by node: convolve in x, shift in t, accumulate.
-
-    Time shifts are spectral phases, so non-grid radii cost nothing in
-    accuracy; the +r and -r contributions are merged into a cosine.  The
-    ordered reduction over nodes makes results independent of `jobs`.
-    """
-    _check_operator_input(f, spec)
-    if quad is None:
-        quad = RadialQuadrature.for_grid(f.grid)
-    g = f.grid
-    n = g.space.n
-    e = _radial_exponent(spec)
-    r = quad.nodes()
-    w = quad.measure_weights(e)
-    xi = g.space.freq_radius()
-    tau = g.t_freq_axis()
-    x_axes = tuple(range(n))
-    x_spacings = (g.space.spacing,) * n
-    t_axis = (n,)
-    t_spacing = (g.t_spacing,)
-
-    fx = forward_axes(f.samples, x_axes, x_spacings)
-
-    def node_term(j: int) -> np.ndarray:
-        conv = inverse_axes(fx * omega_hat(r[j] * xi, spec)[..., None],
-                            x_axes, x_spacings)
-        ct = forward_axes(conv, t_axis, t_spacing)
-        shifted = inverse_axes(ct * (2.0 * np.cos(2.0 * np.pi * r[j] * tau)),
-                               t_axis, t_spacing)
-        return w[j] * shifted
-
-    out = np.zeros(g.shape, dtype=np.complex128)
-    _accumulate_nodes(node_term, quad.count, jobs, out)
-    if quad.completion:
-        out += quad.completion_mass(e) * omega_hat(0.0, spec) * f.samples
-    return SpacetimeField(g, out, PHYSICAL)
+    return _apply_symbol(f, multiplier_table(f.grid, spec, quad))
 
 
 def apply_cone_direct(f: SpacetimeField, spec: KernelSpec,
-                      quad: RadialQuadrature | None = None,
-                      s_nodes: int = 192) -> SpacetimeField:
-    """Quadrature of the physical cone kernel, for n = 1.
-
-    The spatial average at radius r is gamma_c * integral over |s| < 1 of
-    (1 - s^2)^(-lam) f(x - r s) ds after substituting u = r s; Gauss-Jacobi
-    nodes carry that weight exactly, and the translates f(x - r s) are
-    evaluated spectrally.  Only meaningful where the kernel is a function,
-    i.e. 0 < Re lam < 1.
-    """
+                      quad: RadialQuadrature | None = None) -> SpacetimeField:
+    """Apply the operator with the Gauss-Jacobi profile of the physical
+    cone kernel (omega_hat_jacobi), for every n and order with v = 0."""
     _check_operator_input(f, spec)
-    if spec.v != 0.0:
-        raise UnsupportedParameterError("cone-direct path is implemented for v = 0 only")
-    if spec.n != 1:
-        raise KernelValidityError("cone-direct path is implemented for n = 1")
-    lam = spec.lam.real
-    if not 0.0 < lam < 1.0:
-        raise KernelValidityError(
-            f"cone kernel is not integrable: Re lam = {lam:g} outside (0, 1)"
-        )
     if quad is None:
         quad = RadialQuadrature.for_grid(f.grid)
-
-    g = f.grid
-    e = _radial_exponent(spec)
-    r = quad.nodes()
-    w = quad.measure_weights(e)
-    s, ws = roots_jacobi(s_nodes, -lam, -lam)
-    gam = spec.gamma_c.real
-    xi = g.space.freq_axis()
-    tau = g.t_freq_axis()
-    x_spacings = (g.space.spacing,)
-    t_spacing = (g.t_spacing,)
-
-    fx = forward_axes(f.samples, (0,), x_spacings)
-
-    def node_term(j: int) -> np.ndarray:
-        # GJ image of the dilated kernel's symbol at this radius
-        symbol = gam * (ws @ np.cos(2.0 * np.pi * r[j] * np.outer(s, xi)))
-        conv = inverse_axes(fx * symbol[:, None], (0,), x_spacings)
-        ct = forward_axes(conv, (1,), t_spacing)
-        shifted = inverse_axes(ct * (2.0 * np.cos(2.0 * np.pi * r[j] * tau)),
-                               (1,), t_spacing)
-        return w[j] * shifted
-
-    out = np.zeros(g.shape, dtype=np.complex128)
-    for j in range(quad.count):
-        out += node_term(j)
-    if quad.completion:
-        out += quad.completion_mass(e) * gam * float(np.sum(ws)) * f.samples
-    return SpacetimeField(g, out, PHYSICAL)
+    return _apply_symbol(f, _symbol(f.grid, spec, quad, omega_hat_jacobi))
 
 
 _PATHS = {
-    "slices": apply_I_alpha_slices,
     "multiplier": apply_I_alpha_multiplier,
     "cone-direct": apply_cone_direct,
 }
@@ -328,15 +214,17 @@ def apply_path(name: str):
 
 
 def convergence_check(f: SpacetimeField, spec: KernelSpec, quad: RadialQuadrature,
-                      path: str = "multiplier", tol: float = 1e-3) -> dict:
+                      out: SpacetimeField, path: str = "multiplier",
+                      tol: float = 1e-3) -> dict:
     """Sensitivity of the output to the radial grid's floor, cap, and density.
 
-    Relative L2 changes under halving r_min, doubling r_max (capped at
-    half the time extent), and doubling the node count.  Emits
+    `out` is the path's output for (f, spec, quad), which callers already
+    hold.  Relative L2 changes under halving r_min, doubling r_max (capped
+    at half the time extent), and doubling the node count.  Emits
     UnderResolvedWarning when any movement exceeds tol.
     """
     op = apply_path(path)
-    base = op(f, spec, quad).samples
+    base = out.samples
     scale = float(np.linalg.norm(base))
 
     def rel(q: RadialQuadrature) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "slice_at_time",
     "save_field",
     "load_field",
-    "export_csv_1d",
 ]
 
 PHYSICAL = "physical"
@@ -524,14 +523,3 @@ def load_field(path):
         return Field(grid, samples, tag)
     return SpacetimeField(grid, samples, tag)
 
-
-def export_csv_1d(f: Field, path) -> None:
-    """CSV of a one-dimensional field: coordinate, re, im."""
-    if not isinstance(f, Field) or f.grid.n != 1:
-        raise ValueError("CSV export handles one-dimensional spatial fields")
-    coord = f.grid.axis() if f.domain_tag == PHYSICAL else f.grid.freq_axis()
-    name = "x" if f.domain_tag == PHYSICAL else "xi"
-    with open(path, "w") as fh:
-        fh.write(f"{name},re,im\n")
-        for c, v in zip(coord, f.samples):
-            fh.write(f"{float(c)!r},{float(v.real)!r},{float(v.imag)!r}\n")

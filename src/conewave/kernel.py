@@ -18,6 +18,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .specialfn import bessel_j_scaled, bessel_main_term, reciprocal_gamma
 
@@ -29,6 +30,7 @@ __all__ = [
     "gamma_const",
     "omega_physical",
     "omega_hat",
+    "omega_hat_jacobi",
     "omega_hat_adjoint",
     "omega_hat_dilated",
     "multiplier_split",
@@ -159,6 +161,37 @@ def omega_hat(xi, spec: KernelSpec):
     if np.ndim(xi) == 0:
         return float(out[()])
     return out
+
+
+def omega_hat_jacobi(xi, spec: KernelSpec):
+    """Spectral profile by Gauss-Jacobi quadrature of the physical density.
+
+    Projecting the density onto a line gives the one-dimensional member
+    with lam' = lam - (n-1)/2 = 1/2 - nu, so the profile at |xi| is
+
+        pi^(-lam') / Gamma(1 - lam') * integral over |s| < 1 of
+        (1 - s^2)^(-lam') cos(2 pi |xi| s) ds,
+
+    and Jacobi nodes carry the endpoint weight exactly.  This shares no
+    arithmetic with the Bessel evaluation behind omega_hat, and lam' < 1
+    holds for every order, so it covers the whole v = 0 family.  The node
+    count grows with the largest |xi| requested, which keeps the rule at
+    about 1e-10 relative accuracy across the array.
+    """
+    _require_distinguished(spec, "the Gauss-Jacobi profile")
+    lam = 0.5 - spec.bessel_order
+    rho = np.abs(np.asarray(xi, dtype=float)).ravel()
+    nodes = int(np.ceil(3.5 * rho.max(initial=0.0))) + 24
+    s, w = roots_jacobi(nodes, -lam, -lam)
+    out = np.empty_like(rho)
+    step = max(1, 2**16 // nodes)  # keeps the cosine block at 512 KiB
+    for i in range(0, rho.size, step):
+        block = np.outer(rho[i:i + step], 2.0 * np.pi * s)
+        out[i:i + step] = np.cos(block, out=block) @ w
+    out *= np.pi ** (-lam) * reciprocal_gamma(1.0 - lam)
+    if np.ndim(xi) == 0:
+        return float(out[0])
+    return out.reshape(np.shape(xi))
 
 
 def omega_hat_adjoint(xi, spec: KernelSpec):

@@ -231,16 +231,29 @@ def test_op_apply_cross_check_and_sensitivity_are_reported(tmp_path):
     code, out = run(
         tmp_path,
         "op-apply",
-        config=f"[op-apply]\ninput = {field_path}\npath = slices\ncount = 64\n",
+        config=f"[op-apply]\ninput = {field_path}\npath = cone-direct\ncount = 64\n",
     )
     assert code == 0
     recs = {r["name"]: r for r in read_records(out)}
     gate = recs["cross-path agreement vs multiplier"]
-    assert gate["passed"] == "true" and float(gate["value"]) < 1e-3
+    assert gate["passed"] == "true" and float(gate["value"]) < 1e-10
+    assert float(gate["threshold"]) == 1e-3
     # sensitivity rows are advisory: present, unconditionally green
     for name in ("sensitivity r_min_halved", "sensitivity r_max_doubled", "sensitivity nodes_doubled"):
         assert recs[name]["passed"] == "true"
         assert recs[name]["threshold"] == ""
+
+
+def test_op_apply_rejects_removed_paths(tmp_path, capsys):
+    g = cw.SpacetimeGrid(cw.Grid(1, 32, 16.0), 32, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+    for key in ("path", "cross_check"):
+        code, _ = run(tmp_path, "op-apply", name=key,
+                      config=f"[op-apply]\ninput = {field_path}\n{key} = slices\n")
+        assert code == 3, key
+        err = capsys.readouterr().err
+        assert "slices" in err and "'cone-direct', 'multiplier'" in err, key
 
 
 # ---------------------------------------------------------------------------

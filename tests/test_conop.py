@@ -8,14 +8,13 @@ import pytest
 import conewave.ensembles as ens
 from conewave import (
     KernelSpec,
-    KernelValidityError,
     RadialQuadrature,
     SpacetimeField,
     SpacetimeGrid,
     Grid,
     UnderResolvedWarning,
+    UnsupportedParameterError,
     apply_I_alpha_multiplier,
-    apply_I_alpha_slices,
     apply_cone_direct,
     convergence_check,
     dilate_field,
@@ -105,7 +104,7 @@ def test_zero_field_maps_to_zero():
     f = SpacetimeField(g, np.zeros(g.shape))
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 32)
-    for op in (apply_I_alpha_multiplier, apply_I_alpha_slices, apply_cone_direct):
+    for op in (apply_I_alpha_multiplier, apply_cone_direct):
         out = op(f, spec, quad)
         assert np.all(out.samples == 0.0)
 
@@ -126,36 +125,29 @@ def test_operator_is_linear():
     assert np.max(np.abs(lhs.samples - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
 
-def test_slices_agree_with_multiplier():
+def test_cone_direct_agrees_with_multiplier():
     g = _grid(128)
     f = ens.gaussian_spacetime(g, 1.5)
     quad = RadialQuadrature.for_grid(g, 64)
     for alpha in (0.3, 0.6):
         spec = KernelSpec(alpha, 1)
         a = apply_I_alpha_multiplier(f, spec, quad)
-        b = apply_I_alpha_slices(f, spec, quad)
+        b = apply_cone_direct(f, spec, quad)
         assert _rel(b, a) < 1e-10
 
 
-def test_cone_direct_agrees_with_slices():
-    g = _grid(128)
-    f = ens.gaussian_spacetime(g, 1.5)
-    quad = RadialQuadrature.for_grid(g, 64)
-    spec = KernelSpec(0.6, 1)
-    a = apply_I_alpha_slices(f, spec, quad)
-    b = apply_cone_direct(f, spec, quad)
-    assert _rel(b, a) < 1e-6
-
-
-def test_slices_worker_count_does_not_change_bits():
-    g = _grid(64)
-    rng = np.random.default_rng(9)
-    f = SpacetimeField(g, rng.standard_normal(g.shape))
-    spec = KernelSpec(0.4, 1)
-    quad = RadialQuadrature.for_grid(g, 48)
-    one = apply_I_alpha_slices(f, spec, quad, jobs=1)
-    four = apply_I_alpha_slices(f, spec, quad, jobs=4)
-    assert np.array_equal(one.samples, four.samples)
+def test_cone_direct_resolves_the_default_grid_nyquist():
+    # a packet at k_x = 3.5 puts its mass at r |xi| up to r_max * Nyquist
+    # = 16 * 4 = 64 on the default grid, so the Jacobi rule has to follow
+    # the largest profile argument instead of a fixed node count
+    g = SpacetimeGrid.default(1)
+    f = ens.wave_packet(g, 2.0, k_x=3.5)
+    quad = RadialQuadrature.for_grid(g)
+    for alpha in (0.4, 0.6):
+        spec = KernelSpec(alpha, 1)
+        a = apply_I_alpha_multiplier(f, spec, quad)
+        b = apply_cone_direct(f, spec, quad)
+        assert _rel(b, a) < 1e-8, alpha
 
 
 def test_multiplier_accepts_higher_dimensions():
@@ -166,11 +158,24 @@ def test_multiplier_accepts_higher_dimensions():
     assert lp_norm(out, 2.0) > 0.0
 
 
-def test_cone_direct_is_one_dimensional_only():
-    g = SpacetimeGrid(Grid(2, 16, 8.0), 16, 8.0)
+def test_cone_direct_agrees_in_two_dimensions():
+    # 0.5 sits outside the density's strip 0 < Re lam < 1 (lam = 1.125 at
+    # n = 2), yet its projection onto a line (lam' = 0.625) is a function
+    g = SpacetimeGrid(Grid(2, 32, 16.0), 32, 16.0)
     f = ens.gaussian_spacetime(g, 1.0)
-    with pytest.raises(KernelValidityError):
-        apply_cone_direct(f, KernelSpec(1.0, 2), RadialQuadrature.for_grid(g, 16))
+    quad = RadialQuadrature.for_grid(g, 32)
+    for alpha in (0.5, 1.0, 1.5):
+        spec = KernelSpec(alpha, 2)
+        a = apply_I_alpha_multiplier(f, spec, quad)
+        b = apply_cone_direct(f, spec, quad)
+        assert _rel(b, a) < 1e-10, alpha
+
+
+def test_cone_direct_refuses_imaginary_offset():
+    g = _grid(32, 16.0)
+    f = ens.gaussian_spacetime(g, 1.0)
+    with pytest.raises(UnsupportedParameterError):
+        apply_cone_direct(f, KernelSpec(0.5, 1, v=0.3), RadialQuadrature.for_grid(g, 16))
 
 
 def test_operator_input_guards():
@@ -188,10 +193,10 @@ def test_operator_input_guards():
 
 def test_apply_path_lookup():
     assert apply_path("multiplier") is apply_I_alpha_multiplier
-    assert apply_path("slices") is apply_I_alpha_slices
     assert apply_path("cone-direct") is apply_cone_direct
-    with pytest.raises(ValueError):
-        apply_path("spectral")
+    for gone in ("slices", "spectral"):
+        with pytest.raises(ValueError, match="cone-direct"):
+            apply_path(gone)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ def test_convergence_check_reports_and_warns():
     spec = KernelSpec(0.4, 1)
     coarse = RadialQuadrature.for_grid(g, 48)
     with pytest.warns(UnderResolvedWarning):
-        rep = convergence_check(f, spec, coarse)
+        rep = convergence_check(f, spec, coarse, apply_I_alpha_multiplier(f, spec, coarse))
     assert set(rep) == {
         "r_min_halved",
         "r_max_doubled",
@@ -253,5 +258,6 @@ def test_convergence_check_reports_and_warns():
     roomy = RadialQuadrature(g2.t_spacing / 2048.0, 16.0, 960)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnderResolvedWarning)
-        rep2 = convergence_check(f2, spec, roomy, tol=1e-3)
+        rep2 = convergence_check(f2, spec, roomy, apply_I_alpha_multiplier(f2, spec, roomy),
+                                 tol=1e-3)
     assert rep2["under_resolved"] is False
