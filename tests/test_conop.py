@@ -23,7 +23,8 @@ from conewave import (
     multiplier_table,
 )
 from conewave.conop import apply_path
-from conewave.fields import DomainTagError
+from conewave.fields import DomainTagError, forward_axes, inverse_axes
+from conewave.kernel import omega_hat
 
 
 def _grid(points=128, extent=32.0):
@@ -33,6 +34,28 @@ def _grid(points=128, extent=32.0):
 def _rel(a: SpacetimeField, b: SpacetimeField) -> float:
     scale = np.linalg.norm(b.samples.ravel())
     return float(np.linalg.norm((a.samples - b.samples).ravel()) / scale)
+
+
+def _slices(f: SpacetimeField, spec: KernelSpec, quad: RadialQuadrature) -> SpacetimeField:
+    # reference: the operator radial slice by radial slice, with no shared
+    # symbol - convolve in x with the dilated kernel, shift by +-r in t,
+    # accumulate in node order, then add the closed-form completion
+    g = f.grid
+    n = g.space.n
+    e = spec.time_scale_power * spec.alpha - 1.0
+    x_axes, x_spacings = tuple(range(n)), (g.space.spacing,) * n
+    t_axis, t_spacing = (n,), (g.t_spacing,)
+    xi = g.space.freq_radius()
+    tau = g.t_freq_axis()
+    fx = forward_axes(f.samples, x_axes, x_spacings)
+    out = np.zeros(g.shape, dtype=np.complex128)
+    for r, w in zip(quad.nodes(), quad.measure_weights(e)):
+        conv = inverse_axes(fx * omega_hat(r * xi, spec)[..., None], x_axes, x_spacings)
+        ct = forward_axes(conv, t_axis, t_spacing)
+        out += w * inverse_axes(ct * (2.0 * np.cos(2.0 * np.pi * r * tau)), t_axis, t_spacing)
+    if quad.completion:
+        out += quad.completion_mass(e) * omega_hat(0.0, spec) * f.samples
+    return SpacetimeField(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +146,34 @@ def test_operator_is_linear():
         - 3.0 * apply_I_alpha_multiplier(f2, spec, quad).samples
     )
     assert np.max(np.abs(lhs.samples - rhs)) < 1e-10 * np.max(np.abs(rhs))
+
+
+def test_slices_agree_with_multiplier():
+    # the one-shot symbol assembly (distinct |xi| values, scattered back)
+    # against the slice-by-slice reference, in one and two dimensions
+    g = _grid(128)
+    f = ens.gaussian_spacetime(g, 1.5)
+    quad = RadialQuadrature.for_grid(g, 64)
+    for alpha in (0.3, 0.6):
+        spec = KernelSpec(alpha, 1)
+        a = apply_I_alpha_multiplier(f, spec, quad)
+        b = _slices(f, spec, quad)
+        assert _rel(b, a) < 1e-10
+    g2 = SpacetimeGrid(Grid(2, 16, 8.0), 16, 8.0)
+    f2 = ens.gaussian_spacetime(g2, 1.0)
+    quad2 = RadialQuadrature.for_grid(g2, 32)
+    spec2 = KernelSpec(1.0, 2)
+    assert _rel(_slices(f2, spec2, quad2), apply_I_alpha_multiplier(f2, spec2, quad2)) < 1e-10
+
+
+def test_cone_direct_agrees_with_slices():
+    g = _grid(128)
+    f = ens.gaussian_spacetime(g, 1.5)
+    quad = RadialQuadrature.for_grid(g, 64)
+    spec = KernelSpec(0.6, 1)
+    a = _slices(f, spec, quad)
+    b = apply_cone_direct(f, spec, quad)
+    assert _rel(b, a) < 1e-6
 
 
 def test_cone_direct_agrees_with_multiplier():
