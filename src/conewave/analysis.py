@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conop import RadialQuadrature
-from .fields import Field, SpacetimeField, convolve_omega
+from .fields import PHYSICAL, DomainTagError, Field, SpacetimeField
 from .kernel import KernelSpec, omega_hat, omega_hat_adjoint
 from .specialfn import bessel_remainder
 from . import fields as _fields
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _EQ_TOL = 1e-12  # classification equality tolerance: pure arithmetic, no noise
+_BLOCK = 2**16  # elements per temporary block in the vectorized batteries
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +152,17 @@ def lp_norm(f, p: float) -> float:
     p = float(p)
     if not p > 1.0:
         raise ValueError(f"exponent must satisfy p > 1, got {p}")
-    mags = np.abs(f.samples)
+    return float(_lp(f.samples, p, f.cell_volume))
+
+
+def _lp(samples: np.ndarray, p: float, cell_volume: float, axis=None):
+    # the lp_norm reduction; with axis set, one norm per leading index
+    mags = np.abs(samples)
     if not np.all(np.isfinite(mags)):
         raise ValueError("field has non-finite samples")
     if math.isinf(p):
-        return float(mags.max())
-    return float((np.sum(mags**p) * f.cell_volume) ** (1.0 / p))
+        return mags.max(axis=axis)
+    return (np.sum(mags**p, axis=axis) * cell_volume) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -188,28 +194,44 @@ class MixedNormSpec:
 def mixed_norm(f: Field, spec: KernelSpec, mn: MixedNormSpec) -> float:
     """( integral r^(alpha s) ||f * Omega_r||_q^s dr/r )^(1/s) over the r grid.
 
-    Physical-space route: each node costs one spatial convolution, and the
-    q-norm is taken on the physical samples.  The (0, r_min) mass is
-    restored in closed form when the grid asks for completion: there the
-    convolution tends to omega_hat(0) * f, so the integrand's limit is
-    known exactly.
+    Physical-space route: f is transformed once, the profile is evaluated
+    once per node on the distinct |xi| values and scattered back, and
+    blocks of nodes are transformed back together along a leading axis;
+    the q-norm of each node's convolution is taken on its physical
+    samples.  The (0, r_min) mass is restored in closed form when the grid
+    asks for completion: there the convolution tends to omega_hat(0) * f,
+    so the integrand's limit is known exactly.
     """
     if not isinstance(f, Field):
         raise TypeError("mixed_norm acts on spatial fields")
+    if f.domain_tag != PHYSICAL:
+        raise DomainTagError("mixed_norm expects a physical-domain field")
+    if spec.n != f.grid.n:
+        raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
     if spec.alpha != mn.alpha:
         raise ValueError(
             f"kernel alpha {spec.alpha:g} != mixed-norm alpha {mn.alpha:g}"
         )
+    f_norm = lp_norm(f, mn.q)  # also refuses q = 1 and non-finite samples
     quad = mn.r_grid
     r = quad.nodes()
     # measure r^(alpha s - 1) dr, one-sided: r here is a scale, not a shift
     w = quad.measure_weights(mn.alpha * mn.s - 1.0, both_signs=False)
-    total = 0.0
-    for j in range(quad.count):
-        total += w[j] * lp_norm(convolve_omega(f, spec, r[j]), mn.q) ** mn.s
+    n = f.grid.n
+    spacings = (f.grid.spacing,) * n
+    fhat = _fields.forward_axes(f.samples, range(n), spacings)
+    xi, scatter = np.unique(f.grid.freq_radius().ravel(), return_inverse=True)
+    axes = tuple(range(1, n + 1))
+    norms = np.empty(quad.count)
+    step = max(1, _BLOCK // fhat.size)
+    for i in range(0, quad.count, step):
+        prof = omega_hat(np.outer(r[i:i + step], xi), spec)[:, scatter]
+        conv = _fields.inverse_axes(fhat * prof.reshape((-1,) + fhat.shape), axes, spacings)
+        norms[i:i + step] = _lp(conv, mn.q, f.cell_volume, axis=axes)
+    total = float(np.sum(w * norms**mn.s))
     if quad.completion:
         mass = quad.completion_mass(mn.alpha * mn.s - 1.0, both_signs=False)
-        total += mass * (omega_hat(0.0, spec) * lp_norm(f, mn.q)) ** mn.s
+        total += mass * (omega_hat(0.0, spec) * f_norm) ** mn.s
     return float(total ** (1.0 / mn.s))
 
 
@@ -317,34 +339,71 @@ def _gl_rule(nodes: int):
     return x, w
 
 
-def _dyadic_panel_rule(a: float, b: float, singular, depth: int, nodes: int):
-    """Composite Gauss-Legendre rule on [a, b], panels halving dyadically
-    toward each singular point.
+def _dyadic_panels(a: float, b: float, singular: np.ndarray, depth: int):
+    """Panels of one composite rule per row of `singular`, halving
+    dyadically toward each of the row's singular points in (a, b).
 
-    Budget: at most 2*depth + 1 panels per singular point plus the base
-    panel structure, each carrying `nodes` Gauss points; endpoints are
-    never evaluated.
+    Each row's breaks are a, b, and every singular point s with
+    s +- (b - a) / 2^k, k = 1..depth, that falls strictly inside (a, b);
+    breaks closer than 1e-15 of the span to their predecessor are merged.
+    Returns (lo, width, row): the panels of every rule, row by row, each
+    row's panels in increasing order.
     """
-    breaks = {a, b}
     span = b - a
-    for s in singular:
-        if s < a - 1e-15 * abs(span) or s > b + 1e-15 * abs(span):
-            continue
-        breaks.add(min(max(s, a), b))
-        for k in range(1, depth + 1):
-            h = span * 0.5**k
-            for cand in (s - h, s + h):
-                if a < cand < b:
-                    breaks.add(cand)
-    cuts = np.array(sorted(breaks))
-    keep = np.concatenate([[True], np.diff(cuts) > 1e-15 * max(abs(span), 1.0)])
+    h = span * 0.5 ** np.arange(1, depth + 1)
+    near = singular[:, :, None] + np.concatenate([[0.0], -h, h])  # (rows, S, 2 depth + 1)
+    near[:, :, 1:][(near[:, :, 1:] <= a) | (near[:, :, 1:] >= b)] = np.nan
+    ends = np.broadcast_to([a, b], (singular.shape[0], 2))
+    cuts = np.sort(np.concatenate([ends, near.reshape(len(singular), -1)], axis=1), axis=1)
+    keep = np.ones(cuts.shape, dtype=bool)  # NaN sorts last and is never kept
+    keep[:, 1:] = np.diff(cuts, axis=1) > 1e-15 * max(abs(span), 1.0)
+    row = np.nonzero(keep)[0]
     cuts = cuts[keep]
+    inner = row[1:] == row[:-1]
+    lo = cuts[:-1][inner]
+    return lo, cuts[1:][inner] - lo, row[:-1][inner]
+
+
+@lru_cache(maxsize=1)
+def _sw_geometry(half: float, depth: int, nodes: int):
+    """The composite Gauss-Legendre rules of stein_weiss_ratio on
+    [-half, half], with `nodes` points per panel.
+
+    Returns (xs, xw, width, dist, distinct, us, order, starts).  (xs, xw)
+    is the outer rule, refined toward 0.  The inner rule of outer node i,
+    refined toward 0 and xs[i], is a run of panels of the given widths;
+    dist holds, per panel and Gauss point, the distance |u - xs[i]| to the
+    outer node, and the run's first node sits at offset starts[i] of the
+    panel-major order.  Panels near 0 recur in every inner rule, so only
+    the nodes of the distinct panels are kept, sorted in us: a value
+    computed on us and scattered through order has one row per distinct
+    panel, and distinct maps every panel to its row.  Nothing here
+    depends on the field or the exponents, so consecutive calls at one
+    depth share it.
+    """
     gx, gw = _gl_rule(nodes)
-    lo = cuts[:-1]
-    widths = np.diff(cuts)
-    pts = (lo[:, None] + widths[:, None] * (gx[None, :] + 1.0) * 0.5).ravel()
-    wts = (widths[:, None] * gw[None, :] * 0.5).ravel()
-    return pts, wts
+
+    def points(lo, width):
+        return lo[:, None] + width[:, None] * (gx[None, :] + 1.0) * 0.5
+
+    lo, width, _ = _dyadic_panels(-half, half, np.zeros((1, 1)), depth)
+    xs = points(lo, width).ravel()
+    xw = (width[:, None] * gw[None, :] * 0.5).ravel()
+    lo, width, owner = _dyadic_panels(
+        -half, half, np.column_stack([np.zeros_like(xs), xs]), depth)
+    panels, distinct = np.unique(np.column_stack([lo, width]), axis=0, return_inverse=True)
+    us = points(panels[:, 0], panels[:, 1]).ravel()
+    # np.interp is fastest on sorted queries; int32 halves the index arrays
+    order = np.argsort(us).astype(np.int32)
+    us = us[order]
+    dist = points(lo, width)
+    dist -= xs[owner, None]
+    np.abs(dist, out=dist)
+    starts = np.searchsorted(owner, np.arange(xs.size)) * nodes
+    out = (xs, xw, width, dist, distinct.ravel().astype(np.int32), us, order, starts)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def stein_weiss_ratio(params: SteinWeissParams, f: Field,
@@ -354,11 +413,15 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
 
     Direct one-dimensional quadrature: the potential integral refines
     dyadically toward its singular points u = 0 and u = x, the outer norm
-    toward x = 0, both over the field's box.  Inadmissible parameter sets
-    raise, naming every violated condition; passing allow_inadmissible
-    runs them anyway, which is exactly how the failure of the inequality
-    is demonstrated (the measured value then tracks the truncation depth
-    instead of converging).
+    toward x = 0, both over the field's box.  The panel geometry depends
+    only on the box, the depth and the panel order, so it is built once
+    (_sw_geometry) and shared by consecutive calls; each call interpolates
+    the field onto the distinct nodes and sums every potential with one
+    segmented reduction.  Inadmissible parameter sets raise, naming every
+    violated condition; passing allow_inadmissible runs them anyway, which
+    is exactly how the failure of the inequality is demonstrated (the
+    measured value then tracks the truncation depth instead of
+    converging).
     """
     fails = params.constraint_failures()
     if fails and not allow_inadmissible:
@@ -375,24 +438,33 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
         raise ValueError("input must be nonnegative")
 
     grid_x = f.grid.axis()
-    half = f.grid.extent / 2.0
 
     def fval(u):
         return np.interp(u, grid_x, fr, left=0.0, right=0.0)
 
-    xs, xw = _dyadic_panel_rule(-half, half, (0.0,), depth, nodes_per_panel)
-    pot = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        us, uw = _dyadic_panel_rule(-half, half, (0.0, float(x)), depth,
-                                    nodes_per_panel)
-        integrand = fval(us) * np.abs(us) ** (-params.delta_w) \
-            * np.abs(x - us) ** (params.a - params.N)
-        pot[i] = float(np.sum(uw * integrand))
+    nodes = int(nodes_per_panel)
+    xs, xw, width, dist, distinct, us, order, starts = _sw_geometry(
+        f.grid.extent / 2.0, int(depth), nodes)
+    gw = _gl_rule(nodes)[1]
+    # f(u) |u|^(-delta_w) once per distinct panel, the rest per block of
+    # panels, multiplied in place into terms
+    vals = fval(us)
+    vals *= np.abs(us) ** (-params.delta_w)
+    head = np.empty_like(vals)
+    head[order] = vals
+    head = head.reshape(-1, nodes)
+    terms = np.empty_like(dist)
+    step = max(1, _BLOCK // nodes)
+    for i in range(0, len(dist), step):
+        blk = slice(i, i + step)
+        np.power(dist[blk], params.a - params.N, out=terms[blk])
+        terms[blk] *= head[distinct[blk]]
+        terms[blk] *= width[blk, None] * gw[None, :] * 0.5
+    pot = np.add.reduceat(terms.ravel(), starts)
     weighted = np.abs(xs) ** (-params.gamma_w) * pot
     out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
 
-    fs, fw = _dyadic_panel_rule(-half, half, (0.0,), depth, nodes_per_panel)
-    in_norm = float(np.sum(fw * fval(fs) ** params.p) ** (1.0 / params.p))
+    in_norm = float(np.sum(xw * fval(xs) ** params.p) ** (1.0 / params.p))
     if in_norm == 0.0:
         raise ValueError("input field is identically zero")
     return out_norm / in_norm
@@ -475,46 +547,46 @@ def case_bound_check(spec: KernelSpec, samples) -> CaseBoundReport:
     n = spec.n
     nu = spec.bessel_order
     b_alpha = spec.time_scale_power * spec.alpha
-    rows = []
-    for xi, r, s in samples:
-        xi, r, s = float(xi), float(r), float(s)
-        if not (xi > 0.0 and r >= s > 0.0):
-            raise ValueError(f"need xi > 0 and r >= s > 0, got {(xi, r, s)}")
-        if n > 1 and r == s:
-            raise ValueError("envelope degenerates at r = s for n > 1")
-        e_r = abs(float(bessel_remainder(nu, 2.0 * np.pi * r * xi)))
-        e_s = abs(float(bessel_remainder(nu, 2.0 * np.pi * s * xi)))
-        lhs = xi ** (-b_alpha) * np.sqrt(r * xi) * np.sqrt(s * xi) * e_r * e_s
-        mid = 1.0 if n == 1 else (r - s) ** (-(n - 1) / n * spec.alpha)
-        env = mid * xi ** (-2.0 * spec.alpha)
-        rows.append((xi, r, s, lhs / env))
-
-    if not rows:
+    rows = np.asarray(list(samples), dtype=float)
+    if rows.size == 0:
         raise ValueError("no samples given")
-    r0, s0 = rows[0][1], rows[0][2]
-    split_lo = 1.0 / (2.0 * np.pi * r0)
-    split_hi = 1.0 / (2.0 * np.pi * s0)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"samples must be (xi, r, s) triples, got shape {rows.shape}")
+    xi, r, s = rows.T
+    bad_domain = ~((xi > 0.0) & (r >= s) & (s > 0.0))
+    bad = bad_domain | ((r == s) if n > 1 else False)
+    if bad.any():
+        k = int(np.argmax(bad))  # the first offending sample
+        if bad_domain[k]:
+            raise ValueError(
+                f"need xi > 0 and r >= s > 0, got {tuple(float(v) for v in rows[k])}"
+            )
+        raise ValueError("envelope degenerates at r = s for n > 1")
 
-    def regime(xi, r, s):
-        if xi <= 1.0 / (2.0 * np.pi * r):
-            return 1
-        if xi <= 1.0 / (2.0 * np.pi * s):
-            return 2
-        return 3
+    e_r = np.abs(bessel_remainder(nu, 2.0 * np.pi * r * xi))
+    e_s = np.abs(bessel_remainder(nu, 2.0 * np.pi * s * xi))
+    lhs = xi ** (-b_alpha) * np.sqrt(r * xi) * np.sqrt(s * xi) * e_r * e_s
+    mid = 1.0 if n == 1 else (r - s) ** (-(n - 1) / n * spec.alpha)
+    env = mid * xi ** (-2.0 * spec.alpha)
+    ratio = lhs / env
+
+    split_lo = 1.0 / (2.0 * np.pi * r[0])
+    split_hi = 1.0 / (2.0 * np.pi * s[0])
+    regime = np.where(xi <= 1.0 / (2.0 * np.pi * r), 1,
+                      np.where(xi <= 1.0 / (2.0 * np.pi * s), 2, 3))
 
     cases = {}
     for idx in (1, 2, 3):
-        sub = [(xi, ratio) for xi, r, s, ratio in rows if regime(xi, r, s) == idx]
-        if sub:
-            arg, best = max(sub, key=lambda t: t[1])
-            cases[idx] = CaseFit(len(sub), float(best), float(arg))
+        mask = regime == idx
+        if mask.any():
+            k = int(np.argmax(np.where(mask, ratio, -np.inf)))
+            cases[idx] = CaseFit(int(mask.sum()), float(ratio[k]), float(xi[k]))
         else:
             cases[idx] = CaseFit(0, 0.0, float("nan"))
     overall = max(fit.fitted_c for fit in cases.values())
     top = max((fit for fit in cases.values() if fit.count), key=lambda f: f.fitted_c)
-    xi_max = max(xi for xi, _, _, _ in rows)
-    at_edge = bool(top.count and np.isclose(top.argmax_xi, xi_max, rtol=1e-9))
-    return CaseBoundReport(float(overall), at_edge, cases, split_lo, split_hi)
+    at_edge = bool(np.isclose(top.argmax_xi, xi.max(), rtol=1e-9))
+    return CaseBoundReport(float(overall), at_edge, cases, float(split_lo), float(split_hi))
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,12 @@ _SW_TRUTH_TABLE = (
 )
 
 
+def _bump_stream(grid: Grid, count: int, rng, **ranges):
+    # the draws of random_bumps(grid, count, rng, **ranges), one field at a time
+    for _ in range(count):
+        yield random_bumps(grid, 1, rng, **ranges)[0]
+
+
 def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: int = 12) -> list:
     """Weighted-inequality battery: validator truth table, measured
     constants on a bump ensemble, and growth ladders that separate an
@@ -552,7 +558,7 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
     # the dyadic panels refine toward the origin, so keep the bumps wide
     # and central enough to be resolved; a narrow bump far out measures
     # panel coarseness, not the inequality
-    fields = random_bumps(grid, int(bumps), rng,
+    fields = _bump_stream(grid, int(bumps), rng,
                           width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
     ratios = _pool_map(lambda f: stein_weiss_ratio(hls, f, depth=depth), fields, jobs)
     arr = np.asarray(ratios)
@@ -640,8 +646,10 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
 
     depths = (8, 10, 12, 14)
     probe = gaussian(grid, 2.0)
-    sweep_in = [stein_weiss_ratio(inad, probe, depth=d, allow_inadmissible=True) for d in depths]
-    sweep_ad = [stein_weiss_ratio(adm, probe, depth=d) for d in depths]
+    sweep_in, sweep_ad = [], []
+    for d in depths:
+        sweep_in.append(stein_weiss_ratio(inad, probe, depth=d, allow_inadmissible=True))
+        sweep_ad.append(stein_weiss_ratio(adm, probe, depth=d))
     grows = all(b > a for a, b in zip(sweep_in, sweep_in[1:]))
     steps = [abs(b - a) / a for a, b in zip(sweep_ad, sweep_ad[1:])]
     records.append(

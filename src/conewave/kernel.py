@@ -175,8 +175,14 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
     and Jacobi nodes carry the endpoint weight exactly.  This shares no
     arithmetic with the Bessel evaluation behind omega_hat, and lam' < 1
     holds for every order, so it covers the whole v = 0 family.  The node
-    count grows with the largest |xi| requested, which keeps the rule at
-    about 1e-10 relative accuracy across the array.
+    count grows with the largest |xi| requested.  The accuracy has a floor
+    set by the nodes and weights of scipy's roots_jacobi, which lose
+    digits as the node count grows (adding nodes makes it worse, not
+    better).  Measured against scipy.special.jv at alpha = 0.1, n = 2
+    (lam' = 0.925, where the floor is highest among the orders tried),
+    the error over omega_hat(0) is 6.4e-11 up to max |xi| = 32, 1.7e-10
+    up to 64 (r_max times Nyquist on the default n = 1 spacetime grid)
+    and 1.1e-9 up to 128.
     """
     _require_distinguished(spec, "the Gauss-Jacobi profile")
     lam = 0.5 - spec.bessel_order

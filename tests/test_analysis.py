@@ -1,5 +1,7 @@
 """Classifier, norms, inequality checkers, and trend verdicts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from conewave import (
     case_bound_check,
     classify,
     classify_exponents,
+    convolve_omega,
     crucial_estimate_ratio,
     fourier_transform,
     lp_norm,
@@ -34,6 +37,8 @@ from conewave import (
     stein_weiss_ratio,
     sw_derived_params,
 )
+from conewave.analysis import CaseFit
+from conewave.specialfn import bessel_remainder
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +209,52 @@ def test_mixed_norm_requires_spatial_field():
         mixed_norm(ens.gaussian_spacetime(sg, 1.0), KernelSpec(0.4, 1), mn)
 
 
+def _mixed_norm_reference(f, spec, mn):
+    # frozen node-by-node form: one spatial convolution per radial node
+    quad = mn.r_grid
+    r = quad.nodes()
+    w = quad.measure_weights(mn.alpha * mn.s - 1.0, both_signs=False)
+    total = 0.0
+    for j in range(quad.count):
+        total += w[j] * lp_norm(convolve_omega(f, spec, r[j]), mn.q) ** mn.s
+    if quad.completion:
+        mass = quad.completion_mass(mn.alpha * mn.s - 1.0, both_signs=False)
+        total += mass * (omega_hat(0.0, spec) * lp_norm(f, mn.q)) ** mn.s
+    return float(total ** (1.0 / mn.s))
+
+
+@pytest.mark.parametrize("completion", [True, False])
+@pytest.mark.parametrize("q", [2.0, 10.0])
+def test_mixed_norm_matches_node_by_node_reference(q, completion):
+    # 2048 samples: blocks of 32 nodes, the last of the 100 short
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature(1e-3, 8.0, 100, completion)
+    mn = MixedNormSpec(q, q, 0.4, quad)
+    f = ens.gaussian(Grid(1, 2048, 64.0), 1.0, 0.5)
+    assert mixed_norm(f, spec, mn) == pytest.approx(
+        _mixed_norm_reference(f, spec, mn), rel=1e-12, abs=0.0
+    )
+
+
+def test_mixed_norm_matches_node_by_node_reference_in_two_dimensions():
+    # 64^2 samples: blocks of 16 nodes, the last of the 40 short
+    spec = KernelSpec(0.5, 2)
+    mn = MixedNormSpec(2.0, 4.0, 0.5, RadialQuadrature(1e-2, 4.0, 40))
+    f = ens.gaussian(Grid(2, 64, 16.0), 1.5)
+    assert mixed_norm(f, spec, mn) == pytest.approx(
+        _mixed_norm_reference(f, spec, mn), rel=1e-12, abs=0.0
+    )
+
+
+def test_mixed_norm_guards_of_the_convolution():
+    mn = MixedNormSpec(1.0, 2.0, 0.4, _r_grid())
+    f = ens.gaussian(Grid(1, 256, 32.0), 1.0)
+    with pytest.raises(ValueError, match="p > 1"):
+        mixed_norm(f, KernelSpec(0.4, 1), mn)  # q = 1 has no lp_norm
+    with pytest.raises(ValueError, match="dimension"):
+        mixed_norm(f, KernelSpec(0.4, 2), MixedNormSpec(2.0, 2.0, 0.4, _r_grid()))
+
+
 # ---------------------------------------------------------------------------
 # weighted inequality parameters
 
@@ -322,6 +373,78 @@ def test_stein_weiss_input_guards():
         stein_weiss_ratio(two_d, _bump())
 
 
+def _dyadic_panel_rule(a, b, singular, depth, nodes):
+    # frozen one-rule form of the composite Gauss-Legendre rule: panels
+    # halving dyadically toward each singular point
+    breaks = {a, b}
+    span = b - a
+    for s in singular:
+        breaks.add(min(max(s, a), b))
+        for k in range(1, depth + 1):
+            h = span * 0.5**k
+            for cand in (s - h, s + h):
+                if a < cand < b:
+                    breaks.add(cand)
+    cuts = np.array(sorted(breaks))
+    keep = np.concatenate([[True], np.diff(cuts) > 1e-15 * max(abs(span), 1.0)])
+    cuts = cuts[keep]
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    lo = cuts[:-1]
+    widths = np.diff(cuts)
+    pts = (lo[:, None] + widths[:, None] * (gx[None, :] + 1.0) * 0.5).ravel()
+    wts = (widths[:, None] * gw[None, :] * 0.5).ravel()
+    return pts, wts
+
+
+def _stein_weiss_reference(params, f, depth=12, nodes_per_panel=8):
+    # frozen per-x form: one inner panel rule and one sum per outer node
+    grid_x = f.grid.axis()
+    fr = f.samples.real
+    half = f.grid.extent / 2.0
+
+    def fval(u):
+        return np.interp(u, grid_x, fr, left=0.0, right=0.0)
+
+    xs, xw = _dyadic_panel_rule(-half, half, (0.0,), depth, nodes_per_panel)
+    pot = np.empty_like(xs)
+    for i, x in enumerate(xs):
+        us, uw = _dyadic_panel_rule(-half, half, (0.0, float(x)), depth,
+                                    nodes_per_panel)
+        integrand = fval(us) * np.abs(us) ** (-params.delta_w) \
+            * np.abs(x - us) ** (params.a - params.N)
+        pot[i] = float(np.sum(uw * integrand))
+    weighted = np.abs(xs) ** (-params.gamma_w) * pot
+    out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
+    in_norm = float(np.sum(xw * fval(xs) ** params.p) ** (1.0 / params.p))
+    return out_norm / in_norm
+
+
+@pytest.mark.parametrize("depth", [8, 14])
+@pytest.mark.parametrize(
+    "params",
+    [sw_derived_params(0.4, 2), SteinWeissParams(1, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0),
+     SteinWeissParams(1, 0.95, 0.35, 0.2, 10.0 / 7.0, 10.0 / 3.0)],
+    ids=["derived", "hls", "inadmissible"],
+)
+def test_stein_weiss_ratio_matches_per_x_reference(params, depth):
+    f = _bump(1.0, 1.5)
+    got = stein_weiss_ratio(params, f, depth=depth,
+                            allow_inadmissible=not params.admissible())
+    assert got == pytest.approx(_stein_weiss_reference(params, f, depth), rel=1e-12, abs=0.0)
+
+
+def test_stein_weiss_ratio_geometry_follows_the_box_and_depth():
+    # alternating boxes and depths must rebuild the shared geometry, never
+    # reuse a stale one
+    params = sw_derived_params(0.4, 2)
+    for grid, depth in ((Grid(1, 512, 32.0), 8), (Grid(1, 256, 16.0), 8),
+                        (Grid(1, 256, 16.0), 10), (Grid(1, 512, 32.0), 8)):
+        f = _bump(0.5, 1.0, grid)
+        assert stein_weiss_ratio(params, f, depth=depth) == pytest.approx(
+            _stein_weiss_reference(params, f, depth), rel=1e-12, abs=0.0
+        )
+
+
 # ---------------------------------------------------------------------------
 # composition estimate
 
@@ -389,6 +512,118 @@ def test_case_bound_guards():
     # n = 1: the middle exponent vanishes and r = s is fine
     report = case_bound_check(KernelSpec(0.4, 1), [(1.0, 1.0, 1.0)])
     assert np.isfinite(report.fitted_c)
+
+
+_GOOD_BATCH = [(x, 2.0, 1.0) for x in np.linspace(0.01, 10.0, 1000)]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [((1.0, 1.0, 2.0), "need xi > 0 and r >= s > 0, got (1.0, 1.0, 2.0)"),
+     ((0.0, 2.0, 1.0), "need xi > 0 and r >= s > 0, got (0.0, 2.0, 1.0)"),
+     ((1.0, 1.0, 1.0), "envelope degenerates at r = s for n > 1")],
+    ids=["r-below-s", "zero-xi", "equal-radii-n2"],
+)
+def test_case_bound_guards_find_one_bad_sample_in_a_batch(bad, message):
+    batch = _GOOD_BATCH[:500] + [bad] + _GOOD_BATCH[500:]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        case_bound_check(KernelSpec(0.5, 2), batch)
+
+
+def test_case_bound_guards_name_the_first_offender():
+    spec = KernelSpec(0.5, 2)
+    equal, swapped = (3.0, 1.0, 1.0), (4.0, 1.0, 2.0)
+    batch = _GOOD_BATCH[:300] + [equal] + _GOOD_BATCH[300:600] + [swapped] + _GOOD_BATCH[600:]
+    with pytest.raises(ValueError, match="^envelope degenerates"):
+        case_bound_check(spec, batch)
+    batch = _GOOD_BATCH[:300] + [swapped] + _GOOD_BATCH[300:600] + [equal] + _GOOD_BATCH[600:]
+    with pytest.raises(ValueError, match=re.escape("got (4.0, 1.0, 2.0)")):
+        case_bound_check(spec, batch)
+    with pytest.raises(ValueError, match="no samples"):
+        case_bound_check(spec, [])
+    # n = 1 lets the equal-radii sample through
+    report = case_bound_check(KernelSpec(0.4, 1), _GOOD_BATCH[:500] + [equal])
+    assert sum(fit.count for fit in report.cases.values()) == 501
+
+
+def _case_bound_reference(spec, samples):
+    # frozen per-sample form: two scalar remainder calls per sample
+    n = spec.n
+    nu = spec.bessel_order
+    b_alpha = spec.time_scale_power * spec.alpha
+    rows = []
+    for xi, r, s in samples:
+        xi, r, s = float(xi), float(r), float(s)
+        e_r = abs(float(bessel_remainder(nu, 2.0 * np.pi * r * xi)))
+        e_s = abs(float(bessel_remainder(nu, 2.0 * np.pi * s * xi)))
+        lhs = xi ** (-b_alpha) * np.sqrt(r * xi) * np.sqrt(s * xi) * e_r * e_s
+        mid = 1.0 if n == 1 else (r - s) ** (-(n - 1) / n * spec.alpha)
+        env = mid * xi ** (-2.0 * spec.alpha)
+        rows.append((xi, r, s, lhs / env))
+
+    def regime(xi, r, s):
+        if xi <= 1.0 / (2.0 * np.pi * r):
+            return 1
+        if xi <= 1.0 / (2.0 * np.pi * s):
+            return 2
+        return 3
+
+    cases = {}
+    for idx in (1, 2, 3):
+        sub = [(xi, ratio) for xi, r, s, ratio in rows if regime(xi, r, s) == idx]
+        if sub:
+            arg, best = max(sub, key=lambda t: t[1])
+            cases[idx] = CaseFit(len(sub), float(best), float(arg))
+        else:
+            cases[idx] = CaseFit(0, 0.0, float("nan"))
+    overall = max(fit.fitted_c for fit in cases.values())
+    top = max((fit for fit in cases.values() if fit.count), key=lambda f: f.fitted_c)
+    xi_max = max(xi for xi, _, _, _ in rows)
+    at_edge = bool(np.isclose(top.argmax_xi, xi_max, rtol=1e-9))
+    r0, s0 = rows[0][1], rows[0][2]
+    return CaseBoundReport(float(overall), at_edge, cases,
+                           1.0 / (2.0 * np.pi * r0), 1.0 / (2.0 * np.pi * s0))
+
+
+def _assert_same_report(got, want):
+    assert got.fitted_c == pytest.approx(want.fitted_c, rel=1e-12, abs=0.0)
+    assert got.max_at_edge == want.max_at_edge
+    assert (got.split_lo, got.split_hi) == (want.split_lo, want.split_hi)
+    assert sorted(got.cases) == sorted(want.cases) == [1, 2, 3]
+    for idx, fit in want.cases.items():
+        assert got.cases[idx].count == fit.count
+        if fit.count:
+            assert got.cases[idx].fitted_c == pytest.approx(fit.fitted_c, rel=1e-12, abs=0.0)
+            assert got.cases[idx].argmax_xi == fit.argmax_xi
+        else:
+            assert (got.cases[idx].fitted_c, np.isnan(got.cases[idx].argmax_xi)) == (0.0, True)
+
+
+@pytest.mark.parametrize(
+    "spec, pairs",
+    [(KernelSpec(0.4, 1), [(2.0, 1.0)]),
+     (KernelSpec(0.4, 1), [(1.0, 1.0), (3.0, 0.5)]),
+     (KernelSpec(0.5, 2), [(4.0, 1.0)]),
+     (KernelSpec(0.5, 2), [(2.0, 1.0), (3.0, 0.5), (4.0, 2.0)]),
+     (KernelSpec(4.0 / 3.0, 2), [(2.0, 1.0)])],
+    ids=["n1", "n1-mixed-radii", "n2", "n2-mixed-radii", "n2-zero-remainder"],
+)
+def test_case_bound_check_matches_per_sample_reference(spec, pairs):
+    # mixed radii put each sample in the regimes of its own (r, s), not of
+    # the first sample's splits; at the half-integer order 1/2 every ratio
+    # is 0 and each regime's argmax is its first sample
+    xi = np.exp(np.linspace(np.log(1e-4), np.log(1e3), 600 // len(pairs)))
+    samples = [(x, r, s) for r, s in pairs for x in xi]
+    _assert_same_report(case_bound_check(spec, samples),
+                        _case_bound_reference(spec, samples))
+
+
+def test_case_bound_check_accepts_an_array_of_triples():
+    spec = KernelSpec(0.5, 2)
+    xi = np.exp(np.linspace(np.log(1e-3), np.log(1e2), 200))
+    arr = np.column_stack([xi, np.full_like(xi, 2.0), np.ones_like(xi)])
+    _assert_same_report(case_bound_check(spec, arr),
+                        case_bound_check(spec, [tuple(row) for row in arr]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import conewave as cw
 import conewave.ensembles as ens
-from conewave.cli import main
+from conewave.cli import _bump_stream, _pool_map, main
 
 
 def run(tmp_path, *args, config=None, name="run"):
@@ -155,6 +155,23 @@ def test_verify_crucial_and_mixed_norm_pass(tmp_path):
         code, out = run(tmp_path, "verify", suite, name=suite)
         assert code == 0, suite
         assert all(r["passed"] == "true" for r in read_records(out)), suite
+
+
+def test_stein_weiss_bump_stream_draws_the_batch_ensemble():
+    # the battery measures bumps as they are drawn; the stream must hand
+    # out exactly the fields random_bumps would have built in one batch
+    grid = cw.Grid.default(1)
+    ranges = dict(width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
+    batch = ens.random_bumps(grid, 200, np.random.default_rng(11), **ranges)
+    stream = _bump_stream(grid, 200, np.random.default_rng(11), **ranges)
+    assert not isinstance(stream, list)
+    got = [f.samples for f in stream]
+    assert len(got) == len(batch)
+    assert all(np.array_equal(a, f.samples) for a, f in zip(got, batch))
+    # a worker pool consumes the stream in draw order too
+    peaks = _pool_map(lambda f: float(f.samples.real.max()),
+                      _bump_stream(grid, 20, np.random.default_rng(11), **ranges), 2)
+    assert peaks == [float(f.samples.real.max()) for f in batch[:20]]
 
 
 def test_reports_are_deterministic_across_workers(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_jacobi
+from scipy.special import jv, roots_jacobi
 
 import oracles
 from conewave import (
@@ -22,7 +22,7 @@ from conewave import (
     omega_hat_dilated,
     omega_physical,
 )
-from conewave.kernel import write_kernel_tables
+from conewave.kernel import omega_hat_jacobi, write_kernel_tables
 
 
 def test_lambda_values():
@@ -122,6 +122,18 @@ def test_spectral_profile_matches_quadrature_oracle():
         for xi in (0.0, 0.5, 2.0, 7.0):
             want = oracles.profile_transform_reference(alpha, xi)
             assert omega_hat(xi, spec) == pytest.approx(want, abs=1e-9)
+
+
+def test_jacobi_profile_accuracy_floor_up_to_the_default_grid_reach():
+    # alpha = 0.1, n = 2 sits where roots_jacobi's floor is highest; |xi|
+    # up to 64 covers r_max x Nyquist on the default n = 1 spacetime grid
+    spec = KernelSpec(0.1, 2)
+    nu = spec.bessel_order
+    xi = np.linspace(0.01, 64.0, 2001)
+    rho = 2.0 * np.pi * xi
+    want = (2.0 * np.pi) ** nu * jv(nu, rho) / rho**nu
+    err = np.max(np.abs(omega_hat_jacobi(xi, spec) - want)) / omega_hat(0.0, spec)
+    assert err <= 5e-10
 
 
 def test_zero_frequency_mass_formula():
