@@ -52,8 +52,10 @@ from .conop import (
     UnderResolvedWarning,
     apply_I_alpha_multiplier,
     apply_cone_direct,
+    apply_symbol,
     convergence_check,
     multiplier_table,
+    symbol,
 )
 from .analysis import (
     CaseBoundReport,

@@ -606,8 +606,17 @@ class RatioStats:
 
 
 def operator_ratio_estimate(op, inv_p: float, inv_q: float, family,
-                            labels=None) -> RatioStats:
-    """Apply op to every family member and collect the norm ratios."""
+                            labels=None, pool_map=None) -> RatioStats:
+    """Apply op to every family member and collect the norm ratios.
+
+    This is the one place where norms become ratios.  A member is a field,
+    or a zero-argument callable that builds one when its turn comes, so a
+    ladder need not hold its whole family.  pool_map(fn, members), when
+    given, runs fn over the members in place of the in-order loop (to
+    spread them over workers) and must return the results in member order.
+    The exponent, family and label guards fire before any member is built,
+    and the zero-norm guard before op sees that member.
+    """
     for name, val in (("inv_p", inv_p), ("inv_q", inv_q)):
         if not 0.0 < float(val) < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {val}")
@@ -618,12 +627,15 @@ def operator_ratio_estimate(op, inv_p: float, inv_q: float, family,
     if len(labels) != len(family):
         raise ValueError("labels and family lengths differ")
     p, q = 1.0 / float(inv_p), 1.0 / float(inv_q)
-    ratios = []
-    for f in family:
+
+    def ratio(member):
+        f = member() if callable(member) else member
         denom = lp_norm(f, p)
         if denom == 0.0:
             raise ValueError("family member with zero norm")
-        ratios.append(lp_norm(op(f), q) / denom)
+        return lp_norm(op(f), q) / denom
+
+    ratios = pool_map(ratio, family) if pool_map else [ratio(m) for m in family]
     arr = np.asarray(ratios)
     return RatioStats(tuple(float(v) for v in ratios), tuple(labels),
                       float(arr.max()), float(np.median(arr)), float(arr.mean()))

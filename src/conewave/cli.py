@@ -26,7 +26,9 @@ import platform
 import sys
 import time
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import scipy
@@ -47,7 +49,14 @@ from .analysis import (
     stein_weiss_ratio,
     sw_derived_params,
 )
-from .conop import RadialQuadrature, UnderResolvedWarning, apply_path, convergence_check
+from .conop import (
+    RadialQuadrature,
+    UnderResolvedWarning,
+    apply_path,
+    apply_symbol,
+    convergence_check,
+    symbol,
+)
 from .ensembles import gaussian, gaussian_spacetime, random_bumps
 from .fields import FieldFormatError, Grid, SpacetimeField, SpacetimeGrid, load_field, save_field
 from .kernel import KernelSpec, multiplier_split, omega_hat, omega_hat_jacobi, write_kernel_tables
@@ -278,11 +287,20 @@ def _quad_prov(quad: RadialQuadrature) -> str:
 
 
 def _pool_map(fn, items, jobs):
-    # ordered collection keeps reports byte-identical whatever the pool size
+    # ordered collection keeps reports byte-identical whatever the pool size;
+    # the oldest result is collected before another item is drawn, so at
+    # most `jobs` items are in flight and a streamed input is never held whole
     if jobs <= 1:
         return [fn(it) for it in items]
+    results = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        pending = deque()
+        for it in items:
+            pending.append(pool.submit(fn, it))
+            if len(pending) == jobs:
+                results.append(pending.popleft().result())
+        results.extend(fut.result() for fut in pending)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -943,23 +961,27 @@ def cmd_scan_region(cfg, out_dir, seed, jobs) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc))
         quad = RadialQuadrature.for_grid(stg)
-        probes = [(pt, region) for pt, region in points
-                  if region in (Region.REGION_I, Region.REGION_II)]
+        family = [gaussian_spacetime(stg, d) for d in deltas]
+        labels = [f"width {d:g}" for d in deltas]
+        probes = {}  # alpha -> the probed points on its scaling line
+        for pt, region in points:
+            if region in (Region.REGION_I, Region.REGION_II):
+                probes.setdefault(pt.alpha, []).append(pt)
 
-        def probe(item):
-            pt, _ = item
-            spec = KernelSpec(pt.alpha, 1)
-            family = [gaussian_spacetime(stg, d) for d in deltas]
-            stats = operator_ratio_estimate(
-                lambda f: apply_path("multiplier")(f, spec, quad),
-                pt.inv_p, pt.inv_q, family,
-                labels=[f"width {d:g}" for d in deltas],
-            )
-            tv = boundedness_verdict(deltas, stats.ratios)
-            return stats.maximum, max(stats.ratios) / min(stats.ratios), tv.verdict
+        def ladder(alpha):
+            # one symbol, and one apply per width, serve every probe at
+            # this alpha; fields hash by identity
+            m = symbol(stg, KernelSpec(alpha, 1), quad)
+            outputs = {f: apply_symbol(f, m) for f in family}
+            return [operator_ratio_estimate(outputs.__getitem__, pt.inv_p, pt.inv_q,
+                                            family, labels)
+                    for pt in probes[alpha]]
 
-        for item, out in zip(probes, _pool_map(probe, probes, jobs)):
-            ratio_cols[item[0]] = out
+        for alpha, ladder_stats in zip(probes, _pool_map(ladder, list(probes), jobs)):
+            for pt, stats in zip(probes[alpha], ladder_stats):
+                tv = boundedness_verdict(deltas, stats.ratios)
+                ratio_cols[pt] = (stats.maximum, max(stats.ratios) / min(stats.ratios),
+                                  tv.verdict)
 
     csv_path = os.path.join(out_dir, "scan.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -1126,17 +1148,19 @@ def cmd_norm_test(cfg, out_dir, seed, jobs) -> int:
             Grid(n, _to_int(cfg, sec, "points"), _to_float(cfg, sec, "extent")),
             _to_int(cfg, sec, "t_points"), _to_float(cfg, sec, "t_extent"),
         )
-        op = apply_path(path)
     except ValueError as exc:
         raise ConfigError(str(exc))
     region = classify_exponents(pt)
     quad = RadialQuadrature.for_grid(stg)
     prov = f"{_grid_prov(stg)}; {_quad_prov(quad)}; path {path}"
 
-    family = [gaussian_spacetime(stg, d) for d in deltas]
+    # each worker builds its own width, so the family is never held whole
+    members = [partial(gaussian_spacetime, stg, d) for d in deltas]
     try:
-        stats = operator_ratio_estimate(lambda f: op(f, spec, quad), inv_p, inv_q, family,
-                                        labels=[f"width {d:g}" for d in deltas])
+        m = symbol(stg, spec, quad, path)
+        stats = operator_ratio_estimate(lambda f: apply_symbol(f, m), inv_p, inv_q, members,
+                                        labels=[f"width {d:g}" for d in deltas],
+                                        pool_map=lambda fn, items: _pool_map(fn, items, jobs))
     except ValueError as exc:
         raise ConfigError(str(exc))
     tv = boundedness_verdict(deltas, stats.ratios)

@@ -7,9 +7,10 @@ Fourier domain that is one (n+1)-dimensional multiplier
 
     m(xi, tau) = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + completion * P(0),
 
-assembled once and applied with one FFT pair.  Only the spatial profile P
-varies between the two evaluation paths, and the two profiles share no
-arithmetic, so each path cross-checks the other:
+assembled once by `symbol` and applied with one FFT pair by `apply_symbol`,
+so a ladder of inputs on one grid pays for the symbol once.  Only the
+spatial profile P varies between the two evaluation paths, and the two
+profiles share no arithmetic, so each path cross-checks the other:
 
 * multiplier  - P = omega_hat, the Bessel-series spectral profile;
 * cone-direct - P = omega_hat_jacobi, Gauss-Jacobi quadrature of the
@@ -44,6 +45,8 @@ __all__ = [
     "UnderResolvedWarning",
     "RadialQuadrature",
     "multiplier_table",
+    "symbol",
+    "apply_symbol",
     "apply_I_alpha_multiplier",
     "apply_cone_direct",
     "convergence_check",
@@ -125,15 +128,11 @@ class RadialQuadrature:
         return cls(grid.t_spacing / 4.0, grid.t_extent / 4.0, count, completion)
 
 
-def _check_operator_input(f: SpacetimeField, spec: KernelSpec) -> None:
+def _check_field(f: SpacetimeField) -> None:
     if not isinstance(f, SpacetimeField):
         raise TypeError("operator paths act on spacetime fields")
     if f.domain_tag != PHYSICAL:
         raise DomainTagError("operator input must be a physical-domain field")
-    if spec.n != f.grid.space.n:
-        raise ValueError(
-            f"kernel dimension {spec.n} != spatial grid dimension {f.grid.space.n}"
-        )
 
 
 def _radial_exponent(spec: KernelSpec) -> float:
@@ -159,14 +158,6 @@ def _symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature,
     return m
 
 
-def _apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
-    ndim = f.samples.ndim
-    spacings = (f.grid.space.spacing,) * f.grid.space.n + (f.grid.t_spacing,)
-    spec_samples = forward_axes(f.samples, range(ndim), spacings)
-    out = inverse_axes(spec_samples * m, range(ndim), spacings)
-    return SpacetimeField(f.grid, out, PHYSICAL)
-
-
 def multiplier_table(grid: SpacetimeGrid, spec: KernelSpec,
                      quad: RadialQuadrature | None = None) -> np.ndarray:
     """The (n+1)-dimensional symbol m(xi, tau) on the spectral grid.
@@ -180,23 +171,53 @@ def multiplier_table(grid: SpacetimeGrid, spec: KernelSpec,
     return _symbol(grid, spec, quad, omega_hat)
 
 
+def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None = None,
+           path: str = "multiplier") -> np.ndarray:
+    """The symbol of the evaluation path `path` on grid, for apply_symbol.
+
+    "multiplier" is multiplier_table; "cone-direct" assembles the same sum
+    with the Gauss-Jacobi profile omega_hat_jacobi (v = 0 only).
+    """
+    if spec.n != grid.space.n:
+        raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
+    if quad is None:
+        quad = RadialQuadrature.for_grid(grid)
+    if path == "multiplier":
+        return multiplier_table(grid, spec, quad)
+    if path == "cone-direct":
+        return _symbol(grid, spec, quad, omega_hat_jacobi)
+    raise ValueError(f"unknown operator path {path!r}; choose from {sorted(_PATHS)}")
+
+
+def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
+    """The operator with symbol m applied to f: one FFT pair.
+
+    The product with m and the inverse transform run in the forward
+    transform's own buffer, so f is read once and left unchanged.
+    """
+    _check_field(f)
+    if np.shape(m) != f.grid.shape:
+        raise ValueError(f"symbol shape {np.shape(m)} != grid shape {f.grid.shape}")
+    axes = range(f.samples.ndim)
+    spacings = (f.grid.space.spacing,) * f.grid.space.n + (f.grid.t_spacing,)
+    buf = forward_axes(f.samples, axes, spacings)
+    buf *= m
+    return SpacetimeField(f.grid, inverse_axes(buf, axes, spacings, overwrite=True), PHYSICAL)
+
+
 def apply_I_alpha_multiplier(f: SpacetimeField, spec: KernelSpec,
                              quad: RadialQuadrature | None = None) -> SpacetimeField:
     """Apply the operator with the Bessel-series profile omega_hat."""
-    _check_operator_input(f, spec)
-    if quad is None:
-        quad = RadialQuadrature.for_grid(f.grid)
-    return _apply_symbol(f, multiplier_table(f.grid, spec, quad))
+    _check_field(f)
+    return apply_symbol(f, symbol(f.grid, spec, quad, "multiplier"))
 
 
 def apply_cone_direct(f: SpacetimeField, spec: KernelSpec,
                       quad: RadialQuadrature | None = None) -> SpacetimeField:
     """Apply the operator with the Gauss-Jacobi profile of the physical
     cone kernel (omega_hat_jacobi), for every n and order with v = 0."""
-    _check_operator_input(f, spec)
-    if quad is None:
-        quad = RadialQuadrature.for_grid(f.grid)
-    return _apply_symbol(f, _symbol(f.grid, spec, quad, omega_hat_jacobi))
+    _check_field(f)
+    return apply_symbol(f, symbol(f.grid, spec, quad, "cone-direct"))
 
 
 _PATHS = {

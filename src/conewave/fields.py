@@ -236,17 +236,34 @@ def _axis_spacings(f) -> tuple:
 
 
 def forward_axes(samples: np.ndarray, axes, spacings) -> np.ndarray:
-    """Continuum-normalized DFT over a subset of axes (centered -> FFT order)."""
+    """Continuum-normalized DFT over a subset of axes (centered -> FFT order).
+
+    The shift makes a fresh copy, which is transformed and scaled in place,
+    so one array of the output's size is allocated; the bits equal
+    fftn(ifftshift(samples)) * scale.
+    """
     axes = tuple(axes)
     scale = math.prod(float(s) for s in spacings)
-    return np.fft.fftn(np.fft.ifftshift(samples, axes=axes), axes=axes) * scale
+    out = np.fft.ifftshift(samples, axes=axes).astype(np.complex128, copy=False)
+    np.fft.fftn(out, axes=axes, out=out)
+    out *= scale
+    return out
 
 
-def inverse_axes(samples: np.ndarray, axes, spacings) -> np.ndarray:
-    """Exact inverse of forward_axes over the same axes."""
+def inverse_axes(samples: np.ndarray, axes, spacings, overwrite: bool = False) -> np.ndarray:
+    """Exact inverse of forward_axes over the same axes.
+
+    With overwrite, a complex128 input is transformed in its own memory and
+    its contents are lost; callers pass it for spectra they own and no
+    longer need.
+    """
     axes = tuple(axes)
     scale = math.prod(float(s) for s in spacings)
-    return np.fft.fftshift(np.fft.ifftn(samples, axes=axes), axes=axes) / scale
+    own = overwrite and samples.dtype == np.complex128
+    buf = samples if own else np.empty(samples.shape, np.complex128)
+    np.fft.ifftn(samples, axes=axes, out=buf)
+    buf /= scale
+    return np.fft.fftshift(buf, axes=axes)
 
 
 def fourier_transform(f):

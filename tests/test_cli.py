@@ -4,12 +4,17 @@ import csv
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import conewave as cw
+import conewave.cli as cli
+import conewave.conop as conop
 import conewave.ensembles as ens
+from conewave.analysis import lp_norm, operator_ratio_estimate
 from conewave.cli import _bump_stream, _pool_map, main
 
 
@@ -22,6 +27,18 @@ def run(tmp_path, *args, config=None, name="run"):
         argv += ["--config", str(cfg_path)]
     argv += list(args)
     return main(argv), out
+
+
+def run_at_jobs(tmp_path, monkeypatch, jobs, *args, config):
+    # the same relative --out from a directory per pool size, so reports
+    # that echo their artifact paths can be compared byte for byte
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(config)
+    where = tmp_path / f"jobs{jobs}"
+    where.mkdir()
+    monkeypatch.chdir(where)
+    code = main(["--out", "out", "--config", str(cfg_path), "--jobs", str(jobs)] + list(args))
+    return code, where / "out"
 
 
 def read_records(out):
@@ -174,6 +191,41 @@ def test_stein_weiss_bump_stream_draws_the_batch_ensemble():
     assert peaks == [float(f.samples.real.max()) for f in batch[:20]]
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pool_map_reads_at_most_jobs_items_ahead(jobs):
+    # a streamed input is drawn only as results finish: whenever the pool
+    # asks for the next item, fewer than `jobs` drawn items are unfinished
+    lock = threading.Lock()
+    drawn, finished, ahead = [0], [0], []
+
+    def stream():
+        for i in range(24):
+            with lock:
+                ahead.append(drawn[0] - finished[0])
+                drawn[0] += 1
+            yield i
+
+    def work(i):
+        time.sleep(0.002 * (i % 3))
+        with lock:
+            finished[0] += 1
+        return i * i
+
+    assert _pool_map(work, stream(), jobs) == [i * i for i in range(24)]
+    assert len(ahead) == 24
+    assert max(ahead) <= jobs - 1
+
+
+def test_pool_map_raises_a_worker_error():
+    def work(i):
+        if i == 3:
+            raise ValueError("bad item")
+        return i
+
+    with pytest.raises(ValueError, match="bad item"):
+        _pool_map(work, range(8), 2)
+
+
 def test_reports_are_deterministic_across_workers(tmp_path):
     _, a = run(tmp_path, "--jobs", "1", "verify", "bessel", name="a")
     _, b = run(tmp_path, "--jobs", "4", "verify", "bessel", name="b")
@@ -221,6 +273,54 @@ def test_scan_region_rejects_ratios_beyond_one_dimension(tmp_path):
     cfg = "[scan-region]\nn = 2\nwith_ratios = true\n"
     code, _ = run(tmp_path, "scan-region", config=cfg)
     assert code == 3
+
+
+_RATIO_SCAN = (
+    "[scan-region]\n"
+    "alpha_min = 0.2\nalpha_max = 0.8\nalpha_step = 0.2\n"
+    "inv_p_min = 0.1\ninv_p_max = 0.9\ninv_p_step = 0.1\n"
+    "with_ratios = true\nratio_points = 64\nratio_extent = 16.0\n"
+    "ratio_deltas = 0.5 1.0 2.0\n"
+)
+
+
+def test_scan_region_ratios_are_shared_per_alpha_and_worker_independent(tmp_path, monkeypatch):
+    built = []
+    table = conop.multiplier_table
+
+    def counted(grid, spec, quad=None):
+        built.append(spec.alpha)
+        return table(grid, spec, quad)
+
+    monkeypatch.setattr(conop, "multiplier_table", counted)
+    outs = {}
+    for jobs in (1, 2):
+        built.clear()
+        code, outs[jobs] = run_at_jobs(tmp_path, monkeypatch, jobs, "scan-region",
+                                       config=_RATIO_SCAN)
+        assert code in (0, 2)
+        with open(outs[jobs] / "scan.csv", newline="") as fh:
+            probed = [r for r in csv.DictReader(fh) if r["ratio_max"]]
+        # one symbol per distinct probed alpha, however many probes share it
+        alphas = sorted({float(r["alpha"]) for r in probed})
+        assert sorted(built) == alphas
+        assert len(probed) > len(alphas) > 1
+    for name in ("report.json", "records.csv", "scan.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+    # every probe equals the one-probe-at-a-time ratio ladder exactly
+    grid = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    quad = cw.RadialQuadrature.for_grid(grid)
+    deltas = (0.5, 1.0, 2.0)
+    for row in probed:
+        spec = cw.KernelSpec(float(row["alpha"]), 1)
+        family = [ens.gaussian_spacetime(grid, d) for d in deltas]
+        stats = operator_ratio_estimate(
+            lambda f: cw.apply_I_alpha_multiplier(f, spec, quad),
+            float(row["inv_p"]), float(row["inv_q"]), family,
+        )
+        assert row["ratio_max"] == repr(stats.maximum)
+        assert row["ratio_spread"] == repr(max(stats.ratios) / min(stats.ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +389,53 @@ def test_norm_test_verdict(tmp_path):
     assert report["region"] == "RegionII"
     assert report["verdict"]["verdict"] == "pass"
     assert report["verdict"]["spread"] < 2.0
+
+
+_SMALL_NORM_TEST = (
+    "[norm-test]\n"
+    "points = 128\nt_points = 128\nextent = 32.0\nt_extent = 32.0\n"
+    "deltas = 0.5 1.0 2.0 4.0\n"
+)
+
+
+@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
+def test_norm_test_is_worker_independent_and_matches_width_by_width(tmp_path, monkeypatch,
+                                                                   path):
+    cfg = _SMALL_NORM_TEST + f"path = {path}\n"
+    outs = {}
+    for jobs in (1, 2):
+        code, outs[jobs] = run_at_jobs(tmp_path, monkeypatch, jobs, "norm-test", config=cfg)
+        assert code in (0, 2)
+    for name in ("report.json", "records.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+    grid = cw.SpacetimeGrid(cw.Grid(1, 128, 32.0), 128, 32.0)
+    spec = cw.KernelSpec(0.4, 1)
+    quad = cw.RadialQuadrature.for_grid(grid)
+    op = conop.apply_path(path)
+    got = {r["name"]: r["value"] for r in read_report(outs[1])["records"]}
+    for d in (0.5, 1.0, 2.0, 4.0):
+        f = ens.gaussian_spacetime(grid, d)
+        want = lp_norm(op(f, spec, quad), 1.0 / (0.7 - 0.4)) / lp_norm(f, 1.0 / 0.7)
+        assert got[f"ratio at width {d:g}"] == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_norm_test_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypatch, jobs):
+    applied = []
+    monkeypatch.setattr(cli, "gaussian_spacetime",
+                        lambda grid, width: cw.SpacetimeField(grid, np.zeros(grid.shape)))
+    monkeypatch.setattr(cli, "apply_symbol", lambda f, m: applied.append(f))
+    code, _ = run(tmp_path, "--jobs", str(jobs), "norm-test", config=_SMALL_NORM_TEST)
+    assert code == 3
+    assert applied == []
+
+
+@pytest.mark.parametrize("inv_q", ["1.5", "0.0"])
+def test_norm_test_refuses_inv_q_out_of_range(tmp_path, inv_q):
+    code, _ = run(tmp_path, "--jobs", "2", "norm-test",
+                  config=_SMALL_NORM_TEST + f"inv_q = {inv_q}\n")
+    assert code == 3
 
 
 def test_norm_test_rejects_too_few_widths(tmp_path):

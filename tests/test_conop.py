@@ -16,11 +16,13 @@ from conewave import (
     UnsupportedParameterError,
     apply_I_alpha_multiplier,
     apply_cone_direct,
+    apply_symbol,
     convergence_check,
     dilate_field,
     fourier_transform,
     lp_norm,
     multiplier_table,
+    symbol,
 )
 from conewave.conop import apply_path
 from conewave.fields import DomainTagError, forward_axes, inverse_axes
@@ -240,6 +242,42 @@ def test_operator_input_guards():
         apply_I_alpha_multiplier(f, KernelSpec(1.0, 2), quad)  # dimension mismatch
     with pytest.raises(TypeError):
         apply_I_alpha_multiplier(ens.gaussian(Grid(1, 64, 16.0)), spec, quad)
+
+
+def test_symbol_and_apply_symbol_compose_the_paths():
+    # a symbol built once serves every field on its grid, with the bits of
+    # the one-shot path applies, and leaves its input untouched
+    g = _grid(64)
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature.for_grid(g, 32)
+    fields = [ens.gaussian_spacetime(g, 1.0), ens.wave_packet(g, 2.0, k_x=1.5)]
+    for path, op in (("multiplier", apply_I_alpha_multiplier), ("cone-direct", apply_cone_direct)):
+        m = symbol(g, spec, quad, path)
+        for f in fields:
+            keep = f.samples.copy()
+            out = apply_symbol(f, m)
+            assert np.array_equal(f.samples, keep)
+            assert np.array_equal(out.samples, op(f, spec, quad).samples)
+    assert np.array_equal(symbol(g, spec, quad), multiplier_table(g, spec, quad))
+    assert np.array_equal(symbol(g, spec), symbol(g, spec, RadialQuadrature.for_grid(g)))
+
+
+def test_symbol_and_apply_symbol_guards():
+    g = _grid(32, 16.0)
+    f = ens.gaussian_spacetime(g, 1.0)
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature.for_grid(g, 16)
+    with pytest.raises(ValueError, match="cone-direct"):
+        symbol(g, spec, quad, "slices")
+    with pytest.raises(ValueError, match="dimension"):
+        symbol(g, KernelSpec(1.0, 2), quad)
+    m = symbol(g, spec, quad)
+    with pytest.raises(ValueError, match="shape"):
+        apply_symbol(f, m[:, :16])
+    with pytest.raises(DomainTagError):
+        apply_symbol(fourier_transform(f), m)
+    with pytest.raises(TypeError):
+        apply_symbol(ens.gaussian(Grid(1, 32, 16.0)), m)
 
 
 def test_apply_path_lookup():

@@ -22,7 +22,7 @@ from conewave import (
     omega_hat,
     save_field,
 )
-from conewave.fields import DomainTagError, slice_at_time
+from conewave.fields import DomainTagError, forward_axes, inverse_axes, slice_at_time
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,35 @@ def test_pure_tone_transforms_to_a_spike():
     mags = np.abs(fhat.samples)
     k = int(np.argmax(mags))
     assert g.freq_axis()[k] == pytest.approx(5 * g.freq_spacing)
+
+
+@pytest.mark.parametrize("axes", [(0, 1, 2), (1,), (0, 2)], ids=["all", "one", "two"])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_axis_transforms_keep_their_input_and_the_out_of_place_bits(axes, kind):
+    # the transforms work in buffers of their own: the input is untouched,
+    # and the bits are those of the plain out-of-place formulas
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((8, 16, 4))
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(x.shape)
+    keep = x.copy()
+    spacings = (0.5, 0.25, 2.0)[:len(axes)]
+    scale = float(np.prod(spacings))
+
+    fwd = forward_axes(x, axes, spacings)
+    assert x.dtype == keep.dtype and np.array_equal(x, keep)
+    assert fwd.dtype == np.complex128
+    assert np.array_equal(fwd, np.fft.fftn(np.fft.ifftshift(x, axes=axes), axes=axes) * scale)
+
+    inv = inverse_axes(x, axes, spacings)
+    assert x.dtype == keep.dtype and np.array_equal(x, keep)
+    want = np.fft.fftshift(np.fft.ifftn(x, axes=axes), axes=axes) / scale
+    assert np.array_equal(inv, want)
+
+    # overwrite may reuse a complex input's memory; the result is the same
+    buf = fwd.copy()
+    assert np.array_equal(inverse_axes(buf, axes, spacings, overwrite=True),
+                          inverse_axes(fwd, axes, spacings))
 
 
 def test_spacetime_transform_round_trip():
