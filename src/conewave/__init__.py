@@ -73,6 +73,7 @@ from .analysis import (
     crucial_estimate_ratio,
     lp_norm,
     mixed_norm,
+    mixed_norms,
     necessary_window,
     operator_ratio_estimate,
     scaling_line_point,

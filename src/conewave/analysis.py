@@ -32,6 +32,7 @@ __all__ = [
     "lp_norm",
     "MixedNormSpec",
     "mixed_norm",
+    "mixed_norms",
     "SteinWeissParams",
     "InadmissibleParamsError",
     "sw_derived_params",
@@ -194,45 +195,63 @@ class MixedNormSpec:
 def mixed_norm(f: Field, spec: KernelSpec, mn: MixedNormSpec) -> float:
     """( integral r^(alpha s) ||f * Omega_r||_q^s dr/r )^(1/s) over the r grid.
 
-    Physical-space route: f is transformed once, the profile is evaluated
-    once per node on the distinct |xi| values and scattered back, and
-    blocks of nodes are transformed back together along a leading axis;
-    the q-norm of each node's convolution is taken on its physical
-    samples.  The (0, r_min) mass is restored in closed form when the grid
-    asks for completion: there the convolution tends to omega_hat(0) * f,
-    so the integrand's limit is known exactly.
+    Physical-space route: f is transformed once (real_symbol_apply), the
+    profile is evaluated once per node on the distinct |xi| values and
+    scattered back, and blocks of nodes are transformed back together
+    along a leading axis; the q-norm of each node's convolution is taken
+    on its physical samples.  The (0, r_min) mass is restored in closed
+    form when the grid asks for completion: there the convolution tends
+    to omega_hat(0) * f, so the integrand's limit is known exactly.
     """
-    if not isinstance(f, Field):
-        raise TypeError("mixed_norm acts on spatial fields")
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("mixed_norm expects a physical-domain field")
-    if spec.n != f.grid.n:
-        raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
+    return mixed_norms([f], spec, mn)[0]
+
+
+def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
+    """mixed_norm of each of one or more fields on one grid, in order.
+
+    The profile depends only on the grid, the kernel and the r grid, so
+    each block of it is evaluated once and applied to every field; the
+    values are those of one mixed_norm call per field, bit for bit.
+    """
+    fields = list(fields)
+    for f in fields:
+        if not isinstance(f, Field):
+            raise TypeError("mixed_norm acts on spatial fields")
+        if f.domain_tag != PHYSICAL:
+            raise DomainTagError("mixed_norm expects a physical-domain field")
+        if spec.n != f.grid.n:
+            raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
+    if len({f.grid for f in fields}) > 1:
+        raise ValueError("mixed_norms needs fields on one grid")
     if spec.alpha != mn.alpha:
         raise ValueError(
             f"kernel alpha {spec.alpha:g} != mixed-norm alpha {mn.alpha:g}"
         )
-    f_norm = lp_norm(f, mn.q)  # also refuses q = 1 and non-finite samples
+    # lp_norm also refuses q = 1 and non-finite samples
+    f_norms = [lp_norm(f, mn.q) for f in fields]
+    grid = fields[0].grid
     quad = mn.r_grid
     r = quad.nodes()
     # measure r^(alpha s - 1) dr, one-sided: r here is a scale, not a shift
     w = quad.measure_weights(mn.alpha * mn.s - 1.0, both_signs=False)
-    n = f.grid.n
-    spacings = (f.grid.spacing,) * n
-    fhat = _fields.forward_axes(f.samples, range(n), spacings)
-    xi, scatter = np.unique(f.grid.freq_radius().ravel(), return_inverse=True)
-    axes = tuple(range(1, n + 1))
-    norms = np.empty(quad.count)
-    step = max(1, _BLOCK // fhat.size)
+    mass = quad.completion_mass(mn.alpha * mn.s - 1.0, both_signs=False)
+    applies = [_fields.real_symbol_apply(f.samples) for f in fields]
+    xi, scatter = np.unique(grid.freq_radius().ravel(), return_inverse=True)
+    axes = tuple(range(1, grid.n + 1))
+    norms = np.empty((len(fields), quad.count))
+    step = max(1, _BLOCK // scatter.size)
     for i in range(0, quad.count, step):
         prof = omega_hat(np.outer(r[i:i + step], xi), spec)[:, scatter]
-        conv = _fields.inverse_axes(fhat * prof.reshape((-1,) + fhat.shape), axes, spacings)
-        norms[i:i + step] = _lp(conv, mn.q, f.cell_volume, axis=axes)
-    total = float(np.sum(w * norms**mn.s))
-    if quad.completion:
-        mass = quad.completion_mass(mn.alpha * mn.s - 1.0, both_signs=False)
-        total += mass * (omega_hat(0.0, spec) * f_norm) ** mn.s
-    return float(total ** (1.0 / mn.s))
+        prof = prof.reshape((-1,) + grid.shape)
+        for k, apply in enumerate(applies):
+            norms[k, i:i + step] = _lp(apply(prof), mn.q, grid.cell_volume, axis=axes)
+    out = []
+    for row, f_norm in zip(norms, f_norms):
+        total = float(np.sum(w * row**mn.s))
+        if quad.completion:
+            total += mass * (omega_hat(0.0, spec) * f_norm) ** mn.s
+        out.append(float(total ** (1.0 / mn.s)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +520,7 @@ def crucial_estimate_ratio(spec: KernelSpec, q: float, r: float, s: float,
 
     xi = f.grid.freq_radius()
     symbol = omega_hat(r * xi, spec) * omega_hat_adjoint(s * xi, spec)
-    spacings = (f.grid.spacing,) * n
-    fhat = _fields.forward_axes(f.samples, range(n), spacings)
-    g = Field(f.grid, _fields.inverse_axes(fhat * symbol, range(n), spacings))
+    g = Field(f.grid, _fields.real_symbol_apply(f.samples)(symbol))
 
     big_a = (n + 1) / (2.0 * n) * spec.alpha
     mid = 1.0 if n == 1 else abs(r - s) ** (-(n - 1) / n * spec.alpha)

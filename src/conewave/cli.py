@@ -45,6 +45,7 @@ from .analysis import (
     crucial_estimate_ratio,
     lp_norm,
     mixed_norm,
+    mixed_norms,
     operator_ratio_estimate,
     stein_weiss_ratio,
     sw_derived_params,
@@ -769,10 +770,12 @@ def battery_mixed_norm() -> list:
     mn = MixedNormSpec(10.0, 10.0, 0.4, quad)
     prov = f"grid n=1 N={g.points} L={g.extent:g}; {_quad_prov(quad)}"
 
-    vals = []
-    for w in (0.25, 0.5, 1.0, 2.0, 4.0):
-        f = gaussian(g, w)
-        vals.append(mixed_norm(f, spec, mn) / lp_norm(f, 2.0))
+    # one evaluation of the profile serves every width, and the width-1
+    # value is the refinement base below
+    widths = (0.25, 0.5, 1.0, 2.0, 4.0)
+    inputs = [gaussian(g, w) for w in widths]
+    norms = mixed_norms(inputs, spec, mn)
+    vals = [m / lp_norm(f, 2.0) for m, f in zip(norms, inputs)]
     spread = max(vals) / min(vals) - 1.0
     records.append(
         _rec(
@@ -787,10 +790,9 @@ def battery_mixed_norm() -> list:
         )
     )
 
-    f = gaussian(g, 1.0)
-    m1 = mixed_norm(f, spec, mn)
+    m1 = norms[widths.index(1.0)]
     mn2 = MixedNormSpec(10.0, 10.0, 0.4, RadialQuadrature(quad.r_min, quad.r_max, 2 * quad.count))
-    m2 = mixed_norm(f, spec, mn2)
+    m2 = mixed_norm(gaussian(g, 1.0), spec, mn2)
     drift = abs(m1 - m2) / m2
     records.append(
         _rec(

@@ -7,10 +7,15 @@ Fourier domain that is one (n+1)-dimensional multiplier
 
     m(xi, tau) = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + completion * P(0),
 
-assembled once by `symbol` and applied with one FFT pair by `apply_symbol`,
-so a ladder of inputs on one grid pays for the symbol once.  Only the
-spatial profile P varies between the two evaluation paths, and the two
-profiles share no arithmetic, so each path cross-checks the other:
+assembled once by `symbol` and applied by `apply_symbol`, so a ladder of
+inputs on one grid pays for the symbol once.  The symbol is real and
+equal to its point reflection m(-xi, -tau) (it is the transform of a real,
+even kernel), so the apply is a circular convolution: real inputs take one
+real-input FFT pair on the half spectrum tau >= 0, with no shift pair and
+no spacing scale, and give real outputs (fields.real_symbol_apply).
+
+Only the spatial profile P varies between the two evaluation paths, and
+the two profiles share no arithmetic, so each path cross-checks the other:
 
 * multiplier  - P = omega_hat, the Bessel-series spectral profile;
 * cone-direct - P = omega_hat_jacobi, Gauss-Jacobi quadrature of the
@@ -36,8 +41,7 @@ from .fields import (
     DomainTagError,
     SpacetimeField,
     SpacetimeGrid,
-    forward_axes,
-    inverse_axes,
+    real_symbol_apply,
 )
 from .kernel import KernelSpec, omega_hat, omega_hat_jacobi
 
@@ -190,19 +194,24 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
 
 
 def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
-    """The operator with symbol m applied to f: one FFT pair.
+    """The operator with symbol m applied to f, by fields.real_symbol_apply.
 
-    The product with m and the inverse transform run in the forward
-    transform's own buffer, so f is read once and left unchanged.
+    m must be real and equal to its point reflection m[-k mod N] on every
+    axis, as every symbol of this module is (it is the transform of a
+    real, even kernel); anything else is refused before any transform.
+    A real f takes one real-input FFT pair on the half spectrum and gives
+    an output whose imaginary part is exactly 0; an f with a nonzero
+    imaginary part takes one complex pair.  f is left unchanged.
     """
     _check_field(f)
-    if np.shape(m) != f.grid.shape:
-        raise ValueError(f"symbol shape {np.shape(m)} != grid shape {f.grid.shape}")
-    axes = range(f.samples.ndim)
-    spacings = (f.grid.space.spacing,) * f.grid.space.n + (f.grid.t_spacing,)
-    buf = forward_axes(f.samples, axes, spacings)
-    buf *= m
-    return SpacetimeField(f.grid, inverse_axes(buf, axes, spacings, overwrite=True), PHYSICAL)
+    m = np.asarray(m)
+    if m.shape != f.grid.shape:
+        raise ValueError(f"symbol shape {m.shape} != grid shape {f.grid.shape}")
+    if np.iscomplexobj(m):
+        raise ValueError(f"symbol must be real, got dtype {m.dtype}")
+    if not np.array_equal(m, np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))):
+        raise ValueError("symbol must equal its point reflection m[-k mod N] on every axis")
+    return SpacetimeField(f.grid, real_symbol_apply(f.samples)(m), PHYSICAL)
 
 
 def apply_I_alpha_multiplier(f: SpacetimeField, spec: KernelSpec,

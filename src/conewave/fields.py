@@ -13,7 +13,13 @@ Conventions, fixed once here and relied on everywhere else:
 
   realized as fftn(ifftshift(f)) * spacing^n and its exact inverse, so a
   round trip is exact to machine precision and Parseval holds with the
-  cell volumes as written.
+  cell volumes as written;
+* a Fourier multiplier that is real and equal to its point reflection,
+  as every operator symbol and kernel profile of this package is, is
+  applied by real_symbol_apply, the package's one multiplier apply: a
+  circular convolution, so it needs neither the shift pair nor the
+  spacing scale, and real inputs take real-input FFTs on the half
+  spectrum of the last axis and stay real.
 
 The torus stands in for R^n: inputs are expected to decay well inside the
 box, and kernels enter through their exact continuum multipliers rather
@@ -42,6 +48,7 @@ __all__ = [
     "SpacetimeField",
     "fourier_transform",
     "inverse_transform",
+    "real_symbol_apply",
     "convolve_omega",
     "dilate_field",
     "slice_at_time",
@@ -250,20 +257,57 @@ def forward_axes(samples: np.ndarray, axes, spacings) -> np.ndarray:
     return out
 
 
-def inverse_axes(samples: np.ndarray, axes, spacings, overwrite: bool = False) -> np.ndarray:
+def inverse_axes(samples: np.ndarray, axes, spacings) -> np.ndarray:
     """Exact inverse of forward_axes over the same axes.
 
-    With overwrite, a complex128 input is transformed in its own memory and
-    its contents are lost; callers pass it for spectra they own and no
-    longer need.
+    The transform runs in one fresh buffer, so the input is left unchanged.
     """
     axes = tuple(axes)
     scale = math.prod(float(s) for s in spacings)
-    own = overwrite and samples.dtype == np.complex128
-    buf = samples if own else np.empty(samples.shape, np.complex128)
+    buf = np.empty(samples.shape, np.complex128)
     np.fft.ifftn(samples, axes=axes, out=buf)
     buf /= scale
     return np.fft.fftshift(buf, axes=axes)
+
+
+def real_symbol_apply(samples: np.ndarray):
+    """Prepare samples for Fourier multipliers m that are real and centrally
+    symmetric over every axis, m[-k mod N] == m[k] in FFT layout; returns
+    apply(m), the samples under m.
+
+    Such an m is the transform of a real, even kernel, so applying it is a
+    circular convolution: it commutes with the centering roll (no shift
+    pair), the spacing scale and its inverse cancel, and real samples stay
+    real.  Samples are transformed once, here.  Real samples (a zero
+    imaginary part counts as real) take rfftn, and apply(m) multiplies by
+    the half of m over the last axis's nonnegative frequencies (a view of
+    m) and comes back with irfftn into float64.  Samples with a nonzero
+    imaginary part take one complex pair on the full m, into complex128;
+    measured, that is faster and smaller than transforming the real and
+    imaginary parts apart.  m may carry leading axes, one output per
+    leading index.  Callers check the precondition on m; this does not.
+    """
+    shape = samples.shape
+    axes = tuple(range(len(shape)))
+
+    def out_axes(m):
+        # the transformed axes of m, after its leading ones
+        return tuple(range(m.ndim - len(shape), m.ndim))
+
+    if np.iscomplexobj(samples) and np.any(samples.imag):
+        spectrum = np.fft.fftn(samples, axes=axes)
+
+        def apply(m: np.ndarray) -> np.ndarray:
+            buf = spectrum * m
+            return np.fft.ifftn(buf, axes=out_axes(m), out=buf)
+    else:
+        half_spectrum = np.fft.rfftn(samples.real, axes=axes)
+        half = shape[-1] // 2 + 1
+
+        def apply(m: np.ndarray) -> np.ndarray:
+            return np.fft.irfftn(half_spectrum * m[..., :half], s=shape, axes=out_axes(m))
+
+    return apply
 
 
 def fourier_transform(f):
@@ -287,9 +331,9 @@ def inverse_transform(f):
 def convolve_omega(f: Field, spec: KernelSpec, r: float) -> Field:
     """Convolve a spatial field with the kernel dilated by r > 0.
 
-    Computed spectrally: multiply the transform by the exact profile at
-    r * |xi| and come back.  The output integral equals fhat(0) times the
-    kernel mass, for every r, because the dilation is mass-preserving.
+    Computed spectrally with real_symbol_apply, since the exact profile at
+    r * |xi| is real and radial.  The output integral equals fhat(0) times
+    the kernel mass, for every r, because the dilation is mass-preserving.
     """
     if not isinstance(f, Field):
         raise TypeError("convolve_omega acts on spatial fields")
@@ -301,10 +345,7 @@ def convolve_omega(f: Field, spec: KernelSpec, r: float) -> Field:
     if spec.n != f.grid.n:
         raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
     mult = omega_hat(r * f.grid.freq_radius(), spec)
-    spacings = _axis_spacings(f)
-    spec_samples = forward_axes(f.samples, range(f.grid.n), spacings)
-    out = inverse_axes(spec_samples * mult, range(f.grid.n), spacings)
-    return Field(f.grid, out, PHYSICAL)
+    return Field(f.grid, real_symbol_apply(f.samples)(mult), PHYSICAL)
 
 
 def _is_dyadic(delta: float):

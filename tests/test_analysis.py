@@ -30,6 +30,7 @@ from conewave import (
     fourier_transform,
     lp_norm,
     mixed_norm,
+    mixed_norms,
     necessary_window,
     omega_hat,
     operator_ratio_estimate,
@@ -244,6 +245,20 @@ def test_mixed_norm_matches_node_by_node_reference_in_two_dimensions():
     assert mixed_norm(f, spec, mn) == pytest.approx(
         _mixed_norm_reference(f, spec, mn), rel=1e-12, abs=0.0
     )
+
+
+def test_mixed_norms_gives_one_mixed_norm_per_field():
+    # one profile evaluation serves every field, with the bits of one
+    # mixed_norm call per field, in order
+    spec = KernelSpec(0.4, 1)
+    mn = MixedNormSpec(4.0, 6.0, 0.4, RadialQuadrature(1e-2, 8.0, 70))
+    g = Grid(1, 1024, 32.0)
+    fields = [ens.gaussian(g, w, c) for w, c in ((0.5, 0.0), (1.0, 0.5), (2.0, -1.0))]
+    assert mixed_norms(fields, spec, mn) == [mixed_norm(f, spec, mn) for f in fields]
+    with pytest.raises(ValueError, match="one grid"):
+        mixed_norms([fields[0], ens.gaussian(Grid(1, 512, 32.0), 1.0)], spec, mn)
+    with pytest.raises(TypeError):
+        mixed_norms([fields[0], ens.gaussian_spacetime(SpacetimeGrid(g, 16, 8.0))], spec, mn)
 
 
 def test_mixed_norm_guards_of_the_convolution():

@@ -280,6 +280,75 @@ def test_symbol_and_apply_symbol_guards():
         apply_symbol(ens.gaussian(Grid(1, 32, 16.0)), m)
 
 
+def _complex_pair(f: SpacetimeField, m: np.ndarray) -> np.ndarray:
+    # the full complex FFT pair with shifts and spacing scales
+    axes = range(f.samples.ndim)
+    g = f.grid
+    spacings = (g.space.spacing,) * g.space.n + (g.t_spacing,)
+    return inverse_axes(m * forward_axes(f.samples, axes, spacings), axes, spacings)
+
+
+def _random_field(g: SpacetimeGrid, kind: str, seed: int) -> SpacetimeField:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(g.shape)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(g.shape)
+    return SpacetimeField(g, x)
+
+
+_APPLY_GRIDS = {
+    1: (SpacetimeGrid(Grid(1, 64, 16.0), 32, 16.0), KernelSpec(0.4, 1)),
+    2: (SpacetimeGrid(Grid(2, 16, 8.0), 16, 8.0), KernelSpec(1.0, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
+def test_apply_symbol_agrees_with_the_complex_pair(path, n, kind):
+    # the half-spectrum real-input apply against the full complex pair
+    g, spec = _APPLY_GRIDS[n]
+    m = symbol(g, spec, RadialQuadrature.for_grid(g, 32), path)
+    f = _random_field(g, kind, 11 + n)
+    keep = f.samples.copy()
+    out = apply_symbol(f, m)
+    assert np.array_equal(f.samples, keep)
+    want = _complex_pair(f, m)
+    assert np.linalg.norm(out.samples - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_apply_symbol_keeps_real_inputs_real():
+    g, spec = _APPLY_GRIDS[1]
+    m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
+    for f in (_random_field(g, "real", 3), ens.gaussian_spacetime(g, 1.5),
+              SpacetimeField(g, _random_field(g, "real", 4).samples.astype(np.complex128))):
+        out = apply_symbol(f, m)
+        assert out.samples.dtype == np.complex128
+        assert np.all(out.samples.imag == 0.0)
+        assert np.any(out.samples.real != 0.0)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_apply_symbol_refuses_asymmetric_symbols_before_any_transform(monkeypatch, kind):
+    g, spec = _APPLY_GRIDS[1]
+    f = _random_field(g, kind, 5)
+    m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a transform ran before the symbol was checked")
+
+    for name in ("rfftn", "fftn"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    with pytest.raises(ValueError, match="real"):
+        apply_symbol(f, m.astype(np.complex128))
+    broken = m.copy()
+    broken[1, 2] = np.nextafter(broken[1, 2], np.inf)  # one unit in the last place
+    with pytest.raises(ValueError, match="point reflection"):
+        apply_symbol(f, broken)
+    with pytest.raises(AssertionError):
+        apply_symbol(f, m)  # the guard passes an unbroken symbol on
+
+
 def test_apply_path_lookup():
     assert apply_path("multiplier") is apply_I_alpha_multiplier
     assert apply_path("cone-direct") is apply_cone_direct

@@ -1,0 +1,25 @@
+"""Test-function families: exact values of the reference inputs."""
+
+import numpy as np
+import pytest
+
+import conewave.ensembles as ens
+from conewave import Grid, SpacetimeGrid
+
+
+@pytest.mark.parametrize("width", [0.5, 1.3, 4.0])
+@pytest.mark.parametrize("grid", [
+    SpacetimeGrid(Grid(1, 64, 16.0), 128, 32.0),
+    SpacetimeGrid(Grid(2, 32, 16.0), 16, 8.0),
+], ids=["n1", "n2"])
+def test_gaussian_spacetime_is_the_separable_formula(grid, width):
+    # the outer product of the spatial and temporal factors: unit peak
+    # exactly at the origin sample, and the direct formula to rounding
+    f = ens.gaussian_spacetime(grid, width)
+    origin = (grid.space.points // 2,) * grid.space.n + (grid.t_points // 2,)
+    assert f.samples[origin] == 1.0
+    assert np.max(np.abs(f.samples)) == 1.0
+    r2 = grid.space.radius() ** 2
+    direct = np.exp(-np.pi * (r2[..., None] + grid.t_axis() ** 2) / width**2)
+    assert np.max(np.abs(f.samples - direct)) <= 1e-15
+    assert np.all(f.samples.imag == 0.0)
