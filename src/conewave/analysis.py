@@ -157,13 +157,22 @@ def lp_norm(f, p: float) -> float:
 
 
 def _lp(samples: np.ndarray, p: float, cell_volume: float, axis=None):
-    # the lp_norm reduction; with axis set, one norm per leading index
+    # the lp_norm reduction; with axis set, one norm per leading index.
+    # pow takes libm's slow scalar path on zeros, subnormals and arguments
+    # whose power underflows, and Gaussian tails are mostly such arguments.
+    # Any x <= 2^(-1080/p), zero included, has x^p below 2^-1080, which
+    # rounds to 0.0, so those terms are set to 0.0 without pow; every term,
+    # and the sum taken in the same layout and order, keeps its bits.
     mags = np.abs(samples)
     if not np.all(np.isfinite(mags)):
         raise ValueError("field has non-finite samples")
     if math.isinf(p):
         return mags.max(axis=axis)
-    return (np.sum(mags**p, axis=axis) * cell_volume) ** (1.0 / p)
+    tiny = mags <= 2.0 ** (-1080.0 / p)
+    mags[tiny] = 1.0
+    mags **= p
+    mags[tiny] = 0.0
+    return (np.sum(mags, axis=axis) * cell_volume) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -214,6 +223,8 @@ def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
     values are those of one mixed_norm call per field, bit for bit.
     """
     fields = list(fields)
+    if not fields:
+        raise ValueError("mixed_norms needs at least one field; the input is empty")
     for f in fields:
         if not isinstance(f, Field):
             raise TypeError("mixed_norm acts on spatial fields")
@@ -680,8 +691,8 @@ def boundedness_verdict(scales, ratios, spread_limit: float = 2.0,
     """
     scales = np.asarray(list(scales), dtype=float)
     ratios = np.asarray(list(ratios), dtype=float)
-    if scales.size != ratios.size or scales.size < 2:
-        raise ValueError("need matching ladders with at least two entries")
+    if scales.size != ratios.size or np.unique(scales).size < 2:
+        raise ValueError("need matching ladders with at least two distinct scales")
     if np.any(ratios <= 0.0) or np.any(scales <= 0.0):
         raise ValueError("scales and ratios must be positive")
     order = np.argsort(scales)

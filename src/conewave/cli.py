@@ -184,6 +184,17 @@ def _to_floats(cfg, sec, key) -> list:
         raise ConfigError(f"[{sec}] {key} must be numbers, got {cfg[sec][key]!r}")
 
 
+def _widths(cfg, sec, key) -> list:
+    # a ratio ladder's widths: at least two, positive, none repeated (a
+    # repeat leaves too few distinct scales to fit a trend to)
+    deltas = _to_floats(cfg, sec, key)
+    if len(deltas) < 2 or not all(d > 0 for d in deltas):
+        raise ConfigError(f"[{sec}] {key} needs at least two positive widths")
+    if len(set(deltas)) < len(deltas):
+        raise ConfigError(f"[{sec}] {key} repeats a width: {cfg[sec][key]!r}")
+    return deltas
+
+
 def _kernel_from(cfg) -> KernelSpec:
     try:
         return KernelSpec(
@@ -953,9 +964,7 @@ def cmd_scan_region(cfg, out_dir, seed, jobs) -> int:
 
     ratio_cols = {}
     if with_ratios:
-        deltas = _to_floats(cfg, sec, "ratio_deltas")
-        if len(deltas) < 2 or any(d <= 0 for d in deltas):
-            raise ConfigError("ratio_deltas needs at least two positive widths")
+        deltas = _widths(cfg, sec, "ratio_deltas")
         pts_count = _to_int(cfg, sec, "ratio_points")
         extent = _to_float(cfg, sec, "ratio_extent")
         try:
@@ -1138,9 +1147,7 @@ def cmd_norm_test(cfg, out_dir, seed, jobs) -> int:
             inv_q = float(raw_q)
         except ValueError:
             raise ConfigError(f"[{sec}] inv_q must be a number or 'auto', got {raw_q!r}")
-    deltas = sorted(_to_floats(cfg, sec, "deltas"))
-    if len(deltas) < 2 or deltas[0] <= 0:
-        raise ConfigError("norm-test deltas needs at least two positive widths")
+    deltas = sorted(_widths(cfg, sec, "deltas"))
     path = cfg[sec]["path"]
 
     try:

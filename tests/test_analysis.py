@@ -38,7 +38,7 @@ from conewave import (
     stein_weiss_ratio,
     sw_derived_params,
 )
-from conewave.analysis import CaseFit
+from conewave.analysis import CaseFit, _lp
 from conewave.specialfn import bessel_remainder
 
 
@@ -151,6 +151,90 @@ def test_lp_norm_guards():
         lp_norm(bad, 2.0)
 
 
+# 1 + 2^-40 puts the cut 2^(-1080/p) itself below the least subnormal
+_LP_EXPONENTS = [1 + 2.0**-40, 1 / 0.9, 1 / 0.7, 1 / 0.55, 1 / 0.3, 2.0, 10.0, float("inf")]
+
+
+def _lp_reference(x, p, cell, axis=None):
+    # frozen reference: pow on every magnitude, summed in one np.sum
+    if np.isinf(p):
+        return np.abs(x).max(axis=axis)
+    return (np.sum(np.abs(x) ** p, axis) * cell) ** (1 / p)
+
+
+def _tail_fields():
+    # Gaussian ladder inputs whose tails hold exact zeros, subnormals and
+    # normal values whose p-th power underflows
+    st256 = SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0)
+    fields = [ens.gaussian_spacetime(st256, w) for w in (0.5, 1.0, 2.0)]
+    fields += [ens.gaussian(Grid(2, 256, 32.0), w) for w in (0.5, 1.0, 2.0)]
+    fields += [ens.gaussian(Grid.default(1), w) for w in (0.25, 0.5, 1.0)]
+    return fields
+
+
+def test_lp_matches_the_pow_everywhere_reduction_bit_for_bit():
+    fields = _tail_fields()
+    mags = np.concatenate([np.abs(f.samples).ravel() for f in fields])
+    assert np.any(mags == 0.0)
+    assert np.any((mags > 0.0) & (mags < np.finfo(float).tiny))
+    normal = mags[mags >= np.finfo(float).tiny]
+    for p in _LP_EXPONENTS[1:-1]:
+        assert np.any(normal**p == 0.0), p  # some powers underflow
+    for p in _LP_EXPONENTS:
+        for f in fields:
+            want = _lp_reference(f.samples, p, f.cell_volume)
+            assert lp_norm(f, p) == want, (p, f.grid)
+
+
+def test_lp_axis_form_matches_the_reference_bit_for_bit():
+    # the layout mixed_norms reduces: one norm per leading index
+    g = Grid(2, 256, 32.0)
+    stack = np.stack([ens.gaussian(g, w).samples for w in (0.5, 1.0, 2.0)])
+    for samples in (stack, stack.astype(np.complex128)):
+        for p in _LP_EXPONENTS:
+            got = _lp(samples, p, g.cell_volume, axis=(1, 2))
+            want = _lp_reference(samples, p, g.cell_volume, axis=(1, 2))
+            assert got.shape == (3,)
+            assert np.array_equal(got, want), p
+
+
+@pytest.mark.parametrize("p", _LP_EXPONENTS[:-1])
+def test_lp_keeps_powers_that_round_to_the_smallest_subnormal(p):
+    # x with x**p the smallest subnormal, and its neighbours, lie just above
+    # the cut; a cut at 2^(-1022/p) would drop them and read a zero norm
+    least = np.nextafter(0.0, 1.0)
+    x = 2.0 ** (-1074.0 / p)
+    while x**p > least:
+        x = np.nextafter(x, 0.0)
+    while x**p < least:
+        x = np.nextafter(x, 1.0)
+    assert x**p == least
+    vals = [x]
+    for direction in (0.0, 1.0):
+        y = x
+        for _ in range(4):
+            y = np.nextafter(y, direction)
+            vals.append(y)
+    samples = np.zeros(16)
+    samples[:len(vals)] = vals
+    f = Field(Grid(1, 16, 16.0), samples)  # unit cells: the sum stays exact
+    want = _lp_reference(samples, p, 1.0)
+    assert want > 0.0
+    assert lp_norm(f, p) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lp_refuses_non_finite_samples_in_a_zero_tail(bad):
+    f = ens.gaussian(Grid(2, 256, 32.0), 0.5)
+    assert f.samples[0, 0] == 0.0 and f.samples[-1, 3] == 0.0
+    for where in ((0, 0), (-1, 3)):
+        samples = f.samples.copy()
+        samples[where] = bad
+        for p in _LP_EXPONENTS:
+            with pytest.raises(ValueError, match="non-finite"):
+                lp_norm(Field(f.grid, samples), p)
+
+
 def _r_grid(count=96):
     return RadialQuadrature(1e-3, 8.0, count)
 
@@ -259,6 +343,14 @@ def test_mixed_norms_gives_one_mixed_norm_per_field():
         mixed_norms([fields[0], ens.gaussian(Grid(1, 512, 32.0), 1.0)], spec, mn)
     with pytest.raises(TypeError):
         mixed_norms([fields[0], ens.gaussian_spacetime(SpacetimeGrid(g, 16, 8.0))], spec, mn)
+
+
+def test_mixed_norms_refuses_an_empty_input_before_any_work(monkeypatch):
+    monkeypatch.setattr("conewave.analysis.omega_hat",
+                        lambda *a: pytest.fail("profile evaluated"))
+    mn = MixedNormSpec(4.0, 6.0, 0.4, RadialQuadrature(1e-2, 8.0, 70))
+    with pytest.raises(ValueError, match="empty"):
+        mixed_norms([], KernelSpec(0.4, 1), mn)
 
 
 def test_mixed_norm_guards_of_the_convolution():
@@ -700,3 +792,7 @@ def test_boundedness_verdict_guards():
         boundedness_verdict([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         boundedness_verdict([1.0, 2.0], [1.0, -1.0])
+    # a repeated scale leaves nothing to fit a trend to
+    for scales in ([1.0, 1.0], [2.0, 2.0, 2.0]):
+        with pytest.raises(ValueError, match="distinct"):
+            boundedness_verdict(scales, [1.0, 1.5, 2.0][:len(scales)])

@@ -443,6 +443,25 @@ def test_norm_test_rejects_too_few_widths(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, config", [
+    ("norm-test", _SMALL_NORM_TEST.replace("deltas = 0.5 1.0 2.0 4.0", "deltas = 1.0 1.0")),
+    ("scan-region", _RATIO_SCAN.replace("ratio_deltas = 0.5 1.0 2.0",
+                                        "ratio_deltas = 1.0 0.5 1")),
+])
+def test_ratio_ladders_refuse_repeated_widths_before_any_work(tmp_path, monkeypatch, capsys,
+                                                              command, config):
+    # a repeated width leaves the trend fit too few distinct scales; it is
+    # refused at parse, before any symbol is built or applied
+    def never(*args, **kwargs):
+        raise AssertionError("reached the operator")
+
+    monkeypatch.setattr(cli, "symbol", never)
+    monkeypatch.setattr(cli, "apply_symbol", never)
+    code, _ = run(tmp_path, command, config=config)
+    assert code == 3
+    assert "repeats a width" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 
