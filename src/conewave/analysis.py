@@ -10,6 +10,7 @@ only because its inputs are floats.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -49,6 +50,9 @@ __all__ = [
 
 _EQ_TOL = 1e-12  # classification equality tolerance: pure arithmetic, no noise
 _BLOCK = 2**16  # elements per temporary block in the vectorized batteries
+# terms per run of stein_weiss_ratio's products: a run's temporaries and its
+# index copy stay in cache and add little to the peak resident size
+_SW_RUN = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -394,46 +398,117 @@ def _dyadic_panels(a: float, b: float, singular: np.ndarray, depth: int):
     return lo, cuts[1:][inner] - lo, row[:-1][inner]
 
 
-@lru_cache(maxsize=1)
+def _sw_points(lo, width, gx):
+    # lo + width (gx + 1) / 2: the Gauss points of each panel, one row per panel
+    pts = np.multiply(width[:, None], gx[None, :] + 1.0)
+    pts *= 0.5
+    pts += lo[:, None]
+    return pts
+
+
+def _sw_inner_panels(half: float, depth: int, xs: np.ndarray):
+    # the panels of every inner rule: refined toward 0 and the outer node
+    return _dyadic_panels(-half, half, np.column_stack([np.zeros_like(xs), xs]), depth)
+
+
 def _sw_geometry(half: float, depth: int, nodes: int):
     """The composite Gauss-Legendre rules of stein_weiss_ratio on
     [-half, half], with `nodes` points per panel.
 
-    Returns (xs, xw, width, dist, distinct, us, order, starts).  (xs, xw)
+    Returns (xs, xw, us, gather, weight, offsets, bounds).  (xs, xw)
     is the outer rule, refined toward 0.  The inner rule of outer node i,
-    refined toward 0 and xs[i], is a run of panels of the given widths;
-    dist holds, per panel and Gauss point, the distance |u - xs[i]| to the
-    outer node, and the run's first node sits at offset starts[i] of the
-    panel-major order.  Panels near 0 recur in every inner rule, so only
-    the nodes of the distinct panels are kept, sorted in us: a value
-    computed on us and scattered through order has one row per distinct
-    panel, and distinct maps every panel to its row.  Nothing here
-    depends on the field or the exponents, so consecutive calls at one
-    depth share it.
+    refined toward 0 and xs[i], is a run of panels whose terms (one per
+    panel and Gauss point) sit at offsets[i]:offsets[i + 1] of the
+    panel-major order; weight holds each term's quadrature weight.  Panels
+    near 0 recur in every inner rule, so only the nodes of the distinct
+    panels are kept, sorted, in us; a value computed on us and taken
+    through gather (int32) lands in term order.  bounds cuts the outer
+    nodes into runs of at most _SW_RUN terms (or one node's run).
+    Nothing here depends on the field or the exponents.
     """
     gx, gw = _gl_rule(nodes)
-
-    def points(lo, width):
-        return lo[:, None] + width[:, None] * (gx[None, :] + 1.0) * 0.5
-
     lo, width, _ = _dyadic_panels(-half, half, np.zeros((1, 1)), depth)
-    xs = points(lo, width).ravel()
+    xs = _sw_points(lo, width, gx).ravel()
     xw = (width[:, None] * gw[None, :] * 0.5).ravel()
-    lo, width, owner = _dyadic_panels(
-        -half, half, np.column_stack([np.zeros_like(xs), xs]), depth)
-    panels, distinct = np.unique(np.column_stack([lo, width]), axis=0, return_inverse=True)
-    us = points(panels[:, 0], panels[:, 1]).ravel()
+    lo, width, owner = _sw_inner_panels(half, depth, xs)
+    # the distinct panels in (lo, width) order, and each panel's row among them
+    perm = np.lexsort((width, lo))
+    lo_s, width_s = lo[perm], width[perm]
+    new = np.ones(perm.size, dtype=bool)
+    new[1:] = (lo_s[1:] != lo_s[:-1]) | (width_s[1:] != width_s[:-1])
+    row = np.empty(perm.size, dtype=np.int32)
+    row[perm] = np.cumsum(new) - 1
+    us = _sw_points(lo_s[new], width_s[new], gx).ravel()
     # np.interp is fastest on sorted queries; int32 halves the index arrays
-    order = np.argsort(us).astype(np.int32)
+    order = np.argsort(us)
     us = us[order]
-    dist = points(lo, width)
-    dist -= xs[owner, None]
-    np.abs(dist, out=dist)
-    starts = np.searchsorted(owner, np.arange(xs.size)) * nodes
-    out = (xs, xw, width, dist, distinct.ravel().astype(np.int32), us, order, starts)
-    for arr in out:
+    rank = np.empty(us.size, dtype=np.int32)
+    rank[order] = np.arange(us.size, dtype=np.int32)
+    gather = rank.reshape(-1, nodes)[row].ravel()
+    weight = np.multiply(width[:, None], gw[None, :]).ravel()
+    weight *= 0.5
+    offsets = np.searchsorted(owner, np.arange(xs.size + 1)) * nodes
+    bounds = [0]
+    while bounds[-1] < xs.size:
+        k = bounds[-1]
+        last = int(np.searchsorted(offsets, offsets[k] + _SW_RUN, side="right")) - 1
+        bounds.append(max(last, k + 1))
+    out = (xs, xw, us, gather, weight, offsets, tuple(bounds))
+    for arr in out[:6]:
         arr.setflags(write=False)
     return out
+
+
+# The rule of the latest stein_weiss_ratio call and its tables for one
+# exponent set: (rule key, geometry, exponent key, tables).  Worker threads
+# read it; it is swapped whole under the lock, and a call keeps the tuple
+# it read.
+_sw_slot = None
+_sw_lock = threading.Lock()
+
+
+def _sw_rule(half: float, depth: int, nodes: int, params: SteinWeissParams):
+    """(geometry, tables) of stein_weiss_ratio for one box, depth and panel
+    order, and one exponent set.
+
+    The tables are the field-independent factors of the terms:
+    |u - x|^(a - N) per term, |u|^(-delta_w) on the sorted distinct nodes
+    and |x|^(-gamma_w) on the outer nodes.  The latest rule and tables are
+    kept for the next call; the slot is emptied before a replacement is
+    built, so two geometries are never held at once.  The panels behind
+    the distances are rebuilt with each table rather than held: that
+    costs about a millisecond and keeps the peak resident size down.
+    """
+    global _sw_slot
+    rule = (half, depth, nodes)
+    key = (params.a - params.N, params.delta_w, params.gamma_w)
+    with _sw_lock:
+        slot = _sw_slot
+        if slot is not None and slot[0] == rule and slot[2] == key:
+            return slot[1], slot[3]
+        geom = slot[1] if slot is not None and slot[0] == rule else None
+        _sw_slot = slot = None
+        if geom is None:
+            geom = _sw_geometry(*rule)
+        xs, _, us = geom[:3]
+        lo, width, owner = _sw_inner_panels(half, depth, xs)
+        kernel = _sw_points(lo, width, _gl_rule(nodes)[0])
+        kernel -= xs[owner, None]
+        np.abs(kernel, out=kernel)
+        np.power(kernel, key[0], out=kernel)
+        u_weight = np.abs(us)
+        u_weight **= -key[1]
+        tables = (kernel.ravel(), u_weight, np.abs(xs) ** (-key[2]))
+        for arr in tables:
+            arr.setflags(write=False)
+        _sw_slot = (rule, geom, key, tables)
+    return geom, tables
+
+
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def stein_weiss_ratio(params: SteinWeissParams, f: Field,
@@ -444,15 +519,20 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
     Direct one-dimensional quadrature: the potential integral refines
     dyadically toward its singular points u = 0 and u = x, the outer norm
     toward x = 0, both over the field's box.  The panel geometry depends
-    only on the box, the depth and the panel order, so it is built once
-    (_sw_geometry) and shared by consecutive calls; each call interpolates
-    the field onto the distinct nodes and sums every potential with one
+    only on the box, the depth and the panel order, and the powers of the
+    kernel and the weights only on it and the exponents, so they are built
+    once per (box, depth, panel order, exponents) (_sw_rule) and kept for
+    the next call; each call interpolates the field onto the distinct
+    nodes and, a run of outer nodes at a time, gathers the values into
+    term order, multiplies in the tables and sums the potentials with one
     segmented reduction.  Inadmissible parameter sets raise, naming every
     violated condition; passing allow_inadmissible runs them anyway, which
     is exactly how the failure of the inequality is demonstrated (the
     measured value then tracks the truncation depth instead of
     converging).
     """
+    depth = _positive_int(depth, "depth")
+    nodes = _positive_int(nodes_per_panel, "nodes_per_panel")
     fails = params.constraint_failures()
     if fails and not allow_inadmissible:
         raise InadmissibleParamsError("; ".join(fails))
@@ -461,6 +541,9 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
     if not isinstance(f, Field) or f.grid.n != 1:
         raise TypeError("stein_weiss_ratio takes a one-dimensional spatial field")
     vals = f.samples
+    # the comparisons below are False on NaN, so refuse non-finite samples first
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field has non-finite samples")
     if np.max(np.abs(vals.imag)) > 1e-12 * max(np.max(np.abs(vals)), 1e-300):
         raise ValueError("input must be real and nonnegative")
     fr = vals.real
@@ -472,26 +555,20 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
     def fval(u):
         return np.interp(u, grid_x, fr, left=0.0, right=0.0)
 
-    nodes = int(nodes_per_panel)
-    xs, xw, width, dist, distinct, us, order, starts = _sw_geometry(
-        f.grid.extent / 2.0, int(depth), nodes)
-    gw = _gl_rule(nodes)[1]
-    # f(u) |u|^(-delta_w) once per distinct panel, the rest per block of
-    # panels, multiplied in place into terms
+    geom, (kernel, u_weight, x_weight) = _sw_rule(f.grid.extent / 2.0, depth, nodes, params)
+    xs, xw, us, gather, weight, offsets, bounds = geom
+    # f(u) |u|^(-delta_w) once per distinct node, then (that * |u - x|^(a - N))
+    # * weight per term, a run of outer nodes at a time
     vals = fval(us)
-    vals *= np.abs(us) ** (-params.delta_w)
-    head = np.empty_like(vals)
-    head[order] = vals
-    head = head.reshape(-1, nodes)
-    terms = np.empty_like(dist)
-    step = max(1, _BLOCK // nodes)
-    for i in range(0, len(dist), step):
-        blk = slice(i, i + step)
-        np.power(dist[blk], params.a - params.N, out=terms[blk])
-        terms[blk] *= head[distinct[blk]]
-        terms[blk] *= width[blk, None] * gw[None, :] * 0.5
-    pot = np.add.reduceat(terms.ravel(), starts)
-    weighted = np.abs(xs) ** (-params.gamma_w) * pot
+    vals *= u_weight
+    pot = np.empty(xs.size)
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        run = slice(offsets[k0], offsets[k1])
+        terms = vals[gather[run]]
+        terms *= kernel[run]
+        terms *= weight[run]
+        pot[k0:k1] = np.add.reduceat(terms, offsets[k0:k1] - offsets[k0])
+    weighted = x_weight * pot
     out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
 
     in_norm = float(np.sum(xw * fval(xs) ** params.p) ** (1.0 / params.p))

@@ -584,13 +584,41 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
     prov = f"grid n=1 N={grid.points} L={grid.extent:g}; dyadic depth {depth}"
 
     hls = SteinWeissParams(N=1, a=0.5, gamma_w=0.0, delta_w=0.0, p=4 / 3, q=4.0)
-    rng = np.random.default_rng(seed)
-    # the dyadic panels refine toward the origin, so keep the bumps wide
-    # and central enough to be resolved; a narrow bump far out measures
-    # panel coarseness, not the inequality
-    fields = _bump_stream(grid, int(bumps), rng,
-                          width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
-    ratios = _pool_map(lambda f: stein_weiss_ratio(hls, f, depth=depth), fields, jobs)
+    inad = SteinWeissParams(N=1, a=0.95, gamma_w=0.35, delta_w=0.2, p=10 / 7, q=10 / 3)
+    adm = sw_derived_params(0.4, 2)
+    predicted = inad.gamma_w - inad.N / inad.q
+    # ladders of origin bumps: widths at a fixed truncation floor; a
+    # concentrating bump with the panel floor refined with it (floor ~
+    # width^2), the honest protocol for a concentrating probe; and one bump
+    # at growing depths
+    widths = (1.0, 2.0, 4.0, 8.0)
+    conc = (4.0, 2.0, 1.0, 0.5, 0.25)
+    conc_depths = tuple(int(round(depth + 2 - 2 * math.log2(w))) for w in conc)
+    depths = (8, 10, 12, 14)
+    probes = ({(w, depth) for w in widths} | set(zip(conc, conc_depths))
+              | {(2.0, d) for d in depths})
+
+    # each depth is visited once, and each exponent set once within it, so
+    # every quadrature rule and its tables are built once per run (the
+    # analysis keeps only the latest, and deepest first leaves the smallest
+    # held); a (width, depth) probe shared by two ladders is measured once,
+    # and no value depends on the visiting order
+    measured = {}
+    for d in sorted({d for _, d in probes} | {depth}, reverse=True):
+        if d == depth:
+            rng = np.random.default_rng(seed)
+            # the dyadic panels refine toward the origin, so keep the bumps
+            # wide and central enough to be resolved; a narrow bump far out
+            # measures panel coarseness, not the inequality
+            fields = _bump_stream(grid, int(bumps), rng,
+                                  width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
+            ratios = _pool_map(lambda f: stein_weiss_ratio(hls, f, depth=depth), fields, jobs)
+        origin = {w: gaussian(grid, w) for w, pd in sorted(probes) if pd == d}
+        for params in (inad, adm):
+            for w, f in origin.items():
+                measured[params, w, d] = stein_weiss_ratio(
+                    params, f, depth=d, allow_inadmissible=params is inad)
+
     arr = np.asarray(ratios)
     med = float(np.median(arr))
     records.append(
@@ -605,16 +633,8 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
         )
     )
 
-    inad = SteinWeissParams(N=1, a=0.95, gamma_w=0.35, delta_w=0.2, p=10 / 7, q=10 / 3)
-    adm = sw_derived_params(0.4, 2)
-    predicted = inad.gamma_w - inad.N / inad.q
-
-    widths = (1.0, 2.0, 4.0, 8.0)
-    lad_in, lad_ad = [], []
-    for w in widths:
-        f = gaussian(grid, w)
-        lad_in.append(stein_weiss_ratio(inad, f, depth=depth, allow_inadmissible=True))
-        lad_ad.append(stein_weiss_ratio(adm, f, depth=depth))
+    lad_in = [measured[inad, w, depth] for w in widths]
+    lad_ad = [measured[adm, w, depth] for w in widths]
     tv_in = boundedness_verdict(widths, lad_in)
     records.append(
         _rec(
@@ -639,17 +659,10 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
         )
     )
 
-    # concentration: shrink the bump and refine the panel floor with it
-    # (floor ~ width^2), the honest protocol for a concentrating probe;
-    # the truncated divergence at the weight singularity then climbs
-    # monotonically while the admissible twin converges
-    conc = (4.0, 2.0, 1.0, 0.5, 0.25)
-    conc_in, conc_ad = [], []
-    for w in conc:
-        d = int(round(depth + 2 - 2 * math.log2(w)))
-        f = gaussian(grid, w)
-        conc_in.append(stein_weiss_ratio(inad, f, depth=d, allow_inadmissible=True))
-        conc_ad.append(stein_weiss_ratio(adm, f, depth=d))
+    # the truncated divergence at the weight singularity climbs
+    # monotonically under concentration while the admissible twin converges
+    conc_in = [measured[inad, w, d] for w, d in zip(conc, conc_depths)]
+    conc_ad = [measured[adm, w, d] for w, d in zip(conc, conc_depths)]
     tv_conc = boundedness_verdict([1.0 / w for w in conc], conc_in)
     records.append(
         _rec(
@@ -674,12 +687,8 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
         )
     )
 
-    depths = (8, 10, 12, 14)
-    probe = gaussian(grid, 2.0)
-    sweep_in, sweep_ad = [], []
-    for d in depths:
-        sweep_in.append(stein_weiss_ratio(inad, probe, depth=d, allow_inadmissible=True))
-        sweep_ad.append(stein_weiss_ratio(adm, probe, depth=d))
+    sweep_in = [measured[inad, 2.0, d] for d in depths]
+    sweep_ad = [measured[adm, 2.0, d] for d in depths]
     grows = all(b > a for a, b in zip(sweep_in, sweep_in[1:]))
     steps = [abs(b - a) / a for a, b in zip(sweep_ad, sweep_ad[1:])]
     records.append(

@@ -1,6 +1,8 @@
 """Classifier, norms, inequality checkers, and trend verdicts."""
 
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -550,6 +552,169 @@ def test_stein_weiss_ratio_geometry_follows_the_box_and_depth():
         assert stein_weiss_ratio(params, f, depth=depth) == pytest.approx(
             _stein_weiss_reference(params, f, depth), rel=1e-12, abs=0.0
         )
+
+
+def _frozen_dyadic_panels(a, b, singular, depth):
+    # frozen copy of the vectorized panel builder the tables were cut from
+    span = b - a
+    h = span * 0.5 ** np.arange(1, depth + 1)
+    near = singular[:, :, None] + np.concatenate([[0.0], -h, h])
+    near[:, :, 1:][(near[:, :, 1:] <= a) | (near[:, :, 1:] >= b)] = np.nan
+    ends = np.broadcast_to([a, b], (singular.shape[0], 2))
+    cuts = np.sort(np.concatenate([ends, near.reshape(len(singular), -1)], axis=1), axis=1)
+    keep = np.ones(cuts.shape, dtype=bool)
+    keep[:, 1:] = np.diff(cuts, axis=1) > 1e-15 * max(abs(span), 1.0)
+    row = np.nonzero(keep)[0]
+    cuts = cuts[keep]
+    inner = row[1:] == row[:-1]
+    lo = cuts[:-1][inner]
+    return lo, cuts[1:][inner] - lo, row[:-1][inner]
+
+
+def _frozen_stein_weiss(params, f, depth=12, nodes_per_panel=8):
+    # frozen copy of the vectorized stein_weiss_ratio body that computed
+    # every power per call: np.unique geometry, scatter through the sorted
+    # nodes, blocks of 2^16 elements; the route that replaces it must
+    # agree with it bit for bit
+    fr = f.samples.real
+    grid_x = f.grid.axis()
+    half = f.grid.extent / 2.0
+    nodes = nodes_per_panel
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+
+    def points(lo, width):
+        return lo[:, None] + width[:, None] * (gx[None, :] + 1.0) * 0.5
+
+    def fval(u):
+        return np.interp(u, grid_x, fr, left=0.0, right=0.0)
+
+    lo, width, _ = _frozen_dyadic_panels(-half, half, np.zeros((1, 1)), depth)
+    xs = points(lo, width).ravel()
+    xw = (width[:, None] * gw[None, :] * 0.5).ravel()
+    lo, width, owner = _frozen_dyadic_panels(
+        -half, half, np.column_stack([np.zeros_like(xs), xs]), depth)
+    panels, distinct = np.unique(np.column_stack([lo, width]), axis=0, return_inverse=True)
+    distinct = distinct.ravel()
+    us = points(panels[:, 0], panels[:, 1]).ravel()
+    order = np.argsort(us).astype(np.int32)
+    us = us[order]
+    dist = points(lo, width)
+    dist -= xs[owner, None]
+    np.abs(dist, out=dist)
+    starts = np.searchsorted(owner, np.arange(xs.size)) * nodes
+
+    vals = fval(us)
+    vals *= np.abs(us) ** (-params.delta_w)
+    head = np.empty_like(vals)
+    head[order] = vals
+    head = head.reshape(-1, nodes)
+    terms = np.empty_like(dist)
+    step = max(1, 2**16 // nodes)
+    for i in range(0, len(dist), step):
+        blk = slice(i, i + step)
+        np.power(dist[blk], params.a - params.N, out=terms[blk])
+        terms[blk] *= head[distinct[blk]]
+        terms[blk] *= width[blk, None] * gw[None, :] * 0.5
+    pot = np.add.reduceat(terms.ravel(), starts)
+    weighted = np.abs(xs) ** (-params.gamma_w) * pot
+    out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
+    in_norm = float(np.sum(xw * fval(xs) ** params.p) ** (1.0 / params.p))
+    return out_norm / in_norm
+
+
+_SW_PARAM_SETS = {
+    "derived": sw_derived_params(0.4, 2),
+    "hls": SteinWeissParams(1, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0),
+    "inadmissible": SteinWeissParams(1, 0.95, 0.35, 0.2, 10.0 / 7.0, 10.0 / 3.0),
+}
+
+
+@pytest.mark.parametrize("depth", [8, 12, 18])
+@pytest.mark.parametrize("name", sorted(_SW_PARAM_SETS))
+def test_stein_weiss_ratio_is_the_per_call_route_bit_for_bit(name, depth):
+    params = _SW_PARAM_SETS[name]
+    for f in (_bump(1.0, 1.5), _bump(-2.0, 0.6, Grid.default(1))):
+        got = stein_weiss_ratio(params, f, depth=depth, allow_inadmissible=True)
+        assert got == _frozen_stein_weiss(params, f, depth)
+
+
+def test_stein_weiss_tables_follow_exponents_depths_and_boxes_bit_for_bit():
+    # the kept rule and tables must be rebuilt whenever the exponents, the
+    # depth or the box change, and reused only when none does
+    big, small = Grid(1, 512, 32.0), Grid(1, 256, 16.0)
+    sequence = [("hls", big, 12), ("hls", big, 12), ("derived", big, 12),
+                ("inadmissible", big, 12), ("derived", big, 12), ("derived", big, 10),
+                ("derived", small, 10), ("inadmissible", small, 10), ("hls", small, 10),
+                ("hls", big, 10), ("hls", big, 12), ("inadmissible", small, 12),
+                ("inadmissible", small, 12)]
+    for k, (name, grid, depth) in enumerate(sequence):
+        params = _SW_PARAM_SETS[name]
+        f = _bump(0.25 * k - 1.0, 0.8 + 0.1 * k, grid)
+        got = stein_weiss_ratio(params, f, depth=depth, allow_inadmissible=True)
+        assert got == _frozen_stein_weiss(params, f, depth), (k, name, grid, depth)
+    # the panel order is part of the rule too
+    f = _bump(0.5, 1.0, big)
+    for nodes in (8, 5, 8):
+        got = stein_weiss_ratio(_SW_PARAM_SETS["hls"], f, depth=9, nodes_per_panel=nodes)
+        assert got == _frozen_stein_weiss(_SW_PARAM_SETS["hls"], f, 9, nodes)
+
+
+def test_stein_weiss_kept_rule_under_concurrent_callers():
+    # threads that alternate exponent sets and depths swap the kept rule
+    # under each other; every call must still read one whole rule and its
+    # own tables
+    grid = Grid(1, 256, 16.0)
+    cases = [(name, depth, 0.3 * k - 1.0) for k in range(4)
+             for name in sorted(_SW_PARAM_SETS) for depth in (6, 9)]
+
+    def measure(case):
+        name, depth, center = case
+        return stein_weiss_ratio(_SW_PARAM_SETS[name], _bump(center, 1.0, grid),
+                                 depth=depth, allow_inadmissible=True)
+
+    expected = [_frozen_stein_weiss(_SW_PARAM_SETS[name], _bump(center, 1.0, grid), depth)
+                for name, depth, center in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(measure, case) for case in cases * 3]
+            got = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stein_weiss_refuses_non_finite_samples(bad):
+    params = _SW_PARAM_SETS["hls"]
+    f = _bump(0.0, 1.0)
+    samples = f.samples.copy()
+    samples[200] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        stein_weiss_ratio(params, Field(f.grid, samples))
+    samples = f.samples.copy()
+    samples[200] += 1j * bad
+    with pytest.raises(ValueError, match="non-finite"):
+        stein_weiss_ratio(params, Field(f.grid, samples))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("depth", 0), ("depth", -3), ("depth", 2.7), ("depth", 12.0), ("depth", True),
+    ("depth", "12"), ("nodes_per_panel", 0), ("nodes_per_panel", -1),
+    ("nodes_per_panel", 7.5), ("nodes_per_panel", None),
+])
+def test_stein_weiss_refuses_bad_rule_sizes(name, value):
+    params = _SW_PARAM_SETS["hls"]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        stein_weiss_ratio(params, _bump(), **{name: value})
+
+
+def test_stein_weiss_accepts_numpy_integer_rule_sizes():
+    params = _SW_PARAM_SETS["hls"]
+    f = _bump(0.5, 1.0)
+    assert stein_weiss_ratio(params, f, depth=np.int64(9), nodes_per_panel=np.int32(6)) \
+        == stein_weiss_ratio(params, f, depth=9, nodes_per_panel=6)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import conewave as cw
+import conewave.analysis as analysis
 import conewave.cli as cli
 import conewave.conop as conop
 import conewave.ensembles as ens
@@ -231,6 +232,57 @@ def test_reports_are_deterministic_across_workers(tmp_path):
     _, b = run(tmp_path, "--jobs", "4", "verify", "bessel", name="b")
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
+
+
+def test_verify_stein_weiss_is_worker_independent(tmp_path, monkeypatch):
+    # the bump ensemble runs on worker threads that share the kept
+    # quadrature rule and tables
+    outs = {}
+    for jobs in (1, 2):
+        monkeypatch.setattr(analysis, "_sw_slot", None)
+        code, outs[jobs] = run_at_jobs(tmp_path, monkeypatch, jobs, "verify", "stein-weiss",
+                                       config="[stein-weiss]\nbumps = 8\n")
+        assert code == 0
+    assert (outs[1] / "report.json").read_bytes() == (outs[2] / "report.json").read_bytes()
+    assert (outs[1] / "records.csv").read_bytes() == (outs[2] / "records.csv").read_bytes()
+
+
+def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
+    built = []
+    geometry = analysis._sw_geometry
+
+    def counted(*rule):
+        built.append(rule[1])
+        return geometry(*rule)
+
+    monkeypatch.setattr(analysis, "_sw_slot", None)
+    monkeypatch.setattr(analysis, "_sw_geometry", counted)
+    records = {r["name"]: r["value"] for r in cli.battery_stein_weiss(seed=3, bumps=4)}
+    assert sorted(built) == [8, 10, 12, 14, 16, 18]
+    # every ladder still reads the calls it names, in its own order
+    grid = cw.Grid.default(1)
+    inad = cw.SteinWeissParams(N=1, a=0.95, gamma_w=0.35, delta_w=0.2, p=10 / 7, q=10 / 3)
+    adm = cw.sw_derived_params(0.4, 2)
+
+    def ladder(params, probes):
+        return [cw.stein_weiss_ratio(params, ens.gaussian(grid, w), depth=d,
+                                     allow_inadmissible=params is inad) for w, d in probes]
+
+    widths = (1.0, 2.0, 4.0, 8.0)
+    conc = ((4.0, 10), (2.0, 12), (1.0, 14), (0.5, 16), (0.25, 18))
+    sweep = [(2.0, d) for d in (8, 10, 12, 14)]
+    width_in, width_ad = (ladder(p, [(w, 12) for w in widths]) for p in (inad, adm))
+    conc_in, conc_ad = (ladder(p, conc) for p in (inad, adm))
+    sweep_in, sweep_ad = (ladder(p, sweep) for p in (inad, adm))
+    assert records["inadmissible width ladder"] == \
+        cw.boundedness_verdict(widths, width_in).fitted_exponent
+    assert records["admissible flat ladder"] == max(width_ad) / min(width_ad) - 1.0
+    assert records["inadmissible concentration growth"] == \
+        cw.boundedness_verdict([1.0 / w for w, _ in conc], conc_in).fitted_exponent
+    assert records["admissible concentration stability"] == max(conc_ad) / min(conc_ad) - 1.0
+    assert records["inadmissible depth divergence"] == sweep_in[-1] / sweep_in[0]
+    assert records["admissible depth convergence"] == \
+        max(abs(b - a) / a for a, b in zip(sweep_ad, sweep_ad[1:]))
 
 
 # ---------------------------------------------------------------------------
