@@ -56,6 +56,7 @@ from .conop import (
     convergence_check,
     multiplier_table,
     symbol,
+    symbol_applier,
 )
 from .analysis import (
     CaseBoundReport,

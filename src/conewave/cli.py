@@ -57,6 +57,7 @@ from .conop import (
     apply_symbol,
     convergence_check,
     symbol,
+    symbol_applier,
 )
 from .ensembles import gaussian, gaussian_spacetime, random_bumps
 from .fields import FieldFormatError, Grid, SpacetimeField, SpacetimeGrid, load_field, save_field
@@ -1069,17 +1070,26 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
     if cross == "auto":
         cross = "cone-direct" if path == "multiplier" else "multiplier"
     try:
-        op = apply_path(path)
+        apply_path(path)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    try:
-        cross_op = None if cross == "none" else apply_path(cross)
-    except ValueError as exc:
-        raise ConfigError(f"cross_check: {exc}")
+    if cross != "none":
+        try:
+            apply_path(cross)
+        except ValueError as exc:
+            raise ConfigError(f"cross_check: {exc}")
+        if cross == path:
+            # the same route run twice agrees with itself to the last bit,
+            # so the gate would pass whatever the operator did
+            raise ConfigError(
+                f"cross_check = {cross} is the same route as path = {path}; "
+                "choose the other path, or none"
+            )
 
+    grid = field.grid
     if cfg[sec]["r_min"] == "auto" and cfg[sec]["r_max"] == "auto":
         try:
-            quad = RadialQuadrature.for_grid(field.grid, _to_int(cfg, sec, "count"))
+            quad = RadialQuadrature.for_grid(grid, _to_int(cfg, sec, "count"))
         except ValueError as exc:
             raise ConfigError(str(exc))
     else:
@@ -1091,8 +1101,13 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc))
 
+    # every symbol of the command (the output, three refinements, the
+    # cross-check) goes through one applier, which transforms the input
+    # once and then holds its spectrum in place of the samples
     try:
-        out_field = op(field, spec, quad)
+        apply = symbol_applier(field)
+        del field
+        out_field = SpacetimeField(grid, apply(symbol(grid, spec, quad, path)))
     except (ValueError, TypeError) as exc:
         # validity refusals from the operator layer are configuration
         # problems at this level, not numerical failures
@@ -1100,7 +1115,7 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
 
     out_path = os.path.join(out_dir, "result.field")
     save_field(out_field, out_path)
-    prov = f"{_grid_prov(field.grid)}; {_quad_prov(quad)}; path {path}"
+    prov = f"{_grid_prov(grid)}; {_quad_prov(quad)}; path {path}"
     records = [
         _rec("output L2 norm", lp_norm(out_field, 2.0), None, True, prov),
     ]
@@ -1108,27 +1123,30 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
     tol = _to_float(cfg, sec, "convergence_tol")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
-        diag = convergence_check(field, spec, quad, out_field, path=path, tol=tol)
+        diag = convergence_check(apply, spec, quad, out_field, path=path, tol=tol)
     for key in ("r_min_halved", "r_max_doubled", "nodes_doubled"):
-        flagged = diag[key] > tol
-        records.append(
-            # diagnostic, not a gate: the library signals a truncation-
-            # sensitive window as a warning, and the CLI keeps that severity
-            _rec(f"sensitivity {key}", diag[key], None, True, prov,
-                 "relative L2 movement of the output under this refinement"
-                 + (f"; exceeds the {tol:g} advisory tolerance, widen or "
-                    "densify the radial window if the tail matters" if flagged else ""))
-        )
+        value = diag[key]
+        if value is None:
+            note = ("not measured: the refined r_max is capped at half the time "
+                    "extent, which leaves no room above r_max")
+        else:
+            note = "relative L2 movement of the output under this refinement"
+            if value > tol:
+                note += (f"; exceeds the {tol:g} advisory tolerance, widen or "
+                         "densify the radial window if the tail matters")
+        # diagnostic, not a gate: the library signals a truncation-
+        # sensitive window as a warning, and the CLI keeps that severity
+        records.append(_rec(f"sensitivity {key}", value, None, True, prov, note))
 
-    if cross_op is not None:
+    if cross != "none":
         raw_tol = cfg[sec]["cross_tol"]
         cross_tol = 1e-3 if raw_tol == "auto" else _to_float(cfg, sec, "cross_tol")
         try:
-            other = cross_op(field, spec, quad)
+            other = apply(symbol(grid, spec, quad, cross))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"cross_check path {cross!r}: {exc}")
         scale = float(np.linalg.norm(out_field.samples))
-        diff = float(np.linalg.norm(other.samples - out_field.samples))
+        diff = float(np.linalg.norm(other - out_field.samples))
         rel = diff / scale if scale > 0.0 else diff
         records.append(
             _rec(f"cross-path agreement vs {cross}", rel, cross_tol,

@@ -8,11 +8,13 @@ Fourier domain that is one (n+1)-dimensional multiplier
     m(xi, tau) = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + completion * P(0),
 
 assembled once by `symbol` and applied by `apply_symbol`, so a ladder of
-inputs on one grid pays for the symbol once.  The symbol is real and
-equal to its point reflection m(-xi, -tau) (it is the transform of a real,
-even kernel), so the apply is a circular convolution: real inputs take one
-real-input FFT pair on the half spectrum tau >= 0, with no shift pair and
-no spacing scale, and give real outputs (fields.real_symbol_apply).
+inputs on one grid pays for the symbol once; `symbol_applier` serves the
+converse, one input under several symbols, and pays for its transform
+once.  The symbol is real and equal to its point reflection m(-xi, -tau)
+(it is the transform of a real, even kernel), so the apply is a circular
+convolution: real inputs take one real-input FFT pair on the half
+spectrum tau >= 0, with no shift pair and no spacing scale, and give real
+outputs (fields.real_symbol_apply).
 
 Only the spatial profile P varies between the two evaluation paths, and
 the two profiles share no arithmetic, so each path cross-checks the other:
@@ -50,6 +52,7 @@ __all__ = [
     "RadialQuadrature",
     "multiplier_table",
     "symbol",
+    "symbol_applier",
     "apply_symbol",
     "apply_I_alpha_multiplier",
     "apply_cone_direct",
@@ -154,11 +157,16 @@ def _symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature,
     w = quad.measure_weights(e)
     tau = grid.t_freq_axis()
     xi, scatter = np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
-    weighted = (w[:, None] * profile(np.outer(r, xi), spec))[:, scatter]  # (M, space)
-    phases = 2.0 * np.cos(2.0 * np.pi * np.outer(r, tau))  # (M, Nt)
+    table = profile(np.outer(r, xi), spec)
+    table *= w[:, None]
+    weighted = table[:, scatter]  # (M, space)
+    phases = np.outer(r, tau)  # (M, Nt)
+    phases *= 2.0 * np.pi
+    np.cos(phases, out=phases)
+    phases *= 2.0
     m = (weighted.T @ phases).reshape(grid.shape)
     if quad.completion:
-        m = m + quad.completion_mass(e) * profile(0.0, spec)
+        m += quad.completion_mass(e) * profile(0.0, spec)
     return m
 
 
@@ -193,25 +201,50 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
     raise ValueError(f"unknown operator path {path!r}; choose from {sorted(_PATHS)}")
 
 
-def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
-    """The operator with symbol m applied to f, by fields.real_symbol_apply.
+def symbol_applier(f: SpacetimeField):
+    """apply(m), the samples of the operator with symbol m applied to f.
 
-    m must be real and equal to its point reflection m[-k mod N] on every
-    axis, as every symbol of this module is (it is the transform of a
-    real, even kernel); anything else is refused before any transform.
-    A real f takes one real-input FFT pair on the half spectrum and gives
-    an output whose imaginary part is exactly 0; an f with a nonzero
-    imaginary part takes one complex pair.  f is left unchanged.
+    Each m must be real and equal to its point reflection m[-k mod N] on
+    every axis, as every symbol of this module is (it is the transform of
+    a real, even kernel); anything else is refused before any transform.
+    f is transformed by fields.real_symbol_apply on the first apply, after
+    which the applier holds only its spectrum, not f: a caller that drops
+    its own reference to f then holds one array of the input's size, and
+    every further symbol costs one inverse transform.  A real f takes a
+    real-input FFT pair on the half spectrum and apply returns float64; an
+    f with a nonzero imaginary part takes one complex pair and apply
+    returns complex128.  f is left unchanged.
     """
     _check_field(f)
-    m = np.asarray(m)
-    if m.shape != f.grid.shape:
-        raise ValueError(f"symbol shape {m.shape} != grid shape {f.grid.shape}")
-    if np.iscomplexobj(m):
-        raise ValueError(f"symbol must be real, got dtype {m.dtype}")
-    if not np.array_equal(m, np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))):
-        raise ValueError("symbol must equal its point reflection m[-k mod N] on every axis")
-    return SpacetimeField(f.grid, real_symbol_apply(f.samples)(m), PHYSICAL)
+    shape = f.grid.shape
+    transformed = None
+
+    def apply(m) -> np.ndarray:
+        nonlocal f, transformed
+        m = np.asarray(m)
+        if m.shape != shape:
+            raise ValueError(f"symbol shape {m.shape} != grid shape {shape}")
+        if np.iscomplexobj(m):
+            raise ValueError(f"symbol must be real, got dtype {m.dtype}")
+        if not np.array_equal(m, np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))):
+            raise ValueError("symbol must equal its point reflection m[-k mod N] on every axis")
+        if transformed is None:
+            transformed = real_symbol_apply(f.samples)
+            f = None  # the spectrum replaces the samples
+        return transformed(m)
+
+    return apply
+
+
+def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
+    """The operator with symbol m applied to f: symbol_applier(f) used once.
+
+    The applier, and with it the spectrum, is gone before the output is
+    wrapped, so a real output's widening to complex128 never overlaps the
+    spectrum.  A real f gives an output whose imaginary part is exactly 0.
+    """
+    out = symbol_applier(f)(m)
+    return SpacetimeField(f.grid, out, PHYSICAL)
 
 
 def apply_I_alpha_multiplier(f: SpacetimeField, spec: KernelSpec,
@@ -243,33 +276,39 @@ def apply_path(name: str):
         raise ValueError(f"unknown operator path {name!r}; choose from {sorted(_PATHS)}")
 
 
-def convergence_check(f: SpacetimeField, spec: KernelSpec, quad: RadialQuadrature,
+def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
                       out: SpacetimeField, path: str = "multiplier",
                       tol: float = 1e-3) -> dict:
     """Sensitivity of the output to the radial grid's floor, cap, and density.
 
     `out` is the path's output for (f, spec, quad), which callers already
-    hold.  Relative L2 changes under halving r_min, doubling r_max (capped
-    at half the time extent), and doubling the node count.  Emits
-    UnderResolvedWarning when any movement exceeds tol.
+    hold; the grid is taken from it.  f is the input field, or the
+    symbol_applier of that field when the caller holds one, so the three
+    refinements reuse its one forward transform.  Reports relative L2
+    changes under halving r_min, doubling r_max (capped at half the time
+    extent), and doubling the node count.  When the cap leaves no room
+    above r_max the r_max refinement does not run: its entry is None, not
+    a zero sensitivity, and it does not count towards the verdict.  Emits
+    UnderResolvedWarning when any measured movement exceeds tol.
     """
-    op = apply_path(path)
+    apply = f if callable(f) else symbol_applier(f)
+    grid = out.grid
     base = out.samples
     scale = float(np.linalg.norm(base))
 
     def rel(q: RadialQuadrature) -> float:
-        if scale == 0.0:
-            return 0.0
-        return float(np.linalg.norm(op(f, spec, q).samples - base)) / scale
+        # applied even to a zero output, so a bad path or symbol is refused
+        moved = apply(symbol(grid, spec, q, path))
+        return float(np.linalg.norm(moved - base)) / scale if scale > 0.0 else 0.0
 
-    hi = min(2.0 * quad.r_max, f.grid.t_extent / 2.0)
+    hi = min(2.0 * quad.r_max, grid.t_extent / 2.0)
     diag = {
         "r_min_halved": rel(quad.refined(r_min=quad.r_min / 2.0)),
-        "r_max_doubled": rel(quad.refined(r_max=hi)) if hi > quad.r_max else 0.0,
+        "r_max_doubled": rel(quad.refined(r_max=hi)) if hi > quad.r_max else None,
         "nodes_doubled": rel(quad.refined(density=2.0)),
         "tolerance": float(tol),
     }
-    worst = max(v for k, v in diag.items() if k != "tolerance")
+    worst = max(v for k, v in diag.items() if k != "tolerance" and v is not None)
     diag["under_resolved"] = bool(worst > tol)
     if diag["under_resolved"]:
         warnings.warn(

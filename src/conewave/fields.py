@@ -511,12 +511,8 @@ def save_field(f, path) -> None:
     The sidecar is the authority on shape and domain; spacetime fields
     extend the base schema with their time axis under kind "spacetime".
     """
-    arr = np.ascontiguousarray(f.samples)
-    inter = np.empty(2 * arr.size, dtype="<f8")
-    inter[0::2] = arr.real.ravel()
-    inter[1::2] = arr.imag.ravel()
-    with open(path, "wb") as fh:
-        fh.write(inter.tobytes())
+    # a little-endian complex128 array is the interleaved (re, im) buffer
+    np.ascontiguousarray(f.samples, dtype="<c16").tofile(path)
 
     if isinstance(f, Field):
         meta = {
@@ -576,7 +572,9 @@ def load_field(path):
         raise FieldFormatError(
             f"{path}: expected {2 * count} floats for shape {shape}, found {raw.size}"
         )
-    samples = (raw[0::2] + 1j * raw[1::2]).reshape(shape)
+    # the pairs read as complex128 in place, bit for bit (signed zeros,
+    # infinities and nans included), with no full-size temporary
+    samples = raw.view("<c16").reshape(shape)
     if kind == "field":
         return Field(grid, samples, tag)
     return SpacetimeField(grid, samples, tag)

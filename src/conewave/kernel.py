@@ -175,25 +175,36 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
     and Jacobi nodes carry the endpoint weight exactly.  This shares no
     arithmetic with the Bessel evaluation behind omega_hat, and lam' < 1
     holds for every order, so it covers the whole v = 0 family.  The node
-    count grows with the largest |xi| requested.  The accuracy has a floor
-    set by the nodes and weights of scipy's roots_jacobi, which lose
-    digits as the node count grows (adding nodes makes it worse, not
-    better).  Measured against scipy.special.jv at alpha = 0.1, n = 2
-    (lam' = 0.925, where the floor is highest among the orders tried),
-    the error over omega_hat(0) is 6.4e-11 up to max |xi| = 32, 1.7e-10
-    up to 64 (r_max times Nyquist on the default n = 1 spacetime grid)
-    and 1.1e-9 up to 128.
+    count K grows with the largest |xi| requested.  The Jacobi weight is
+    even, and roots_jacobi returns nodes that are exactly antisymmetric
+    and weights that are exactly symmetric, so the cosine sum is folded:
+    cosines are taken at the K // 2 positive nodes only, with doubled
+    weights, plus the middle weight (its node is 0) when K is odd.  That
+    halves the cosines and moves the result only at rounding.
+
+    The accuracy has a floor set by the nodes and weights of scipy's
+    roots_jacobi, which lose digits as the node count grows (adding
+    nodes makes it worse, not better).  Measured against
+    scipy.special.jv at alpha = 0.1, n = 2 (lam' = 0.925, where the floor
+    is highest among the orders tried), the error over omega_hat(0) is
+    6.4e-11 up to max |xi| = 32, 1.7e-10 up to 64 (r_max times Nyquist on
+    the default n = 1 spacetime grid) and 1.1e-9 up to 128.
     """
     _require_distinguished(spec, "the Gauss-Jacobi profile")
     lam = 0.5 - spec.bessel_order
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
     nodes = int(np.ceil(3.5 * rho.max(initial=0.0))) + 24
     s, w = roots_jacobi(nodes, -lam, -lam)
+    half = nodes // 2
+    s_pos = s[nodes - half:]
+    w_pos = 2.0 * w[nodes - half:]
     out = np.empty_like(rho)
-    step = max(1, 2**16 // nodes)  # keeps the cosine block at 512 KiB
+    step = max(1, 2**16 // half)  # keeps the cosine block at 512 KiB
     for i in range(0, rho.size, step):
-        block = np.outer(rho[i:i + step], 2.0 * np.pi * s)
-        out[i:i + step] = np.cos(block, out=block) @ w
+        block = np.outer(rho[i:i + step], 2.0 * np.pi * s_pos)
+        out[i:i + step] = np.cos(block, out=block) @ w_pos
+    if nodes % 2:
+        out += w[half]  # the middle node is 0, where the cosine is 1
     out *= np.pi ** (-lam) * reciprocal_gamma(1.0 - lam)
     if np.ndim(xi) == 0:
         return float(out[0])

@@ -425,6 +425,73 @@ def test_op_apply_rejects_removed_paths(tmp_path, capsys):
         assert "slices" in err and "'cone-direct', 'multiplier'" in err, key
 
 
+@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
+def test_op_apply_refuses_a_cross_check_on_its_own_path(tmp_path, capsys, monkeypatch, path):
+    # the same route run twice agrees with itself exactly, so such a gate
+    # could never fail; it is refused before any transform
+    g = cw.SpacetimeGrid(cw.Grid(1, 32, 16.0), 32, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a transform ran before the configuration was checked")
+
+    for name in ("rfftn", "fftn"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    code, out = run(tmp_path, "op-apply",
+                    config=f"[op-apply]\ninput = {field_path}\npath = {path}\n"
+                           f"cross_check = {path}\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"cross_check = {path}" in err and f"path = {path}" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
+def test_op_apply_transforms_its_input_once(tmp_path, monkeypatch, path, kind):
+    # five symbols (the output, three refinements, the cross-check) share
+    # one forward transform of the input
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    f = ens.gaussian_spacetime(g, 1.0) if kind == "real" else ens.wave_packet(g, 1.0, k_x=0.5)
+    field_path = tmp_path / "g.field"
+    cw.save_field(f, field_path)
+    calls = []
+    for name in ("rfftn", "fftn"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    code, out = run(tmp_path, "op-apply",
+                    config=f"[op-apply]\ninput = {field_path}\npath = {path}\ncount = 48\n")
+    assert code == 0
+    assert calls == ["rfftn" if kind == "real" else "fftn"]
+    recs = {r["name"] for r in read_records(out)}
+    assert {"sensitivity r_max_doubled", "sensitivity nodes_doubled"} <= recs
+    assert any(name.startswith("cross-path agreement") for name in recs)
+
+
+def test_op_apply_reports_an_unrun_refinement_as_not_measured(tmp_path):
+    # r_max at half the time extent leaves the r_max refinement no room
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+    code, out = run(tmp_path, "op-apply",
+                    config=f"[op-apply]\ninput = {field_path}\nr_min = 0.0625\n"
+                           "r_max = 8.0\ncount = 48\n")
+    assert code == 0
+    report = read_report(out)
+    assert report["diagnostics"]["r_max_doubled"] is None
+    rec = {r["name"]: r for r in report["records"]}["sensitivity r_max_doubled"]
+    assert rec["value"] is None and rec["passed"] is True
+    assert rec["note"].startswith("not measured")
+    row = {r["name"]: r for r in read_records(out)}["sensitivity r_max_doubled"]
+    assert row["value"] == ""
+
+
 # ---------------------------------------------------------------------------
 # norm-test
 

@@ -1,6 +1,8 @@
 """Operator paths: quadrature, agreement, homogeneity, diagnostics."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from conewave import (
     lp_norm,
     multiplier_table,
     symbol,
+    symbol_applier,
 )
 from conewave.conop import apply_path
 from conewave.fields import DomainTagError, forward_axes, inverse_axes
@@ -349,6 +352,55 @@ def test_apply_symbol_refuses_asymmetric_symbols_before_any_transform(monkeypatc
         apply_symbol(f, m)  # the guard passes an unbroken symbol on
 
 
+def _count_transforms(monkeypatch):
+    calls = []
+    for name in ("rfftn", "fftn"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_symbol_applier_transforms_once_and_then_holds_only_the_spectrum(monkeypatch, kind):
+    g, spec = _APPLY_GRIDS[1]
+    f = _random_field(g, kind, 7)
+    symbols = [symbol(g, spec, RadialQuadrature.for_grid(g, count), path)
+               for count in (16, 32) for path in ("multiplier", "cone-direct")]
+    want = [apply_symbol(f, m).samples for m in symbols]
+    calls = _count_transforms(monkeypatch)
+    apply = symbol_applier(f)
+    assert calls == []  # nothing is transformed before the first symbol
+    alive = weakref.ref(f)
+    del f
+    got = [apply(m) for m in symbols]
+    gc.collect()
+    assert alive() is None  # the spectrum replaced the input's samples
+    assert len(calls) == 1
+    assert got[0].dtype == (np.float64 if kind == "real" else np.complex128)
+    for a, b in zip(got, want):
+        assert np.array_equal(SpacetimeField(g, a).samples, b)
+    broken = symbols[0].copy()
+    broken[1, 2] = np.nextafter(broken[1, 2], np.inf)
+    with pytest.raises(ValueError, match="point reflection"):
+        apply(broken)
+    with pytest.raises(ValueError, match="shape"):
+        apply(symbols[0][:, :16])
+
+
+def test_symbol_applier_guards_its_input():
+    g = _grid(32, 16.0)
+    f = ens.gaussian_spacetime(g, 1.0)
+    with pytest.raises(DomainTagError):
+        symbol_applier(fourier_transform(f))
+    with pytest.raises(TypeError):
+        symbol_applier(ens.gaussian(Grid(1, 32, 16.0)))
+
+
 def test_apply_path_lookup():
     assert apply_path("multiplier") is apply_I_alpha_multiplier
     assert apply_path("cone-direct") is apply_cone_direct
@@ -419,3 +471,41 @@ def test_convergence_check_reports_and_warns():
         rep2 = convergence_check(f2, spec, roomy, apply_I_alpha_multiplier(f2, spec, roomy),
                                  tol=1e-3)
     assert rep2["under_resolved"] is False
+
+
+def test_convergence_check_takes_an_applier_with_the_same_bits(monkeypatch):
+    g = _grid(64, 16.0)
+    f = ens.gaussian_spacetime(g, 1.0)
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature.for_grid(g, 48)
+    out = apply_I_alpha_multiplier(f, spec, quad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        want = convergence_check(f, spec, quad, out)
+        calls = _count_transforms(monkeypatch)
+        got = convergence_check(symbol_applier(f), spec, quad, out)
+    assert got == want
+    assert len(calls) == 1
+
+
+def test_convergence_check_reports_an_unrun_r_max_refinement_as_not_measured():
+    # r_max already at half the time extent: the cap leaves no room for a
+    # larger window, so that refinement is not run and must not read as a
+    # zero sensitivity or enter the verdict
+    g = _grid(64, 16.0)
+    f = ens.gaussian_spacetime(g, 1.0)
+    spec = KernelSpec(0.4, 1)
+    for r_max in (g.t_extent / 2.0, g.t_extent):
+        quad = RadialQuadrature(g.t_spacing / 4.0, r_max, 48)
+        out = apply_I_alpha_multiplier(f, spec, quad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnderResolvedWarning)
+            rep = convergence_check(f, spec, quad, out)
+        assert rep["r_max_doubled"] is None
+        measured = [rep["r_min_halved"], rep["nodes_doubled"]]
+        assert all(v > 0.0 for v in measured)
+        for tol in (0.5 * min(measured), 2.0 * max(measured)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnderResolvedWarning)
+                again = convergence_check(f, spec, quad, out, tol=tol)
+            assert again["under_resolved"] is (max(measured) > tol)

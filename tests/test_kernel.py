@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv, roots_jacobi
 
+import conewave.kernel as kernel
 import oracles
 from conewave import (
     KernelSpec,
+    RadialQuadrature,
+    SpacetimeGrid,
     KernelValidityError,
     UnsupportedParameterError,
     gamma_const,
@@ -23,6 +26,7 @@ from conewave import (
     omega_physical,
 )
 from conewave.kernel import omega_hat_jacobi, write_kernel_tables
+from conewave.specialfn import reciprocal_gamma
 
 
 def test_lambda_values():
@@ -134,6 +138,78 @@ def test_jacobi_profile_accuracy_floor_up_to_the_default_grid_reach():
     want = (2.0 * np.pi) ** nu * jv(nu, rho) / rho**nu
     err = np.max(np.abs(omega_hat_jacobi(xi, spec) - want)) / omega_hat(0.0, spec)
     assert err <= 5e-10
+
+
+def _unfolded_jacobi(xi, spec):
+    # frozen reference: the cosine sum over every Gauss-Jacobi node, as
+    # omega_hat_jacobi computed it before the sum was folded onto s > 0
+    lam = 0.5 - spec.bessel_order
+    rho = np.abs(np.asarray(xi, dtype=float)).ravel()
+    nodes = int(np.ceil(3.5 * rho.max(initial=0.0))) + 24
+    s, w = roots_jacobi(nodes, -lam, -lam)
+    out = np.empty_like(rho)
+    step = max(1, 2**16 // nodes)
+    for i in range(0, rho.size, step):
+        block = np.outer(rho[i:i + step], 2.0 * np.pi * s)
+        out[i:i + step] = np.cos(block, out=block) @ w
+    out *= np.pi ** (-lam) * reciprocal_gamma(1.0 - lam)
+    return out.reshape(np.shape(xi))
+
+
+def _spy_node_counts(monkeypatch):
+    counts = []
+
+    def spy(k, a, b):
+        counts.append(k)
+        return roots_jacobi(k, a, b)
+
+    monkeypatch.setattr(kernel, "roots_jacobi", spy)
+    return counts
+
+
+def test_folded_jacobi_profile_matches_the_unfolded_sum(monkeypatch):
+    counts = _spy_node_counts(monkeypatch)
+    for alpha, n in ((0.1, 2), (0.3, 1), (0.45, 1), (0.6, 1), (0.5, 2), (1.5, 2)):
+        spec = KernelSpec(alpha, n)
+        scale = abs(omega_hat(0.0, spec))
+        for xi_max in (0.0, 2.0, 4.0, 10.0, 64.0, 64.2):
+            xi = np.linspace(0.0, xi_max, 1501)
+            got = omega_hat_jacobi(xi, spec)
+            want = _unfolded_jacobi(xi, spec)
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale, (alpha, n, xi_max)
+        assert omega_hat_jacobi(0.7, spec) == pytest.approx(
+            float(_unfolded_jacobi(0.7, spec)), abs=1e-15 * scale)
+    assert {k % 2 for k in counts} == {0, 1}  # odd and even node counts
+
+
+def _default_grid_node_counts(monkeypatch):
+    # the node counts omega_hat_jacobi draws when a cone-direct symbol is
+    # built on each default spacetime grid, at the default radial window
+    # and at the r_max refinement of the convergence check
+    counts = _spy_node_counts(monkeypatch)
+    for n in (1, 2):
+        g = SpacetimeGrid.default(n)
+        quad = RadialQuadrature.for_grid(g)
+        xi_max = float(np.max(g.space.freq_radius()))
+        for r_max in (quad.r_max, min(2.0 * quad.r_max, g.t_extent / 2.0)):
+            omega_hat_jacobi(r_max * xi_max, KernelSpec(0.5, n))
+    monkeypatch.undo()
+    return sorted(set(counts))
+
+
+def test_roots_jacobi_is_exactly_symmetric_at_the_default_node_counts(monkeypatch):
+    # the fold in omega_hat_jacobi relies on these identities bit for bit
+    counts = _default_grid_node_counts(monkeypatch)
+    assert len(counts) == 4
+    for k in counts + [24, 25]:
+        for alpha, n in ((0.1, 2), (0.5, 1), (0.9, 1), (0.5, 2), (1.5, 2)):
+            lam = 0.5 - KernelSpec(alpha, n).bessel_order
+            s, w = roots_jacobi(k, -lam, -lam)
+            assert np.array_equal(s, -s[::-1]), (k, alpha, n)
+            assert np.array_equal(w, w[::-1]), (k, alpha, n)
+            assert np.all(s[k - k // 2:] > 0.0)
+            if k % 2:
+                assert s[k // 2] == 0.0
 
 
 def test_zero_frequency_mass_formula():
