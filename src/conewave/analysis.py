@@ -544,7 +544,9 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
     # the comparisons below are False on NaN, so refuse non-finite samples first
     if not np.all(np.isfinite(vals)):
         raise ValueError("field has non-finite samples")
-    if np.max(np.abs(vals.imag)) > 1e-12 * max(np.max(np.abs(vals)), 1e-300):
+    # a float64 field is real by type; only complex samples are scanned
+    if np.iscomplexobj(vals) and (
+            np.max(np.abs(vals.imag)) > 1e-12 * max(np.max(np.abs(vals)), 1e-300)):
         raise ValueError("input must be real and nonnegative")
     fr = vals.real
     if fr.min() < -1e-12 * max(fr.max(), 1e-300):

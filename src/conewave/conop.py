@@ -13,7 +13,7 @@ converse, one input under several symbols, and pays for its transform
 once.  The symbol is real and equal to its point reflection m(-xi, -tau)
 (it is the transform of a real, even kernel), so the apply is a circular
 convolution: real inputs take one real-input FFT pair on the half
-spectrum tau >= 0, with no shift pair and no spacing scale, and give real
+spectrum tau >= 0, with no shift pair and no spacing scale, and give float64
 outputs (fields.real_symbol_apply).
 
 Only the spatial profile P varies between the two evaluation paths, and
@@ -210,7 +210,8 @@ def symbol_applier(f: SpacetimeField):
     f is transformed by fields.real_symbol_apply on the first apply, after
     which the applier holds only its spectrum, not f: a caller that drops
     its own reference to f then holds one array of the input's size, and
-    every further symbol costs one inverse transform.  A real f takes a
+    every further symbol costs one inverse transform.  A real f (float64
+    samples, or complex samples whose imaginary part is all zero) takes a
     real-input FFT pair on the half spectrum and apply returns float64; an
     f with a nonzero imaginary part takes one complex pair and apply
     returns complex128.  f is left unchanged.
@@ -239,9 +240,8 @@ def symbol_applier(f: SpacetimeField):
 def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
     """The operator with symbol m applied to f: symbol_applier(f) used once.
 
-    The applier, and with it the spectrum, is gone before the output is
-    wrapped, so a real output's widening to complex128 never overlaps the
-    spectrum.  A real f gives an output whose imaginary part is exactly 0.
+    A real f gives a float64 output field, a complex f a complex128 one;
+    the output array is wrapped as it is, without a copy.
     """
     out = symbol_applier(f)(m)
     return SpacetimeField(f.grid, out, PHYSICAL)

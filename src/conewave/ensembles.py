@@ -5,7 +5,9 @@ modulated Gaussians (frequency localization), and cone-adapted plates,
 smoothed slabs around |x| = |t|, aimed at the light-cone singularity that
 drives the sharp exponent range.  Everything is generated analytically on
 the grid, so a "dilated" member is an exact resampling, not an
-interpolation of a base member.
+interpolation of a base member.  The real families (Gaussians, cone
+plates, random bumps, the spike) are float64 fields; wave packets and
+pure tones are complex128.
 """
 
 from __future__ import annotations
@@ -40,15 +42,13 @@ def gaussian_spacetime(grid: SpacetimeGrid, width: float = 1.0) -> SpacetimeFiel
 
     Built as the outer product of its spatial and temporal factors, so the
     exponential runs on the two small factors, not on the full volume, and
-    the product is written straight into the field's complex samples.
+    the one full-volume product is the field's float64 samples.
     """
     if not width > 0.0:
         raise ValueError(f"width must be > 0, got {width}")
     space = np.exp(-np.pi * grid.space.radius() ** 2 / width**2)
     time = np.exp(-np.pi * grid.t_axis() ** 2 / width**2)
-    samples = np.empty(grid.shape, np.complex128)
-    np.multiply(space[..., None], time, out=samples)
-    return SpacetimeField(grid, samples)
+    return SpacetimeField(grid, np.multiply(space[..., None], time))
 
 
 def wave_packet(grid: SpacetimeGrid, width: float = 1.0,
@@ -95,7 +95,7 @@ def pure_tone(grid: Grid, index: int) -> Field:
 
 def delta_like(grid: Grid) -> Field:
     """Unit-mass single-sample spike at the origin: value 1/cell volume."""
-    samples = np.zeros(grid.shape, dtype=np.complex128)
+    samples = np.zeros(grid.shape)
     samples[(grid.points // 2,) * grid.n] = 1.0 / grid.cell_volume
     return Field(grid, samples)
 

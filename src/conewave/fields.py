@@ -6,6 +6,8 @@ Conventions, fixed once here and relied on everywhere else:
   x = (k - N//2) * spacing, so the domain is [-L/2, L/2);
 * spectral samples are stored in FFT layout at the frequencies
   numpy.fft.fftfreq(N, spacing);
+* complex samples are held as complex128 and all others as float64, so
+  real fields stay real; the file format is complex128 either way;
 * the transform pair approximates the continuum integrals
 
       F(xi) = integral f(x) exp(-2 pi i x . xi) dx,
@@ -80,6 +82,13 @@ def _check_tag(tag: str) -> str:
     return tag
 
 
+def _as_samples(samples) -> np.ndarray:
+    # complex input is held as complex128 and every other input as float64,
+    # without a copy when it already has that dtype
+    arr = np.asarray(samples)
+    return arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L/2, L/2)^n with N samples per axis."""
@@ -148,7 +157,13 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Samples of a function on a Grid, tagged physical or spectral."""
+    """Samples of a function on a Grid, tagged physical or spectral.
+
+    Complex samples are held as complex128 and every other kind (real,
+    integer, boolean) as float64; an array that already has that dtype is
+    held as it is, not copied.  So a real field stays real through the
+    ensembles, the multiplier apply and the norms.
+    """
 
     grid: Grid
     samples: np.ndarray
@@ -156,7 +171,7 @@ class Field:
 
     def __post_init__(self):
         _check_tag(self.domain_tag)
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        arr = _as_samples(self.samples)
         if arr.shape != self.grid.shape:
             raise ValueError(f"samples shape {arr.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "samples", arr)
@@ -215,7 +230,11 @@ class SpacetimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpacetimeField:
-    """Samples of a function of (x, t) on a SpacetimeGrid."""
+    """Samples of a function of (x, t) on a SpacetimeGrid.
+
+    Held by Field's dtype rule: complex128 for complex samples, float64 for
+    every other kind, with no copy of an array already of that dtype.
+    """
 
     grid: SpacetimeGrid
     samples: np.ndarray
@@ -223,7 +242,7 @@ class SpacetimeField:
 
     def __post_init__(self):
         _check_tag(self.domain_tag)
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        arr = _as_samples(self.samples)
         if arr.shape != self.grid.shape:
             raise ValueError(f"samples shape {arr.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "samples", arr)
@@ -278,14 +297,15 @@ def real_symbol_apply(samples: np.ndarray):
     Such an m is the transform of a real, even kernel, so applying it is a
     circular convolution: it commutes with the centering roll (no shift
     pair), the spacing scale and its inverse cancel, and real samples stay
-    real.  Samples are transformed once, here.  Real samples (a zero
-    imaginary part counts as real) take rfftn, and apply(m) multiplies by
-    the half of m over the last axis's nonnegative frequencies (a view of
-    m) and comes back with irfftn into float64.  Samples with a nonzero
-    imaginary part take one complex pair on the full m, into complex128;
-    measured, that is faster and smaller than transforming the real and
-    imaginary parts apart.  m may carry leading axes, one output per
-    leading index.  Callers check the precondition on m; this does not.
+    real.  Samples are transformed once, here.  float64 samples go straight
+    into rfftn, and so does the real part of complex samples whose
+    imaginary part is all zero; apply(m) multiplies by the half of m over
+    the last axis's nonnegative frequencies (a view of m) and comes back
+    with irfftn into float64.  Samples with a nonzero imaginary part take
+    one complex pair on the full m, into complex128; measured, that is
+    faster and smaller than transforming the real and imaginary parts
+    apart.  m may carry leading axes, one output per leading index.
+    Callers check the precondition on m; this does not.
     """
     shape = samples.shape
     axes = tuple(range(len(shape)))
@@ -510,6 +530,8 @@ def save_field(f, path) -> None:
 
     The sidecar is the authority on shape and domain; spacetime fields
     extend the base schema with their time axis under kind "spacetime".
+    A float64 field is written as its complex128 widening (imaginary parts
+    +0.0), so its bytes are those of the same field held complex.
     """
     # a little-endian complex128 array is the interleaved (re, im) buffer
     np.ascontiguousarray(f.samples, dtype="<c16").tofile(path)
@@ -540,7 +562,10 @@ def save_field(f, path) -> None:
 
 
 def load_field(path):
-    """Read a field written by save_field; dispatches on the sidecar kind."""
+    """Read a field written by save_field; dispatches on the sidecar kind.
+
+    The samples are always complex128, whatever dtype the saved field had.
+    """
     try:
         with open(_sidecar_path(path)) as fh:
             meta = json.load(fh)

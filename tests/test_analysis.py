@@ -693,9 +693,21 @@ def test_stein_weiss_refuses_non_finite_samples(bad):
     samples[200] = bad
     with pytest.raises(ValueError, match="non-finite"):
         stein_weiss_ratio(params, Field(f.grid, samples))
-    samples = f.samples.copy()
+    samples = f.samples.astype(np.complex128)
     samples[200] += 1j * bad
     with pytest.raises(ValueError, match="non-finite"):
+        stein_weiss_ratio(params, Field(f.grid, samples))
+
+
+def test_stein_weiss_refuses_a_complex_bump_and_takes_its_real_twin():
+    params = _SW_PARAM_SETS["hls"]
+    f = _bump(0.0, 1.0)
+    assert f.samples.dtype == np.float64
+    twin = Field(f.grid, f.samples.astype(np.complex128))
+    assert stein_weiss_ratio(params, twin) == stein_weiss_ratio(params, f)
+    samples = f.samples.astype(np.complex128)
+    samples[200] += 1e-3j
+    with pytest.raises(ValueError, match=r"^input must be real and nonnegative$"):
         stein_weiss_ratio(params, Field(f.grid, samples))
 
 

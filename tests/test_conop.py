@@ -9,6 +9,7 @@ import pytest
 
 import conewave.ensembles as ens
 from conewave import (
+    Field,
     KernelSpec,
     RadialQuadrature,
     SpacetimeField,
@@ -24,6 +25,7 @@ from conewave import (
     fourier_transform,
     lp_norm,
     multiplier_table,
+    operator_ratio_estimate,
     symbol,
     symbol_applier,
 )
@@ -320,15 +322,67 @@ def test_apply_symbol_agrees_with_the_complex_pair(path, n, kind):
     assert np.linalg.norm(out.samples - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def _complex_typed_real_apply(samples: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # the real path on complex-typed fields: rfftn of the real part (a
+    # strided view of the complex128 samples), the tau >= 0 half of m,
+    # irfftn, and the output widened to complex128 again
+    wide = np.asarray(samples, dtype=np.complex128)
+    half = m.shape[-1] // 2 + 1
+    axes = tuple(range(m.ndim))
+    out = np.fft.irfftn(np.fft.rfftn(wide.real) * m[..., :half], s=m.shape, axes=axes)
+    return np.asarray(out, dtype=np.complex128)
+
+
 def test_apply_symbol_keeps_real_inputs_real():
     g, spec = _APPLY_GRIDS[1]
     m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
     for f in (_random_field(g, "real", 3), ens.gaussian_spacetime(g, 1.5),
               SpacetimeField(g, _random_field(g, "real", 4).samples.astype(np.complex128))):
         out = apply_symbol(f, m)
-        assert out.samples.dtype == np.complex128
-        assert np.all(out.samples.imag == 0.0)
-        assert np.any(out.samples.real != 0.0)
+        assert out.samples.dtype == np.float64
+        want = _complex_typed_real_apply(f.samples, m)
+        assert np.all(want.imag == 0.0)
+        assert np.array_equal(out.samples, want.real)
+        assert np.any(out.samples != 0.0)
+
+
+_TWIN_GRIDS = {
+    # a spatial grid for the norms alone, then a spacetime grid of as many
+    # samples: Grid.default(1) and 64 x 64, a 32^3 box and 32^2 x 32
+    "n1": (Grid.default(1), SpacetimeGrid(Grid(1, 64, 16.0), 64, 16.0), KernelSpec(0.4, 1)),
+    "n2": (Grid(3, 32, 16.0), SpacetimeGrid(Grid(2, 32, 16.0), 32, 16.0), KernelSpec(1.0, 2)),
+}
+_TWIN_EXPONENTS = (1 / 0.86, 2.0, 1 / 0.3)
+
+
+@pytest.mark.parametrize("name", sorted(_TWIN_GRIDS))
+def test_real_fields_report_the_numbers_of_their_complex_twins(name):
+    # a float64 field and its complex128 twin (imaginary part +0.0) give
+    # the same norms, operator outputs and ladder ratios to the last bit
+    space, g, spec = _TWIN_GRIDS[name]
+    for w in (0.5, 2.0):
+        f = ens.gaussian(space, w)
+        twin = Field(space, f.samples.astype(np.complex128))
+        assert f.samples.dtype == np.float64
+        for p in _TWIN_EXPONENTS:
+            assert lp_norm(f, p) == lp_norm(twin, p), (w, p)
+    m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
+    widths = (0.75, 1.5, 3.0)
+    real = [ens.gaussian_spacetime(g, w) for w in widths]
+    real.append(ens.cone_plate(g, 1.0, t_span=3.0))
+    twins = [SpacetimeField(g, f.samples.astype(np.complex128)) for f in real]
+    for f, twin in zip(real, twins):
+        assert f.samples.dtype == np.float64 and twin.samples.dtype == np.complex128
+        for p in _TWIN_EXPONENTS:
+            assert lp_norm(f, p) == lp_norm(twin, p), p
+        out, twin_out = apply_symbol(f, m), apply_symbol(twin, m)
+        assert np.array_equal(out.samples, twin_out.samples)
+        assert np.array_equal(out.samples, _complex_typed_real_apply(f.samples, m).real)
+    inv_p = 0.7
+    inv_q = inv_p - spec.alpha / spec.n
+    ratios = [operator_ratio_estimate(lambda f: apply_symbol(f, m), inv_p, inv_q, family).ratios
+              for family in (real, twins)]
+    assert ratios[0] == ratios[1]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

@@ -74,6 +74,42 @@ def test_field_shape_check():
         Field(g, np.zeros(64), domain_tag="frequency")
 
 
+_DTYPE_GRIDS = [
+    (Field, Grid(2, 8, 4.0)),
+    (SpacetimeField, SpacetimeGrid(Grid(1, 8, 4.0), 4, 2.0)),
+]
+
+
+@pytest.mark.parametrize("kind, grid", _DTYPE_GRIDS, ids=["field", "spacetime"])
+@pytest.mark.parametrize("dtype, held", [
+    (np.int64, np.float64), (np.float32, np.float64), (np.float64, np.float64),
+    (np.complex64, np.complex128), (np.complex128, np.complex128),
+])
+def test_fields_hold_real_samples_as_float64_and_complex_as_complex128(kind, grid, dtype, held):
+    rng = np.random.default_rng(3)
+    x = rng.integers(-5, 5, grid.shape) if dtype == np.int64 else rng.standard_normal(grid.shape)
+    if np.issubdtype(dtype, np.complexfloating):
+        x = x + 1j * rng.standard_normal(grid.shape)
+    x = x.astype(dtype)
+    f = kind(grid, x)
+    assert f.samples.dtype == held
+    assert np.array_equal(f.samples, x)
+    # an array already of the held dtype is held as it is, not copied
+    assert (f.samples is x) == (dtype == held)
+    # the guards are those of every dtype
+    with pytest.raises(ValueError, match="shape"):
+        kind(grid, x[:-1])
+    with pytest.raises(DomainTagError):
+        kind(grid, x, domain_tag="frequency")
+
+
+def test_fields_hold_lists_by_the_same_rule():
+    g = Grid(1, 4, 2.0)
+    assert Field(g, [1, 2, 3, 4]).samples.dtype == np.float64
+    assert Field(g, [True, False, True, False]).samples.dtype == np.float64
+    assert Field(g, [1, 2j, 3, 4]).samples.dtype == np.complex128
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -348,6 +384,24 @@ def test_save_load_is_bit_exact_on_special_values(tmp_path):
     inter = np.empty(2 * samples.size, dtype="<f8")
     inter[0::2], inter[1::2] = re.ravel(), im.ravel()
     assert path.read_bytes() == inter.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Field(Grid(2, 16, 8.0), np.random.default_rng(2).standard_normal((16, 16))),
+    lambda: ens.gaussian_spacetime(SpacetimeGrid(Grid(1, 16, 8.0), 8, 4.0), 1.0),
+], ids=["field", "spacetime"])
+def test_a_float64_field_saves_the_bytes_of_its_complex_widening(tmp_path, make):
+    f = make()
+    assert f.samples.dtype == np.float64
+    wide = type(f)(f.grid, f.samples.astype(np.complex128), f.domain_tag)
+    save_field(f, tmp_path / "real.field")
+    save_field(wide, tmp_path / "wide.field")
+    assert (tmp_path / "real.field").read_bytes() == (tmp_path / "wide.field").read_bytes()
+    assert ((tmp_path / "real.field.json").read_bytes()
+            == (tmp_path / "wide.field.json").read_bytes())
+    back = load_field(tmp_path / "real.field")
+    assert back.samples.dtype == np.complex128
+    assert back.samples.tobytes() == wide.samples.tobytes()
 
 
 def test_load_rejects_garbage(tmp_path):
