@@ -5,10 +5,10 @@ The package is organized bottom-up:
 * specialfn - gamma and Bessel-J evaluation with the split into a leading
   oscillation and a decaying remainder;
 * kernel    - the unit-ball power kernel family, its spectral profile
-  (Bessel series and Gauss-Jacobi quadrature of the density),
-  dilations, and the main/remainder multiplier decomposition;
-* fields    - sampled functions on periodic grids, transforms, dilation,
-  and the binary interchange format;
+  (Bessel series and Gauss-Jacobi quadrature of the density) and the
+  main/remainder multiplier decomposition;
+* fields    - sampled functions on periodic grids, transforms, the one
+  Fourier-multiplier apply, and the binary interchange format;
 * conop     - the fractional light-cone integral as one assembled
   (n+1)-dimensional symbol, with two independent spatial profiles
   (Bessel series, Gauss-Jacobi quadrature of the cone kernel);
@@ -28,7 +28,6 @@ from .kernel import (
     multiplier_split,
     omega_hat,
     omega_hat_adjoint,
-    omega_hat_dilated,
     omega_hat_jacobi,
     omega_physical,
 )
@@ -37,11 +36,9 @@ from .fields import (
     Grid,
     SpacetimeField,
     SpacetimeGrid,
-    AliasingError,
     DomainTagError,
     FieldFormatError,
     convolve_omega,
-    dilate_field,
     fourier_transform,
     inverse_transform,
     load_field,
@@ -50,11 +47,8 @@ from .fields import (
 from .conop import (
     RadialQuadrature,
     UnderResolvedWarning,
-    apply_I_alpha_multiplier,
-    apply_cone_direct,
     apply_symbol,
     convergence_check,
-    multiplier_table,
     symbol,
     symbol_applier,
 )

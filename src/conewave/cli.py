@@ -1063,6 +1063,10 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
         raise ConfigError(f"unreadable field file {in_path}: {exc}")
     if not isinstance(field, SpacetimeField):
         raise ConfigError("op-apply expects a spacetime field file")
+    if not np.isfinite(field.samples).all():
+        # a nan or inf sample spreads over every output sample through the
+        # transform, so the field is refused before any transform or write
+        raise ConfigError(f"input field {in_path} has non-finite samples")
 
     spec = _kernel_from(cfg)
     path = cfg[sec]["path"]

@@ -17,7 +17,8 @@ spectrum tau >= 0, with no shift pair and no spacing scale, and give float64
 outputs (fields.real_symbol_apply).
 
 Only the spatial profile P varies between the two evaluation paths, and
-the two profiles share no arithmetic, so each path cross-checks the other:
+the two profiles share no arithmetic, so each path cross-checks the other.
+`apply_path` is the one place a path name is resolved to its profile:
 
 * multiplier  - P = omega_hat, the Bessel-series spectral profile;
 * cone-direct - P = omega_hat_jacobi, Gauss-Jacobi quadrature of the
@@ -50,12 +51,10 @@ from .kernel import KernelSpec, omega_hat, omega_hat_jacobi
 __all__ = [
     "UnderResolvedWarning",
     "RadialQuadrature",
-    "multiplier_table",
+    "apply_path",
     "symbol",
     "symbol_applier",
     "apply_symbol",
-    "apply_I_alpha_multiplier",
-    "apply_cone_direct",
     "convergence_check",
 ]
 
@@ -135,24 +134,42 @@ class RadialQuadrature:
         return cls(grid.t_spacing / 4.0, grid.t_extent / 4.0, count, completion)
 
 
-def _check_field(f: SpacetimeField) -> None:
-    if not isinstance(f, SpacetimeField):
-        raise TypeError("operator paths act on spacetime fields")
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("operator input must be a physical-domain field")
+def apply_path(name: str):
+    """The spatial profile of the operator path `name`, by its CLI name.
+
+    "multiplier" is omega_hat and "cone-direct" omega_hat_jacobi (v = 0
+    only); anything else raises ValueError.  The profile is read from this
+    module's namespace on each call, so a rebinding of omega_hat or
+    omega_hat_jacobi there (a tracer's wrapper, say) is what symbol uses.
+    """
+    if name == "multiplier":
+        return omega_hat
+    if name == "cone-direct":
+        return omega_hat_jacobi
+    raise ValueError(
+        f"unknown operator path {name!r}; choose from ['cone-direct', 'multiplier']"
+    )
 
 
-def _radial_exponent(spec: KernelSpec) -> float:
-    # |r|^(B alpha - 1), integrable at 0 since B alpha > 0
-    return spec.time_scale_power * spec.alpha - 1.0
+def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None = None,
+           path: str = "multiplier") -> np.ndarray:
+    """The (n+1)-dimensional symbol m(xi, tau) of the path `path` on grid.
 
-
-def _symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature,
-            profile) -> np.ndarray:
+    Even in tau and real for v = 0, because both signs of r contribute
+    conjugate phases; assembled directly in cosine form so those
+    properties hold to the last bit.  The spatial profile P is the path's
+    (apply_path); quad defaults to RadialQuadrature.for_grid(grid).
+    """
+    if spec.n != grid.space.n:
+        raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
+    profile = apply_path(path)
+    if quad is None:
+        quad = RadialQuadrature.for_grid(grid)
     # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + completion * P(0): the
     # profile is evaluated once on the distinct |xi| values and scattered
-    # back, so every radial node costs one row of a single matrix product
-    e = _radial_exponent(spec)
+    # back, so every radial node costs one row of a single matrix product;
+    # the radial measure |r|^(B alpha - 1) is integrable at 0 since B alpha > 0
+    e = spec.time_scale_power * spec.alpha - 1.0
     r = quad.nodes()
     w = quad.measure_weights(e)
     tau = grid.t_freq_axis()
@@ -170,37 +187,6 @@ def _symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature,
     return m
 
 
-def multiplier_table(grid: SpacetimeGrid, spec: KernelSpec,
-                     quad: RadialQuadrature | None = None) -> np.ndarray:
-    """The (n+1)-dimensional symbol m(xi, tau) on the spectral grid.
-
-    Even in tau and real for v = 0, because both signs of r contribute
-    conjugate phases; assembled directly in cosine form so those
-    properties hold to the last bit.
-    """
-    if quad is None:
-        quad = RadialQuadrature.for_grid(grid)
-    return _symbol(grid, spec, quad, omega_hat)
-
-
-def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None = None,
-           path: str = "multiplier") -> np.ndarray:
-    """The symbol of the evaluation path `path` on grid, for apply_symbol.
-
-    "multiplier" is multiplier_table; "cone-direct" assembles the same sum
-    with the Gauss-Jacobi profile omega_hat_jacobi (v = 0 only).
-    """
-    if spec.n != grid.space.n:
-        raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
-    if quad is None:
-        quad = RadialQuadrature.for_grid(grid)
-    if path == "multiplier":
-        return multiplier_table(grid, spec, quad)
-    if path == "cone-direct":
-        return _symbol(grid, spec, quad, omega_hat_jacobi)
-    raise ValueError(f"unknown operator path {path!r}; choose from {sorted(_PATHS)}")
-
-
 def symbol_applier(f: SpacetimeField):
     """apply(m), the samples of the operator with symbol m applied to f.
 
@@ -216,7 +202,10 @@ def symbol_applier(f: SpacetimeField):
     f with a nonzero imaginary part takes one complex pair and apply
     returns complex128.  f is left unchanged.
     """
-    _check_field(f)
+    if not isinstance(f, SpacetimeField):
+        raise TypeError("operator paths act on spacetime fields")
+    if f.domain_tag != PHYSICAL:
+        raise DomainTagError("operator input must be a physical-domain field")
     shape = f.grid.shape
     transformed = None
 
@@ -245,35 +234,6 @@ def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
     """
     out = symbol_applier(f)(m)
     return SpacetimeField(f.grid, out, PHYSICAL)
-
-
-def apply_I_alpha_multiplier(f: SpacetimeField, spec: KernelSpec,
-                             quad: RadialQuadrature | None = None) -> SpacetimeField:
-    """Apply the operator with the Bessel-series profile omega_hat."""
-    _check_field(f)
-    return apply_symbol(f, symbol(f.grid, spec, quad, "multiplier"))
-
-
-def apply_cone_direct(f: SpacetimeField, spec: KernelSpec,
-                      quad: RadialQuadrature | None = None) -> SpacetimeField:
-    """Apply the operator with the Gauss-Jacobi profile of the physical
-    cone kernel (omega_hat_jacobi), for every n and order with v = 0."""
-    _check_field(f)
-    return apply_symbol(f, symbol(f.grid, spec, quad, "cone-direct"))
-
-
-_PATHS = {
-    "multiplier": apply_I_alpha_multiplier,
-    "cone-direct": apply_cone_direct,
-}
-
-
-def apply_path(name: str):
-    """Look up an operator path by its CLI name."""
-    try:
-        return _PATHS[name]
-    except KeyError:
-        raise ValueError(f"unknown operator path {name!r}; choose from {sorted(_PATHS)}")
 
 
 def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,

@@ -6,8 +6,7 @@ smoothed slabs around |x| = |t|, aimed at the light-cone singularity that
 drives the sharp exponent range.  Everything is generated analytically on
 the grid, so a "dilated" member is an exact resampling, not an
 interpolation of a base member.  The real families (Gaussians, cone
-plates, random bumps, the spike) are float64 fields; wave packets and
-pure tones are complex128.
+plates, random bumps) are float64 fields; wave packets are complex128.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "gaussian_spacetime",
     "wave_packet",
     "cone_plate",
-    "pure_tone",
-    "delta_like",
     "random_bumps",
     "standard_ensemble",
 ]
@@ -79,25 +76,6 @@ def cone_plate(grid: SpacetimeGrid, thickness: float = 1.0,
     across = 0.5 * (1.0 + np.tanh((thickness / 2.0 - dist) / (softness * thickness)))
     along = 0.5 * (1.0 + np.tanh((t_span - t) / (softness * t_span)))
     return SpacetimeField(grid, across * along)
-
-
-def pure_tone(grid: Grid, index: int) -> Field:
-    """exp(2 pi i k x_1 / L): an exact grid frequency, one per integer index."""
-    k = int(index)
-    if not -(grid.points // 2) <= k < grid.points // 2:
-        raise ValueError(f"tone index {k} not representable on {grid.points} points")
-    x1 = grid.axis()
-    phase = np.exp(2j * np.pi * k * x1 / grid.extent)
-    shape = [1] * grid.n
-    shape[0] = grid.points
-    return Field(grid, np.broadcast_to(phase.reshape(shape), grid.shape).copy())
-
-
-def delta_like(grid: Grid) -> Field:
-    """Unit-mass single-sample spike at the origin: value 1/cell volume."""
-    samples = np.zeros(grid.shape)
-    samples[(grid.points // 2,) * grid.n] = 1.0 / grid.cell_volume
-    return Field(grid, samples)
 
 
 def random_bumps(grid: Grid, count: int, rng: np.random.Generator,

@@ -1,4 +1,4 @@
-"""Sampled fields on periodic grids, their transforms, and dilation.
+"""Sampled fields on periodic grids, their transforms, and file I/O.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -42,7 +42,6 @@ __all__ = [
     "PHYSICAL",
     "SPECTRAL",
     "DomainTagError",
-    "AliasingError",
     "FieldFormatError",
     "Grid",
     "Field",
@@ -52,8 +51,6 @@ __all__ = [
     "inverse_transform",
     "real_symbol_apply",
     "convolve_omega",
-    "dilate_field",
-    "slice_at_time",
     "save_field",
     "load_field",
 ]
@@ -66,10 +63,6 @@ _FORMAT_VERSION = 1
 
 class DomainTagError(ValueError):
     """Operation applied to a field in the wrong domain."""
-
-
-class AliasingError(ValueError):
-    """Requested resampling cannot be represented on the grid."""
 
 
 class FieldFormatError(ValueError):
@@ -368,155 +361,6 @@ def convolve_omega(f: Field, spec: KernelSpec, r: float) -> Field:
     return Field(f.grid, real_symbol_apply(f.samples)(mult), PHYSICAL)
 
 
-def _is_dyadic(delta: float):
-    """Return the integer log2 of delta when delta is an exact power of two."""
-    m, e = math.frexp(delta)
-    return e - 1 if m == 0.5 else None
-
-
-_SUPPORT_RTOL = 1e-12  # amplitude floor defining numerical support
-_TAIL_BUDGET = 1e-9  # spectral energy fraction allowed beyond the target band
-
-
-def _axis_meta(f):
-    """(points, spacing, extent) per axis, space axes first."""
-    if isinstance(f, Field):
-        g = f.grid
-        return [(g.points, g.spacing, g.extent)] * g.n
-    g = f.grid
-    meta = [(g.space.points, g.space.spacing, g.space.extent)] * g.space.n
-    meta.append((g.t_points, g.t_spacing, g.t_extent))
-    return meta
-
-
-def _support_halfwidth(samples: np.ndarray, axis: int, spacing: float) -> float:
-    mags = np.abs(samples)
-    peak = mags.max()
-    if peak == 0.0:
-        return 0.0
-    other = tuple(i for i in range(samples.ndim) if i != axis)
-    profile = mags.max(axis=other) if other else mags
-    n = profile.size
-    idx = np.nonzero(profile > _SUPPORT_RTOL * peak)[0]
-    return float(np.max(np.abs(idx - n // 2))) * spacing
-
-
-def _dilate_axis_stretch(spec_arr: np.ndarray, axis: int, m: int) -> np.ndarray:
-    # exact even-index gather: G[j] = m * F[m j] for representable m*j,
-    # zero where m*j leaves the band (the input's own tail there is ~0)
-    n = spec_arr.shape[axis]
-    signed = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    target = signed * m
-    ok = (target >= -(n // 2)) & (target <= n // 2 - 1)
-    src = np.where(ok, target % n, 0)
-    out = np.take(spec_arr, src, axis=axis) * float(m)
-    shape = [1] * spec_arr.ndim
-    shape[axis] = n
-    return out * ok.reshape(shape)
-
-
-def _dilate_axis_shrink(phys_arr: np.ndarray, axis: int, m: int) -> np.ndarray:
-    # f(x/delta) = f(m x): exact physical gather at stride m
-    n = phys_arr.shape[axis]
-    c = n // 2
-    target = c + (np.arange(n) - c) * m
-    ok = (target >= 0) & (target < n)
-    src = np.where(ok, target, 0)
-    out = np.take(phys_arr, src, axis=axis)
-    shape = [1] * phys_arr.ndim
-    shape[axis] = n
-    return out * ok.reshape(shape)
-
-
-def _dilate_axis_nudft(spec_arr: np.ndarray, axis: int, points: int,
-                       spacing: float, extent: float, delta: float) -> np.ndarray:
-    # band-limited synthesis of the trig interpolant at x_k / delta;
-    # rows falling outside the fundamental domain are zeroed, not wrapped
-    x = (np.arange(points) - points // 2) * spacing
-    y = x / delta
-    xi = np.fft.fftfreq(points, spacing)
-    basis = np.exp(2j * np.pi * np.outer(y, xi)) / extent
-    basis[np.abs(y) > extent / 2.0] = 0.0
-    moved = np.moveaxis(spec_arr, axis, 0)
-    out = np.tensordot(basis, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
-
-
-def dilate_field(f, delta: float):
-    """Resample to f(. / delta), isotropically over every axis.
-
-    delta a power of two is an exact index remapping (spectral gather for
-    stretches, physical gather for shrinks); any other delta goes through
-    band-limited interpolation.  Raises AliasingError when a stretch would
-    push support past the box or a shrink needs frequencies past Nyquist.
-    """
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("dilate_field expects a physical-domain field")
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"dilation factor must be > 0, got {delta}")
-    if delta == 1.0:
-        return type(f)(f.grid, f.samples.copy(), PHYSICAL)
-
-    meta = _axis_meta(f)
-    spacings = [m[1] for m in meta]
-    ndim = f.samples.ndim
-
-    if delta > 1.0:
-        for ax, (pts, sp, ext) in enumerate(meta):
-            half = _support_halfwidth(f.samples, ax, sp)
-            if half * delta >= ext / 2.0:
-                raise AliasingError(
-                    f"support half-width {half:g} on axis {ax} leaves the box "
-                    f"[-{ext / 2:g}, {ext / 2:g}) after stretching by {delta:g}"
-                )
-    spec_arr = forward_axes(f.samples, range(ndim), spacings)
-    if delta < 1.0:
-        total = float(np.sum(np.abs(spec_arr) ** 2))
-        if total > 0.0:
-            for ax, (pts, sp, ext) in enumerate(meta):
-                xi = np.fft.fftfreq(pts, sp)
-                band = np.abs(xi) <= delta * pts / (2.0 * ext)
-                shape = [1] * ndim
-                shape[ax] = pts
-                tail = float(np.sum(np.abs(spec_arr * ~band.reshape(shape)) ** 2))
-                if tail > _TAIL_BUDGET * total:
-                    raise AliasingError(
-                        f"shrink by {delta:g} needs frequencies beyond "
-                        f"{delta:g} x Nyquist on axis {ax} "
-                        f"(tail fraction {tail / total:.2e})"
-                    )
-
-    k = _is_dyadic(delta)
-    if k is not None and k > 0:
-        out = spec_arr
-        for ax in range(ndim):
-            out = _dilate_axis_stretch(out, ax, 2**k)
-        out = inverse_axes(out, range(ndim), spacings)
-    elif k is not None:
-        out = f.samples
-        for ax in range(ndim):
-            out = _dilate_axis_shrink(out, ax, 2**-k)
-    else:
-        out = spec_arr
-        for ax, (pts, sp, ext) in enumerate(meta):
-            out = _dilate_axis_nudft(out, ax, pts, sp, ext, delta)
-    return type(f)(f.grid, out, PHYSICAL)
-
-
-def slice_at_time(f: SpacetimeField, t: float) -> Field:
-    """Spatial Field extracted at the time sample nearest to t."""
-    if not isinstance(f, SpacetimeField):
-        raise TypeError("slice_at_time acts on spacetime fields")
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("slice_at_time expects a physical-domain field")
-    g = f.grid
-    idx = int(round(t / g.t_spacing)) + g.t_points // 2
-    if not 0 <= idx < g.t_points:
-        raise ValueError(f"time {t:g} outside [{-g.t_extent / 2:g}, {g.t_extent / 2:g})")
-    return Field(g.space, f.samples[..., idx], PHYSICAL)
-
-
 # ---------------------------------------------------------------------------
 # import/export: flat little-endian float64 pairs (re, im) + JSON sidecar
 
@@ -561,10 +405,20 @@ def save_field(f, path) -> None:
         fh.write("\n")
 
 
+def _sidecar_int(meta: dict, key: str) -> int:
+    # a JSON integer, not a float to truncate or a boolean
+    value = meta[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FieldFormatError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_field(path):
     """Read a field written by save_field; dispatches on the sidecar kind.
 
-    The samples are always complex128, whatever dtype the saved field had.
+    The sizes n, N and N_t must be JSON integers; anything else raises
+    FieldFormatError.  The samples are always complex128, whatever dtype
+    the saved field had.
     """
     try:
         with open(_sidecar_path(path)) as fh:
@@ -575,13 +429,13 @@ def load_field(path):
     kind = meta.get("kind", "field")
     try:
         if kind == "field":
-            grid = Grid(int(meta["n"]), int(meta["N"]), float(meta["L"]))
+            grid = Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"), float(meta["L"]))
             shape = grid.shape
             tag = _check_tag(meta["domain_tag"])
         elif kind == "spacetime":
             grid = SpacetimeGrid(
-                Grid(int(meta["n"]), int(meta["N"]), float(meta["L"])),
-                int(meta["N_t"]),
+                Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"), float(meta["L"])),
+                _sidecar_int(meta, "N_t"),
                 float(meta["L_t"]),
             )
             shape = grid.shape

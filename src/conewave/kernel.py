@@ -32,7 +32,6 @@ __all__ = [
     "omega_hat",
     "omega_hat_jacobi",
     "omega_hat_adjoint",
-    "omega_hat_dilated",
     "multiplier_split",
     "write_kernel_tables",
 ]
@@ -219,18 +218,6 @@ def omega_hat_adjoint(xi, spec: KernelSpec):
     the same way they do for general v.
     """
     return np.conjugate(omega_hat(xi, spec))
-
-
-def omega_hat_dilated(xi, r: float, spec: KernelSpec):
-    """Profile of the mass-preserving dilation: omega_hat(r * xi).
-
-    Mass-preserving means the total integral (the value at xi = 0) is
-    independent of r, which pins the normalization used everywhere else.
-    """
-    r = float(r)
-    if not (np.isfinite(r) and r > 0.0):
-        raise KernelValidityError(f"dilation scale must be > 0, got {r}")
-    return omega_hat(np.asarray(xi, dtype=float) * r, spec)
 
 
 def multiplier_split(xi, spec: KernelSpec):

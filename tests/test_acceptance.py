@@ -23,11 +23,7 @@ from conewave.cli import (
     battery_mixed_norm,
     battery_stein_weiss,
 )
-from conewave.conop import (
-    RadialQuadrature,
-    apply_I_alpha_multiplier,
-    apply_cone_direct,
-)
+from conewave.conop import RadialQuadrature, apply_symbol, symbol
 from conewave.ensembles import gaussian_spacetime, standard_ensemble
 from conewave.fields import Grid, SpacetimeGrid
 from conewave.kernel import KernelSpec, multiplier_split, omega_hat
@@ -129,8 +125,8 @@ def test_criterion_05_operator_paths_agree(acceptance_log):
         spec = KernelSpec(alpha, n)
         quad = RadialQuadrature.for_grid(grid)
         f = gaussian_spacetime(grid, 1.0)
-        via_mult = apply_I_alpha_multiplier(f, spec, quad)
-        cone = apply_cone_direct(f, spec, quad)
+        via_mult = apply_symbol(f, symbol(grid, spec, quad, "multiplier"))
+        cone = apply_symbol(f, symbol(grid, spec, quad, "cone-direct"))
         worst = max(worst, _rel_l2(cone.samples, via_mult.samples))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 60.0
@@ -153,7 +149,8 @@ def test_criterion_06_scaling_line_invariance(acceptance_log):
 
     deltas = (0.25, 0.5, 1.0, 2.0, 4.0)
     inputs = [gaussian_spacetime(grid, d) for d in deltas]
-    outputs = [apply_I_alpha_multiplier(g, spec, quad) for g in inputs]
+    m = symbol(grid, spec, quad)
+    outputs = [apply_symbol(g, m) for g in inputs]
 
     verdicts = {}
     for off in (0.0, 0.05, -0.05):
@@ -204,7 +201,7 @@ def test_criterion_07_boundedness_proxy_spread(acceptance_log):
             grid = SpacetimeGrid(Grid(1, points_1d, 64.0), points_1d, 64.0)
             quad = RadialQuadrature.for_grid(grid)
             members, labels = standard_ensemble(grid)
-            op = partial(apply_I_alpha_multiplier, spec=spec, quad=quad)
+            op = partial(apply_symbol, m=symbol(grid, spec, quad))
             stats = operator_ratio_estimate(op, inv_p, inv_q, members, labels)
             for label, ratio in zip(stats.labels, stats.ratios):
                 key = (label.split("-")[0], points_1d)

@@ -13,7 +13,6 @@ import pytest
 import conewave as cw
 import conewave.analysis as analysis
 import conewave.cli as cli
-import conewave.conop as conop
 import conewave.ensembles as ens
 from conewave.analysis import lp_norm, operator_ratio_estimate
 from conewave.cli import _bump_stream, _pool_map, main
@@ -338,13 +337,13 @@ _RATIO_SCAN = (
 
 def test_scan_region_ratios_are_shared_per_alpha_and_worker_independent(tmp_path, monkeypatch):
     built = []
-    table = conop.multiplier_table
+    build = cli.symbol
 
-    def counted(grid, spec, quad=None):
+    def counted(grid, spec, quad=None, path="multiplier"):
         built.append(spec.alpha)
-        return table(grid, spec, quad)
+        return build(grid, spec, quad, path)
 
-    monkeypatch.setattr(conop, "multiplier_table", counted)
+    monkeypatch.setattr(cli, "symbol", counted)
     outs = {}
     for jobs in (1, 2):
         built.clear()
@@ -368,7 +367,7 @@ def test_scan_region_ratios_are_shared_per_alpha_and_worker_independent(tmp_path
         spec = cw.KernelSpec(float(row["alpha"]), 1)
         family = [ens.gaussian_spacetime(grid, d) for d in deltas]
         stats = operator_ratio_estimate(
-            lambda f: cw.apply_I_alpha_multiplier(f, spec, quad),
+            lambda f: cw.apply_symbol(f, cw.symbol(grid, spec, quad)),
             float(row["inv_p"]), float(row["inv_q"]), family,
         )
         assert row["ratio_max"] == repr(stats.maximum)
@@ -423,6 +422,41 @@ def test_op_apply_rejects_removed_paths(tmp_path, capsys):
         assert code == 3, key
         err = capsys.readouterr().err
         assert "slices" in err and "'cone-direct', 'multiplier'" in err, key
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_op_apply_refuses_a_non_finite_input_before_any_work(tmp_path, monkeypatch, capsys,
+                                                             bad):
+    # one nan or inf sample spreads over the whole output through the
+    # transform; the input is refused before the operator or any write
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    samples = ens.gaussian_spacetime(g, 1.0).samples.astype(np.complex128)
+    samples[20, 30] = bad
+    field_path = tmp_path / "g.field"
+    cw.save_field(cw.SpacetimeField(g, samples), field_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached the operator")
+
+    monkeypatch.setattr(cli, "symbol_applier", never)
+    code, out = run(tmp_path, "op-apply", config=f"[op-apply]\ninput = {field_path}\n")
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "result.field").exists()
+    assert not (out / "report.json").exists()
+
+
+def test_op_apply_refuses_a_sidecar_size_that_is_not_an_integer(tmp_path, capsys):
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+    sidecar = tmp_path / "g.field.json"
+    sidecar.write_text(sidecar.read_text().replace('"N": 64', '"N": 64.9'))
+    code, out = run(tmp_path, "op-apply", config=f"[op-apply]\ninput = {field_path}\n")
+    assert code == 3
+    assert "N must be an integer" in capsys.readouterr().err
+    assert not (out / "result.field").exists()
 
 
 @pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
@@ -531,11 +565,11 @@ def test_norm_test_is_worker_independent_and_matches_width_by_width(tmp_path, mo
     grid = cw.SpacetimeGrid(cw.Grid(1, 128, 32.0), 128, 32.0)
     spec = cw.KernelSpec(0.4, 1)
     quad = cw.RadialQuadrature.for_grid(grid)
-    op = conop.apply_path(path)
+    m = cw.symbol(grid, spec, quad, path)
     got = {r["name"]: r["value"] for r in read_report(outs[1])["records"]}
     for d in (0.5, 1.0, 2.0, 4.0):
         f = ens.gaussian_spacetime(grid, d)
-        want = lp_norm(op(f, spec, quad), 1.0 / (0.7 - 0.4)) / lp_norm(f, 1.0 / 0.7)
+        want = lp_norm(cw.apply_symbol(f, m), 1.0 / (0.7 - 0.4)) / lp_norm(f, 1.0 / 0.7)
         assert got[f"ratio at width {d:g}"] == want
 
 

@@ -17,25 +17,27 @@ from conewave import (
     Grid,
     UnderResolvedWarning,
     UnsupportedParameterError,
-    apply_I_alpha_multiplier,
-    apply_cone_direct,
     apply_symbol,
     convergence_check,
-    dilate_field,
     fourier_transform,
     lp_norm,
-    multiplier_table,
     operator_ratio_estimate,
     symbol,
     symbol_applier,
 )
 from conewave.conop import apply_path
 from conewave.fields import DomainTagError, forward_axes, inverse_axes
-from conewave.kernel import omega_hat
+from conewave.kernel import omega_hat, omega_hat_jacobi
 
 
 def _grid(points=128, extent=32.0):
     return SpacetimeGrid(Grid(1, points, extent), points, extent)
+
+
+def _apply(f: SpacetimeField, spec: KernelSpec, quad: RadialQuadrature,
+           path: str = "multiplier") -> SpacetimeField:
+    # the operator of one path on one input: its symbol, applied once
+    return apply_symbol(f, symbol(f.grid, spec, quad, path))
 
 
 def _rel(a: SpacetimeField, b: SpacetimeField) -> float:
@@ -124,7 +126,7 @@ def test_refined_and_for_grid():
 
 def test_multiplier_table_is_real_for_distinguished_members():
     g = _grid(64)
-    table = multiplier_table(g, KernelSpec(0.4, 1), RadialQuadrature.for_grid(g, 48))
+    table = symbol(g, KernelSpec(0.4, 1), RadialQuadrature.for_grid(g, 48))
     assert table.shape == g.shape
     assert np.all(np.isreal(table))
 
@@ -134,8 +136,8 @@ def test_zero_field_maps_to_zero():
     f = SpacetimeField(g, np.zeros(g.shape))
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 32)
-    for op in (apply_I_alpha_multiplier, apply_cone_direct):
-        out = op(f, spec, quad)
+    for path in ("multiplier", "cone-direct"):
+        out = _apply(f, spec, quad, path)
         assert np.all(out.samples == 0.0)
 
 
@@ -147,10 +149,10 @@ def test_operator_is_linear():
     spec = KernelSpec(0.5, 1)
     quad = RadialQuadrature.for_grid(g, 48)
     combo = SpacetimeField(g, 2.0 * f1.samples - 3.0 * f2.samples)
-    lhs = apply_I_alpha_multiplier(combo, spec, quad)
+    lhs = _apply(combo, spec, quad)
     rhs = (
-        2.0 * apply_I_alpha_multiplier(f1, spec, quad).samples
-        - 3.0 * apply_I_alpha_multiplier(f2, spec, quad).samples
+        2.0 * _apply(f1, spec, quad).samples
+        - 3.0 * _apply(f2, spec, quad).samples
     )
     assert np.max(np.abs(lhs.samples - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
@@ -163,14 +165,14 @@ def test_slices_agree_with_multiplier():
     quad = RadialQuadrature.for_grid(g, 64)
     for alpha in (0.3, 0.6):
         spec = KernelSpec(alpha, 1)
-        a = apply_I_alpha_multiplier(f, spec, quad)
+        a = _apply(f, spec, quad)
         b = _slices(f, spec, quad)
         assert _rel(b, a) < 1e-10
     g2 = SpacetimeGrid(Grid(2, 16, 8.0), 16, 8.0)
     f2 = ens.gaussian_spacetime(g2, 1.0)
     quad2 = RadialQuadrature.for_grid(g2, 32)
     spec2 = KernelSpec(1.0, 2)
-    assert _rel(_slices(f2, spec2, quad2), apply_I_alpha_multiplier(f2, spec2, quad2)) < 1e-10
+    assert _rel(_slices(f2, spec2, quad2), _apply(f2, spec2, quad2)) < 1e-10
 
 
 def test_cone_direct_agrees_with_slices():
@@ -179,7 +181,7 @@ def test_cone_direct_agrees_with_slices():
     quad = RadialQuadrature.for_grid(g, 64)
     spec = KernelSpec(0.6, 1)
     a = _slices(f, spec, quad)
-    b = apply_cone_direct(f, spec, quad)
+    b = _apply(f, spec, quad, "cone-direct")
     assert _rel(b, a) < 1e-6
 
 
@@ -189,8 +191,8 @@ def test_cone_direct_agrees_with_multiplier():
     quad = RadialQuadrature.for_grid(g, 64)
     for alpha in (0.3, 0.6):
         spec = KernelSpec(alpha, 1)
-        a = apply_I_alpha_multiplier(f, spec, quad)
-        b = apply_cone_direct(f, spec, quad)
+        a = _apply(f, spec, quad)
+        b = _apply(f, spec, quad, "cone-direct")
         assert _rel(b, a) < 1e-10
 
 
@@ -203,15 +205,15 @@ def test_cone_direct_resolves_the_default_grid_nyquist():
     quad = RadialQuadrature.for_grid(g)
     for alpha in (0.4, 0.6):
         spec = KernelSpec(alpha, 1)
-        a = apply_I_alpha_multiplier(f, spec, quad)
-        b = apply_cone_direct(f, spec, quad)
+        a = _apply(f, spec, quad)
+        b = _apply(f, spec, quad, "cone-direct")
         assert _rel(b, a) < 1e-8, alpha
 
 
 def test_multiplier_accepts_higher_dimensions():
     g = SpacetimeGrid(Grid(2, 32, 16.0), 32, 16.0)
     f = ens.gaussian_spacetime(g, 1.0)
-    out = apply_I_alpha_multiplier(f, KernelSpec(1.0, 2), RadialQuadrature.for_grid(g, 32))
+    out = _apply(f, KernelSpec(1.0, 2), RadialQuadrature.for_grid(g, 32))
     assert out.samples.shape == g.shape
     assert lp_norm(out, 2.0) > 0.0
 
@@ -224,8 +226,8 @@ def test_cone_direct_agrees_in_two_dimensions():
     quad = RadialQuadrature.for_grid(g, 32)
     for alpha in (0.5, 1.0, 1.5):
         spec = KernelSpec(alpha, 2)
-        a = apply_I_alpha_multiplier(f, spec, quad)
-        b = apply_cone_direct(f, spec, quad)
+        a = _apply(f, spec, quad)
+        b = _apply(f, spec, quad, "cone-direct")
         assert _rel(b, a) < 1e-10, alpha
 
 
@@ -233,37 +235,24 @@ def test_cone_direct_refuses_imaginary_offset():
     g = _grid(32, 16.0)
     f = ens.gaussian_spacetime(g, 1.0)
     with pytest.raises(UnsupportedParameterError):
-        apply_cone_direct(f, KernelSpec(0.5, 1, v=0.3), RadialQuadrature.for_grid(g, 16))
-
-
-def test_operator_input_guards():
-    g = _grid(64)
-    f = ens.gaussian_spacetime(g, 1.0)
-    spec = KernelSpec(0.4, 1)
-    quad = RadialQuadrature.for_grid(g, 32)
-    with pytest.raises(DomainTagError):
-        apply_I_alpha_multiplier(fourier_transform(f), spec, quad)
-    with pytest.raises(ValueError):
-        apply_I_alpha_multiplier(f, KernelSpec(1.0, 2), quad)  # dimension mismatch
-    with pytest.raises(TypeError):
-        apply_I_alpha_multiplier(ens.gaussian(Grid(1, 64, 16.0)), spec, quad)
+        _apply(f, KernelSpec(0.5, 1, v=0.3), RadialQuadrature.for_grid(g, 16), "cone-direct")
 
 
 def test_symbol_and_apply_symbol_compose_the_paths():
     # a symbol built once serves every field on its grid, with the bits of
-    # the one-shot path applies, and leaves its input untouched
+    # a symbol built for that field alone, and leaves its input untouched
     g = _grid(64)
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 32)
     fields = [ens.gaussian_spacetime(g, 1.0), ens.wave_packet(g, 2.0, k_x=1.5)]
-    for path, op in (("multiplier", apply_I_alpha_multiplier), ("cone-direct", apply_cone_direct)):
+    for path in ("multiplier", "cone-direct"):
         m = symbol(g, spec, quad, path)
         for f in fields:
             keep = f.samples.copy()
             out = apply_symbol(f, m)
             assert np.array_equal(f.samples, keep)
-            assert np.array_equal(out.samples, op(f, spec, quad).samples)
-    assert np.array_equal(symbol(g, spec, quad), multiplier_table(g, spec, quad))
+            assert np.array_equal(out.samples, _apply(f, spec, quad, path).samples)
+    assert np.array_equal(symbol(g, spec, quad), symbol(g, spec, quad, "multiplier"))
     assert np.array_equal(symbol(g, spec), symbol(g, spec, RadialQuadrature.for_grid(g)))
 
 
@@ -456,8 +445,8 @@ def test_symbol_applier_guards_its_input():
 
 
 def test_apply_path_lookup():
-    assert apply_path("multiplier") is apply_I_alpha_multiplier
-    assert apply_path("cone-direct") is apply_cone_direct
+    assert apply_path("multiplier") is omega_hat
+    assert apply_path("cone-direct") is omega_hat_jacobi
     for gone in ("slices", "spectral"):
         with pytest.raises(ValueError, match="cone-direct"):
             apply_path(gone)
@@ -475,18 +464,18 @@ def test_joint_dilation_homogeneity():
     # point) and the L2 norm, which picks up an extra d^((n+1)/2).
     g = _grid(256, 64.0)
     spec = KernelSpec(0.4, 1)
-    # width 2 leaves spectral headroom for the half-scale shrink below
+    # width 2 keeps the half-scale member (width 1) well resolved
     f = ens.gaussian_spacetime(g, 2.0)
     a0, a1 = g.t_spacing / 4.0, 12.0
-    out = apply_I_alpha_multiplier(f, spec, RadialQuadrature(a0, a1, 160))
+    out = _apply(f, spec, RadialQuadrature(a0, a1, 160))
     center = g.space.points // 2
     t_center = g.t_points // 2
     origin = out.samples[center, t_center].real
     power = spec.time_scale_power * spec.alpha
     for delta in (0.5, 2.0):
-        lhs = apply_I_alpha_multiplier(
-            dilate_field(f, delta), spec, RadialQuadrature(a0 * delta, a1 * delta, 160)
-        )
+        # f(./d) is the Gaussian of width 2 d, built on the grid exactly
+        lhs = _apply(ens.gaussian_spacetime(g, 2.0 * delta), spec,
+                     RadialQuadrature(a0 * delta, a1 * delta, 160))
         got_origin = lhs.samples[center, t_center].real
         assert got_origin == pytest.approx(delta**power * origin, rel=5e-3)
         got_norm = lp_norm(lhs, 2.0)
@@ -504,7 +493,7 @@ def test_convergence_check_reports_and_warns():
     spec = KernelSpec(0.4, 1)
     coarse = RadialQuadrature.for_grid(g, 48)
     with pytest.warns(UnderResolvedWarning):
-        rep = convergence_check(f, spec, coarse, apply_I_alpha_multiplier(f, spec, coarse))
+        rep = convergence_check(f, spec, coarse, _apply(f, spec, coarse))
     assert set(rep) == {
         "r_min_halved",
         "r_max_doubled",
@@ -522,7 +511,7 @@ def test_convergence_check_reports_and_warns():
     roomy = RadialQuadrature(g2.t_spacing / 2048.0, 16.0, 960)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnderResolvedWarning)
-        rep2 = convergence_check(f2, spec, roomy, apply_I_alpha_multiplier(f2, spec, roomy),
+        rep2 = convergence_check(f2, spec, roomy, _apply(f2, spec, roomy),
                                  tol=1e-3)
     assert rep2["under_resolved"] is False
 
@@ -532,7 +521,7 @@ def test_convergence_check_takes_an_applier_with_the_same_bits(monkeypatch):
     f = ens.gaussian_spacetime(g, 1.0)
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 48)
-    out = apply_I_alpha_multiplier(f, spec, quad)
+    out = _apply(f, spec, quad)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
         want = convergence_check(f, spec, quad, out)
@@ -551,7 +540,7 @@ def test_convergence_check_reports_an_unrun_r_max_refinement_as_not_measured():
     spec = KernelSpec(0.4, 1)
     for r_max in (g.t_extent / 2.0, g.t_extent):
         quad = RadialQuadrature(g.t_spacing / 4.0, r_max, 48)
-        out = apply_I_alpha_multiplier(f, spec, quad)
+        out = _apply(f, spec, quad)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnderResolvedWarning)
             rep = convergence_check(f, spec, quad, out)

@@ -30,11 +30,10 @@ def test_real_families_are_float64_and_modulated_ones_complex128():
     g = Grid(1, 64, 16.0)
     real = [ens.gaussian(g, 1.0), ens.gaussian(Grid(2, 16, 8.0), 1.0),
             ens.gaussian_spacetime(sg, 1.0), ens.cone_plate(sg, 1.0),
-            ens.delta_like(g), *ens.random_bumps(g, 2, np.random.default_rng(0))]
+            *ens.random_bumps(g, 2, np.random.default_rng(0))]
     for f in real:
         assert f.samples.dtype == np.float64
-    for f in (ens.wave_packet(sg, 1.0, k_x=0.5), ens.pure_tone(g, 3)):
-        assert f.samples.dtype == np.complex128
+    assert ens.wave_packet(sg, 1.0, k_x=0.5).samples.dtype == np.complex128
     fields, labels = ens.standard_ensemble(sg)
     for f, label in zip(fields, labels):
         want = np.complex128 if label.startswith("packet") else np.float64

@@ -1,4 +1,6 @@
-"""Grids, transforms, dilation, slicing, and the field file format."""
+"""Grids, transforms, the multiplier apply, and the field file format."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 import conewave.ensembles as ens
 from conewave import (
-    AliasingError,
     Field,
     FieldFormatError,
     Grid,
@@ -15,7 +16,6 @@ from conewave import (
     SpacetimeField,
     SpacetimeGrid,
     convolve_omega,
-    dilate_field,
     fourier_transform,
     inverse_transform,
     load_field,
@@ -27,7 +27,6 @@ from conewave.fields import (
     forward_axes,
     inverse_axes,
     real_symbol_apply,
-    slice_at_time,
 )
 
 
@@ -153,13 +152,17 @@ def test_parseval():
 
 def test_delta_like_has_flat_transform():
     g = Grid(1, 256, 32.0)
-    fhat = fourier_transform(ens.delta_like(g))
+    # unit mass in one sample at the origin: value 1 / cell volume
+    samples = np.zeros(g.shape)
+    samples[g.points // 2] = 1.0 / g.cell_volume
+    fhat = fourier_transform(Field(g, samples))
     assert np.max(np.abs(fhat.samples - 1.0)) < 1e-12
 
 
 def test_pure_tone_transforms_to_a_spike():
     g = Grid(1, 128, 32.0)
-    f = ens.pure_tone(g, 5)
+    # exp(2 pi i k x / L) at the exact grid frequency k / L, k = 5
+    f = Field(g, np.exp(2j * np.pi * 5 * g.axis() / g.extent))
     fhat = fourier_transform(f)
     mags = np.abs(fhat.samples)
     k = int(np.argmax(mags))
@@ -275,70 +278,6 @@ def test_convolve_omega_guards():
 
 
 # ---------------------------------------------------------------------------
-# dilation
-
-
-def test_dyadic_dilation_matches_analytic_gaussian():
-    sg = SpacetimeGrid(Grid(1, 128, 32.0), 128, 32.0)
-    f = ens.gaussian_spacetime(sg, 1.0)
-    got = dilate_field(f, 2.0)
-    want = ens.gaussian_spacetime(sg, 2.0)
-    assert np.max(np.abs(got.samples - want.samples)) < 1e-5
-    # shrinking needs spectral headroom, so start wider on a finer grid
-    sg2 = SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0)
-    f2 = ens.gaussian_spacetime(sg2, 2.0)
-    got2 = dilate_field(f2, 0.5)
-    want2 = ens.gaussian_spacetime(sg2, 1.0)
-    assert np.max(np.abs(got2.samples - want2.samples)) < 1e-5
-
-
-def test_non_dyadic_dilation_matches_analytic_gaussian():
-    sg = SpacetimeGrid(Grid(1, 128, 32.0), 128, 32.0)
-    f = ens.gaussian_spacetime(sg, 1.0)
-    got = dilate_field(f, 1.5)
-    want = ens.gaussian_spacetime(sg, 1.5)
-    assert np.max(np.abs(got.samples - want.samples)) < 1e-5
-
-
-def test_dilation_identity_and_guards():
-    sg = SpacetimeGrid(Grid(1, 128, 32.0), 128, 32.0)
-    f = ens.gaussian_spacetime(sg, 1.0)
-    same = dilate_field(f, 1.0)
-    assert np.array_equal(same.samples, f.samples)
-    with pytest.raises(ValueError):
-        dilate_field(f, 0.0)
-    with pytest.raises(AliasingError):
-        dilate_field(f, 8.0)  # support would leave the box
-    with pytest.raises(AliasingError):
-        dilate_field(f, 1.0 / 16.0)  # needs frequencies beyond Nyquist
-
-
-def test_dilation_norm_scaling():
-    # ||f(./delta)||_2^2 = delta^(n+1) ||f||_2^2 on spacetime fields
-    from conewave import lp_norm
-
-    sg = SpacetimeGrid(Grid(1, 256, 64.0), 256, 64.0)
-    f = ens.gaussian_spacetime(sg, 1.0)
-    got = lp_norm(dilate_field(f, 2.0), 2.0)
-    assert got == pytest.approx(2.0 * lp_norm(f, 2.0), rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# slicing
-
-
-def test_slice_at_time_extracts_rows():
-    sg = SpacetimeGrid(Grid(1, 64, 16.0), 64, 16.0)
-    f = ens.wave_packet(sg, width=2.0, k_x=1.0, k_t=0.5)
-    t = sg.t_axis()[10]
-    sl = slice_at_time(f, float(t))
-    assert isinstance(sl, Field)
-    assert np.array_equal(sl.samples, f.samples[..., 10])
-    with pytest.raises(ValueError):
-        slice_at_time(f, 100.0)
-
-
-# ---------------------------------------------------------------------------
 # file format
 
 
@@ -411,3 +350,28 @@ def test_load_rejects_garbage(tmp_path):
         load_field(bad)
     with pytest.raises(FieldFormatError):
         load_field(tmp_path / "missing.npz")
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("spacetime", "N", 64.9),
+    ("spacetime", "N_t", 64.5),
+    ("spacetime", "n", True),
+    ("spacetime", "N", 64.0),
+    ("spacetime", "N_t", "64"),
+    ("field", "N", 64.9),
+    ("field", "n", True),
+])
+def test_load_refuses_sizes_that_are_not_integers(tmp_path, kind, key, value):
+    # a float size would be truncated and a boolean read as 1; the sidecar
+    # must carry JSON integers
+    g = Grid(1, 64, 16.0)
+    f = Field(g, np.zeros(g.shape)) if kind == "field" else SpacetimeField(
+        SpacetimeGrid(g, 64, 16.0), np.zeros((64, 64)))
+    path = tmp_path / "f.field"
+    save_field(f, path)
+    sidecar = tmp_path / "f.field.json"
+    meta = json.loads(sidecar.read_text())
+    meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(FieldFormatError, match=f"{key} must be an integer"):
+        load_field(path)

@@ -22,7 +22,6 @@ from conewave import (
     multiplier_split,
     omega_hat,
     omega_hat_adjoint,
-    omega_hat_dilated,
     omega_physical,
 )
 from conewave.kernel import omega_hat_jacobi, write_kernel_tables
@@ -225,24 +224,6 @@ def test_profile_even_and_adjoint_real():
     xi = np.linspace(0.1, 9.0, 40)
     assert np.array_equal(omega_hat(xi, spec), omega_hat(-xi, spec))
     assert np.array_equal(omega_hat_adjoint(xi, spec), omega_hat(xi, spec))
-
-
-@given(
-    r=st.floats(min_value=1e-3, max_value=1e3),
-    xi=st.floats(min_value=0.0, max_value=50.0),
-)
-@settings(max_examples=100, deadline=None)
-def test_dilation_is_mass_preserving_rescaling(r, xi):
-    spec = KernelSpec(0.4, 1)
-    assert omega_hat_dilated(xi, r, spec) == omega_hat(r * xi, spec)
-    assert omega_hat_dilated(0.0, r, spec) == omega_hat(0.0, spec)
-
-
-def test_dilation_guards():
-    spec = KernelSpec(0.4, 1)
-    for bad in (0.0, -1.0, math.inf):
-        with pytest.raises(KernelValidityError):
-            omega_hat_dilated(1.0, bad, spec)
 
 
 def test_split_main_closed_form():
