@@ -28,10 +28,9 @@ import time
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (
@@ -263,11 +262,23 @@ def write_records_csv(path, records) -> None:
             )
 
 
+@cache
+def _scipy_version():
+    # the installed distribution's version, without importing scipy (the
+    # library does not use it); None when it is not installed
+    from importlib import metadata
+
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _versions() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "conewave": __version__,
     }
 

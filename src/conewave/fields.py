@@ -413,12 +413,20 @@ def _sidecar_int(meta: dict, key: str) -> int:
     return value
 
 
+def _sidecar_extent(meta: dict, key: str) -> float:
+    # a finite JSON number, not a boolean or a string to convert
+    value = meta[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise FieldFormatError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_field(path):
     """Read a field written by save_field; dispatches on the sidecar kind.
 
-    The sizes n, N and N_t must be JSON integers; anything else raises
-    FieldFormatError.  The samples are always complex128, whatever dtype
-    the saved field had.
+    The sizes n, N and N_t must be JSON integers and the extents L and L_t
+    finite JSON numbers; anything else raises FieldFormatError.  The
+    samples are always complex128, whatever dtype the saved field had.
     """
     try:
         with open(_sidecar_path(path)) as fh:
@@ -429,14 +437,16 @@ def load_field(path):
     kind = meta.get("kind", "field")
     try:
         if kind == "field":
-            grid = Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"), float(meta["L"]))
+            grid = Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"),
+                        _sidecar_extent(meta, "L"))
             shape = grid.shape
             tag = _check_tag(meta["domain_tag"])
         elif kind == "spacetime":
             grid = SpacetimeGrid(
-                Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"), float(meta["L"])),
+                Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"),
+                     _sidecar_extent(meta, "L")),
                 _sidecar_int(meta, "N_t"),
-                float(meta["L_t"]),
+                _sidecar_extent(meta, "L_t"),
             )
             shape = grid.shape
             tag = _check_tag(meta["domain_tag"])

@@ -15,10 +15,10 @@ profile smooth through xi = 0, where it takes the value pi^nu / Gamma(nu+1).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .specialfn import bessel_j_scaled, bessel_main_term, reciprocal_gamma
 
@@ -162,6 +162,69 @@ def omega_hat(xi, spec: KernelSpec):
     return out
 
 
+def _jacobi_values(coefs, a, t, x):
+    # P_(K-1) and P_K of the Jacobi polynomials P^(a,a) at x = 1 - t, by the
+    # three-term recurrence; x p is formed as p - t p, so nodes near s = 1
+    # keep the relative precision of t
+    p0 = np.ones_like(t)
+    p1 = (a + 1.0) * x
+    tp = np.empty_like(t)
+    for ak, bk in coefs:
+        np.multiply(t, p1, out=tp)
+        np.subtract(p1, tp, out=tp)
+        tp *= ak
+        p0 *= bk
+        np.subtract(tp, p0, out=p0)
+        p0, p1 = p1, p0
+    return p0, p1
+
+
+def _jacobi_rule(nodes: int, a: float):
+    """Gauss rule for the weight (1 - s^2)^a on (-1, 1), a > -1.
+
+    Returns (s, w) with s ascending.  Newton's method in theta = arccos s
+    runs on the positive half only, from the Gatteschi-Pittaluga guesses
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The weights are
+    1 / (dP_K/dtheta)^2 scaled to the mass sqrt(pi) Gamma(a+1) / Gamma(a+3/2)
+    of the weight, and the negative half is the mirror image, so s is
+    exactly antisymmetric and w exactly symmetric, with s = 0 the middle
+    node when the count is odd.
+    """
+    half = nodes // 2
+    rho = nodes + a + 0.5
+    phi = (np.arange(1, half + 1) + 0.5 * a - 0.25) * (np.pi / rho)
+    theta = phi + (0.25 - a * a) / (2.0 * rho * rho) / np.tan(phi)
+    # P_(k+1) = A_k x P_k - B_k P_(k-1) for k = 1 .. nodes - 1
+    k = np.arange(1.0, nodes)
+    c = k + a
+    den = (k + 1.0) * (k + 2.0 * a + 1.0)
+    coefs = list(zip(((2.0 * c + 1.0) * (c + 1.0) / den).tolist(),
+                     (c * (c + 1.0) / den).tolist()))
+    converged = False
+    for _ in range(12):
+        x = np.cos(theta)
+        p0, p1 = _jacobi_values(coefs, a, 2.0 * np.sin(0.5 * theta) ** 2, x)
+        # -dP_K/dtheta = sin(theta) P_K'(x) = ((K+a) P_(K-1) - K x P_K) / sin(theta)
+        dp = ((nodes + a) * p0 - nodes * x * p1) / np.sin(theta)
+        step = p1 / dp
+        theta += step
+        if converged:  # a pass after a 1e-9 step leaves theta, and dp at it, at rounding level
+            break
+        converged = np.max(np.abs(step), initial=0.0) <= 1e-9
+    s = np.cos(theta)
+    w = 1.0 / (dp * dp)
+    if nodes % 2:
+        # at s = 0 the recurrence is P_(k+1) = -B_k P_(k-1), from P_0 = 1
+        p0 = math.prod(-bk for _, bk in coefs[0::2])
+        mid, zero = [1.0 / ((nodes + a) * p0) ** 2], [0.0]
+    else:
+        mid = zero = []
+    s = np.concatenate([-s, zero, s[::-1]])
+    w = np.concatenate([w, mid, w[::-1]])
+    w *= math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) / w.sum()
+    return s, w
+
+
 def omega_hat_jacobi(xi, spec: KernelSpec):
     """Spectral profile by Gauss-Jacobi quadrature of the physical density.
 
@@ -175,25 +238,22 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
     arithmetic with the Bessel evaluation behind omega_hat, and lam' < 1
     holds for every order, so it covers the whole v = 0 family.  The node
     count K grows with the largest |xi| requested.  The Jacobi weight is
-    even, and roots_jacobi returns nodes that are exactly antisymmetric
-    and weights that are exactly symmetric, so the cosine sum is folded:
-    cosines are taken at the K // 2 positive nodes only, with doubled
-    weights, plus the middle weight (its node is 0) when K is odd.  That
-    halves the cosines and moves the result only at rounding.
+    even and the rule (_jacobi_rule) is exactly symmetric by construction,
+    so the cosine sum is folded: cosines are taken at the K // 2 positive
+    nodes only, with doubled weights, plus the middle weight (its node is
+    0) when K is odd.
 
-    The accuracy has a floor set by the nodes and weights of scipy's
-    roots_jacobi, which lose digits as the node count grows (adding
-    nodes makes it worse, not better).  Measured against
-    scipy.special.jv at alpha = 0.1, n = 2 (lam' = 0.925, where the floor
-    is highest among the orders tried), the error over omega_hat(0) is
-    6.4e-11 up to max |xi| = 32, 1.7e-10 up to 64 (r_max times Nyquist on
-    the default n = 1 spacetime grid) and 1.1e-9 up to 128.
+    Measured against mpmath.besselj at alpha = 0.1, n = 2 (lam' = 0.925,
+    where the weights of the nodes nearest s = +-1 are least accurate),
+    the error over omega_hat(0) is 6.9e-13 up to max |xi| = 32, 5.6e-12 up
+    to 64 (r_max times Nyquist on the default n = 1 spacetime grid) and
+    2.7e-12 up to 128.
     """
     _require_distinguished(spec, "the Gauss-Jacobi profile")
     lam = 0.5 - spec.bessel_order
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
     nodes = int(np.ceil(3.5 * rho.max(initial=0.0))) + 24
-    s, w = roots_jacobi(nodes, -lam, -lam)
+    s, w = _jacobi_rule(nodes, -lam)
     half = nodes // 2
     s_pos = s[nodes - half:]
     w_pos = 2.0 * w[nodes - half:]

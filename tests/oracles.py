@@ -28,6 +28,13 @@ def scaled_bessel_reference(nu: float, rho: float) -> float:
     return float(mpmath.besselj(nu, rho) / mpmath.mpf(rho) ** nu)
 
 
+def rgamma_reference(z):
+    """1/Gamma(z) for a real or complex z."""
+    if isinstance(z, complex):
+        return complex(mpmath.rgamma(mpmath.mpc(z)))
+    return float(mpmath.rgamma(mpmath.mpf(z)))
+
+
 def envelope_reference(nu: float, rho: float) -> float:
     """Leading large-argument cosine term sqrt(2/(pi rho)) cos(rho - nu pi/2 - pi/4)."""
     nu, rho = mpmath.mpf(nu), mpmath.mpf(rho)

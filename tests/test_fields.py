@@ -375,3 +375,40 @@ def test_load_refuses_sizes_that_are_not_integers(tmp_path, kind, key, value):
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(FieldFormatError, match=f"{key} must be an integer"):
         load_field(path)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("spacetime", "L", True),
+    ("spacetime", "L", "16"),
+    ("spacetime", "L_t", "1e1"),
+    ("spacetime", "L_t", float("inf")),
+    ("spacetime", "L", float("nan")),
+    ("field", "L", False),
+    ("field", "L", "16.0"),
+    ("field", "L", float("-inf")),
+])
+def test_load_refuses_extents_that_are_not_finite_numbers(tmp_path, kind, key, value):
+    # a boolean would load as extent 1.0 and a string would be parsed
+    g = Grid(1, 64, 16.0)
+    f = Field(g, np.zeros(g.shape)) if kind == "field" else SpacetimeField(
+        SpacetimeGrid(g, 64, 16.0), np.zeros((64, 64)))
+    path = tmp_path / "f.field"
+    save_field(f, path)
+    sidecar = tmp_path / "f.field.json"
+    meta = json.loads(sidecar.read_text())
+    meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(FieldFormatError, match=f"{key} must be a finite number"):
+        load_field(path)
+
+
+def test_load_accepts_an_integer_extent(tmp_path):
+    g = Grid(1, 64, 16.0)
+    path = tmp_path / "f.field"
+    save_field(SpacetimeField(SpacetimeGrid(g, 64, 16.0), np.zeros((64, 64))), path)
+    sidecar = tmp_path / "f.field.json"
+    meta = json.loads(sidecar.read_text())
+    meta["L"], meta["L_t"] = 16, 16
+    sidecar.write_text(json.dumps(meta))
+    back = load_field(path)
+    assert back.grid.space.extent == 16.0 and back.grid.t_extent == 16.0

@@ -3,11 +3,12 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jv, roots_jacobi
+from scipy.special import roots_jacobi
 
 import conewave.kernel as kernel
 import oracles
@@ -61,8 +62,6 @@ def test_derived_exponents_stay_in_their_strips(n, frac):
 
 
 def test_normalizing_constant_against_high_precision():
-    import mpmath
-
     for alpha, n in ((0.5, 1), (0.3, 1), (0.9, 2), (2.2, 3)):
         spec = KernelSpec(alpha, n)
         lam = spec.lam.real
@@ -128,15 +127,30 @@ def test_spectral_profile_matches_quadrature_oracle():
 
 
 def test_jacobi_profile_accuracy_floor_up_to_the_default_grid_reach():
-    # alpha = 0.1, n = 2 sits where roots_jacobi's floor is highest; |xi|
-    # up to 64 covers r_max x Nyquist on the default n = 1 spacetime grid
+    # alpha = 0.1, n = 2 (lam' = 0.925) is where the rule's weights nearest
+    # s = +-1 are least accurate; |xi| up to 64 covers r_max x Nyquist on
+    # the default n = 1 spacetime grid, and 128 twice that
     spec = KernelSpec(0.1, 2)
     nu = spec.bessel_order
-    xi = np.linspace(0.01, 64.0, 2001)
-    rho = 2.0 * np.pi * xi
-    want = (2.0 * np.pi) ** nu * jv(nu, rho) / rho**nu
-    err = np.max(np.abs(omega_hat_jacobi(xi, spec) - want)) / omega_hat(0.0, spec)
-    assert err <= 5e-10
+    for xi_max, bound in ((32.0, 2e-12), (64.0, 1.5e-11), (128.0, 1e-11)):
+        xi = np.linspace(0.01, xi_max, 401)
+        want = np.array([oracles.scaled_bessel_reference(nu, 2.0 * np.pi * x) for x in xi])
+        want *= (2.0 * np.pi) ** nu
+        err = np.max(np.abs(omega_hat_jacobi(xi, spec) - want)) / omega_hat(0.0, spec)
+        assert err <= bound, xi_max
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 24, 25])
+@pytest.mark.parametrize("a", [-0.925, -0.5, 0.0, 0.3, 1.0])
+def test_jacobi_rule_integrates_its_even_moments_exactly(nodes, a):
+    # a Gauss rule on K nodes is exact up to degree 2K - 1; the even moments
+    # of (1 - s^2)^a are Beta(m + 1/2, a + 1), the odd ones vanish by symmetry
+    s, w = kernel._jacobi_rule(nodes, a)
+    assert s.shape == w.shape == (nodes,)
+    assert np.all(np.diff(s) > 0.0) and np.all(w > 0.0)
+    for m in range(nodes):
+        want = float(mpmath.beta(m + 0.5, mpmath.mpf(a) + 1))
+        assert float(w @ s ** (2 * m)) == pytest.approx(want, rel=3e-13), m
 
 
 def _unfolded_jacobi(xi, spec):
@@ -145,7 +159,7 @@ def _unfolded_jacobi(xi, spec):
     lam = 0.5 - spec.bessel_order
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
     nodes = int(np.ceil(3.5 * rho.max(initial=0.0))) + 24
-    s, w = roots_jacobi(nodes, -lam, -lam)
+    s, w = kernel._jacobi_rule(nodes, -lam)
     out = np.empty_like(rho)
     step = max(1, 2**16 // nodes)
     for i in range(0, rho.size, step):
@@ -157,12 +171,13 @@ def _unfolded_jacobi(xi, spec):
 
 def _spy_node_counts(monkeypatch):
     counts = []
+    rule = kernel._jacobi_rule
 
-    def spy(k, a, b):
+    def spy(k, a):
         counts.append(k)
-        return roots_jacobi(k, a, b)
+        return rule(k, a)
 
-    monkeypatch.setattr(kernel, "roots_jacobi", spy)
+    monkeypatch.setattr(kernel, "_jacobi_rule", spy)
     return counts
 
 
@@ -196,19 +211,28 @@ def _default_grid_node_counts(monkeypatch):
     return sorted(set(counts))
 
 
-def test_roots_jacobi_is_exactly_symmetric_at_the_default_node_counts(monkeypatch):
+def test_jacobi_rule_is_exactly_symmetric_at_the_default_node_counts(monkeypatch):
     # the fold in omega_hat_jacobi relies on these identities bit for bit
     counts = _default_grid_node_counts(monkeypatch)
     assert len(counts) == 4
     for k in counts + [24, 25]:
         for alpha, n in ((0.1, 2), (0.5, 1), (0.9, 1), (0.5, 2), (1.5, 2)):
             lam = 0.5 - KernelSpec(alpha, n).bessel_order
-            s, w = roots_jacobi(k, -lam, -lam)
+            s, w = kernel._jacobi_rule(k, -lam)
             assert np.array_equal(s, -s[::-1]), (k, alpha, n)
             assert np.array_equal(w, w[::-1]), (k, alpha, n)
             assert np.all(s[k - k // 2:] > 0.0)
             if k % 2:
                 assert s[k // 2] == 0.0
+
+
+def test_jacobi_rule_matches_scipy_nodes_to_rounding():
+    # scipy's roots_jacobi is an independent construction of the same nodes
+    for k in (24, 25, 136, 249):
+        for a in (-0.925, -0.5, 0.0, 0.4):
+            s, _ = kernel._jacobi_rule(k, a)
+            want, _ = roots_jacobi(k, a, a)
+            assert np.max(np.abs(s - want)) <= 4e-16, (k, a)
 
 
 def test_zero_frequency_mass_formula():

@@ -122,6 +122,39 @@ def test_gamma_helpers():
     assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
 
 
+@pytest.mark.parametrize("x", [-7.0, -3.0, -1.0, -0.0, 0.0, -2.5, -0.3, 1e-300, 0.075,
+                               0.5, 1.0, 1.925, 5.0, 37.3, 171.5, 171.7, 200.0, 1e6])
+def test_reciprocal_gamma_matches_mpmath_on_the_real_line(x):
+    # poles of Gamma are exact zeros, and past Gamma's overflow at 171.62
+    # the reciprocal underflows to exactly 0.0
+    got = reciprocal_gamma(x)
+    assert isinstance(got, float)
+    want = oracles.rgamma_reference(x)
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.7j, 1.0 - 0.3j, 0.125 + 2.0j, -0.6 + 0.05j,
+                               -3.5 + 1.5j, 2.75 - 4.0j, 0.4 + 9.0j, 7.25 + 0.5j])
+def test_reciprocal_gamma_matches_mpmath_off_the_real_line(z):
+    got = reciprocal_gamma(z)
+    assert isinstance(got, complex)
+    want = oracles.rgamma_reference(z)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_reciprocal_gamma_takes_the_real_path_on_the_real_axis():
+    for x in (0.5, 0.925, 3.25):
+        assert reciprocal_gamma(complex(x, 0.0)) == complex(reciprocal_gamma(x))
+    assert reciprocal_gamma(complex(-2.0, 0.0)) == 0j
+    grid = np.array([[0.5, -1.0], [2.0, 171.7]])
+    got = reciprocal_gamma(grid)
+    assert got.shape == grid.shape and got.dtype == np.float64
+    assert np.array_equal(got, [[reciprocal_gamma(v) for v in row] for row in grid])
+
+
 @given(rho=st.floats(min_value=0.1, max_value=500.0))
 @settings(max_examples=80, deadline=None)
 def test_recurrence_links_adjacent_orders(rho):
