@@ -22,12 +22,10 @@ The package is organized bottom-up:
 from .kernel import (
     KernelSpec,
     KernelValidityError,
-    UnsupportedParameterError,
     gamma_const,
     lambda_of,
     multiplier_split,
     omega_hat,
-    omega_hat_adjoint,
     omega_hat_jacobi,
     omega_physical,
 )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conop import RadialQuadrature
 from .fields import PHYSICAL, DomainTagError, Field, SpacetimeField
-from .kernel import KernelSpec, omega_hat, omega_hat_adjoint
+from .kernel import KernelSpec, omega_hat
 from .specialfn import bessel_remainder
 from . import fields as _fields
 
@@ -213,8 +213,8 @@ def mixed_norm(f: Field, spec: KernelSpec, mn: MixedNormSpec) -> float:
     scattered back, and blocks of nodes are transformed back together
     along a leading axis; the q-norm of each node's convolution is taken
     on its physical samples.  The (0, r_min) mass is restored in closed
-    form when the grid asks for completion: there the convolution tends
-    to omega_hat(0) * f, so the integrand's limit is known exactly.
+    form: there the convolution tends to omega_hat(0) * f, so the
+    integrand's limit is known exactly.
     """
     return mixed_norms([f], spec, mn)[0]
 
@@ -263,8 +263,7 @@ def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
     out = []
     for row, f_norm in zip(norms, f_norms):
         total = float(np.sum(w * row**mn.s))
-        if quad.completion:
-            total += mass * (omega_hat(0.0, spec) * f_norm) ** mn.s
+        total += mass * (omega_hat(0.0, spec) * f_norm) ** mn.s
         out.append(float(total ** (1.0 / mn.s)))
     return out
 
@@ -609,7 +608,7 @@ def crucial_estimate_ratio(spec: KernelSpec, q: float, r: float, s: float,
         raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
 
     xi = f.grid.freq_radius()
-    symbol = omega_hat(r * xi, spec) * omega_hat_adjoint(s * xi, spec)
+    symbol = omega_hat(r * xi, spec) * omega_hat(s * xi, spec)
     g = Field(f.grid, _fields.real_symbol_apply(f.samples)(symbol))
 
     big_a = (n + 1) / (2.0 * n) * spec.alpha

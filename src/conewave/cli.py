@@ -73,7 +73,7 @@ class ConfigError(ValueError):
 
 
 _DEFAULTS = {
-    "kernel": {"alpha": "0.5", "n": "1", "v": "0.0"},
+    "kernel": {"alpha": "0.5", "n": "1"},
     "kernel-table": {
         "xi_max": "10.0",
         "xi_count": "201",
@@ -197,11 +197,7 @@ def _widths(cfg, sec, key) -> list:
 
 def _kernel_from(cfg) -> KernelSpec:
     try:
-        return KernelSpec(
-            _to_float(cfg, "kernel", "alpha"),
-            _to_int(cfg, "kernel", "n"),
-            _to_float(cfg, "kernel", "v"),
-        )
+        return KernelSpec(_to_float(cfg, "kernel", "alpha"), _to_int(cfg, "kernel", "n"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -306,8 +302,7 @@ def _grid_prov(stg: SpacetimeGrid) -> str:
 
 
 def _quad_prov(quad: RadialQuadrature) -> str:
-    tail = " with completion" if quad.completion else ""
-    return f"radial nodes {quad.count} on [{quad.r_min:.6g}, {quad.r_max:.6g}]{tail}"
+    return f"radial nodes {quad.count} on [{quad.r_min:.6g}, {quad.r_max:.6g}] with completion"
 
 
 def _pool_map(fn, items, jobs):
@@ -385,7 +380,7 @@ def battery_bessel() -> list:
 
 
 def battery_ft_identity() -> list:
-    """Physical-vs-spectral agreement for distinguished kernels.
+    """Physical-vs-spectral agreement of the kernel profile.
 
     The Gauss-Jacobi quadrature of the density (projected onto a line for
     n > 1) shares no arithmetic with the Bessel-series profile it judges.
@@ -408,7 +403,7 @@ def battery_ft_identity() -> list:
     for alpha, n in ((0.5, 1), (0.5, 2), (1.0, 2), (1.5, 3)):
         spec = KernelSpec(alpha, n)
         nu = spec.bessel_order
-        want = float(np.pi**nu * reciprocal_gamma(nu + 1.0).real)
+        want = float(np.pi**nu * reciprocal_gamma(nu + 1.0))
         got = omega_hat(0.0, spec)
         diff = abs(got - want)
         records.append(
@@ -851,14 +846,31 @@ def battery_mixed_norm() -> list:
     return records
 
 
-_SUITES = ("bessel", "ft-identity", "case-bounds", "stein-weiss", "crucial", "mixed-norm")
+def _stein_weiss_from(cfg, seed, jobs) -> list:
+    bumps = _to_int(cfg, "stein-weiss", "bumps")
+    depth = _to_int(cfg, "stein-weiss", "depth")
+    if bumps < 2 or depth < 4:
+        raise ConfigError("stein-weiss needs bumps >= 2 and depth >= 4")
+    return battery_stein_weiss(seed=seed, jobs=jobs, bumps=bumps, depth=depth)
+
+
+# suite name -> records(cfg, seed, jobs)
+_SUITES = {
+    "bessel": lambda cfg, seed, jobs: battery_bessel(),
+    "ft-identity": lambda cfg, seed, jobs: battery_ft_identity(),
+    "case-bounds": lambda cfg, seed, jobs: battery_case_bounds(_to_int(cfg, "case-bounds", "n")),
+    "stein-weiss": _stein_weiss_from,
+    "crucial": lambda cfg, seed, jobs: battery_crucial(),
+    "mixed-norm": lambda cfg, seed, jobs: battery_mixed_norm(),
+}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report payload, which main writes out as
+# report.json and records.csv
 
 
-def cmd_kernel_table(cfg, out_dir, seed, jobs) -> int:
+def cmd_kernel_table(cfg, args) -> dict:
     spec = _kernel_from(cfg)
     xi_max = _to_float(cfg, "kernel-table", "xi_max")
     xi_count = _to_int(cfg, "kernel-table", "xi_count")
@@ -869,8 +881,8 @@ def cmd_kernel_table(cfg, out_dir, seed, jobs) -> int:
 
     xi = np.linspace(0.0, xi_max, xi_count)
     x = np.linspace(-x_max, x_max, x_count)
-    spectral_path = os.path.join(out_dir, "kernel_spectral.csv")
-    physical_path = os.path.join(out_dir, "kernel_physical.csv")
+    spectral_path = os.path.join(args.out, "kernel_spectral.csv")
+    physical_path = os.path.join(args.out, "kernel_physical.csv")
     try:
         counts = write_kernel_tables(spec, xi, x, spectral_path, physical_path)
     except ValueError as exc:
@@ -915,47 +927,25 @@ def cmd_kernel_table(cfg, out_dir, seed, jobs) -> int:
         _rec("zero-frequency mass", mass, None, True, "closed-form total mass")
     )
 
-    report = _report("kernel-table", cfg, seed, records,
-                     files={"spectral": spectral_path, "physical": physical_path})
-    write_report(os.path.join(out_dir, "report.json"), report)
-    write_records_csv(os.path.join(out_dir, "records.csv"), records)
-    return 0 if report["passed"] else 2
+    return _report("kernel-table", cfg, args.seed, records,
+                   files={"spectral": spectral_path, "physical": physical_path})
 
 
-def cmd_verify(suite, cfg, out_dir, seed, jobs) -> int:
-    if suite == "bessel":
-        records = battery_bessel()
-    elif suite == "ft-identity":
-        records = battery_ft_identity()
-    elif suite == "case-bounds":
-        records = battery_case_bounds(_to_int(cfg, "case-bounds", "n"))
-    elif suite == "stein-weiss":
-        bumps = _to_int(cfg, "stein-weiss", "bumps")
-        depth = _to_int(cfg, "stein-weiss", "depth")
-        if bumps < 2 or depth < 4:
-            raise ConfigError("stein-weiss needs bumps >= 2 and depth >= 4")
-        records = battery_stein_weiss(seed=seed, jobs=jobs, bumps=bumps, depth=depth)
-    elif suite == "crucial":
-        records = battery_crucial()
-    elif suite == "mixed-norm":
-        records = battery_mixed_norm()
-    else:
-        raise ConfigError(f"unknown verify suite {suite!r}; known: {', '.join(_SUITES)}")
-
-    report = _report("verify", cfg, seed, records, suite=suite)
-    write_report(os.path.join(out_dir, "report.json"), report)
-    write_records_csv(os.path.join(out_dir, "records.csv"), records)
-    return 0 if report["passed"] else 2
+def cmd_verify(cfg, args) -> dict:
+    records = _SUITES[args.suite](cfg, args.seed, args.jobs)
+    return _report("verify", cfg, args.seed, records, suite=args.suite)
 
 
 def _ladder(lo: float, hi: float, step: float, what: str) -> list:
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError(f"{what}: min, max and step must be finite")
     if step <= 0 or hi < lo:
         raise ConfigError(f"{what}: need min <= max and step > 0")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + i * step for i in range(count)]
 
 
-def cmd_scan_region(cfg, out_dir, seed, jobs) -> int:
+def cmd_scan_region(cfg, args) -> dict:
     sec = "scan-region"
     n = _to_int(cfg, sec, "n")
     if n < 1:
@@ -1009,13 +999,13 @@ def cmd_scan_region(cfg, out_dir, seed, jobs) -> int:
                                             family, labels)
                     for pt in probes[alpha]]
 
-        for alpha, ladder_stats in zip(probes, _pool_map(ladder, list(probes), jobs)):
+        for alpha, ladder_stats in zip(probes, _pool_map(ladder, list(probes), args.jobs)):
             for pt, stats in zip(probes[alpha], ladder_stats):
                 tv = boundedness_verdict(deltas, stats.ratios)
                 ratio_cols[pt] = (stats.maximum, max(stats.ratios) / min(stats.ratios),
                                   tv.verdict)
 
-    csv_path = os.path.join(out_dir, "scan.csv")
+    csv_path = os.path.join(args.out, "scan.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["inv_p", "inv_q", "alpha", "n", "region",
@@ -1054,14 +1044,11 @@ def cmd_scan_region(cfg, out_dir, seed, jobs) -> int:
             )
         )
 
-    report = _report("scan-region", cfg, seed, records,
-                     files={"scan": csv_path}, points=len(points), tally=tally)
-    write_report(os.path.join(out_dir, "report.json"), report)
-    write_records_csv(os.path.join(out_dir, "records.csv"), records)
-    return 0 if report["passed"] else 2
+    return _report("scan-region", cfg, args.seed, records,
+                   files={"scan": csv_path}, points=len(points), tally=tally)
 
 
-def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
+def cmd_op_apply(cfg, args) -> dict:
     sec = "op-apply"
     in_path = cfg[sec]["input"]
     if not in_path:
@@ -1128,7 +1115,7 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
         # problems at this level, not numerical failures
         raise ConfigError(str(exc))
 
-    out_path = os.path.join(out_dir, "result.field")
+    out_path = os.path.join(args.out, "result.field")
     save_field(out_field, out_path)
     prov = f"{_grid_prov(grid)}; {_quad_prov(quad)}; path {path}"
     records = [
@@ -1169,14 +1156,11 @@ def cmd_op_apply(cfg, out_dir, seed, jobs) -> int:
                  "relative L2 difference between independent evaluation routes")
         )
 
-    report = _report("op-apply", cfg, seed, records,
-                     files={"result": out_path}, diagnostics=diag)
-    write_report(os.path.join(out_dir, "report.json"), report)
-    write_records_csv(os.path.join(out_dir, "records.csv"), records)
-    return 0 if report["passed"] else 2
+    return _report("op-apply", cfg, args.seed, records,
+                   files={"result": out_path}, diagnostics=diag)
 
 
-def cmd_norm_test(cfg, out_dir, seed, jobs) -> int:
+def cmd_norm_test(cfg, args) -> dict:
     sec = "norm-test"
     alpha = _to_float(cfg, sec, "alpha")
     n = _to_int(cfg, sec, "n")
@@ -1211,7 +1195,7 @@ def cmd_norm_test(cfg, out_dir, seed, jobs) -> int:
         m = symbol(stg, spec, quad, path)
         stats = operator_ratio_estimate(lambda f: apply_symbol(f, m), inv_p, inv_q, members,
                                         labels=[f"width {d:g}" for d in deltas],
-                                        pool_map=lambda fn, items: _pool_map(fn, items, jobs))
+                                        pool_map=lambda fn, items: _pool_map(fn, items, args.jobs))
     except ValueError as exc:
         raise ConfigError(str(exc))
     tv = boundedness_verdict(deltas, stats.ratios)
@@ -1234,16 +1218,22 @@ def cmd_norm_test(cfg, out_dir, seed, jobs) -> int:
         )
     )
 
-    report = _report(
-        "norm-test", cfg, seed, records,
+    return _report(
+        "norm-test", cfg, args.seed, records,
         region=region.value,
         ratio_stats={"max": stats.maximum, "median": stats.median, "mean": stats.mean},
         verdict={"spread": tv.spread, "fitted_exponent": tv.fitted_exponent,
                  "monotone": tv.monotone, "verdict": tv.verdict},
     )
-    write_report(os.path.join(out_dir, "report.json"), report)
-    write_records_csv(os.path.join(out_dir, "records.csv"), records)
-    return 0 if report["passed"] else 2
+
+
+_COMMANDS = {
+    "kernel-table": cmd_kernel_table,
+    "verify": cmd_verify,
+    "scan-region": cmd_scan_region,
+    "op-apply": cmd_op_apply,
+    "norm-test": cmd_norm_test,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1292,23 +1282,18 @@ def main(argv=None) -> int:
     if jobs < 1:
         print("conewave: config error: --jobs must be >= 1", file=sys.stderr)
         return 3
+    args.jobs = jobs
 
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "kernel-table":
-            code = cmd_kernel_table(cfg, args.out, args.seed, jobs)
-        elif args.command == "verify":
-            code = cmd_verify(args.suite, cfg, args.out, args.seed, jobs)
-        elif args.command == "scan-region":
-            code = cmd_scan_region(cfg, args.out, args.seed, jobs)
-        elif args.command == "op-apply":
-            code = cmd_op_apply(cfg, args.out, args.seed, jobs)
-        else:
-            code = cmd_norm_test(cfg, args.out, args.seed, jobs)
+        report = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"conewave: config error: {exc}", file=sys.stderr)
         return 3
+    write_report(os.path.join(args.out, "report.json"), report)
+    write_records_csv(os.path.join(args.out, "records.csv"), report["records"])
+    code = 0 if report["passed"] else 2
 
     # wall time is the one nondeterministic output; it stays on stderr so
     # the report files remain byte-identical across reruns

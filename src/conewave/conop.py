@@ -70,16 +70,15 @@ class RadialQuadrature:
     Trapezoid rule in log r: a node r_j carries weight
     dlog * c_j * r_j^(e+1) for the one-sided integral, doubled when both
     signs are requested (the integrand is even in r throughout this
-    package).  The floor r_min truncates the origin; when `completion` is
-    set, operators add back the closed-form mass of (0, r_min) with the
-    integrand frozen at its r -> 0 limit, which is exact up to O(r_min^2)
-    relative because every factor involved is even and smooth in r.
+    package).  The floor r_min truncates the origin; operators add back
+    the closed-form mass of (0, r_min) with the integrand frozen at its
+    r -> 0 limit, which is exact up to O(r_min^2) relative because every
+    factor involved is even and smooth in r.
     """
 
     r_min: float
     r_max: float
     count: int
-    completion: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.r_min) and np.isfinite(self.r_max)):
@@ -122,25 +121,24 @@ class RadialQuadrature:
         hi = self.r_max if r_max is None else float(r_max)
         per_decade = (self.count - 1) / np.log(self.r_max / self.r_min)
         cnt = max(8, int(round(density * per_decade * np.log(hi / lo))) + 1)
-        return RadialQuadrature(lo, hi, cnt, self.completion)
+        return RadialQuadrature(lo, hi, cnt)
 
     @classmethod
-    def for_grid(cls, grid: SpacetimeGrid, count: int = 160,
-                 completion: bool = True) -> "RadialQuadrature":
+    def for_grid(cls, grid: SpacetimeGrid, count: int = 160) -> "RadialQuadrature":
         # floor at a quarter time-step: shifts below one sample still move
         # spectral phase, and the small-r mass they carry is what makes
         # dilation-invariance checks close on default grids; cap at a
         # quarter extent to keep shifted slices clear of the torus seam
-        return cls(grid.t_spacing / 4.0, grid.t_extent / 4.0, count, completion)
+        return cls(grid.t_spacing / 4.0, grid.t_extent / 4.0, count)
 
 
 def apply_path(name: str):
     """The spatial profile of the operator path `name`, by its CLI name.
 
-    "multiplier" is omega_hat and "cone-direct" omega_hat_jacobi (v = 0
-    only); anything else raises ValueError.  The profile is read from this
-    module's namespace on each call, so a rebinding of omega_hat or
-    omega_hat_jacobi there (a tracer's wrapper, say) is what symbol uses.
+    "multiplier" is omega_hat and "cone-direct" omega_hat_jacobi; anything
+    else raises ValueError.  The profile is read from this module's
+    namespace on each call, so a rebinding of omega_hat or omega_hat_jacobi
+    there (a tracer's wrapper, say) is what symbol uses.
     """
     if name == "multiplier":
         return omega_hat
@@ -155,9 +153,9 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
            path: str = "multiplier") -> np.ndarray:
     """The (n+1)-dimensional symbol m(xi, tau) of the path `path` on grid.
 
-    Even in tau and real for v = 0, because both signs of r contribute
-    conjugate phases; assembled directly in cosine form so those
-    properties hold to the last bit.  The spatial profile P is the path's
+    Even in tau and real, because both signs of r contribute conjugate
+    phases; assembled directly in cosine form so those properties hold to
+    the last bit.  The spatial profile P is the path's
     (apply_path); quad defaults to RadialQuadrature.for_grid(grid).
     """
     if spec.n != grid.space.n:
@@ -182,8 +180,7 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
     np.cos(phases, out=phases)
     phases *= 2.0
     m = (weighted.T @ phases).reshape(grid.shape)
-    if quad.completion:
-        m += quad.completion_mass(e) * profile(0.0, spec)
+    m += quad.completion_mass(e) * profile(0.0, spec)
     return m
 
 

@@ -1,10 +1,10 @@
 """The unit-ball power kernel family and its frequency-side forms.
 
-A member is indexed by an order alpha in (0, n) for spatial dimension n,
-plus an imaginary offset v used for analytic continuation.  The real-space
-density gamma_c * (1 - |x|^2)^(-lam) only exists as a locally integrable
-function on the strip 0 < Re lam < 1; its Fourier transform, by contrast,
-extends to the whole family and is the workhorse here:
+A member is indexed by a real order alpha in (0, n) for spatial dimension
+n.  The real-space density gamma_c * (1 - |x|^2)^(-lam) only exists as a
+locally integrable function on the strip 0 < lam < 1; its Fourier
+transform, by contrast, extends to the whole family and is the workhorse
+here:
 
     spectral profile(xi) = (2 pi)^nu * J_nu(2 pi |xi|) / (2 pi |xi|)^nu
 
@@ -24,14 +24,12 @@ from .specialfn import bessel_j_scaled, bessel_main_term, reciprocal_gamma
 
 __all__ = [
     "KernelValidityError",
-    "UnsupportedParameterError",
     "KernelSpec",
     "lambda_of",
     "gamma_const",
     "omega_physical",
     "omega_hat",
     "omega_hat_jacobi",
-    "omega_hat_adjoint",
     "multiplier_split",
     "write_kernel_tables",
 ]
@@ -39,10 +37,6 @@ __all__ = [
 
 class KernelValidityError(ValueError):
     """Parameters outside the family's domain of definition."""
-
-
-class UnsupportedParameterError(ValueError):
-    """Parameters valid in principle but not implemented on this path."""
 
 
 def _check_dim(n) -> int:
@@ -54,16 +48,13 @@ def _check_dim(n) -> int:
     return n
 
 
-def lambda_of(alpha: float, n: int, v: float = 0.0) -> complex:
-    """Continuation parameter (n+1)/2 * (1 - alpha/n) + i v for alpha in (0, n)."""
+def lambda_of(alpha: float, n: int) -> float:
+    """Continuation parameter (n+1)/2 * (1 - alpha/n) for alpha in (0, n)."""
     n = _check_dim(n)
     alpha = float(alpha)
-    v = float(v)
     if not (np.isfinite(alpha) and 0.0 < alpha < n):
         raise KernelValidityError(f"order must satisfy 0 < alpha < {n}, got {alpha}")
-    if not np.isfinite(v):
-        raise KernelValidityError(f"imaginary offset must be finite, got {v}")
-    return complex(0.5 * (n + 1) * (1.0 - alpha / n), v)
+    return 0.5 * (n + 1) * (1.0 - alpha / n)
 
 
 @dataclass(frozen=True)
@@ -72,31 +63,23 @@ class KernelSpec:
 
     alpha : order of integration, 0 < alpha < n (open)
     n     : spatial dimension, >= 1
-    v     : imaginary offset of the continuation parameter; 0 selects the
-            distinguished member every operator path supports
     """
 
     alpha: float
     n: int
-    v: float = 0.0
 
     def __post_init__(self):
-        lambda_of(self.alpha, self.n, self.v)  # validates all three
+        lambda_of(self.alpha, self.n)  # validates both
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "v", float(self.v))
 
     @property
-    def lam(self) -> complex:
-        return lambda_of(self.alpha, self.n, self.v)
-
-    @property
-    def gamma_c(self) -> complex:
-        return gamma_const(self)
+    def lam(self) -> float:
+        return lambda_of(self.alpha, self.n)
 
     @property
     def bessel_order(self) -> float:
-        # n/2 - Re(lam), linear in alpha; ranges over (-1/2, (n+1)/2 - 1/2)
+        # n/2 - lam, linear in alpha; ranges over (-1/2, (n+1)/2 - 1/2)
         return (self.n + 1) / (2 * self.n) * self.alpha - 0.5
 
     @property
@@ -106,7 +89,7 @@ class KernelSpec:
         return (self.n + 1) / self.n
 
 
-def gamma_const(spec: KernelSpec) -> complex:
+def gamma_const(spec: KernelSpec) -> float:
     """Normalizing constant pi^(-lam) / Gamma(1 - lam).
 
     Entire in lam thanks to the reciprocal gamma; vanishes exactly where
@@ -114,33 +97,25 @@ def gamma_const(spec: KernelSpec) -> complex:
     absorbs what would otherwise be poles of the unnormalized density.
     """
     lam = spec.lam
-    return complex(np.pi ** (-lam) * reciprocal_gamma(1.0 - lam))
-
-
-def _require_distinguished(spec: KernelSpec, what: str) -> None:
-    if spec.v != 0.0:
-        raise UnsupportedParameterError(
-            f"{what} is implemented for v = 0 only (got v = {spec.v})"
-        )
+    return float(np.pi ** (-lam) * reciprocal_gamma(1.0 - lam))
 
 
 def omega_physical(x, spec: KernelSpec):
     """Real-space kernel density at |x| (scalar or array of radii or points).
 
-    Only defined on the strip 0 < Re lam < 1, i.e. for orders with
+    Only defined on the strip 0 < lam < 1, i.e. for orders with
     n (n-1)/(n+1) < alpha < n; elsewhere the family exists only as a
     distribution and this raises.  Zero outside the open unit ball.
     """
-    _require_distinguished(spec, "the real-space density")
-    lam = spec.lam.real
+    lam = spec.lam
     if not 0.0 < lam < 1.0:
         raise KernelValidityError(
-            f"real-space density needs 0 < Re lam < 1, got Re lam = {lam:g}"
+            f"real-space density needs 0 < lam < 1, got lam = {lam:g}"
         )
     r = np.abs(np.asarray(x, dtype=float))
     out = np.zeros_like(r)
     inside = r < 1.0
-    g = gamma_const(spec).real
+    g = gamma_const(spec)
     out[inside] = g * (1.0 - r[inside] ** 2) ** (-lam)
     if np.ndim(x) == 0:
         return float(out[()])
@@ -151,9 +126,8 @@ def omega_hat(xi, spec: KernelSpec):
     """Spectral profile at frequency xi (radial; accepts |xi| or points).
 
     Smooth at 0 with value pi^nu / Gamma(nu+1); decays like |xi|^(-nu-1/2)
-    with an oscillating phase.  Real-valued for v = 0.
+    with an oscillating phase.  Real and even, so it is its own adjoint.
     """
-    _require_distinguished(spec, "the spectral profile")
     nu = spec.bessel_order
     rho = 2.0 * np.pi * np.abs(np.asarray(xi, dtype=float))
     out = (2.0 * np.pi) ** nu * np.asarray(bessel_j_scaled(nu, rho))
@@ -236,7 +210,7 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
 
     and Jacobi nodes carry the endpoint weight exactly.  This shares no
     arithmetic with the Bessel evaluation behind omega_hat, and lam' < 1
-    holds for every order, so it covers the whole v = 0 family.  The node
+    holds for every order, so it covers the whole family.  The node
     count K grows with the largest |xi| requested.  The Jacobi weight is
     even and the rule (_jacobi_rule) is exactly symmetric by construction,
     so the cosine sum is folded: cosines are taken at the K // 2 positive
@@ -249,7 +223,6 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
     to 64 (r_max times Nyquist on the default n = 1 spacetime grid) and
     2.7e-12 up to 128.
     """
-    _require_distinguished(spec, "the Gauss-Jacobi profile")
     lam = 0.5 - spec.bessel_order
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
     nodes = int(np.ceil(3.5 * rho.max(initial=0.0))) + 24
@@ -270,16 +243,6 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
     return out.reshape(np.shape(xi))
 
 
-def omega_hat_adjoint(xi, spec: KernelSpec):
-    """Spectral profile of the reflected conjugate kernel.
-
-    The profile of v = 0 members is real and even, so this coincides with
-    omega_hat there; it exists separately so composition identities read
-    the same way they do for general v.
-    """
-    return np.conjugate(omega_hat(xi, spec))
-
-
 def multiplier_split(xi, spec: KernelSpec):
     """Decompose the profile as a main oscillation plus a remainder.
 
@@ -292,7 +255,6 @@ def multiplier_split(xi, spec: KernelSpec):
     a = nu + 1/2; the remainder then inherits the Bessel remainder's decay,
     one extra power of 1/|xi| beyond the main term.  Requires xi != 0.
     """
-    _require_distinguished(spec, "the multiplier split")
     nu = spec.bessel_order
     r = np.abs(np.asarray(xi, dtype=float))
     if r.size and np.any(r == 0.0):
@@ -321,7 +283,6 @@ def write_kernel_tables(spec: KernelSpec, xi_values, x_values,
     the density's strip, so a refusal is visible in the artifact rather
     than silently absent.  Returns row counts.
     """
-    _require_distinguished(spec, "kernel tables")
     xi_values = np.asarray(xi_values, dtype=float).ravel()
     x_values = np.asarray(x_values, dtype=float).ravel()
 
@@ -340,7 +301,7 @@ def write_kernel_tables(spec: KernelSpec, xi_values, x_values,
     with open(physical_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "omega"])
-        if 0.0 < spec.lam.real < 1.0:
+        if 0.0 < spec.lam < 1.0:
             for x in x_values:
                 w.writerow([_g(x), _g(omega_physical(float(x), spec))])
                 physical_rows += 1

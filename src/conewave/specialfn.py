@@ -12,7 +12,6 @@ point is chosen so both converge to full double precision on their side.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -34,16 +33,6 @@ _SERIES_KMAX = 120
 _HANKEL_KMAX = 26
 
 _MIN_ORDER = -0.5
-
-# Lanczos approximation, g = 7 with nine coefficients (Godfrey), for
-# Re z >= 1/2; the rest of the plane is reflected.  Relative error against
-# mpmath: about 5e-15 for |Im z| <= 2, 7e-14 at |Im z| = 9.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-    771.32342877765313, -176.61502916214059, 12.507343278686905,
-    -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7,
-)
 
 
 def _as_order(nu: float) -> float:
@@ -98,36 +87,16 @@ def _rgamma_real(x: float) -> float:
     return 1.0 / g if g else math.copysign(math.inf, g)
 
 
-def _rgamma_complex(z: complex) -> complex:
-    if z.imag == 0.0:
-        return complex(_rgamma_real(z.real))
-    if z.real < 0.5:
-        # reflection: 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi
-        return cmath.sin(math.pi * z) / (math.pi * _rgamma_complex(1.0 - z))
-    z -= 1.0
-    series = _LANCZOS[0] + sum(c / (z + k) for k, c in enumerate(_LANCZOS[1:], 1))
-    t = z + _LANCZOS_G + 0.5
-    # Gamma(z + 1) = sqrt(2 pi) t^(z + 1/2) e^(-t) series
-    return cmath.exp(t - (z + 0.5) * cmath.log(t)) / (math.sqrt(2.0 * math.pi) * series)
+def reciprocal_gamma(x):
+    """1/Gamma(x) on the reals, entire: poles of Gamma map to exact zeros.
 
-
-def reciprocal_gamma(z):
-    """1/Gamma(z), entire: poles of Gamma map to exact zeros.
-
-    Accepts real or complex input; this is the form the kernel constant
-    needs, since 1 - lambda crosses nonpositive integers only in limits.
-    Real arguments, and complex ones on the real axis, take math.gamma
-    (0.0 past its overflow at x = 171.62); the rest of the plane takes a
-    Lanczos approximation with reflection.
+    This is the form the kernel constant needs, since 1 - lambda crosses
+    nonpositive integers only in limits.  Evaluated by math.gamma, with
+    0.0 past its overflow at x = 171.62.
     """
-    arr = np.asarray(z)
-    if np.iscomplexobj(arr):
-        out = np.array([_rgamma_complex(complex(c)) for c in arr.flat], dtype=complex)
-    else:
-        out = np.array([_rgamma_real(float(x)) for x in arr.flat], dtype=float)
-    if arr.ndim == 0:
-        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
-    return out.reshape(arr.shape)
+    arr = np.asarray(x, dtype=float)
+    out = np.array([_rgamma_real(v) for v in arr.flat]).reshape(arr.shape)
+    return _give_back(out, x)
 
 
 def _series_sum(nu: float, rho: np.ndarray) -> np.ndarray:

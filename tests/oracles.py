@@ -28,11 +28,9 @@ def scaled_bessel_reference(nu: float, rho: float) -> float:
     return float(mpmath.besselj(nu, rho) / mpmath.mpf(rho) ** nu)
 
 
-def rgamma_reference(z):
-    """1/Gamma(z) for a real or complex z."""
-    if isinstance(z, complex):
-        return complex(mpmath.rgamma(mpmath.mpc(z)))
-    return float(mpmath.rgamma(mpmath.mpf(z)))
+def rgamma_reference(x: float) -> float:
+    """1/Gamma(x) for a real x."""
+    return float(mpmath.rgamma(mpmath.mpf(x)))
 
 
 def envelope_reference(nu: float, rho: float) -> float:

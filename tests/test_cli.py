@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import configparser
 import csv
 import json
+import re
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +78,23 @@ def test_bad_flag_value_exits_three():
 def test_unknown_config_key_exits_three(tmp_path):
     code, _ = run(tmp_path, "verify", "bessel", config="[kernel]\nalfa = 0.5\n")
     assert code == 3
+
+
+def test_kernel_offset_key_is_unknown(tmp_path, capsys):
+    # the kernel family is real-order: [kernel] takes alpha and n only
+    code, out = run(tmp_path, "kernel-table", config="[kernel]\nv = 0.0\n")
+    assert code == 3
+    assert "unknown key 'v' in [kernel]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_block_matches_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Configuration.*?```ini\n(.*?)```", readme, re.S).group(1)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    documented = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+    assert documented == cli._DEFAULTS
 
 
 def test_unknown_config_section_exits_three(tmp_path):
@@ -318,6 +338,17 @@ def test_scan_region_reproduces_the_window(tmp_path):
         0.95: "OpenGap",
     }.items():
         assert by_ip[ip] == want, ip
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha_min", "nan"), ("alpha_max", "inf"), ("alpha_step", "nan"), ("alpha_step", "inf"),
+    ("inv_p_min", "-inf"), ("inv_p_max", "nan"), ("inv_p_step", "inf"),
+])
+def test_scan_region_refuses_a_non_finite_range(tmp_path, capsys, key, value):
+    code, _ = run(tmp_path, "scan-region", config=f"[scan-region]\n{key} = {value}\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
 
 
 def test_scan_region_rejects_ratios_beyond_one_dimension(tmp_path):

@@ -16,7 +16,6 @@ from conewave import (
     SpacetimeGrid,
     Grid,
     UnderResolvedWarning,
-    UnsupportedParameterError,
     apply_symbol,
     convergence_check,
     fourier_transform,
@@ -62,8 +61,7 @@ def _slices(f: SpacetimeField, spec: KernelSpec, quad: RadialQuadrature) -> Spac
         conv = inverse_axes(fx * omega_hat(r * xi, spec)[..., None], x_axes, x_spacings)
         ct = forward_axes(conv, t_axis, t_spacing)
         out += w * inverse_axes(ct * (2.0 * np.cos(2.0 * np.pi * r * tau)), t_axis, t_spacing)
-    if quad.completion:
-        out += quad.completion_mass(e) * omega_hat(0.0, spec) * f.samples
+    out += quad.completion_mass(e) * omega_hat(0.0, spec) * f.samples
     return SpacetimeField(g, out)
 
 
@@ -229,13 +227,6 @@ def test_cone_direct_agrees_in_two_dimensions():
         a = _apply(f, spec, quad)
         b = _apply(f, spec, quad, "cone-direct")
         assert _rel(b, a) < 1e-10, alpha
-
-
-def test_cone_direct_refuses_imaginary_offset():
-    g = _grid(32, 16.0)
-    f = ens.gaussian_spacetime(g, 1.0)
-    with pytest.raises(UnsupportedParameterError):
-        _apply(f, KernelSpec(0.5, 1, v=0.3), RadialQuadrature.for_grid(g, 16), "cone-direct")
 
 
 def test_symbol_and_apply_symbol_compose_the_paths():

@@ -32,20 +32,19 @@ _WITHOUT_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
 from conewave import cli, ensembles, fields
-from conewave.kernel import KernelSpec, gamma_const
 
 g = fields.SpacetimeGrid(fields.Grid(1, 64, 16.0), 64, 16.0)
 fields.save_field(ensembles.gaussian_spacetime(g, 1.5), "g.field")
 with open("op.ini", "w") as fh:
     fh.write("[op-apply]\\ninput = g.field\\ncount = 48\\n")
 with open("kt.ini", "w") as fh:
-    fh.write("[kernel]\\nv = 0.3\\n[kernel-table]\\nxi_count = 9\\nx_count = 9\\n")
+    fh.write("[kernel-table]\\nxi_count = 9\\nx_count = 9\\n")
 codes = {
     "ft-identity": cli.main(["--out", "ft", "verify", "ft-identity"]),
     "op-apply": cli.main(["--out", "op", "--config", "op.ini", "op-apply"]),
     "kernel-table": cli.main(["--out", "kt", "--config", "kt.ini", "kernel-table"]),
 }
-print(json.dumps({"codes": codes, "gamma_c": repr(gamma_const(KernelSpec(0.5, 1, 0.3))),
+print(json.dumps({"codes": codes,
                   "scipy_loaded": [m for m in sys.modules if m.startswith("scipy.")]}))
 """
 
@@ -56,13 +55,11 @@ def test_commands_run_with_scipy_unimportable(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["codes"]["ft-identity"] in (0, 2)
     assert out["codes"]["op-apply"] in (0, 2)
-    # kernel tables exist for v = 0 only: v != 0 is refused as a
-    # configuration error (exit 3), not by a failed import
-    assert out["codes"]["kernel-table"] == 3
-    assert "v = 0 only" in proc.stderr and "Traceback" not in proc.stderr
-    assert complex(out["gamma_c"]).imag != 0.0
+    # the physical table evaluates the density constant's 1/Gamma
+    assert out["codes"]["kernel-table"] == 0
+    assert "Traceback" not in proc.stderr
     assert out["scipy_loaded"] == []
-    for name in ("ft", "op"):
+    for name in ("ft", "op", "kt"):
         report = json.loads((tmp_path / name / "report.json").read_text())
         assert report["versions"]["scipy"] == cli._scipy_version()
 
