@@ -609,7 +609,7 @@ def crucial_estimate_ratio(spec: KernelSpec, q: float, r: float, s: float,
 
     xi = f.grid.freq_radius()
     symbol = omega_hat(r * xi, spec) * omega_hat(s * xi, spec)
-    g = Field(f.grid, _fields.real_symbol_apply(f.samples)(symbol))
+    g = Field(f.grid, _fields._real_symbol_apply_once(f.samples, symbol))
 
     big_a = (n + 1) / (2.0 * n) * spec.alpha
     mid = 1.0 if n == 1 else abs(r - s) ** (-(n - 1) / n * spec.alpha)

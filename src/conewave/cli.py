@@ -936,13 +936,24 @@ def cmd_verify(cfg, args) -> dict:
     return _report("verify", cfg, args.seed, records, suite=args.suite)
 
 
-def _ladder(lo: float, hi: float, step: float, what: str) -> list:
+# the most alpha x inv_p grid points one scan-region run takes; a finer
+# grid is refused before any list is built
+_MAX_SCAN_POINTS = 100_000
+
+
+def _ladder(cfg, sec: str, key: str) -> tuple:
+    # (min, step, count) of the key's ladder min, min + step, ... <= max
+    lo, hi, step = (_to_float(cfg, sec, f"{key}_{end}") for end in ("min", "max", "step"))
+    what = f"{key} range"
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ConfigError(f"{what}: min, max and step must be finite")
     if step <= 0 or hi < lo:
         raise ConfigError(f"{what}: need min <= max and step > 0")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    steps = (hi - lo) / step + 1e-9
+    if math.isinf(steps):
+        raise ConfigError(f"{what}: step {step:g} is too small to count the points "
+                          f"from {lo:g} to {hi:g}")
+    return lo, step, math.floor(steps) + 1
 
 
 def cmd_scan_region(cfg, args) -> dict:
@@ -950,10 +961,13 @@ def cmd_scan_region(cfg, args) -> dict:
     n = _to_int(cfg, sec, "n")
     if n < 1:
         raise ConfigError("scan-region n must be a positive integer")
-    alphas = _ladder(_to_float(cfg, sec, "alpha_min"), _to_float(cfg, sec, "alpha_max"),
-                     _to_float(cfg, sec, "alpha_step"), "alpha range")
-    inv_ps = _ladder(_to_float(cfg, sec, "inv_p_min"), _to_float(cfg, sec, "inv_p_max"),
-                     _to_float(cfg, sec, "inv_p_step"), "inv_p range")
+    a_lo, a_step, a_count = _ladder(cfg, sec, "alpha")
+    p_lo, p_step, p_count = _ladder(cfg, sec, "inv_p")
+    if a_count * p_count > _MAX_SCAN_POINTS:
+        raise ConfigError(f"scan-region grid of {a_count} alpha x {p_count} inv_p = "
+                          f"{a_count * p_count} points exceeds the cap of {_MAX_SCAN_POINTS}")
+    alphas = [a_lo + i * a_step for i in range(a_count)]
+    inv_ps = [p_lo + i * p_step for i in range(p_count)]
     for a in alphas:
         if not 0.0 < a < n:
             raise ConfigError(f"scan-region alpha {a:g} leaves (0, {n})")
@@ -1247,7 +1261,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was, so every
+    # main() call in one process parses as a fresh process would
     parser = _Parser(prog="conewave", description="cone-kernel experiment driver")
     parser.add_argument("--config", metavar="PATH", help="INI-style run configuration")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",

@@ -34,6 +34,7 @@ than silently absorbed.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ from .fields import (
     DomainTagError,
     SpacetimeField,
     SpacetimeGrid,
+    _real_symbol_apply_once,
     real_symbol_apply,
 )
 from .kernel import KernelSpec, omega_hat, omega_hat_jacobi
@@ -184,37 +186,62 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
     return m
 
 
+def _check_input(f) -> None:
+    if not isinstance(f, SpacetimeField):
+        raise TypeError("operator paths act on spacetime fields")
+    if f.domain_tag != PHYSICAL:
+        raise DomainTagError("operator input must be a physical-domain field")
+
+
+def _equals_its_reflection(m: np.ndarray) -> bool:
+    # m[-k mod N] == m[k] on every axis, without a copy of m: along an
+    # axis index 0 is its own reflection and indices 1.. are each other's
+    # in reverse, so each of the 2^ndim blocks (index 0 or indices 1.. on
+    # each axis) must equal its flip over its 1.. axes, which is a view
+    for tail in itertools.product((False, True), repeat=m.ndim):
+        block = m[tuple(slice(1, None) if t else slice(0, 1) for t in tail)]
+        flipped = np.flip(block, axis=tuple(k for k, t in enumerate(tail) if t))
+        if not np.array_equal(block, flipped):
+            return False
+    return True
+
+
+def _checked_symbol(m, shape: tuple) -> np.ndarray:
+    m = np.asarray(m)
+    if m.shape != shape:
+        raise ValueError(f"symbol shape {m.shape} != grid shape {shape}")
+    if np.iscomplexobj(m):
+        raise ValueError(f"symbol must be real, got dtype {m.dtype}")
+    if not _equals_its_reflection(m):
+        raise ValueError("symbol must equal its point reflection m[-k mod N] on every axis")
+    return m
+
+
 def symbol_applier(f: SpacetimeField):
     """apply(m), the samples of the operator with symbol m applied to f.
 
     Each m must be real and equal to its point reflection m[-k mod N] on
     every axis, as every symbol of this module is (it is the transform of
     a real, even kernel); anything else is refused before any transform.
-    f is transformed by fields.real_symbol_apply on the first apply, after
-    which the applier holds only its spectrum, not f: a caller that drops
-    its own reference to f then holds one array of the input's size, and
-    every further symbol costs one inverse transform.  A real f (float64
-    samples, or complex samples whose imaginary part is all zero) takes a
-    real-input FFT pair on the half spectrum and apply returns float64; an
-    f with a nonzero imaginary part takes one complex pair and apply
-    returns complex128.  f is left unchanged.
+    The check compares m block by block with flipped views of itself, so
+    it copies nothing of m.  f is transformed by fields.real_symbol_apply
+    on the first apply, after which the applier holds only its spectrum,
+    not f: a caller that drops its own reference to f then holds one
+    array of the input's size.  Every further symbol costs one inverse
+    transform, run in place on a product copy, so the spectrum serves the
+    next symbol unchanged.  A real f (float64 samples, or complex samples
+    whose imaginary part is all zero) takes a real-input FFT pair on the
+    half spectrum and apply returns float64; an f with a nonzero
+    imaginary part takes one complex pair and apply returns complex128.
+    f is left unchanged.
     """
-    if not isinstance(f, SpacetimeField):
-        raise TypeError("operator paths act on spacetime fields")
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("operator input must be a physical-domain field")
+    _check_input(f)
     shape = f.grid.shape
     transformed = None
 
     def apply(m) -> np.ndarray:
         nonlocal f, transformed
-        m = np.asarray(m)
-        if m.shape != shape:
-            raise ValueError(f"symbol shape {m.shape} != grid shape {shape}")
-        if np.iscomplexobj(m):
-            raise ValueError(f"symbol must be real, got dtype {m.dtype}")
-        if not np.array_equal(m, np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))):
-            raise ValueError("symbol must equal its point reflection m[-k mod N] on every axis")
+        m = _checked_symbol(m, shape)
         if transformed is None:
             transformed = real_symbol_apply(f.samples)
             f = None  # the spectrum replaces the samples
@@ -224,13 +251,18 @@ def symbol_applier(f: SpacetimeField):
 
 
 def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
-    """The operator with symbol m applied to f: symbol_applier(f) used once.
+    """The operator with symbol m applied to f: symbol_applier(f)(m), bit
+    for bit, with the same checks.
 
-    A real f gives a float64 output field, a complex f a complex128 one;
-    the output array is wrapped as it is, without a copy.
+    Used once, the spectrum takes the product in place, so the apply
+    holds the spectrum and, for a real f, the output, and no product
+    copy.  A real f gives a float64 output field, a complex f a
+    complex128 one; the output array is wrapped as it is, without a copy.
+    f and m are left unchanged.
     """
-    out = symbol_applier(f)(m)
-    return SpacetimeField(f.grid, out, PHYSICAL)
+    _check_input(f)
+    m = _checked_symbol(m, f.grid.shape)
+    return SpacetimeField(f.grid, _real_symbol_apply_once(f.samples, m), PHYSICAL)
 
 
 def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,

@@ -282,6 +282,32 @@ def inverse_axes(samples: np.ndarray, axes, spacings) -> np.ndarray:
     return np.fft.fftshift(buf, axes=axes)
 
 
+def _spectrum(samples: np.ndarray):
+    # (spectrum, real): the half spectrum over the last axis when the
+    # samples are real (real is True), else the full one, in one fresh
+    # buffer; numpy's n-d transforms write their first stage into out= and
+    # run the later ones in place there
+    shape = samples.shape
+    axes = tuple(range(len(shape)))
+    if np.iscomplexobj(samples) and np.any(samples.imag):
+        return np.fft.fftn(samples, axes=axes, out=np.empty(shape, np.complex128)), False
+    buf = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), np.complex128)
+    return np.fft.rfftn(samples.real, axes=axes, out=buf), True
+
+
+def _inverse(buf: np.ndarray, shape: tuple, real: bool) -> np.ndarray:
+    # buf back to samples of the given shape over its trailing axes, in
+    # place; a real half spectrum takes irfftn's steps (ifft over the
+    # leading axes in increasing order, then irfft) with the last one
+    # into a fresh float64 output, so the bits are irfftn's
+    axes = tuple(range(buf.ndim - len(shape), buf.ndim))
+    if not real:
+        return np.fft.ifftn(buf, axes=axes, out=buf)
+    for k in axes[:-1]:
+        np.fft.ifft(buf, axis=k, out=buf)
+    return np.fft.irfft(buf, shape[-1], axis=axes[-1])
+
+
 def real_symbol_apply(samples: np.ndarray):
     """Prepare samples for Fourier multipliers m that are real and centrally
     symmetric over every axis, m[-k mod N] == m[k] in FFT layout; returns
@@ -290,37 +316,36 @@ def real_symbol_apply(samples: np.ndarray):
     Such an m is the transform of a real, even kernel, so applying it is a
     circular convolution: it commutes with the centering roll (no shift
     pair), the spacing scale and its inverse cancel, and real samples stay
-    real.  Samples are transformed once, here.  float64 samples go straight
-    into rfftn, and so does the real part of complex samples whose
-    imaginary part is all zero; apply(m) multiplies by the half of m over
-    the last axis's nonnegative frequencies (a view of m) and comes back
-    with irfftn into float64.  Samples with a nonzero imaginary part take
-    one complex pair on the full m, into complex128; measured, that is
-    faster and smaller than transforming the real and imaginary parts
-    apart.  m may carry leading axes, one output per leading index.
-    Callers check the precondition on m; this does not.
+    real.  Samples are transformed once, here, into one buffer.  float64
+    samples go straight into rfftn, and so does the real part of complex
+    samples whose imaginary part is all zero; apply(m) multiplies by the
+    half of m over the last axis's nonnegative frequencies (a view of m)
+    and comes back into float64 by irfftn's steps.  Samples with a nonzero
+    imaginary part take one complex pair on the full m, into complex128;
+    measured, that is faster and smaller than transforming the real and
+    imaginary parts apart.  Each apply multiplies into a copy of the
+    spectrum and transforms that copy back in place, so the spectrum
+    serves the next m unchanged and the bits are those of
+    irfftn(rfftn(samples) * m_half) (ifftn(fftn(samples) * m)).  m may
+    carry leading axes, one output per leading index.  Callers check the
+    precondition on m; this does not.
     """
     shape = samples.shape
-    axes = tuple(range(len(shape)))
+    spectrum, real = _spectrum(samples)
 
-    def out_axes(m):
-        # the transformed axes of m, after its leading ones
-        return tuple(range(m.ndim - len(shape), m.ndim))
-
-    if np.iscomplexobj(samples) and np.any(samples.imag):
-        spectrum = np.fft.fftn(samples, axes=axes)
-
-        def apply(m: np.ndarray) -> np.ndarray:
-            buf = spectrum * m
-            return np.fft.ifftn(buf, axes=out_axes(m), out=buf)
-    else:
-        half_spectrum = np.fft.rfftn(samples.real, axes=axes)
-        half = shape[-1] // 2 + 1
-
-        def apply(m: np.ndarray) -> np.ndarray:
-            return np.fft.irfftn(half_spectrum * m[..., :half], s=shape, axes=out_axes(m))
+    def apply(m: np.ndarray) -> np.ndarray:
+        return _inverse(spectrum * m[..., :spectrum.shape[-1]], shape, real)
 
     return apply
+
+
+def _real_symbol_apply_once(samples: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # real_symbol_apply(samples)(m) for one m of the samples' shape, bit for
+    # bit, with m multiplied into the spectrum in place instead of a copy:
+    # for callers that apply one symbol and drop the spectrum
+    spectrum, real = _spectrum(samples)
+    spectrum *= m[..., :spectrum.shape[-1]]
+    return _inverse(spectrum, samples.shape, real)
 
 
 def fourier_transform(f):
@@ -358,7 +383,7 @@ def convolve_omega(f: Field, spec: KernelSpec, r: float) -> Field:
     if spec.n != f.grid.n:
         raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
     mult = omega_hat(r * f.grid.freq_radius(), spec)
-    return Field(f.grid, real_symbol_apply(f.samples)(mult), PHYSICAL)
+    return Field(f.grid, _real_symbol_apply_once(f.samples, mult), PHYSICAL)
 
 
 # ---------------------------------------------------------------------------

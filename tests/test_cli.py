@@ -3,6 +3,7 @@
 import configparser
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -351,6 +352,26 @@ def test_scan_region_refuses_a_non_finite_range(tmp_path, capsys, key, value):
     assert "must be finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("config, named", [
+    ("alpha_step = 3e-7\n", "2000001 alpha x 17 inv_p = 34000017 points"),
+    ("alpha_step = 1e-4\n", "6001 alpha x 17 inv_p = 102017 points"),
+    ("inv_p_step = 5e-324\n", "too small to count"),
+])
+def test_scan_region_refuses_a_grid_past_the_cap(tmp_path, capsys, monkeypatch, config, named):
+    # both ladder counts are taken before any list is built, and a grid of
+    # more than 100 000 alpha x inv_p points exits 3 without a traceback
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a grid point")
+
+    monkeypatch.setattr(cli, "ExponentPoint", never)
+    code, out = run(tmp_path, "scan-region", config="[scan-region]\n" + config)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_scan_region_rejects_ratios_beyond_one_dimension(tmp_path):
     cfg = "[scan-region]\nn = 2\nwith_ratios = true\n"
     code, _ = run(tmp_path, "scan-region", config=cfg)
@@ -648,6 +669,39 @@ def test_ratio_ladders_refuse_repeated_widths_before_any_work(tmp_path, monkeypa
 
 # ---------------------------------------------------------------------------
 # console entry point
+
+
+def test_main_calls_in_one_process_behave_as_fresh_processes(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; a usage error in one main()
+    # call leaves the next one as a fresh process would run it, and back
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(cw.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
+    bad = ["--seed", "many", "verify", "bessel"]
+    good = ["--seed", "5", "--out", "out", "verify", "bessel"]
+    fresh = {}
+    for name, argv in (("bad", bad), ("good", good)):
+        where = tmp_path / f"fresh-{name}"
+        where.mkdir()
+        fresh[name] = subprocess.run([sys.executable, "-m", "conewave.cli"] + argv,
+                                     cwd=where, capture_output=True, text=True)
+    assert fresh["bad"].returncode == 3 and fresh["good"].returncode == 0
+    want = {name: (tmp_path / "fresh-good" / "out" / name).read_bytes()
+            for name in ("report.json", "records.csv")}
+    for i in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == fresh["bad"].stderr
+        where = tmp_path / f"here-{i}"
+        where.mkdir()
+        monkeypatch.chdir(where)
+        assert main(good) == 0
+        assert capsys.readouterr().err.startswith("conewave verify: exit 0,")
+        for name, data in want.items():
+            assert (where / "out" / name).read_bytes() == data, name
+
+
 
 
 def test_installed_entry_point_runs():

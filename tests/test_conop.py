@@ -1,12 +1,14 @@
 """Operator paths: quadrature, agreement, homogeneity, diagnostics."""
 
 import gc
+import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+import conewave.conop as conop
 import conewave.ensembles as ens
 from conewave import (
     Field,
@@ -384,6 +386,61 @@ def test_apply_symbol_refuses_asymmetric_symbols_before_any_transform(monkeypatc
         apply_symbol(f, broken)
     with pytest.raises(AssertionError):
         apply_symbol(f, m)  # the guard passes an unbroken symbol on
+
+
+def _roll_reflection_equal(m: np.ndarray) -> bool:
+    # the point-reflection test written out with a full reflected copy
+    return np.array_equal(m, np.roll(np.flip(m), 1, axis=tuple(range(m.ndim))))
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 2), (16, 8), (5, 4, 3), (8, 8, 8)])
+def test_reflection_guard_agrees_with_the_reflected_copy(shape):
+    # the blockwise guard, which copies nothing of m, refuses exactly what
+    # the comparison with a reflected copy refuses
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal(shape)
+    m = a + np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+    assert conop._equals_its_reflection(m)
+    for _ in range(20):
+        broken = m.copy()
+        k = tuple(int(rng.integers(0, n)) for n in shape)
+        broken[k] = np.nextafter(broken[k], np.inf)
+        assert conop._equals_its_reflection(broken) == _roll_reflection_equal(broken), k
+    # the origin is its own reflection, so it may change alone
+    edge = m.copy()
+    edge[(0,) * len(shape)] += 1.0
+    assert conop._equals_its_reflection(edge) and _roll_reflection_equal(edge)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_apply_symbol_leaves_its_input_and_symbol_unchanged(kind):
+    # used once, the apply multiplies into its own spectrum, never into f or m
+    g, spec = _APPLY_GRIDS[2]
+    m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
+    f = _random_field(g, kind, 19)
+    keep_f, keep_m = f.samples.copy(), m.copy()
+    out = apply_symbol(f, m)
+    assert np.array_equal(f.samples, keep_f) and np.array_equal(m, keep_m)
+    assert np.array_equal(out.samples, symbol_applier(f)(m))
+
+
+@pytest.mark.parametrize("kind, bound", [("real", 2.1), ("complex", 1.1)])
+def test_apply_symbol_holds_no_field_sized_temporaries(kind, bound):
+    # traced peak of one apply on a 512^2 field, in units of the field's
+    # bytes: the spectrum and, for a real field, the float64 output
+    g = SpacetimeGrid(Grid(1, 512, 32.0), 512, 32.0)
+    f = _random_field(g, kind, 29)
+    a = np.random.default_rng(31).standard_normal(g.shape)
+    m = a + np.roll(np.flip(a), 1, axis=(0, 1))
+    del a
+    tracemalloc.start()
+    try:
+        out = apply_symbol(f, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.samples.dtype == f.samples.dtype
+    assert peak <= bound * f.samples.nbytes, peak / f.samples.nbytes
 
 
 def _count_transforms(monkeypatch):
