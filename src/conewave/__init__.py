@@ -7,8 +7,8 @@ The package is organized bottom-up:
 * kernel    - the unit-ball power kernel family, its spectral profile
   (Bessel series and Gauss-Jacobi quadrature of the density) and the
   main/remainder multiplier decomposition;
-* fields    - sampled functions on periodic grids, transforms, the one
-  Fourier-multiplier apply, and the binary interchange format;
+* fields    - sampled functions on periodic grids, the one Fourier-multiplier
+  apply, and the binary interchange format;
 * conop     - the fractional light-cone integral as one assembled
   (n+1)-dimensional symbol, with two independent spatial profiles
   (Bessel series, Gauss-Jacobi quadrature of the cone kernel);
@@ -36,9 +36,6 @@ from .fields import (
     SpacetimeGrid,
     DomainTagError,
     FieldFormatError,
-    convolve_omega,
-    fourier_transform,
-    inverse_transform,
     load_field,
     save_field,
 )
@@ -61,7 +58,6 @@ from .analysis import (
     TrendVerdict,
     boundedness_verdict,
     case_bound_check,
-    classify,
     classify_exponents,
     crucial_estimate_ratio,
     lp_norm,
@@ -69,7 +65,6 @@ from .analysis import (
     mixed_norms,
     necessary_window,
     operator_ratio_estimate,
-    scaling_line_point,
     stein_weiss_ratio,
     sw_derived_params,
 )

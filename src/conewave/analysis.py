@@ -27,9 +27,7 @@ __all__ = [
     "Region",
     "ExponentPoint",
     "classify_exponents",
-    "classify",
     "necessary_window",
-    "scaling_line_point",
     "lp_norm",
     "MixedNormSpec",
     "mixed_norm",
@@ -105,11 +103,6 @@ def necessary_window(alpha: float, n: int) -> tuple:
     return lo, hi
 
 
-def scaling_line_point(alpha: float, n: int, inv_p: float) -> ExponentPoint:
-    """The point on the scaling line alpha/n = 1/p - 1/q at this 1/p."""
-    return ExponentPoint(inv_p, inv_p - alpha / n, alpha, n)
-
-
 def classify_exponents(pt: ExponentPoint) -> Region:
     """Exactly one label per point; equality within 1e-12 is Boundary.
 
@@ -140,10 +133,6 @@ def classify_exponents(pt: ExponentPoint) -> Region:
     if lo2 < pt.inv_p < hi2:
         return Region.REGION_II
     return Region.OPEN_GAP
-
-
-def classify(inv_p: float, inv_q: float, alpha: float, n: int) -> Region:
-    return classify_exponents(ExponentPoint(inv_p, inv_q, alpha, n))
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +528,8 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
         raise ValueError("direct quadrature is implemented for N = 1")
     if not isinstance(f, Field) or f.grid.n != 1:
         raise TypeError("stein_weiss_ratio takes a one-dimensional spatial field")
+    if f.domain_tag != PHYSICAL:
+        raise DomainTagError("stein_weiss_ratio expects a physical-domain field")
     vals = f.samples
     # the comparisons below are False on NaN, so refuse non-finite samples first
     if not np.all(np.isfinite(vals)):
@@ -595,6 +586,8 @@ def crucial_estimate_ratio(spec: KernelSpec, q: float, r: float, s: float,
     """
     if not isinstance(f, Field):
         raise TypeError("crucial_estimate_ratio acts on spatial fields")
+    if f.domain_tag != PHYSICAL:
+        raise DomainTagError("crucial_estimate_ratio expects a physical-domain field")
     q = float(q)
     if not q > 1.0:
         raise ValueError(f"exponent must exceed 1, got {q}")

@@ -21,7 +21,6 @@ __all__ = [
     "wave_packet",
     "cone_plate",
     "random_bumps",
-    "standard_ensemble",
 ]
 
 
@@ -98,21 +97,3 @@ def random_bumps(grid: Grid, count: int, rng: np.random.Generator,
         out.append(Field(grid, amp * np.exp(-np.pi * (x - center) ** 2 / width**2)))
     return out
 
-
-def standard_ensemble(grid: SpacetimeGrid, widths=(0.5, 1.0, 2.0),
-                      packet_freqs=(0.5, 1.0, 2.0),
-                      plate_thicknesses=(0.75, 1.5)) -> tuple:
-    """The three-family probe set: (fields, labels)."""
-    fields, labels = [], []
-    for w in widths:
-        fields.append(gaussian_spacetime(grid, w))
-        labels.append(f"gaussian-w{w:g}")
-    for k in packet_freqs:
-        fields.append(wave_packet(grid, 1.0, k_x=k))
-        labels.append(f"packet-kx{k:g}")
-        fields.append(wave_packet(grid, 1.0, k_x=0.0, k_t=k))
-        labels.append(f"packet-kt{k:g}")
-    for th in plate_thicknesses:
-        fields.append(cone_plate(grid, th))
-        labels.append(f"cone-plate-th{th:g}")
-    return fields, labels

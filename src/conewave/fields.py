@@ -1,25 +1,17 @@
-"""Sampled fields on periodic grids, their transforms, and file I/O.
+"""Sampled fields on periodic grids, the one multiplier apply, and file I/O.
 
 Conventions, fixed once here and relied on everywhere else:
 
 * physical samples are stored in centered order, i.e. sample k sits at
   x = (k - N//2) * spacing, so the domain is [-L/2, L/2);
-* spectral samples are stored in FFT layout at the frequencies
-  numpy.fft.fftfreq(N, spacing);
+* spectral samples, as a spectral-tagged field or file carries them, are
+  stored in FFT layout at the frequencies numpy.fft.fftfreq(N, spacing);
 * complex samples are held as complex128 and all others as float64, so
   real fields stay real; the file format is complex128 either way;
-* the transform pair approximates the continuum integrals
-
-      F(xi) = integral f(x) exp(-2 pi i x . xi) dx,
-      f(x)  = integral F(xi) exp(+2 pi i x . xi) dxi,
-
-  realized as fftn(ifftshift(f)) * spacing^n and its exact inverse, so a
-  round trip is exact to machine precision and Parseval holds with the
-  cell volumes as written;
 * a Fourier multiplier that is real and equal to its point reflection,
   as every operator symbol and kernel profile of this package is, is
   applied by real_symbol_apply, the package's one multiplier apply: a
-  circular convolution, so it needs neither the shift pair nor the
+  circular convolution, so it needs neither a centering shift nor a
   spacing scale, and real inputs take real-input FFTs on the half
   spectrum of the last axis and stay real.
 
@@ -36,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, omega_hat
-
 __all__ = [
     "PHYSICAL",
     "SPECTRAL",
@@ -47,10 +37,7 @@ __all__ = [
     "Field",
     "SpacetimeGrid",
     "SpacetimeField",
-    "fourier_transform",
-    "inverse_transform",
     "real_symbol_apply",
-    "convolve_omega",
     "save_field",
     "load_field",
 ]
@@ -248,40 +235,6 @@ class SpacetimeField:
         return g.space.freq_spacing**g.space.n / g.t_extent
 
 
-def _axis_spacings(f) -> tuple:
-    if isinstance(f, Field):
-        return (f.grid.spacing,) * f.grid.n
-    return (f.grid.space.spacing,) * f.grid.space.n + (f.grid.t_spacing,)
-
-
-def forward_axes(samples: np.ndarray, axes, spacings) -> np.ndarray:
-    """Continuum-normalized DFT over a subset of axes (centered -> FFT order).
-
-    The shift makes a fresh copy, which is transformed and scaled in place,
-    so one array of the output's size is allocated; the bits equal
-    fftn(ifftshift(samples)) * scale.
-    """
-    axes = tuple(axes)
-    scale = math.prod(float(s) for s in spacings)
-    out = np.fft.ifftshift(samples, axes=axes).astype(np.complex128, copy=False)
-    np.fft.fftn(out, axes=axes, out=out)
-    out *= scale
-    return out
-
-
-def inverse_axes(samples: np.ndarray, axes, spacings) -> np.ndarray:
-    """Exact inverse of forward_axes over the same axes.
-
-    The transform runs in one fresh buffer, so the input is left unchanged.
-    """
-    axes = tuple(axes)
-    scale = math.prod(float(s) for s in spacings)
-    buf = np.empty(samples.shape, np.complex128)
-    np.fft.ifftn(samples, axes=axes, out=buf)
-    buf /= scale
-    return np.fft.fftshift(buf, axes=axes)
-
-
 def _spectrum(samples: np.ndarray):
     # (spectrum, real): the half spectrum over the last axis when the
     # samples are real (real is True), else the full one, in one fresh
@@ -346,44 +299,6 @@ def _real_symbol_apply_once(samples: np.ndarray, m: np.ndarray) -> np.ndarray:
     spectrum, real = _spectrum(samples)
     spectrum *= m[..., :spectrum.shape[-1]]
     return _inverse(spectrum, samples.shape, real)
-
-
-def fourier_transform(f):
-    """Physical -> spectral over every axis; exact inverse of inverse_transform."""
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("fourier_transform expects a physical-domain field")
-    spacings = _axis_spacings(f)
-    out = forward_axes(f.samples, range(f.samples.ndim), spacings)
-    return type(f)(f.grid, out, SPECTRAL)
-
-
-def inverse_transform(f):
-    """Spectral -> physical over every axis."""
-    if f.domain_tag != SPECTRAL:
-        raise DomainTagError("inverse_transform expects a spectral-domain field")
-    spacings = _axis_spacings(f)
-    out = inverse_axes(f.samples, range(f.samples.ndim), spacings)
-    return type(f)(f.grid, out, PHYSICAL)
-
-
-def convolve_omega(f: Field, spec: KernelSpec, r: float) -> Field:
-    """Convolve a spatial field with the kernel dilated by r > 0.
-
-    Computed spectrally with real_symbol_apply, since the exact profile at
-    r * |xi| is real and radial.  The output integral equals fhat(0) times
-    the kernel mass, for every r, because the dilation is mass-preserving.
-    """
-    if not isinstance(f, Field):
-        raise TypeError("convolve_omega acts on spatial fields")
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("convolve_omega expects a physical-domain field")
-    r = float(r)
-    if not (np.isfinite(r) and r > 0):
-        raise ValueError(f"dilation parameter must be > 0, got {r}")
-    if spec.n != f.grid.n:
-        raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
-    mult = omega_hat(r * f.grid.freq_radius(), spec)
-    return Field(f.grid, _real_symbol_apply_once(f.samples, mult), PHYSICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,9 @@ def _series_sum(nu: float, rho: np.ndarray) -> np.ndarray:
 def _hankel(nu: float, rho: np.ndarray) -> np.ndarray:
     # J_nu ~ sqrt(2/(pi rho)) [P cos(omega) - Q sin(omega)],
     # omega = rho - nu pi/2 - pi/4, with the standard a_k(nu) coefficients.
+    # Each element stops at its own first term below 1e-18: the term is
+    # zeroed there and stays zero, so a value does not depend on which
+    # other arguments share the call.
     mu = 4.0 * nu * nu
     inv = 1.0 / rho
     p = np.ones_like(rho)
@@ -123,7 +126,8 @@ def _hankel(nu: float, rho: np.ndarray) -> np.ndarray:
     term = np.ones_like(rho)
     for k in range(1, _HANKEL_KMAX + 1):
         term = term * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) * inv
-        if np.all(np.abs(term) < 1e-18):
+        term[np.abs(term) < 1e-18] = 0.0
+        if not np.any(term):
             break
         sign = 1.0 if (k // 2) % 2 == 0 else -1.0
         if k % 2:

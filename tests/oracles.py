@@ -2,11 +2,15 @@
 
 mpmath supplies arbitrary-precision Bessel and Gamma evaluation, a
 Gauss-Jacobi rule integrates the compactly supported kernel profile
-directly against the oscillation, and the exponent classifier is
-re-derived in exact rational arithmetic.  Agreement between these and
-the package is evidence, not an identity check against shared code.
+directly against the oscillation, a complex FFT pair with the centering
+shifts and spacing scales stands in for the continuum Fourier transform
+(the package's one multiplier apply uses neither), and the exponent
+classifier is re-derived in exact rational arithmetic.  Agreement
+between these and the package is evidence, not an identity check
+against shared code.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -64,6 +68,25 @@ def gaussian_lp_reference(width: float, p: float, n: int = 1) -> float:
     """||exp(-pi |x|^2 / w^2)||_p in n dimensions: (w^n / p^{n/2})^{1/p}."""
     w, p = mpmath.mpf(width), mpmath.mpf(p)
     return float((w**n / p ** (mpmath.mpf(n) / 2)) ** (1 / p))
+
+
+def transform_reference(samples: np.ndarray, axes, spacings) -> np.ndarray:
+    """Continuum-normalized DFT over axes, centered order -> FFT layout.
+
+    Approximates F(xi) = integral f(x) exp(-2 pi i x . xi) dx at the
+    frequencies numpy.fft.fftfreq(N, spacing), the layout of spectral
+    fields: fftn(ifftshift(f)) * prod(spacings), out of place.
+    """
+    axes = tuple(axes)
+    scale = math.prod(float(s) for s in spacings)
+    return np.fft.fftn(np.fft.ifftshift(samples, axes=axes), axes=axes) * scale
+
+
+def inverse_transform_reference(samples: np.ndarray, axes, spacings) -> np.ndarray:
+    """Exact inverse of transform_reference over the same axes."""
+    axes = tuple(axes)
+    scale = math.prod(float(s) for s in spacings)
+    return np.fft.fftshift(np.fft.ifftn(samples, axes=axes), axes=axes) / scale
 
 
 # ---------------------------------------------------------------------------

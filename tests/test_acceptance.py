@@ -11,9 +11,10 @@ from functools import partial
 import numpy as np
 
 from conewave.analysis import (
+    ExponentPoint,
     Region,
     boundedness_verdict,
-    classify,
+    classify_exponents,
     lp_norm,
     operator_ratio_estimate,
 )
@@ -24,7 +25,7 @@ from conewave.cli import (
     battery_stein_weiss,
 )
 from conewave.conop import RadialQuadrature, apply_symbol, symbol
-from conewave.ensembles import gaussian_spacetime, standard_ensemble
+from conewave.ensembles import cone_plate, gaussian_spacetime, wave_packet
 from conewave.fields import Grid, SpacetimeGrid
 from conewave.kernel import KernelSpec, multiplier_split, omega_hat
 from oracles import classify_reference, profile_transform_reference
@@ -187,6 +188,24 @@ def test_criterion_06_scaling_line_invariance(acceptance_log):
     assert elapsed < 120.0
 
 
+def _probe_family(grid):
+    # three families: dilated Gaussians, wave packets moving in x and in t,
+    # and cone plates; labels read "<family>-<parameter>"
+    members, labels = [], []
+    for w in (0.5, 1.0, 2.0):
+        members.append(gaussian_spacetime(grid, w))
+        labels.append(f"gaussian-w{w:g}")
+    for k in (0.5, 1.0, 2.0):
+        members.append(wave_packet(grid, 1.0, k_x=k))
+        labels.append(f"packet-kx{k:g}")
+        members.append(wave_packet(grid, 1.0, k_x=0.0, k_t=k))
+        labels.append(f"packet-kt{k:g}")
+    for th in (0.75, 1.5):
+        members.append(cone_plate(grid, th))
+        labels.append(f"cone-plate-th{th:g}")
+    return members, labels
+
+
 def test_criterion_07_boundedness_proxy_spread(acceptance_log):
     # lower-bound statistic for the operator norm: the worst ratio each
     # input family produces; the gate is its stability across families
@@ -194,13 +213,13 @@ def test_criterion_07_boundedness_proxy_spread(acceptance_log):
     points = ((0.4, 0.7, 0.3, Region.REGION_II), (0.6, 0.8, 0.2, Region.REGION_I))
     spreads = []
     for alpha, inv_p, inv_q, region in points:
-        assert classify(inv_p, inv_q, alpha, 1) is region
+        assert classify_exponents(ExponentPoint(inv_p, inv_q, alpha, 1)) is region
         spec = KernelSpec(alpha, 1)
         family_max: dict = {}
         for points_1d in (512, 1024):
             grid = SpacetimeGrid(Grid(1, points_1d, 64.0), points_1d, 64.0)
             quad = RadialQuadrature.for_grid(grid)
-            members, labels = standard_ensemble(grid)
+            members, labels = _probe_family(grid)
             op = partial(apply_symbol, m=symbol(grid, spec, quad))
             stats = operator_ratio_estimate(op, inv_p, inv_q, members, labels)
             for label, ratio in zip(stats.labels, stats.ratios):
@@ -255,7 +274,7 @@ def test_criterion_10_classifier_matches_exact_arithmetic(acceptance_log):
         (0.95, 0.55, 0.4, 1, Region.OPEN_GAP),
     )
     for inv_p, inv_q, alpha, n, want in worked:
-        assert classify(inv_p, inv_q, alpha, n) is want
+        assert classify_exponents(ExponentPoint(inv_p, inv_q, alpha, n)) is want
         assert classify_reference(inv_p, inv_q, alpha, n) == want.value
 
     rng = np.random.default_rng(2026)
@@ -274,7 +293,7 @@ def test_criterion_10_classifier_matches_exact_arithmetic(acceptance_log):
             inv_q = float(rng.uniform(1e-3, 1.0 - 1e-3))
         if not 0.0 < inv_q < 1.0:
             continue
-        got = classify(inv_p, inv_q, alpha, n).value
+        got = classify_exponents(ExponentPoint(inv_p, inv_q, alpha, n)).value
         if got != classify_reference(inv_p, inv_q, alpha, n):
             disagreements += 1
         checked += 1

@@ -25,22 +25,19 @@ from conewave import (
     SteinWeissParams,
     boundedness_verdict,
     case_bound_check,
-    classify,
     classify_exponents,
-    convolve_omega,
     crucial_estimate_ratio,
-    fourier_transform,
     lp_norm,
     mixed_norm,
     mixed_norms,
     necessary_window,
     omega_hat,
     operator_ratio_estimate,
-    scaling_line_point,
     stein_weiss_ratio,
     sw_derived_params,
 )
 from conewave.analysis import CaseFit, _lp
+from conewave.fields import SPECTRAL, DomainTagError
 from conewave.specialfn import bessel_remainder
 
 
@@ -49,9 +46,9 @@ from conewave.specialfn import bessel_remainder
 
 
 def test_worked_examples():
-    assert classify(0.7, 0.2, 1.0, 2) is Region.REGION_I
-    assert classify(0.7, 0.3, 0.4, 1) is Region.REGION_II
-    assert classify(0.95, 0.55, 0.4, 1) is Region.OPEN_GAP
+    assert classify_exponents(ExponentPoint(0.7, 0.2, 1.0, 2)) is Region.REGION_I
+    assert classify_exponents(ExponentPoint(0.7, 0.3, 0.4, 1)) is Region.REGION_II
+    assert classify_exponents(ExponentPoint(0.95, 0.55, 0.4, 1)) is Region.OPEN_GAP
 
 
 def test_necessary_window_values():
@@ -61,28 +58,22 @@ def test_necessary_window_values():
     assert (lo, hi) == (pytest.approx(0.625), pytest.approx(0.875))
 
 
-def test_scaling_line_point_sits_on_the_line():
-    pt = scaling_line_point(0.4, 1, 0.7)
-    assert pt.inv_q == pytest.approx(0.3)
-    assert classify_exponents(pt) is Region.REGION_II
-
-
 def test_off_line_points_are_scaling_violated_first():
     # off the line AND outside the window: the scaling check wins
-    assert classify(0.2, 0.9, 0.4, 1) is Region.SCALING_VIOLATED
+    assert classify_exponents(ExponentPoint(0.2, 0.9, 0.4, 1)) is Region.SCALING_VIOLATED
 
 
 def test_boundary_labels():
     # sub-window edges at n=1, alpha=0.4 sit at 1/p = 0.5 and 0.9
-    assert classify(0.5, 0.1, 0.4, 1) is Region.BOUNDARY
-    assert classify(0.9, 0.5, 0.4, 1) is Region.BOUNDARY
+    assert classify_exponents(ExponentPoint(0.5, 0.1, 0.4, 1)) is Region.BOUNDARY
+    assert classify_exponents(ExponentPoint(0.9, 0.5, 0.4, 1)) is Region.BOUNDARY
     # outer window edge 1/p = 0.4 (its 1/q leaves (0,1), so step slightly in)
-    assert classify(0.4 + 5e-13, 5e-13, 0.4, 1) is Region.BOUNDARY
+    assert classify_exponents(ExponentPoint(0.4 + 5e-13, 5e-13, 0.4, 1)) is Region.BOUNDARY
 
 
 def test_region_one_includes_the_threshold_order():
     # alpha = n/(n+1) exactly: both theorems apply, RegionI takes precedence
-    assert classify(0.7, 0.2, 0.5, 1) is Region.REGION_I
+    assert classify_exponents(ExponentPoint(0.7, 0.2, 0.5, 1)) is Region.REGION_I
 
 
 def test_point_validation():
@@ -108,19 +99,19 @@ def test_classifier_agrees_with_rational_rederivation(n, ip, frac, off):
     iq = ip - alpha / n + off
     if not 0.0 < iq < 1.0:
         return
-    got = classify(ip, iq, alpha, n)
+    got = classify_exponents(ExponentPoint(ip, iq, alpha, n))
     assert got.value == oracles.classify_reference(ip, iq, alpha, n)
 
 
 @given(ip=st.floats(min_value=0.51, max_value=0.89))
 @settings(max_examples=120, deadline=None)
 def test_region_two_is_self_dual(ip):
-    # classify(1/p, 1/q) = classify(1-1/q, 1-1/p) for RegionII membership
+    # (1/p, 1/q) and (1-1/q, 1-1/p) share RegionII membership
     alpha, n = 0.4, 1
-    pt = scaling_line_point(alpha, n, ip)
+    pt = ExponentPoint(ip, ip - alpha / n, alpha, n)
     if classify_exponents(pt) is not Region.REGION_II:
         return
-    dual = classify(1.0 - pt.inv_q, 1.0 - pt.inv_p, alpha, n)
+    dual = classify_exponents(ExponentPoint(1.0 - pt.inv_q, 1.0 - pt.inv_p, alpha, n))
     assert dual is Region.REGION_II
 
 
@@ -268,7 +259,7 @@ def test_mixed_norm_plancherel_route_agrees_only_at_q_two():
     quad = _r_grid(128)
 
     def spectral_route(q):
-        fhat = np.abs(fourier_transform(f).samples)
+        fhat = np.abs(oracles.transform_reference(f.samples, (0,), (g.spacing,)))
         dxi = g.freq_spacing
         r = quad.nodes()
         w = quad.measure_weights(spec.alpha * q - 1.0, both_signs=False)
@@ -297,13 +288,18 @@ def test_mixed_norm_requires_spatial_field():
 
 
 def _mixed_norm_reference(f, spec, mn):
-    # frozen node-by-node form: one spatial convolution per radial node
+    # frozen node-by-node form: one spatial convolution per radial node, by
+    # the continuum reference pair
     quad = mn.r_grid
     r = quad.nodes()
     w = quad.measure_weights(mn.alpha * mn.s - 1.0, both_signs=False)
+    axes, spacings = range(f.grid.n), (f.grid.spacing,) * f.grid.n
+    fhat = oracles.transform_reference(f.samples, axes, spacings)
+    xi = f.grid.freq_radius()
     total = 0.0
     for j in range(quad.count):
-        total += w[j] * lp_norm(convolve_omega(f, spec, r[j]), mn.q) ** mn.s
+        conv = oracles.inverse_transform_reference(fhat * omega_hat(r[j] * xi, spec), axes, spacings)
+        total += w[j] * lp_norm(Field(f.grid, conv), mn.q) ** mn.s
     mass = quad.completion_mass(mn.alpha * mn.s - 1.0, both_signs=False)
     total += mass * (omega_hat(0.0, spec) * lp_norm(f, mn.q)) ** mn.s
     return float(total ** (1.0 / mn.s))
@@ -478,6 +474,18 @@ def test_stein_weiss_input_guards():
     two_d = SteinWeissParams(2, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0)
     with pytest.raises(ValueError):
         stein_weiss_ratio(two_d, _bump())
+
+
+@pytest.mark.parametrize("measure", [
+    lambda f: stein_weiss_ratio(SteinWeissParams(1, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0), f),
+    lambda f: crucial_estimate_ratio(KernelSpec(0.5, 1), 2.0, 2.0, 1.0, f),
+], ids=["stein-weiss", "crucial"])
+def test_spatial_measurements_refuse_spectral_fields(measure):
+    # spectral samples are not values at points of the box: refused, not
+    # measured as if they were
+    g = Grid(1, 256, 16.0)
+    with pytest.raises(DomainTagError, match="physical-domain"):
+        measure(Field(g, ens.gaussian(g, 1.0).samples, SPECTRAL))
 
 
 def _dyadic_panel_rule(a, b, singular, depth, nodes):

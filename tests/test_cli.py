@@ -20,6 +20,7 @@ import conewave.cli as cli
 import conewave.ensembles as ens
 from conewave.analysis import lp_norm, operator_ratio_estimate
 from conewave.cli import _bump_stream, _pool_map, main
+from conewave.fields import SPECTRAL
 
 
 def run(tmp_path, *args, config=None, name="run"):
@@ -497,6 +498,19 @@ def test_op_apply_refuses_a_non_finite_input_before_any_work(tmp_path, monkeypat
     assert "non-finite" in capsys.readouterr().err
     assert not (out / "result.field").exists()
     assert not (out / "report.json").exists()
+
+
+def test_op_apply_refuses_a_spectral_field_file(tmp_path, capsys):
+    # the sidecar's domain tag travels with the file: spectral samples are
+    # not an operator input
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    field_path = tmp_path / "g.field"
+    samples = ens.gaussian_spacetime(g, 1.0).samples
+    cw.save_field(cw.SpacetimeField(g, samples, SPECTRAL), field_path)
+    code, out = run(tmp_path, "op-apply", config=f"[op-apply]\ninput = {field_path}\n")
+    assert code == 3
+    assert "physical-domain" in capsys.readouterr().err
+    assert not (out / "result.field").exists()
 
 
 def test_op_apply_refuses_a_sidecar_size_that_is_not_an_integer(tmp_path, capsys):

@@ -1,17 +1,59 @@
-"""Every exported name resolves."""
+"""Every exported name resolves, and every public library name has a caller."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import conewave
 
+_ROOT = Path(__file__).resolve().parent.parent
+_LIBRARY = ("specialfn", "kernel", "fields", "conop", "analysis", "ensembles")
+
+# public names kept without a caller, each with its reason
+_NO_CALLER_YET = {
+    # the cone-adapted probe family for the n >= 2 boundedness probes of
+    # ROADMAP item 5, built to load the light-cone singularity
+    "ensembles.cone_plate",
+}
+
 
 def test_all_names_resolve():
-    modules = [conewave] + [
-        importlib.import_module(f"conewave.{name}")
-        for name in ("specialfn", "kernel", "fields", "conop", "analysis", "ensembles")
-    ]
+    modules = [conewave] + [importlib.import_module(f"conewave.{name}") for name in _LIBRARY]
     missing = [
         f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__
         if not hasattr(mod, name)
     ]
     assert not missing
+
+
+def _references(stmt: ast.stmt) -> set:
+    # names a top-level statement loads, by bare name or as an attribute;
+    # a definition's references to its own name do not count
+    found = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        found.discard(stmt.name)
+    return found
+
+
+def test_every_public_library_name_has_a_caller():
+    # callers are the library's own modules (not the package's re-exports)
+    # and the benchmark scripts; tests do not count
+    sources = [p for p in sorted((_ROOT / "src" / "conewave").glob("*.py"))
+               if p.name != "__init__.py"]
+    sources += sorted((_ROOT / "bench").glob("*.py"))
+    referenced, defined = set(), []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            referenced |= _references(stmt)
+            if (path.stem in _LIBRARY and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defined.append(f"{path.stem}.{stmt.name}")
+    dead = [name for name in defined
+            if name.split(".")[1] not in referenced and name not in _NO_CALLER_YET]
+    assert not dead, f"public names nothing calls: {dead}"

@@ -1,4 +1,4 @@
-"""Grids, transforms, the multiplier apply, and the field file format."""
+"""Grids, the spectral layout, the multiplier apply, and the field file format."""
 
 import json
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import conewave.ensembles as ens
 from conewave import (
     Field,
@@ -15,19 +16,11 @@ from conewave import (
     KernelSpec,
     SpacetimeField,
     SpacetimeGrid,
-    convolve_omega,
-    fourier_transform,
-    inverse_transform,
     load_field,
     omega_hat,
     save_field,
 )
-from conewave.fields import (
-    DomainTagError,
-    forward_axes,
-    inverse_axes,
-    real_symbol_apply,
-)
+from conewave.fields import SPECTRAL, DomainTagError, real_symbol_apply
 
 
 # ---------------------------------------------------------------------------
@@ -110,43 +103,50 @@ def test_fields_hold_lists_by_the_same_rule():
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# the continuum reference pair and the spectral layout
+#
+# Tests judge the multiplier apply against oracles.transform_reference and
+# its inverse, and spectral fields are stored at Grid.freq_axis(); these
+# pin that pair's normalization and layout.
+
+
+def _spacings(f) -> tuple:
+    if isinstance(f, Field):
+        return (f.grid.spacing,) * f.grid.n
+    return (f.grid.space.spacing,) * f.grid.space.n + (f.grid.t_spacing,)
+
+
+def _forward(f):
+    return oracles.transform_reference(f.samples, range(f.samples.ndim), _spacings(f))
+
+
+def _inverse(f, samples):
+    return oracles.inverse_transform_reference(samples, range(samples.ndim), _spacings(f))
 
 
 def test_transform_round_trip_is_identity():
     g = Grid(1, 256, 32.0)
     rng = np.random.default_rng(11)
     f = Field(g, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    back = inverse_transform(fourier_transform(f))
-    assert np.max(np.abs(back.samples - f.samples)) < 1e-13
-    assert back.domain_tag == "physical"
-
-
-def test_transform_requires_matching_domain_tag():
-    g = Grid(1, 64, 16.0)
-    f = Field(g, np.zeros(64))
-    with pytest.raises(DomainTagError):
-        inverse_transform(f)
-    with pytest.raises(DomainTagError):
-        fourier_transform(fourier_transform(f))
+    back = _inverse(f, _forward(f))
+    assert np.max(np.abs(back - f.samples)) < 1e-13
 
 
 def test_gaussian_is_its_own_transform():
     # exp(-pi x^2) is the fixed point of this unitary convention
     g = Grid(1, 1024, 64.0)
     f = ens.gaussian(g, 1.0)
-    fhat = fourier_transform(f)
     want = np.exp(-np.pi * g.freq_axis()**2)
-    assert np.max(np.abs(fhat.samples - want)) < 1e-12
+    assert np.max(np.abs(_forward(f) - want)) < 1e-12
 
 
 def test_parseval():
     g = Grid(2, 64, 16.0)
     rng = np.random.default_rng(3)
     f = Field(g, rng.standard_normal(g.shape))
-    fhat = fourier_transform(f)
-    phys = np.sum(np.abs(f.samples) ** 2) * g.cell_volume
-    spec = np.sum(np.abs(fhat.samples) ** 2) * g.freq_spacing**g.n
+    fhat = Field(g, _forward(f), SPECTRAL)
+    phys = np.sum(np.abs(f.samples) ** 2) * f.cell_volume
+    spec = np.sum(np.abs(fhat.samples) ** 2) * fhat.cell_volume
     assert phys == pytest.approx(spec, rel=1e-12)
 
 
@@ -155,50 +155,23 @@ def test_delta_like_has_flat_transform():
     # unit mass in one sample at the origin: value 1 / cell volume
     samples = np.zeros(g.shape)
     samples[g.points // 2] = 1.0 / g.cell_volume
-    fhat = fourier_transform(Field(g, samples))
-    assert np.max(np.abs(fhat.samples - 1.0)) < 1e-12
+    assert np.max(np.abs(_forward(Field(g, samples)) - 1.0)) < 1e-12
 
 
 def test_pure_tone_transforms_to_a_spike():
     g = Grid(1, 128, 32.0)
     # exp(2 pi i k x / L) at the exact grid frequency k / L, k = 5
     f = Field(g, np.exp(2j * np.pi * 5 * g.axis() / g.extent))
-    fhat = fourier_transform(f)
-    mags = np.abs(fhat.samples)
-    k = int(np.argmax(mags))
+    k = int(np.argmax(np.abs(_forward(f))))
     assert g.freq_axis()[k] == pytest.approx(5 * g.freq_spacing)
-
-
-@pytest.mark.parametrize("axes", [(0, 1, 2), (1,), (0, 2)], ids=["all", "one", "two"])
-@pytest.mark.parametrize("kind", ["complex", "real"])
-def test_axis_transforms_keep_their_input_and_the_out_of_place_bits(axes, kind):
-    # the transforms work in buffers of their own: the input is untouched,
-    # and the bits are those of the plain out-of-place formulas
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((8, 16, 4))
-    if kind == "complex":
-        x = x + 1j * rng.standard_normal(x.shape)
-    keep = x.copy()
-    spacings = (0.5, 0.25, 2.0)[:len(axes)]
-    scale = float(np.prod(spacings))
-
-    fwd = forward_axes(x, axes, spacings)
-    assert x.dtype == keep.dtype and np.array_equal(x, keep)
-    assert fwd.dtype == np.complex128
-    assert np.array_equal(fwd, np.fft.fftn(np.fft.ifftshift(x, axes=axes), axes=axes) * scale)
-
-    inv = inverse_axes(x, axes, spacings)
-    assert x.dtype == keep.dtype and np.array_equal(x, keep)
-    want = np.fft.fftshift(np.fft.ifftn(x, axes=axes), axes=axes) / scale
-    assert np.array_equal(inv, want)
 
 
 def test_spacetime_transform_round_trip():
     sg = SpacetimeGrid(Grid(1, 64, 16.0), 128, 32.0)
     rng = np.random.default_rng(7)
     f = SpacetimeField(sg, rng.standard_normal(sg.shape))
-    back = inverse_transform(fourier_transform(f))
-    assert np.max(np.abs(back.samples - f.samples)) < 1e-13
+    back = _inverse(f, _forward(f))
+    assert np.max(np.abs(back - f.samples)) < 1e-13
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -207,8 +180,8 @@ def test_transform_round_trip_random(seed):
     g = Grid(1, 64, 16.0)
     rng = np.random.default_rng(seed)
     f = Field(g, rng.standard_normal(64))
-    back = inverse_transform(fourier_transform(f))
-    assert np.max(np.abs(back.samples - f.samples)) < 1e-12
+    back = _inverse(f, _forward(f))
+    assert np.max(np.abs(back - f.samples)) < 1e-12
 
 
 def _reflect(a: np.ndarray) -> np.ndarray:
@@ -237,7 +210,8 @@ def test_real_symbol_apply_takes_stacks_of_symbols(kind):
     spacings = (0.5, 0.25)
     for m, row in zip(stack, out):
         assert np.array_equal(row, apply(m))
-        want = inverse_axes(m * forward_axes(x, (0, 1), spacings), (0, 1), spacings)
+        want = oracles.inverse_transform_reference(
+            m * oracles.transform_reference(x, (0, 1), spacings), (0, 1), spacings)
         assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -287,7 +261,12 @@ def test_a_reused_real_symbol_apply_keeps_its_spectrum(kind):
 
 
 # ---------------------------------------------------------------------------
-# kernel convolution
+# kernel convolution: f * Omega_r through the one multiplier apply, with
+# the exact profile at r |xi| as the symbol
+
+
+def _convolve_omega(f: Field, spec: KernelSpec, r: float) -> np.ndarray:
+    return real_symbol_apply(f.samples)(omega_hat(r * f.grid.freq_radius(), spec))
 
 
 def test_convolve_omega_small_scale_limit():
@@ -295,8 +274,8 @@ def test_convolve_omega_small_scale_limit():
     g = Grid(1, 512, 32.0)
     f = ens.gaussian(g, 1.0)
     spec = KernelSpec(0.5, 1)
-    out = convolve_omega(f, spec, 1e-3)
-    assert np.max(np.abs(out.samples - omega_hat(0.0, spec) * f.samples)) < 1e-4
+    out = _convolve_omega(f, spec, 1e-3)
+    assert np.max(np.abs(out - omega_hat(0.0, spec) * f.samples)) < 1e-4
 
 
 def test_convolve_omega_is_spectral_multiplication():
@@ -305,21 +284,9 @@ def test_convolve_omega_is_spectral_multiplication():
     f = Field(g, rng.standard_normal(256))
     spec = KernelSpec(0.4, 1)
     r = 1.7
-    out = fourier_transform(convolve_omega(f, spec, r))
-    want = fourier_transform(f).samples * omega_hat(r * g.freq_axis(), spec)
-    assert np.max(np.abs(out.samples - want)) < 1e-10
-
-
-def test_convolve_omega_guards():
-    g = Grid(1, 64, 16.0)
-    f = ens.gaussian(g, 1.0)
-    spec = KernelSpec(0.5, 1)
-    with pytest.raises(ValueError):
-        convolve_omega(f, spec, 0.0)
-    with pytest.raises(ValueError):
-        convolve_omega(f, KernelSpec(0.5, 2), 1.0)  # dimension mismatch
-    with pytest.raises(TypeError):
-        convolve_omega(ens.gaussian_spacetime(SpacetimeGrid.default(1)), spec, 1.0)
+    out = _forward(Field(g, _convolve_omega(f, spec, r)))
+    want = _forward(f) * omega_hat(r * g.freq_axis(), spec)
+    assert np.max(np.abs(out - want)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +308,9 @@ def test_save_load_round_trip(tmp_path):
 
 def test_save_load_spacetime_and_tag(tmp_path):
     sg = SpacetimeGrid(Grid(1, 32, 8.0), 64, 16.0)
-    f = fourier_transform(ens.gaussian_spacetime(sg, 1.0))
+    rng = np.random.default_rng(4)
+    f = SpacetimeField(sg, rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape),
+                       SPECTRAL)
     path = tmp_path / "spec.npz"
     save_field(f, path)
     back = load_field(path)

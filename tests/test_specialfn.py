@@ -71,6 +71,16 @@ def test_main_term_is_the_leading_cosine():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.3, -0.3])
+def test_a_value_does_not_depend_on_the_batch_it_is_evaluated_in(nu):
+    # the asymptotic side of the handover: arguments that converge in few
+    # terms share the call with ones near the cut that need many
+    rho = np.linspace(14.0, 40.0, 401)[1:]
+    for fn in (bessel_j, bessel_j_scaled):
+        batch = fn(nu, rho)
+        assert np.array_equal(batch, [fn(nu, r) for r in rho]), fn.__name__
+
+
 def test_remainder_is_the_difference_to_machine_accuracy():
     rho = np.geomspace(1e-2, 1e3, 400)
     for nu in ORDERS:
