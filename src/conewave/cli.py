@@ -1116,6 +1116,13 @@ def cmd_op_apply(cfg, args) -> dict:
             )
         except ValueError as exc:
             raise ConfigError(str(exc))
+        if quad.r_max > grid.t_extent / 2.0:
+            # the torus cannot hold a longer cone, and the cone-direct rules
+            # grow with r_max; convergence_check caps its refinement here too
+            raise ConfigError(
+                f"r_max = {quad.r_max:g} exceeds half the time extent, "
+                f"{grid.t_extent / 2.0:g}"
+            )
 
     # every symbol of the command (the output, three refinements, the
     # cross-check) goes through one applier, which transforms the input

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import bessel_j_scaled, bessel_main_term, reciprocal_gamma
+from .specialfn import _by_band, bessel_j_scaled, bessel_main_term, reciprocal_gamma
 
 __all__ = [
     "KernelValidityError",
@@ -210,37 +210,54 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
 
     and Jacobi nodes carry the endpoint weight exactly.  This shares no
     arithmetic with the Bessel evaluation behind omega_hat, and lam' < 1
-    holds for every order, so it covers the whole family.  The node
-    count K grows with the largest |xi| requested.  The Jacobi weight is
-    even and the rule (_jacobi_rule) is exactly symmetric by construction,
-    so the cosine sum is folded: cosines are taken at the K // 2 positive
-    nodes only, with doubled weights, plus the middle weight (its node is
-    0) when K is odd.
+    holds for every order, so it covers the whole family.  The |xi| are
+    grouped into half-octave bands [0, 1], (1, 2^(1/2)], (2^(1/2), 2], ...,
+    and each band has its own rule of K = ceil(3.5 e) + 24 nodes at its
+    upper edge e.  The Jacobi weight is even and the rule (_jacobi_rule)
+    is exactly symmetric by construction, so the cosine sum is folded:
+    cosines are taken at the K // 2 positive nodes only, with doubled
+    weights, plus the middle weight (its node is 0) when K is odd.  Each
+    row of cosines is reduced on its own (np.sum along the row), so a
+    value depends on its own |xi| only, not on the rest of the call.
+    Non-finite frequencies raise ValueError.
 
     Measured against mpmath.besselj at alpha = 0.1, n = 2 (lam' = 0.925,
-    where the weights of the nodes nearest s = +-1 are least accurate),
-    the error over omega_hat(0) is 6.9e-13 up to max |xi| = 32, 5.6e-12 up
-    to 64 (r_max times Nyquist on the default n = 1 spacetime grid) and
-    2.7e-12 up to 128.
+    where the weights of the nodes nearest s = +-1 are least accurate), on
+    401 points each, the error over omega_hat(0) is 6.9e-13 up to max
+    |xi| = 32 and 5.6e-12 up to 64 (r_max times Nyquist on the default
+    n = 1 spacetime grid) and up to 128.  The worst sits below 64 whatever
+    the call's largest |xi|, since a band's rule does not depend on it.
     """
     lam = 0.5 - spec.bessel_order
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
-    nodes = int(np.ceil(3.5 * rho.max(initial=0.0))) + 24
-    s, w = _jacobi_rule(nodes, -lam)
-    half = nodes // 2
-    s_pos = s[nodes - half:]
-    w_pos = 2.0 * w[nodes - half:]
-    out = np.empty_like(rho)
-    step = max(1, 2**16 // half)  # keeps the cosine block at 512 KiB
-    for i in range(0, rho.size, step):
-        block = np.outer(rho[i:i + step], 2.0 * np.pi * s_pos)
-        out[i:i + step] = np.cos(block, out=block) @ w_pos
-    if nodes % 2:
-        out += w[half]  # the middle node is 0, where the cosine is 1
-    out *= np.pi ** (-lam) * reciprocal_gamma(1.0 - lam)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("frequency must be finite")
+    largest = rho.max(initial=0.0)
+    edges = [0.0, 1.0]
+    while edges[-1] < largest:
+        edges.append(2.0 ** (0.5 * (len(edges) - 1)))
+    order, bands = _by_band(rho, edges)
+    x = rho[order]  # grouped by band; each block's sums replace its arguments
+    for start, stop, _, edge in bands:
+        nodes = math.ceil(3.5 * edge) + 24
+        s, w = _jacobi_rule(nodes, -lam)
+        half = nodes // 2
+        s_pos = 2.0 * np.pi * s[nodes - half:]
+        w_pos = 2.0 * w[nodes - half:]
+        step = max(1, 2**16 // half)  # keeps the cosine block at 512 KiB
+        for i in range(start, stop, step):
+            j = min(i + step, stop)
+            block = np.outer(x[i:j], s_pos)
+            np.cos(block, out=block)
+            block *= w_pos
+            np.sum(block, axis=1, out=x[i:j])
+        if nodes % 2:
+            x[start:stop] += w[half]  # the middle node is 0, where the cosine is 1
+    x *= np.pi ** (-lam) * reciprocal_gamma(1.0 - lam)
+    rho[order] = x
     if np.ndim(xi) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(xi))
+        return float(rho[0])
+    return rho.reshape(np.shape(xi))
 
 
 def multiplier_split(xi, spec: KernelSpec):

@@ -32,6 +32,23 @@ def scaled_bessel_reference(nu: float, rho: float) -> float:
     return float(mpmath.besselj(nu, rho) / mpmath.mpf(rho) ** nu)
 
 
+def bessel_pair_reference(nu: float, rho) -> tuple:
+    """J_nu and J_nu / rho^nu at each rho > 0, from one mpmath.besselj each.
+
+    Taken at 20 digits, which is ample against double-precision errors and
+    keeps a few thousand large-argument evaluations affordable.
+    """
+    with mpmath.workdps(20):
+        nu = mpmath.mpf(nu)
+        pairs = []
+        for r in rho:
+            r = mpmath.mpf(float(r))
+            j = mpmath.besselj(nu, r)
+            pairs.append((float(j), float(j / r**nu)))
+    j, scaled = zip(*pairs)
+    return np.array(j), np.array(scaled)
+
+
 def rgamma_reference(x: float) -> float:
     """1/Gamma(x) for a real x."""
     return float(mpmath.rgamma(mpmath.mpf(x)))

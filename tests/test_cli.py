@@ -592,6 +592,27 @@ def test_op_apply_reports_an_unrun_refinement_as_not_measured(tmp_path):
     assert row["value"] == ""
 
 
+def test_op_apply_refuses_r_max_above_half_the_time_extent(tmp_path, capsys, monkeypatch):
+    # refused before any symbol is built: it used to run for seconds on a
+    # cone-direct rule sized for r_max = 8000 and exit 0
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+
+    def no_symbol(*args, **kwargs):
+        raise AssertionError("a symbol was built before the configuration was checked")
+
+    monkeypatch.setattr(cli, "symbol", no_symbol)
+    for r_max in ("8.001", "8000"):
+        code, out = run(tmp_path, "op-apply", name=f"r{r_max}",
+                        config=f"[op-apply]\ninput = {field_path}\nr_min = 0.0625\n"
+                               f"r_max = {r_max}\ncount = 48\n")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"r_max = {float(r_max):g} exceeds half the time extent, 8" in err
+        assert not (out / "result.field").exists()
+
+
 # ---------------------------------------------------------------------------
 # norm-test
 

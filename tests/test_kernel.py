@@ -125,6 +125,53 @@ def test_jacobi_profile_accuracy_floor_up_to_the_default_grid_reach():
         assert err <= bound, xi_max
 
 
+def test_jacobi_profile_accuracy_against_mpmath_at_the_least_accurate_order():
+    # 5.61561e-12 of omega_hat(0) was the error of one rule sized for the
+    # largest |xi| on these points; per-band rules may cost half as much again
+    spec = KernelSpec(0.1, 2)
+    nu = spec.bessel_order
+    xi = np.linspace(0.0, 64.0, 500)
+    _, scaled = oracles.bessel_pair_reference(nu, 2.0 * np.pi * xi[1:])
+    want = (2.0 * np.pi) ** nu * np.concatenate([[oracles.scaled_bessel_reference(nu, 0.0)], scaled])
+    err = np.max(np.abs(omega_hat_jacobi(xi, spec) - want)) / omega_hat(0.0, spec)
+    assert err <= 1.5 * 5.61561e-12, err
+
+
+@pytest.mark.parametrize("profile", [omega_hat, omega_hat_jacobi])
+def test_profiles_do_not_depend_on_the_batch_bit_for_bit(profile):
+    # Bessel arguments rho = 2 pi |xi| in (0, 14] and in (14, 4000], the
+    # latter sparsely for the quadrature, whose rules grow with rho
+    rng = np.random.default_rng(5)
+    rho = np.concatenate([np.linspace(0.0, 14.0, 121)[1:],
+                          np.geomspace(14.0, 4000.0, 9 if profile is omega_hat_jacobi else 300)[1:]])
+    xi = rng.permutation(rho) / (2.0 * np.pi) * rng.choice([-1.0, 1.0], rho.size)
+    for alpha, n in ((0.1, 2), (0.5, 1), (1.5, 2)):
+        spec = KernelSpec(alpha, n)
+        batch = profile(xi, spec)
+        assert np.array_equal(batch, [profile(x, spec) for x in xi]), (alpha, n)
+
+
+def test_a_jacobi_value_does_not_move_when_far_bands_join_the_call():
+    # with one rule sized for the call's largest |xi|, the value at 0.7
+    # moved by 2.2e-13 when 64.0 joined the call
+    spec = KernelSpec(0.1, 2)
+    xi = np.array([0.7, 0.3, 1.2, 2.5, 5.0, 9.0, 17.0, 33.0, 64.0])
+    batch = omega_hat_jacobi(xi, spec)
+    assert np.array_equal(batch, [omega_hat_jacobi(x, spec) for x in xi])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_profiles_refuse_non_finite_frequencies(bad, monkeypatch):
+    counts = _spy_node_counts(monkeypatch)
+    spec = KernelSpec(0.5, 1)
+    for profile in (omega_hat, omega_hat_jacobi):
+        with pytest.raises(ValueError):
+            profile(bad, spec)
+        with pytest.raises(ValueError):
+            profile(np.array([0.5, bad, 2.0]), spec)
+    assert counts == []  # refused before any rule is built
+
+
 @pytest.mark.parametrize("nodes", [1, 2, 24, 25])
 @pytest.mark.parametrize("a", [-0.925, -0.5, 0.0, 0.3, 1.0])
 def test_jacobi_rule_integrates_its_even_moments_exactly(nodes, a):
@@ -138,12 +185,23 @@ def test_jacobi_rule_integrates_its_even_moments_exactly(nodes, a):
         assert float(w @ s ** (2 * m)) == pytest.approx(want, rel=3e-13), m
 
 
-def _unfolded_jacobi(xi, spec):
-    # frozen reference: the cosine sum over every Gauss-Jacobi node, as
-    # omega_hat_jacobi computed it before the sum was folded onto s > 0
+def _band_nodes(xi):
+    # the node count omega_hat_jacobi gives each |xi|: ceil(3.5 e) + 24 at
+    # the upper edge e of its half-octave band [0, 1], (1, 2^(1/2)], ...
+    def count(r):
+        j = 0
+        while 2.0 ** (0.5 * j) < r:
+            j += 1
+        return math.ceil(3.5 * 2.0 ** (0.5 * j)) + 24
+    return np.array([count(r) for r in np.abs(np.ravel(xi))], dtype=int)
+
+
+def _unfolded_jacobi(xi, spec, nodes):
+    # frozen reference: the cosine sum over every node of one Gauss-Jacobi
+    # rule of the given count, as omega_hat_jacobi computed it before the
+    # sum was folded onto s > 0
     lam = 0.5 - spec.bessel_order
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
-    nodes = int(np.ceil(3.5 * rho.max(initial=0.0))) + 24
     s, w = kernel._jacobi_rule(nodes, -lam)
     out = np.empty_like(rho)
     step = max(1, 2**16 // nodes)
@@ -168,38 +226,50 @@ def _spy_node_counts(monkeypatch):
 
 def test_folded_jacobi_profile_matches_the_unfolded_sum(monkeypatch):
     counts = _spy_node_counts(monkeypatch)
+    band_counts = set(_band_nodes(0.7).tolist())
     for alpha, n in ((0.1, 2), (0.3, 1), (0.45, 1), (0.6, 1), (0.5, 2), (1.5, 2)):
         spec = KernelSpec(alpha, n)
         scale = abs(omega_hat(0.0, spec))
         for xi_max in (0.0, 2.0, 4.0, 10.0, 64.0, 64.2):
             xi = np.linspace(0.0, xi_max, 1501)
             got = omega_hat_jacobi(xi, spec)
-            want = _unfolded_jacobi(xi, spec)
-            assert np.max(np.abs(got - want)) <= 1e-15 * scale, (alpha, n, xi_max)
+            nodes = _band_nodes(xi)
+            band_counts.update(nodes.tolist())
+            for k in np.unique(nodes).tolist():
+                sel = nodes == k
+                want = _unfolded_jacobi(xi[sel], spec, k)
+                assert np.max(np.abs(got[sel] - want)) <= 1e-15 * scale, (alpha, n, xi_max, k)
+        (k,) = _band_nodes(0.7).tolist()
         assert omega_hat_jacobi(0.7, spec) == pytest.approx(
-            float(_unfolded_jacobi(0.7, spec)), abs=1e-15 * scale)
-    assert {k % 2 for k in counts} == {0, 1}  # odd and even node counts
+            float(_unfolded_jacobi(0.7, spec, k)), abs=1e-15 * scale)
+    # the rules drawn are exactly the bands' counts, odd and even ones
+    assert set(counts) == band_counts
+    assert {k % 2 for k in counts} == {0, 1}
 
 
-def _default_grid_node_counts(monkeypatch):
-    # the node counts omega_hat_jacobi draws when a cone-direct symbol is
-    # built on each default spacetime grid, at the default radial window
-    # and at the r_max refinement of the convergence check
-    counts = _spy_node_counts(monkeypatch)
-    for n in (1, 2):
-        g = SpacetimeGrid.default(n)
-        quad = RadialQuadrature.for_grid(g)
-        xi_max = float(np.max(g.space.freq_radius()))
-        for r_max in (quad.r_max, min(2.0 * quad.r_max, g.t_extent / 2.0)):
-            omega_hat_jacobi(r_max * xi_max, KernelSpec(0.5, n))
-    monkeypatch.undo()
-    return sorted(set(counts))
+@pytest.fixture(scope="module")
+def default_tables():
+    # the cone-direct tables of each default spacetime grid, at the default
+    # radial window and at the r_max refinement of the convergence check:
+    # for each, the arguments and the node counts of the rules drawn
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _spy_node_counts(mp)
+        for n in (1, 2):
+            g = SpacetimeGrid.default(n)
+            quad = RadialQuadrature.for_grid(g)
+            xi = np.unique(g.space.freq_radius().ravel())
+            for r_max in (quad.r_max, min(2.0 * quad.r_max, g.t_extent / 2.0)):
+                rho = np.outer(quad.refined(r_max=r_max).nodes(), xi)
+                del counts[:]
+                omega_hat_jacobi(rho, KernelSpec(0.5, n))
+                tables.append((n, r_max == quad.r_max, rho.ravel(), list(counts)))
+    return tables
 
 
-def test_jacobi_rule_is_exactly_symmetric_at_the_default_node_counts(monkeypatch):
+def test_jacobi_rule_is_exactly_symmetric_at_the_default_node_counts(default_tables):
     # the fold in omega_hat_jacobi relies on these identities bit for bit
-    counts = _default_grid_node_counts(monkeypatch)
-    assert len(counts) == 4
+    counts = sorted({k for *_, drawn in default_tables for k in drawn})
     for k in counts + [24, 25]:
         for alpha, n in ((0.1, 2), (0.5, 1), (0.9, 1), (0.5, 2), (1.5, 2)):
             lam = 0.5 - KernelSpec(alpha, n).bessel_order
@@ -209,6 +279,20 @@ def test_jacobi_rule_is_exactly_symmetric_at_the_default_node_counts(monkeypatch
             assert np.all(s[k - k // 2:] > 0.0)
             if k % 2:
                 assert s[k // 2] == 0.0
+
+
+def test_default_tables_draw_band_rules_and_half_the_cosines_at_most(default_tables):
+    # counted, not timed: one rule per nonempty band, of the band's count,
+    # and cosines (K // 2 per argument) against one rule sized for the
+    # largest argument, as every argument had before the bands
+    ratios = {}
+    for n, default, rho, drawn in default_tables:
+        nodes = _band_nodes(rho)
+        assert sorted(drawn) == sorted(set(nodes.tolist())), n
+        one_rule = rho.size * ((math.ceil(3.5 * rho.max()) + 24) // 2)
+        if default:
+            ratios[n] = float(np.sum(nodes // 2)) / one_rule
+    assert ratios[1] <= 0.5 and ratios[2] <= 0.5, ratios
 
 
 def test_jacobi_rule_matches_scipy_nodes_to_rounding():

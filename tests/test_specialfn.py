@@ -81,6 +81,54 @@ def test_a_value_does_not_depend_on_the_batch_it_is_evaluated_in(nu):
         assert np.array_equal(batch, [fn(nu, r) for r in rho]), fn.__name__
 
 
+# the two sides of the series/asymptotic handover at 14, each side dense
+# where it is least accurate: the series near the cut, where it cancels
+SERIES_SIDE = np.concatenate([np.linspace(0.012, 11.99, 1000), np.linspace(12.0, 14.0, 200)])
+HANKEL_SIDE = np.geomspace(14.0, 4000.0, 801)[1:]
+ACCURACY_ORDERS = (-0.45, -0.4, -0.25, -0.1, 0.0, 0.1, 0.3, 0.45, 0.7, 1.0, 1.2, 1.5)
+
+
+@pytest.fixture(scope="module")
+def worst_errors():
+    # worst absolute error of (bessel_j, bessel_j_scaled) over the orders
+    worst = {}
+    for side, rho in (("series", SERIES_SIDE), ("hankel", HANKEL_SIDE)):
+        ej = es = 0.0
+        for nu in ACCURACY_ORDERS:
+            j, scaled = oracles.bessel_pair_reference(nu, rho)
+            ej = max(ej, float(np.max(np.abs(bessel_j(nu, rho) - j))))
+            es = max(es, float(np.max(np.abs(bessel_j_scaled(nu, rho) - scaled))))
+        worst[side] = (ej, es)
+    return worst
+
+
+# The worst errors of the term-by-term evaluation that the banded Horner
+# form replaced, on the same points; the series side's come from
+# cancellation near the cut.  A change may cost at most half as much again.
+@pytest.mark.parametrize("side, unscaled, scaled", [
+    ("series", 5.29614e-12, 1.32832e-11),
+    ("hankel", 1.42941e-14, 4.23502e-14),
+])
+def test_bessel_accuracy_against_mpmath_on_each_side_of_the_cut(worst_errors, side,
+                                                                unscaled, scaled):
+    ej, es = worst_errors[side]
+    assert ej <= 1.5 * unscaled, ej
+    assert es <= 1.5 * scaled, es
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 14.0), (14.0, 4000.0)])
+def test_a_batch_equals_its_per_point_values_bit_for_bit(lo, hi):
+    # every band of each side in one call, sorted and shuffled, against one
+    # call per point
+    rho = np.linspace(lo, hi, 301)[1:]
+    rho = np.concatenate([rho, np.random.default_rng(3).permutation(rho)])
+    for nu in (-0.45, 0.0, 0.7, 3.0):
+        for fn in (bessel_j, bessel_j_scaled):
+            batch = fn(nu, rho)
+            assert np.array_equal(batch, [fn(nu, r) for r in rho]), (nu, fn.__name__)
+            assert np.array_equal(fn(nu, rho.reshape(2, -1)), batch.reshape(2, -1))
+
+
 def test_remainder_is_the_difference_to_machine_accuracy():
     rho = np.geomspace(1e-2, 1e3, 400)
     for nu in ORDERS:
