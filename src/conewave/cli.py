@@ -186,10 +186,14 @@ def _to_floats(cfg, sec, key) -> list:
 
 def _widths(cfg, sec, key) -> list:
     # a ratio ladder's widths: at least two, positive, none repeated (a
-    # repeat leaves too few distinct scales to fit a trend to)
+    # repeat leaves too few distinct scales to fit a trend to), and finite
+    # with a finite square, which the Gaussian members divide by
     deltas = _to_floats(cfg, sec, key)
     if len(deltas) < 2 or not all(d > 0 for d in deltas):
         raise ConfigError(f"[{sec}] {key} needs at least two positive widths")
+    if not all(math.isfinite(d * d) for d in deltas):
+        raise ConfigError(f"[{sec}] {key} needs finite widths whose squares are finite, "
+                          f"got {cfg[sec][key]!r}")
     if len(set(deltas)) < len(deltas):
         raise ConfigError(f"[{sec}] {key} repeats a width: {cfg[sec][key]!r}")
     return deltas
@@ -876,8 +880,9 @@ def cmd_kernel_table(cfg, args) -> dict:
     xi_count = _to_int(cfg, "kernel-table", "xi_count")
     x_max = _to_float(cfg, "kernel-table", "x_max")
     x_count = _to_int(cfg, "kernel-table", "x_count")
-    if xi_max <= 0 or x_max <= 0 or xi_count < 2 or x_count < 2:
-        raise ConfigError("kernel-table ranges must be positive with at least 2 points")
+    if not (0 < xi_max < math.inf and 0 < x_max < math.inf) or xi_count < 2 or x_count < 2:
+        raise ConfigError("kernel-table ranges must be positive and finite "
+                          "with at least 2 points")
 
     xi = np.linspace(0.0, xi_max, xi_count)
     x = np.linspace(-x_max, x_max, x_count)
@@ -994,9 +999,9 @@ def cmd_scan_region(cfg, args) -> dict:
         extent = _to_float(cfg, sec, "ratio_extent")
         try:
             stg = SpacetimeGrid(Grid(1, pts_count, extent), pts_count, extent)
+            quad = RadialQuadrature.for_grid(stg)
         except ValueError as exc:
             raise ConfigError(str(exc))
-        quad = RadialQuadrature.for_grid(stg)
         family = [gaussian_spacetime(stg, d) for d in deltas]
         labels = [f"width {d:g}" for d in deltas]
         probes = {}  # alpha -> the probed points on its scaling line
@@ -1204,10 +1209,10 @@ def cmd_norm_test(cfg, args) -> dict:
             Grid(n, _to_int(cfg, sec, "points"), _to_float(cfg, sec, "extent")),
             _to_int(cfg, sec, "t_points"), _to_float(cfg, sec, "t_extent"),
         )
+        quad = RadialQuadrature.for_grid(stg)
     except ValueError as exc:
         raise ConfigError(str(exc))
     region = classify_exponents(pt)
-    quad = RadialQuadrature.for_grid(stg)
     prov = f"{_grid_prov(stg)}; {_quad_prov(quad)}; path {path}"
 
     # each worker builds its own width, so the family is never held whole

@@ -166,15 +166,17 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
     if quad is None:
         quad = RadialQuadrature.for_grid(grid)
     # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + completion * P(0): the
-    # profile is evaluated once on the distinct |xi| values and scattered
-    # back, so every radial node costs one row of a single matrix product;
-    # the radial measure |r|^(B alpha - 1) is integrable at 0 since B alpha > 0
+    # profile is evaluated once, on the distinct |xi| values with the
+    # completion's argument 0 after them, and scattered back, so every
+    # radial node costs one row of a single matrix product; the radial
+    # measure |r|^(B alpha - 1) is integrable at 0 since B alpha > 0
     e = spec.time_scale_power * spec.alpha - 1.0
     r = quad.nodes()
     w = quad.measure_weights(e)
     tau = grid.t_freq_axis()
     xi, scatter = np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
-    table = profile(np.outer(r, xi), spec)
+    values = profile(np.append(np.outer(r, xi), 0.0), spec)
+    table = values[:-1].reshape(r.size, xi.size)
     table *= w[:, None]
     weighted = table[:, scatter]  # (M, space)
     phases = np.outer(r, tau)  # (M, Nt)
@@ -182,7 +184,7 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
     np.cos(phases, out=phases)
     phases *= 2.0
     m = (weighted.T @ phases).reshape(grid.shape)
-    m += quad.completion_mass(e) * profile(0.0, spec)
+    m += quad.completion_mass(e) * float(values[-1])
     return m
 
 

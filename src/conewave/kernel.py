@@ -136,67 +136,110 @@ def omega_hat(xi, spec: KernelSpec):
     return out
 
 
-def _jacobi_values(coefs, a, t, x):
-    # P_(K-1) and P_K of the Jacobi polynomials P^(a,a) at x = 1 - t, by the
-    # three-term recurrence; x p is formed as p - t p, so nodes near s = 1
-    # keep the relative precision of t
+def _jacobi_values(coefs, a, t, x, counts, sizes):
+    # (P_(K-1), P_K) of the Jacobi polynomials P^(a,a) at x = 1 - t for each
+    # count K in counts (ascending): t and x hold the rules' nodes
+    # concatenated in that order, sizes[i] of them for counts[i].  One
+    # three-term recurrence runs over all of them, and after step K - 1 the
+    # rule of count K is a prefix, read off and dropped.  x p is formed as
+    # p - t p, so nodes near s = 1 keep the relative precision of t
     p0 = np.ones_like(t)
     p1 = (a + 1.0) * x
     tp = np.empty_like(t)
-    for ak, bk in coefs:
-        np.multiply(t, p1, out=tp)
-        np.subtract(p1, tp, out=tp)
-        tp *= ak
-        p0 *= bk
-        np.subtract(tp, p0, out=p0)
-        p0, p1 = p1, p0
-    return p0, p1
+    values, degree = [], 1  # p0, p1 hold P_(degree - 1), P_degree
+    for nodes, size in zip(counts, sizes):
+        for ak, bk in coefs[degree - 1:nodes - 1]:
+            np.multiply(t, p1, tp)
+            np.subtract(p1, tp, tp)
+            np.multiply(tp, ak, tp)
+            np.multiply(p0, bk, p0)
+            np.subtract(tp, p0, p0)
+            p0, p1 = p1, p0
+        degree = nodes
+        values.append((p0[:size], p1[:size]))
+        p0, p1, t, tp = p0[size:], p1[size:], t[size:], tp[size:]
+    return values
 
 
-def _jacobi_rule(nodes: int, a: float):
-    """Gauss rule for the weight (1 - s^2)^a on (-1, 1), a > -1.
+def _jacobi_rules(counts, a: float) -> list:
+    """Gauss rules for the weight (1 - s^2)^a on (-1, 1), a > -1, one per
+    node count in counts.
 
-    Returns (s, w) with s ascending.  Newton's method in theta = arccos s
-    runs on the positive half only, from the Gatteschi-Pittaluga guesses
-    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The weights are
-    1 / (dP_K/dtheta)^2 scaled to the mass sqrt(pi) Gamma(a+1) / Gamma(a+3/2)
-    of the weight, and the negative half is the mirror image, so s is
-    exactly antisymmetric and w exactly symmetric, with s = 0 the middle
-    node when the count is odd.
+    Returns a list of (s, w) in the order of counts, each with s ascending.
+    Newton's method in theta = arccos s runs on the positive half of each
+    rule only, from the Gatteschi-Pittaluga guesses (Hale & Townsend, SIAM
+    J. Sci. Comput. 35, 2013).  A sweep evaluates every rule still
+    iterating with one recurrence pass (_jacobi_values), and each rule
+    stops on its own, one pass after its largest step falls to 1e-9, so a
+    rule's bits do not depend on the other counts of the call.  The
+    weights are 1 / (dP_K/dtheta)^2 scaled to the mass
+    sqrt(pi) Gamma(a+1) / Gamma(a+3/2) of the weight, and the negative half
+    is the mirror image, so s is exactly antisymmetric and w exactly
+    symmetric, with s = 0 the middle node when the count is odd.
     """
-    half = nodes // 2
-    rho = nodes + a + 0.5
-    phi = (np.arange(1, half + 1) + 0.5 * a - 0.25) * (np.pi / rho)
-    theta = phi + (0.25 - a * a) / (2.0 * rho * rho) / np.tan(phi)
-    # P_(k+1) = A_k x P_k - B_k P_(k-1) for k = 1 .. nodes - 1
-    k = np.arange(1.0, nodes)
+    ks = sorted(set(counts))
+    # P_(k+1) = A_k x P_k - B_k P_(k-1) for k = 1 .. K - 1, whatever the count K
+    k = np.arange(1.0, ks[-1])
     c = k + a
     den = (k + 1.0) * (k + 2.0 * a + 1.0)
     coefs = list(zip(((2.0 * c + 1.0) * (c + 1.0) / den).tolist(),
                      (c * (c + 1.0) / den).tolist()))
-    converged = False
+    # the positive-half nodes of every rule, concatenated in order of count:
+    # rule i holds nodes j = 1 .. K // 2 of count K = ks[i]
+    halves = [nodes // 2 for nodes in ks]
+    stops = np.cumsum(halves)
+    starts = stops - halves
+    rule = np.repeat(np.arange(len(ks)), halves)
+    count = np.repeat(np.array(ks, dtype=float), halves)
+    rho = count + a + 0.5
+    phi = (np.arange(1, stops[-1] + 1) - starts[rule] + 0.5 * a - 0.25) * (np.pi / rho)
+    theta = phi + (0.25 - a * a) / (2.0 * rho * rho) / np.tan(phi)
+    dp = np.empty_like(theta)
+    live = np.ones(theta.shape, dtype=bool)
+    running, converged = [i for i, half in enumerate(halves) if half], set()
     for _ in range(12):
-        x = np.cos(theta)
-        p0, p1 = _jacobi_values(coefs, a, 2.0 * np.sin(0.5 * theta) ** 2, x)
-        # -dP_K/dtheta = sin(theta) P_K'(x) = ((K+a) P_(K-1) - K x P_K) / sin(theta)
-        dp = ((nodes + a) * p0 - nodes * x * p1) / np.sin(theta)
-        step = p1 / dp
-        theta += step
-        if converged:  # a pass after a 1e-9 step leaves theta, and dp at it, at rounding level
+        if not running:
             break
-        converged = np.max(np.abs(step), initial=0.0) <= 1e-9
-    s = np.cos(theta)
-    w = 1.0 / (dp * dp)
-    if nodes % 2:
-        # at s = 0 the recurrence is P_(k+1) = -B_k P_(k-1), from P_0 = 1
-        p0 = math.prod(-bk for _, bk in coefs[0::2])
-        mid, zero = [1.0 / ((nodes + a) * p0) ** 2], [0.0]
-    else:
-        mid = zero = []
-    s = np.concatenate([-s, zero, s[::-1]])
-    w = np.concatenate([w, mid, w[::-1]])
-    w *= math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) / w.sum()
-    return s, w
+        th, kl = theta[live], count[live]
+        x = np.cos(th)
+        values = _jacobi_values(coefs, a, 2.0 * np.sin(0.5 * th) ** 2, x,
+                                [ks[i] for i in running], [halves[i] for i in running])
+        p0, p1 = (np.concatenate(p) for p in zip(*values))
+        # -dP_K/dtheta = sin(theta) P_K'(x) = ((K+a) P_(K-1) - K x P_K) / sin(theta)
+        d = ((kl + a) * p0 - kl * x * p1) / np.sin(th)
+        step = p1 / d
+        dp[live] = d
+        theta[live] = th + step
+        # a rule stops one pass after its largest step is at most 1e-9 (a
+        # nan step counts as large): that pass leaves theta, and dp at it,
+        # at rounding level
+        late = np.bincount(rule[live][~(np.abs(step) <= 1e-9)], minlength=len(ks))
+        still = []
+        for i in running:
+            if i in converged:
+                live[starts[i]:stops[i]] = False
+            else:
+                still.append(i)
+                if not late[i]:
+                    converged.add(i)
+        running = still
+    mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    s_half = np.cos(theta)
+    w_half = 1.0 / (dp * dp)
+    rules = {}
+    for nodes, start, stop in zip(ks, starts.tolist(), stops.tolist()):
+        s, w = s_half[start:stop], w_half[start:stop]
+        if nodes % 2:
+            # at s = 0 the recurrence is P_(k+1) = -B_k P_(k-1), from P_0 = 1
+            p0 = math.prod(-bk for _, bk in coefs[0:nodes - 1:2])
+            mid, zero = [1.0 / ((nodes + a) * p0) ** 2], [0.0]
+        else:
+            mid = zero = []
+        s = np.concatenate([-s, zero, s[::-1]])
+        w = np.concatenate([w, mid, w[::-1]])
+        w *= mass / w.sum()
+        rules[nodes] = (s, w)
+    return [rules[nodes] for nodes in counts]
 
 
 def omega_hat_jacobi(xi, spec: KernelSpec):
@@ -213,8 +256,11 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
     holds for every order, so it covers the whole family.  The |xi| are
     grouped into half-octave bands [0, 1], (1, 2^(1/2)], (2^(1/2), 2], ...,
     and each band has its own rule of K = ceil(3.5 e) + 24 nodes at its
-    upper edge e.  The Jacobi weight is even and the rule (_jacobi_rule)
-    is exactly symmetric by construction, so the cosine sum is folded:
+    upper edge e.  All the bands' rules come from one _jacobi_rules call,
+    whose Newton sweeps each run one recurrence pass over every rule
+    still iterating; a rule's bits are those it has when built alone.
+    The Jacobi weight is even and each rule is exactly symmetric by
+    construction, so the cosine sum is folded:
     cosines are taken at the K // 2 positive nodes only, with doubled
     weights, plus the middle weight (its node is 0) when K is odd.  Each
     row of cosines is reduced on its own (np.sum along the row), so a
@@ -238,9 +284,9 @@ def omega_hat_jacobi(xi, spec: KernelSpec):
         edges.append(2.0 ** (0.5 * (len(edges) - 1)))
     order, bands = _by_band(rho, edges)
     x = rho[order]  # grouped by band; each block's sums replace its arguments
-    for start, stop, _, edge in bands:
-        nodes = math.ceil(3.5 * edge) + 24
-        s, w = _jacobi_rule(nodes, -lam)
+    counts = [math.ceil(3.5 * edge) + 24 for *_, edge in bands]
+    rules = _jacobi_rules(counts, -lam) if bands else []
+    for (start, stop, _, _), nodes, (s, w) in zip(bands, counts, rules):
         half = nodes // 2
         s_pos = 2.0 * np.pi * s[nodes - half:]
         w_pos = 2.0 * w[nodes - half:]

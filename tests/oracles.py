@@ -7,7 +7,9 @@ shifts and spacing scales stands in for the continuum Fourier transform
 (the package's one multiplier apply uses neither), and the exponent
 classifier is re-derived in exact rational arithmetic.  Agreement
 between these and the package is evidence, not an identity check
-against shared code.
+against shared code.  One entry is instead frozen package code: the
+per-count Gauss-Jacobi builder (jacobi_rule_reference), which the
+package's one-pass builder must match bit for bit.
 """
 
 import math
@@ -73,6 +75,73 @@ def profile_transform_reference(alpha: float, xi: float, nodes: int = 1500) -> f
     gamma_c = mpmath.pi ** (-lam) / mpmath.gamma(1 - lam)
     u, w = roots_jacobi(nodes, -float(lam), -float(lam))
     return float(gamma_c) * float(w @ np.cos(2.0 * np.pi * float(xi) * u))
+
+
+def _jacobi_values_reference(coefs, a, t, x):
+    # P_(K-1) and P_K of the Jacobi polynomials P^(a,a) at x = 1 - t, by the
+    # three-term recurrence; x p is formed as p - t p, so nodes near s = 1
+    # keep the relative precision of t
+    p0 = np.ones_like(t)
+    p1 = (a + 1.0) * x
+    tp = np.empty_like(t)
+    for ak, bk in coefs:
+        np.multiply(t, p1, out=tp)
+        np.subtract(p1, tp, out=tp)
+        tp *= ak
+        p0 *= bk
+        np.subtract(tp, p0, out=p0)
+        p0, p1 = p1, p0
+    return p0, p1
+
+
+def jacobi_rule_reference(nodes: int, a: float):
+    """Gauss rule for the weight (1 - s^2)^a on (-1, 1), a > -1, built alone.
+
+    The package's per-count builder before its rules shared one recurrence
+    pass, frozen as the reference that kernel._jacobi_rules must equal bit
+    for bit.
+
+    Returns (s, w) with s ascending.  Newton's method in theta = arccos s
+    runs on the positive half only, from the Gatteschi-Pittaluga guesses
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The weights are
+    1 / (dP_K/dtheta)^2 scaled to the mass sqrt(pi) Gamma(a+1) / Gamma(a+3/2)
+    of the weight, and the negative half is the mirror image, so s is
+    exactly antisymmetric and w exactly symmetric, with s = 0 the middle
+    node when the count is odd.
+    """
+    half = nodes // 2
+    rho = nodes + a + 0.5
+    phi = (np.arange(1, half + 1) + 0.5 * a - 0.25) * (np.pi / rho)
+    theta = phi + (0.25 - a * a) / (2.0 * rho * rho) / np.tan(phi)
+    # P_(k+1) = A_k x P_k - B_k P_(k-1) for k = 1 .. nodes - 1
+    k = np.arange(1.0, nodes)
+    c = k + a
+    den = (k + 1.0) * (k + 2.0 * a + 1.0)
+    coefs = list(zip(((2.0 * c + 1.0) * (c + 1.0) / den).tolist(),
+                     (c * (c + 1.0) / den).tolist()))
+    converged = False
+    for _ in range(12):
+        x = np.cos(theta)
+        p0, p1 = _jacobi_values_reference(coefs, a, 2.0 * np.sin(0.5 * theta) ** 2, x)
+        # -dP_K/dtheta = sin(theta) P_K'(x) = ((K+a) P_(K-1) - K x P_K) / sin(theta)
+        dp = ((nodes + a) * p0 - nodes * x * p1) / np.sin(theta)
+        step = p1 / dp
+        theta += step
+        if converged:  # a pass after a 1e-9 step leaves theta, and dp at it, at rounding level
+            break
+        converged = np.max(np.abs(step), initial=0.0) <= 1e-9
+    s = np.cos(theta)
+    w = 1.0 / (dp * dp)
+    if nodes % 2:
+        # at s = 0 the recurrence is P_(k+1) = -B_k P_(k-1), from P_0 = 1
+        p0 = math.prod(-bk for _, bk in coefs[0::2])
+        mid, zero = [1.0 / ((nodes + a) * p0) ** 2], [0.0]
+    else:
+        mid = zero = []
+    s = np.concatenate([-s, zero, s[::-1]])
+    w = np.concatenate([w, mid, w[::-1]])
+    w *= math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) / w.sum()
+    return s, w
 
 
 def zero_frequency_reference(alpha: float, n: int) -> float:

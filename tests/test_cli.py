@@ -172,6 +172,17 @@ def test_kernel_table_physical_refusal_is_visible(tmp_path):
     assert phys and phys[0]["value"] == "0.0"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("x_max", "inf"), ("x_max", "nan"), ("xi_max", "inf"), ("xi_max", "nan"),
+])
+def test_kernel_table_refuses_a_non_finite_range(tmp_path, capsys, key, value):
+    # x_max = nan passed the old "<= 0" check and wrote an all-nan x column
+    code, out = run(tmp_path, "kernel-table", config=f"[kernel-table]\n{key} = {value}\n")
+    assert code == 3
+    assert "positive and finite" in capsys.readouterr().err
+    assert not (out / "kernel_physical.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -700,6 +711,41 @@ def test_ratio_ladders_refuse_repeated_widths_before_any_work(tmp_path, monkeypa
     code, _ = run(tmp_path, command, config=config)
     assert code == 3
     assert "repeats a width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("norm-test", _SMALL_NORM_TEST.replace("deltas = 0.5 1.0 2.0 4.0", "deltas = 0.5 inf")),
+    ("norm-test", _SMALL_NORM_TEST.replace("deltas = 0.5 1.0 2.0 4.0", "deltas = 0.5 1e300")),
+    ("scan-region", _RATIO_SCAN.replace("ratio_deltas = 0.5 1.0 2.0", "ratio_deltas = 1.0 inf")),
+    ("scan-region", _RATIO_SCAN.replace("ratio_deltas = 0.5 1.0 2.0",
+                                        "ratio_deltas = 1.0 1e300")),
+], ids=["norm-test-inf", "norm-test-1e300", "scan-region-inf", "scan-region-1e300"])
+def test_ratio_ladders_refuse_non_finite_widths_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                command, config):
+    # an infinite width ended in a LinAlgError, and a width whose square
+    # overflows in an OverflowError, after every apply had run
+    def never(*args, **kwargs):
+        raise AssertionError("reached the operator")
+
+    monkeypatch.setattr(cli, "symbol", never)
+    monkeypatch.setattr(cli, "apply_symbol", never)
+    code, _ = run(tmp_path, command, config=config)
+    assert code == 3
+    assert "squares are finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("norm-test", _SMALL_NORM_TEST.replace("t_extent = 32.0", "t_extent = 2.0")),
+    ("scan-region", _RATIO_SCAN.replace("ratio_extent = 16.0", "ratio_extent = 2.0")),
+], ids=["norm-test", "scan-region"])
+def test_ratio_ladders_refuse_a_time_extent_without_a_radial_window(tmp_path, capsys,
+                                                                     command, config):
+    # the default radial window caps r at a quarter of the time extent and
+    # needs that cap above 1, so an extent of 4 or less is a config error
+    code, out = run(tmp_path, command, config=config)
+    assert code == 3
+    assert "r_max" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

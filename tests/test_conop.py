@@ -11,6 +11,7 @@ import pytest
 import oracles
 import conewave.conop as conop
 import conewave.ensembles as ens
+import conewave.kernel as kernel
 from conewave import (
     Field,
     KernelSpec,
@@ -248,6 +249,32 @@ def test_symbol_and_apply_symbol_compose_the_paths():
             assert np.array_equal(out.samples, _apply(f, spec, quad, path).samples)
     assert np.array_equal(symbol(g, spec, quad), symbol(g, spec, quad, "multiplier"))
     assert np.array_equal(symbol(g, spec), symbol(g, spec, RadialQuadrature.for_grid(g)))
+
+
+@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
+def test_a_symbol_evaluates_its_profile_once(monkeypatch, path):
+    # counted: the radial table and the completion's argument 0 go to the
+    # profile in one call, and a cone-direct symbol draws all its
+    # Gauss-Jacobi rules from one builder call; the bits do not move
+    g = _grid(64)
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature.for_grid(g, 32)
+    want = symbol(g, spec, quad, path)
+    profile, args, builds = apply_path(path), [], []
+
+    def counted(xi, s):
+        args.append(np.array(xi))
+        return profile(xi, s)
+
+    rules = kernel._jacobi_rules
+    monkeypatch.setattr(conop, profile.__name__, counted)
+    monkeypatch.setattr(kernel, "_jacobi_rules",
+                        lambda counts, a: builds.append(list(counts)) or rules(counts, a))
+    assert np.array_equal(symbol(g, spec, quad, path), want)
+    (xi,) = args
+    assert xi.shape == (quad.count * np.unique(g.space.freq_radius()).size + 1,)
+    assert xi[-1] == 0.0
+    assert len(builds) == (path == "cone-direct")
 
 
 def test_symbol_and_apply_symbol_guards():

@@ -177,7 +177,7 @@ def test_profiles_refuse_non_finite_frequencies(bad, monkeypatch):
 def test_jacobi_rule_integrates_its_even_moments_exactly(nodes, a):
     # a Gauss rule on K nodes is exact up to degree 2K - 1; the even moments
     # of (1 - s^2)^a are Beta(m + 1/2, a + 1), the odd ones vanish by symmetry
-    s, w = kernel._jacobi_rule(nodes, a)
+    ((s, w),) = kernel._jacobi_rules([nodes], a)
     assert s.shape == w.shape == (nodes,)
     assert np.all(np.diff(s) > 0.0) and np.all(w > 0.0)
     for m in range(nodes):
@@ -202,7 +202,7 @@ def _unfolded_jacobi(xi, spec, nodes):
     # sum was folded onto s > 0
     lam = 0.5 - spec.bessel_order
     rho = np.abs(np.asarray(xi, dtype=float)).ravel()
-    s, w = kernel._jacobi_rule(nodes, -lam)
+    s, w = oracles.jacobi_rule_reference(nodes, -lam)
     out = np.empty_like(rho)
     step = max(1, 2**16 // nodes)
     for i in range(0, rho.size, step):
@@ -213,14 +213,15 @@ def _unfolded_jacobi(xi, spec, nodes):
 
 
 def _spy_node_counts(monkeypatch):
+    # the node counts of every rule built, in the order of the builder calls
     counts = []
-    rule = kernel._jacobi_rule
+    rules = kernel._jacobi_rules
 
-    def spy(k, a):
-        counts.append(k)
-        return rule(k, a)
+    def spy(ks, a):
+        counts.extend(ks)
+        return rules(ks, a)
 
-    monkeypatch.setattr(kernel, "_jacobi_rule", spy)
+    monkeypatch.setattr(kernel, "_jacobi_rules", spy)
     return counts
 
 
@@ -273,12 +274,36 @@ def test_jacobi_rule_is_exactly_symmetric_at_the_default_node_counts(default_tab
     for k in counts + [24, 25]:
         for alpha, n in ((0.1, 2), (0.5, 1), (0.9, 1), (0.5, 2), (1.5, 2)):
             lam = 0.5 - KernelSpec(alpha, n).bessel_order
-            s, w = kernel._jacobi_rule(k, -lam)
+            ((s, w),) = kernel._jacobi_rules([k], -lam)
             assert np.array_equal(s, -s[::-1]), (k, alpha, n)
             assert np.array_equal(w, w[::-1]), (k, alpha, n)
             assert np.all(s[k - k // 2:] > 0.0)
             if k % 2:
                 assert s[k // 2] == 0.0
+
+
+@pytest.mark.parametrize("a", [-0.925, -0.5, 0.0, 0.3, 1.0])
+def test_one_pass_rules_equal_the_per_count_rules_bit_for_bit(default_tables, a):
+    # every rule of one _jacobi_rules call has the bits of the frozen
+    # per-count builder, whatever the other counts of the call, and comes
+    # back in the order of the counts asked for
+    drawn = sorted({k for *_, counts in default_tables for k in counts})
+    for counts in ([1, 2, 3, 24, 25], drawn, [136, 249, 472], [472, 25, 1, 136, 25]):
+        rules = kernel._jacobi_rules(counts, a)
+        assert len(rules) == len(counts)
+        for k, (s, w) in zip(counts, rules):
+            want_s, want_w = oracles.jacobi_rule_reference(k, a)
+            assert np.array_equal(s, want_s) and np.array_equal(w, want_w), (k, a)
+
+
+def test_a_jacobi_profile_call_builds_its_rules_in_one_call(monkeypatch):
+    calls = []
+    rules = kernel._jacobi_rules
+    monkeypatch.setattr(kernel, "_jacobi_rules",
+                        lambda ks, a: calls.append(list(ks)) or rules(ks, a))
+    xi = np.linspace(0.0, 64.0, 801)
+    omega_hat_jacobi(xi, KernelSpec(0.5, 1))
+    assert calls == [sorted(set(_band_nodes(xi).tolist()))]
 
 
 def test_default_tables_draw_band_rules_and_half_the_cosines_at_most(default_tables):
@@ -299,7 +324,7 @@ def test_jacobi_rule_matches_scipy_nodes_to_rounding():
     # scipy's roots_jacobi is an independent construction of the same nodes
     for k in (24, 25, 136, 249):
         for a in (-0.925, -0.5, 0.0, 0.4):
-            s, _ = kernel._jacobi_rule(k, a)
+            ((s, _),) = kernel._jacobi_rules([k], a)
             want, _ = roots_jacobi(k, a, a)
             assert np.max(np.abs(s - want)) <= 4e-16, (k, a)
 
