@@ -309,6 +309,20 @@ def _quad_prov(quad: RadialQuadrature) -> str:
     return f"radial nodes {quad.count} on [{quad.r_min:.6g}, {quad.r_max:.6g}] with completion"
 
 
+def _default_window(stg: SpacetimeGrid, setting: str, name: str,
+                    count: int = 160) -> RadialQuadrature:
+    # RadialQuadrature.for_grid, whose cap r_max = extent / 4 must exceed
+    # 1; a short extent is refused naming the setting it comes from
+    r_max = stg.t_extent / 4.0
+    if not r_max > 1.0:
+        raise ConfigError(f"{setting} = {stg.t_extent:g} leaves no radial window: "
+                          f"r_max = {name} / 4 = {r_max:g} must exceed 1")
+    try:
+        return RadialQuadrature.for_grid(stg, count)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def _pool_map(fn, items, jobs):
     # ordered collection keeps reports byte-identical whatever the pool size;
     # the oldest result is collected before another item is drawn, so at
@@ -913,10 +927,8 @@ def cmd_kernel_table(cfg, args) -> dict:
     ]
     pos = xi[xi > 0.0]
     if pos.size:
-        worst = 0.0
-        for v in pos:
-            main, rest = multiplier_split(float(v), spec)
-            worst = max(worst, abs(main + rest - omega_hat(float(v), spec)))
+        main, rest = multiplier_split(pos, spec)
+        worst = float(np.max(np.abs(main + rest - omega_hat(pos, spec))))
         records.append(
             _rec(
                 "split reassembly",
@@ -999,9 +1011,9 @@ def cmd_scan_region(cfg, args) -> dict:
         extent = _to_float(cfg, sec, "ratio_extent")
         try:
             stg = SpacetimeGrid(Grid(1, pts_count, extent), pts_count, extent)
-            quad = RadialQuadrature.for_grid(stg)
         except ValueError as exc:
             raise ConfigError(str(exc))
+        quad = _default_window(stg, f"[{sec}] ratio_extent", "ratio_extent")
         family = [gaussian_spacetime(stg, d) for d in deltas]
         labels = [f"width {d:g}" for d in deltas]
         probes = {}  # alpha -> the probed points on its scaling line
@@ -1109,10 +1121,8 @@ def cmd_op_apply(cfg, args) -> dict:
 
     grid = field.grid
     if cfg[sec]["r_min"] == "auto" and cfg[sec]["r_max"] == "auto":
-        try:
-            quad = RadialQuadrature.for_grid(grid, _to_int(cfg, sec, "count"))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        quad = _default_window(grid, f"the time extent L_t of {in_path}", "L_t",
+                               _to_int(cfg, sec, "count"))
     else:
         try:
             quad = RadialQuadrature(
@@ -1131,11 +1141,14 @@ def cmd_op_apply(cfg, args) -> dict:
 
     # every symbol of the command (the output, three refinements, the
     # cross-check) goes through one applier, which transforms the input
-    # once and then holds its spectrum in place of the samples
+    # once and then holds its spectrum in place of the samples; only the
+    # output is transformed back, and the other four are measured against
+    # its symbol on that spectrum
     try:
         apply = symbol_applier(field)
         del field
-        out_field = SpacetimeField(grid, apply(symbol(grid, spec, quad, path)))
+        m = symbol(grid, spec, quad, path)
+        out_field = SpacetimeField(grid, apply(m))
     except (ValueError, TypeError) as exc:
         # validity refusals from the operator layer are configuration
         # problems at this level, not numerical failures
@@ -1147,11 +1160,12 @@ def cmd_op_apply(cfg, args) -> dict:
     records = [
         _rec("output L2 norm", lp_norm(out_field, 2.0), None, True, prov),
     ]
+    del out_field
 
     tol = _to_float(cfg, sec, "convergence_tol")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
-        diag = convergence_check(apply, spec, quad, out_field, path=path, tol=tol)
+        diag = convergence_check(apply, spec, quad, m, path=path, tol=tol)
     for key in ("r_min_halved", "r_max_doubled", "nodes_doubled"):
         value = diag[key]
         if value is None:
@@ -1170,12 +1184,9 @@ def cmd_op_apply(cfg, args) -> dict:
         raw_tol = cfg[sec]["cross_tol"]
         cross_tol = 1e-3 if raw_tol == "auto" else _to_float(cfg, sec, "cross_tol")
         try:
-            other = apply(symbol(grid, spec, quad, cross))
+            rel = apply.relative_change(symbol(grid, spec, quad, cross), m)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"cross_check path {cross!r}: {exc}")
-        scale = float(np.linalg.norm(out_field.samples))
-        diff = float(np.linalg.norm(other - out_field.samples))
-        rel = diff / scale if scale > 0.0 else diff
         records.append(
             _rec(f"cross-path agreement vs {cross}", rel, cross_tol,
                  rel <= cross_tol, prov,
@@ -1209,9 +1220,9 @@ def cmd_norm_test(cfg, args) -> dict:
             Grid(n, _to_int(cfg, sec, "points"), _to_float(cfg, sec, "extent")),
             _to_int(cfg, sec, "t_points"), _to_float(cfg, sec, "t_extent"),
         )
-        quad = RadialQuadrature.for_grid(stg)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    quad = _default_window(stg, f"[{sec}] t_extent", "t_extent")
     region = classify_exponents(pt)
     prov = f"{_grid_prov(stg)}; {_quad_prov(quad)}; path {path}"
 

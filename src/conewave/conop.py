@@ -10,11 +10,15 @@ Fourier domain that is one (n+1)-dimensional multiplier
 assembled once by `symbol` and applied by `apply_symbol`, so a ladder of
 inputs on one grid pays for the symbol once; `symbol_applier` serves the
 converse, one input under several symbols, and pays for its transform
-once.  The symbol is real and equal to its point reflection m(-xi, -tau)
-(it is the transform of a real, even kernel), so the apply is a circular
-convolution: real inputs take one real-input FFT pair on the half
-spectrum tau >= 0, with no shift pair and no spacing scale, and give float64
-outputs (fields.real_symbol_apply).
+once; it also measures the L2 distance between two symbols' outputs on
+the spectrum it holds, by Parseval, with no inverse transform.  The
+profile depends on |xi| alone, so `symbol` evaluates it and contracts it
+against the phases once per distinct |xi|, and copies each such row to
+every cell of that radius.  The symbol is real and equal to its point
+reflection m(-xi, -tau) (it is the transform of a real, even kernel), so
+the apply is a circular convolution: real inputs take one real-input FFT
+pair on the half spectrum tau >= 0, with no shift pair and no spacing
+scale, and give float64 outputs (fields.real_symbol_apply).
 
 Only the spatial profile P varies between the two evaluation paths, and
 the two profiles share no arithmetic, so each path cross-checks the other.
@@ -29,7 +33,7 @@ The radial grid is log-uniform.  Its floor truncates an integrable
 singularity at r = 0; the truncated mass is restored by a closed-form
 completion term (the integrand's exact r -> 0 limit), and sensitivity to
 the floor, cap, and node count is reported by convergence_check rather
-than silently absorbed.
+than silently absorbed, measured on the input's spectrum.
 """
 
 from __future__ import annotations
@@ -167,23 +171,34 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
         quad = RadialQuadrature.for_grid(grid)
     # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + completion * P(0): the
     # profile is evaluated once, on the distinct |xi| values with the
-    # completion's argument 0 after them, and scattered back, so every
-    # radial node costs one row of a single matrix product; the radial
-    # measure |r|^(B alpha - 1) is integrable at 0 since B alpha > 0
+    # completion's argument 0 after them, and each distinct |xi| takes one
+    # row of the product over the radial nodes, which every cell of that
+    # radius copies; the radial measure |r|^(B alpha - 1) is integrable at
+    # 0 since B alpha > 0
     e = spec.time_scale_power * spec.alpha - 1.0
     r = quad.nodes()
     w = quad.measure_weights(e)
     tau = grid.t_freq_axis()
     xi, scatter = np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
+    order = np.argsort(scatter, kind="stable")  # the cells in order of |xi|
+    rank = scatter[order]
     values = profile(np.append(np.outer(r, xi), 0.0), spec)
     table = values[:-1].reshape(r.size, xi.size)
     table *= w[:, None]
-    weighted = table[:, scatter]  # (M, space)
     phases = np.outer(r, tau)  # (M, Nt)
     phases *= 2.0 * np.pi
     np.cos(phases, out=phases)
     phases *= 2.0
-    m = (weighted.T @ phases).reshape(grid.shape)
+    # the cells go to m in blocks, in order of |xi|: a block's rows and
+    # its gathered copy of them each hold at most half the (M, cells)
+    # gather that a product per cell would take
+    m = np.empty((scatter.size, tau.size))
+    step = max(1, r.size * scatter.size // (2 * tau.size))
+    for start in range(0, scatter.size, step):
+        cells, k = order[start:start + step], rank[start:start + step]
+        rows = table[:, k[0]:k[-1] + 1].T @ phases
+        m[cells] = rows[k - k[0]]
+    m = m.reshape(grid.shape)
     m += quad.completion_mass(e) * float(values[-1])
     return m
 
@@ -219,6 +234,31 @@ def _checked_symbol(m, shape: tuple) -> np.ndarray:
     return m
 
 
+class _Applier:
+    # what symbol_applier returns; see there
+
+    def __init__(self, f: SpacetimeField):
+        _check_input(f)
+        self.grid = f.grid
+        self._f = f
+        self._held = None
+
+    def _spectrum(self):
+        if self._held is None:
+            self._held = real_symbol_apply(self._f.samples)
+            self._f = None  # the spectrum replaces the samples
+        return self._held
+
+    def __call__(self, m) -> np.ndarray:
+        m = _checked_symbol(m, self.grid.shape)
+        return self._spectrum()(m)
+
+    def relative_change(self, m1, m0) -> float:
+        m1 = _checked_symbol(m1, self.grid.shape)
+        m0 = _checked_symbol(m0, self.grid.shape)
+        return self._spectrum().relative_change(m1, m0)
+
+
 def symbol_applier(f: SpacetimeField):
     """apply(m), the samples of the operator with symbol m applied to f.
 
@@ -236,20 +276,13 @@ def symbol_applier(f: SpacetimeField):
     half spectrum and apply returns float64; an f with a nonzero
     imaginary part takes one complex pair and apply returns complex128.
     f is left unchanged.
+
+    apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)||_2 /
+    ||apply(m0)||_2 (the numerator alone when apply(m0) is zero), measured
+    on the held spectrum by Parseval with no inverse transform; m1 and m0
+    pass the same checks as apply's m.  apply.grid is f's grid.
     """
-    _check_input(f)
-    shape = f.grid.shape
-    transformed = None
-
-    def apply(m) -> np.ndarray:
-        nonlocal f, transformed
-        m = _checked_symbol(m, shape)
-        if transformed is None:
-            transformed = real_symbol_apply(f.samples)
-            f = None  # the spectrum replaces the samples
-        return transformed(m)
-
-    return apply
+    return _Applier(f)
 
 
 def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
@@ -268,29 +301,29 @@ def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
 
 
 def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
-                      out: SpacetimeField, path: str = "multiplier",
+                      m: np.ndarray, path: str = "multiplier",
                       tol: float = 1e-3) -> dict:
     """Sensitivity of the output to the radial grid's floor, cap, and density.
 
-    `out` is the path's output for (f, spec, quad), which callers already
-    hold; the grid is taken from it.  f is the input field, or the
-    symbol_applier of that field when the caller holds one, so the three
-    refinements reuse its one forward transform.  Reports relative L2
-    changes under halving r_min, doubling r_max (capped at half the time
-    extent), and doubling the node count.  When the cap leaves no room
-    above r_max the r_max refinement does not run: its entry is None, not
-    a zero sensitivity, and it does not count towards the verdict.  Emits
-    UnderResolvedWarning when any measured movement exceeds tol.
+    m is the path's symbol for (grid, spec, quad), which callers already
+    hold.  f is the input field, or the symbol_applier of that field when
+    the caller holds one, so the refinements reuse its one forward
+    transform; the grid is f's.  Reports the relative L2 changes of the
+    output under halving r_min, doubling r_max (capped at half the time
+    extent), and doubling the node count, each measured on f's spectrum
+    by Parseval (apply.relative_change), so no refinement runs an inverse
+    transform.  Each refined symbol passes the applier's checks, so a bad
+    path or symbol is refused even for a zero input, whose changes are
+    0.0.  When the cap leaves no room above r_max the r_max refinement
+    does not run: its entry is None, not a zero sensitivity, and it does
+    not count towards the verdict.  Emits UnderResolvedWarning when any
+    measured movement exceeds tol.
     """
-    apply = f if callable(f) else symbol_applier(f)
-    grid = out.grid
-    base = out.samples
-    scale = float(np.linalg.norm(base))
+    apply = f if isinstance(f, _Applier) else symbol_applier(f)
+    grid = apply.grid
 
     def rel(q: RadialQuadrature) -> float:
-        # applied even to a zero output, so a bad path or symbol is refused
-        moved = apply(symbol(grid, spec, q, path))
-        return float(np.linalg.norm(moved - base)) / scale if scale > 0.0 else 0.0
+        return apply.relative_change(symbol(grid, spec, q, path), m)
 
     hi = min(2.0 * quad.r_max, grid.t_extent / 2.0)
     diag = {

@@ -13,7 +13,9 @@ Conventions, fixed once here and relied on everywhere else:
   applied by real_symbol_apply, the package's one multiplier apply: a
   circular convolution, so it needs neither a centering shift nor a
   spacing scale, and real inputs take real-input FFTs on the half
-  spectrum of the last axis and stay real.
+  spectrum of the last axis and stay real; the same held spectrum gives
+  the L2 distance between two symbols' outputs by Parseval, with no
+  inverse transform.
 
 The torus stands in for R^n: inputs are expected to decay well inside the
 box, and kernels enter through their exact continuum multipliers rather
@@ -261,10 +263,50 @@ def _inverse(buf: np.ndarray, shape: tuple, real: bool) -> np.ndarray:
     return np.fft.irfft(buf, shape[-1], axis=axes[-1])
 
 
+class _HeldSpectrum:
+    # what real_symbol_apply returns: the samples' spectrum, applied under
+    # any number of symbols, and the power |X|^2 (weighted for the half
+    # spectrum) that measures the distance between two symbols' outputs
+    # by Parseval, computed on the first such request
+
+    def __init__(self, samples: np.ndarray):
+        self._shape = samples.shape
+        self._count = samples.size
+        self._spectrum, self._real = _spectrum(samples)
+        self._power = None
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        spectrum = self._spectrum
+        return _inverse(spectrum * m[..., :spectrum.shape[-1]], self._shape, self._real)
+
+    def relative_change(self, m1: np.ndarray, m0: np.ndarray) -> float:
+        if self._power is None:
+            spectrum = self._spectrum
+            power = np.square(spectrum.real)
+            power += np.square(spectrum.imag)
+            if self._real:
+                # a half-spectrum column other than tau = 0 and Nyquist
+                # stands for itself and its mirror, whose power is the same
+                power[..., 1:(self._shape[-1] + 1) // 2] *= 2.0
+            self._power = power
+        power = self._power
+        m0 = m0[..., :power.shape[-1]]
+        # sum |X|^2 (m1 - m0)^2 and sum |X|^2 m0^2 by numpy's pairwise
+        # sum, not BLAS, so the value does not depend on the BLAS threads
+        buf = m1[..., :power.shape[-1]] - m0
+        buf *= buf
+        buf *= power
+        moved = math.sqrt(float(buf.sum()) / self._count)
+        np.multiply(m0, m0, out=buf)
+        buf *= power
+        scale = math.sqrt(float(buf.sum()) / self._count)
+        return moved / scale if scale > 0.0 else moved
+
+
 def real_symbol_apply(samples: np.ndarray):
     """Prepare samples for Fourier multipliers m that are real and centrally
     symmetric over every axis, m[-k mod N] == m[k] in FFT layout; returns
-    apply(m), the samples under m.
+    apply, with apply(m) the samples under m.
 
     Such an m is the transform of a real, even kernel, so applying it is a
     circular convolution: it commutes with the centering roll (no shift
@@ -280,16 +322,18 @@ def real_symbol_apply(samples: np.ndarray):
     spectrum and transforms that copy back in place, so the spectrum
     serves the next m unchanged and the bits are those of
     irfftn(rfftn(samples) * m_half) (ifftn(fftn(samples) * m)).  m may
-    carry leading axes, one output per leading index.  Callers check the
-    precondition on m; this does not.
+    carry leading axes, one output per leading index.
+
+    apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)|| /
+    ||apply(m0)|| in the samples' L2 norm, or the numerator alone when
+    apply(m0) is zero, with no inverse transform: by Parseval it is the
+    ratio of sum |X|^2 (m1 - m0)^2 to sum |X|^2 m0^2 over the held
+    spectrum X, under its square root.  On the half spectrum each column
+    but tau = 0 and Nyquist counts twice; the full spectrum takes no
+    weights.  |X|^2 is computed on the first such call and kept.  Callers
+    check the precondition on m (and on m1 and m0); this does not.
     """
-    shape = samples.shape
-    spectrum, real = _spectrum(samples)
-
-    def apply(m: np.ndarray) -> np.ndarray:
-        return _inverse(spectrum * m[..., :spectrum.shape[-1]], shape, real)
-
-    return apply
+    return _HeldSpectrum(samples)
 
 
 def _real_symbol_apply_once(samples: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -7,9 +7,11 @@ shifts and spacing scales stands in for the continuum Fourier transform
 (the package's one multiplier apply uses neither), and the exponent
 classifier is re-derived in exact rational arithmetic.  Agreement
 between these and the package is evidence, not an identity check
-against shared code.  One entry is instead frozen package code: the
-per-count Gauss-Jacobi builder (jacobi_rule_reference), which the
-package's one-pass builder must match bit for bit.
+against shared code.  Two entries are instead frozen package code, which
+the package must match bit for bit: the per-count Gauss-Jacobi builder
+(jacobi_rule_reference), against the one-pass builder, and the symbol
+contracted once per spatial cell (symbol_per_cell_reference), against
+the contraction once per distinct |xi|.
 """
 
 import math
@@ -142,6 +144,36 @@ def jacobi_rule_reference(nodes: int, a: float):
     w = np.concatenate([w, mid, w[::-1]])
     w *= math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) / w.sum()
     return s, w
+
+
+def symbol_per_cell_reference(grid, spec, quad, path: str) -> np.ndarray:
+    """The operator symbol with one row of the radial product per cell.
+
+    The package's symbol assembly before it contracted once per distinct
+    |xi|: the weighted profile table is gathered out to every spatial cell
+    and the whole (cells x nodes) table is multiplied by the phases, so
+    cells that share a radius each get their own, identical, row.  Frozen
+    as the reference that conop.symbol must equal bit for bit.
+    """
+    from conewave.conop import apply_path
+
+    profile = apply_path(path)
+    e = spec.time_scale_power * spec.alpha - 1.0
+    r = quad.nodes()
+    w = quad.measure_weights(e)
+    tau = grid.t_freq_axis()
+    xi, scatter = np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
+    values = profile(np.append(np.outer(r, xi), 0.0), spec)
+    table = values[:-1].reshape(r.size, xi.size)
+    table *= w[:, None]
+    weighted = table[:, scatter]  # (M, space)
+    phases = np.outer(r, tau)  # (M, Nt)
+    phases *= 2.0 * np.pi
+    np.cos(phases, out=phases)
+    phases *= 2.0
+    m = (weighted.T @ phases).reshape(grid.shape)
+    m += quad.completion_mass(e) * float(values[-1])
+    return m
 
 
 def zero_frequency_reference(alpha: float, n: int) -> float:

@@ -172,6 +172,41 @@ def test_kernel_table_physical_refusal_is_visible(tmp_path):
     assert phys and phys[0]["value"] == "0.0"
 
 
+def test_kernel_table_evaluates_each_column_in_one_call(tmp_path, monkeypatch):
+    # the profile calls do not grow with the row count, and the split
+    # reassembly record has the bits of the point-by-point loop
+    import conewave.kernel as kernel
+
+    calls = []
+    for module in (kernel, cli):
+        for name in ("omega_hat", "multiplier_split", "omega_physical"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    made = {}
+    for rows in (21, 401):
+        del calls[:]
+        code, out = run(tmp_path, "kernel-table", name=f"rows{rows}",
+                        config=f"[kernel]\nalpha = 0.3\n[kernel-table]\n"
+                               f"xi_count = {rows}\nx_count = {rows}\n")
+        assert code == 0
+        made[rows] = sorted(calls)
+    assert made[21] == made[401]
+    monkeypatch.undo()
+    spec = cw.KernelSpec(0.3, 1)
+    worst = 0.0
+    for v in np.linspace(0.0, 10.0, 401)[1:]:
+        main, rest = cw.multiplier_split(float(v), spec)
+        worst = max(worst, abs(main + rest - cw.omega_hat(float(v), spec)))
+    rec = {r["name"]: r for r in read_report(out)["records"]}["split reassembly"]
+    assert rec["value"] == worst
+
+
 @pytest.mark.parametrize("key, value", [
     ("x_max", "inf"), ("x_max", "nan"), ("xi_max", "inf"), ("xi_max", "nan"),
 ])
@@ -562,13 +597,14 @@ def test_op_apply_refuses_a_cross_check_on_its_own_path(tmp_path, capsys, monkey
 @pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
 def test_op_apply_transforms_its_input_once(tmp_path, monkeypatch, path, kind):
     # five symbols (the output, three refinements, the cross-check) share
-    # one forward transform of the input
+    # one forward transform of the input, and only the output is
+    # transformed back: the other four are measured on the spectrum
     g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
     f = ens.gaussian_spacetime(g, 1.0) if kind == "real" else ens.wave_packet(g, 1.0, k_x=0.5)
     field_path = tmp_path / "g.field"
     cw.save_field(f, field_path)
     calls = []
-    for name in ("rfftn", "fftn"):
+    for name in ("rfftn", "fftn", "irfft", "irfftn", "ifftn"):
         real = getattr(np.fft, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -579,7 +615,7 @@ def test_op_apply_transforms_its_input_once(tmp_path, monkeypatch, path, kind):
     code, out = run(tmp_path, "op-apply",
                     config=f"[op-apply]\ninput = {field_path}\npath = {path}\ncount = 48\n")
     assert code == 0
-    assert calls == ["rfftn" if kind == "real" else "fftn"]
+    assert calls == (["rfftn", "irfft"] if kind == "real" else ["fftn", "ifftn"])
     recs = {r["name"] for r in read_records(out)}
     assert {"sensitivity r_max_doubled", "sensitivity nodes_doubled"} <= recs
     assert any(name.startswith("cross-path agreement") for name in recs)
@@ -734,18 +770,35 @@ def test_ratio_ladders_refuse_non_finite_widths_before_any_work(tmp_path, monkey
     assert "squares are finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, config", [
-    ("norm-test", _SMALL_NORM_TEST.replace("t_extent = 32.0", "t_extent = 2.0")),
-    ("scan-region", _RATIO_SCAN.replace("ratio_extent = 16.0", "ratio_extent = 2.0")),
+@pytest.mark.parametrize("command, key, config", [
+    ("norm-test", "t_extent", _SMALL_NORM_TEST.replace("t_extent = 32.0", "t_extent = 2.0")),
+    ("scan-region", "ratio_extent",
+     _RATIO_SCAN.replace("ratio_extent = 16.0", "ratio_extent = 2.0")),
 ], ids=["norm-test", "scan-region"])
 def test_ratio_ladders_refuse_a_time_extent_without_a_radial_window(tmp_path, capsys,
-                                                                     command, config):
+                                                                     command, key, config):
     # the default radial window caps r at a quarter of the time extent and
     # needs that cap above 1, so an extent of 4 or less is a config error
+    # that names its setting and the rule
     code, out = run(tmp_path, command, config=config)
     assert code == 3
-    assert "r_max" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"[{command}] {key} = 2 leaves no radial window" in err
+    assert f"r_max = {key} / 4 = 0.5 must exceed 1" in err
     assert not (out / "report.json").exists()
+
+
+def test_op_apply_refuses_a_time_extent_without_a_radial_window(tmp_path, capsys):
+    # with the default window the time extent comes from the input file
+    g = cw.SpacetimeGrid(cw.Grid(1, 16, 2.0), 16, 2.0)
+    field_path = tmp_path / "short.field"
+    cw.save_field(ens.gaussian_spacetime(g, 0.25), field_path)
+    code, out = run(tmp_path, "op-apply", config=f"[op-apply]\ninput = {field_path}\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"the time extent L_t of {field_path} = 2 leaves no radial window" in err
+    assert "r_max = L_t / 4 = 0.5 must exceed 1" in err
+    assert not (out / "result.field").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,45 @@ def test_a_symbol_evaluates_its_profile_once(monkeypatch, path):
     assert len(builds) == (path == "cone-direct")
 
 
+# the default grids of op-apply (SpacetimeGrid.default), of the scan-region
+# ratio probes and of norm-test, and a 64^3 n = 2 grid
+_CONTRACTION_GRIDS = {
+    "op-apply-n1": (SpacetimeGrid.default(1), KernelSpec(0.5, 1)),
+    "op-apply-n2": (SpacetimeGrid.default(2), KernelSpec(1.0, 2)),
+    "scan-region": (SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0), KernelSpec(0.4, 1)),
+    "norm-test": (SpacetimeGrid(Grid(1, 1024, 64.0), 1024, 64.0), KernelSpec(0.4, 1)),
+    "n2-64": (SpacetimeGrid(Grid(2, 64, 32.0), 64, 32.0), KernelSpec(1.0, 2)),
+}
+
+
+@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
+@pytest.mark.parametrize("name", sorted(_CONTRACTION_GRIDS))
+def test_symbol_equals_the_per_cell_contraction_bit_for_bit(name, path):
+    # one row per distinct |xi|, copied to the cells of that radius, has
+    # the bits of one row per cell, for the base rule and a denser one
+    g, spec = _CONTRACTION_GRIDS[name]
+    quad = RadialQuadrature.for_grid(g)
+    for q in (quad, quad.refined(density=2.0)):
+        want = oracles.symbol_per_cell_reference(g, spec, q, path)
+        assert np.array_equal(symbol(g, spec, q, path), want)
+
+
+def test_symbol_peak_stays_within_the_per_cell_footprint():
+    # the rows and their copies go to the output in blocks, each within
+    # half the (nodes x cells) gather of the per-cell contraction
+    g, spec = _CONTRACTION_GRIDS["norm-test"]
+    quad = RadialQuadrature.for_grid(g)
+    peaks = []
+    for build in (symbol, oracles.symbol_per_cell_reference):
+        tracemalloc.start()
+        try:
+            build(g, spec, quad, "multiplier")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
 def test_symbol_and_apply_symbol_guards():
     g = _grid(32, 16.0)
     f = ens.gaussian_spacetime(g, 1.0)
@@ -512,6 +551,53 @@ def test_symbol_applier_transforms_once_and_then_holds_only_the_spectrum(monkeyp
         apply(symbols[0][:, :16])
 
 
+def _sample_change(apply, m1, m0) -> float:
+    # the relative L2 change between two outputs, by two inverse transforms
+    base = apply(m0)
+    return float(np.linalg.norm(apply(m1) - base)) / float(np.linalg.norm(base))
+
+
+@pytest.mark.parametrize("pair", ["refinement", "cross-path"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["float64", "complex-zero-imag", "complex"])
+def test_relative_change_equals_the_sample_domain_change(kind, n, pair):
+    # Parseval on the held spectrum against the distance of the two outputs
+    g, spec = _APPLY_GRIDS[n]
+    quad = RadialQuadrature.for_grid(g, 32)
+    m0 = symbol(g, spec, quad)
+    if pair == "refinement":
+        m1 = symbol(g, spec, quad.refined(r_min=quad.r_min / 2.0))
+    else:
+        m1 = symbol(g, spec, quad, "cone-direct")
+    samples = _random_field(g, "complex" if kind == "complex" else "real", 23 + n).samples
+    if kind == "complex-zero-imag":
+        samples = samples.astype(np.complex128)
+    apply = symbol_applier(SpacetimeField(g, samples))
+    want = _sample_change(apply, m1, m0)
+    assert apply.relative_change(m1, m0) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_relative_change_refuses_a_broken_symbol_before_any_transform(monkeypatch):
+    g, spec = _APPLY_GRIDS[1]
+    m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
+    other = symbol(g, spec, RadialQuadrature.for_grid(g, 48))
+    broken = m.copy()
+    broken[1, 2] = np.nextafter(broken[1, 2], np.inf)
+    bad = [(broken, "point reflection"), (m[:, :16], "shape"),
+           (m.astype(np.complex128), "real")]
+    calls = _count_transforms(monkeypatch)
+    for f in (_random_field(g, "real", 37), SpacetimeField(g, np.zeros(g.shape))):
+        apply = symbol_applier(f)
+        for wrong, match in bad:
+            with pytest.raises(ValueError, match=match):
+                apply.relative_change(wrong, m)
+            with pytest.raises(ValueError, match=match):
+                apply.relative_change(m, wrong)
+    assert calls == []
+    # a zero output reads 0.0, once the symbols have passed the checks
+    assert apply.relative_change(other, m) == 0.0
+
+
 def test_symbol_applier_guards_its_input():
     g = _grid(32, 16.0)
     f = ens.gaussian_spacetime(g, 1.0)
@@ -570,7 +656,7 @@ def test_convergence_check_reports_and_warns():
     spec = KernelSpec(0.4, 1)
     coarse = RadialQuadrature.for_grid(g, 48)
     with pytest.warns(UnderResolvedWarning):
-        rep = convergence_check(f, spec, coarse, _apply(f, spec, coarse))
+        rep = convergence_check(f, spec, coarse, symbol(g, spec, coarse))
     assert set(rep) == {
         "r_min_halved",
         "r_max_doubled",
@@ -588,7 +674,7 @@ def test_convergence_check_reports_and_warns():
     roomy = RadialQuadrature(g2.t_spacing / 2048.0, 16.0, 960)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnderResolvedWarning)
-        rep2 = convergence_check(f2, spec, roomy, _apply(f2, spec, roomy),
+        rep2 = convergence_check(f2, spec, roomy, symbol(g2, spec, roomy),
                                  tol=1e-3)
     assert rep2["under_resolved"] is False
 
@@ -598,12 +684,12 @@ def test_convergence_check_takes_an_applier_with_the_same_bits(monkeypatch):
     f = ens.gaussian_spacetime(g, 1.0)
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 48)
-    out = _apply(f, spec, quad)
+    m = symbol(g, spec, quad)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
-        want = convergence_check(f, spec, quad, out)
+        want = convergence_check(f, spec, quad, m)
         calls = _count_transforms(monkeypatch)
-        got = convergence_check(symbol_applier(f), spec, quad, out)
+        got = convergence_check(symbol_applier(f), spec, quad, m)
     assert got == want
     assert len(calls) == 1
 
@@ -617,15 +703,30 @@ def test_convergence_check_reports_an_unrun_r_max_refinement_as_not_measured():
     spec = KernelSpec(0.4, 1)
     for r_max in (g.t_extent / 2.0, g.t_extent):
         quad = RadialQuadrature(g.t_spacing / 4.0, r_max, 48)
-        out = _apply(f, spec, quad)
+        m = symbol(g, spec, quad)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnderResolvedWarning)
-            rep = convergence_check(f, spec, quad, out)
+            rep = convergence_check(f, spec, quad, m)
         assert rep["r_max_doubled"] is None
         measured = [rep["r_min_halved"], rep["nodes_doubled"]]
         assert all(v > 0.0 for v in measured)
         for tol in (0.5 * min(measured), 2.0 * max(measured)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnderResolvedWarning)
-                again = convergence_check(f, spec, quad, out, tol=tol)
+                again = convergence_check(f, spec, quad, m, tol=tol)
             assert again["under_resolved"] is (max(measured) > tol)
+
+
+def test_convergence_check_of_a_zero_input_reads_zero_after_the_checks():
+    g = _grid(64, 16.0)
+    f = SpacetimeField(g, np.zeros(g.shape))
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature.for_grid(g, 48)
+    m = symbol(g, spec, quad)
+    rep = convergence_check(f, spec, quad, m)
+    assert [rep[k] for k in ("r_min_halved", "r_max_doubled", "nodes_doubled")] == [0.0] * 3
+    assert rep["under_resolved"] is False
+    with pytest.raises(ValueError, match="cone-direct"):
+        convergence_check(f, spec, quad, m, path="slices")
+    with pytest.raises(ValueError, match="point reflection"):
+        convergence_check(f, spec, quad, np.roll(m, 1, axis=0))

@@ -260,6 +260,33 @@ def test_a_reused_real_symbol_apply_keeps_its_spectrum(kind):
     assert np.array_equal(apply(first), before)
 
 
+@pytest.mark.parametrize("shape", [(64,), (16, 8), (6, 5), (8, 4, 7), (8, 8, 2)])
+@pytest.mark.parametrize("kind", ["real", "complex", "complex-typed real"])
+def test_relative_change_is_the_distance_of_the_two_outputs(kind, shape):
+    # by Parseval on the held spectrum: the half spectrum's columns other
+    # than tau = 0 and Nyquist count twice (an odd last axis has no
+    # Nyquist column), the full spectrum's once
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(shape)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(shape)
+    elif kind == "complex-typed real":
+        x = x.astype(np.complex128)
+    m0 = _symmetric(rng, shape)
+    m1 = m0 + 0.01 * _symmetric(rng, shape)
+    apply = real_symbol_apply(x)
+    base = apply(m0)
+    moved = np.linalg.norm(apply(m1) - base)
+    want = moved / np.linalg.norm(base)
+    assert apply.relative_change(m1, m0) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    # the same value again from the kept power, and the change itself for
+    # a zero base output
+    assert apply.relative_change(m1, m0) == apply.relative_change(m1, m0)
+    assert apply.relative_change(m1, 0.0 * m0) == pytest.approx(np.linalg.norm(apply(m1)),
+                                                               rel=1e-12)
+    assert real_symbol_apply(0.0 * x).relative_change(m1, m0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # kernel convolution: f * Omega_r through the one multiplier apply, with
 # the exact profile at r |xi| as the symbol

@@ -417,3 +417,53 @@ def test_kernel_tables_refuse_density_outside_strip(tmp_path):
     assert info["spectral_rows"] == 5
     assert info["physical_rows"] == 0
     assert len(_read_csv(ph)) == 1
+
+
+def _scalar_loop_tables(spec, xi_values, x_values, spectral_path, physical_path):
+    # the tables written point by point, one scalar profile call per cell,
+    # as write_kernel_tables did before it took one call per column
+    g = kernel._g
+    with open(spectral_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["xi", "omega_hat", "main", "remainder"])
+        for xi in xi_values:
+            oh = omega_hat(float(xi), spec)
+            if xi == 0.0:
+                w.writerow([g(xi), g(oh), "", ""])
+            else:
+                main, rest = multiplier_split(float(xi), spec)
+                w.writerow([g(xi), g(oh), g(main), g(rest)])
+    with open(physical_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "omega"])
+        if 0.0 < spec.lam < 1.0:
+            for x in x_values:
+                w.writerow([g(x), g(omega_physical(float(x), spec))])
+
+
+@pytest.mark.parametrize("alpha, n", [(0.3, 1), (0.5, 1), (0.95, 1), (0.5, 2), (1.5, 2),
+                                      (2.2, 3)])
+def test_kernel_tables_have_the_bytes_of_the_scalar_loop(tmp_path, alpha, n):
+    # the xi = 0 row keeps its empty split columns, and (0.5, 2) writes a
+    # header-only physical table
+    spec = KernelSpec(alpha, n)
+    xi = np.linspace(0.0, 10.0, 501)
+    x = np.linspace(-1.25, 1.25, 301)
+    got = (tmp_path / "s.csv", tmp_path / "p.csv")
+    want = (tmp_path / "s_ref.csv", tmp_path / "p_ref.csv")
+    write_kernel_tables(spec, xi, x, *got)
+    _scalar_loop_tables(spec, xi, x, *want)
+    for a, b in zip(got, want):
+        assert a.read_bytes() == b.read_bytes()
+    if (alpha, n) == (0.5, 2):
+        assert len(_read_csv(got[1])) == 1
+    assert _read_csv(got[0])[1][2:] == ["", ""]
+
+
+@pytest.mark.parametrize("alpha, n", [(0.2, 1), (0.7, 1), (1.3, 2), (2.6, 3)])
+def test_multiplier_split_has_the_bits_of_a_call_per_point(alpha, n):
+    spec = KernelSpec(alpha, n)
+    xi = np.concatenate([np.geomspace(1e-3, 1e3, 700), -np.linspace(0.05, 40.0, 300)])
+    main, rest = multiplier_split(xi, spec)
+    for v, a, b in zip(xi.tolist(), main, rest):
+        assert multiplier_split(v, spec) == (a, b)
