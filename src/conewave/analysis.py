@@ -48,8 +48,8 @@ __all__ = [
 
 _EQ_TOL = 1e-12  # classification equality tolerance: pure arithmetic, no noise
 _BLOCK = 2**16  # elements per temporary block in the vectorized batteries
-# terms per run of stein_weiss_ratio's products: a run's temporaries and its
-# index copy stay in cache and add little to the peak resident size
+# terms per run of the Stein-Weiss row build (_sw_rows): a run's temporaries
+# stay in cache and add little to the peak resident size
 _SW_RUN = 2**13
 
 
@@ -394,103 +394,146 @@ def _sw_points(lo, width, gx):
     return pts
 
 
-def _sw_inner_panels(half: float, depth: int, xs: np.ndarray):
-    # the panels of every inner rule: refined toward 0 and the outer node
-    return _dyadic_panels(-half, half, np.column_stack([np.zeros_like(xs), xs]), depth)
-
-
 def _sw_geometry(half: float, depth: int, nodes: int):
     """The composite Gauss-Legendre rules of stein_weiss_ratio on
     [-half, half], with `nodes` points per panel.
 
-    Returns (xs, xw, us, gather, weight, offsets, bounds).  (xs, xw)
-    is the outer rule, refined toward 0.  The inner rule of outer node i,
-    refined toward 0 and xs[i], is a run of panels whose terms (one per
-    panel and Gauss point) sit at offsets[i]:offsets[i + 1] of the
-    panel-major order; weight holds each term's quadrature weight.  Panels
-    near 0 recur in every inner rule, so only the nodes of the distinct
-    panels are kept, sorted, in us; a value computed on us and taken
-    through gather (int32) lands in term order.  bounds cuts the outer
-    nodes into runs of at most _SW_RUN terms (or one node's run).
-    Nothing here depends on the field or the exponents.
+    Returns (xs, xw, lo, width, offsets).  (xs, xw) is the outer rule,
+    refined toward 0.  The inner rule of outer node i, refined toward 0
+    and xs[i], is the run of panels (lo, width) whose terms (one per panel
+    and Gauss point) sit at offsets[i]:offsets[i + 1] of the panel-major
+    order.  Nothing here depends on the field, its grid or the exponents.
     """
     gx, gw = _gl_rule(nodes)
     lo, width, _ = _dyadic_panels(-half, half, np.zeros((1, 1)), depth)
     xs = _sw_points(lo, width, gx).ravel()
     xw = (width[:, None] * gw[None, :] * 0.5).ravel()
-    lo, width, owner = _sw_inner_panels(half, depth, xs)
-    # the distinct panels in (lo, width) order, and each panel's row among them
-    perm = np.lexsort((width, lo))
-    lo_s, width_s = lo[perm], width[perm]
-    new = np.ones(perm.size, dtype=bool)
-    new[1:] = (lo_s[1:] != lo_s[:-1]) | (width_s[1:] != width_s[:-1])
-    row = np.empty(perm.size, dtype=np.int32)
-    row[perm] = np.cumsum(new) - 1
-    us = _sw_points(lo_s[new], width_s[new], gx).ravel()
-    # np.interp is fastest on sorted queries; int32 halves the index arrays
-    order = np.argsort(us)
-    us = us[order]
-    rank = np.empty(us.size, dtype=np.int32)
-    rank[order] = np.arange(us.size, dtype=np.int32)
-    gather = rank.reshape(-1, nodes)[row].ravel()
-    weight = np.multiply(width[:, None], gw[None, :]).ravel()
-    weight *= 0.5
+    lo, width, owner = _dyadic_panels(
+        -half, half, np.column_stack([np.zeros_like(xs), xs]), depth)
     offsets = np.searchsorted(owner, np.arange(xs.size + 1)) * nodes
-    bounds = [0]
-    while bounds[-1] < xs.size:
-        k = bounds[-1]
-        last = int(np.searchsorted(offsets, offsets[k] + _SW_RUN, side="right")) - 1
-        bounds.append(max(last, k + 1))
-    out = (xs, xw, us, gather, weight, offsets, tuple(bounds))
-    for arr in out[:6]:
+    out = (xs, xw, lo, width, offsets)
+    for arr in out:
         arr.setflags(write=False)
     return out
 
 
-# The rule of the latest stein_weiss_ratio call and its tables for one
-# exponent set: (rule key, geometry, exponent key, tables).  Worker threads
-# read it; it is swapped whole under the lock, and a call keeps the tuple
-# it read.
+def _sw_rows(geom, half: float, nodes: int, points: int, key):
+    """The potentials of stein_weiss_ratio as rows of product-integration
+    weights on the grid samples: (data, cols, indptr).
+
+    The potential at outer node x is the inner rule's sum of
+    w |u - x|^(a - N) |u|^(-delta_w) f(u), and f(u) is the linear
+    interpolant of the samples, zero outside the first and last sample;
+    so it is linear in the samples.  Each term's coefficient goes as
+    (1 - theta, theta) to the two samples around u; a term outside the
+    samples keeps its place with a zero coefficient, so every row has
+    entries.  Row i holds the summed coefficients of outer node i, one per
+    sample it touches, in column order, from data[indptr[i]] to the next
+    row's start.  The terms of a row come in increasing u, so their keys
+    row * points + column are sorted: one segmented sum collects the terms
+    of each left sample, and a right neighbour that is the next left
+    sample is added into it, with no sort.  The rows are built a run of
+    outer nodes at a time (at most _SW_RUN terms, or one node's), which
+    bounds the temporaries.
+    """
+    xs, _, lo, width, offsets = geom
+    gx, gw = _gl_rule(nodes)
+    power, delta_w = key[0], key[1]
+    # the samples sit where Grid.axis() puts them
+    h = 2.0 * half / points
+    grid_x = (np.arange(points) - points // 2) * h
+    ends = offsets // nodes  # each outer node's panels
+    data, cols, counts = [], [], []
+    k0 = 0
+    while k0 < xs.size:
+        k1 = int(np.searchsorted(offsets, offsets[k0] + _SW_RUN, side="right")) - 1
+        k1 = max(k1, k0 + 1)
+        panels = slice(ends[k0], ends[k1])
+        row = np.repeat(np.arange(k1 - k0), np.diff(ends[k0:k1 + 1]))
+        u = _sw_points(lo[panels], width[panels], gx)
+        coef = u - xs[k0 + row, None]
+        np.abs(coef, out=coef)
+        np.power(coef, power, out=coef)
+        coef *= np.abs(u) ** -delta_w
+        coef *= np.multiply(width[panels, None], gw[None, :])
+        coef *= 0.5
+        # np.interp(..., left=0, right=0) is 0 outside the samples: such a
+        # term keeps its place in the row with a zero coefficient
+        coef[(u < grid_x[0]) | (u > grid_x[-1])] = 0.0
+        t = u / h
+        t += points // 2
+        col = t.astype(np.intp)
+        np.clip(col, 0, points - 2, out=col)
+        # theta from the sample's own position, as np.interp takes it
+        theta = np.subtract(u, grid_x[col], out=t)
+        theta /= h
+        theta = theta.ravel()
+        keys = (row * points)[:, None] + col
+        keys, coef = keys.ravel(), coef.ravel()
+        # the terms of one left sample, then each sum's right neighbour
+        starts = np.flatnonzero(keys[1:] != keys[:-1])
+        starts += 1
+        starts = np.concatenate(([0], starts))
+        right = coef * theta
+        coef -= right
+        pair = np.empty((starts.size, 2))
+        pair[:, 0] = np.add.reduceat(coef, starts)
+        pair[:, 1] = np.add.reduceat(right, starts)
+        keys = keys[starts]
+        # a right neighbour that is the next left sample merges into it
+        merged = keys[1:] == keys[:-1] + 1
+        np.add(pair[1:, 0], pair[:-1, 1], out=pair[1:, 0], where=merged)
+        held = np.ones(pair.shape, dtype=bool)
+        held[:-1, 1] = ~merged
+        data.append(pair[held])
+        row, col = np.divmod(keys, points)
+        cols.append(np.column_stack([col, col + 1])[held])
+        # two entries per left sample, less the right neighbours merged
+        counts.append(np.bincount(row, minlength=k1 - k0) * 2
+                      - np.bincount(row[1:][merged], minlength=k1 - k0))
+        k0 = k1
+    counts = np.concatenate(counts)
+    indptr = np.zeros(counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=indptr[1:])
+    return np.concatenate(data), np.concatenate(cols), indptr
+
+
+# The rule of the latest stein_weiss_ratio call and its rows for one grid
+# and exponent set: (rule key, geometry, exponent key, rows).  Worker
+# threads read it; it is swapped whole under the lock, and a call keeps the
+# tuple it read.
 _sw_slot = None
 _sw_lock = threading.Lock()
 
 
-def _sw_rule(half: float, depth: int, nodes: int, params: SteinWeissParams):
-    """(geometry, tables) of stein_weiss_ratio for one box, depth and panel
-    order, and one exponent set.
+def _sw_rule(half: float, depth: int, nodes: int, points: int, params: SteinWeissParams):
+    """(geometry, rows) of stein_weiss_ratio for one box, depth, panel
+    order and grid point count, and one exponent set.
 
-    The tables are the field-independent factors of the terms:
-    |u - x|^(a - N) per term, |u|^(-delta_w) on the sorted distinct nodes
-    and |x|^(-gamma_w) on the outer nodes.  The latest rule and tables are
-    kept for the next call; the slot is emptied before a replacement is
-    built, so two geometries are never held at once.  The panels behind
-    the distances are rebuilt with each table rather than held: that
-    costs about a millisecond and keeps the peak resident size down.
+    The rows are (data, cols, indptr, x_weight): the product-integration
+    rows of _sw_rows, which fold |u - x|^(a - N), |u|^(-delta_w), the
+    inner weights and the interpolation onto the samples, and
+    |x|^(-gamma_w) on the outer nodes.  The latest rule and rows are kept
+    for the next call, and the geometry also while only the grid's point
+    count or the exponents change; the slot is emptied before a
+    replacement is built, so two sets of rows are never held at once.
     """
     global _sw_slot
-    rule = (half, depth, nodes)
+    rule = (half, depth, nodes, points)
     key = (params.a - params.N, params.delta_w, params.gamma_w)
     with _sw_lock:
         slot = _sw_slot
         if slot is not None and slot[0] == rule and slot[2] == key:
             return slot[1], slot[3]
-        geom = slot[1] if slot is not None and slot[0] == rule else None
+        geom = slot[1] if slot is not None and slot[0][:3] == rule[:3] else None
         _sw_slot = slot = None
         if geom is None:
-            geom = _sw_geometry(*rule)
-        xs, _, us = geom[:3]
-        lo, width, owner = _sw_inner_panels(half, depth, xs)
-        kernel = _sw_points(lo, width, _gl_rule(nodes)[0])
-        kernel -= xs[owner, None]
-        np.abs(kernel, out=kernel)
-        np.power(kernel, key[0], out=kernel)
-        u_weight = np.abs(us)
-        u_weight **= -key[1]
-        tables = (kernel.ravel(), u_weight, np.abs(xs) ** (-key[2]))
-        for arr in tables:
+            geom = _sw_geometry(half, depth, nodes)
+        rows = _sw_rows(geom, half, nodes, points, key) + (np.abs(geom[0]) ** -key[2],)
+        for arr in rows:
             arr.setflags(write=False)
-        _sw_slot = (rule, geom, key, tables)
-    return geom, tables
+        _sw_slot = (rule, geom, key, rows)
+    return geom, rows
 
 
 def _positive_int(value, name: str) -> int:
@@ -506,18 +549,19 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
 
     Direct one-dimensional quadrature: the potential integral refines
     dyadically toward its singular points u = 0 and u = x, the outer norm
-    toward x = 0, both over the field's box.  The panel geometry depends
-    only on the box, the depth and the panel order, and the powers of the
-    kernel and the weights only on it and the exponents, so they are built
-    once per (box, depth, panel order, exponents) (_sw_rule) and kept for
-    the next call; each call interpolates the field onto the distinct
-    nodes and, a run of outer nodes at a time, gathers the values into
-    term order, multiplies in the tables and sums the potentials with one
-    segmented reduction.  Inadmissible parameter sets raise, naming every
-    violated condition; passing allow_inadmissible runs them anyway, which
-    is exactly how the failure of the inequality is demonstrated (the
-    measured value then tracks the truncation depth instead of
-    converging).
+    toward x = 0, both over the field's box.  The potentials are linear in
+    the field's samples, so the inner rules, the powers of the kernel and
+    the weights, and the interpolation onto the samples fold into one
+    sparse row of weights per outer node.  The rows depend only on the
+    box, the depth, the panel order, the grid's point count and the
+    exponents; they are built once per such set (_sw_rule) and kept for
+    the next call.  A call then takes every potential with one gather,
+    one product and one segmented sum, and interpolates the field only
+    onto the outer nodes, for the input norm.  Inadmissible parameter
+    sets raise, naming every violated condition; passing
+    allow_inadmissible runs them anyway, which is exactly how the failure
+    of the inequality is demonstrated (the measured value then tracks the
+    truncation depth instead of converging).
     """
     depth = _positive_int(depth, "depth")
     nodes = _positive_int(nodes_per_panel, "nodes_per_panel")
@@ -542,28 +586,16 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
     if fr.min() < -1e-12 * max(fr.max(), 1e-300):
         raise ValueError("input must be nonnegative")
 
-    grid_x = f.grid.axis()
-
-    def fval(u):
-        return np.interp(u, grid_x, fr, left=0.0, right=0.0)
-
-    geom, (kernel, u_weight, x_weight) = _sw_rule(f.grid.extent / 2.0, depth, nodes, params)
-    xs, xw, us, gather, weight, offsets, bounds = geom
-    # f(u) |u|^(-delta_w) once per distinct node, then (that * |u - x|^(a - N))
-    # * weight per term, a run of outer nodes at a time
-    vals = fval(us)
-    vals *= u_weight
-    pot = np.empty(xs.size)
-    for k0, k1 in zip(bounds[:-1], bounds[1:]):
-        run = slice(offsets[k0], offsets[k1])
-        terms = vals[gather[run]]
-        terms *= kernel[run]
-        terms *= weight[run]
-        pot[k0:k1] = np.add.reduceat(terms, offsets[k0:k1] - offsets[k0])
+    grid = f.grid
+    geom, (data, cols, indptr, x_weight) = _sw_rule(grid.extent / 2.0, depth, nodes,
+                                                    grid.points, params)
+    xs, xw = geom[:2]
+    pot = np.add.reduceat(data * fr[cols], indptr)
     weighted = x_weight * pot
     out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
 
-    in_norm = float(np.sum(xw * fval(xs) ** params.p) ** (1.0 / params.p))
+    outer = np.interp(xs, grid.axis(), fr, left=0.0, right=0.0)
+    in_norm = float(np.sum(xw * outer**params.p) ** (1.0 / params.p))
     if in_norm == 0.0:
         raise ValueError("input field is identically zero")
     return out_norm / in_norm

@@ -48,6 +48,7 @@ PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 _FORMAT_VERSION = 1
+_SAVE_BLOCK = 2**17  # samples widened and written at a time by save_field
 
 
 class DomainTagError(ValueError):
@@ -359,10 +360,15 @@ def save_field(f, path) -> None:
     The sidecar is the authority on shape and domain; spacetime fields
     extend the base schema with their time axis under kind "spacetime".
     A float64 field is written as its complex128 widening (imaginary parts
-    +0.0), so its bytes are those of the same field held complex.
+    +0.0), so its bytes are those of the same field held complex.  The
+    samples are widened and written a block at a time, in C order, so no
+    widened copy of the whole field is made.
     """
     # a little-endian complex128 array is the interleaved (re, im) buffer
-    np.ascontiguousarray(f.samples, dtype="<c16").tofile(path)
+    flat = f.samples.reshape(-1)
+    with open(path, "wb") as fh:
+        for start in range(0, flat.size, _SAVE_BLOCK):
+            np.asarray(flat[start:start + _SAVE_BLOCK], dtype="<c16").tofile(fh)
 
     if isinstance(f, Field):
         meta = {

@@ -4,8 +4,10 @@ mpmath supplies arbitrary-precision Bessel and Gamma evaluation, a
 Gauss-Jacobi rule integrates the compactly supported kernel profile
 directly against the oscillation, a complex FFT pair with the centering
 shifts and spacing scales stands in for the continuum Fourier transform
-(the package's one multiplier apply uses neither), and the exponent
-classifier is re-derived in exact rational arithmetic.  Agreement
+(the package's one multiplier apply uses neither), QUADPACK's
+algebraic-weight rule integrates the Stein-Weiss potential of a Gaussian
+bump across its singular points, and the exponent classifier is
+re-derived in exact rational arithmetic.  Agreement
 between these and the package is evidence, not an identity check
 against shared code.  Two entries are instead frozen package code, which
 the package must match bit for bit: the per-count Gauss-Jacobi builder
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 mpmath.mp.dps = 40
@@ -242,3 +245,60 @@ def classify_reference(inv_p: float, inv_q: float, alpha: float, n: int) -> str:
     if half < ip < half + t:
         return "RegionII"
     return "OpenGap"
+
+
+def _gaussian_bump(u, width, center):
+    return math.exp(-math.pi * (u - center) ** 2 / width**2)
+
+
+def stein_weiss_potential_reference(params, x: float, half: float,
+                                    width: float = 1.0, center: float = 0.0) -> float:
+    """The potential of stein_weiss_ratio at the outer point x != 0, for
+    the Gaussian bump exp(-pi (u - center)^2 / width^2) itself (not its
+    samples): the integral over [-half, half] of
+    g(u) |u|^(-delta_w) |x - u|^(a - N).
+
+    QUADPACK's algebraic-weight rule (QAWS) integrates each piece between
+    -half, 0, x and half; a piece's end at 0 or x carries that point's
+    power as the weight (u - l)^alpha (r - u)^beta, and the rest of the
+    integrand is smooth on the piece.
+    """
+    powers = {0.0: -params.delta_w, x: params.a - params.N}
+    cuts = sorted({-half, 0.0, x, half})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+
+        def smooth(u, lo=lo, hi=hi):
+            v = _gaussian_bump(u, width, center)
+            for point, power in powers.items():
+                if point not in (lo, hi):
+                    v *= abs(u - point) ** power
+            return v
+
+        wvar = (powers.get(lo, 0.0), powers.get(hi, 0.0))
+        value, _ = quad(smooth, lo, hi, weight="alg", wvar=wvar,
+                        epsabs=0.0, epsrel=1e-13, limit=200)
+        total += value
+    return total
+
+
+def stein_weiss_ratio_reference(params, half: float, depth: int, width: float = 1.0,
+                                center: float = 0.0, nodes: int = 8) -> float:
+    """The measured constant of stein_weiss_ratio for the Gaussian bump
+    itself: its outer norms on the composite Gauss-Legendre rule over
+    [-half, half] that the package refines toward 0 (breaks +-half 2^-k,
+    k = 1..depth - 1), with every potential from
+    stein_weiss_potential_reference.
+    """
+    h = half * 0.5 ** np.arange(1, depth)
+    cuts = np.concatenate([[-half], -h, [0.0], h[::-1], [half]])
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    mid, rad = (cuts[1:] + cuts[:-1]) / 2.0, (cuts[1:] - cuts[:-1]) / 2.0
+    xs = (mid[:, None] + rad[:, None] * gx).ravel()
+    xw = (rad[:, None] * gw).ravel()
+    pot = np.array([stein_weiss_potential_reference(params, float(x), half, width, center)
+                    for x in xs])
+    f = np.exp(-np.pi * (xs - center) ** 2 / width**2)
+    out_norm = np.sum(xw * (np.abs(xs) ** -params.gamma_w * pot) ** params.q) ** (1.0 / params.q)
+    in_norm = np.sum(xw * f**params.p) ** (1.0 / params.p)
+    return float(out_norm / in_norm)

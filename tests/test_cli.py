@@ -303,7 +303,7 @@ def test_reports_are_deterministic_across_workers(tmp_path):
 
 def test_verify_stein_weiss_is_worker_independent(tmp_path, monkeypatch):
     # the bump ensemble runs on worker threads that share the kept
-    # quadrature rule and tables
+    # quadrature rule and rows
     outs = {}
     for jobs in (1, 2):
         monkeypatch.setattr(analysis, "_sw_slot", None)
@@ -315,17 +315,25 @@ def test_verify_stein_weiss_is_worker_independent(tmp_path, monkeypatch):
 
 
 def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
-    built = []
-    geometry = analysis._sw_geometry
+    built, rows_built = [], []
+    geometry, rows = analysis._sw_geometry, analysis._sw_rows
 
     def counted(*rule):
         built.append(rule[1])
         return geometry(*rule)
 
+    def counted_rows(geom, *args):
+        rows_built.append((geom[0].size, args[-1]))
+        return rows(geom, *args)
+
     monkeypatch.setattr(analysis, "_sw_slot", None)
     monkeypatch.setattr(analysis, "_sw_geometry", counted)
+    monkeypatch.setattr(analysis, "_sw_rows", counted_rows)
     records = {r["name"]: r["value"] for r in cli.battery_stein_weiss(seed=3, bumps=4)}
     assert sorted(built) == [8, 10, 12, 14, 16, 18]
+    # and the rows once per (depth, exponent set): two sets at each depth,
+    # and the bumps' set at the default depth 12
+    assert len(rows_built) == 13 == len(set(rows_built))
     # every ladder still reads the calls it names, in its own order
     grid = cw.Grid.default(1)
     inad = cw.SteinWeissParams(N=1, a=0.95, gamma_w=0.35, delta_w=0.2, p=10 / 7, q=10 / 3)

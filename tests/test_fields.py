@@ -1,6 +1,7 @@
 """Grids, the spectral layout, the multiplier apply, and the field file format."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import conewave.ensembles as ens
+import conewave.fields as fields
 from conewave import (
     Field,
     FieldFormatError,
@@ -382,6 +384,38 @@ def test_a_float64_field_saves_the_bytes_of_its_complex_widening(tmp_path, make)
     back = load_field(tmp_path / "real.field")
     assert back.samples.dtype == np.complex128
     assert back.samples.tobytes() == wide.samples.tobytes()
+
+
+@pytest.mark.parametrize("block", [2**17, 1000, 7])
+@pytest.mark.parametrize("make", [
+    lambda: Field(Grid(2, 64, 8.0), np.random.default_rng(3).standard_normal((64, 64))),
+    lambda: Field(Grid(2, 64, 8.0), np.random.default_rng(3).standard_normal((64, 64))
+                  + 1j * np.random.default_rng(4).standard_normal((64, 64)), SPECTRAL),
+    lambda: SpacetimeField(SpacetimeGrid(Grid(1, 32, 8.0), 8, 4.0),
+                           np.random.default_rng(5).standard_normal((32, 8))),
+    lambda: Field(Grid(2, 16, 8.0), np.random.default_rng(6).standard_normal((16, 16)).T),
+], ids=["float", "complex", "spacetime-32x8", "transposed-view"])
+def test_save_field_writes_the_whole_widening_block_by_block(tmp_path, monkeypatch, make, block):
+    # blocks that do not divide the field, and a view that is not in C
+    # order, write the bytes of the field's whole complex128 widening
+    monkeypatch.setattr(fields, "_SAVE_BLOCK", block)
+    f = make()
+    save_field(f, tmp_path / "f.field")
+    assert (tmp_path / "f.field").read_bytes() == \
+        np.ascontiguousarray(f.samples, dtype="<c16").tobytes()
+
+
+def test_save_field_holds_no_widened_copy_of_the_field(tmp_path):
+    # a whole complex128 widening of a float64 field is twice its bytes
+    f = Field(Grid(2, 1024, 32.0), np.random.default_rng(7).standard_normal((1024, 1024)))
+    tracemalloc.start()
+    try:
+        save_field(f, tmp_path / "big.field")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * f.samples.nbytes
+    assert (tmp_path / "big.field").stat().st_size == 2 * f.samples.nbytes
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bessel_table
 import oracles
+from bessel_table import ACCURACY_ORDERS, SIDES
 from conewave.specialfn import (
     bessel_j,
     bessel_j_scaled,
@@ -81,25 +83,34 @@ def test_a_value_does_not_depend_on_the_batch_it_is_evaluated_in(nu):
         assert np.array_equal(batch, [fn(nu, r) for r in rho]), fn.__name__
 
 
-# the two sides of the series/asymptotic handover at 14, each side dense
-# where it is least accurate: the series near the cut, where it cancels
-SERIES_SIDE = np.concatenate([np.linspace(0.012, 11.99, 1000), np.linspace(12.0, 14.0, 200)])
-HANKEL_SIDE = np.geomspace(14.0, 4000.0, 801)[1:]
-ACCURACY_ORDERS = (-0.45, -0.4, -0.25, -0.1, 0.0, 0.1, 0.3, 0.45, 0.7, 1.0, 1.2, 1.5)
-
-
 @pytest.fixture(scope="module")
 def worst_errors():
-    # worst absolute error of (bessel_j, bessel_j_scaled) over the orders
+    # worst absolute error of (bessel_j, bessel_j_scaled) over the orders,
+    # against the 20-digit mpmath table of bessel_table.py
+    table = bessel_table.load()
+    assert np.array_equal(table["orders"], ACCURACY_ORDERS)
     worst = {}
-    for side, rho in (("series", SERIES_SIDE), ("hankel", HANKEL_SIDE)):
+    for side, rho in SIDES.items():
+        assert np.array_equal(table[f"{side}_rho"], rho)
         ej = es = 0.0
-        for nu in ACCURACY_ORDERS:
-            j, scaled = oracles.bessel_pair_reference(nu, rho)
+        for nu, j, scaled in zip(ACCURACY_ORDERS, table[f"{side}_j"], table[f"{side}_scaled"]):
             ej = max(ej, float(np.max(np.abs(bessel_j(nu, rho) - j))))
             es = max(es, float(np.max(np.abs(bessel_j_scaled(nu, rho) - scaled))))
         worst[side] = (ej, es)
     return worst
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_the_bessel_table_is_the_mpmath_reference_at_seeded_points(side):
+    # a live recheck of the table: 24 seeded (order, point) entries per side
+    table, rho = bessel_table.load(), SIDES[side]
+    picks = np.random.default_rng(19).choice(
+        len(ACCURACY_ORDERS) * rho.size, 24, replace=False)
+    for k in picks:
+        i, p = divmod(int(k), rho.size)
+        j, scaled = oracles.bessel_pair_reference(ACCURACY_ORDERS[i], rho[p:p + 1])
+        assert table[f"{side}_j"][i, p] == j[0], (ACCURACY_ORDERS[i], rho[p])
+        assert table[f"{side}_scaled"][i, p] == scaled[0], (ACCURACY_ORDERS[i], rho[p])
 
 
 # The worst errors of the term-by-term evaluation that the banded Horner
