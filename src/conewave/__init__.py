@@ -64,7 +64,7 @@ from .analysis import (
     mixed_norm,
     mixed_norms,
     necessary_window,
-    operator_ratio_estimate,
+    ratio_ladder,
     stein_weiss_ratio,
     sw_derived_params,
 )

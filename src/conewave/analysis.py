@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conop import RadialQuadrature
+from .conop import RadialQuadrature, _check_input, _checked_symbol
 from .fields import PHYSICAL, DomainTagError, Field, SpacetimeField
 from .kernel import KernelSpec, omega_hat
 from .specialfn import bessel_remainder
@@ -41,7 +41,7 @@ __all__ = [
     "CaseBoundReport",
     "case_bound_check",
     "RatioStats",
-    "operator_ratio_estimate",
+    "ratio_ladder",
     "TrendVerdict",
     "boundedness_verdict",
 ]
@@ -149,14 +149,18 @@ def lp_norm(f, p: float) -> float:
     return float(_lp(f.samples, p, f.cell_volume))
 
 
-def _lp(samples: np.ndarray, p: float, cell_volume: float, axis=None):
+def _lp(samples: np.ndarray, p: float, cell_volume: float, axis=None, overwrite=False):
     # the lp_norm reduction; with axis set, one norm per leading index.
+    # With overwrite, C-ordered float64 samples take their magnitudes in
+    # place of a copy, in the same layout, so the norm keeps its bits; the
+    # samples are left holding scrap.  Complex samples need a float64 copy
+    # for their magnitudes either way.
     # pow takes libm's slow scalar path on zeros, subnormals and arguments
     # whose power underflows, and Gaussian tails are mostly such arguments.
     # Any x <= 2^(-1080/p), zero included, has x^p below 2^-1080, which
     # rounds to 0.0, so those terms are set to 0.0 without pow; every term,
     # and the sum taken in the same layout and order, keeps its bits.
-    mags = np.abs(samples)
+    mags = np.abs(samples, out=samples if overwrite and samples.dtype == np.float64 else None)
     if not np.all(np.isfinite(mags)):
         raise ValueError("field has non-finite samples")
     if math.isinf(p):
@@ -634,7 +638,7 @@ def crucial_estimate_ratio(spec: KernelSpec, q: float, r: float, s: float,
 
     xi = f.grid.freq_radius()
     symbol = omega_hat(r * xi, spec) * omega_hat(s * xi, spec)
-    g = Field(f.grid, _fields._real_symbol_apply_once(f.samples, symbol))
+    g = Field(f.grid, _fields.real_symbol_apply(f.samples).last(symbol))
 
     big_a = (n + 1) / (2.0 * n) * spec.alpha
     mid = 1.0 if n == 1 else abs(r - s) ** (-(n - 1) / n * spec.alpha)
@@ -736,40 +740,71 @@ class RatioStats:
     mean: float
 
 
-def operator_ratio_estimate(op, inv_p: float, inv_q: float, family,
-                            labels=None, pool_map=None) -> RatioStats:
-    """Apply op to every family member and collect the norm ratios.
+def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
+    """Norm ratios ||T f||_q / ||f||_p of the operator T with symbol m over
+    a family, one RatioStats per (1/p, 1/q) probe, in probe order.
 
-    This is the one place where norms become ratios.  A member is a field,
-    or a zero-argument callable that builds one when its turn comes, so a
-    ladder need not hold its whole family.  pool_map(fn, members), when
-    given, runs fn over the members in place of the in-order loop (to
-    spread them over workers) and must return the results in member order.
-    The exponent, family and label guards fire before any member is built,
-    and the zero-norm guard before op sees that member.
+    This is the one place where norms become ratios.  A member is a
+    spacetime field, or a zero-argument callable that builds one when its
+    turn comes, so a ladder need not hold its whole family.  m passes
+    apply_symbol's checks once per ladder (real, equal to its point
+    reflection), and each member must be a physical-domain field of m's
+    shape.  Each member is built, its p-norms are taken (once per distinct
+    p), and it is transformed by fields.real_symbol_apply; from then on
+    the ladder holds its spectrum, not its samples.  m is multiplied into
+    that spectrum in place, which is transformed back, and the q-norms of
+    every probe are taken on the one output, the last of them in place on
+    it.  So a member in flight holds at most two arrays of its own size
+    (samples and their magnitudes, samples and spectrum, spectrum and
+    output, output and its magnitudes) besides m, and its samples outlive
+    its transform only when the caller holds them.  Every ratio is
+    lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit.
+
+    pool_map(fn, members), when given, runs fn over the members in place
+    of the in-order loop (to spread them over workers) and must return
+    the results in member order.  The probe, family, label and symbol
+    guards fire before any member is built, and a member's own checks and
+    the zero-norm guard before it is transformed.
     """
-    for name, val in (("inv_p", inv_p), ("inv_q", inv_q)):
-        if not 0.0 < float(val) < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {val}")
+    probes = [(float(inv_p), float(inv_q)) for inv_p, inv_q in probes]
+    if not probes:
+        raise ValueError("no (1/p, 1/q) probes given")
+    for probe in probes:
+        for name, val in zip(("inv_p", "inv_q"), probe):
+            if not 0.0 < val < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {val}")
     family = list(family)
     if not family:
         raise ValueError("empty test-function family")
     labels = list(labels) if labels is not None else [f"member-{i}" for i in range(len(family))]
     if len(labels) != len(family):
         raise ValueError("labels and family lengths differ")
-    p, q = 1.0 / float(inv_p), 1.0 / float(inv_q)
+    m = _checked_symbol(m, np.shape(m))
+    ps = [1.0 / inv_p for inv_p, _ in probes]
+    qs = [1.0 / inv_q for _, inv_q in probes]
 
-    def ratio(member):
+    def ratios(member):
         f = member() if callable(member) else member
-        denom = lp_norm(f, p)
-        if denom == 0.0:
+        _check_input(f)
+        if f.grid.shape != m.shape:
+            raise ValueError(f"symbol shape {m.shape} != grid shape {f.grid.shape}")
+        norms = {p: lp_norm(f, p) for p in ps}  # once per distinct p
+        if 0.0 in norms.values():
             raise ValueError("family member with zero norm")
-        return lp_norm(op(f), q) / denom
+        cell, apply = f.cell_volume, _fields.real_symbol_apply(f.samples)
+        del f  # the spectrum replaces the samples
+        out = apply.last(m)
+        nums = [float(_lp(out, q, cell)) for q in qs[:-1]]
+        nums.append(float(_lp(out, qs[-1], cell, overwrite=True)))
+        return [num / norms[p] for num, p in zip(nums, ps)]
 
-    ratios = pool_map(ratio, family) if pool_map else [ratio(m) for m in family]
-    arr = np.asarray(ratios)
-    return RatioStats(tuple(float(v) for v in ratios), tuple(labels),
-                      float(arr.max()), float(np.median(arr)), float(arr.mean()))
+    per_member = pool_map(ratios, family) if pool_map else [ratios(f) for f in family]
+    stats = []
+    for column in zip(*per_member):
+        arr = np.asarray(column)
+        stats.append(RatioStats(tuple(float(v) for v in column), tuple(labels),
+                                float(arr.max()), float(np.median(arr)), float(arr.mean())))
+    return stats
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .analysis import (
     lp_norm,
     mixed_norm,
     mixed_norms,
-    operator_ratio_estimate,
+    ratio_ladder,
     stein_weiss_ratio,
     sw_derived_params,
 )
@@ -53,7 +53,6 @@ from .conop import (
     RadialQuadrature,
     UnderResolvedWarning,
     apply_path,
-    apply_symbol,
     convergence_check,
     symbol,
     symbol_applier,
@@ -1023,14 +1022,16 @@ def cmd_scan_region(cfg, args) -> dict:
 
         def ladder(alpha):
             # one symbol, and one apply per width, serve every probe at
-            # this alpha; fields hash by identity
+            # this alpha
             m = symbol(stg, KernelSpec(alpha, 1), quad)
-            outputs = {f: apply_symbol(f, m) for f in family}
-            return [operator_ratio_estimate(outputs.__getitem__, pt.inv_p, pt.inv_q,
-                                            family, labels)
-                    for pt in probes[alpha]]
+            return ratio_ladder(m, [(pt.inv_p, pt.inv_q) for pt in probes[alpha]],
+                                family, labels)
 
-        for alpha, ladder_stats in zip(probes, _pool_map(ladder, list(probes), args.jobs)):
+        try:
+            per_alpha = _pool_map(ladder, list(probes), args.jobs)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        for alpha, ladder_stats in zip(probes, per_alpha):
             for pt, stats in zip(probes[alpha], ladder_stats):
                 tv = boundedness_verdict(deltas, stats.ratios)
                 ratio_cols[pt] = (stats.maximum, max(stats.ratios) / min(stats.ratios),
@@ -1230,9 +1231,9 @@ def cmd_norm_test(cfg, args) -> dict:
     members = [partial(gaussian_spacetime, stg, d) for d in deltas]
     try:
         m = symbol(stg, spec, quad, path)
-        stats = operator_ratio_estimate(lambda f: apply_symbol(f, m), inv_p, inv_q, members,
-                                        labels=[f"width {d:g}" for d in deltas],
-                                        pool_map=lambda fn, items: _pool_map(fn, items, args.jobs))
+        [stats] = ratio_ladder(m, [(inv_p, inv_q)], members,
+                               labels=[f"width {d:g}" for d in deltas],
+                               pool_map=lambda fn, items: _pool_map(fn, items, args.jobs))
     except ValueError as exc:
         raise ConfigError(str(exc))
     tv = boundedness_verdict(deltas, stats.ratios)

@@ -49,7 +49,6 @@ from .fields import (
     DomainTagError,
     SpacetimeField,
     SpacetimeGrid,
-    _real_symbol_apply_once,
     real_symbol_apply,
 )
 from .kernel import KernelSpec, omega_hat, omega_hat_jacobi
@@ -297,7 +296,7 @@ def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
     """
     _check_input(f)
     m = _checked_symbol(m, f.grid.shape)
-    return SpacetimeField(f.grid, _real_symbol_apply_once(f.samples, m), PHYSICAL)
+    return SpacetimeField(f.grid, real_symbol_apply(f.samples).last(m), PHYSICAL)
 
 
 def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,

@@ -280,6 +280,14 @@ class _HeldSpectrum:
         spectrum = self._spectrum
         return _inverse(spectrum * m[..., :spectrum.shape[-1]], self._shape, self._real)
 
+    def last(self, m: np.ndarray) -> np.ndarray:
+        # self(m), bit for bit, with m multiplied into the spectrum in place
+        # instead of a copy; the spectrum is given up to the output, so
+        # nothing may follow
+        spectrum, self._spectrum = self._spectrum, None
+        spectrum *= m[..., :spectrum.shape[-1]]
+        return _inverse(spectrum, self._shape, self._real)
+
     def relative_change(self, m1: np.ndarray, m0: np.ndarray) -> float:
         if self._power is None:
             spectrum = self._spectrum
@@ -323,7 +331,12 @@ def real_symbol_apply(samples: np.ndarray):
     spectrum and transforms that copy back in place, so the spectrum
     serves the next m unchanged and the bits are those of
     irfftn(rfftn(samples) * m_half) (ifftn(fftn(samples) * m)).  m may
-    carry leading axes, one output per leading index.
+    carry leading axes, one output per leading index.  apply.last(m), for
+    an m of the samples' shape, is apply(m) with m multiplied into the
+    spectrum in place: no product copy, and the spectrum is given up to
+    the output, so it must be the last call.  A caller that drops its
+    samples once apply exists then holds one array of the samples' size
+    at a time, besides the output while it is made.
 
     apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)|| /
     ||apply(m0)|| in the samples' L2 norm, or the numerator alone when
@@ -335,15 +348,6 @@ def real_symbol_apply(samples: np.ndarray):
     check the precondition on m (and on m1 and m0); this does not.
     """
     return _HeldSpectrum(samples)
-
-
-def _real_symbol_apply_once(samples: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # real_symbol_apply(samples)(m) for one m of the samples' shape, bit for
-    # bit, with m multiplied into the spectrum in place instead of a copy:
-    # for callers that apply one symbol and drop the spectrum
-    spectrum, real = _spectrum(samples)
-    spectrum *= m[..., :spectrum.shape[-1]]
-    return _inverse(spectrum, samples.shape, real)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from conewave.analysis import (
     boundedness_verdict,
     classify_exponents,
     lp_norm,
-    operator_ratio_estimate,
+    ratio_ladder,
 )
 from conewave.cli import (
     battery_bessel,
@@ -148,20 +148,22 @@ def test_criterion_06_scaling_line_invariance(acceptance_log):
     spec = KernelSpec(0.4, 1)
     inv_p, inv_q = 0.7, 0.3  # on the line: 1/p - 1/q = alpha/n
 
+    # one ladder serves the line and both off-line probes, building its
+    # members in turn, so no two inputs or outputs are held at once
     deltas = (0.25, 0.5, 1.0, 2.0, 4.0)
-    inputs = [gaussian_spacetime(grid, d) for d in deltas]
+    offsets = (0.0, 0.05, -0.05)
     m = symbol(grid, spec, quad)
-    outputs = [apply_symbol(g, m) for g in inputs]
-
-    verdicts = {}
-    for off in (0.0, 0.05, -0.05):
-        q_used = 1.0 / (inv_q + off)
-        ratios = [
-            lp_norm(out, q_used) / lp_norm(g, 1.0 / inv_p)
-            for g, out in zip(inputs, outputs)
-        ]
-        verdicts[off] = boundedness_verdict(deltas, ratios)
+    ladder = ratio_ladder(m, [(inv_p, inv_q + off) for off in offsets],
+                          [partial(gaussian_spacetime, grid, d) for d in deltas])
+    verdicts = {off: boundedness_verdict(deltas, stats.ratios)
+                for off, stats in zip(offsets, ladder)}
     elapsed = time.perf_counter() - t0
+
+    # one member's ratios are the generic route's, bit for bit
+    g = gaussian_spacetime(grid, deltas[2])
+    out = apply_symbol(g, m)
+    exact = all(stats.ratios[2] == lp_norm(out, 1.0 / (inv_q + off)) / lp_norm(g, 1.0 / inv_p)
+                for off, stats in zip(offsets, ladder))
 
     on_line = verdicts[0.0]
     up, down = verdicts[0.05], verdicts[-0.05]
@@ -174,14 +176,17 @@ def test_criterion_06_scaling_line_invariance(acceptance_log):
         and down.monotone
         and down.fitted_exponent < 0.0
         and elapsed < 120.0
+        and exact
     )
     acceptance_log(
         6,
         "on-line dilation ratio flat; off-line drift has the predicted sign",
         ok,
         f"spread {on_line.spread - 1.0:.2%} (tol 10%), off-line slopes "
-        f"{up.fitted_exponent:+.3f}/{down.fitted_exponent:+.3f}, {elapsed:.0f}s",
+        f"{up.fitted_exponent:+.3f}/{down.fitted_exponent:+.3f}, {elapsed:.0f}s, "
+        f"width-1 ratios {'equal' if exact else 'differ from'} the generic route",
     )
+    assert exact
     assert on_line.spread < 1.10
     assert up.monotone and up.fitted_exponent > 0.0
     assert down.monotone and down.fitted_exponent < 0.0
@@ -212,6 +217,7 @@ def test_criterion_07_boundedness_proxy_spread(acceptance_log):
     # and across a 2x grid refinement, not agreement between raw members
     points = ((0.4, 0.7, 0.3, Region.REGION_II), (0.6, 0.8, 0.2, Region.REGION_I))
     spreads = []
+    exact = True
     for alpha, inv_p, inv_q, region in points:
         assert classify_exponents(ExponentPoint(inv_p, inv_q, alpha, 1)) is region
         spec = KernelSpec(alpha, 1)
@@ -220,20 +226,25 @@ def test_criterion_07_boundedness_proxy_spread(acceptance_log):
             grid = SpacetimeGrid(Grid(1, points_1d, 64.0), points_1d, 64.0)
             quad = RadialQuadrature.for_grid(grid)
             members, labels = _probe_family(grid)
-            op = partial(apply_symbol, m=symbol(grid, spec, quad))
-            stats = operator_ratio_estimate(op, inv_p, inv_q, members, labels)
+            m = symbol(grid, spec, quad)
+            [stats] = ratio_ladder(m, [(inv_p, inv_q)], members, labels)
+            exact = exact and stats.ratios == tuple(
+                lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
+                for f in members)
             for label, ratio in zip(stats.labels, stats.ratios):
                 key = (label.split("-")[0], points_1d)
                 family_max[key] = max(family_max.get(key, 0.0), ratio)
         values = list(family_max.values())
         spreads.append(max(values) / min(values))
-    ok = all(s < 2.0 for s in spreads)
+    ok = all(s < 2.0 for s in spreads) and exact
     acceptance_log(
         7,
         "norm-proxy spread < 2 across ensembles and grid refinement",
         ok,
-        f"spreads {spreads[0]:.2f} (RegionII), {spreads[1]:.2f} (RegionI)",
+        f"spreads {spreads[0]:.2f} (RegionII), {spreads[1]:.2f} (RegionI), "
+        f"ratios {'equal' if exact else 'differ from'} the generic route",
     )
+    assert exact
     assert spreads[0] < 2.0
     assert spreads[1] < 2.0
 

@@ -3,6 +3,7 @@
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import conewave.analysis as analysis
 import conewave.ensembles as ens
+import conewave.fields as fields
 from conewave import (
     CaseBoundReport,
     ExponentPoint,
@@ -22,8 +24,10 @@ from conewave import (
     MixedNormSpec,
     RadialQuadrature,
     Region,
+    SpacetimeField,
     SpacetimeGrid,
     SteinWeissParams,
+    apply_symbol,
     boundedness_verdict,
     case_bound_check,
     classify_exponents,
@@ -33,9 +37,10 @@ from conewave import (
     mixed_norms,
     necessary_window,
     omega_hat,
-    operator_ratio_estimate,
+    ratio_ladder,
     stein_weiss_ratio,
     sw_derived_params,
+    symbol,
 )
 from conewave.analysis import CaseFit, _lp
 from conewave.fields import SPECTRAL, DomainTagError
@@ -227,6 +232,43 @@ def test_lp_refuses_non_finite_samples_in_a_zero_tail(bad):
         for p in _LP_EXPONENTS:
             with pytest.raises(ValueError, match="non-finite"):
                 lp_norm(Field(f.grid, samples), p)
+
+
+def _lp_samples():
+    # a spacetime Gaussian with a zero and subnormal tail, real and complex
+    f = ens.gaussian_spacetime(SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0), 0.5)
+    packet = ens.wave_packet(f.grid, 0.5, k_x=1.0)
+    return f.cell_volume, (f.samples, packet.samples)
+
+
+@pytest.mark.parametrize("axis", [None, (1,)])
+def test_lp_overwrite_gives_the_bits_of_the_default_mode(axis):
+    cell, arrays = _lp_samples()
+    for samples in arrays:
+        for p in _LP_EXPONENTS:
+            kept = samples.copy()
+            want = _lp(samples, p, cell, axis=axis)
+            assert np.array_equal(samples, kept)  # the default mode copies
+            got = _lp(kept, p, cell, axis=axis, overwrite=True)
+            if samples.dtype == np.float64 and p < np.inf:
+                assert not np.array_equal(kept, samples)  # taken in place
+            assert np.array_equal(got, want), (samples.dtype, p)
+            assert np.array_equal(_lp_reference(samples, p, cell, axis), want)
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lp_refuses_non_finite_samples_in_both_modes(bad, overwrite):
+    cell, arrays = _lp_samples()
+    for samples in arrays:
+        for where in ((0, 0), (-1, 3), (128, 128)):
+            broken = samples.copy()
+            broken[where] = bad
+            for axis in (None, (1,)):
+                for p in _LP_EXPONENTS:
+                    with pytest.raises(ValueError, match="non-finite"):
+                        _lp(broken.copy() if overwrite else broken, p, cell, axis=axis,
+                            overwrite=overwrite)
 
 
 def _r_grid(count=96):
@@ -995,32 +1037,92 @@ def test_case_bound_check_accepts_an_array_of_triples():
 # ratio ensembles and verdicts
 
 
-def test_operator_ratio_estimate_collects_norm_ratios():
-    g = SpacetimeGrid(Grid(1, 64, 16.0), 64, 16.0)
-    members = [ens.gaussian_spacetime(g, w) for w in (0.5, 1.0, 2.0)]
-    stats = operator_ratio_estimate(
-        lambda f: f, 0.7, 0.3, members, labels=["a", "b", "c"]
-    )
-    want = [lp_norm(m, 1.0 / 0.3) / lp_norm(m, 1.0 / 0.7) for m in members]
-    assert stats.ratios == pytest.approx(tuple(want), rel=1e-14)
-    assert stats.maximum == max(want)
-    assert stats.median == pytest.approx(float(np.median(want)))
-    assert stats.labels == ("a", "b", "c")
+_LADDER_GRID = SpacetimeGrid(Grid(1, 64, 16.0), 64, 16.0)
 
 
-def test_operator_ratio_estimate_guards():
-    g = SpacetimeGrid(Grid(1, 32, 8.0), 32, 8.0)
-    f = ens.gaussian_spacetime(g, 1.0)
-    with pytest.raises(ValueError):
-        operator_ratio_estimate(lambda f: f, 0.7, 0.3, [])
-    with pytest.raises(ValueError):
-        operator_ratio_estimate(lambda f: f, 0.7, 0.3, [f], labels=["a", "b"])
-    with pytest.raises(ValueError):
-        operator_ratio_estimate(lambda f: f, 1.2, 0.3, [f])
-    zero = ens.gaussian_spacetime(g, 1.0)
-    zero = type(zero)(zero.grid, np.zeros_like(zero.samples))
-    with pytest.raises(ValueError):
-        operator_ratio_estimate(lambda f: f, 0.7, 0.3, [zero])
+def _ladder_symbol():
+    return symbol(_LADDER_GRID, KernelSpec(0.4, 1), RadialQuadrature.for_grid(_LADDER_GRID, 32))
+
+
+def _ladder_members():
+    # real members given as fields and as builders, and a complex one
+    g = _LADDER_GRID
+    members = [ens.gaussian_spacetime(g, 0.5), partial(ens.gaussian_spacetime, g, 1.0),
+               ens.wave_packet(g, 1.0, k_x=0.5, k_t=0.25),
+               partial(ens.cone_plate, g, 1.0, t_span=3.0)]
+    return members, ["a", "b", "c", "d"]
+
+
+def test_ratio_ladder_is_the_generic_ratio_bit_for_bit():
+    m = _ladder_symbol()
+    members, labels = _ladder_members()
+    probes = [(0.7, 0.3), (0.7, 0.35), (0.6, 0.2)]
+    copies = [f.samples.copy() for f in members if not callable(f)]
+    for pool_map in (None, lambda fn, items: [fn(it) for it in reversed(items)][::-1]):
+        stats = ratio_ladder(m, probes, members, labels, pool_map=pool_map)
+        assert len(stats) == len(probes)
+        for (inv_p, inv_q), st in zip(probes, stats):
+            want = []
+            for member in members:
+                f = member() if callable(member) else member
+                want.append(lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p))
+            assert st.ratios == tuple(want)
+            assert st.labels == tuple(labels)
+            assert st.maximum == max(want)
+            assert st.median == float(np.median(want))
+            assert st.mean == float(np.mean(want))
+    # the members the caller holds are left as they were
+    held = [f.samples for f in members if not callable(f)]
+    assert held[1].dtype == np.complex128
+    assert all(np.array_equal(a, b) for a, b in zip(held, copies))
+
+
+def test_ratio_ladder_guards():
+    m = _ladder_symbol()
+    f = ens.gaussian_spacetime(_LADDER_GRID, 1.0)
+
+    def never():
+        raise AssertionError("a member was built before the guards")
+
+    # the probe, family, label and symbol guards fire before any member is
+    # built, whatever kinds of member follow
+    members = [f, never, ens.wave_packet(_LADDER_GRID, 1.0)]
+    with pytest.raises(ValueError, match="empty"):
+        ratio_ladder(m, [(0.7, 0.3)], [])
+    with pytest.raises(ValueError, match="labels"):
+        ratio_ladder(m, [(0.7, 0.3)], members, labels=["a", "b"])
+    for probe in ((1.2, 0.3), (0.7, 0.0), (0.7, 1.0), (float("nan"), 0.3)):
+        with pytest.raises(ValueError, match="must lie in"):
+            ratio_ladder(m, [(0.7, 0.3), probe], members)
+    with pytest.raises(ValueError, match="probes"):
+        ratio_ladder(m, [], members)
+    with pytest.raises(ValueError, match="real"):
+        ratio_ladder(m.astype(np.complex128), [(0.7, 0.3)], members)
+    lopsided = m.copy()
+    lopsided[1, 2] += 1.0
+    with pytest.raises(ValueError, match="reflection"):
+        ratio_ladder(lopsided, [(0.7, 0.3)], members)
+    # a member of another shape or domain is refused
+    small = SpacetimeGrid(Grid(1, 32, 8.0), 32, 8.0)
+    with pytest.raises(ValueError, match="shape"):
+        ratio_ladder(m, [(0.7, 0.3)], [ens.gaussian_spacetime(small, 1.0)])
+    with pytest.raises(DomainTagError):
+        ratio_ladder(m, [(0.7, 0.3)], [SpacetimeField(f.grid, f.samples, SPECTRAL)])
+
+
+@pytest.mark.parametrize("kind", ["field", "builder", "complex"])
+def test_ratio_ladder_refuses_a_zero_norm_member_before_any_transform(monkeypatch, kind):
+    m = _ladder_symbol()
+    zeros = np.zeros(_LADDER_GRID.shape, np.complex128 if kind == "complex" else np.float64)
+    zero = SpacetimeField(_LADDER_GRID, zeros)
+    member = (lambda: zero) if kind == "builder" else zero
+    transformed = []
+    spectrum = fields._spectrum
+    monkeypatch.setattr(fields, "_spectrum",
+                        lambda samples: transformed.append(1) or spectrum(samples))
+    with pytest.raises(ValueError, match="zero norm"):
+        ratio_ladder(m, [(0.7, 0.3)], [ens.gaussian_spacetime(_LADDER_GRID, 1.0), member])
+    assert transformed == [1]  # the first member's transform, not the zero one's
 
 
 def test_boundedness_verdicts():

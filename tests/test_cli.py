@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ import conewave as cw
 import conewave.analysis as analysis
 import conewave.cli as cli
 import conewave.ensembles as ens
-from conewave.analysis import lp_norm, operator_ratio_estimate
+import conewave.fields as fields
+from conewave.analysis import lp_norm
 from conewave.cli import _bump_stream, _pool_map, main
 from conewave.fields import SPECTRAL
 
@@ -470,15 +472,13 @@ def test_scan_region_ratios_are_shared_per_alpha_and_worker_independent(tmp_path
     grid = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
     quad = cw.RadialQuadrature.for_grid(grid)
     deltas = (0.5, 1.0, 2.0)
+    family = [ens.gaussian_spacetime(grid, d) for d in deltas]
     for row in probed:
-        spec = cw.KernelSpec(float(row["alpha"]), 1)
-        family = [ens.gaussian_spacetime(grid, d) for d in deltas]
-        stats = operator_ratio_estimate(
-            lambda f: cw.apply_symbol(f, cw.symbol(grid, spec, quad)),
-            float(row["inv_p"]), float(row["inv_q"]), family,
-        )
-        assert row["ratio_max"] == repr(stats.maximum)
-        assert row["ratio_spread"] == repr(max(stats.ratios) / min(stats.ratios))
+        m = cw.symbol(grid, cw.KernelSpec(float(row["alpha"]), 1), quad)
+        p, q = 1.0 / float(row["inv_p"]), 1.0 / float(row["inv_q"])
+        ratios = [lp_norm(cw.apply_symbol(f, m), q) / lp_norm(f, p) for f in family]
+        assert row["ratio_max"] == repr(max(ratios))
+        assert row["ratio_spread"] == repr(max(ratios) / min(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -715,15 +715,57 @@ def test_norm_test_is_worker_independent_and_matches_width_by_width(tmp_path, mo
         assert got[f"ratio at width {d:g}"] == want
 
 
+def _spy_on_the_forward_transform(monkeypatch):
+    # every transform of a ratio ladder member runs through fields._spectrum
+    transformed = []
+    spectrum = fields._spectrum
+    monkeypatch.setattr(fields, "_spectrum",
+                        lambda samples: transformed.append(samples.shape) or spectrum(samples))
+    return transformed
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_norm_test_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypatch, jobs):
-    applied = []
     monkeypatch.setattr(cli, "gaussian_spacetime",
                         lambda grid, width: cw.SpacetimeField(grid, np.zeros(grid.shape)))
-    monkeypatch.setattr(cli, "apply_symbol", lambda f, m: applied.append(f))
+    transformed = _spy_on_the_forward_transform(monkeypatch)
     code, _ = run(tmp_path, "--jobs", str(jobs), "norm-test", config=_SMALL_NORM_TEST)
     assert code == 3
-    assert applied == []
+    assert transformed == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_region_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypatch, capsys,
+                                                                jobs):
+    monkeypatch.setattr(cli, "gaussian_spacetime",
+                        lambda grid, width: cw.SpacetimeField(grid, np.zeros(grid.shape)))
+    transformed = _spy_on_the_forward_transform(monkeypatch)
+    code, _ = run(tmp_path, "--jobs", str(jobs), "scan-region", config=_RATIO_SCAN)
+    assert code == 3
+    assert "zero norm" in capsys.readouterr().err
+    assert transformed == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_norm_test_peak_is_the_symbol_and_two_fields_per_worker(tmp_path, jobs):
+    # the default ladder, 1024^2 and five widths: a member in flight holds
+    # at most two arrays of a float64 field's size, and the symbol is one
+    # more.  The margin of half a field covers the boolean masks of the
+    # norms (an eighth of a field per member) and the symbol's tables.  A
+    # member that kept its samples through the apply, with the norm taking
+    # a copy of the output, read 4.2 fields at --jobs 1 and 6.2 to 7.3 at 2.
+    field = 1024 * 1024 * 8
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        code, _ = run(tmp_path, "--jobs", str(jobs), "norm-test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert code in (0, 2)
+    assert peak <= (1 + 2 * jobs + 0.5) * field, peak / field
 
 
 @pytest.mark.parametrize("inv_q", ["1.5", "0.0"])
@@ -751,7 +793,7 @@ def test_ratio_ladders_refuse_repeated_widths_before_any_work(tmp_path, monkeypa
         raise AssertionError("reached the operator")
 
     monkeypatch.setattr(cli, "symbol", never)
-    monkeypatch.setattr(cli, "apply_symbol", never)
+    monkeypatch.setattr(cli, "ratio_ladder", never)
     code, _ = run(tmp_path, command, config=config)
     assert code == 3
     assert "repeats a width" in capsys.readouterr().err
@@ -772,7 +814,7 @@ def test_ratio_ladders_refuse_non_finite_widths_before_any_work(tmp_path, monkey
         raise AssertionError("reached the operator")
 
     monkeypatch.setattr(cli, "symbol", never)
-    monkeypatch.setattr(cli, "apply_symbol", never)
+    monkeypatch.setattr(cli, "ratio_ladder", never)
     code, _ = run(tmp_path, command, config=config)
     assert code == 3
     assert "squares are finite" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from conewave import (
     apply_symbol,
     convergence_check,
     lp_norm,
-    operator_ratio_estimate,
+    ratio_ladder,
     symbol,
     symbol_applier,
 )
@@ -430,9 +430,9 @@ def test_real_fields_report_the_numbers_of_their_complex_twins(name):
         assert np.array_equal(out.samples, _complex_typed_real_apply(f.samples, m).real)
     inv_p = 0.7
     inv_q = inv_p - spec.alpha / spec.n
-    ratios = [operator_ratio_estimate(lambda f: apply_symbol(f, m), inv_p, inv_q, family).ratios
-              for family in (real, twins)]
-    assert ratios[0] == ratios[1]
+    ratios = [ratio_ladder(m, [(inv_p, inv_q)], family)[0].ratios for family in (real, twins)]
+    want = tuple(lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p) for f in real)
+    assert ratios[0] == ratios[1] == want
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

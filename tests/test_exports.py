@@ -14,6 +14,10 @@ _NO_CALLER_YET = {
     # the cone-adapted probe family for the n >= 2 boundedness probes of
     # ROADMAP item 5, built to load the light-cone singularity
     "ensembles.cone_plate",
+    # the public one-symbol apply and the generic route every ratio-ladder
+    # test compares against; the ladder runs the same steps itself, so that
+    # it can drop a member's samples between the transform and the inverse
+    "conop.apply_symbol",
 }
 
 
