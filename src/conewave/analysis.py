@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conop import RadialQuadrature, _check_input, _checked_symbol
+from .conop import RadialQuadrature, _checked_symbol, _single_apply
 from .fields import PHYSICAL, DomainTagError, Field, SpacetimeField
 from .kernel import KernelSpec, omega_hat
 from .specialfn import bessel_remainder
@@ -149,18 +149,14 @@ def lp_norm(f, p: float) -> float:
     return float(_lp(f.samples, p, f.cell_volume))
 
 
-def _lp(samples: np.ndarray, p: float, cell_volume: float, axis=None, overwrite=False):
+def _lp(samples: np.ndarray, p: float, cell_volume: float, axis=None):
     # the lp_norm reduction; with axis set, one norm per leading index.
-    # With overwrite, C-ordered float64 samples take their magnitudes in
-    # place of a copy, in the same layout, so the norm keeps its bits; the
-    # samples are left holding scrap.  Complex samples need a float64 copy
-    # for their magnitudes either way.
     # pow takes libm's slow scalar path on zeros, subnormals and arguments
     # whose power underflows, and Gaussian tails are mostly such arguments.
     # Any x <= 2^(-1080/p), zero included, has x^p below 2^-1080, which
     # rounds to 0.0, so those terms are set to 0.0 without pow; every term,
     # and the sum taken in the same layout and order, keeps its bits.
-    mags = np.abs(samples, out=samples if overwrite and samples.dtype == np.float64 else None)
+    mags = np.abs(samples)
     if not np.all(np.isfinite(mags)):
         raise ValueError("field has non-finite samples")
     if math.isinf(p):
@@ -749,15 +745,16 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     turn comes, so a ladder need not hold its whole family.  m passes
     apply_symbol's checks once per ladder (real, equal to its point
     reflection), and each member must be a physical-domain field of m's
-    shape.  Each member is built, its p-norms are taken (once per distinct
-    p), and it is transformed by fields.real_symbol_apply; from then on
-    the ladder holds its spectrum, not its samples.  m is multiplied into
+    shape.  Each member is built and its p-norms are taken (once per
+    distinct p).  It is then checked and transformed by the helper that
+    apply_symbol runs, and from then on the ladder holds its spectrum,
+    not its samples.  m is multiplied into
     that spectrum in place, which is transformed back, and the q-norms of
-    every probe are taken on the one output, the last of them in place on
-    it.  So a member in flight holds at most two arrays of its own size
-    (samples and their magnitudes, samples and spectrum, spectrum and
-    output, output and its magnitudes) besides m, and its samples outlive
-    its transform only when the caller holds them.  Every ratio is
+    every probe are taken on the one output.  So a member in flight holds
+    at most two arrays of its own size (samples and their magnitudes,
+    samples and spectrum, spectrum and output, output and its magnitudes)
+    besides m, and its samples outlive its transform only when the
+    caller holds them.  Every ratio is
     lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit.
 
     pool_map(fn, members), when given, runs fn over the members in place
@@ -779,24 +776,19 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     labels = list(labels) if labels is not None else [f"member-{i}" for i in range(len(family))]
     if len(labels) != len(family):
         raise ValueError("labels and family lengths differ")
-    m = _checked_symbol(m, np.shape(m))
+    m = _checked_symbol(m, None)
     ps = [1.0 / inv_p for inv_p, _ in probes]
     qs = [1.0 / inv_q for _, inv_q in probes]
 
     def ratios(member):
         f = member() if callable(member) else member
-        _check_input(f)
-        if f.grid.shape != m.shape:
-            raise ValueError(f"symbol shape {m.shape} != grid shape {f.grid.shape}")
         norms = {p: lp_norm(f, p) for p in ps}  # once per distinct p
         if 0.0 in norms.values():
             raise ValueError("family member with zero norm")
-        cell, apply = f.cell_volume, _fields.real_symbol_apply(f.samples)
+        cell, apply = f.cell_volume, _single_apply(f, m, m_checked=True)
         del f  # the spectrum replaces the samples
-        out = apply.last(m)
-        nums = [float(_lp(out, q, cell)) for q in qs[:-1]]
-        nums.append(float(_lp(out, qs[-1], cell, overwrite=True)))
-        return [num / norms[p] for num, p in zip(nums, ps)]
+        out = apply()
+        return [float(_lp(out, q, cell)) / norms[p] for p, q in zip(ps, qs)]
 
     per_member = pool_map(ratios, family) if pool_map else [ratios(f) for f in family]
     stats = []

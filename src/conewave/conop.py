@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -222,10 +223,17 @@ def _equals_its_reflection(m: np.ndarray) -> bool:
     return True
 
 
-def _checked_symbol(m, shape: tuple) -> np.ndarray:
-    m = np.asarray(m)
+def _check_shape(m: np.ndarray, shape: tuple) -> None:
     if m.shape != shape:
         raise ValueError(f"symbol shape {m.shape} != grid shape {shape}")
+
+
+def _checked_symbol(m, shape: tuple | None) -> np.ndarray:
+    # m as an array, refused unless it is real, equals its point
+    # reflection and, when shape is given, has that shape
+    m = np.asarray(m)
+    if shape is not None:
+        _check_shape(m, shape)
     if np.iscomplexobj(m):
         raise ValueError(f"symbol must be real, got dtype {m.dtype}")
     if not _equals_its_reflection(m):
@@ -294,9 +302,23 @@ def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
     complex128 one; the output array is wrapped as it is, without a copy.
     f and m are left unchanged.
     """
+    return SpacetimeField(f.grid, _single_apply(f, m)(), PHYSICAL)
+
+
+def _single_apply(f: SpacetimeField, m, m_checked: bool = False):
+    # apply_symbol's checks, then f's forward transform: returns a
+    # zero-argument callable that gives apply_symbol(f, m)'s samples, bit
+    # for bit, with m multiplied into the spectrum in place.  The callable
+    # holds f's spectrum, not f, so a caller that drops f before calling
+    # it holds one array of f's size until the output is made.  With
+    # m_checked, m has passed _checked_symbol already (a ratio ladder
+    # applies one m to many fields), and only its shape is compared.
     _check_input(f)
-    m = _checked_symbol(m, f.grid.shape)
-    return SpacetimeField(f.grid, real_symbol_apply(f.samples).last(m), PHYSICAL)
+    if m_checked:
+        _check_shape(m, f.grid.shape)
+    else:
+        m = _checked_symbol(m, f.grid.shape)
+    return partial(real_symbol_apply(f.samples).last, m)
 
 
 def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,

@@ -228,9 +228,12 @@ def test_criterion_07_boundedness_proxy_spread(acceptance_log):
             members, labels = _probe_family(grid)
             m = symbol(grid, spec, quad)
             [stats] = ratio_ladder(m, [(inv_p, inv_q)], members, labels)
-            exact = exact and stats.ratios == tuple(
-                lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
-                for f in members)
+            for label, ratio, f in zip(labels, stats.ratios, members):
+                # the first member of each family, real and complex, against
+                # the generic route
+                if label in ("gaussian-w0.5", "packet-kx0.5", "cone-plate-th0.75"):
+                    exact = exact and ratio == (lp_norm(apply_symbol(f, m), 1.0 / inv_q)
+                                                / lp_norm(f, 1.0 / inv_p))
             for label, ratio in zip(stats.labels, stats.ratios):
                 key = (label.split("-")[0], points_1d)
                 family_max[key] = max(family_max.get(key, 0.0), ratio)

@@ -748,18 +748,20 @@ def test_scan_region_refuses_a_zero_norm_member_before_applying(tmp_path, monkey
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_norm_test_peak_is_the_symbol_and_two_fields_per_worker(tmp_path, jobs):
-    # the default ladder, 1024^2 and five widths: a member in flight holds
+    # the default ladder of five widths on 512^2: a member in flight holds
     # at most two arrays of a float64 field's size, and the symbol is one
     # more.  The margin of half a field covers the boolean masks of the
     # norms (an eighth of a field per member) and the symbol's tables.  A
     # member that kept its samples through the apply, with the norm taking
-    # a copy of the output, read 4.2 fields at --jobs 1 and 6.2 to 7.3 at 2.
-    field = 1024 * 1024 * 8
+    # a copy of the output, read 4.2 to 4.3 fields at --jobs 1 and 7.3 to 7.4
+    # at 2.
+    field = 512 * 512 * 8
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        code, _ = run(tmp_path, "--jobs", str(jobs), "norm-test")
+        code, _ = run(tmp_path, "--jobs", str(jobs), "norm-test",
+                      config="[norm-test]\npoints = 512\nt_points = 512\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if started:

@@ -15,8 +15,8 @@ _NO_CALLER_YET = {
     # ROADMAP item 5, built to load the light-cone singularity
     "ensembles.cone_plate",
     # the public one-symbol apply and the generic route every ratio-ladder
-    # test compares against; the ladder runs the same steps itself, so that
-    # it can drop a member's samples between the transform and the inverse
+    # test compares against; the ladder calls its helper itself, so that it
+    # can drop a member's samples between the transform and the inverse
     "conop.apply_symbol",
 }
 
