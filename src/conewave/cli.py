@@ -1140,11 +1140,12 @@ def cmd_op_apply(cfg, args) -> dict:
                 f"{grid.t_extent / 2.0:g}"
             )
 
-    # every symbol of the command (the output, three refinements, the
-    # cross-check) goes through one applier, which transforms the input
-    # once and then holds its spectrum in place of the samples; only the
-    # output is transformed back, and the other four are measured against
-    # its symbol on that spectrum
+    # every symbol of the command goes through one applier, which
+    # transforms the input once and then holds its spectrum in place of
+    # the samples; only the output is transformed back.  The three
+    # refinements' changes of the symbol and the cross-check's symbol are
+    # measured against the output's symbol on that spectrum, and that
+    # symbol, checked when it was applied, is not checked again
     try:
         apply = symbol_applier(field)
         del field
@@ -1167,13 +1168,15 @@ def cmd_op_apply(cfg, args) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
         diag = convergence_check(apply, spec, quad, m, path=path, tol=tol)
-    for key in ("r_min_halved", "r_max_doubled", "nodes_doubled"):
+    for key, window in diag["windows"].items():
         value = diag[key]
         if value is None:
             note = ("not measured: the refined r_max is capped at half the time "
                     "extent, which leaves no room above r_max")
         else:
-            note = "relative L2 movement of the output under this refinement"
+            note = (f"relative L2 movement of the output on the radial window "
+                    f"[{window['r_min']:.6g}, {window['r_max']:.6g}], which keeps the "
+                    f"{quad.count} nodes and adds {window['added_nodes']}")
             if value > tol:
                 note += (f"; exceeds the {tol:g} advisory tolerance, widen or "
                          "densify the radial window if the tail matters")

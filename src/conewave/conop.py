@@ -32,8 +32,10 @@ the two profiles share no arithmetic, so each path cross-checks the other.
 The radial grid is log-uniform.  Its floor truncates an integrable
 singularity at r = 0; the truncated mass is restored by a closed-form
 completion term (the integrand's exact r -> 0 limit), and sensitivity to
-the floor, cap, and node count is reported by convergence_check rather
-than silently absorbed, measured on the input's spectrum.
+the floor, cap, and node density is reported by convergence_check rather
+than silently absorbed, measured on the input's spectrum.  Each refined
+grid keeps every node of the grid it refines, so its change of the symbol
+is assembled from the nodes it adds alone.
 """
 
 from __future__ import annotations
@@ -122,12 +124,30 @@ class RadialQuadrature:
         return 2.0 * mass if both_signs else mass
 
     def refined(self, r_min=None, r_max=None, density=1.0) -> "RadialQuadrature":
-        """Same grid with moved endpoints, preserving (or scaling) node density."""
+        """A rule that keeps every node of this one, refined one way.
+
+        A lower r_min or a higher r_max carries the rule out to it: whole
+        log steps of this rule beyond the moved end, then one shorter
+        panel that ends exactly there, and the node at the moved end gains
+        the half panel next to it; every other node keeps its log weight.
+        A whole density k splits each log step into k, so every k-th node
+        is one of this rule's, bit for bit.  Unmoved, the rule itself.
+        """
         lo = self.r_min if r_min is None else float(r_min)
         hi = self.r_max if r_max is None else float(r_max)
-        per_decade = (self.count - 1) / np.log(self.r_max / self.r_min)
-        cnt = max(8, int(round(density * per_decade * np.log(hi / lo))) + 1)
-        return RadialQuadrature(lo, hi, cnt)
+        ways = (lo < self.r_min) + (hi > self.r_max) + (density != 1)
+        if (lo > self.r_min or hi < self.r_max or density < 1 or density != int(density)
+                or ways > 1):
+            raise ValueError(
+                "a refinement lowers r_min, raises r_max or multiplies the density "
+                f"by a whole number, one at a time; got r_min={lo}, r_max={hi}, "
+                f"density={density} for the window [{self.r_min}, {self.r_max}]"
+            )
+        if lo < self.r_min or hi > self.r_max:
+            return _NestedQuadrature.beyond(self, lo if lo < self.r_min else hi)
+        if density > 1:
+            return RadialQuadrature(self.r_min, self.r_max, int(density) * (self.count - 1) + 1)
+        return self
 
     @classmethod
     def for_grid(cls, grid: SpacetimeGrid, count: int = 160) -> "RadialQuadrature":
@@ -136,6 +156,60 @@ class RadialQuadrature:
         # dilation-invariance checks close on default grids; cap at a
         # quarter extent to keep shifted slices clear of the torus seam
         return cls(grid.t_spacing / 4.0, grid.t_extent / 4.0, count)
+
+
+@dataclass(frozen=True)
+class _NestedQuadrature(RadialQuadrature):
+    # base's rule carried out to a lower r_min or a higher r_max, keeping
+    # every base node at its base log weight: whole base log steps beyond
+    # the moved end, then one shorter panel that ends exactly at the new
+    # end, and the base node at the moved end gains the half panel next to
+    # it; measure_weights and completion_mass are RadialQuadrature's, on
+    # these nodes and log weights
+    base: RadialQuadrature
+
+    @classmethod
+    def beyond(cls, base: RadialQuadrature, end: float) -> "_NestedQuadrature":
+        edge = base.r_min if end < base.r_min else base.r_max
+        whole = int(np.ceil(abs(np.log(end / edge)) / base.log_weights()[1])) - 1
+        lo, hi = (end, base.r_max) if end < base.r_min else (base.r_min, end)
+        return cls(lo, hi, base.count + whole + 1, base)
+
+    def refined(self, r_min=None, r_max=None, density=1.0) -> "RadialQuadrature":
+        # the log step beyond is base's, which this rule's own steps are not
+        raise ValueError("a refined rule is not refined again; refine its base")
+
+    def _added(self):
+        # the added nodes and their log weights, outward from the base
+        # rule, the log weight the base node at the moved end gains, and
+        # whether the rule grew below r_min
+        base = self.base
+        dlog = base.log_weights()[1]
+        below = self.r_min < base.r_min
+        edge, end = (base.r_min, self.r_min) if below else (base.r_max, self.r_max)
+        whole = self.count - base.count - 1
+        steps = dlog * np.arange(1, whole + 1)
+        nodes = np.append(edge * np.exp(-steps if below else steps), end)
+        # panel k ends at added node k; a node's weight is half of each
+        # panel it bounds
+        panels = np.append(np.full(whole, dlog), abs(np.log(end / edge)) - dlog * whole)
+        weights = 0.5 * (panels + np.append(panels[1:], 0.0))
+        return nodes, weights, 0.5 * panels[0], below
+
+    def nodes(self) -> np.ndarray:
+        added, _, _, below = self._added()
+        if below:
+            return np.concatenate([added[::-1], self.base.nodes()])
+        return np.concatenate([self.base.nodes(), added])
+
+    def log_weights(self) -> np.ndarray:
+        _, added, gain, below = self._added()
+        w = self.base.log_weights()
+        if below:
+            w[0] += gain
+            return np.concatenate([added[::-1], w])
+        w[-1] += gain
+        return np.concatenate([w, added])
 
 
 def apply_path(name: str):
@@ -164,20 +238,30 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
     the last bit.  The spatial profile P is the path's
     (apply_path); quad defaults to RadialQuadrature.for_grid(grid).
     """
-    if spec.n != grid.space.n:
-        raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
     profile = apply_path(path)
     if quad is None:
         quad = RadialQuadrature.for_grid(grid)
-    # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + completion * P(0): the
-    # profile is evaluated once, on the distinct |xi| values with the
+    return _radial_sum(grid, spec, profile, *_rule(quad, spec))
+
+
+def _rule(quad: RadialQuadrature, spec: KernelSpec):
+    # quad's nodes, weights and completion coefficient for the radial
+    # measure |r|^(B alpha - 1), which is integrable at 0 since
+    # B alpha > 0: the one place symbol and convergence_check's
+    # refinements take them from
+    e = spec.time_scale_power * spec.alpha - 1.0
+    return quad.nodes(), quad.measure_weights(e), quad.completion_mass(e)
+
+
+def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
+                w: np.ndarray, completion: float) -> np.ndarray:
+    # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + completion * P(0) on grid:
+    # the profile is evaluated once, on the distinct |xi| values with the
     # completion's argument 0 after them, and each distinct |xi| takes one
     # row of the product over the radial nodes, which every cell of that
-    # radius copies; the radial measure |r|^(B alpha - 1) is integrable at
-    # 0 since B alpha > 0
-    e = spec.time_scale_power * spec.alpha - 1.0
-    r = quad.nodes()
-    w = quad.measure_weights(e)
+    # radius copies
+    if spec.n != grid.space.n:
+        raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
     tau = grid.t_freq_axis()
     xi, scatter = np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
     order = np.argsort(scatter, kind="stable")  # the cells in order of |xi|
@@ -192,14 +276,14 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
     # the cells go to m in blocks, in order of |xi|: a block's rows and
     # its gathered copy of them each hold at most half the (M, cells)
     # gather that a product per cell would take
-    m = np.empty((scatter.size, tau.size))
+    m = np.empty(grid.shape)
+    by_cell = m.reshape(scatter.size, tau.size)
     step = max(1, r.size * scatter.size // (2 * tau.size))
     for start in range(0, scatter.size, step):
         cells, k = order[start:start + step], rank[start:start + step]
         rows = table[:, k[0]:k[-1] + 1].T @ phases
-        m[cells] = rows[k - k[0]]
-    m = m.reshape(grid.shape)
-    m += quad.completion_mass(e) * float(values[-1])
+        by_cell[cells] = rows[k - k[0]]
+    m += completion * float(values[-1])
     return m
 
 
@@ -249,6 +333,7 @@ class _Applier:
         self.grid = f.grid
         self._f = f
         self._held = None
+        self._applied = None  # the symbol last applied, checked
 
     def _spectrum(self):
         if self._held is None:
@@ -256,13 +341,26 @@ class _Applier:
             self._f = None  # the spectrum replaces the samples
         return self._held
 
+    def _checked(self, m) -> np.ndarray:
+        # m, checked unless it is the symbol this applier last applied
+        if m is self._applied:
+            return m
+        return _checked_symbol(m, self.grid.shape)
+
     def __call__(self, m) -> np.ndarray:
         m = _checked_symbol(m, self.grid.shape)
+        # an m that owns its data is frozen, so it cannot change in place
+        # between this check and a later use that takes it as checked; a
+        # view is not, since its base could still change it
+        self._applied = None
+        if m.flags.owndata:
+            m.flags.writeable = False
+            self._applied = m
         return self._spectrum()(m)
 
     def relative_change(self, m1, m0) -> float:
-        m1 = _checked_symbol(m1, self.grid.shape)
-        m0 = _checked_symbol(m0, self.grid.shape)
+        m1 = self._checked(m1)
+        m0 = self._checked(m0)
         return self._spectrum().relative_change(m1, m0)
 
 
@@ -287,7 +385,11 @@ def symbol_applier(f: SpacetimeField):
     apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)||_2 /
     ||apply(m0)||_2 (the numerator alone when apply(m0) is zero), measured
     on the held spectrum by Parseval with no inverse transform; m1 and m0
-    pass the same checks as apply's m.  apply.grid is f's grid.
+    pass the same checks as apply's m, except the symbol apply last
+    applied, which was checked then and is taken as it is.  So that it
+    cannot change unchecked in between, apply(m) leaves an m that owns
+    its data read-only (symbol's output does); a view is checked again at
+    every use.  apply.grid is f's grid.
     """
     return _Applier(f)
 
@@ -331,30 +433,46 @@ def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
     the caller holds one, so the refinements reuse its one forward
     transform; the grid is f's.  Reports the relative L2 changes of the
     output under halving r_min, doubling r_max (capped at half the time
-    extent), and doubling the node count, each measured on f's spectrum
-    by Parseval (apply.relative_change), so no refinement runs an inverse
-    transform.  Each refined symbol passes the applier's checks, so a bad
-    path or symbol is refused even for a zero input, whose changes are
-    0.0.  When the cap leaves no room above r_max the r_max refinement
-    does not run: its entry is None, not a zero sensitivity, and it does
-    not count towards the verdict.  Emits UnderResolvedWarning when any
-    measured movement exceeds tol.
+    extent), and doubling the node density.  Each refined rule,
+    quad.refined, keeps every node of quad: halving r_min adds whole log
+    steps of quad below r_min and one shorter panel that ends exactly at
+    r_min / 2, doubling r_max the same above r_max, and doubling the
+    density adds the midpoints and halves the weights of quad's nodes.
+    So each refinement's change of the symbol, refined minus m, is
+    assembled from the nodes it adds and the weights it moves alone, by
+    symbol's own assembly, and its size is measured against m's on f's
+    spectrum by Parseval, with no inverse transform.  A bad path is refused first, then m is checked as
+    apply checks a symbol (unless it is the symbol the applier last
+    applied, checked then), so a zero input, whose changes are 0.0, is
+    refused the same.  When the cap leaves no room above r_max the r_max
+    refinement does not run: its entry is None, not a zero sensitivity,
+    and it does not count towards the verdict.  The report also holds
+    "tolerance", the verdict "under_resolved", and "windows": for each
+    refinement that runs, its rule's r_min and r_max and the number of
+    nodes it adds to quad ("added_nodes"), and None for one that does
+    not.  Emits UnderResolvedWarning when any measured movement exceeds
+    tol.
     """
+    profile = apply_path(path)
     apply = f if isinstance(f, _Applier) else symbol_applier(f)
     grid = apply.grid
-
-    def rel(q: RadialQuadrature) -> float:
-        return apply.relative_change(symbol(grid, spec, q, path), m)
-
-    hi = min(2.0 * quad.r_max, grid.t_extent / 2.0)
+    m = apply._checked(m)
+    rules = _refinements(quad, grid)
     diag = {
-        "r_min_halved": rel(quad.refined(r_min=quad.r_min / 2.0)),
-        "r_max_doubled": rel(quad.refined(r_max=hi)) if hi > quad.r_max else None,
-        "nodes_doubled": rel(quad.refined(density=2.0)),
-        "tolerance": float(tol),
+        key: None if refined is None else apply._spectrum().relative_norm(
+            _refinement_change(grid, spec, profile, quad, refined, m), m)
+        for key, refined in rules.items()
     }
-    worst = max(v for k, v in diag.items() if k != "tolerance" and v is not None)
+    worst = max(diag[key] for key in rules if diag[key] is not None)
+    diag["tolerance"] = float(tol)
     diag["under_resolved"] = bool(worst > tol)
+    diag["windows"] = {
+        key: None if refined is None else {
+            "r_min": refined.r_min, "r_max": refined.r_max,
+            "added_nodes": refined.count - quad.count,
+        }
+        for key, refined in rules.items()
+    }
     if diag["under_resolved"]:
         warnings.warn(
             f"radial quadrature under-resolved: max sensitivity {worst:.3e} > {tol:.1e}",
@@ -362,3 +480,40 @@ def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
             stacklevel=2,
         )
     return diag
+
+
+def _refinements(quad: RadialQuadrature, grid: SpacetimeGrid) -> dict:
+    # the refined rules convergence_check measures, by sensitivity name;
+    # each keeps every node of quad.  The r_max refinement is capped at
+    # half the time extent, and None when that leaves no room above r_max
+    hi = min(2.0 * quad.r_max, grid.t_extent / 2.0)
+    return {
+        "r_min_halved": quad.refined(r_min=quad.r_min / 2.0),
+        "r_max_doubled": quad.refined(r_max=hi) if hi > quad.r_max else None,
+        "nodes_doubled": quad.refined(density=2),
+    }
+
+
+def _refinement_change(grid: SpacetimeGrid, spec: KernelSpec, profile,
+                       quad: RadialQuadrature, refined: RadialQuadrature,
+                       m: np.ndarray) -> np.ndarray:
+    # the symbol on the rule refined less m, the symbol on quad, for a
+    # refined rule that keeps every node of quad (one of _refinements):
+    # the profile is evaluated on the nodes the refinement adds, and on
+    # the one base node whose weight it moves, alone
+    _, w, c = _rule(quad, spec)
+    r1, w1, c1 = _rule(refined, spec)
+    if isinstance(refined, _NestedQuadrature):
+        # every base node keeps its weight but the one at the moved end,
+        # so the added nodes and that one carry the difference, with the
+        # completion's
+        start = refined.count - quad.count if refined.r_min < quad.r_min else 0
+        w1[start:start + quad.count] -= w
+        moved = w1 != 0.0
+        return _radial_sum(grid, spec, profile, r1[moved], w1[moved], c1 - c)
+    # the doubled density: quad's nodes are its even nodes, at half their
+    # weight, so the difference is the midpoints' sum less half of m's
+    # node sum
+    d = _radial_sum(grid, spec, profile, r1[1::2], w1[1::2], c1 - c / 2.0)
+    d -= m / 2.0
+    return d

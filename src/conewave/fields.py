@@ -267,8 +267,9 @@ def _inverse(buf: np.ndarray, shape: tuple, real: bool) -> np.ndarray:
 class _HeldSpectrum:
     # what real_symbol_apply returns: the samples' spectrum, applied under
     # any number of symbols, and the power |X|^2 (weighted for the half
-    # spectrum) that measures the distance between two symbols' outputs
-    # by Parseval, computed on the first such request
+    # spectrum) that measures, by Parseval, the size of one symbol's output
+    # against another's (relative_norm) and so the distance between two
+    # symbols' outputs (relative_change), computed on the first such request
 
     def __init__(self, samples: np.ndarray):
         self._shape = samples.shape
@@ -289,6 +290,27 @@ class _HeldSpectrum:
         return _inverse(spectrum, self._shape, self._real)
 
     def relative_change(self, m1: np.ndarray, m0: np.ndarray) -> float:
+        half = self._weighted_power().shape[-1]
+        return self.relative_norm(m1[..., :half] - m0[..., :half], m0)
+
+    def relative_norm(self, d: np.ndarray, m: np.ndarray) -> float:
+        # ||self(d)|| / ||self(m)||, or the numerator alone when self(m) is
+        # zero: sum |X|^2 d^2 over sum |X|^2 m^2 under its square root, by
+        # numpy's pairwise sum, not BLAS, so the value does not depend on
+        # the BLAS threads; d is consumed (its half spectrum is the one
+        # buffer), m is left unchanged
+        power = self._weighted_power()
+        half = power.shape[-1]
+        buf = d[..., :half]
+        buf *= buf
+        buf *= power
+        moved = math.sqrt(float(buf.sum()) / self._count)
+        np.multiply(m[..., :half], m[..., :half], out=buf)
+        buf *= power
+        scale = math.sqrt(float(buf.sum()) / self._count)
+        return moved / scale if scale > 0.0 else moved
+
+    def _weighted_power(self) -> np.ndarray:
         if self._power is None:
             spectrum = self._spectrum
             power = np.square(spectrum.real)
@@ -298,18 +320,7 @@ class _HeldSpectrum:
                 # stands for itself and its mirror, whose power is the same
                 power[..., 1:(self._shape[-1] + 1) // 2] *= 2.0
             self._power = power
-        power = self._power
-        m0 = m0[..., :power.shape[-1]]
-        # sum |X|^2 (m1 - m0)^2 and sum |X|^2 m0^2 by numpy's pairwise
-        # sum, not BLAS, so the value does not depend on the BLAS threads
-        buf = m1[..., :power.shape[-1]] - m0
-        buf *= buf
-        buf *= power
-        moved = math.sqrt(float(buf.sum()) / self._count)
-        np.multiply(m0, m0, out=buf)
-        buf *= power
-        scale = math.sqrt(float(buf.sum()) / self._count)
-        return moved / scale if scale > 0.0 else moved
+        return self._power
 
 
 def real_symbol_apply(samples: np.ndarray):

@@ -179,6 +179,28 @@ def symbol_per_cell_reference(grid, spec, quad, path: str) -> np.ndarray:
     return m
 
 
+def rule_symbol_reference(grid, spec, path: str, nodes, weights, completion) -> np.ndarray:
+    """The operator symbol of an explicit radial rule, summed node by node.
+
+    m = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + completion * P(0) for
+    the path's profile P, with P taken at every spatial cell (not once
+    per distinct |xi|) and the nodes accumulated one at a time, so it
+    shares no assembly with conop.symbol; the rule need not be
+    log-uniform.
+    """
+    from conewave.conop import apply_path
+
+    profile = apply_path(path)
+    radius = grid.space.freq_radius()
+    tau = grid.t_freq_axis()
+    values = profile(np.append(np.outer(nodes, radius.ravel()), 0.0), spec)
+    m = np.full(grid.shape, completion * float(values[-1]))
+    rows = values[:-1].reshape(len(nodes), *radius.shape)
+    for r, w, row in zip(nodes, weights, rows):
+        m += (w * row)[..., None] * (2.0 * np.cos(2.0 * np.pi * r * tau))
+    return m
+
+
 def zero_frequency_reference(alpha: float, n: int) -> float:
     """Total kernel mass pi^nu / Gamma(nu + 1) at the profile's Bessel order."""
     nu = mpmath.mpf(n + 1) / (2 * n) * mpmath.mpf(alpha) - mpmath.mpf(1) / 2

@@ -604,9 +604,10 @@ def test_op_apply_refuses_a_cross_check_on_its_own_path(tmp_path, capsys, monkey
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
 def test_op_apply_transforms_its_input_once(tmp_path, monkeypatch, path, kind):
-    # five symbols (the output, three refinements, the cross-check) share
-    # one forward transform of the input, and only the output is
-    # transformed back: the other four are measured on the spectrum
+    # the output's symbol, the three refinements' changes of it and the
+    # cross-check's symbol share one forward transform of the input, and
+    # only the output is transformed back: the rest are measured on the
+    # spectrum
     g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
     f = ens.gaussian_spacetime(g, 1.0) if kind == "real" else ens.wave_packet(g, 1.0, k_x=0.5)
     field_path = tmp_path / "g.field"
@@ -629,6 +630,66 @@ def test_op_apply_transforms_its_input_once(tmp_path, monkeypatch, path, kind):
     assert any(name.startswith("cross-path agreement") for name in recs)
 
 
+def test_op_apply_evaluates_only_the_radial_rows_each_refinement_adds(tmp_path, monkeypatch):
+    # on the benchmark's n = 1 box at its default window: the output's
+    # 160 rows, then 21 for r_min halved and 21 for r_max doubled (20
+    # added nodes and the moved end's base node each) and 159 midpoints,
+    # all on the multiplier profile, and the cross-check's 160 on the
+    # cone-direct one; a refinement built as a whole symbol would take 180,
+    # 180 and 319 rows
+    import conewave.conop as conop
+
+    g = cw.SpacetimeGrid(cw.Grid(1, 256, 64.0), 256, 64.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.5), field_path)
+    distinct = np.unique(g.space.freq_radius()).size
+    rows = {"omega_hat": [], "omega_hat_jacobi": []}
+    for name in rows:
+        profile = getattr(conop, name)
+
+        def counted(xi, spec, _profile=profile, _rows=rows[name]):
+            _rows.append((np.size(xi) - 1) / distinct)
+            return _profile(xi, spec)
+
+        monkeypatch.setattr(conop, name, counted)
+    code, out = run(tmp_path, "op-apply",
+                    config=f"[kernel]\nalpha = 0.5\n[op-apply]\ninput = {field_path}\n")
+    assert code == 0
+    assert rows == {"omega_hat": [160, 21, 21, 159], "omega_hat_jacobi": [160]}
+    notes = {r["name"]: r["note"] for r in read_report(out)["records"]}
+    added = {"r_min_halved": ("0.03125", "16", 20), "r_max_doubled": ("0.0625", "32", 20),
+             "nodes_doubled": ("0.0625", "16", 159)}
+    for key, (lo, hi, count) in added.items():
+        assert notes[f"sensitivity {key}"].startswith(
+            f"relative L2 movement of the output on the radial window [{lo}, {hi}], "
+            f"which keeps the 160 nodes and adds {count}"), key
+        window = read_report(out)["diagnostics"]["windows"][key]
+        assert (f"{window['r_min']:g}", f"{window['r_max']:g}", window["added_nodes"]) == (
+            lo, hi, count)
+
+
+@pytest.mark.parametrize("cross", ["auto", "none"])
+def test_op_apply_checks_its_symbol_once(tmp_path, monkeypatch, cross):
+    # the output's symbol is checked when it is applied, and not again by
+    # the sensitivities or the cross-check, whose own symbol is checked
+    import conewave.conop as conop
+
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+    checked = []
+    reflection = conop._equals_its_reflection
+    monkeypatch.setattr(conop, "_equals_its_reflection",
+                        lambda m: checked.append(m) or reflection(m))
+    code, _ = run(tmp_path, "op-apply",
+                  config=f"[op-apply]\ninput = {field_path}\ncount = 48\n"
+                         f"cross_check = {cross}\n")
+    assert code == 0
+    assert len(checked) == (2 if cross == "auto" else 1)
+    if cross == "auto":
+        assert not np.array_equal(checked[0], checked[1])
+
+
 def test_op_apply_reports_an_unrun_refinement_as_not_measured(tmp_path):
     # r_max at half the time extent leaves the r_max refinement no room
     g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
@@ -640,6 +701,7 @@ def test_op_apply_reports_an_unrun_refinement_as_not_measured(tmp_path):
     assert code == 0
     report = read_report(out)
     assert report["diagnostics"]["r_max_doubled"] is None
+    assert report["diagnostics"]["windows"]["r_max_doubled"] is None
     rec = {r["name"]: r for r in report["records"]}["sensitivity r_max_doubled"]
     assert rec["value"] is None and rec["passed"] is True
     assert rec["note"].startswith("not measured")

@@ -122,6 +122,22 @@ def test_refined_and_for_grid():
     assert wider.r_max == pytest.approx(2.0 * q.r_max)
 
 
+def test_refined_moves_one_way_and_only_outward():
+    q = RadialQuadrature.for_grid(_grid(), 48)
+    assert q.refined() is q and q.refined(r_max=q.r_max, density=1) is q
+    bad = [dict(r_min=2.0 * q.r_min), dict(r_max=0.5 * q.r_max), dict(density=1.5),
+           dict(density=0), dict(r_min=0.5 * q.r_min, r_max=2.0 * q.r_max),
+           dict(r_min=0.5 * q.r_min, density=2)]
+    for kwargs in bad:
+        with pytest.raises(ValueError, match="one at a time"):
+            q.refined(**kwargs)
+    # a refined rule's steps beyond its base are not its own log step, so
+    # it is not refined again
+    for wider in (q.refined(r_min=0.5 * q.r_min), q.refined(r_max=2.0 * q.r_max)):
+        with pytest.raises(ValueError, match="not refined again"):
+            wider.refined(density=2)
+
+
 # ---------------------------------------------------------------------------
 # operator paths
 
@@ -663,8 +679,12 @@ def test_convergence_check_reports_and_warns():
         "nodes_doubled",
         "tolerance",
         "under_resolved",
+        "windows",
     }
     assert rep["under_resolved"] is True
+    for key, rule in conop._refinements(coarse, g).items():
+        assert rep["windows"][key] == {"r_min": rule.r_min, "r_max": rule.r_max,
+                                       "added_nodes": rule.count - coarse.count}
 
     # a deep, dense window on a short frequency range stays quiet: the
     # inner-cutoff completion error scales like r_min^(B alpha), so the
@@ -730,3 +750,140 @@ def test_convergence_check_of_a_zero_input_reads_zero_after_the_checks():
         convergence_check(f, spec, quad, m, path="slices")
     with pytest.raises(ValueError, match="point reflection"):
         convergence_check(f, spec, quad, np.roll(m, 1, axis=0))
+
+
+# the benchmark's op-apply boxes and the applier grids at their default
+# windows, and a window whose r_max refinement is capped below 2 r_max
+_REFINED_GRIDS = {
+    "bench-n1": SpacetimeGrid(Grid(1, 256, 64.0), 256, 64.0),
+    "bench-n2": SpacetimeGrid(Grid(2, 32, 32.0), 32, 32.0),
+    "apply-n1": _APPLY_GRIDS[1][0],
+    "apply-n2": _APPLY_GRIDS[2][0],
+    "capped": _grid(64, 16.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFINED_GRIDS))
+def test_refined_rules_keep_every_base_node_and_end_where_asked(name):
+    g = _REFINED_GRIDS[name]
+    if name == "capped":
+        quad = RadialQuadrature(g.t_spacing / 4.0, 0.375 * g.t_extent, 48)
+    else:
+        quad = RadialQuadrature.for_grid(g)
+    base = quad.nodes()
+    dlog = np.log(quad.r_max / quad.r_min) / (quad.count - 1)
+    rules = conop._refinements(quad, g)
+    assert list(rules) == ["r_min_halved", "r_max_doubled", "nodes_doubled"]
+
+    low = rules["r_min_halved"]
+    nodes = low.nodes()
+    added = low.count - quad.count
+    assert np.array_equal(nodes[added:], base)
+    assert nodes[0] == low.r_min == quad.r_min / 2.0
+    steps = np.diff(np.log(nodes[:added + 1]))
+    assert 0.0 < steps[0] < dlog
+    assert np.allclose(steps[1:], dlog, rtol=1e-12, atol=0.0)
+
+    hi = min(2.0 * quad.r_max, g.t_extent / 2.0)
+    high = rules["r_max_doubled"]
+    nodes = high.nodes()
+    assert np.array_equal(nodes[:quad.count], base)
+    assert nodes[-1] == high.r_max == hi
+    assert (hi < 2.0 * quad.r_max) is (name == "capped")
+    steps = np.diff(np.log(nodes[quad.count - 1:]))
+    assert 0.0 < steps[-1] < dlog
+    assert np.allclose(steps[:-1], dlog, rtol=1e-12, atol=0.0)
+
+    double = rules["nodes_doubled"]
+    assert double.count == 2 * quad.count - 1
+    assert np.array_equal(double.nodes()[::2], base)
+
+    # each rule is a trapezoid rule in log r: its log weights add up to
+    # its window, and a base node's weight moves only at a moved end
+    for rule in (low, high, double):
+        assert rule.log_weights().sum() == pytest.approx(np.log(rule.r_max / rule.r_min),
+                                                         rel=1e-13)
+    w = quad.log_weights()
+    assert np.array_equal(low.log_weights()[added + 1:], w[1:])
+    assert np.array_equal(high.log_weights()[:quad.count - 1], w[:-1])
+
+
+@pytest.mark.parametrize("key", ["r_min_halved", "r_max_doubled", "nodes_doubled"])
+@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_base_plus_a_refinement_change_is_the_refined_rule_summed_per_cell(n, path, key):
+    # the change assembled from the added nodes alone, added to the base
+    # symbol, against the refined rule's whole symbol summed node by node
+    g, spec = _APPLY_GRIDS[n]
+    quad = RadialQuadrature.for_grid(g)
+    m = symbol(g, spec, quad, path)
+    refined = conop._refinements(quad, g)[key]
+    change = conop._refinement_change(g, spec, apply_path(path), quad, refined, m)
+    e = spec.time_scale_power * spec.alpha - 1.0
+    want = oracles.rule_symbol_reference(g, spec, path, refined.nodes(),
+                                         refined.measure_weights(e),
+                                         refined.completion_mass(e))
+    assert np.max(np.abs(m + change - want)) <= 1e-12 * np.max(np.abs(m))
+    # the base rule itself, through the same reference
+    base = oracles.rule_symbol_reference(g, spec, path, quad.nodes(),
+                                         quad.measure_weights(e), quad.completion_mass(e))
+    assert np.max(np.abs(m - base)) <= 1e-12 * np.max(np.abs(m))
+
+
+@pytest.mark.parametrize("applied", [False, True])
+def test_convergence_check_checks_its_symbol_once(monkeypatch, applied):
+    # once when convergence_check is handed a field or an applier that has
+    # not applied m, and not at all when the applier applied m (and
+    # checked it then); a different array of the same values is checked
+    g = _grid(64, 16.0)
+    f = ens.gaussian_spacetime(g, 1.0)
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature.for_grid(g, 48)
+    m = symbol(g, spec, quad)
+    apply = symbol_applier(f)
+    if applied:
+        apply(m)
+    checked = []
+    reflection = conop._equals_its_reflection
+    monkeypatch.setattr(conop, "_equals_its_reflection",
+                        lambda x: checked.append(x) or reflection(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        rep = convergence_check(apply, spec, quad, m)
+        assert len(checked) == (0 if applied else 1)
+        assert convergence_check(apply, spec, quad, m.copy()) == rep
+    assert len(checked) == (1 if applied else 2)
+    del checked[:]
+    assert apply.relative_change(m.copy(), m) == 0.0
+    assert len(checked) == 1 + (not applied)
+    if applied:
+        # m1 is checked even when m0 is the applied symbol, and so is an m0
+        # that is not it
+        broken = m.copy()
+        broken[1, 2] = np.nextafter(broken[1, 2], np.inf)
+        with pytest.raises(ValueError, match="point reflection"):
+            apply.relative_change(broken, m)
+        with pytest.raises(ValueError, match="point reflection"):
+            apply.relative_change(m, broken)
+
+
+def test_the_applied_symbol_cannot_change_unchecked():
+    # apply(m) freezes an m that owns its data, so it cannot change in
+    # place before it is taken as checked; a view of another array is not
+    # frozen, and is checked at every use
+    g = _grid(64, 16.0)
+    spec = KernelSpec(0.4, 1)
+    m = symbol(g, spec, RadialQuadrature.for_grid(g, 48))
+    apply = symbol_applier(ens.gaussian_spacetime(g, 1.0))
+    apply(m)
+    with pytest.raises(ValueError, match="read-only"):
+        m[1, 2] += 1e-3
+    base = m.copy()
+    view = base[...]
+    apply(view)
+    assert view.flags.writeable
+    base[1, 2] += 1e-3
+    with pytest.raises(ValueError, match="point reflection"):
+        apply.relative_change(m, view)
+    with pytest.raises(ValueError, match="point reflection"):
+        convergence_check(apply, spec, RadialQuadrature.for_grid(g, 48), view)
