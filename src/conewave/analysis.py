@@ -236,9 +236,8 @@ def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
     grid = fields[0].grid
     quad = mn.r_grid
     r = quad.nodes()
-    # measure r^(alpha s - 1) dr, one-sided: r here is a scale, not a shift
-    w = quad.measure_weights(mn.alpha * mn.s - 1.0, both_signs=False)
-    mass = quad.completion_mass(mn.alpha * mn.s - 1.0, both_signs=False)
+    w = quad.measure_weights(mn.alpha * mn.s - 1.0)
+    mass = quad.completion_mass(mn.alpha * mn.s - 1.0)
     applies = [_fields.real_symbol_apply(f.samples) for f in fields]
     xi, scatter = np.unique(grid.freq_radius().ravel(), return_inverse=True)
     axes = tuple(range(1, grid.n + 1))

@@ -5,20 +5,22 @@ kernel dilations over the shift radius r, with the radial measure
 |r|^(B alpha - 1) dr, B = (n+1)/n, taken over both signs of r.  In the
 Fourier domain that is one (n+1)-dimensional multiplier
 
-    m(xi, tau) = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + completion * P(0),
+    m(xi, tau) = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + 2 c P(0),
 
-assembled once by `symbol` and applied by `apply_symbol`, so a ladder of
-inputs on one grid pays for the symbol once; `symbol_applier` serves the
-converse, one input under several symbols, and pays for its transform
-once; it also measures the L2 distance between two symbols' outputs on
-the spectrum it holds, by Parseval, with no inverse transform.  The
-profile depends on |xi| alone, so `symbol` evaluates it and contracts it
-against the phases once per distinct |xi|, and copies each such row to
-every cell of that radius.  The symbol is real and equal to its point
-reflection m(-xi, -tau) (it is the transform of a real, even kernel), so
-the apply is a circular convolution: real inputs take one real-input FFT
-pair on the half spectrum tau >= 0, with no shift pair and no spacing
-scale, and give float64 outputs (fields.real_symbol_apply).
+with the radial rule's one-sided (r > 0) weights w_j and completion mass
+c; the 2s fold the even r < 0 half onto r > 0.  It is assembled once by
+`symbol` and applied by `apply_symbol`, so a ladder of inputs on one
+grid pays for the symbol once; `symbol_applier` serves the converse, one
+input under several symbols, and pays for its transform once; it also
+measures the L2 distance between two symbols' outputs on the spectrum it
+holds, by Parseval, with no inverse transform.  The profile depends on
+|xi| alone, so `symbol` evaluates it and contracts it against the phases
+once per distinct |xi|, and copies each such row to every cell of that
+radius.  The symbol is real and equal to its point reflection
+m(-xi, -tau) (it is the transform of a real, even kernel), so the apply
+is a circular convolution: real inputs take one real-input FFT pair on
+the half spectrum tau >= 0, with no shift pair and no spacing scale, and
+give float64 outputs (fields.real_symbol_apply).
 
 Only the spatial profile P varies between the two evaluation paths, and
 the two profiles share no arithmetic, so each path cross-checks the other.
@@ -73,15 +75,14 @@ class UnderResolvedWarning(UserWarning):
 
 @dataclass(frozen=True)
 class RadialQuadrature:
-    """Log-uniform nodes for integrals against |r|^e dr over both signs.
+    """Log-uniform nodes for integrals against r^e dr over r > 0.
 
     Trapezoid rule in log r: a node r_j carries weight
-    dlog * c_j * r_j^(e+1) for the one-sided integral, doubled when both
-    signs are requested (the integrand is even in r throughout this
-    package).  The floor r_min truncates the origin; operators add back
-    the closed-form mass of (0, r_min) with the integrand frozen at its
-    r -> 0 limit, which is exact up to O(r_min^2) relative because every
-    factor involved is even and smooth in r.
+    dlog * c_j * r_j^(e+1).  An operator whose integrand is even in r folds
+    the r < 0 half onto r > 0 itself.  The floor r_min truncates the
+    origin; operators add back the closed-form mass of (0, r_min) with the
+    integrand frozen at its r -> 0 limit, which is exact up to O(r_min^2)
+    relative because every factor involved is even and smooth in r.
     """
 
     r_min: float
@@ -111,17 +112,15 @@ class RadialQuadrature:
         w[-1] *= 0.5
         return w
 
-    def measure_weights(self, exponent: float, both_signs: bool = True) -> np.ndarray:
-        """Weights for sum_j w_j g(r_j) ~ integral g(r) r^exponent dr."""
-        w = self.log_weights() * self.nodes() ** (exponent + 1.0)
-        return 2.0 * w if both_signs else w
+    def measure_weights(self, exponent: float) -> np.ndarray:
+        """Weights for sum_j w_j g(r_j) ~ integral over r > 0 of g(r) r^exponent dr."""
+        return self.log_weights() * self.nodes() ** (exponent + 1.0)
 
-    def completion_mass(self, exponent: float, both_signs: bool = True) -> float:
+    def completion_mass(self, exponent: float) -> float:
         """integral of r^exponent over (0, r_min); exponent must be > -1."""
         if exponent <= -1.0:
             raise ValueError(f"non-integrable radial exponent {exponent}")
-        mass = self.r_min ** (exponent + 1.0) / (exponent + 1.0)
-        return 2.0 * mass if both_signs else mass
+        return self.r_min ** (exponent + 1.0) / (exponent + 1.0)
 
     def refined(self, r_min=None, r_max=None, density=1.0) -> "RadialQuadrature":
         """A rule that keeps every node of this one, refined one way.
@@ -245,21 +244,21 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
 
 
 def _rule(quad: RadialQuadrature, spec: KernelSpec):
-    # quad's nodes, weights and completion coefficient for the radial
-    # measure |r|^(B alpha - 1), which is integrable at 0 since
-    # B alpha > 0: the one place symbol and convergence_check's
-    # refinements take them from
+    # quad's nodes, one-sided weights and completion mass for the radial
+    # measure r^(B alpha - 1), integrable at 0 since B alpha > 0: symbol
+    # and convergence_check's refinements take them from here alone
     e = spec.time_scale_power * spec.alpha - 1.0
     return quad.nodes(), quad.measure_weights(e), quad.completion_mass(e)
 
 
 def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
                 w: np.ndarray, completion: float) -> np.ndarray:
-    # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + completion * P(0) on grid:
-    # the profile is evaluated once, on the distinct |xi| values with the
-    # completion's argument 0 after them, and each distinct |xi| takes one
-    # row of the product over the radial nodes, which every cell of that
-    # radius copies
+    # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + 2 completion P(0) on grid,
+    # for one-sided w and completion: the one place the even r < 0 half is
+    # folded onto r > 0.  The profile is evaluated once, on the distinct
+    # |xi| values with the completion's argument 0 after them, and each
+    # distinct |xi| takes one row of the product over the radial nodes,
+    # which every cell of that radius copies
     if spec.n != grid.space.n:
         raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
     tau = grid.t_freq_axis()
@@ -283,7 +282,7 @@ def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
         cells, k = order[start:start + step], rank[start:start + step]
         rows = table[:, k[0]:k[-1] + 1].T @ phases
         by_cell[cells] = rows[k - k[0]]
-    m += completion * float(values[-1])
+    m += 2.0 * completion * float(values[-1])
     return m
 
 

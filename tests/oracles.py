@@ -4,7 +4,8 @@ mpmath supplies arbitrary-precision Bessel and Gamma evaluation, a
 Gauss-Jacobi rule integrates the compactly supported kernel profile
 directly against the oscillation, a complex FFT pair with the centering
 shifts and spacing scales stands in for the continuum Fourier transform
-(the package's one multiplier apply uses neither), QUADPACK's
+(the package's one multiplier apply uses neither), mpmath's tanh-sinh
+rule integrates the symbol's truncated radial integral, QUADPACK's
 algebraic-weight rule integrates the Stein-Weiss potential of a Gaussian
 bump across its singular points, and the exponent classifier is
 re-derived in exact rational arithmetic.  Agreement
@@ -175,18 +176,19 @@ def symbol_per_cell_reference(grid, spec, quad, path: str) -> np.ndarray:
     np.cos(phases, out=phases)
     phases *= 2.0
     m = (weighted.T @ phases).reshape(grid.shape)
-    m += quad.completion_mass(e) * float(values[-1])
+    m += 2.0 * quad.completion_mass(e) * float(values[-1])
     return m
 
 
 def rule_symbol_reference(grid, spec, path: str, nodes, weights, completion) -> np.ndarray:
     """The operator symbol of an explicit radial rule, summed node by node.
 
-    m = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + completion * P(0) for
-    the path's profile P, with P taken at every spatial cell (not once
-    per distinct |xi|) and the nodes accumulated one at a time, so it
-    shares no assembly with conop.symbol; the rule need not be
-    log-uniform.
+    m = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + 2 completion P(0) for
+    the path's profile P and a one-sided rule (w_j and completion over
+    r > 0, folded onto both signs of r here), with P taken at every
+    spatial cell (not once per distinct |xi|) and the nodes accumulated
+    one at a time, so it shares no assembly with conop.symbol; the rule
+    need not be log-uniform.
     """
     from conewave.conop import apply_path
 
@@ -194,7 +196,7 @@ def rule_symbol_reference(grid, spec, path: str, nodes, weights, completion) -> 
     radius = grid.space.freq_radius()
     tau = grid.t_freq_axis()
     values = profile(np.append(np.outer(nodes, radius.ravel()), 0.0), spec)
-    m = np.full(grid.shape, completion * float(values[-1]))
+    m = np.full(grid.shape, 2.0 * completion * float(values[-1]))
     rows = values[:-1].reshape(len(nodes), *radius.shape)
     for r, w, row in zip(nodes, weights, rows):
         m += (w * row)[..., None] * (2.0 * np.cos(2.0 * np.pi * r * tau))
@@ -205,6 +207,39 @@ def zero_frequency_reference(alpha: float, n: int) -> float:
     """Total kernel mass pi^nu / Gamma(nu + 1) at the profile's Bessel order."""
     nu = mpmath.mpf(n + 1) / (2 * n) * mpmath.mpf(alpha) - mpmath.mpf(1) / 2
     return float(mpmath.pi**nu / mpmath.gamma(nu + 1))
+
+
+def radial_mass_reference(alpha: float, n: int, r_max: float) -> float:
+    """2 omega_hat(0) r_max^(B alpha) / (B alpha), B = (n+1)/n: the operator
+    symbol at zero frequency for the radial window (0, r_max), which
+    integrates the kernel mass against |r|^(B alpha - 1) over both signs."""
+    b_alpha = mpmath.mpf(n + 1) / n * mpmath.mpf(alpha)
+    mass = 2 * zero_frequency_reference(alpha, n) * mpmath.mpf(r_max) ** b_alpha / b_alpha
+    return float(mass)
+
+
+def truncated_radial_integral_reference(alpha: float, n: int, xi: float, tau: float,
+                                        r_max: float, dps: int, panels: int) -> float:
+    """The operator symbol at (|xi|, tau) for the radial window (0, r_max).
+
+    The integral of 2 omega_hat(r |xi|) cos(2 pi r tau) r^(B alpha - 1)
+    over (0, r_max), with omega_hat(s) = J_nu(2 pi s) / s^nu written out
+    from its Bessel order nu and its limit at s = 0, by mpmath's
+    tanh-sinh rule on `panels` equal panels at `dps` digits; the rule's
+    endpoint clustering absorbs the integrable singularity at r = 0.
+    """
+    with mpmath.workdps(dps):
+        b_alpha = mpmath.mpf(n + 1) / n * mpmath.mpf(alpha)
+        nu = b_alpha / 2 - mpmath.mpf(1) / 2
+        xi, tau, two_pi = mpmath.mpf(xi), mpmath.mpf(tau), 2 * mpmath.pi
+        at_zero = mpmath.pi**nu / mpmath.gamma(nu + 1)
+
+        def integrand(r):
+            s = r * xi
+            profile = at_zero if s == 0 else mpmath.besselj(nu, two_pi * s) / s**nu
+            return 2 * profile * mpmath.cos(two_pi * r * tau) * r ** (b_alpha - 1)
+
+        return float(mpmath.quad(integrand, mpmath.linspace(0, mpmath.mpf(r_max), panels + 1)))
 
 
 def gaussian_lp_reference(width: float, p: float, n: int = 1) -> float:

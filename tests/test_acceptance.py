@@ -28,7 +28,7 @@ from conewave.conop import RadialQuadrature, apply_symbol, symbol
 from conewave.ensembles import cone_plate, gaussian_spacetime, wave_packet
 from conewave.fields import Grid, SpacetimeGrid
 from conewave.kernel import KernelSpec, multiplier_split, omega_hat
-from oracles import classify_reference, profile_transform_reference
+from oracles import classify_reference, profile_transform_reference, radial_mass_reference
 
 
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
@@ -319,3 +319,32 @@ def test_criterion_10_classifier_matches_exact_arithmetic(acceptance_log):
         f"3 worked examples + {checked} random points, {disagreements} disagreements",
     )
     assert disagreements == 0
+
+
+def test_criterion_11_absolute_normalization(acceptance_log):
+    # m at zero frequency integrates the kernel mass against the radial
+    # measure over both signs of r, so on each default grid it must be the
+    # closed-form mass of the rule's window, 2 omega_hat(0) r_max^(B alpha)
+    # / (B alpha), for both paths: a factor 2 lost or gained on the node
+    # sum moves it by about 50% or 100%, and on the completion alone by
+    # several per cent
+    ratio_grid = SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0)  # scan-region
+    cases = [(ratio_grid, alpha, 1) for alpha in (0.2, 0.4, 0.6)]
+    cases.append((SpacetimeGrid(Grid(1, 1024, 64.0), 1024, 64.0), 0.4, 1))  # norm-test
+    cases += [(SpacetimeGrid.default(2), alpha, 2) for alpha in (0.5, 1.0, 1.2)]
+    worst = 0.0
+    for grid, alpha, n in cases:
+        spec = KernelSpec(alpha, n)
+        quad = RadialQuadrature.for_grid(grid)
+        want = radial_mass_reference(alpha, n, quad.r_max)
+        for path in ("multiplier", "cone-direct"):
+            m = symbol(grid, spec, quad, path)
+            worst = max(worst, abs(m.flat[0] / want - 1.0))
+    ok = worst <= 1e-3
+    acceptance_log(
+        11,
+        "symbol at zero frequency is the closed-form radial mass (n=1 and n=2)",
+        ok,
+        f"worst |m[0,0] / mass - 1| {worst:.2e} (tol 1e-3) over {2 * len(cases)} symbols",
+    )
+    assert worst <= 1e-3

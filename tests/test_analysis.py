@@ -295,12 +295,12 @@ def test_mixed_norm_plancherel_route_agrees_only_at_q_two():
         fhat = np.abs(oracles.transform_reference(f.samples, (0,), (g.spacing,)))
         dxi = g.freq_spacing
         r = quad.nodes()
-        w = quad.measure_weights(spec.alpha * q - 1.0, both_signs=False)
+        w = quad.measure_weights(spec.alpha * q - 1.0)
         total = 0.0
         for j in range(quad.count):
             inner = (np.sum(fhat**2 * omega_hat(r[j] * g.freq_axis(), spec) ** 2) * dxi) ** (q / 2.0)
             total += w[j] * inner
-        mass = quad.completion_mass(spec.alpha * q - 1.0, both_signs=False)
+        mass = quad.completion_mass(spec.alpha * q - 1.0)
         inner0 = (np.sum(fhat**2 * omega_hat(0.0, spec) ** 2) * dxi) ** (q / 2.0)
         return (total + mass * inner0) ** (1.0 / q)
 
@@ -325,7 +325,7 @@ def _mixed_norm_reference(f, spec, mn):
     # the continuum reference pair
     quad = mn.r_grid
     r = quad.nodes()
-    w = quad.measure_weights(mn.alpha * mn.s - 1.0, both_signs=False)
+    w = quad.measure_weights(mn.alpha * mn.s - 1.0)
     axes, spacings = range(f.grid.n), (f.grid.spacing,) * f.grid.n
     fhat = oracles.transform_reference(f.samples, axes, spacings)
     xi = f.grid.freq_radius()
@@ -333,7 +333,7 @@ def _mixed_norm_reference(f, spec, mn):
     for j in range(quad.count):
         conv = oracles.inverse_transform_reference(fhat * omega_hat(r[j] * xi, spec), axes, spacings)
         total += w[j] * lp_norm(Field(f.grid, conv), mn.q) ** mn.s
-    mass = quad.completion_mass(mn.alpha * mn.s - 1.0, both_signs=False)
+    mass = quad.completion_mass(mn.alpha * mn.s - 1.0)
     total += mass * (omega_hat(0.0, spec) * lp_norm(f, mn.q)) ** mn.s
     return float(total ** (1.0 / mn.s))
 

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import offcone_table
 import oracles
 import conewave.conop as conop
 import conewave.ensembles as ens
@@ -50,7 +51,8 @@ def _rel(a: SpacetimeField, b: SpacetimeField) -> float:
 def _slices(f: SpacetimeField, spec: KernelSpec, quad: RadialQuadrature) -> SpacetimeField:
     # reference: the operator radial slice by radial slice, with no shared
     # symbol - convolve in x with the dilated kernel, shift by +-r in t,
-    # accumulate in node order, then add the closed-form completion
+    # accumulate in node order, then add the closed-form completion of
+    # both signs of r
     g = f.grid
     n = g.space.n
     e = spec.time_scale_power * spec.alpha - 1.0
@@ -65,7 +67,7 @@ def _slices(f: SpacetimeField, spec: KernelSpec, quad: RadialQuadrature) -> Spac
         conv = inverse(fx * omega_hat(r * xi, spec)[..., None], x_axes, x_spacings)
         ct = forward(conv, t_axis, t_spacing)
         out += w * inverse(ct * (2.0 * np.cos(2.0 * np.pi * r * tau)), t_axis, t_spacing)
-    out += quad.completion_mass(e) * omega_hat(0.0, spec) * f.samples
+    out += 2.0 * quad.completion_mass(e) * omega_hat(0.0, spec) * f.samples
     return SpacetimeField(g, out)
 
 
@@ -91,20 +93,18 @@ def test_quadrature_nodes_are_log_uniform():
 
 
 def test_quadrature_integrates_powers():
-    # integral of |r|^e over r_min <= |r| <= r_max, both signs
+    # integral of r^e over r_min <= r <= r_max, one-sided
     q = RadialQuadrature(0.05, 8.0, 4000)
     for e in (-0.5, 0.2, 1.0):
         got = q.measure_weights(e).sum()
-        want = 2.0 * (8.0 ** (e + 1) - 0.05 ** (e + 1)) / (e + 1)
+        want = (8.0 ** (e + 1) - 0.05 ** (e + 1)) / (e + 1)
         assert got == pytest.approx(want, rel=1e-5)
 
 
 def test_completion_mass_closed_form():
     q = RadialQuadrature(0.05, 8.0, 64)
     for e in (-0.5, 0.2, 1.0):
-        assert q.completion_mass(e) == pytest.approx(
-            2.0 * 0.05 ** (e + 1) / (e + 1), rel=1e-14
-        )
+        assert q.completion_mass(e) == pytest.approx(0.05 ** (e + 1) / (e + 1), rel=1e-14)
     with pytest.raises(ValueError):
         q.completion_mass(-1.0)
 
@@ -314,6 +314,28 @@ def test_symbol_equals_the_per_cell_contraction_bit_for_bit(name, path):
     for q in (quad, quad.refined(density=2.0)):
         want = oracles.symbol_per_cell_reference(g, spec, q, path)
         assert np.array_equal(symbol(g, spec, q, path), want)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.4, 0.6])
+def test_symbol_off_the_cone_is_the_truncated_radial_integral(alpha):
+    # a few cells off the cone with |xi| + |tau| < 0.5 on the scan-region
+    # grid, against the integral of 2 omega_hat(r |xi|) cos(2 pi r tau)
+    # r^(2 alpha - 1) over (0, r_max) in mpmath, read from a table that
+    # must have been built for this grid, window, order and these cells
+    g = _CONTRACTION_GRIDS["scan-region"][0]
+    quad = RadialQuadrature.for_grid(g)
+    table = offcone_table.load()
+    assert (table["points"], table["extent"]) == (g.space.points, g.space.extent)
+    assert table["r_max"] == quad.r_max
+    assert np.array_equal(table["cells"], offcone_table.CELLS)
+    k, l = table["cells"].T
+    assert np.array_equal(table["xi"], g.space.freq_radius()[k])
+    assert np.array_equal(table["tau"], g.t_freq_axis()[l])
+    assert np.all(table["xi"] + table["tau"] < 0.5) and np.all(k != l)
+    [row] = np.flatnonzero(table["alphas"] == alpha)
+    for path in ("multiplier", "cone-direct"):
+        m = symbol(g, KernelSpec(alpha, 1), quad, path)
+        assert np.max(np.abs(m[k, l] - table["values"][row])) <= 2e-3 * np.max(np.abs(m))
 
 
 def test_symbol_peak_stays_within_the_per_cell_footprint():
