@@ -32,6 +32,7 @@ from .kernel import (
 from .fields import (
     Field,
     Grid,
+    SeparableField,
     SpacetimeField,
     SpacetimeGrid,
     DomainTagError,

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conop import RadialQuadrature, _checked_symbol, _single_apply
-from .fields import PHYSICAL, DomainTagError, Field, SpacetimeField
+from .fields import PHYSICAL, DomainTagError, Field, SeparableField, SpacetimeField
 from .kernel import KernelSpec, omega_hat
 from .specialfn import bessel_remainder
 from . import fields as _fields
@@ -140,12 +140,20 @@ def classify_exponents(pt: ExponentPoint) -> Region:
 
 
 def lp_norm(f, p: float) -> float:
-    """(sum |f|^p cell)^{1/p} on either field kind; max norm at p = inf."""
-    if not isinstance(f, (Field, SpacetimeField)):
+    """(sum |f|^p cell)^{1/p} on every field kind; max norm at p = inf.
+
+    A SeparableField's norm is the product of its factors' norms, each
+    over its own cells (at p = inf the product of their maxima, which is
+    exact), so its full samples are never formed.
+    """
+    if not isinstance(f, (Field, SpacetimeField, SeparableField)):
         raise TypeError("lp_norm acts on fields")
     p = float(p)
     if not p > 1.0:
         raise ValueError(f"exponent must satisfy p > 1, got {p}")
+    if isinstance(f, SeparableField):
+        g = f.grid
+        return float(_lp(f.space, p, g.space.cell_volume) * _lp(f.time, p, g.t_spacing))
     return float(_lp(f.samples, p, f.cell_volume))
 
 
@@ -740,21 +748,24 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     a family, one RatioStats per (1/p, 1/q) probe, in probe order.
 
     This is the one place where norms become ratios.  A member is a
-    spacetime field, or a zero-argument callable that builds one when its
-    turn comes, so a ladder need not hold its whole family.  m passes
+    spacetime field or a fields.SeparableField (a product held as its two
+    factors), or a zero-argument callable that builds one when its turn
+    comes, so a ladder need not hold its whole family.  m passes
     apply_symbol's checks once per ladder (real, equal to its point
     reflection), and each member must be a physical-domain field of m's
     shape.  Each member is built and its p-norms are taken (once per
     distinct p).  It is then checked and transformed by the helper that
     apply_symbol runs, and from then on the ladder holds its spectrum,
-    not its samples.  m is multiplied into
-    that spectrum in place, which is transformed back, and the q-norms of
-    every probe are taken on the one output.  So a member in flight holds
-    at most two arrays of its own size (samples and their magnitudes,
-    samples and spectrum, spectrum and output, output and its magnitudes)
-    besides m, and its samples outlive its transform only when the
-    caller holds them.  Every ratio is
-    lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit.
+    not its samples.  m is multiplied into that spectrum in place, which
+    is transformed back, and the q-norms of every probe are taken on the
+    one output.  So a member in flight holds at most two arrays of its
+    own size (samples and their magnitudes, samples and spectrum,
+    spectrum and output, output and its magnitudes) besides m, and its
+    samples outlive its transform only when the caller holds them.  A
+    separable member's p-norms and spectrum come from its factors, so its
+    first full-size array is its spectrum.  Every ratio is
+    lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit, for
+    either kind of member.
 
     pool_map(fn, members), when given, runs fn over the members in place
     of the in-order loop (to spread them over workers) and must return

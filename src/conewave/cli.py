@@ -57,7 +57,7 @@ from .conop import (
     symbol,
     symbol_applier,
 )
-from .ensembles import gaussian, gaussian_spacetime, random_bumps
+from .ensembles import gaussian, random_bumps, separable_gaussian
 from .fields import FieldFormatError, Grid, SpacetimeField, SpacetimeGrid, load_field, save_field
 from .kernel import KernelSpec, multiplier_split, omega_hat, omega_hat_jacobi, write_kernel_tables
 from .specialfn import bessel_remainder, reciprocal_gamma
@@ -1013,7 +1013,7 @@ def cmd_scan_region(cfg, args) -> dict:
         except ValueError as exc:
             raise ConfigError(str(exc))
         quad = _default_window(stg, f"[{sec}] ratio_extent", "ratio_extent")
-        family = [gaussian_spacetime(stg, d) for d in deltas]
+        family = [separable_gaussian(stg, d) for d in deltas]
         labels = [f"width {d:g}" for d in deltas]
         probes = {}  # alpha -> the probed points on its scaling line
         for pt, region in points:
@@ -1231,7 +1231,7 @@ def cmd_norm_test(cfg, args) -> dict:
     prov = f"{_grid_prov(stg)}; {_quad_prov(quad)}; path {path}"
 
     # each worker builds its own width, so the family is never held whole
-    members = [partial(gaussian_spacetime, stg, d) for d in deltas]
+    members = [partial(separable_gaussian, stg, d) for d in deltas]
     try:
         m = symbol(stg, spec, quad, path)
         [stats] = ratio_ladder(m, [(inv_p, inv_q)], members,

@@ -52,6 +52,7 @@ import numpy as np
 from .fields import (
     PHYSICAL,
     DomainTagError,
+    SeparableField,
     SpacetimeField,
     SpacetimeGrid,
     real_symbol_apply,
@@ -286,11 +287,17 @@ def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
     return m
 
 
-def _check_input(f) -> None:
+def _checked_input(f):
+    # what real_symbol_apply transforms for f, once f is refused unless it
+    # is a physical spacetime field: its samples, or a separable member
+    # itself, whose factors stand for its samples
+    if isinstance(f, SeparableField):
+        return f
     if not isinstance(f, SpacetimeField):
         raise TypeError("operator paths act on spacetime fields")
     if f.domain_tag != PHYSICAL:
         raise DomainTagError("operator input must be a physical-domain field")
+    return f.samples
 
 
 def _equals_its_reflection(m: np.ndarray) -> bool:
@@ -328,16 +335,15 @@ class _Applier:
     # what symbol_applier returns; see there
 
     def __init__(self, f: SpacetimeField):
-        _check_input(f)
+        self._samples = _checked_input(f)
         self.grid = f.grid
-        self._f = f
         self._held = None
         self._applied = None  # the symbol last applied, checked
 
     def _spectrum(self):
         if self._held is None:
-            self._held = real_symbol_apply(self._f.samples)
-            self._f = None  # the spectrum replaces the samples
+            self._held = real_symbol_apply(self._samples)
+            self._samples = None  # the spectrum replaces the samples
         return self._held
 
     def _checked(self, m) -> np.ndarray:
@@ -379,7 +385,8 @@ def symbol_applier(f: SpacetimeField):
     whose imaginary part is all zero) takes a real-input FFT pair on the
     half spectrum and apply returns float64; an f with a nonzero
     imaginary part takes one complex pair and apply returns complex128.
-    f is left unchanged.
+    A fields.SeparableField f is real and takes the transforms of its two
+    factors instead of the forward one.  f is left unchanged.
 
     apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)||_2 /
     ||apply(m0)||_2 (the numerator alone when apply(m0) is zero), measured
@@ -414,12 +421,12 @@ def _single_apply(f: SpacetimeField, m, m_checked: bool = False):
     # it holds one array of f's size until the output is made.  With
     # m_checked, m has passed _checked_symbol already (a ratio ladder
     # applies one m to many fields), and only its shape is compared.
-    _check_input(f)
+    samples = _checked_input(f)
     if m_checked:
         _check_shape(m, f.grid.shape)
     else:
         m = _checked_symbol(m, f.grid.shape)
-    return partial(real_symbol_apply(f.samples).last, m)
+    return partial(real_symbol_apply(samples).last, m)
 
 
 def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,

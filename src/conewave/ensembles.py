@@ -7,16 +7,19 @@ drives the sharp exponent range.  Everything is generated analytically on
 the grid, so a "dilated" member is an exact resampling, not an
 interpolation of a base member.  The real families (Gaussians, cone
 plates, random bumps) are float64 fields; wave packets are complex128.
+The spacetime Gaussian also comes held as its two factors
+(separable_gaussian), the form the ratio ladders take.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Field, Grid, SpacetimeField, SpacetimeGrid
+from .fields import Field, Grid, SeparableField, SpacetimeField, SpacetimeGrid
 
 __all__ = [
     "gaussian",
+    "separable_gaussian",
     "gaussian_spacetime",
     "wave_packet",
     "cone_plate",
@@ -33,18 +36,25 @@ def gaussian(grid: Grid, width: float = 1.0, center: float = 0.0) -> Field:
     return Field(grid, np.exp(-np.pi * r2 / width**2))
 
 
-def gaussian_spacetime(grid: SpacetimeGrid, width: float = 1.0) -> SpacetimeField:
-    """exp(-pi (|x|^2 + t^2) / width^2): the isotropic reference input.
-
-    Built as the outer product of its spatial and temporal factors, so the
-    exponential runs on the two small factors, not on the full volume, and
-    the one full-volume product is the field's float64 samples.
-    """
+def separable_gaussian(grid: SpacetimeGrid, width: float = 1.0) -> SeparableField:
+    """exp(-pi (|x|^2 + t^2) / width^2), the isotropic reference input, held
+    as its factors exp(-pi |x|^2 / width^2) and exp(-pi t^2 / width^2)."""
     if not width > 0.0:
         raise ValueError(f"width must be > 0, got {width}")
     space = np.exp(-np.pi * grid.space.radius() ** 2 / width**2)
     time = np.exp(-np.pi * grid.t_axis() ** 2 / width**2)
-    return SpacetimeField(grid, np.multiply(space[..., None], time))
+    return SeparableField(grid, space, time)
+
+
+def gaussian_spacetime(grid: SpacetimeGrid, width: float = 1.0) -> SpacetimeField:
+    """exp(-pi (|x|^2 + t^2) / width^2): the isotropic reference input.
+
+    The outer product of separable_gaussian's factors, so the exponential
+    runs on the two small factors, not on the full volume, and the one
+    full-volume product is the field's float64 samples.
+    """
+    g = separable_gaussian(grid, width)
+    return SpacetimeField(grid, np.multiply(g.space[..., None], g.time))
 
 
 def wave_packet(grid: SpacetimeGrid, width: float = 1.0,

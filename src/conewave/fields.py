@@ -15,7 +15,10 @@ Conventions, fixed once here and relied on everywhere else:
   spacing scale, and real inputs take real-input FFTs on the half
   spectrum of the last axis and stay real; the same held spectrum gives
   the L2 distance between two symbols' outputs by Parseval, with no
-  inverse transform.
+  inverse transform;
+* a physical spacetime field that is a product space(x) time(t) may be
+  held as its two factors (SeparableField), which real_symbol_apply
+  transforms one factor at a time.
 
 The torus stands in for R^n: inputs are expected to decay well inside the
 box, and kernels enter through their exact continuum multipliers rather
@@ -39,6 +42,7 @@ __all__ = [
     "Field",
     "SpacetimeGrid",
     "SpacetimeField",
+    "SeparableField",
     "real_symbol_apply",
     "save_field",
     "load_field",
@@ -238,11 +242,54 @@ class SpacetimeField:
         return g.space.freq_spacing**g.space.n / g.t_extent
 
 
-def _spectrum(samples: np.ndarray):
+@dataclass(frozen=True, eq=False)
+class SeparableField:
+    """A physical spacetime field space(x) time(t), held as its two factors.
+
+    space is sampled on grid.space and time on the time axis, both real
+    and finite; they are held as float64 (without a copy of an array
+    already of that dtype), and the (n+1)-dimensional samples are never
+    formed.  real_symbol_apply transforms the factors one axis group each,
+    so the member's first full-size array is its half spectrum, and
+    analysis.lp_norm takes its norm as the product of the factors' norms.
+    """
+
+    grid: SpacetimeGrid
+    space: np.ndarray
+    time: np.ndarray
+    domain_tag = PHYSICAL  # by construction; not a dataclass field
+
+    def __post_init__(self):
+        for name, want in (("space", self.grid.space.shape), ("time", (self.grid.t_points,))):
+            arr = np.asarray(getattr(self, name))
+            if np.iscomplexobj(arr):
+                raise ValueError(f"{name} factor must be real, got dtype {arr.dtype}")
+            arr = arr.astype(np.float64, copy=False)
+            if arr.shape != want:
+                raise ValueError(f"{name} factor shape {arr.shape} != grid shape {want}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} factor has non-finite samples")
+            object.__setattr__(self, name, arr)
+
+    @property
+    def shape(self) -> tuple:
+        return self.grid.shape
+
+    @property
+    def cell_volume(self) -> float:
+        return self.grid.cell_volume
+
+
+def _spectrum(samples):
     # (spectrum, real): the half spectrum over the last axis when the
     # samples are real (real is True), else the full one, in one fresh
     # buffer; numpy's n-d transforms write their first stage into out= and
-    # run the later ones in place there
+    # run the later ones in place there.  A separable member's half
+    # spectrum is the outer product of its factors' transforms, the full
+    # one of space and the half one of time, which the product writes
+    # into its one fresh buffer.
+    if isinstance(samples, SeparableField):
+        return np.multiply(np.fft.fftn(samples.space)[..., None], np.fft.rfft(samples.time)), True
     shape = samples.shape
     axes = tuple(range(len(shape)))
     if np.iscomplexobj(samples) and np.any(samples.imag):
@@ -271,9 +318,9 @@ class _HeldSpectrum:
     # against another's (relative_norm) and so the distance between two
     # symbols' outputs (relative_change), computed on the first such request
 
-    def __init__(self, samples: np.ndarray):
+    def __init__(self, samples):
         self._shape = samples.shape
-        self._count = samples.size
+        self._count = math.prod(samples.shape)
         self._spectrum, self._real = _spectrum(samples)
         self._power = None
 
@@ -323,10 +370,11 @@ class _HeldSpectrum:
         return self._power
 
 
-def real_symbol_apply(samples: np.ndarray):
+def real_symbol_apply(samples):
     """Prepare samples for Fourier multipliers m that are real and centrally
     symmetric over every axis, m[-k mod N] == m[k] in FFT layout; returns
-    apply, with apply(m) the samples under m.
+    apply, with apply(m) the samples under m.  samples is an array or a
+    SeparableField, whose factors stand for their outer product.
 
     Such an m is the transform of a real, even kernel, so applying it is a
     circular convolution: it commutes with the centering roll (no shift
@@ -338,9 +386,13 @@ def real_symbol_apply(samples: np.ndarray):
     and comes back into float64 by irfftn's steps.  Samples with a nonzero
     imaginary part take one complex pair on the full m, into complex128;
     measured, that is faster and smaller than transforming the real and
-    imaginary parts apart.  Each apply multiplies into a copy of the
-    spectrum and transforms that copy back in place, so the spectrum
-    serves the next m unchanged and the bits are those of
+    imaginary parts apart.  A SeparableField takes no n+1 dimensional
+    forward transform: fftn of its space factor times rfft of its time
+    factor, written into one fresh half-spectrum buffer, is its spectrum
+    (within a few ulps of the rfftn of its outer product), and from there
+    it is applied as real samples are.  Each apply multiplies into a copy
+    of the spectrum and transforms that copy back in place, so the
+    spectrum serves the next m unchanged and the bits are those of
     irfftn(rfftn(samples) * m_half) (ifftn(fftn(samples) * m)).  m may
     carry leading axes, one output per leading index.  apply.last(m), for
     an m of the samples' shape, is apply(m) with m multiplied into the

@@ -472,7 +472,7 @@ def test_scan_region_ratios_are_shared_per_alpha_and_worker_independent(tmp_path
     grid = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
     quad = cw.RadialQuadrature.for_grid(grid)
     deltas = (0.5, 1.0, 2.0)
-    family = [ens.gaussian_spacetime(grid, d) for d in deltas]
+    family = [ens.separable_gaussian(grid, d) for d in deltas]
     for row in probed:
         m = cw.symbol(grid, cw.KernelSpec(float(row["alpha"]), 1), quad)
         p, q = 1.0 / float(row["inv_p"]), 1.0 / float(row["inv_q"])
@@ -772,13 +772,19 @@ def test_norm_test_is_worker_independent_and_matches_width_by_width(tmp_path, mo
     m = cw.symbol(grid, spec, quad, path)
     got = {r["name"]: r["value"] for r in read_report(outs[1])["records"]}
     for d in (0.5, 1.0, 2.0, 4.0):
-        f = ens.gaussian_spacetime(grid, d)
+        f = ens.separable_gaussian(grid, d)
         want = lp_norm(cw.apply_symbol(f, m), 1.0 / (0.7 - 0.4)) / lp_norm(f, 1.0 / 0.7)
         assert got[f"ratio at width {d:g}"] == want
 
 
+def _zero_member(grid, width):
+    # a separable member whose time factor is zero, so its norm is zero
+    return cw.SeparableField(grid, np.ones(grid.space.shape), np.zeros(grid.t_points))
+
+
 def _spy_on_the_forward_transform(monkeypatch):
-    # every transform of a ratio ladder member runs through fields._spectrum
+    # every transform of a ratio ladder member, of its samples or of a
+    # separable member's factors, runs through fields._spectrum
     transformed = []
     spectrum = fields._spectrum
     monkeypatch.setattr(fields, "_spectrum",
@@ -788,8 +794,7 @@ def _spy_on_the_forward_transform(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_norm_test_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "gaussian_spacetime",
-                        lambda grid, width: cw.SpacetimeField(grid, np.zeros(grid.shape)))
+    monkeypatch.setattr(cli, "separable_gaussian", _zero_member)
     transformed = _spy_on_the_forward_transform(monkeypatch)
     code, _ = run(tmp_path, "--jobs", str(jobs), "norm-test", config=_SMALL_NORM_TEST)
     assert code == 3
@@ -799,8 +804,7 @@ def test_norm_test_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypa
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_region_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypatch, capsys,
                                                                 jobs):
-    monkeypatch.setattr(cli, "gaussian_spacetime",
-                        lambda grid, width: cw.SpacetimeField(grid, np.zeros(grid.shape)))
+    monkeypatch.setattr(cli, "separable_gaussian", _zero_member)
     transformed = _spy_on_the_forward_transform(monkeypatch)
     code, _ = run(tmp_path, "--jobs", str(jobs), "scan-region", config=_RATIO_SCAN)
     assert code == 3
