@@ -64,9 +64,11 @@ from .analysis import (
     lp_norm,
     mixed_norm,
     mixed_norms,
+    mixed_norms_refined,
     necessary_window,
     ratio_ladder,
     stein_weiss_ratio,
+    stein_weiss_ratios,
     sw_derived_params,
 )
 

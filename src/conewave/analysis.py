@@ -32,10 +32,12 @@ __all__ = [
     "MixedNormSpec",
     "mixed_norm",
     "mixed_norms",
+    "mixed_norms_refined",
     "SteinWeissParams",
     "InadmissibleParamsError",
     "sw_derived_params",
     "stein_weiss_ratio",
+    "stein_weiss_ratios",
     "crucial_estimate_ratio",
     "CaseFit",
     "CaseBoundReport",
@@ -181,7 +183,8 @@ class MixedNormSpec:
     """Exponents and radial grid for the mixed norm in (x, r).
 
     s is the outer exponent in r, q the inner one in x; the estimate being
-    probed interpolates from s = q, and only s >= q >= 1 makes sense here.
+    probed interpolates from s = q, and only s >= q > 1 makes sense here
+    (the q-norm of a convolution is an lp_norm, which needs q > 1).
     """
 
     q: float
@@ -193,8 +196,8 @@ class MixedNormSpec:
         q, s = float(self.q), float(self.s)
         if not (np.isfinite(q) and np.isfinite(s)):
             raise ValueError("mixed-norm exponents must be finite")
-        if not 1.0 <= q <= s:
-            raise ValueError(f"need s >= q >= 1, got q={q}, s={s}")
+        if not 1.0 < q <= s:
+            raise ValueError(f"need s >= q > 1, got q={q}, s={s}")
         if not float(self.alpha) > 0.0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         object.__setattr__(self, "q", q)
@@ -223,6 +226,37 @@ def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
     each block of it is evaluated once and applied to every field; the
     values are those of one mixed_norm call per field, bit for bit.
     """
+    fields = _mixed_norm_inputs(fields, spec, mn)
+    f_norms = [lp_norm(f, mn.q) for f in fields]
+    rows = _node_norms(fields, spec, mn.q, mn.r_grid.nodes())
+    return [_mixed_norm_total(row, f_norm, spec, mn) for row, f_norm in zip(rows, f_norms)]
+
+
+def mixed_norms_refined(fields, spec: KernelSpec, mn: MixedNormSpec, index: int) -> tuple:
+    """(mixed_norms(fields, spec, mn), the mixed norm of fields[index] on
+    mn's r grid at twice the node density), the second bit for bit
+    mixed_norm's on mn.r_grid.refined(density=2).
+
+    The doubled rule keeps every node of mn's as every second node, so the
+    profile is evaluated once more on the midpoints alone, for
+    fields[index] alone, and the base nodes' norms of that field are
+    reused.
+    """
+    fields = _mixed_norm_inputs(fields, spec, mn)
+    target = fields[index]
+    f_norms = [lp_norm(f, mn.q) for f in fields]
+    base = mn.r_grid
+    rows = _node_norms(fields, spec, mn.q, base.nodes())
+    fine = MixedNormSpec(mn.q, mn.s, mn.alpha, base.refined(density=2))
+    row = np.empty(fine.r_grid.count)
+    row[::2] = rows[index]
+    row[1::2] = _node_norms([target], spec, mn.q, fine.r_grid.nodes()[1::2])[0]
+    return ([_mixed_norm_total(r, f_norm, spec, mn) for r, f_norm in zip(rows, f_norms)],
+            _mixed_norm_total(row, f_norms[index], spec, fine))
+
+
+def _mixed_norm_inputs(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
+    # the fields as a list, refused unless mixed_norm can measure them all
     fields = list(fields)
     if not fields:
         raise ValueError("mixed_norms needs at least one field; the input is empty")
@@ -239,29 +273,36 @@ def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
         raise ValueError(
             f"kernel alpha {spec.alpha:g} != mixed-norm alpha {mn.alpha:g}"
         )
-    # lp_norm also refuses q = 1 and non-finite samples
-    f_norms = [lp_norm(f, mn.q) for f in fields]
+    return fields
+
+
+def _node_norms(fields, spec: KernelSpec, q: float, r: np.ndarray) -> np.ndarray:
+    # ||f * Omega_r||_q of each field (rows) at each node of r (columns).
+    # Each block of the profile is evaluated once and applied to every
+    # field; a node's norm does not depend on the block it falls in, so a
+    # rule's nodes may be measured in parts
     grid = fields[0].grid
-    quad = mn.r_grid
-    r = quad.nodes()
-    w = quad.measure_weights(mn.alpha * mn.s - 1.0)
-    mass = quad.completion_mass(mn.alpha * mn.s - 1.0)
     applies = [_fields.real_symbol_apply(f.samples) for f in fields]
     xi, scatter = np.unique(grid.freq_radius().ravel(), return_inverse=True)
     axes = tuple(range(1, grid.n + 1))
-    norms = np.empty((len(fields), quad.count))
+    norms = np.empty((len(fields), r.size))
     step = max(1, _BLOCK // scatter.size)
-    for i in range(0, quad.count, step):
+    for i in range(0, r.size, step):
         prof = omega_hat(np.outer(r[i:i + step], xi), spec)[:, scatter]
         prof = prof.reshape((-1,) + grid.shape)
         for k, apply in enumerate(applies):
-            norms[k, i:i + step] = _lp(apply(prof), mn.q, grid.cell_volume, axis=axes)
-    out = []
-    for row, f_norm in zip(norms, f_norms):
-        total = float(np.sum(w * row**mn.s))
-        total += mass * (omega_hat(0.0, spec) * f_norm) ** mn.s
-        out.append(float(total ** (1.0 / mn.s)))
-    return out
+            norms[k, i:i + step] = _lp(apply(prof), q, grid.cell_volume, axis=axes)
+    return norms
+
+
+def _mixed_norm_total(row: np.ndarray, f_norm: float, spec: KernelSpec,
+                      mn: MixedNormSpec) -> float:
+    # the radial sum of one field's node norms on mn's r grid, with the
+    # (0, r_min) mass restored in closed form
+    quad = mn.r_grid
+    total = float(np.sum(quad.measure_weights(mn.alpha * mn.s - 1.0) * row**mn.s))
+    total += quad.completion_mass(mn.alpha * mn.s - 1.0) * (omega_hat(0.0, spec) * f_norm) ** mn.s
+    return float(total ** (1.0 / mn.s))
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +465,10 @@ def _sw_geometry(half: float, depth: int, nodes: int):
     return out
 
 
-def _sw_rows(geom, half: float, nodes: int, points: int, key):
+def _sw_rows(geom, half: float, nodes: int, points: int, exponents) -> tuple:
     """The potentials of stein_weiss_ratio as rows of product-integration
-    weights on the grid samples: (data, cols, indptr).
+    weights on the grid samples, for each pair (a - N, delta_w) of
+    exponents: ([data per pair], cols, indptr).
 
     The potential at outer node x is the inner rule's sum of
     w |u - x|^(a - N) |u|^(-delta_w) f(u), and f(u) is the linear
@@ -439,108 +481,140 @@ def _sw_rows(geom, half: float, nodes: int, points: int, key):
     row's start.  The terms of a row come in increasing u, so their keys
     row * points + column are sorted: one segmented sum collects the terms
     of each left sample, and a right neighbour that is the next left
-    sample is added into it, with no sort.  The rows are built a run of
-    outer nodes at a time (at most _SW_RUN terms, or one node's), which
-    bounds the temporaries.
+    sample is added into it, with no sort.  Which samples a row touches
+    does not depend on the exponents, so every pair shares cols and indptr,
+    and a run's positions, splits and segments serve every pair; each pair
+    adds its coefficients and their two segmented sums.  The rows are
+    built a run of outer nodes at a time (at most _SW_RUN terms, or one
+    node's), which bounds the temporaries.  A first pass over the runs
+    finds only the segments, to count each row's entries, and the second
+    writes every row into arrays of their final size: holding the rows in
+    pieces until the end would double the pass's peak.
     """
     xs, _, lo, width, offsets = geom
     gx, gw = _gl_rule(nodes)
-    power, delta_w = key[0], key[1]
     # the samples sit where Grid.axis() puts them
     h = 2.0 * half / points
     grid_x = (np.arange(points) - points // 2) * h
     ends = offsets // nodes  # each outer node's panels
-    data, cols, counts = [], [], []
+    runs = []
     k0 = 0
     while k0 < xs.size:
         k1 = int(np.searchsorted(offsets, offsets[k0] + _SW_RUN, side="right")) - 1
         k1 = max(k1, k0 + 1)
+        runs.append((k0, k1))
+        k0 = k1
+
+    def segments(k0, k1):
+        # the run's terms u, their rows within the run and their left
+        # samples, and the segments: where the terms of each left sample
+        # start, that sample's key row * points + column, and whether its
+        # right neighbour is the next segment's left sample
         panels = slice(ends[k0], ends[k1])
         row = np.repeat(np.arange(k1 - k0), np.diff(ends[k0:k1 + 1]))
         u = _sw_points(lo[panels], width[panels], gx)
-        coef = u - xs[k0 + row, None]
-        np.abs(coef, out=coef)
-        np.power(coef, power, out=coef)
-        coef *= np.abs(u) ** -delta_w
-        coef *= np.multiply(width[panels, None], gw[None, :])
-        coef *= 0.5
-        # np.interp(..., left=0, right=0) is 0 outside the samples: such a
-        # term keeps its place in the row with a zero coefficient
-        coef[(u < grid_x[0]) | (u > grid_x[-1])] = 0.0
         t = u / h
         t += points // 2
         col = t.astype(np.intp)
         np.clip(col, 0, points - 2, out=col)
-        # theta from the sample's own position, as np.interp takes it
-        theta = np.subtract(u, grid_x[col], out=t)
-        theta /= h
-        theta = theta.ravel()
-        keys = (row * points)[:, None] + col
-        keys, coef = keys.ravel(), coef.ravel()
-        # the terms of one left sample, then each sum's right neighbour
+        keys = ((row * points)[:, None] + col).ravel()
         starts = np.flatnonzero(keys[1:] != keys[:-1])
         starts += 1
         starts = np.concatenate(([0], starts))
-        right = coef * theta
-        coef -= right
-        pair = np.empty((starts.size, 2))
-        pair[:, 0] = np.add.reduceat(coef, starts)
-        pair[:, 1] = np.add.reduceat(right, starts)
         keys = keys[starts]
-        # a right neighbour that is the next left sample merges into it
-        merged = keys[1:] == keys[:-1] + 1
-        np.add(pair[1:, 0], pair[:-1, 1], out=pair[1:, 0], where=merged)
-        held = np.ones(pair.shape, dtype=bool)
-        held[:-1, 1] = ~merged
-        data.append(pair[held])
-        row, col = np.divmod(keys, points)
-        cols.append(np.column_stack([col, col + 1])[held])
-        # two entries per left sample, less the right neighbours merged
+        return panels, row, u, col, starts, keys, keys[1:] == keys[:-1] + 1
+
+    # each row's entries: two per left sample, less the right neighbours merged
+    counts = []
+    for k0, k1 in runs:
+        *_, keys, merged = segments(k0, k1)
+        row = keys // points
         counts.append(np.bincount(row, minlength=k1 - k0) * 2
                       - np.bincount(row[1:][merged], minlength=k1 - k0))
-        k0 = k1
-    counts = np.concatenate(counts)
-    indptr = np.zeros(counts.size, dtype=np.intp)
-    np.cumsum(counts[:-1], out=indptr[1:])
-    return np.concatenate(data), np.concatenate(cols), indptr
+    indptr = np.zeros(xs.size + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    datas = [np.empty(indptr[-1]) for _ in exponents]
+    cols = np.empty(indptr[-1], dtype=np.intp)
+    for k0, k1 in runs:
+        panels, row, u, col, starts, keys, merged = segments(k0, k1)
+        # theta from the sample's own position, as np.interp takes it
+        theta = u - grid_x[col]
+        theta /= h
+        theta = theta.ravel()
+        held = np.ones((starts.size, 2), dtype=bool)
+        held[:-1, 1] = ~merged
+        out = slice(indptr[k0], indptr[k1])
+        left = keys % points
+        cols[out] = np.column_stack([left, left + 1])[held]
+        dist = u - xs[k0 + row, None]
+        np.abs(dist, out=dist)
+        mag = np.abs(u)
+        weight = np.multiply(width[panels, None], gw[None, :])
+        # np.interp(..., left=0, right=0) is 0 outside the samples: such a
+        # term keeps its place in the row with a zero coefficient
+        outside = (u < grid_x[0]) | (u > grid_x[-1])
+        for data, (power, delta_w) in zip(datas, exponents):
+            coef = np.power(dist, power)
+            coef *= mag ** -delta_w
+            coef *= weight
+            coef *= 0.5
+            coef[outside] = 0.0
+            coef = coef.ravel()
+            # the terms of one left sample, then each sum's right
+            # neighbour; a right neighbour that is the next left sample
+            # merges into it
+            right = coef * theta
+            coef -= right
+            pair = np.empty((starts.size, 2))
+            pair[:, 0] = np.add.reduceat(coef, starts)
+            pair[:, 1] = np.add.reduceat(right, starts)
+            np.add(pair[1:, 0], pair[:-1, 1], out=pair[1:, 0], where=merged)
+            data[out] = pair[held]
+    return datas, cols, indptr[:-1]
 
 
-# The rule of the latest stein_weiss_ratio call and its rows for one grid
-# and exponent set: (rule key, geometry, exponent key, rows).  Worker
-# threads read it; it is swapped whole under the lock, and a call keeps the
-# tuple it read.
+# The rule of the latest stein_weiss_ratios call and its rows for one grid
+# and the exponent sets that call measured: (rule key, geometry, {exponent
+# key: rows}).  Worker threads read it; it is swapped whole under the
+# lock, and a call keeps the tuple it read.
 _sw_slot = None
 _sw_lock = threading.Lock()
 
 
-def _sw_rule(half: float, depth: int, nodes: int, points: int, params: SteinWeissParams):
-    """(geometry, rows) of stein_weiss_ratio for one box, depth, panel
-    order and grid point count, and one exponent set.
+def _sw_rule(half: float, depth: int, nodes: int, points: int, sets) -> tuple:
+    """(geometry, [rows per set]) of stein_weiss_ratios for one box,
+    depth, panel order and grid point count, and one or more exponent sets.
 
-    The rows are (data, cols, indptr, x_weight): the product-integration
-    rows of _sw_rows, which fold |u - x|^(a - N), |u|^(-delta_w), the
-    inner weights and the interpolation onto the samples, and
-    |x|^(-gamma_w) on the outer nodes.  The latest rule and rows are kept
-    for the next call, and the geometry also while only the grid's point
-    count or the exponents change; the slot is emptied before a
-    replacement is built, so two sets of rows are never held at once.
+    A set's rows are (data, cols, indptr, x_weight): the product-
+    integration rows of _sw_rows, which fold |u - x|^(a - N),
+    |u|^(-delta_w), the inner weights and the interpolation onto the
+    samples, and |x|^(-gamma_w) on the outer nodes.  Every set's rows
+    come from one _sw_rows pass and share cols and indptr; each set holds
+    its own data and x_weight.  The latest rule and rows are kept for the
+    next call, which reuses them when they cover every set it asks for,
+    and the geometry also while only the grid's point count or the
+    exponents change; the slot is emptied before a replacement is built,
+    so two passes' rows are never held at once.
     """
     global _sw_slot
     rule = (half, depth, nodes, points)
-    key = (params.a - params.N, params.delta_w, params.gamma_w)
+    keys = [(params.a - params.N, params.delta_w, params.gamma_w) for params in sets]
     with _sw_lock:
         slot = _sw_slot
-        if slot is not None and slot[0] == rule and slot[2] == key:
-            return slot[1], slot[3]
+        if slot is not None and slot[0] == rule and all(key in slot[2] for key in keys):
+            return slot[1], [slot[2][key] for key in keys]
         geom = slot[1] if slot is not None and slot[0][:3] == rule[:3] else None
         _sw_slot = slot = None
         if geom is None:
             geom = _sw_geometry(half, depth, nodes)
-        rows = _sw_rows(geom, half, nodes, points, key) + (np.abs(geom[0]) ** -key[2],)
-        for arr in rows:
-            arr.setflags(write=False)
-        _sw_slot = (rule, geom, key, rows)
-    return geom, rows
+        datas, cols, indptr = _sw_rows(geom, half, nodes, points, [key[:2] for key in keys])
+        rows = {key: (data, cols, indptr, np.abs(geom[0]) ** -key[2])
+                for key, data in zip(keys, datas)}
+        for set_rows in rows.values():
+            for arr in set_rows:
+                arr.setflags(write=False)
+        _sw_slot = (rule, geom, rows)
+    return geom, [rows[key] for key in keys]
 
 
 def _positive_int(value, name: str) -> int:
@@ -561,22 +635,43 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
     the weights, and the interpolation onto the samples fold into one
     sparse row of weights per outer node.  The rows depend only on the
     box, the depth, the panel order, the grid's point count and the
-    exponents; they are built once per such set (_sw_rule) and kept for
-    the next call.  A call then takes every potential with one gather,
-    one product and one segmented sum, and interpolates the field only
-    onto the outer nodes, for the input norm.  Inadmissible parameter
-    sets raise, naming every violated condition; passing
-    allow_inadmissible runs them anyway, which is exactly how the failure
-    of the inequality is demonstrated (the measured value then tracks the
-    truncation depth instead of converging).
+    exponents; they are built once per such set, or per group of sets
+    that stein_weiss_ratios measures together (_sw_rule), and kept for the
+    next call.  A call then takes every potential with one gather, one
+    product and one segmented sum, and interpolates the field only onto
+    the outer nodes, for the input norm.  Inadmissible parameter sets
+    raise, naming every violated condition; passing allow_inadmissible
+    runs them anyway, which is exactly how the failure of the inequality
+    is demonstrated (the measured value then tracks the truncation depth
+    instead of converging).
+    """
+    allowed = (params,) if allow_inadmissible else ()
+    return stein_weiss_ratios([params], f, depth, nodes_per_panel, allowed)[0]
+
+
+def stein_weiss_ratios(params_sets, f: Field, depth: int = 12, nodes_per_panel: int = 8,
+                       allow_inadmissible=()) -> list:
+    """stein_weiss_ratio of one input under each of one or more exponent
+    sets, in order, bit for bit.
+
+    The rows of every set come from one pass that finds the exponent-free
+    structure for all of them (_sw_rule), and the field is interpolated
+    onto the outer nodes once.  allow_inadmissible names the sets that
+    may be inadmissible; any other inadmissible set raises before any
+    work, so a set measured beside a deliberately inadmissible one is
+    held to the same guard as when it is measured alone.
     """
     depth = _positive_int(depth, "depth")
     nodes = _positive_int(nodes_per_panel, "nodes_per_panel")
-    fails = params.constraint_failures()
-    if fails and not allow_inadmissible:
-        raise InadmissibleParamsError("; ".join(fails))
-    if params.N != 1:
-        raise ValueError("direct quadrature is implemented for N = 1")
+    params_sets = list(params_sets)
+    if not params_sets:
+        raise ValueError("stein_weiss_ratios needs at least one exponent set")
+    for params in params_sets:
+        fails = params.constraint_failures()
+        if fails and params not in allow_inadmissible:
+            raise InadmissibleParamsError("; ".join(fails))
+        if params.N != 1:
+            raise ValueError("direct quadrature is implemented for N = 1")
     if not isinstance(f, Field) or f.grid.n != 1:
         raise TypeError("stein_weiss_ratio takes a one-dimensional spatial field")
     if f.domain_tag != PHYSICAL:
@@ -594,18 +689,19 @@ def stein_weiss_ratio(params: SteinWeissParams, f: Field,
         raise ValueError("input must be nonnegative")
 
     grid = f.grid
-    geom, (data, cols, indptr, x_weight) = _sw_rule(grid.extent / 2.0, depth, nodes,
-                                                    grid.points, params)
+    geom, rows = _sw_rule(grid.extent / 2.0, depth, nodes, grid.points, params_sets)
     xs, xw = geom[:2]
-    pot = np.add.reduceat(data * fr[cols], indptr)
-    weighted = x_weight * pot
-    out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
-
     outer = np.interp(xs, grid.axis(), fr, left=0.0, right=0.0)
-    in_norm = float(np.sum(xw * outer**params.p) ** (1.0 / params.p))
-    if in_norm == 0.0:
-        raise ValueError("input field is identically zero")
-    return out_norm / in_norm
+    out = []
+    for params, (data, cols, indptr, x_weight) in zip(params_sets, rows):
+        pot = np.add.reduceat(data * fr[cols], indptr)
+        weighted = x_weight * pot
+        out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
+        in_norm = float(np.sum(xw * outer**params.p) ** (1.0 / params.p))
+        if in_norm == 0.0:
+            raise ValueError("input field is identically zero")
+        out.append(out_norm / in_norm)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,12 @@ from conewave import (
     lp_norm,
     mixed_norm,
     mixed_norms,
+    mixed_norms_refined,
     necessary_window,
     omega_hat,
     ratio_ladder,
     stein_weiss_ratio,
+    stein_weiss_ratios,
     sw_derived_params,
     symbol,
 )
@@ -271,6 +273,9 @@ def test_mixed_norm_spec_validation():
         MixedNormSpec(10.0, 5.0, 0.4, _r_grid())  # s < q
     with pytest.raises(ValueError):
         MixedNormSpec(0.9, 2.0, 0.4, _r_grid())  # q < 1
+    # q = 1 has no lp_norm, so no mixed norm could be computed with it
+    with pytest.raises(ValueError, match="q > 1"):
+        MixedNormSpec(1.0, 2.0, 0.4, _r_grid())
     with pytest.raises(ValueError):
         MixedNormSpec(2.0, 2.0, -0.1, _r_grid())
 
@@ -383,11 +388,37 @@ def test_mixed_norms_refuses_an_empty_input_before_any_work(monkeypatch):
         mixed_norms([], KernelSpec(0.4, 1), mn)
 
 
+def test_mixed_norms_refined_is_the_doubled_rule_bit_for_bit(monkeypatch):
+    # the doubled rule keeps every base node, so the refined value reuses
+    # the base norms of its field and evaluates the profile on the
+    # midpoints alone, with the bits of a direct mixed_norm on that rule
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature(1e-2, 8.0, 70)
+    mn = MixedNormSpec(4.0, 6.0, 0.4, quad)
+    g = Grid(1, 1024, 32.0)
+    fields = [ens.gaussian(g, w, c) for w, c in ((0.5, 0.0), (1.0, 0.5), (2.0, -1.0))]
+    fine = MixedNormSpec(4.0, 6.0, 0.4, quad.refined(density=2))
+    rows = []
+    profile = analysis.omega_hat
+
+    def spy(x, *args):
+        if np.ndim(x) == 2:
+            rows.append(np.shape(x)[0])
+        return profile(x, *args)
+
+    monkeypatch.setattr(analysis, "omega_hat", spy)
+    for index in (0, 1, 2):
+        rows.clear()
+        norms, refined = mixed_norms_refined(fields, spec, mn, index)
+        assert sum(rows) == quad.count + quad.count - 1
+        assert norms == mixed_norms(fields, spec, mn)
+        assert refined == mixed_norm(fields[index], spec, fine)
+    with pytest.raises(IndexError):
+        mixed_norms_refined(fields, spec, mn, 3)
+
+
 def test_mixed_norm_guards_of_the_convolution():
-    mn = MixedNormSpec(1.0, 2.0, 0.4, _r_grid())
     f = ens.gaussian(Grid(1, 256, 32.0), 1.0)
-    with pytest.raises(ValueError, match="p > 1"):
-        mixed_norm(f, KernelSpec(0.4, 1), mn)  # q = 1 has no lp_norm
     with pytest.raises(ValueError, match="dimension"):
         mixed_norm(f, KernelSpec(0.4, 2), MixedNormSpec(2.0, 2.0, 0.4, _r_grid()))
 
@@ -717,11 +748,62 @@ def test_stein_weiss_rows_follow_the_grid_spacing():
         f = _bump(0.3 * k - 0.8, 1.0, Grid(1, points, 32.0))
         got = stein_weiss_ratio(params, f, depth=10)
         assert got == pytest.approx(_frozen_stein_weiss(params, f, 10), rel=_SW_REL, abs=0.0)
-        geom, (data, cols, indptr, _) = analysis._sw_rule(16.0, 10, 8, points, params)
+        geom, [(data, cols, indptr, _)] = analysis._sw_rule(16.0, 10, 8, points, [params])
         # np.add.reduceat gives an empty segment the next row's first entry
         assert indptr.size == geom[0].size
         assert indptr[0] == 0 and np.all(np.diff(indptr) > 0) and indptr[-1] < data.size
         assert cols.dtype == np.intp and cols.min() >= 0 and cols.max() < points
+
+
+@pytest.mark.parametrize("grid", [Grid.default(1), Grid(1, 512, 32.0)], ids=["default", "512"])
+@pytest.mark.parametrize("depth", [8, 18])
+def test_stein_weiss_rows_of_several_sets_are_the_one_set_rows(monkeypatch, grid, depth):
+    # one pass builds every set's rows: each equals the rows of that set
+    # built alone, bit for bit, and all share one cols and one indptr
+    names = ("hls", "inadmissible", "derived")
+    sets = [_SW_PARAM_SETS[name] for name in names]
+    half = grid.extent / 2.0
+    monkeypatch.setattr(analysis, "_sw_slot", None)
+    geom, together = analysis._sw_rule(half, depth, 8, grid.points, sets)
+    for name, params, rows in zip(names, sets, together):
+        assert rows[1] is together[0][1] and rows[2] is together[0][2]
+        monkeypatch.setattr(analysis, "_sw_slot", None)
+        _, [alone] = analysis._sw_rule(half, depth, 8, grid.points, [params])
+        for got, want in zip(rows, alone):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_stein_weiss_ratios_are_one_set_calls_bit_for_bit(monkeypatch):
+    # several sets measured together give each set's own ratio, and a later
+    # call for any of those sets on the same rule builds nothing
+    names = ("hls", "inadmissible", "derived")
+    sets = [_SW_PARAM_SETS[name] for name in names]
+    f = _bump(0.5, 1.2)
+    alone = []
+    for params in sets:
+        monkeypatch.setattr(analysis, "_sw_slot", None)
+        alone.append(stein_weiss_ratio(params, f, depth=10, allow_inadmissible=True))
+    monkeypatch.setattr(analysis, "_sw_slot", None)
+    assert stein_weiss_ratios(sets, f, depth=10, allow_inadmissible=sets) == alone
+    monkeypatch.setattr(analysis, "_sw_rows", lambda *a: pytest.fail("rows rebuilt"))
+    for params, want in zip(sets, alone):
+        assert stein_weiss_ratio(params, f, depth=10, allow_inadmissible=True) == want
+    assert stein_weiss_ratios(sets[::-1], f, depth=10, allow_inadmissible=sets) == alone[::-1]
+
+
+def test_stein_weiss_ratios_guard_every_set_it_is_not_told_to_allow(monkeypatch):
+    # allowing one inadmissible set does not allow another measured with it
+    inad = _SW_PARAM_SETS["inadmissible"]
+    broken = SteinWeissParams(1, 0.9 - 1e-9, 0.3, 0.0, 4.0 / 3.0, 4.0)
+    monkeypatch.setattr(analysis, "_sw_slot", None)
+    monkeypatch.setattr(analysis, "_sw_rows", lambda *a: pytest.fail("rows built"))
+    for sets in ([inad, broken], [broken, inad]):
+        with pytest.raises(InadmissibleParamsError, match="gamma_w < N/q"):
+            stein_weiss_ratios(sets, _bump(), depth=8, allow_inadmissible=(inad,))
+    with pytest.raises(InadmissibleParamsError):
+        stein_weiss_ratios([inad, _SW_PARAM_SETS["hls"]], _bump(), depth=8)
+    with pytest.raises(ValueError, match="at least one"):
+        stein_weiss_ratios([], _bump(), depth=8)
 
 
 def test_stein_weiss_interpolates_the_field_on_the_outer_nodes_only(monkeypatch):
@@ -756,7 +838,7 @@ def test_stein_weiss_potentials_match_the_quadpack_oracle(name, ratio_rel):
     grid, width, center, depth = Grid(1, 512, 32.0), 1.0, 0.5, 12
     f = _bump(center, width, grid)
     got = stein_weiss_ratio(params, f, depth=depth)
-    geom, (data, cols, indptr, _) = analysis._sw_rule(16.0, depth, 8, grid.points, params)
+    geom, [(data, cols, indptr, _)] = analysis._sw_rule(16.0, depth, 8, grid.points, [params])
     xs = geom[0]
     pot = np.add.reduceat(data * f.samples[cols], indptr)
     for target in (-3.0, -0.6, 1.6, 5.0):

@@ -325,7 +325,7 @@ def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
         return geometry(*rule)
 
     def counted_rows(geom, *args):
-        rows_built.append((geom[0].size, args[-1]))
+        rows_built.append((geom[0].size, tuple(args[-1])))
         return rows(geom, *args)
 
     monkeypatch.setattr(analysis, "_sw_slot", None)
@@ -333,9 +333,13 @@ def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
     monkeypatch.setattr(analysis, "_sw_rows", counted_rows)
     records = {r["name"]: r["value"] for r in cli.battery_stein_weiss(seed=3, bumps=4)}
     assert sorted(built) == [8, 10, 12, 14, 16, 18]
-    # and the rows once per (depth, exponent set): two sets at each depth,
-    # and the bumps' set at the default depth 12
-    assert len(rows_built) == 13 == len(set(rows_built))
+    # and the rows in one pass per depth for the two ladder sets, and one
+    # for the bumps' set at the default depth 12: every (depth, exponent
+    # set) pair is built exactly once
+    assert len(rows_built) == 7
+    assert sorted(len(keys) for _, keys in rows_built) == [1] + [2] * 6
+    pairs = [(size, key) for size, keys in rows_built for key in keys]
+    assert len(pairs) == 13 == len(set(pairs))
     # every ladder still reads the calls it names, in its own order
     grid = cw.Grid.default(1)
     inad = cw.SteinWeissParams(N=1, a=0.95, gamma_w=0.35, delta_w=0.2, p=10 / 7, q=10 / 3)
@@ -360,6 +364,50 @@ def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
     assert records["inadmissible depth divergence"] == sweep_in[-1] / sweep_in[0]
     assert records["admissible depth convergence"] == \
         max(abs(b - a) / a for a, b in zip(sweep_ad, sweep_ad[1:]))
+
+
+def test_stein_weiss_battery_refuses_an_admissible_set_that_turns_inadmissible(monkeypatch):
+    # adm is measured in one call with the deliberately inadmissible inad,
+    # and is still refused the moment it is inadmissible itself
+    derived = cli.sw_derived_params
+
+    def broken(alpha, n):
+        params = derived(alpha, n)
+        if (alpha, n) == (0.4, 2):
+            return cw.SteinWeissParams(N=1, a=params.a, gamma_w=1.0 / params.q + 0.1,
+                                       delta_w=params.delta_w, p=params.p, q=params.q)
+        return params
+
+    monkeypatch.setattr(cli, "sw_derived_params", broken)
+    monkeypatch.setattr(analysis, "_sw_slot", None)
+    with pytest.raises(cw.InadmissibleParamsError, match="gamma_w < N/q"):
+        cli.battery_stein_weiss(seed=3, bumps=4)
+
+
+def test_mixed_norm_battery_refines_on_the_base_nodes(monkeypatch):
+    # the refinement doubles the node density of the base rule and
+    # evaluates the profile on the 159 midpoints alone, for the width-1
+    # input alone; its value is a direct mixed_norm on the doubled rule
+    rows = []
+    profile = analysis.omega_hat
+
+    def spy(x, *args):
+        if np.ndim(x) == 2:
+            rows.append(np.shape(x)[0])
+        return profile(x, *args)
+
+    monkeypatch.setattr(analysis, "omega_hat", spy)
+    records = {r["name"]: r for r in cli.battery_mixed_norm()}
+    assert sum(rows) == 160 + 159
+    monkeypatch.setattr(analysis, "omega_hat", profile)
+    g = cw.Grid.default(1)
+    spec = cw.KernelSpec(0.4, 1)
+    quad = cw.RadialQuadrature(g.spacing / 4.0, 16.0, 160)
+    f = ens.gaussian(g, 1.0)
+    m1 = cw.mixed_norm(f, spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad))
+    m2 = cw.mixed_norm(f, spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad.refined(density=2)))
+    assert records["radial refinement"]["value"] == abs(m1 - m2) / m2
+    assert records["radial refinement"]["passed"]
 
 
 # ---------------------------------------------------------------------------
