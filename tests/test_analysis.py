@@ -854,22 +854,25 @@ def test_stein_weiss_potentials_match_the_quadpack_oracle(name, ratio_rel):
 
 
 def test_stein_weiss_kept_rule_under_concurrent_callers():
-    # threads that alternate exponent sets and depths swap the kept rule
-    # under each other; every call must still read one whole rule and its
-    # own tables
+    # threads that alternate exponent sets, groups of sets measured
+    # together and depths swap the kept rule under each other; every call
+    # must still read one whole rule and its own tables
     grid = Grid(1, 256, 16.0)
-    cases = [(name, depth, 0.3 * k - 1.0) for k in range(4)
-             for name in sorted(_SW_PARAM_SETS) for depth in (6, 9)]
+    groups = [(name,) for name in sorted(_SW_PARAM_SETS)] + [("derived", "inadmissible")]
+    cases = [(names, depth, 0.3 * k - 1.0) for k in range(4)
+             for names in groups for depth in (6, 9)]
 
     def measure(case):
-        name, depth, center = case
-        return stein_weiss_ratio(_SW_PARAM_SETS[name], _bump(center, 1.0, grid),
-                                 depth=depth, allow_inadmissible=True)
+        names, depth, center = case
+        sets = [_SW_PARAM_SETS[name] for name in names]
+        return stein_weiss_ratios(sets, _bump(center, 1.0, grid), depth=depth,
+                                  allow_inadmissible=sets)
 
-    frozen = [_frozen_stein_weiss(_SW_PARAM_SETS[name], _bump(center, 1.0, grid), depth)
-              for name, depth, center in cases]
+    frozen = [[_frozen_stein_weiss(_SW_PARAM_SETS[name], _bump(center, 1.0, grid), depth)
+               for name in names] for names, depth, center in cases]
     expected = [measure(case) for case in cases]
-    assert expected == pytest.approx(frozen, rel=_SW_REL, abs=0.0)
+    for got, want in zip(expected, frozen):
+        assert got == pytest.approx(want, rel=_SW_REL, abs=0.0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
