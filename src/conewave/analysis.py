@@ -50,6 +50,9 @@ __all__ = [
 
 _EQ_TOL = 1e-12  # classification equality tolerance: pure arithmetic, no noise
 _BLOCK = 2**16  # elements per temporary block in the vectorized batteries
+# elements per leaf of the Lp reduction (_power_sums): 256 KiB of float64,
+# so a leaf's magnitudes and powers stay in cache
+_LEAF = 2**15
 # terms per run of the Stein-Weiss row build (_sw_rows): a run's temporaries
 # stay in cache and add little to the peak resident size
 _SW_RUN = 2**13
@@ -155,27 +158,70 @@ def lp_norm(f, p: float) -> float:
         raise ValueError(f"exponent must satisfy p > 1, got {p}")
     if isinstance(f, SeparableField):
         g = f.grid
-        return float(_lp(f.space, p, g.space.cell_volume) * _lp(f.time, p, g.t_spacing))
-    return float(_lp(f.samples, p, f.cell_volume))
+        [space] = _lp(f.space, [p], g.space.cell_volume)
+        [time] = _lp(f.time, [p], g.t_spacing)
+        return float(space * time)
+    return float(_lp(f.samples, [p], f.cell_volume)[0])
 
 
-def _lp(samples: np.ndarray, p: float, cell_volume: float, axis=None):
-    # the lp_norm reduction; with axis set, one norm per leading index.
+def _lp(source, ps, cell_volume: float, by_row: bool = False) -> list:
+    # the one Lp reduction: source's p-norm for each p of ps, in order, as
+    # numpy scalars.  source is an array, taken in memory order, or an
+    # inverse in progress (real_symbol_apply's last), whose output is made
+    # a part at a time and never formed whole.  With by_row, source is an
+    # array and each norm is an array of one norm per leading index.
+    # _power_sums gives np.sum's sums bit for bit, and the last step keeps
+    # the numpy form of the whole-array reduction: a scalar power for one
+    # norm, an array power for a row of them
+    if isinstance(source, np.ndarray):
+        rows = source.reshape(len(source), -1) if by_row else source.ravel(order="K")[None]
+        part, size = (lambda a, b: rows[:, a:b]), rows.shape[1]
+    else:
+        part, size = source.part, source.size
+    sums = _power_sums(part, 0, size, ps)
+    if not by_row:
+        sums = [s[0] for s in sums]
+    return [s if math.isinf(p) else (s * cell_volume) ** (1.0 / p) for s, p in zip(sums, ps)]
+
+
+def _power_sums(part, start: int, n: int, ps) -> list:
+    # sum |x|^p (max |x| at p = inf) over elements start..start+n-1 of each
+    # row of part(a, b), which gives elements a..b-1 of every row, one
+    # array of row values per p of ps.  A range longer than _LEAF is split
+    # where numpy's pairwise_sum splits it (n // 2 rounded down to a
+    # multiple of 8), and every part of at most _LEAF elements is summed
+    # by np.sum, which runs that same pairwise_sum on it; 0.0 + s == s for
+    # these nonnegative sums, so each total is np.sum's over the whole row
+    # bit for bit.  A module-level recursion, not a closure over the
+    # source: a nested function that called itself would form a cycle and
+    # keep the source (a member's spectrum) alive until the cyclic
+    # collector ran
+    if n > _LEAF:
+        half = n // 2 - n // 2 % 8
+        left = _power_sums(part, start, half, ps)
+        right = _power_sums(part, start + half, n - half, ps)
+        return [np.maximum(a, b) if math.isinf(p) else a + b
+                for a, b, p in zip(left, right, ps)]
     # pow takes libm's slow scalar path on zeros, subnormals and arguments
     # whose power underflows, and Gaussian tails are mostly such arguments.
     # Any x <= 2^(-1080/p), zero included, has x^p below 2^-1080, which
-    # rounds to 0.0, so those terms are set to 0.0 without pow; every term,
-    # and the sum taken in the same layout and order, keeps its bits.
-    mags = np.abs(samples)
+    # rounds to 0.0, so those terms are set to 0.0 without pow; every term
+    # keeps its bits.  The last p takes the magnitudes in place
+    mags = np.abs(part(start, start + n))
     if not np.all(np.isfinite(mags)):
         raise ValueError("field has non-finite samples")
-    if math.isinf(p):
-        return mags.max(axis=axis)
-    tiny = mags <= 2.0 ** (-1080.0 / p)
-    mags[tiny] = 1.0
-    mags **= p
-    mags[tiny] = 0.0
-    return (np.sum(mags, axis=axis) * cell_volume) ** (1.0 / p)
+    sums = []
+    for i, p in enumerate(ps):
+        if math.isinf(p):
+            sums.append(mags.max(axis=-1))
+            continue
+        terms = mags if i == len(ps) - 1 else mags.copy()
+        tiny = terms <= 2.0 ** (-1080.0 / p)
+        terms[tiny] = 1.0
+        terms **= p
+        terms[tiny] = 0.0
+        sums.append(terms.sum(axis=-1))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -284,14 +330,13 @@ def _node_norms(fields, spec: KernelSpec, q: float, r: np.ndarray) -> np.ndarray
     grid = fields[0].grid
     applies = [_fields.real_symbol_apply(f.samples) for f in fields]
     xi, scatter = np.unique(grid.freq_radius().ravel(), return_inverse=True)
-    axes = tuple(range(1, grid.n + 1))
     norms = np.empty((len(fields), r.size))
     step = max(1, _BLOCK // scatter.size)
     for i in range(0, r.size, step):
         prof = omega_hat(np.outer(r[i:i + step], xi), spec)[:, scatter]
         prof = prof.reshape((-1,) + grid.shape)
         for k, apply in enumerate(applies):
-            norms[k, i:i + step] = _lp(apply(prof), q, grid.cell_volume, axis=axes)
+            norms[k, i:i + step] = _lp(apply(prof), [q], grid.cell_volume, by_row=True)[0]
     return norms
 
 
@@ -737,13 +782,15 @@ def crucial_estimate_ratio(spec: KernelSpec, q: float, r: float, s: float,
 
     xi = f.grid.freq_radius()
     symbol = omega_hat(r * xi, spec) * omega_hat(s * xi, spec)
-    g = Field(f.grid, _fields.real_symbol_apply(f.samples).last(symbol))
+    # the q-norm of f * Omega_r * Omega_s, taken as its output is made
+    [g_norm] = _lp(_fields.real_symbol_apply(f.samples).last(symbol), [q],
+                   f.grid.cell_volume)
 
     big_a = (n + 1) / (2.0 * n) * spec.alpha
     mid = 1.0 if n == 1 else abs(r - s) ** (-(n - 1) / n * spec.alpha)
     envelope = r ** (-big_a) * mid * s ** (-big_a)
     dual = q / (q - 1.0)
-    return lp_norm(g, q) / (envelope * lp_norm(f, dual))
+    return float(g_norm) / (envelope * lp_norm(f, dual))
 
 
 @dataclass(frozen=True)
@@ -853,13 +900,15 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     distinct p).  It is then checked and transformed by the helper that
     apply_symbol runs, and from then on the ladder holds its spectrum,
     not its samples.  m is multiplied into that spectrum in place, which
-    is transformed back, and the q-norms of every probe are taken on the
-    one output.  So a member in flight holds at most two arrays of its
-    own size (samples and their magnitudes, samples and spectrum,
-    spectrum and output, output and its magnitudes) besides m, and its
-    samples outlive its transform only when the caller holds them.  A
-    separable member's p-norms and spectrum come from its factors, so its
-    first full-size array is its spectrum.  Every ratio is
+    is transformed back a leaf of rows at a time, and each leaf gives its
+    part of the q-norm of every distinct q before the next is made, so
+    the output is never formed.  So a member in flight holds at most two
+    arrays of its own size, its samples and its spectrum while it is
+    transformed, and then its spectrum alone, with a few leaf-sized
+    arrays besides m; its samples outlive its transform only when the
+    caller holds them.  A separable member's p-norms and spectrum come
+    from its factors, so its one full-size array is its spectrum.  Every
+    ratio is
     lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit, for
     either kind of member.
 
@@ -885,6 +934,7 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     m = _checked_symbol(m, None)
     ps = [1.0 / inv_p for inv_p, _ in probes]
     qs = [1.0 / inv_q for _, inv_q in probes]
+    distinct_qs = list(dict.fromkeys(qs))
 
     def ratios(member):
         f = member() if callable(member) else member
@@ -893,8 +943,8 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
             raise ValueError("family member with zero norm")
         cell, apply = f.cell_volume, _single_apply(f, m, m_checked=True)
         del f  # the spectrum replaces the samples
-        out = apply()
-        return [float(_lp(out, q, cell)) / norms[p] for p, q in zip(ps, qs)]
+        out_norms = dict(zip(distinct_qs, _lp(apply(), distinct_qs, cell)))
+        return [float(out_norms[q]) / norms[p] for p, q in zip(ps, qs)]
 
     per_member = pool_map(ratios, family) if pool_map else [ratios(f) for f in family]
     stats = []

@@ -864,6 +864,13 @@ def battery_mixed_norm() -> list:
     return records
 
 
+def _case_bounds_from(cfg, seed, jobs) -> list:
+    n = _to_int(cfg, "case-bounds", "n")
+    if n < 1:
+        raise ConfigError(f"[case-bounds] n must be a positive integer, got {n}")
+    return battery_case_bounds(n)
+
+
 def _stein_weiss_from(cfg, seed, jobs) -> list:
     bumps = _to_int(cfg, "stein-weiss", "bumps")
     depth = _to_int(cfg, "stein-weiss", "depth")
@@ -876,7 +883,7 @@ def _stein_weiss_from(cfg, seed, jobs) -> list:
 _SUITES = {
     "bessel": lambda cfg, seed, jobs: battery_bessel(),
     "ft-identity": lambda cfg, seed, jobs: battery_ft_identity(),
-    "case-bounds": lambda cfg, seed, jobs: battery_case_bounds(_to_int(cfg, "case-bounds", "n")),
+    "case-bounds": _case_bounds_from,
     "stein-weiss": _stein_weiss_from,
     "crucial": lambda cfg, seed, jobs: battery_crucial(),
     "mixed-norm": lambda cfg, seed, jobs: battery_mixed_norm(),
@@ -1206,6 +1213,8 @@ def cmd_norm_test(cfg, args) -> dict:
     sec = "norm-test"
     alpha = _to_float(cfg, sec, "alpha")
     n = _to_int(cfg, sec, "n")
+    if n < 1:  # before inv_q = inv_p - alpha / n divides by it
+        raise ConfigError(f"[{sec}] n must be a positive integer, got {n}")
     inv_p = _to_float(cfg, sec, "inv_p")
     raw_q = cfg[sec]["inv_q"]
     if raw_q == "auto":

@@ -410,17 +410,19 @@ def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
     complex128 one; the output array is wrapped as it is, without a copy.
     f and m are left unchanged.
     """
-    return SpacetimeField(f.grid, _single_apply(f, m)(), PHYSICAL)
+    return SpacetimeField(f.grid, _single_apply(f, m)().whole(), PHYSICAL)
 
 
 def _single_apply(f: SpacetimeField, m, m_checked: bool = False):
     # apply_symbol's checks, then f's forward transform: returns a
-    # zero-argument callable that gives apply_symbol(f, m)'s samples, bit
-    # for bit, with m multiplied into the spectrum in place.  The callable
+    # zero-argument callable that multiplies m into the spectrum in place
+    # and gives the inverse in progress (real_symbol_apply's last), whose
+    # whole() is apply_symbol(f, m)'s samples, bit for bit.  The callable
     # holds f's spectrum, not f, so a caller that drops f before calling
-    # it holds one array of f's size until the output is made.  With
-    # m_checked, m has passed _checked_symbol already (a ratio ladder
-    # applies one m to many fields), and only its shape is compared.
+    # it holds one array of f's size from then on, besides the output
+    # when it takes it whole.  With m_checked, m has passed
+    # _checked_symbol already (a ratio ladder applies one m to many
+    # fields), and only its shape is compared.
     samples = _checked_input(f)
     if m_checked:
         _check_shape(m, f.grid.shape)

@@ -298,17 +298,41 @@ def _spectrum(samples):
     return np.fft.rfftn(samples.real, axes=axes, out=buf), True
 
 
-def _inverse(buf: np.ndarray, shape: tuple, real: bool) -> np.ndarray:
-    # buf back to samples of the given shape over its trailing axes, in
-    # place; a real half spectrum takes irfftn's steps (ifft over the
-    # leading axes in increasing order, then irfft) with the last one
-    # into a fresh float64 output, so the bits are irfftn's
-    axes = tuple(range(buf.ndim - len(shape), buf.ndim))
-    if not real:
-        return np.fft.ifftn(buf, axes=axes, out=buf)
-    for k in axes[:-1]:
-        np.fft.ifft(buf, axis=k, out=buf)
-    return np.fft.irfft(buf, shape[-1], axis=axes[-1])
+class _Inverse:
+    # buf on its way back to samples of the given shape over its trailing
+    # axes, the one inverse transform.  A real half spectrum takes
+    # irfftn's steps: the ifft over the leading axes in increasing order
+    # runs here, in place, and the last axis's irfft runs on request,
+    # over all rows into a fresh float64 array (whole) or over the rows
+    # that hold a range of the output (part), so the bits are irfftn's
+    # either way.  A complex spectrum takes its whole ifftn in place here
+    # (numpy's ifftn transforms axis 0 last, so no row is final before
+    # then), and both return views of buf.
+
+    def __init__(self, buf: np.ndarray, shape: tuple, real: bool):
+        axes = tuple(range(buf.ndim - len(shape), buf.ndim))
+        if real:
+            for k in axes[:-1]:
+                np.fft.ifft(buf, axis=k, out=buf)
+        else:
+            np.fft.ifftn(buf, axes=axes, out=buf)
+        self._buf, self._real, self._width = buf, real, shape[-1]
+        self.size = buf.size // buf.shape[-1] * shape[-1]
+
+    def whole(self) -> np.ndarray:
+        if not self._real:
+            return self._buf
+        return np.fft.irfft(self._buf, self._width, axis=-1)
+
+    def part(self, a: int, b: int) -> np.ndarray:
+        # elements a..b-1 of the output in C order, as one row (1, b - a):
+        # only the rows that hold them are transformed
+        w = self._width
+        first = a // w
+        rows = self._buf.reshape(-1, self._buf.shape[-1])[first:-(-b // w)]
+        if self._real:
+            rows = np.fft.irfft(rows, w, axis=-1)
+        return rows.reshape(1, -1)[:, a - first * w:b - first * w]
 
 
 class _HeldSpectrum:
@@ -326,15 +350,16 @@ class _HeldSpectrum:
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         spectrum = self._spectrum
-        return _inverse(spectrum * m[..., :spectrum.shape[-1]], self._shape, self._real)
+        return _Inverse(spectrum * m[..., :spectrum.shape[-1]], self._shape, self._real).whole()
 
-    def last(self, m: np.ndarray) -> np.ndarray:
-        # self(m), bit for bit, with m multiplied into the spectrum in place
-        # instead of a copy; the spectrum is given up to the output, so
-        # nothing may follow
+    def last(self, m: np.ndarray) -> _Inverse:
+        # self(m) before its last stage, with m multiplied into the spectrum
+        # in place instead of a copy: whole() is self(m), bit for bit, and
+        # part(a, b) gives the output a part at a time.  The spectrum is
+        # given up to the output, so nothing may follow
         spectrum, self._spectrum = self._spectrum, None
         spectrum *= m[..., :spectrum.shape[-1]]
-        return _inverse(spectrum, self._shape, self._real)
+        return _Inverse(spectrum, self._shape, self._real)
 
     def relative_change(self, m1: np.ndarray, m0: np.ndarray) -> float:
         half = self._weighted_power().shape[-1]
@@ -397,9 +422,15 @@ def real_symbol_apply(samples):
     carry leading axes, one output per leading index.  apply.last(m), for
     an m of the samples' shape, is apply(m) with m multiplied into the
     spectrum in place: no product copy, and the spectrum is given up to
-    the output, so it must be the last call.  A caller that drops its
-    samples once apply exists then holds one array of the samples' size
-    at a time, besides the output while it is made.
+    the output, so it must be the last call.  It returns the inverse
+    before its last stage: for real samples the ifft over the leading
+    axes has run in the spectrum, whole() gives apply(m) bit for bit, and
+    part(a, b) gives elements a..b-1 of the output (C order) from the
+    last axis's irfft of the rows that hold them, so a caller that
+    reduces the output a part at a time (analysis's norms) never forms
+    it.  A caller that drops its samples once apply exists then holds one
+    array of the samples' size at a time, besides an output it takes
+    whole.
 
     apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)|| /
     ||apply(m0)|| in the samples' L2 norm, or the numerator alone when
@@ -481,15 +512,18 @@ def _sidecar_extent(meta: dict, key: str) -> float:
 def load_field(path):
     """Read a field written by save_field; dispatches on the sidecar kind.
 
-    The sizes n, N and N_t must be JSON integers and the extents L and L_t
-    finite JSON numbers; anything else raises FieldFormatError.  The
-    samples are always complex128, whatever dtype the saved field had.
+    The sidecar must be a JSON object, its sizes n, N and N_t JSON
+    integers and its extents L and L_t finite JSON numbers; anything else
+    raises FieldFormatError.  The samples are always complex128, whatever
+    dtype the saved field had.
     """
     try:
         with open(_sidecar_path(path)) as fh:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FieldFormatError(f"cannot read sidecar for {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FieldFormatError(f"bad sidecar for {path}: expected a JSON object, got {meta!r}")
 
     kind = meta.get("kind", "field")
     try:

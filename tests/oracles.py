@@ -10,11 +10,12 @@ algebraic-weight rule integrates the Stein-Weiss potential of a Gaussian
 bump across its singular points, and the exponent classifier is
 re-derived in exact rational arithmetic.  Agreement
 between these and the package is evidence, not an identity check
-against shared code.  Two entries are instead frozen package code, which
-the package must match bit for bit: the per-count Gauss-Jacobi builder
-(jacobi_rule_reference), against the one-pass builder, and the symbol
-contracted once per spatial cell (symbol_per_cell_reference), against
-the contraction once per distinct |xi|.
+against shared code.  Three entries are instead frozen package code,
+which the package must match bit for bit: the per-count Gauss-Jacobi
+builder (jacobi_rule_reference), against the one-pass builder, the
+symbol contracted once per spatial cell (symbol_per_cell_reference),
+against the contraction once per distinct |xi|, and the Lp reduction
+over the whole array (lp_reference), against the one over leaves.
 """
 
 import math
@@ -246,6 +247,28 @@ def gaussian_lp_reference(width: float, p: float, n: int = 1) -> float:
     """||exp(-pi |x|^2 / w^2)||_p in n dimensions: (w^n / p^{n/2})^{1/p}."""
     w, p = mpmath.mpf(width), mpmath.mpf(p)
     return float((w**n / p ** (mpmath.mpf(n) / 2)) ** (1 / p))
+
+
+def lp_reference(samples: np.ndarray, p: float, cell_volume: float, axis=None):
+    """(sum |x|^p cell)^(1/p) (max |x| at p = inf), one norm per leading
+    index with axis set.
+
+    The package's Lp reduction before it summed leaves of the output as
+    they were made: the magnitudes of the whole array at once, pow skipped
+    for those at or below 2^(-1080/p), whose p-th power rounds to 0.0, and
+    one np.sum.  Frozen as the reference that analysis._lp must equal bit
+    for bit.
+    """
+    mags = np.abs(samples)
+    if not np.all(np.isfinite(mags)):
+        raise ValueError("field has non-finite samples")
+    if math.isinf(p):
+        return mags.max(axis=axis)
+    tiny = mags <= 2.0 ** (-1080.0 / p)
+    mags[tiny] = 1.0
+    mags **= p
+    mags[tiny] = 0.0
+    return (np.sum(mags, axis=axis) * cell_volume) ** (1.0 / p)
 
 
 def transform_reference(samples: np.ndarray, axes, spacings) -> np.ndarray:

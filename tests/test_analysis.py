@@ -1,7 +1,9 @@
 """Classifier, norms, inequality checkers, and trend verdicts."""
 
+import gc
 import re
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -194,7 +196,7 @@ def test_lp_axis_form_matches_the_reference_bit_for_bit():
     stack = np.stack([ens.gaussian(g, w).samples for w in (0.5, 1.0, 2.0)])
     for samples in (stack, stack.astype(np.complex128)):
         for p in _LP_EXPONENTS:
-            got = _lp(samples, p, g.cell_volume, axis=(1, 2))
+            [got] = _lp(samples, [p], g.cell_volume, by_row=True)
             want = _lp_reference(samples, p, g.cell_volume, axis=(1, 2))
             assert got.shape == (3,)
             assert np.array_equal(got, want), p
@@ -252,16 +254,93 @@ def test_lp_refuses_non_finite_samples_and_leaves_them_untouched(bad):
             broken = samples.copy()
             broken[where] = bad
             kept = broken.copy()
-            for axis in (None, (1,)):
+            for by_row in (False, True):
                 for p in _LP_EXPONENTS:
                     with pytest.raises(ValueError, match="non-finite"):
-                        _lp(broken, p, cell, axis=axis)
+                        _lp(broken, [p], cell, by_row=by_row)
             assert np.array_equal(broken, kept, equal_nan=True)
-        for axis in (None, (1,)):
+        for by_row in (False, True):
             kept = samples.copy()
             for p in _LP_EXPONENTS:
-                _lp(samples, p, cell, axis=axis)
+                _lp(samples, [p], cell, by_row=by_row)
             assert np.array_equal(samples, kept)
+
+
+_OUTPUT_GRIDS = {
+    "512^2": SpacetimeGrid(Grid(1, 512, 32.0), 512, 32.0),
+    "1024^2": SpacetimeGrid(Grid(1, 1024, 64.0), 1024, 64.0),
+    "32^3": SpacetimeGrid(Grid(2, 32, 16.0), 32, 16.0),
+    "64^3": SpacetimeGrid(Grid(2, 64, 16.0), 64, 16.0),
+}
+
+
+def _output_symbol(grid):
+    n = grid.space.n
+    return symbol(grid, KernelSpec(0.4 * n, n), RadialQuadrature.for_grid(grid, 32))
+
+
+def _assert_same_norms(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and a == b, (a, b)
+
+
+@pytest.mark.parametrize("grid", list(_OUTPUT_GRIDS.values()), ids=list(_OUTPUT_GRIDS))
+def test_lp_over_leaves_is_the_whole_array_reduction_bit_for_bit(grid):
+    # operator outputs, real and complex, reduced as arrays and as they are
+    # made (last), against the frozen whole-array reduction
+    m = _output_symbol(grid)
+    cell = grid.cell_volume
+    for f in (ens.gaussian_spacetime(grid, 0.5), ens.wave_packet(grid, 0.5, k_x=1.0)):
+        out = apply_symbol(f, m).samples
+        want = [oracles.lp_reference(out, p, cell) for p in _LP_EXPONENTS]
+        _assert_same_norms(_lp(out, _LP_EXPONENTS, cell), want)
+        streamed = fields.real_symbol_apply(f.samples).last(m)
+        _assert_same_norms(_lp(streamed, _LP_EXPONENTS, cell), want)
+        for p, norm in zip(_LP_EXPONENTS, want):
+            assert lp_norm(SpacetimeField(grid, out), p) == float(norm)
+
+
+def test_lp_over_leaves_keeps_tails_and_factors_bit_for_bit():
+    # exact zeros, subnormals and powers that underflow, over one leaf and
+    # over many; the 1-d factors of separable members; rows shorter and
+    # longer than a leaf
+    arrays = [f.samples for f in _tail_fields()]
+    arrays.append(ens.gaussian_spacetime(_OUTPUT_GRIDS["1024^2"], 0.25).samples)
+    for grid in (_OUTPUT_GRIDS["1024^2"], _OUTPUT_GRIDS["64^3"]):
+        sep = ens.separable_gaussian(grid, 0.25)
+        arrays += [sep.space, sep.time]
+    assert any(x.size > 16 * analysis._LEAF and np.any(x == 0.0) for x in arrays)
+    # sizes whose pairwise halves are not powers of two, with magnitudes
+    # over many decades, so that any other order of the sums shows
+    rng = np.random.default_rng(3)
+    for shape in ((513, 1030), (10**6,)):
+        arrays.append(rng.standard_normal(shape) * np.exp(rng.uniform(-40.0, 40.0, shape)))
+    for x in arrays:
+        _assert_same_norms(_lp(x, _LP_EXPONENTS, 0.5),
+                           [oracles.lp_reference(x, p, 0.5) for p in _LP_EXPONENTS])
+    stacks = [np.stack(arrays[3:6]), np.stack(arrays[6:9])]  # rows of 65536 and 4096
+    for x in stacks:
+        axis = tuple(range(1, x.ndim))
+        for p in _LP_EXPONENTS:
+            [got] = _lp(x, [p], 0.5, by_row=True)
+            assert np.array_equal(got, oracles.lp_reference(x, p, 0.5, axis=axis)), p
+
+
+def test_a_streamed_norm_leaves_nothing_for_the_cyclic_collector():
+    # the spectrum a member's inverse holds is freed when the norms are
+    # taken, without waiting for a garbage collection
+    grid = _OUTPUT_GRIDS["512^2"]
+    inverse = fields.real_symbol_apply(ens.gaussian_spacetime(grid, 1.0).samples).last(
+        _output_symbol(grid))
+    alive = weakref.ref(inverse)
+    gc.disable()
+    try:
+        _lp(inverse, [2.0, 3.0], grid.cell_volume)
+        del inverse
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def _r_grid(count=96):
@@ -1153,6 +1232,22 @@ def test_ratio_ladder_is_the_generic_ratio_bit_for_bit():
     held = [f.samples for f in members if not callable(f)]
     assert held[1].dtype == np.complex128
     assert all(np.array_equal(a, b) for a, b in zip(held, copies))
+
+
+@pytest.mark.parametrize("grid", [_OUTPUT_GRIDS["512^2"], _OUTPUT_GRIDS["64^3"]],
+                         ids=["512^2", "64^3"])
+def test_ratio_ladder_takes_its_q_norms_as_the_output_is_made(grid):
+    # members of many leaves, real, separable and complex; every probe's
+    # q-norm, a repeated q among them, is the materialized output's
+    m = _output_symbol(grid)
+    members = [ens.gaussian_spacetime(grid, 1.0), ens.separable_gaussian(grid, 0.5),
+               ens.wave_packet(grid, 1.0, k_x=0.5, k_t=0.25)]
+    probes = [(0.7, 0.3), (0.6, 0.3), (0.9, 0.5), (0.55, 0.15)]
+    stats = ratio_ladder(m, probes, members)
+    outputs = [apply_symbol(f, m) for f in members]
+    for (inv_p, inv_q), st in zip(probes, stats):
+        assert st.ratios == tuple(lp_norm(out, 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
+                                  for out, f in zip(outputs, members))
 
 
 def test_ratio_ladder_guards():

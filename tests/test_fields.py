@@ -477,6 +477,17 @@ def test_load_refuses_extents_that_are_not_finite_numbers(tmp_path, kind, key, v
         load_field(path)
 
 
+@pytest.mark.parametrize("meta", [[], ["kind", "field"], "field", 3, None])
+def test_load_refuses_a_sidecar_that_is_not_an_object(tmp_path, meta):
+    # any JSON value parses; only an object carries the keys
+    g = Grid(1, 64, 16.0)
+    path = tmp_path / "f.field"
+    save_field(Field(g, np.zeros(g.shape)), path)
+    (tmp_path / "f.field.json").write_text(json.dumps(meta))
+    with pytest.raises(FieldFormatError, match="expected a JSON object"):
+        load_field(path)
+
+
 def test_load_accepts_an_integer_extent(tmp_path):
     g = Grid(1, 64, 16.0)
     path = tmp_path / "f.field"
