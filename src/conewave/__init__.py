@@ -67,6 +67,7 @@ from .analysis import (
     mixed_norms_refined,
     necessary_window,
     ratio_ladder,
+    ratio_probes,
     stein_weiss_ratio,
     stein_weiss_ratios,
     sw_derived_params,

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conop import RadialQuadrature, _checked_symbol, _single_apply
+from .ensembles import separable_gaussian
 from .fields import PHYSICAL, DomainTagError, Field, SeparableField, SpacetimeField
 from .kernel import KernelSpec, omega_hat
 from .specialfn import bessel_remainder
@@ -46,6 +47,7 @@ __all__ = [
     "ratio_ladder",
     "TrendVerdict",
     "boundedness_verdict",
+    "ratio_probes",
 ]
 
 _EQ_TOL = 1e-12  # classification equality tolerance: pure arithmetic, no noise
@@ -916,7 +918,9 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     of the in-order loop (to spread them over workers) and must return
     the results in member order.  The probe, family, label and symbol
     guards fire before any member is built, and a member's own checks and
-    the zero-norm guard before it is transformed.
+    the zero-norm and non-finite-norm guards before it is transformed.  A
+    q-norm that is not finite (an output whose sum of powers overflows)
+    is refused too, so no ratio is ever inf or nan.
     """
     probes = [(float(inv_p), float(inv_q)) for inv_p, inv_q in probes]
     if not probes:
@@ -941,9 +945,13 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
         norms = {p: lp_norm(f, p) for p in ps}  # once per distinct p
         if 0.0 in norms.values():
             raise ValueError("family member with zero norm")
+        if not all(math.isfinite(v) for v in norms.values()):
+            raise ValueError("family member with a non-finite norm")
         cell, apply = f.cell_volume, _single_apply(f, m, m_checked=True)
         del f  # the spectrum replaces the samples
         out_norms = dict(zip(distinct_qs, _lp(apply(), distinct_qs, cell)))
+        if not all(math.isfinite(v) for v in out_norms.values()):
+            raise ValueError("operator output with a non-finite norm")
         return [float(out_norms[q]) / norms[p] for p, q in zip(ps, qs)]
 
     per_member = pool_map(ratios, family) if pool_map else [ratios(f) for f in family]
@@ -994,3 +1002,22 @@ def boundedness_verdict(scales, ratios, spread_limit: float = 2.0,
     else:
         verdict = "inconclusive"
     return TrendVerdict(spread, slope, monotone, verdict)
+
+
+def ratio_probes(m, grid, points, widths, pool_map=None) -> list:
+    """The dilation-ladder probe: one (RatioStats, TrendVerdict) per
+    ExponentPoint of points, in point order, for the operator with symbol
+    m on the spacetime grid.
+
+    The family is the reference Gaussian (ensembles.separable_gaussian)
+    at each width, in increasing width order and labeled "width <w:g>".
+    One ratio_ladder serves every point, so each member is built,
+    transformed and applied once, and its ratios at each point go to
+    boundedness_verdict against the widths.  A factored member is two 1-D
+    arrays, so the family is held whole; pool_map is ratio_ladder's.
+    """
+    widths = sorted(widths)
+    family = [separable_gaussian(grid, w) for w in widths]
+    ladder = ratio_ladder(m, [(pt.inv_p, pt.inv_q) for pt in points], family,
+                          [f"width {w:g}" for w in widths], pool_map)
+    return [(stats, boundedness_verdict(widths, stats.ratios)) for stats in ladder]

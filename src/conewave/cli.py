@@ -28,7 +28,7 @@ import time
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .analysis import (
     crucial_estimate_ratio,
     lp_norm,
     mixed_norms_refined,
-    ratio_ladder,
+    ratio_probes,
     stein_weiss_ratio,
     stein_weiss_ratios,
     sw_derived_params,
@@ -57,7 +57,7 @@ from .conop import (
     symbol,
     symbol_applier,
 )
-from .ensembles import gaussian, random_bumps, separable_gaussian
+from .ensembles import gaussian, random_bumps
 from .fields import FieldFormatError, Grid, SpacetimeField, SpacetimeGrid, load_field, save_field
 from .kernel import KernelSpec, multiplier_split, omega_hat, omega_hat_jacobi, write_kernel_tables
 from .specialfn import bessel_remainder, reciprocal_gamma
@@ -320,6 +320,28 @@ def _default_window(stg: SpacetimeGrid, setting: str, name: str,
         return RadialQuadrature.for_grid(stg, count)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+# the most cells a ratio probe's spacetime grid may have (4096^2 or 256^3):
+# the symbol alone is 8 bytes a cell, so a larger grid is refused before
+# any symbol or member is built
+_MAX_PROBE_CELLS = 2**24
+
+
+def _probe_grid(cfg, sec: str, n: int, points: str, extent: str,
+                t_points: str, t_extent: str) -> tuple:
+    # a ratio probe's spacetime grid from the section's keys, and the
+    # default radial window on it
+    try:
+        stg = SpacetimeGrid(Grid(n, _to_int(cfg, sec, points), _to_float(cfg, sec, extent)),
+                            _to_int(cfg, sec, t_points), _to_float(cfg, sec, t_extent))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    cells = math.prod(stg.shape)
+    if cells > _MAX_PROBE_CELLS:
+        raise ConfigError(f"[{sec}] grid {' x '.join(map(str, stg.shape))} = {cells} cells "
+                          f"exceeds the cap of {_MAX_PROBE_CELLS}")
+    return stg, _default_window(stg, f"[{sec}] {t_extent}", t_extent)
 
 
 def _pool_map(fn, items, jobs):
@@ -999,8 +1021,6 @@ def cmd_scan_region(cfg, args) -> dict:
         if not 0.0 < ip < 1.0:
             raise ConfigError(f"scan-region inv_p {ip:g} leaves (0, 1)")
     with_ratios = _to_bool(cfg, sec, "with_ratios")
-    if with_ratios and n != 1:
-        raise ConfigError("ratio probes are implemented for n = 1 scans only")
 
     points = []
     for alpha in alphas:
@@ -1011,18 +1031,11 @@ def cmd_scan_region(cfg, args) -> dict:
             pt = ExponentPoint(ip, iq, alpha, n)
             points.append((pt, classify_exponents(pt)))
 
-    ratio_cols = {}
+    probed = {}  # point -> (RatioStats, TrendVerdict)
     if with_ratios:
         deltas = _widths(cfg, sec, "ratio_deltas")
-        pts_count = _to_int(cfg, sec, "ratio_points")
-        extent = _to_float(cfg, sec, "ratio_extent")
-        try:
-            stg = SpacetimeGrid(Grid(1, pts_count, extent), pts_count, extent)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        quad = _default_window(stg, f"[{sec}] ratio_extent", "ratio_extent")
-        family = [separable_gaussian(stg, d) for d in deltas]
-        labels = [f"width {d:g}" for d in deltas]
+        stg, quad = _probe_grid(cfg, sec, n, "ratio_points", "ratio_extent",
+                                "ratio_points", "ratio_extent")
         probes = {}  # alpha -> the probed points on its scaling line
         for pt, region in points:
             if region in (Region.REGION_I, Region.REGION_II):
@@ -1031,19 +1044,15 @@ def cmd_scan_region(cfg, args) -> dict:
         def ladder(alpha):
             # one symbol, and one apply per width, serve every probe at
             # this alpha
-            m = symbol(stg, KernelSpec(alpha, 1), quad)
-            return ratio_ladder(m, [(pt.inv_p, pt.inv_q) for pt in probes[alpha]],
-                                family, labels)
+            return ratio_probes(symbol(stg, KernelSpec(alpha, n), quad), stg,
+                                probes[alpha], deltas)
 
         try:
             per_alpha = _pool_map(ladder, list(probes), args.jobs)
         except ValueError as exc:
             raise ConfigError(str(exc))
-        for alpha, ladder_stats in zip(probes, per_alpha):
-            for pt, stats in zip(probes[alpha], ladder_stats):
-                tv = boundedness_verdict(deltas, stats.ratios)
-                ratio_cols[pt] = (stats.maximum, max(stats.ratios) / min(stats.ratios),
-                                  tv.verdict)
+        for alpha, results in zip(probes, per_alpha):
+            probed.update(zip(probes[alpha], results))
 
     csv_path = os.path.join(args.out, "scan.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -1051,13 +1060,13 @@ def cmd_scan_region(cfg, args) -> dict:
         w.writerow(["inv_p", "inv_q", "alpha", "n", "region",
                     "ratio_max", "ratio_spread", "verdict"])
         for pt, region in points:
-            extra = ratio_cols.get(pt)
+            stats, tv = probed.get(pt, (None, None))
             w.writerow([
                 repr(float(pt.inv_p)), repr(float(pt.inv_q)),
                 repr(float(pt.alpha)), str(n), region.value,
-                "" if extra is None else repr(float(extra[0])),
-                "" if extra is None else repr(float(extra[1])),
-                "" if extra is None else extra[2],
+                "" if stats is None else repr(stats.maximum),
+                "" if tv is None else repr(tv.spread),
+                "" if tv is None else tv.verdict,
             ])
 
     tally = {}
@@ -1070,19 +1079,16 @@ def cmd_scan_region(cfg, args) -> dict:
         for name, count in sorted(tally.items())
     ]
     for pt, region in points:
-        extra = ratio_cols.get(pt)
-        if extra is None:
-            continue
-        records.append(
-            _rec(
+        if pt in probed:
+            stats, tv = probed[pt]
+            records.append(_rec(
                 f"ratio probe alpha={pt.alpha:g} inv_p={pt.inv_p:g}",
-                extra[0],
+                stats.maximum,
                 None,
-                extra[2] != "fail",
+                tv.verdict != "fail",
                 f"{region.value}; coarse dilation ladder, multiplier path",
-                f"spread {extra[1]:.6g}, verdict {extra[2]}",
-            )
-        )
+                f"spread {tv.spread:.6g}, verdict {tv.verdict}",
+            ))
 
     return _report("scan-region", cfg, args.seed, records,
                    files={"scan": csv_path}, points=len(points), tally=tally)
@@ -1224,38 +1230,29 @@ def cmd_norm_test(cfg, args) -> dict:
             inv_q = float(raw_q)
         except ValueError:
             raise ConfigError(f"[{sec}] inv_q must be a number or 'auto', got {raw_q!r}")
-    deltas = sorted(_widths(cfg, sec, "deltas"))
+    deltas = _widths(cfg, sec, "deltas")
     path = cfg[sec]["path"]
 
     try:
         spec = KernelSpec(alpha, n)
         pt = ExponentPoint(inv_p, inv_q, alpha, n)
-        stg = SpacetimeGrid(
-            Grid(n, _to_int(cfg, sec, "points"), _to_float(cfg, sec, "extent")),
-            _to_int(cfg, sec, "t_points"), _to_float(cfg, sec, "t_extent"),
-        )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    quad = _default_window(stg, f"[{sec}] t_extent", "t_extent")
+    stg, quad = _probe_grid(cfg, sec, n, "points", "extent", "t_points", "t_extent")
     region = classify_exponents(pt)
     prov = f"{_grid_prov(stg)}; {_quad_prov(quad)}; path {path}"
 
-    # each worker builds its own width, so the family is never held whole
-    members = [partial(separable_gaussian, stg, d) for d in deltas]
     try:
-        m = symbol(stg, spec, quad, path)
-        [stats] = ratio_ladder(m, [(inv_p, inv_q)], members,
-                               labels=[f"width {d:g}" for d in deltas],
-                               pool_map=lambda fn, items: _pool_map(fn, items, args.jobs))
+        [(stats, tv)] = ratio_probes(symbol(stg, spec, quad, path), stg, [pt], deltas,
+                                     lambda fn, items: _pool_map(fn, items, args.jobs))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    tv = boundedness_verdict(deltas, stats.ratios)
 
     records = [
-        _rec(f"ratio at width {d:g}", ratio, None, True, prov,
+        _rec(f"ratio at {label}", ratio, None, True, prov,
              "norm ratio of output to input; a lower-bound witness, "
              "never the operator norm")
-        for d, ratio in zip(deltas, stats.ratios)
+        for label, ratio in zip(stats.labels, stats.ratios)
     ]
     records.append(
         _rec(

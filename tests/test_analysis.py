@@ -42,6 +42,7 @@ from conewave import (
     necessary_window,
     omega_hat,
     ratio_ladder,
+    ratio_probes,
     stein_weiss_ratio,
     stein_weiss_ratios,
     sw_derived_params,
@@ -1305,6 +1306,51 @@ def test_ratio_ladder_refuses_a_zero_norm_member_before_any_transform(monkeypatc
         ratio_ladder(m, [(0.7, 0.3)], [first, member])
     # the first member's transform, not the zero one's
     assert transformed == [SeparableField if kind == "separable" else np.ndarray]
+
+
+def test_ratio_ladder_refuses_a_non_finite_norm(monkeypatch):
+    # a member whose p-norm overflows is refused before it is transformed,
+    # and an output whose q-norm overflows once it is made, so no ratio is
+    # ever inf or nan
+    m = _ladder_symbol()
+    g = _LADDER_GRID
+    first = ens.separable_gaussian(g, 1.0)
+    huge = SeparableField(g, np.full(g.space.shape, 1e200), np.full(g.t_points, 1e200))
+    transformed = []
+    spectrum = fields._spectrum
+    monkeypatch.setattr(fields, "_spectrum",
+                        lambda samples: transformed.append(samples) or spectrum(samples))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="member with a non-finite norm"):
+            ratio_ladder(m, [(0.7, 0.3)], [first, huge])
+        assert len(transformed) == 1 and transformed[0] is first
+        with pytest.raises(ValueError, match="output with a non-finite norm"):
+            ratio_ladder(m * 1e300, [(0.7, 0.3)], [first])
+    assert len(transformed) == 2
+
+
+def test_ratio_probes_are_one_ladder_and_its_verdicts_bit_for_bit():
+    # unsorted widths: the family is the reference Gaussian at the sorted
+    # widths, labeled by width, and each point's pair is the ladder's stats
+    # and boundedness_verdict on them, in point order
+    m = _ladder_symbol()
+    g = _LADDER_GRID
+    points = [ExponentPoint(0.7, 0.3, 0.4, 1), ExponentPoint(0.9, 0.5, 0.4, 1),
+              ExponentPoint(0.6, 0.2, 0.4, 1)]
+    widths = [2.0, 0.25, 1.0, 0.5]
+    ordered = sorted(widths)
+    want = ratio_ladder(m, [(pt.inv_p, pt.inv_q) for pt in points],
+                        [ens.separable_gaussian(g, w) for w in ordered],
+                        [f"width {w:g}" for w in ordered])
+    for pool_map in (None, lambda fn, items: [fn(it) for it in reversed(items)][::-1]):
+        got = ratio_probes(m, g, points, widths, pool_map)
+        assert len(got) == len(points)
+        for (stats, verdict), st in zip(got, want):
+            assert stats == st
+            assert stats.labels == ("width 0.25", "width 0.5", "width 1", "width 2")
+            assert verdict == boundedness_verdict(ordered, st.ratios)
+            assert verdict.spread == max(st.ratios) / min(st.ratios)
+    assert widths == [2.0, 0.25, 1.0, 0.5]
 
 
 @pytest.mark.parametrize("grid", [

@@ -485,12 +485,6 @@ def test_scan_region_refuses_a_grid_past_the_cap(tmp_path, capsys, monkeypatch, 
     assert not (out / "report.json").exists()
 
 
-def test_scan_region_rejects_ratios_beyond_one_dimension(tmp_path):
-    cfg = "[scan-region]\nn = 2\nwith_ratios = true\n"
-    code, _ = run(tmp_path, "scan-region", config=cfg)
-    assert code == 3
-
-
 _RATIO_SCAN = (
     "[scan-region]\n"
     "alpha_min = 0.2\nalpha_max = 0.8\nalpha_step = 0.2\n"
@@ -535,6 +529,33 @@ def test_scan_region_ratios_are_shared_per_alpha_and_worker_independent(tmp_path
         ratios = [lp_norm(cw.apply_symbol(f, m), q) / lp_norm(f, p) for f in family]
         assert row["ratio_max"] == repr(max(ratios))
         assert row["ratio_spread"] == repr(max(ratios) / min(ratios))
+
+
+def test_scan_region_probes_at_two_dimensions_as_norm_test_does(tmp_path, monkeypatch):
+    # an n = 2 scan on 32^3 is worker independent, and each probe's
+    # ratio_max is the largest width record of an n = 2 norm-test at its
+    # point on the same grid, bit for bit.  Its Region I/II probes read
+    # "fail" at this box (the width-0.5 member is one cell wide), so the
+    # scan may exit 2
+    cfg = "[scan-region]\nn = 2\nwith_ratios = true\nratio_points = 32\nratio_extent = 16.0\n"
+    outs = {}
+    for jobs in (1, 2):
+        code, outs[jobs] = run_at_jobs(tmp_path, monkeypatch, jobs, "scan-region", config=cfg)
+        assert code in (0, 2)
+    for name in ("report.json", "records.csv", "scan.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+    with open(outs[1] / "scan.csv", newline="") as fh:
+        probed = [r for r in csv.DictReader(fh) if r["ratio_max"]]
+    assert len(probed) > 1 and all(r["n"] == "2" for r in probed)
+    for i, row in enumerate(probed):
+        code, out = run(tmp_path, "norm-test", name=f"norm-{i}", config=(
+            f"[norm-test]\nn = 2\nalpha = {row['alpha']}\ninv_p = {row['inv_p']}\n"
+            "deltas = 0.5 1.0 2.0\npoints = 32\nextent = 16.0\nt_points = 32\nt_extent = 16.0\n"))
+        assert code in (0, 2)
+        ratios = [r["value"] for r in read_report(out)["records"]
+                  if r["name"].startswith("ratio at width")]
+        assert len(ratios) == 3
+        assert row["ratio_max"] == repr(max(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +883,7 @@ def _spy_on_the_forward_transform(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_norm_test_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "separable_gaussian", _zero_member)
+    monkeypatch.setattr(analysis, "separable_gaussian", _zero_member)
     transformed = _spy_on_the_forward_transform(monkeypatch)
     code, _ = run(tmp_path, "--jobs", str(jobs), "norm-test", config=_SMALL_NORM_TEST)
     assert code == 3
@@ -872,7 +893,7 @@ def test_norm_test_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypa
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_region_refuses_a_zero_norm_member_before_applying(tmp_path, monkeypatch, capsys,
                                                                 jobs):
-    monkeypatch.setattr(cli, "separable_gaussian", _zero_member)
+    monkeypatch.setattr(analysis, "separable_gaussian", _zero_member)
     transformed = _spy_on_the_forward_transform(monkeypatch)
     code, _ = run(tmp_path, "--jobs", str(jobs), "scan-region", config=_RATIO_SCAN)
     assert code == 3
@@ -939,7 +960,7 @@ def test_ratio_ladders_refuse_repeated_widths_before_any_work(tmp_path, monkeypa
         raise AssertionError("reached the operator")
 
     monkeypatch.setattr(cli, "symbol", never)
-    monkeypatch.setattr(cli, "ratio_ladder", never)
+    monkeypatch.setattr(analysis, "ratio_ladder", never)
     code, _ = run(tmp_path, command, config=config)
     assert code == 3
     assert "repeats a width" in capsys.readouterr().err
@@ -960,10 +981,55 @@ def test_ratio_ladders_refuse_non_finite_widths_before_any_work(tmp_path, monkey
         raise AssertionError("reached the operator")
 
     monkeypatch.setattr(cli, "symbol", never)
-    monkeypatch.setattr(cli, "ratio_ladder", never)
+    monkeypatch.setattr(analysis, "ratio_ladder", never)
     code, _ = run(tmp_path, command, config=config)
     assert code == 3
     assert "squares are finite" in capsys.readouterr().err
+
+
+class _SymbolReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, config, refused", [
+    ("norm-test", "[norm-test]\nn = 2\n", "grid 1024 x 1024 x 1024 = 1073741824 cells"),
+    ("norm-test", "[norm-test]\nn = 2\npoints = 256\nt_points = 512\n",
+     "grid 256 x 256 x 512 = 33554432 cells"),
+    ("scan-region", "[scan-region]\nn = 3\nwith_ratios = true\n",
+     "grid 256 x 256 x 256 x 256 = 4294967296 cells"),
+    ("norm-test", "[norm-test]\npoints = 4096\nt_points = 4096\n", None),
+    ("norm-test", "[norm-test]\nn = 2\npoints = 256\nt_points = 256\n", None),
+], ids=["norm-test-n2-default", "norm-test-256x256x512", "scan-region-n3-default",
+        "norm-test-4096^2", "norm-test-256^3"])
+def test_ratio_probes_refuse_a_grid_past_the_cell_cap(tmp_path, monkeypatch, capsys,
+                                                      command, config, refused):
+    # a probe grid of more than 2^24 cells exits 3 naming its cell count,
+    # before any symbol is built (the n = 2 default norm-test grid's symbol
+    # alone is 8 GiB); 4096^2 and 256^3 reach the symbol
+    def reached(*args, **kwargs):
+        raise _SymbolReached
+
+    monkeypatch.setattr(cli, "symbol", reached)
+    if refused is None:
+        with pytest.raises(_SymbolReached):
+            run(tmp_path, command, config=config)
+        return
+    code, out = run(tmp_path, command, config=config)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"[{command}] {refused} exceeds the cap of 16777216" in err
+    assert not (out / "report.json").exists()
+
+
+def test_norm_test_refuses_an_overflowing_norm(tmp_path, capsys):
+    # a spacing near the float64 limit overflows the output's q-norm; an
+    # inf ratio would reach report.json as Infinity and NaN tokens, not JSON
+    cfg = "[norm-test]\npoints = 64\nt_points = 64\nextent = 1e308\nt_extent = 16.0\n"
+    with np.errstate(over="ignore"):
+        code, out = run(tmp_path, "norm-test", config=cfg)
+    assert code == 3
+    assert "non-finite norm" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("command, key, config", [
