@@ -37,6 +37,7 @@ from .fields import (
     SpacetimeGrid,
     DomainTagError,
     FieldFormatError,
+    RadialSymbol,
     load_field,
     save_field,
 )

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conop import RadialQuadrature, _checked_symbol, _single_apply
+from .conop import RadialQuadrature, _radial_symbol, _single_apply
 from .ensembles import separable_gaussian
 from .fields import PHYSICAL, DomainTagError, Field, SeparableField, SpacetimeField
 from .kernel import KernelSpec, omega_hat
@@ -895,32 +895,28 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     This is the one place where norms become ratios.  A member is a
     spacetime field or a fields.SeparableField (a product held as its two
     factors), or a zero-argument callable that builds one when its turn
-    comes, so a ladder need not hold its whole family.  m passes
-    apply_symbol's checks once per ladder (real, equal to its point
-    reflection), and each member must be a physical-domain field of m's
-    shape.  Each member is built and its p-norms are taken (once per
-    distinct p).  It is then checked and transformed by the helper that
-    apply_symbol runs, and from then on the ladder holds its spectrum,
-    not its samples.  m is multiplied into that spectrum in place, which
-    is transformed back a leaf of rows at a time, and each leaf gives its
-    part of the q-norm of every distinct q before the next is made, so
-    the output is never formed.  So a member in flight holds at most two
-    arrays of its own size, its samples and its spectrum while it is
-    transformed, and then its spectrum alone, with a few leaf-sized
-    arrays besides m; its samples outlive its transform only when the
-    caller holds them.  A separable member's p-norms and spectrum come
-    from its factors, so its one full-size array is its spectrum.  Every
-    ratio is
+    comes, so a ladder need not hold its whole family.  m must be a
+    fields.RadialSymbol (a bare array is refused with TypeError), and
+    each member must be a physical-domain field on m's grid.  Each member
+    is built and its p-norms are taken (once per distinct p).  It is then
+    checked and transformed by the helper that apply_symbol runs, m is
+    multiplied into its spectrum in place, and the spectrum is transformed
+    back a leaf of rows at a time, each leaf adding to the q-norm of every
+    distinct q, so the output is never formed.  A member in flight holds
+    its samples and its spectrum while it is transformed, and then its
+    spectrum alone, with a few leaf-sized arrays; a separable member's
+    p-norms and spectrum come from its factors.  Every ratio is
     lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit, for
     either kind of member.
 
     pool_map(fn, members), when given, runs fn over the members in place
     of the in-order loop (to spread them over workers) and must return
     the results in member order.  The probe, family, label and symbol
-    guards fire before any member is built, and a member's own checks and
-    the zero-norm and non-finite-norm guards before it is transformed.  A
-    q-norm that is not finite (an output whose sum of powers overflows)
-    is refused too, so no ratio is ever inf or nan.
+    guards fire before any member is built, and a member's own checks
+    (its grid against m's among them) and the zero-norm and
+    non-finite-norm guards before it is transformed.  A q-norm that is
+    not finite (an output whose sum of powers overflows) is refused too,
+    so no ratio is ever inf or nan.
     """
     probes = [(float(inv_p), float(inv_q)) for inv_p, inv_q in probes]
     if not probes:
@@ -935,7 +931,7 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     labels = list(labels) if labels is not None else [f"member-{i}" for i in range(len(family))]
     if len(labels) != len(family):
         raise ValueError("labels and family lengths differ")
-    m = _checked_symbol(m, None)
+    m = _radial_symbol(m)
     ps = [1.0 / inv_p for inv_p, _ in probes]
     qs = [1.0 / inv_q for _, inv_q in probes]
     distinct_qs = list(dict.fromkeys(qs))
@@ -947,7 +943,7 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
             raise ValueError("family member with zero norm")
         if not all(math.isfinite(v) for v in norms.values()):
             raise ValueError("family member with a non-finite norm")
-        cell, apply = f.cell_volume, _single_apply(f, m, m_checked=True)
+        cell, apply = f.cell_volume, _single_apply(f, m)
         del f  # the spectrum replaces the samples
         out_norms = dict(zip(distinct_qs, _lp(apply(), distinct_qs, cell)))
         if not all(math.isfinite(v) for v in out_norms.values()):
@@ -1004,18 +1000,20 @@ def boundedness_verdict(scales, ratios, spread_limit: float = 2.0,
     return TrendVerdict(spread, slope, monotone, verdict)
 
 
-def ratio_probes(m, grid, points, widths, pool_map=None) -> list:
+def ratio_probes(m, points, widths, pool_map=None) -> list:
     """The dilation-ladder probe: one (RatioStats, TrendVerdict) per
     ExponentPoint of points, in point order, for the operator with symbol
-    m on the spacetime grid.
+    m, a fields.RadialSymbol, on m's spacetime grid.
 
     The family is the reference Gaussian (ensembles.separable_gaussian)
-    at each width, in increasing width order and labeled "width <w:g>".
-    One ratio_ladder serves every point, so each member is built,
-    transformed and applied once, and its ratios at each point go to
-    boundedness_verdict against the widths.  A factored member is two 1-D
-    arrays, so the family is held whole; pool_map is ratio_ladder's.
+    on m.grid at each width, in increasing width order and labeled
+    "width <w:g>".  One ratio_ladder serves every point, so each member
+    is built, transformed and applied once, and its ratios at each point
+    go to boundedness_verdict against the widths.  A factored member is
+    two 1-D arrays, so the family is held whole; pool_map is
+    ratio_ladder's.
     """
+    grid = _radial_symbol(m).grid
     widths = sorted(widths)
     family = [separable_gaussian(grid, w) for w in widths]
     ladder = ratio_ladder(m, [(pt.inv_p, pt.inv_q) for pt in points], family,

@@ -323,20 +323,29 @@ def _default_window(stg: SpacetimeGrid, setting: str, name: str,
 
 
 # the most cells a ratio probe's spacetime grid may have (4096^2 or 256^3):
-# the symbol alone is 8 bytes a cell, so a larger grid is refused before
-# any symbol or member is built
+# a member's spectrum alone is 8 bytes a cell, so a larger grid is refused
+# before any symbol or member is built
 _MAX_PROBE_CELLS = 2**24
 
 
 def _probe_grid(cfg, sec: str, n: int, points: str, extent: str,
                 t_points: str, t_extent: str) -> tuple:
     # a ratio probe's spacetime grid from the section's keys, and the
-    # default radial window on it
+    # default radial window on it.  The radii square the half-extents and
+    # the norms scale by the cell volume, so a half-extent whose square
+    # overflows, or a box whose volume does, is refused before any work
     try:
         stg = SpacetimeGrid(Grid(n, _to_int(cfg, sec, points), _to_float(cfg, sec, extent)),
                             _to_int(cfg, sec, t_points), _to_float(cfg, sec, t_extent))
     except ValueError as exc:
         raise ConfigError(str(exc))
+    for key, length in ((extent, stg.space.extent), (t_extent, stg.t_extent)):
+        if not math.isfinite(length / 2.0 * (length / 2.0)):
+            raise ConfigError(f"[{sec}] {key} = {length:g} is too large: "
+                              f"the square of its half overflows")
+    if not math.isfinite(math.prod((stg.space.extent,) * n + (stg.t_extent,))):
+        raise ConfigError(f"[{sec}] box volume {extent}^{n} * {t_extent} = "
+                          f"{stg.space.extent:g}^{n} * {stg.t_extent:g} overflows")
     cells = math.prod(stg.shape)
     if cells > _MAX_PROBE_CELLS:
         raise ConfigError(f"[{sec}] grid {' x '.join(map(str, stg.shape))} = {cells} cells "
@@ -1044,8 +1053,7 @@ def cmd_scan_region(cfg, args) -> dict:
         def ladder(alpha):
             # one symbol, and one apply per width, serve every probe at
             # this alpha
-            return ratio_probes(symbol(stg, KernelSpec(alpha, n), quad), stg,
-                                probes[alpha], deltas)
+            return ratio_probes(symbol(stg, KernelSpec(alpha, n), quad), probes[alpha], deltas)
 
         try:
             per_alpha = _pool_map(ladder, list(probes), args.jobs)
@@ -1158,8 +1166,7 @@ def cmd_op_apply(cfg, args) -> dict:
     # transforms the input once and then holds its spectrum in place of
     # the samples; only the output is transformed back.  The three
     # refinements' changes of the symbol and the cross-check's symbol are
-    # measured against the output's symbol on that spectrum, and that
-    # symbol, checked when it was applied, is not checked again
+    # measured against the output's symbol on that spectrum
     try:
         apply = symbol_applier(field)
         del field
@@ -1243,7 +1250,7 @@ def cmd_norm_test(cfg, args) -> dict:
     prov = f"{_grid_prov(stg)}; {_quad_prov(quad)}; path {path}"
 
     try:
-        [(stats, tv)] = ratio_probes(symbol(stg, spec, quad, path), stg, [pt], deltas,
+        [(stats, tv)] = ratio_probes(symbol(stg, spec, quad, path), [pt], deltas,
                                      lambda fn, items: _pool_map(fn, items, args.jobs))
     except ValueError as exc:
         raise ConfigError(str(exc))

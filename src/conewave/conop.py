@@ -14,13 +14,12 @@ grid pays for the symbol once; `symbol_applier` serves the converse, one
 input under several symbols, and pays for its transform once; it also
 measures the L2 distance between two symbols' outputs on the spectrum it
 holds, by Parseval, with no inverse transform.  The profile depends on
-|xi| alone, so `symbol` evaluates it and contracts it against the phases
-once per distinct |xi|, and copies each such row to every cell of that
-radius.  The symbol is real and equal to its point reflection
-m(-xi, -tau) (it is the transform of a real, even kernel), so the apply
-is a circular convolution: real inputs take one real-input FFT pair on
-the half spectrum tau >= 0, with no shift pair and no spacing scale, and
-give float64 outputs (fields.real_symbol_apply).
+|xi| alone, so the symbol is a fields.RadialSymbol, one row per distinct
+|xi| from one product of the profile table with the phases: even in xi
+by type and checked even in tau when it is built, so it equals its point
+reflection and the apply is a circular convolution
+(fields.real_symbol_apply).  Every apply refuses a symbol that is not a
+RadialSymbol on its input's grid.
 
 Only the spatial profile P varies between the two evaluation paths, and
 the two profiles share no arithmetic, so each path cross-checks the other.
@@ -42,7 +41,6 @@ is assembled from the nodes it adds alone.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -52,6 +50,7 @@ import numpy as np
 from .fields import (
     PHYSICAL,
     DomainTagError,
+    RadialSymbol,
     SeparableField,
     SpacetimeField,
     SpacetimeGrid,
@@ -230,13 +229,16 @@ def apply_path(name: str):
 
 
 def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None = None,
-           path: str = "multiplier") -> np.ndarray:
-    """The (n+1)-dimensional symbol m(xi, tau) of the path `path` on grid.
+           path: str = "multiplier") -> RadialSymbol:
+    """The (n+1)-dimensional symbol m(xi, tau) of the path `path` on grid,
+    as a fields.RadialSymbol: one row per distinct |xi|.
 
     Even in tau and real, because both signs of r contribute conjugate
     phases; assembled directly in cosine form so those properties hold to
-    the last bit.  The spatial profile P is the path's
-    (apply_path); quad defaults to RadialQuadrature.for_grid(grid).
+    the last bit, and the rows are checked to hold them when the symbol
+    is built.  Its array() is the symbol on every cell.  The spatial
+    profile P is the path's (apply_path); quad defaults to
+    RadialQuadrature.for_grid(grid).
     """
     profile = apply_path(path)
     if quad is None:
@@ -253,38 +255,25 @@ def _rule(quad: RadialQuadrature, spec: KernelSpec):
 
 
 def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
-                w: np.ndarray, completion: float) -> np.ndarray:
+                w: np.ndarray, completion: float) -> RadialSymbol:
     # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + 2 completion P(0) on grid,
     # for one-sided w and completion: the one place the even r < 0 half is
     # folded onto r > 0.  The profile is evaluated once, on the distinct
-    # |xi| values with the completion's argument 0 after them, and each
-    # distinct |xi| takes one row of the product over the radial nodes,
-    # which every cell of that radius copies
+    # |xi| values with the completion's argument 0 after them, and the
+    # rows of the symbol are one product of that table with the phases
     if spec.n != grid.space.n:
         raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
-    tau = grid.t_freq_axis()
-    xi, scatter = np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
-    order = np.argsort(scatter, kind="stable")  # the cells in order of |xi|
-    rank = scatter[order]
+    xi = np.unique(grid.space.freq_radius())
     values = profile(np.append(np.outer(r, xi), 0.0), spec)
     table = values[:-1].reshape(r.size, xi.size)
     table *= w[:, None]
-    phases = np.outer(r, tau)  # (M, Nt)
+    phases = np.outer(r, grid.t_freq_axis())  # (M, Nt)
     phases *= 2.0 * np.pi
     np.cos(phases, out=phases)
     phases *= 2.0
-    # the cells go to m in blocks, in order of |xi|: a block's rows and
-    # its gathered copy of them each hold at most half the (M, cells)
-    # gather that a product per cell would take
-    m = np.empty(grid.shape)
-    by_cell = m.reshape(scatter.size, tau.size)
-    step = max(1, r.size * scatter.size // (2 * tau.size))
-    for start in range(0, scatter.size, step):
-        cells, k = order[start:start + step], rank[start:start + step]
-        rows = table[:, k[0]:k[-1] + 1].T @ phases
-        by_cell[cells] = rows[k - k[0]]
-    m += 2.0 * completion * float(values[-1])
-    return m
+    rows = table.T @ phases
+    rows += 2.0 * completion * float(values[-1])
+    return RadialSymbol(grid, rows)
 
 
 def _checked_input(f):
@@ -300,34 +289,12 @@ def _checked_input(f):
     return f.samples
 
 
-def _equals_its_reflection(m: np.ndarray) -> bool:
-    # m[-k mod N] == m[k] on every axis, without a copy of m: along an
-    # axis index 0 is its own reflection and indices 1.. are each other's
-    # in reverse, so each of the 2^ndim blocks (index 0 or indices 1.. on
-    # each axis) must equal its flip over its 1.. axes, which is a view
-    for tail in itertools.product((False, True), repeat=m.ndim):
-        block = m[tuple(slice(1, None) if t else slice(0, 1) for t in tail)]
-        flipped = np.flip(block, axis=tuple(k for k, t in enumerate(tail) if t))
-        if not np.array_equal(block, flipped):
-            return False
-    return True
-
-
-def _check_shape(m: np.ndarray, shape: tuple) -> None:
-    if m.shape != shape:
-        raise ValueError(f"symbol shape {m.shape} != grid shape {shape}")
-
-
-def _checked_symbol(m, shape: tuple | None) -> np.ndarray:
-    # m as an array, refused unless it is real, equals its point
-    # reflection and, when shape is given, has that shape
-    m = np.asarray(m)
-    if shape is not None:
-        _check_shape(m, shape)
-    if np.iscomplexobj(m):
-        raise ValueError(f"symbol must be real, got dtype {m.dtype}")
-    if not _equals_its_reflection(m):
-        raise ValueError("symbol must equal its point reflection m[-k mod N] on every axis")
+def _radial_symbol(m, grid: SpacetimeGrid | None = None) -> RadialSymbol:
+    # m, refused unless it is a RadialSymbol, on grid when grid is given
+    if not isinstance(m, RadialSymbol):
+        raise TypeError(f"a symbol is a fields.RadialSymbol, got {type(m).__name__}")
+    if grid is not None and m.grid != grid:
+        raise ValueError(f"symbol grid {m.grid} != field grid {grid}")
     return m
 
 
@@ -338,7 +305,6 @@ class _Applier:
         self._samples = _checked_input(f)
         self.grid = f.grid
         self._held = None
-        self._applied = None  # the symbol last applied, checked
 
     def _spectrum(self):
         if self._held is None:
@@ -346,61 +312,36 @@ class _Applier:
             self._samples = None  # the spectrum replaces the samples
         return self._held
 
-    def _checked(self, m) -> np.ndarray:
-        # m, checked unless it is the symbol this applier last applied
-        if m is self._applied:
-            return m
-        return _checked_symbol(m, self.grid.shape)
-
-    def __call__(self, m) -> np.ndarray:
-        m = _checked_symbol(m, self.grid.shape)
-        # an m that owns its data is frozen, so it cannot change in place
-        # between this check and a later use that takes it as checked; a
-        # view is not, since its base could still change it
-        self._applied = None
-        if m.flags.owndata:
-            m.flags.writeable = False
-            self._applied = m
+    def __call__(self, m: RadialSymbol) -> np.ndarray:
+        m = _radial_symbol(m, self.grid)
         return self._spectrum()(m)
 
-    def relative_change(self, m1, m0) -> float:
-        m1 = self._checked(m1)
-        m0 = self._checked(m0)
+    def relative_change(self, m1: RadialSymbol, m0: RadialSymbol) -> float:
+        m1, m0 = _radial_symbol(m1, self.grid), _radial_symbol(m0, self.grid)
         return self._spectrum().relative_change(m1, m0)
 
 
 def symbol_applier(f: SpacetimeField):
     """apply(m), the samples of the operator with symbol m applied to f.
 
-    Each m must be real and equal to its point reflection m[-k mod N] on
-    every axis, as every symbol of this module is (it is the transform of
-    a real, even kernel); anything else is refused before any transform.
-    The check compares m block by block with flipped views of itself, so
-    it copies nothing of m.  f is transformed by fields.real_symbol_apply
-    on the first apply, after which the applier holds only its spectrum,
-    not f: a caller that drops its own reference to f then holds one
-    array of the input's size.  Every further symbol costs one inverse
-    transform, run in place on a product copy, so the spectrum serves the
-    next symbol unchanged.  A real f (float64 samples, or complex samples
-    whose imaginary part is all zero) takes a real-input FFT pair on the
-    half spectrum and apply returns float64; an f with a nonzero
-    imaginary part takes one complex pair and apply returns complex128.
-    A fields.SeparableField f is real and takes the transforms of its two
-    factors instead of the forward one.  f is left unchanged.
+    Each m must be a fields.RadialSymbol on f's grid, as symbol's are;
+    before any transform, a bare array is refused with TypeError and a
+    symbol of another grid with ValueError.  f is transformed by
+    fields.real_symbol_apply on the first apply, after which the applier
+    holds only its spectrum, not f.  Every further symbol costs one
+    inverse transform, of a product copy.  A real f (float64, or complex
+    with an all-zero imaginary part, or a fields.SeparableField) gives
+    float64 outputs, any other f complex128.  f is left unchanged.
 
     apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)||_2 /
-    ||apply(m0)||_2 (the numerator alone when apply(m0) is zero), measured
-    on the held spectrum by Parseval with no inverse transform; m1 and m0
-    pass the same checks as apply's m, except the symbol apply last
-    applied, which was checked then and is taken as it is.  So that it
-    cannot change unchecked in between, apply(m) leaves an m that owns
-    its data read-only (symbol's output does); a view is checked again at
-    every use.  apply.grid is f's grid.
+    ||apply(m0)||_2 (the numerator alone when apply(m0) is zero),
+    measured on the held spectrum by Parseval with no inverse transform;
+    m1 and m0 pass the same checks as apply's m.  apply.grid is f's grid.
     """
     return _Applier(f)
 
 
-def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
+def apply_symbol(f: SpacetimeField, m: RadialSymbol) -> SpacetimeField:
     """The operator with symbol m applied to f: symbol_applier(f)(m), bit
     for bit, with the same checks.
 
@@ -413,26 +354,21 @@ def apply_symbol(f: SpacetimeField, m: np.ndarray) -> SpacetimeField:
     return SpacetimeField(f.grid, _single_apply(f, m)().whole(), PHYSICAL)
 
 
-def _single_apply(f: SpacetimeField, m, m_checked: bool = False):
+def _single_apply(f: SpacetimeField, m: RadialSymbol):
     # apply_symbol's checks, then f's forward transform: returns a
     # zero-argument callable that multiplies m into the spectrum in place
     # and gives the inverse in progress (real_symbol_apply's last), whose
     # whole() is apply_symbol(f, m)'s samples, bit for bit.  The callable
     # holds f's spectrum, not f, so a caller that drops f before calling
     # it holds one array of f's size from then on, besides the output
-    # when it takes it whole.  With m_checked, m has passed
-    # _checked_symbol already (a ratio ladder applies one m to many
-    # fields), and only its shape is compared.
+    # when it takes it whole
     samples = _checked_input(f)
-    if m_checked:
-        _check_shape(m, f.grid.shape)
-    else:
-        m = _checked_symbol(m, f.grid.shape)
+    m = _radial_symbol(m, f.grid)
     return partial(real_symbol_apply(samples).last, m)
 
 
 def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
-                      m: np.ndarray, path: str = "multiplier",
+                      m: RadialSymbol, path: str = "multiplier",
                       tol: float = 1e-3) -> dict:
     """Sensitivity of the output to the radial grid's floor, cap, and density.
 
@@ -449,9 +385,9 @@ def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
     So each refinement's change of the symbol, refined minus m, is
     assembled from the nodes it adds and the weights it moves alone, by
     symbol's own assembly, and its size is measured against m's on f's
-    spectrum by Parseval, with no inverse transform.  A bad path is refused first, then m is checked as
-    apply checks a symbol (unless it is the symbol the applier last
-    applied, checked then), so a zero input, whose changes are 0.0, is
+    spectrum by Parseval, with no inverse transform; each change is a
+    RadialSymbol too.  A bad path is refused first, then m is checked as
+    apply checks a symbol, so a zero input, whose changes are 0.0, is
     refused the same.  When the cap leaves no room above r_max the r_max
     refinement does not run: its entry is None, not a zero sensitivity,
     and it does not count towards the verdict.  The report also holds
@@ -464,7 +400,7 @@ def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
     profile = apply_path(path)
     apply = f if isinstance(f, _Applier) else symbol_applier(f)
     grid = apply.grid
-    m = apply._checked(m)
+    m = _radial_symbol(m, grid)
     rules = _refinements(quad, grid)
     diag = {
         key: None if refined is None else apply._spectrum().relative_norm(
@@ -504,7 +440,7 @@ def _refinements(quad: RadialQuadrature, grid: SpacetimeGrid) -> dict:
 
 def _refinement_change(grid: SpacetimeGrid, spec: KernelSpec, profile,
                        quad: RadialQuadrature, refined: RadialQuadrature,
-                       m: np.ndarray) -> np.ndarray:
+                       m: RadialSymbol) -> RadialSymbol:
     # the symbol on the rule refined less m, the symbol on quad, for a
     # refined rule that keeps every node of quad (one of _refinements):
     # the profile is evaluated on the nodes the refinement adds, and on
@@ -523,5 +459,4 @@ def _refinement_change(grid: SpacetimeGrid, spec: KernelSpec, profile,
     # weight, so the difference is the midpoints' sum less half of m's
     # node sum
     d = _radial_sum(grid, spec, profile, r1[1::2], w1[1::2], c1 - c / 2.0)
-    d -= m / 2.0
-    return d
+    return RadialSymbol(grid, d.rows - m.rows / 2.0)

@@ -16,6 +16,10 @@ Conventions, fixed once here and relied on everywhere else:
   spectrum of the last axis and stay real; the same held spectrum gives
   the L2 distance between two symbols' outputs by Parseval, with no
   inverse transform;
+* a spacetime symbol is a RadialSymbol: it depends on (|xi|, tau) alone,
+  so it is held as one row per distinct |xi| and is even in xi by type;
+  its rows are checked once, when it is built, to be real and even in
+  tau, so it equals its point reflection on every axis;
 * a physical spacetime field that is a product space(x) time(t) may be
   held as its two factors (SeparableField), which real_symbol_apply
   transforms one factor at a time.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +47,7 @@ __all__ = [
     "SpacetimeGrid",
     "SpacetimeField",
     "SeparableField",
+    "RadialSymbol",
     "real_symbol_apply",
     "save_field",
     "load_field",
@@ -53,6 +58,7 @@ SPECTRAL = "spectral"
 
 _FORMAT_VERSION = 1
 _SAVE_BLOCK = 2**17  # samples widened and written at a time by save_field
+_GATHER = 2**15  # symbol samples gathered from a RadialSymbol's rows at a time
 
 
 class DomainTagError(ValueError):
@@ -280,6 +286,66 @@ class SeparableField:
         return self.grid.cell_volume
 
 
+@dataclass(frozen=True, eq=False)
+class RadialSymbol:
+    """A real Fourier multiplier on a spacetime grid that depends on |xi|
+    and tau alone: rows[k] is the symbol over the whole tau axis (FFT
+    layout) at the k-th distinct |xi| of grid.space, in increasing order,
+    and scatter[c], derived from the grid, is the row of spatial cell c
+    (C order).  The rows are kept as a read-only float64 copy, refused
+    unless they are real, of shape (distinct |xi|, N_t) and equal to their
+    tau reflection rows[:, -k mod N_t] to the last bit; so the symbol
+    equals its point reflection on every axis.  array() is the symbol on
+    every cell of the grid.
+    """
+
+    grid: SpacetimeGrid
+    rows: np.ndarray
+    scatter: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows)
+        if np.iscomplexobj(rows):
+            raise ValueError(f"symbol rows must be real, got dtype {rows.dtype}")
+        rows = np.array(rows, dtype=np.float64)
+        _, scatter = np.unique(self.grid.space.freq_radius().ravel(), return_inverse=True)
+        want = (int(scatter.max()) + 1, self.grid.t_points)
+        if rows.shape != want:
+            raise ValueError(f"symbol rows of shape {rows.shape} != (distinct |xi|, N_t) "
+                             f"= {want}")
+        if not np.array_equal(rows[:, 1:], rows[:, :0:-1]):
+            raise ValueError("symbol rows must equal their tau reflection rows[:, -k mod N_t]")
+        rows.flags.writeable = False
+        scatter.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scatter", scatter)
+
+    def array(self) -> np.ndarray:
+        """The symbol on every cell of the grid, a fresh float64 array."""
+        return self.rows[self.scatter].reshape(self.grid.shape)
+
+
+def _blocks(m: RadialSymbol, width: int):
+    # m's spatial cells in C order, in blocks of at most _GATHER samples
+    # over width tau columns, each gathered as m.rows[m.scatter[block], :width]
+    step = max(1, _GATHER // width)
+    return (slice(start, start + step) for start in range(0, m.scatter.size, step))
+
+
+def _multiply(spectrum: np.ndarray, m, out: np.ndarray | None = None) -> np.ndarray:
+    # spectrum times m on spectrum's columns, into out (fresh when None):
+    # an array m is sliced to them, a RadialSymbol gathered a block at a time
+    width = spectrum.shape[-1]
+    if not isinstance(m, RadialSymbol):
+        return np.multiply(spectrum, m[..., :width], out=out)
+    if out is None:
+        out = np.empty_like(spectrum)
+    src, dst = spectrum.reshape(-1, width), out.reshape(-1, width)
+    for c in _blocks(m, width):
+        np.multiply(src[c], m.rows[m.scatter[c], :width], out=dst[c])
+    return out
+
+
 def _spectrum(samples):
     # (spectrum, real): the half spectrum over the last axis when the
     # samples are real (real is True), else the full one, in one fresh
@@ -348,38 +414,45 @@ class _HeldSpectrum:
         self._spectrum, self._real = _spectrum(samples)
         self._power = None
 
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        spectrum = self._spectrum
-        return _Inverse(spectrum * m[..., :spectrum.shape[-1]], self._shape, self._real).whole()
+    def __call__(self, m) -> np.ndarray:
+        return _Inverse(_multiply(self._spectrum, m), self._shape, self._real).whole()
 
-    def last(self, m: np.ndarray) -> _Inverse:
+    def last(self, m) -> _Inverse:
         # self(m) before its last stage, with m multiplied into the spectrum
         # in place instead of a copy: whole() is self(m), bit for bit, and
         # part(a, b) gives the output a part at a time.  The spectrum is
         # given up to the output, so nothing may follow
         spectrum, self._spectrum = self._spectrum, None
-        spectrum *= m[..., :spectrum.shape[-1]]
-        return _Inverse(spectrum, self._shape, self._real)
+        return _Inverse(_multiply(spectrum, m, out=spectrum), self._shape, self._real)
 
-    def relative_change(self, m1: np.ndarray, m0: np.ndarray) -> float:
-        half = self._weighted_power().shape[-1]
-        return self.relative_norm(m1[..., :half] - m0[..., :half], m0)
+    def relative_change(self, m1: RadialSymbol, m0: RadialSymbol) -> float:
+        d = RadialSymbol(m0.grid, m1.rows - m0.rows)  # the symbol of the difference
+        return self._ratio(np.empty((d.scatter.size, self._weighted_power().shape[-1])), d, m0)
 
-    def relative_norm(self, d: np.ndarray, m: np.ndarray) -> float:
+    def relative_norm(self, d: RadialSymbol, m: RadialSymbol) -> float:
         # ||self(d)|| / ||self(m)||, or the numerator alone when self(m) is
-        # zero: sum |X|^2 d^2 over sum |X|^2 m^2 under its square root, by
-        # numpy's pairwise sum, not BLAS, so the value does not depend on
-        # the BLAS threads; d is consumed (its half spectrum is the one
-        # buffer), m is left unchanged
+        # zero.  A half spectrum lies in rows one column wider: np.sum adds
+        # that strided array in another order than a contiguous one, the
+        # order that convergence_check's sensitivities are summed in
+        half = self._weighted_power().shape[-1]
+        wide = np.empty((d.scatter.size, half + (half < self._shape[-1])))
+        return self._ratio(wide[:, :half], d, m)
+
+    def _ratio(self, flat: np.ndarray, d: RadialSymbol, m: RadialSymbol) -> float:
+        # sum |X|^2 d^2 over sum |X|^2 m^2 under its square root, by numpy's
+        # pairwise sum, not BLAS, so the value does not depend on the BLAS
+        # threads; d's and then m's half spectrum are gathered into flat,
+        # one row per spatial cell, the one buffer
         power = self._weighted_power()
-        half = power.shape[-1]
-        buf = d[..., :half]
-        buf *= buf
-        buf *= power
-        moved = math.sqrt(float(buf.sum()) / self._count)
-        np.multiply(m[..., :half], m[..., :half], out=buf)
-        buf *= power
-        scale = math.sqrt(float(buf.sum()) / self._count)
+        buf = flat.reshape(power.shape)
+        sums = []
+        for s in (d, m):
+            for c in _blocks(s, power.shape[-1]):
+                flat[c] = s.rows[s.scatter[c], :power.shape[-1]]
+            buf *= buf
+            buf *= power
+            sums.append(math.sqrt(float(buf.sum()) / self._count))
+        moved, scale = sums
         return moved / scale if scale > 0.0 else moved
 
     def _weighted_power(self) -> np.ndarray:
@@ -396,50 +469,34 @@ class _HeldSpectrum:
 
 
 def real_symbol_apply(samples):
-    """Prepare samples for Fourier multipliers m that are real and centrally
-    symmetric over every axis, m[-k mod N] == m[k] in FFT layout; returns
+    """Prepare samples for real Fourier multipliers m equal to their point
+    reflection, m[-k mod N] == m[k] on every axis in FFT layout; returns
     apply, with apply(m) the samples under m.  samples is an array or a
-    SeparableField, whose factors stand for their outer product.
+    SeparableField (its factors stand for their outer product); m is an
+    array of the samples' shape, which may carry leading axes (one output
+    per leading index), or a RadialSymbol on their grid, whose samples
+    are gathered from its rows a block of cells at a time.
 
     Such an m is the transform of a real, even kernel, so applying it is a
-    circular convolution: it commutes with the centering roll (no shift
-    pair), the spacing scale and its inverse cancel, and real samples stay
-    real.  Samples are transformed once, here, into one buffer.  float64
-    samples go straight into rfftn, and so does the real part of complex
-    samples whose imaginary part is all zero; apply(m) multiplies by the
-    half of m over the last axis's nonnegative frequencies (a view of m)
-    and comes back into float64 by irfftn's steps.  Samples with a nonzero
-    imaginary part take one complex pair on the full m, into complex128;
-    measured, that is faster and smaller than transforming the real and
-    imaginary parts apart.  A SeparableField takes no n+1 dimensional
-    forward transform: fftn of its space factor times rfft of its time
-    factor, written into one fresh half-spectrum buffer, is its spectrum
-    (within a few ulps of the rfftn of its outer product), and from there
-    it is applied as real samples are.  Each apply multiplies into a copy
-    of the spectrum and transforms that copy back in place, so the
-    spectrum serves the next m unchanged and the bits are those of
-    irfftn(rfftn(samples) * m_half) (ifftn(fftn(samples) * m)).  m may
-    carry leading axes, one output per leading index.  apply.last(m), for
-    an m of the samples' shape, is apply(m) with m multiplied into the
-    spectrum in place: no product copy, and the spectrum is given up to
-    the output, so it must be the last call.  It returns the inverse
-    before its last stage: for real samples the ifft over the leading
-    axes has run in the spectrum, whole() gives apply(m) bit for bit, and
-    part(a, b) gives elements a..b-1 of the output (C order) from the
-    last axis's irfft of the rows that hold them, so a caller that
-    reduces the output a part at a time (analysis's norms) never forms
-    it.  A caller that drops its samples once apply exists then holds one
-    array of the samples' size at a time, besides an output it takes
-    whole.
+    circular convolution: no shift pair, no spacing scale, and real
+    samples stay real.  Samples are transformed once, here, into one
+    buffer: float64 samples, and complex ones whose imaginary part is all
+    zero, by rfftn, coming back into float64 by irfftn's steps on the
+    tau >= 0 half of m; others by one complex pair on the full m, into
+    complex128.  A SeparableField's spectrum is fftn of its space factor
+    times rfft of its time factor, in one fresh half-spectrum buffer.
+    apply(m) multiplies into a copy of the spectrum, so the bits are those
+    of irfftn(rfftn(samples) * m_half) (ifftn(fftn(samples) * m)) and the
+    spectrum serves the next m.  apply.last(m) multiplies into the
+    spectrum itself and gives it up, so it must be the last call; it
+    returns the inverse before its last stage, whose whole() is apply(m)
+    bit for bit and whose part(a, b) is elements a..b-1 of the output (C
+    order), from the rows that hold them.
 
-    apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)|| /
-    ||apply(m0)|| in the samples' L2 norm, or the numerator alone when
-    apply(m0) is zero, with no inverse transform: by Parseval it is the
-    ratio of sum |X|^2 (m1 - m0)^2 to sum |X|^2 m0^2 over the held
-    spectrum X, under its square root.  On the half spectrum each column
-    but tau = 0 and Nyquist counts twice; the full spectrum takes no
-    weights.  |X|^2 is computed on the first such call and kept.  Callers
-    check the precondition on m (and on m1 and m0); this does not.
+    apply.relative_change(m1, m0), for RadialSymbols, is ||apply(m1) -
+    apply(m0)|| / ||apply(m0)|| in the L2 norm (the numerator alone when
+    apply(m0) is zero), by Parseval on the held spectrum with no inverse
+    transform.  Callers check that m fits the samples; this does not.
     """
     return _HeldSpectrum(samples)
 

@@ -181,6 +181,45 @@ def symbol_per_cell_reference(grid, spec, quad, path: str) -> np.ndarray:
     return m
 
 
+def symbol_cells_reference(grid, spec, quad, path: str) -> np.ndarray:
+    """The operator symbol on every cell, assembled as the package did
+    before its symbol was held as one row per distinct |xi|.
+
+    The profile table is taken once per distinct |xi|, and the cells go
+    to the output in blocks in order of |xi|: each block's rows are the
+    product of its slice of the table with the phases, copied to its
+    cells, and the completion is added to every cell afterwards.  Frozen
+    as the reference that conop.symbol(...).array() must equal bit for
+    bit.
+    """
+    from conewave.conop import apply_path
+
+    profile = apply_path(path)
+    e = spec.time_scale_power * spec.alpha - 1.0
+    r = quad.nodes()
+    w = quad.measure_weights(e)
+    tau = grid.t_freq_axis()
+    xi, scatter = np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
+    order = np.argsort(scatter, kind="stable")
+    rank = scatter[order]
+    values = profile(np.append(np.outer(r, xi), 0.0), spec)
+    table = values[:-1].reshape(r.size, xi.size)
+    table *= w[:, None]
+    phases = np.outer(r, tau)
+    phases *= 2.0 * np.pi
+    np.cos(phases, out=phases)
+    phases *= 2.0
+    m = np.empty(grid.shape)
+    by_cell = m.reshape(scatter.size, tau.size)
+    step = max(1, r.size * scatter.size // (2 * tau.size))
+    for start in range(0, scatter.size, step):
+        cells, k = order[start:start + step], rank[start:start + step]
+        rows = table[:, k[0]:k[-1] + 1].T @ phases
+        by_cell[cells] = rows[k - k[0]]
+    m += 2.0 * quad.completion_mass(e) * float(values[-1])
+    return m
+
+
 def rule_symbol_reference(grid, spec, path: str, nodes, weights, completion) -> np.ndarray:
     """The operator symbol of an explicit radial rule, summed node by node.
 

@@ -14,6 +14,7 @@ import conewave.conop as conop
 import conewave.ensembles as ens
 import conewave.kernel as kernel
 from conewave import (
+    ExponentPoint,
     Field,
     KernelSpec,
     RadialQuadrature,
@@ -25,11 +26,12 @@ from conewave import (
     convergence_check,
     lp_norm,
     ratio_ladder,
+    ratio_probes,
     symbol,
     symbol_applier,
 )
 from conewave.conop import apply_path
-from conewave.fields import SPECTRAL, DomainTagError
+from conewave.fields import SPECTRAL, DomainTagError, RadialSymbol
 from conewave.kernel import omega_hat, omega_hat_jacobi
 
 
@@ -144,7 +146,7 @@ def test_refined_moves_one_way_and_only_outward():
 
 def test_multiplier_table_is_real_for_distinguished_members():
     g = _grid(64)
-    table = symbol(g, KernelSpec(0.4, 1), RadialQuadrature.for_grid(g, 48))
+    table = symbol(g, KernelSpec(0.4, 1), RadialQuadrature.for_grid(g, 48)).array()
     assert table.shape == g.shape
     assert np.all(np.isreal(table))
 
@@ -263,8 +265,8 @@ def test_symbol_and_apply_symbol_compose_the_paths():
             out = apply_symbol(f, m)
             assert np.array_equal(f.samples, keep)
             assert np.array_equal(out.samples, _apply(f, spec, quad, path).samples)
-    assert np.array_equal(symbol(g, spec, quad), symbol(g, spec, quad, "multiplier"))
-    assert np.array_equal(symbol(g, spec), symbol(g, spec, RadialQuadrature.for_grid(g)))
+    assert np.array_equal(symbol(g, spec, quad).rows, symbol(g, spec, quad, "multiplier").rows)
+    assert np.array_equal(symbol(g, spec).rows, symbol(g, spec, RadialQuadrature.for_grid(g)).rows)
 
 
 @pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
@@ -286,7 +288,7 @@ def test_a_symbol_evaluates_its_profile_once(monkeypatch, path):
     monkeypatch.setattr(conop, profile.__name__, counted)
     monkeypatch.setattr(kernel, "_jacobi_rules",
                         lambda counts, a: builds.append(list(counts)) or rules(counts, a))
-    assert np.array_equal(symbol(g, spec, quad, path), want)
+    assert np.array_equal(symbol(g, spec, quad, path).rows, want.rows)
     (xi,) = args
     assert xi.shape == (quad.count * np.unique(g.space.freq_radius()).size + 1,)
     assert xi[-1] == 0.0
@@ -307,13 +309,36 @@ _CONTRACTION_GRIDS = {
 @pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
 @pytest.mark.parametrize("name", sorted(_CONTRACTION_GRIDS))
 def test_symbol_equals_the_per_cell_contraction_bit_for_bit(name, path):
-    # one row per distinct |xi|, copied to the cells of that radius, has
+    # one row per distinct |xi|, gathered to the cells of that radius, has
     # the bits of one row per cell, for the base rule and a denser one
     g, spec = _CONTRACTION_GRIDS[name]
     quad = RadialQuadrature.for_grid(g)
     for q in (quad, quad.refined(density=2.0)):
         want = oracles.symbol_per_cell_reference(g, spec, q, path)
-        assert np.array_equal(symbol(g, spec, q, path), want)
+        assert np.array_equal(symbol(g, spec, q, path).array(), want)
+
+
+# n = 1 on 256^2 at extents 32 and 64 and on 1024^2, and n = 2 on 32^3, 64^3
+# and 128^3
+_CELL_GRIDS = [SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0),
+               SpacetimeGrid(Grid(1, 256, 64.0), 256, 64.0),
+               SpacetimeGrid(Grid(1, 1024, 64.0), 1024, 64.0),
+               SpacetimeGrid(Grid(2, 32, 32.0), 32, 32.0),
+               SpacetimeGrid(Grid(2, 64, 32.0), 64, 32.0),
+               SpacetimeGrid.default(2)]
+
+
+@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
+@pytest.mark.parametrize("g", _CELL_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
+def test_symbol_array_has_the_bits_of_the_cell_assembly(g, path):
+    # the rows as one product over the whole table, gathered to every
+    # cell, against the assembly that wrote one block of cells at a time
+    # from its slice of the table
+    quad = RadialQuadrature.for_grid(g)
+    for alpha in (0.3, 0.5, 0.7):
+        spec = KernelSpec(alpha, g.space.n)
+        want = oracles.symbol_cells_reference(g, spec, quad, path)
+        assert np.array_equal(symbol(g, spec, quad, path).array(), want), alpha
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.6])
@@ -334,13 +359,14 @@ def test_symbol_off_the_cone_is_the_truncated_radial_integral(alpha):
     assert np.all(table["xi"] + table["tau"] < 0.5) and np.all(k != l)
     [row] = np.flatnonzero(table["alphas"] == alpha)
     for path in ("multiplier", "cone-direct"):
-        m = symbol(g, KernelSpec(alpha, 1), quad, path)
+        m = symbol(g, KernelSpec(alpha, 1), quad, path).array()
         assert np.max(np.abs(m[k, l] - table["values"][row])) <= 2e-3 * np.max(np.abs(m))
 
 
 def test_symbol_peak_stays_within_the_per_cell_footprint():
-    # the rows and their copies go to the output in blocks, each within
-    # half the (nodes x cells) gather of the per-cell contraction
+    # the product over the distinct |xi| holds the table, the phases and
+    # the rows, against the (nodes x cells) gather of the per-cell
+    # contraction
     g, spec = _CONTRACTION_GRIDS["norm-test"]
     quad = RadialQuadrature.for_grid(g)
     peaks = []
@@ -364,16 +390,15 @@ def test_symbol_and_apply_symbol_guards():
     with pytest.raises(ValueError, match="dimension"):
         symbol(g, KernelSpec(1.0, 2), quad)
     m = symbol(g, spec, quad)
-    with pytest.raises(ValueError, match="shape"):
-        apply_symbol(f, m[:, :16])
     with pytest.raises(DomainTagError):
         apply_symbol(SpacetimeField(g, f.samples, SPECTRAL), m)
     with pytest.raises(TypeError):
         apply_symbol(ens.gaussian(Grid(1, 32, 16.0)), m)
 
 
-def _complex_pair(f: SpacetimeField, m: np.ndarray) -> np.ndarray:
+def _complex_pair(f: SpacetimeField, m: RadialSymbol) -> np.ndarray:
     # the full complex FFT pair with shifts and spacing scales
+    m = m.array()
     axes = range(f.samples.ndim)
     g = f.grid
     spacings = (g.space.spacing,) * g.space.n + (g.t_spacing,)
@@ -410,10 +435,11 @@ def test_apply_symbol_agrees_with_the_complex_pair(path, n, kind):
     assert np.linalg.norm(out.samples - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def _complex_typed_real_apply(samples: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _complex_typed_real_apply(samples: np.ndarray, m: RadialSymbol) -> np.ndarray:
     # the real path on complex-typed fields: rfftn of the real part (a
     # strided view of the complex128 samples), the tau >= 0 half of m,
     # irfftn, and the output widened to complex128 again
+    m = m.array()
     wide = np.asarray(samples, dtype=np.complex128)
     half = m.shape[-1] // 2 + 1
     axes = tuple(range(m.ndim))
@@ -473,49 +499,59 @@ def test_real_fields_report_the_numbers_of_their_complex_twins(name):
     assert ratios[0] == ratios[1] == want
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_apply_symbol_refuses_asymmetric_symbols_before_any_transform(monkeypatch, kind):
-    g, spec = _APPLY_GRIDS[1]
-    f = _random_field(g, kind, 5)
-    m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
-
+def _no_transforms(monkeypatch):
     def no_fft(*args, **kwargs):
         raise AssertionError("a transform ran before the symbol was checked")
 
-    for name in ("rfftn", "fftn"):
+    for name in ("rfftn", "fftn", "rfft"):
         monkeypatch.setattr(np.fft, name, no_fft)
-    with pytest.raises(ValueError, match="real"):
-        apply_symbol(f, m.astype(np.complex128))
-    broken = m.copy()
-    broken[1, 2] = np.nextafter(broken[1, 2], np.inf)  # one unit in the last place
-    with pytest.raises(ValueError, match="point reflection"):
-        apply_symbol(f, broken)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_every_apply_refuses_a_bare_array_before_any_transform(monkeypatch, kind):
+    # the bare array of the symbol's own cells: its evenness is not held
+    # by its type, so no entry point takes it
+    g, spec = _APPLY_GRIDS[1]
+    f = _random_field(g, kind, 5)
+    quad = RadialQuadrature.for_grid(g, 32)
+    m = symbol(g, spec, quad)
+    bare = m.array()
+    point = ExponentPoint(0.7, 0.7 - spec.alpha, spec.alpha, 1)
+    _no_transforms(monkeypatch)
+    apply = symbol_applier(f)
+    for call in (lambda: apply_symbol(f, bare), lambda: apply(bare),
+                 lambda: apply.relative_change(bare, m), lambda: apply.relative_change(m, bare),
+                 lambda: convergence_check(f, spec, quad, bare),
+                 lambda: convergence_check(apply, spec, quad, bare),
+                 lambda: ratio_ladder(bare, [(point.inv_p, point.inv_q)], [f]),
+                 lambda: ratio_probes(bare, [point], [1.0, 2.0])):
+        with pytest.raises(TypeError, match="RadialSymbol"):
+            call()
     with pytest.raises(AssertionError):
-        apply_symbol(f, m)  # the guard passes an unbroken symbol on
+        apply_symbol(f, m)  # the guard passes a symbol on
 
 
-def _roll_reflection_equal(m: np.ndarray) -> bool:
-    # the point-reflection test written out with a full reflected copy
-    return np.array_equal(m, np.roll(np.flip(m), 1, axis=tuple(range(m.ndim))))
-
-
-@pytest.mark.parametrize("shape", [(8,), (2, 2), (16, 8), (5, 4, 3), (8, 8, 8)])
-def test_reflection_guard_agrees_with_the_reflected_copy(shape):
-    # the blockwise guard, which copies nothing of m, refuses exactly what
-    # the comparison with a reflected copy refuses
-    rng = np.random.default_rng(23)
-    a = rng.standard_normal(shape)
-    m = a + np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
-    assert conop._equals_its_reflection(m)
-    for _ in range(20):
-        broken = m.copy()
-        k = tuple(int(rng.integers(0, n)) for n in shape)
-        broken[k] = np.nextafter(broken[k], np.inf)
-        assert conop._equals_its_reflection(broken) == _roll_reflection_equal(broken), k
-    # the origin is its own reflection, so it may change alone
-    edge = m.copy()
-    edge[(0,) * len(shape)] += 1.0
-    assert conop._equals_its_reflection(edge) and _roll_reflection_equal(edge)
+def test_every_apply_refuses_a_symbol_of_another_grid_before_any_transform(monkeypatch):
+    # a symbol on the 16-extent grid and a field of the same shape on the
+    # 32-extent one: the samples would fit, the frequencies do not
+    near = SpacetimeGrid(Grid(1, 64, 16.0), 64, 16.0)
+    far = SpacetimeGrid(Grid(1, 64, 32.0), 64, 32.0)
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature.for_grid(near, 32)
+    m = symbol(near, spec, quad)
+    f = ens.gaussian_spacetime(far, 1.0)
+    assert far.shape == near.shape
+    own = symbol(far, spec, quad)
+    _no_transforms(monkeypatch)
+    apply = symbol_applier(f)
+    for call in (lambda: apply_symbol(f, m), lambda: apply(m),
+                 lambda: apply.relative_change(m, own), lambda: apply.relative_change(own, m),
+                 lambda: convergence_check(f, spec, quad, m),
+                 lambda: ratio_ladder(m, [(0.7, 0.3)], [f])):
+        with pytest.raises(ValueError, match="grid"):
+            call()
+    with pytest.raises(AssertionError):
+        apply(own)  # the guard passes a symbol of the field's grid on
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -524,20 +560,21 @@ def test_apply_symbol_leaves_its_input_and_symbol_unchanged(kind):
     g, spec = _APPLY_GRIDS[2]
     m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
     f = _random_field(g, kind, 19)
-    keep_f, keep_m = f.samples.copy(), m.copy()
+    keep_f, keep_m = f.samples.copy(), m.rows.copy()
     out = apply_symbol(f, m)
-    assert np.array_equal(f.samples, keep_f) and np.array_equal(m, keep_m)
+    assert np.array_equal(f.samples, keep_f) and np.array_equal(m.rows, keep_m)
     assert np.array_equal(out.samples, symbol_applier(f)(m))
 
 
 @pytest.mark.parametrize("kind, bound", [("real", 2.1), ("complex", 1.1)])
 def test_apply_symbol_holds_no_field_sized_temporaries(kind, bound):
     # traced peak of one apply on a 512^2 field, in units of the field's
-    # bytes: the spectrum and, for a real field, the float64 output
+    # bytes: the spectrum and, for a real field, the float64 output; the
+    # symbol's cells are gathered from its rows a block at a time
     g = SpacetimeGrid(Grid(1, 512, 32.0), 512, 32.0)
     f = _random_field(g, kind, 29)
-    a = np.random.default_rng(31).standard_normal(g.shape)
-    m = a + np.roll(np.flip(a), 1, axis=(0, 1))
+    a = np.random.default_rng(31).standard_normal((g.space.points // 2 + 1, g.t_points))
+    m = RadialSymbol(g, a + np.roll(a[:, ::-1], 1, axis=1))
     del a
     tracemalloc.start()
     try:
@@ -581,12 +618,6 @@ def test_symbol_applier_transforms_once_and_then_holds_only_the_spectrum(monkeyp
     assert got[0].dtype == (np.float64 if kind == "real" else np.complex128)
     for a, b in zip(got, want):
         assert np.array_equal(SpacetimeField(g, a).samples, b)
-    broken = symbols[0].copy()
-    broken[1, 2] = np.nextafter(broken[1, 2], np.inf)
-    with pytest.raises(ValueError, match="point reflection"):
-        apply(broken)
-    with pytest.raises(ValueError, match="shape"):
-        apply(symbols[0][:, :16])
 
 
 def _sample_change(apply, m1, m0) -> float:
@@ -619,17 +650,16 @@ def test_relative_change_refuses_a_broken_symbol_before_any_transform(monkeypatc
     g, spec = _APPLY_GRIDS[1]
     m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
     other = symbol(g, spec, RadialQuadrature.for_grid(g, 48))
-    broken = m.copy()
-    broken[1, 2] = np.nextafter(broken[1, 2], np.inf)
-    bad = [(broken, "point reflection"), (m[:, :16], "shape"),
-           (m.astype(np.complex128), "real")]
+    elsewhere = SpacetimeGrid(Grid(1, 64, 32.0), g.t_points, g.t_extent)
+    bad = [(m.array(), TypeError, "RadialSymbol"),
+           (symbol(elsewhere, spec, RadialQuadrature.for_grid(g, 32)), ValueError, "grid")]
     calls = _count_transforms(monkeypatch)
     for f in (_random_field(g, "real", 37), SpacetimeField(g, np.zeros(g.shape))):
         apply = symbol_applier(f)
-        for wrong, match in bad:
-            with pytest.raises(ValueError, match=match):
+        for wrong, error, match in bad:
+            with pytest.raises(error, match=match):
                 apply.relative_change(wrong, m)
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(error, match=match):
                 apply.relative_change(m, wrong)
     assert calls == []
     # a zero output reads 0.0, once the symbols have passed the checks
@@ -770,8 +800,8 @@ def test_convergence_check_of_a_zero_input_reads_zero_after_the_checks():
     assert rep["under_resolved"] is False
     with pytest.raises(ValueError, match="cone-direct"):
         convergence_check(f, spec, quad, m, path="slices")
-    with pytest.raises(ValueError, match="point reflection"):
-        convergence_check(f, spec, quad, np.roll(m, 1, axis=0))
+    with pytest.raises(TypeError, match="RadialSymbol"):
+        convergence_check(f, spec, quad, m.array())
 
 
 # the benchmark's op-apply boxes and the applier grids at their default
@@ -845,67 +875,10 @@ def test_base_plus_a_refinement_change_is_the_refined_rule_summed_per_cell(n, pa
     want = oracles.rule_symbol_reference(g, spec, path, refined.nodes(),
                                          refined.measure_weights(e),
                                          refined.completion_mass(e))
-    assert np.max(np.abs(m + change - want)) <= 1e-12 * np.max(np.abs(m))
+    assert isinstance(change, RadialSymbol) and change.grid == g
+    m = m.array()
+    assert np.max(np.abs(m + change.array() - want)) <= 1e-12 * np.max(np.abs(m))
     # the base rule itself, through the same reference
     base = oracles.rule_symbol_reference(g, spec, path, quad.nodes(),
                                          quad.measure_weights(e), quad.completion_mass(e))
     assert np.max(np.abs(m - base)) <= 1e-12 * np.max(np.abs(m))
-
-
-@pytest.mark.parametrize("applied", [False, True])
-def test_convergence_check_checks_its_symbol_once(monkeypatch, applied):
-    # once when convergence_check is handed a field or an applier that has
-    # not applied m, and not at all when the applier applied m (and
-    # checked it then); a different array of the same values is checked
-    g = _grid(64, 16.0)
-    f = ens.gaussian_spacetime(g, 1.0)
-    spec = KernelSpec(0.4, 1)
-    quad = RadialQuadrature.for_grid(g, 48)
-    m = symbol(g, spec, quad)
-    apply = symbol_applier(f)
-    if applied:
-        apply(m)
-    checked = []
-    reflection = conop._equals_its_reflection
-    monkeypatch.setattr(conop, "_equals_its_reflection",
-                        lambda x: checked.append(x) or reflection(x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnderResolvedWarning)
-        rep = convergence_check(apply, spec, quad, m)
-        assert len(checked) == (0 if applied else 1)
-        assert convergence_check(apply, spec, quad, m.copy()) == rep
-    assert len(checked) == (1 if applied else 2)
-    del checked[:]
-    assert apply.relative_change(m.copy(), m) == 0.0
-    assert len(checked) == 1 + (not applied)
-    if applied:
-        # m1 is checked even when m0 is the applied symbol, and so is an m0
-        # that is not it
-        broken = m.copy()
-        broken[1, 2] = np.nextafter(broken[1, 2], np.inf)
-        with pytest.raises(ValueError, match="point reflection"):
-            apply.relative_change(broken, m)
-        with pytest.raises(ValueError, match="point reflection"):
-            apply.relative_change(m, broken)
-
-
-def test_the_applied_symbol_cannot_change_unchecked():
-    # apply(m) freezes an m that owns its data, so it cannot change in
-    # place before it is taken as checked; a view of another array is not
-    # frozen, and is checked at every use
-    g = _grid(64, 16.0)
-    spec = KernelSpec(0.4, 1)
-    m = symbol(g, spec, RadialQuadrature.for_grid(g, 48))
-    apply = symbol_applier(ens.gaussian_spacetime(g, 1.0))
-    apply(m)
-    with pytest.raises(ValueError, match="read-only"):
-        m[1, 2] += 1e-3
-    base = m.copy()
-    view = base[...]
-    apply(view)
-    assert view.flags.writeable
-    base[1, 2] += 1e-3
-    with pytest.raises(ValueError, match="point reflection"):
-        apply.relative_change(m, view)
-    with pytest.raises(ValueError, match="point reflection"):
-        convergence_check(apply, spec, RadialQuadrature.for_grid(g, 48), view)

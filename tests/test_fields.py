@@ -22,7 +22,7 @@ from conewave import (
     omega_hat,
     save_field,
 )
-from conewave.fields import SPECTRAL, DomainTagError, real_symbol_apply
+from conewave.fields import SPECTRAL, DomainTagError, RadialSymbol, real_symbol_apply
 
 
 # ---------------------------------------------------------------------------
@@ -262,31 +262,77 @@ def test_a_reused_real_symbol_apply_keeps_its_spectrum(kind):
     assert np.array_equal(apply(first), before)
 
 
-@pytest.mark.parametrize("shape", [(64,), (16, 8), (6, 5), (8, 4, 7), (8, 8, 2)])
+def _radial(rng, grid: SpacetimeGrid, scale: float = 1.0) -> RadialSymbol:
+    # random rows, one per distinct |xi|, each equal to its tau reflection
+    # to the last bit
+    a = scale * rng.standard_normal((np.unique(grid.space.freq_radius()).size, grid.t_points))
+    return RadialSymbol(grid, a + np.roll(a[:, ::-1], 1, axis=1))
+
+
+_RADIAL_GRIDS = [SpacetimeGrid(Grid(1, 16, 4.0), 8, 2.0), SpacetimeGrid(Grid(1, 8, 4.0), 16, 4.0),
+                 SpacetimeGrid(Grid(2, 8, 4.0), 4, 2.0), SpacetimeGrid(Grid(2, 4, 2.0), 8, 2.0),
+                 SpacetimeGrid(Grid(1, 8, 2.0), 2, 1.0)]
+
+
+@pytest.mark.parametrize("grid", _RADIAL_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
 @pytest.mark.parametrize("kind", ["real", "complex", "complex-typed real"])
-def test_relative_change_is_the_distance_of_the_two_outputs(kind, shape):
+def test_relative_change_is_the_distance_of_the_two_outputs(kind, grid):
     # by Parseval on the held spectrum: the half spectrum's columns other
-    # than tau = 0 and Nyquist count twice (an odd last axis has no
-    # Nyquist column), the full spectrum's once
+    # than tau = 0 and Nyquist count twice, the full spectrum's once
     rng = np.random.default_rng(41)
-    x = rng.standard_normal(shape)
+    x = rng.standard_normal(grid.shape)
     if kind == "complex":
-        x = x + 1j * rng.standard_normal(shape)
+        x = x + 1j * rng.standard_normal(grid.shape)
     elif kind == "complex-typed real":
         x = x.astype(np.complex128)
-    m0 = _symmetric(rng, shape)
-    m1 = m0 + 0.01 * _symmetric(rng, shape)
+    m0 = _radial(rng, grid)
+    m1 = RadialSymbol(grid, m0.rows + _radial(rng, grid, 0.01).rows)
     apply = real_symbol_apply(x)
     base = apply(m0)
+    assert np.array_equal(base, apply(m0.array()))
     moved = np.linalg.norm(apply(m1) - base)
     want = moved / np.linalg.norm(base)
     assert apply.relative_change(m1, m0) == pytest.approx(want, rel=1e-12, abs=1e-15)
     # the same value again from the kept power, and the change itself for
     # a zero base output
     assert apply.relative_change(m1, m0) == apply.relative_change(m1, m0)
-    assert apply.relative_change(m1, 0.0 * m0) == pytest.approx(np.linalg.norm(apply(m1)),
-                                                               rel=1e-12)
+    zero = RadialSymbol(grid, 0.0 * m0.rows)
+    assert apply.relative_change(m1, zero) == pytest.approx(np.linalg.norm(apply(m1)), rel=1e-12)
     assert real_symbol_apply(0.0 * x).relative_change(m1, m0) == 0.0
+
+
+def test_a_radial_symbol_is_real_even_in_tau_and_read_only():
+    # every refusal names what is wrong with the rows; the rows kept are a
+    # read-only copy, and array() gathers them to every cell
+    grid = SpacetimeGrid(Grid(2, 8, 4.0), 8, 2.0)
+    m = _radial(np.random.default_rng(43), grid)
+    rows = m.rows.copy()
+    assert rows.shape == (np.unique(grid.space.freq_radius()).size, grid.t_points)
+    with pytest.raises(ValueError, match="real"):
+        RadialSymbol(grid, rows.astype(np.complex128))
+    for k in (1, 3, 5, 7):
+        broken = rows.copy()
+        broken[2, k] = np.nextafter(broken[2, k], np.inf)  # one unit in the last place
+        with pytest.raises(ValueError, match="tau reflection"):
+            RadialSymbol(grid, broken)
+    for k in (0, 4):  # tau = 0 and Nyquist are their own reflections
+        edge = rows.copy()
+        edge[2, k] += 1.0
+        RadialSymbol(grid, edge)
+    for wrong in (rows[:-1], np.vstack([rows, rows[:1]]), rows[:, :-1], np.hstack([rows, rows])):
+        with pytest.raises(ValueError, match="distinct"):
+            RadialSymbol(grid, wrong)
+    for held in (m.rows, m.scatter):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0
+    source = rows.copy()
+    kept = RadialSymbol(grid, source)
+    source[0, 0] += 1.0
+    assert np.array_equal(kept.rows, rows)
+    cells = m.array()
+    assert cells.shape == grid.shape and cells.flags.writeable
+    k = np.searchsorted(np.unique(grid.space.freq_radius()), grid.space.freq_radius())
+    assert np.array_equal(cells, rows[k])
 
 
 # ---------------------------------------------------------------------------
