@@ -13,7 +13,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -169,39 +169,42 @@ def lp_norm(f, p: float) -> float:
 def _lp(source, ps, cell_volume: float, by_row: bool = False) -> list:
     # the one Lp reduction: source's p-norm for each p of ps, in order, as
     # numpy scalars.  source is an array, taken in memory order, or an
-    # inverse in progress (real_symbol_apply's last), whose output is made
-    # a part at a time and never formed whole.  With by_row, source is an
-    # array and each norm is an array of one norm per leading index.
-    # _power_sums gives np.sum's sums bit for bit, and the last step keeps
-    # the numpy form of the whole-array reduction: a scalar power for one
-    # norm, an array power for a row of them
+    # inverse in progress (real_symbol_apply's last, or an even member's
+    # fields._Orthant), whose output is made a part at a time and never
+    # formed whole; a source with a weight(a, b) counts each element of
+    # part(a, b) that many times, so an orthant's sums are the full grid's.
+    # With by_row, source is an array and each norm is an array of one
+    # norm per leading index.  _power_sums gives np.sum's sums bit for
+    # bit, and the last step keeps the numpy form of the whole-array
+    # reduction: a scalar power for one norm, an array power for a row
     if isinstance(source, np.ndarray):
         rows = source.reshape(len(source), -1) if by_row else source.ravel(order="K")[None]
-        part, size = (lambda a, b: rows[:, a:b]), rows.shape[1]
+        part, weight, size = (lambda a, b: rows[:, a:b]), None, rows.shape[1]
     else:
-        part, size = source.part, source.size
-    sums = _power_sums(part, 0, size, ps)
+        part, weight, size = source.part, getattr(source, "weight", None), source.size
+    sums = _power_sums(part, weight, 0, size, ps)
     if not by_row:
         sums = [s[0] for s in sums]
     return [s if math.isinf(p) else (s * cell_volume) ** (1.0 / p) for s, p in zip(sums, ps)]
 
 
-def _power_sums(part, start: int, n: int, ps) -> list:
+def _power_sums(part, weight, start: int, n: int, ps) -> list:
     # sum |x|^p (max |x| at p = inf) over elements start..start+n-1 of each
     # row of part(a, b), which gives elements a..b-1 of every row, one
-    # array of row values per p of ps.  A range longer than _LEAF is split
-    # where numpy's pairwise_sum splits it (n // 2 rounded down to a
-    # multiple of 8), and every part of at most _LEAF elements is summed
-    # by np.sum, which runs that same pairwise_sum on it; 0.0 + s == s for
-    # these nonnegative sums, so each total is np.sum's over the whole row
-    # bit for bit.  A module-level recursion, not a closure over the
+    # array of row values per p of ps; unless weight is None, each power
+    # is multiplied by its element's weight(a, b) first.  A range longer
+    # than _LEAF is split where numpy's pairwise_sum splits it (n // 2
+    # rounded down to a multiple of 8), and every part of at most _LEAF
+    # elements is summed by np.sum, which runs that same pairwise_sum on
+    # it; 0.0 + s == s for these nonnegative sums, so each total is
+    # np.sum's over the whole row bit for bit.  A module-level recursion, not a closure over the
     # source: a nested function that called itself would form a cycle and
     # keep the source (a member's spectrum) alive until the cyclic
     # collector ran
     if n > _LEAF:
         half = n // 2 - n // 2 % 8
-        left = _power_sums(part, start, half, ps)
-        right = _power_sums(part, start + half, n - half, ps)
+        left = _power_sums(part, weight, start, half, ps)
+        right = _power_sums(part, weight, start + half, n - half, ps)
         return [np.maximum(a, b) if math.isinf(p) else a + b
                 for a, b, p in zip(left, right, ps)]
     # pow takes libm's slow scalar path on zeros, subnormals and arguments
@@ -212,6 +215,7 @@ def _power_sums(part, start: int, n: int, ps) -> list:
     mags = np.abs(part(start, start + n))
     if not np.all(np.isfinite(mags)):
         raise ValueError("field has non-finite samples")
+    counts = None if weight is None else weight(start, start + n)
     sums = []
     for i, p in enumerate(ps):
         if math.isinf(p):
@@ -222,6 +226,8 @@ def _power_sums(part, start: int, n: int, ps) -> list:
         terms[tiny] = 1.0
         terms **= p
         terms[tiny] = 0.0
+        if counts is not None:
+            terms *= counts
         sums.append(terms.sum(axis=-1))
     return sums
 
@@ -905,9 +911,21 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     distinct q, so the output is never formed.  A member in flight holds
     its samples and its spectrum while it is transformed, and then its
     spectrum alone, with a few leaf-sized arrays; a separable member's
-    p-norms and spectrum come from its factors.  Every ratio is
-    lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit, for
-    either kind of member.
+    p-norms and spectrum come from its factors.  Such a ratio is
+    lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit.
+
+    A separable member whose factors equal their reflections on every
+    axis to the last bit (sample k equals sample N - k, as the
+    reference Gaussian's do) takes a second route, by that property
+    alone: its spectrum is real and even on every axis, and so is m, so
+    its output is even on every axis and fixed by the nonnegative orthant
+    of the grid, samples 0..N/2 of each axis.  The ladder forms the
+    spectrum, inverts it and takes the q-norms on that orthant alone
+    (fields._Orthant), counting each sample as often as it occurs in the
+    full grid: 2^(number of axes on which it is not an end sample, 0 or
+    N/2).  That member in flight holds an orthant, about 1/2^(n+1) of a
+    field, and its ratios agree with the materialized field's within a
+    few units in the last place, not bit for bit.
 
     pool_map(fn, members), when given, runs fn over the members in place
     of the in-order loop (to spread them over workers) and must return
@@ -943,7 +961,11 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
             raise ValueError("family member with zero norm")
         if not all(math.isfinite(v) for v in norms.values()):
             raise ValueError("family member with a non-finite norm")
-        cell, apply = f.cell_volume, _single_apply(f, m)
+        cell = f.cell_volume
+        if _fields._is_even(f):
+            apply = partial(_fields._Orthant, f, _radial_symbol(m, f.grid))
+        else:
+            apply = _single_apply(f, m)
         del f  # the spectrum replaces the samples
         out_norms = dict(zip(distinct_qs, _lp(apply(), distinct_qs, cell)))
         if not all(math.isfinite(v) for v in out_norms.values()):
@@ -1010,8 +1032,9 @@ def ratio_probes(m, points, widths, pool_map=None) -> list:
     "width <w:g>".  One ratio_ladder serves every point, so each member
     is built, transformed and applied once, and its ratios at each point
     go to boundedness_verdict against the widths.  A factored member is
-    two 1-D arrays, so the family is held whole; pool_map is
-    ratio_ladder's.
+    two 1-D arrays, so the family is held whole; the Gaussian's factors
+    equal their reflections, so every member takes ratio_ladder's
+    orthant route.  pool_map is ratio_ladder's.
     """
     grid = _radial_symbol(m).grid
     widths = sorted(widths)

@@ -69,6 +69,13 @@ __all__ = [
 ]
 
 
+# profile arguments evaluated at a time by _profile_table: a profile holds
+# up to about 7.5 times its argument's bytes while it runs (52 MiB for the
+# 950 000 arguments of a 256^3 table in one call), so a block's transient
+# stays under 2 MiB
+_PROFILE_POINTS = 2**15
+
+
 class UnderResolvedWarning(UserWarning):
     """Radial quadrature sensitivity above the configured tolerance."""
 
@@ -258,22 +265,37 @@ def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
                 w: np.ndarray, completion: float) -> RadialSymbol:
     # sum_j w_j P(r_j |xi|) 2cos(2 pi r_j tau) + 2 completion P(0) on grid,
     # for one-sided w and completion: the one place the even r < 0 half is
-    # folded onto r > 0.  The profile is evaluated once, on the distinct
-    # |xi| values with the completion's argument 0 after them, and the
-    # rows of the symbol are one product of that table with the phases
+    # folded onto r > 0.  The profile is evaluated once per node and
+    # distinct |xi| value (_profile_table), and the rows of the symbol are
+    # one product of that table with the phases
     if spec.n != grid.space.n:
         raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
-    xi = np.unique(grid.space.freq_radius())
-    values = profile(np.append(np.outer(r, xi), 0.0), spec)
-    table = values[:-1].reshape(r.size, xi.size)
+    table, at_zero = _profile_table(profile, spec, r, np.unique(grid.space.freq_radius()))
     table *= w[:, None]
     phases = np.outer(r, grid.t_freq_axis())  # (M, Nt)
     phases *= 2.0 * np.pi
     np.cos(phases, out=phases)
     phases *= 2.0
     rows = table.T @ phases
-    rows += 2.0 * completion * float(values[-1])
+    rows += 2.0 * completion * at_zero
     return RadialSymbol(grid, rows)
+
+
+def _profile_table(profile, spec: KernelSpec, r: np.ndarray, xi: np.ndarray) -> tuple:
+    # (P(r_j xi_k) for every node j and value k, P(0)): the profile runs on
+    # a block of nodes at a time, at most _PROFILE_POINTS arguments, with
+    # the argument 0 after the last block.  It acts on each argument
+    # alone, so the values are one call's, bit for bit.  A table of one
+    # block is that block's values, with no copy
+    step = max(1, _PROFILE_POINTS // xi.size)
+    blocks = []
+    for a in range(0, r.size, step):
+        points = np.outer(r[a:a + step], xi).ravel()
+        if a + step >= r.size:
+            points = np.append(points, 0.0)
+        blocks.append(profile(points, spec))
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return values[:-1].reshape(r.size, xi.size), float(values[-1])
 
 
 def _checked_input(f):

@@ -22,7 +22,9 @@ Conventions, fixed once here and relied on everywhere else:
   tau, so it equals its point reflection on every axis;
 * a physical spacetime field that is a product space(x) time(t) may be
   held as its two factors (SeparableField), which real_symbol_apply
-  transforms one factor at a time.
+  transforms one factor at a time; when both factors are even on every
+  axis, so is the output under a RadialSymbol, and a ratio ladder forms
+  and measures its nonnegative orthant alone (_Orthant).
 
 The torus stands in for R^n: inputs are expected to decay well inside the
 box, and kernels enter through their exact continuum multipliers rather
@@ -325,11 +327,12 @@ class RadialSymbol:
         return self.rows[self.scatter].reshape(self.grid.shape)
 
 
-def _blocks(m: RadialSymbol, width: int):
-    # m's spatial cells in C order, in blocks of at most _GATHER samples
-    # over width tau columns, each gathered as m.rows[m.scatter[block], :width]
+def _blocks(cells: int, width: int):
+    # slices of a run of cells (a RadialSymbol's, in C order), in blocks of
+    # at most _GATHER samples over width tau columns, each gathered as
+    # m.rows[scatter[block], :width]
     step = max(1, _GATHER // width)
-    return (slice(start, start + step) for start in range(0, m.scatter.size, step))
+    return (slice(start, start + step) for start in range(0, cells, step))
 
 
 def _multiply(spectrum: np.ndarray, m, out: np.ndarray | None = None) -> np.ndarray:
@@ -341,7 +344,7 @@ def _multiply(spectrum: np.ndarray, m, out: np.ndarray | None = None) -> np.ndar
     if out is None:
         out = np.empty_like(spectrum)
     src, dst = spectrum.reshape(-1, width), out.reshape(-1, width)
-    for c in _blocks(m, width):
+    for c in _blocks(m.scatter.size, width):
         np.multiply(src[c], m.rows[m.scatter[c], :width], out=dst[c])
     return out
 
@@ -393,12 +396,90 @@ class _Inverse:
     def part(self, a: int, b: int) -> np.ndarray:
         # elements a..b-1 of the output in C order, as one row (1, b - a):
         # only the rows that hold them are transformed
-        w = self._width
-        first = a // w
-        rows = self._buf.reshape(-1, self._buf.shape[-1])[first:-(-b // w)]
+        held, cut = _span(a, b, self._width)
+        rows = self._buf.reshape(-1, self._buf.shape[-1])[held]
         if self._real:
-            rows = np.fft.irfft(rows, w, axis=-1)
-        return rows.reshape(1, -1)[:, a - first * w:b - first * w]
+            rows = np.fft.irfft(rows, self._width, axis=-1)
+        return rows.reshape(1, -1)[:, cut]
+
+
+def _span(a: int, b: int, width: int) -> tuple:
+    # the rows of an array of the given row width that hold its elements
+    # a..b-1 (C order), and where those elements sit in the rows flattened
+    first = a // width
+    return slice(first, -(-b // width)), slice(a - first * width, b - first * width)
+
+
+def _is_even(f) -> bool:
+    # whether f is a SeparableField whose factors equal their reflections
+    # on every axis to the last bit: sample k of an axis equals sample
+    # N - k (mod N), the point at -x, one comparison per axis
+    if not isinstance(f, SeparableField):
+        return False
+    axes = [np.moveaxis(f.space, k, 0) for k in range(f.space.ndim)] + [f.time]
+    return all(np.array_equal(a[1:], a[:0:-1]) for a in axes)
+
+
+def _orthant_spectrum(f: SeparableField) -> np.ndarray:
+    # the spectrum of an even member (_is_even) on the nonnegative orthant,
+    # frequencies 0..N/2 of every axis: the product of its factors'
+    # transforms there, which are real (their imaginary parts, rounding
+    # noise, are dropped), in one fresh float64 array
+    half = (slice(0, f.grid.space.points // 2 + 1),) * f.grid.space.n
+    return np.multiply(np.fft.fftn(f.space)[half].real[..., None], np.fft.rfft(f.time).real)
+
+
+class _Orthant:
+    # the output of an even member f (_is_even) under a RadialSymbol m on
+    # the nonnegative orthant of f's grid, samples 0..N/2 of each spatial
+    # axis and 0..N_t/2 of time: a real spectrum even on every axis times
+    # a real m even on every axis is the transform of an output that is
+    # even on every axis, sample N - k equal to sample k, so the orthant
+    # fixes the rest.  The spectrum is formed on the orthant alone
+    # (_orthant_spectrum) and m multiplied in, a block of cells at a time;
+    # each spatial axis is inverted here by irfft of its real even half,
+    # a slab at a time, keeping the first half in place.  As _Inverse
+    # does, the time axis is inverted on request over the rows that hold
+    # a range of the orthant (part); weight gives each of those elements'
+    # multiplicity in the full grid, the product over the axes of 1 on an
+    # axis's end samples 0 and N/2, which are their own reflections, and
+    # 2 inside
+
+    def __init__(self, f: SeparableField, m: RadialSymbol):
+        g = f.grid
+        n, points = g.space.n, g.space.points
+        buf = _orthant_spectrum(f)
+        half, width = points // 2 + 1, buf.shape[-1]
+        cells = m.scatter.reshape(g.space.shape)[(slice(0, half),) * n].ravel()
+        flat = buf.reshape(-1, width)
+        for c in _blocks(cells.size, width):
+            flat[c] *= m.rows[cells[c], :width]
+        for k in range(n):
+            s = 0 if k else 1  # the slabs run along another axis than k
+            step = max(1, _GATHER * buf.shape[s] // buf.size)
+            first_half = (slice(None),) * k + (slice(0, half),)
+            for a in range(0, buf.shape[s], step):
+                slab = buf[(slice(None),) * s + (slice(a, a + step),)]
+                slab[...] = np.fft.irfft(slab, points, axis=k)[first_half]
+        self._buf, self._length, self.size = flat, g.t_points, buf.size
+        # the multiplicities along one spatial axis, of each row and of
+        # each time column
+        along = np.r_[1.0, np.full(half - 2, 2.0), 1.0]
+        self._rows = np.ones(1)
+        for _ in range(n):
+            self._rows = np.multiply.outer(self._rows, along).ravel()
+        self._columns = np.r_[1.0, np.full(width - 2, 2.0), 1.0]
+
+    def part(self, a: int, b: int) -> np.ndarray:
+        # orthant elements a..b-1 in C order, as one row (1, b - a)
+        held, cut = _span(a, b, self._columns.size)
+        rows = np.fft.irfft(self._buf[held], self._length, axis=-1)[:, :self._columns.size]
+        return rows.reshape(1, -1)[:, cut]
+
+    def weight(self, a: int, b: int) -> np.ndarray:
+        # the multiplicities of part(a, b)'s elements, in its shape
+        held, cut = _span(a, b, self._columns.size)
+        return np.multiply.outer(self._rows[held], self._columns).reshape(1, -1)[:, cut]
 
 
 class _HeldSpectrum:
@@ -447,7 +528,7 @@ class _HeldSpectrum:
         buf = flat.reshape(power.shape)
         sums = []
         for s in (d, m):
-            for c in _blocks(s, power.shape[-1]):
+            for c in _blocks(s.scatter.size, power.shape[-1]):
                 flat[c] = s.rows[s.scatter[c], :power.shape[-1]]
             buf *= buf
             buf *= power
@@ -497,6 +578,9 @@ def real_symbol_apply(samples):
     apply(m0)|| / ||apply(m0)|| in the L2 norm (the numerator alone when
     apply(m0) is zero), by Parseval on the held spectrum with no inverse
     transform.  Callers check that m fits the samples; this does not.
+    This is the one apply of every output that is formed; a ratio ladder
+    measures the output of a SeparableField that is even on every axis
+    on the nonnegative orthant alone (_Orthant), without it.
     """
     return _HeldSpectrum(samples)
 

@@ -5,6 +5,7 @@ import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -125,6 +126,36 @@ def test_region_two_is_self_dual(ip):
         return
     dual = classify_exponents(ExponentPoint(1.0 - pt.inv_q, 1.0 - pt.inv_p, alpha, n))
     assert dual is Region.REGION_II
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_label_is_self_dual_on_exact_rationals(n):
+    # on the scaling line 1/p - 1/q = alpha/n the dual point (1 - 1/q,
+    # 1 - 1/p) lies on the same line, and 1/p -> 1 + alpha/n - 1/p swaps
+    # the window's ends and Region II's ends, so a point and its dual carry
+    # one label.  Every point of a rational grid, its ends included, is
+    # formed in exact arithmetic; both points are classified by
+    # classify_exponents and by the rational rederivation
+    den = 24
+    seen = set()
+    for a in range(1, den * n):
+        alpha = Fraction(a, den)
+        for k in range(1, den):
+            inv_p = Fraction(k, den)
+            inv_q = inv_p - alpha / n
+            if not 0 < inv_q < 1:
+                continue
+            labels = set()
+            for x, y in ((inv_p, inv_q), (1 - inv_q, 1 - inv_p)):
+                pt = ExponentPoint(float(x), float(y), float(alpha), n)
+                labels |= {classify_exponents(pt).value,
+                           oracles.classify_reference(pt.inv_p, pt.inv_q, pt.alpha, n)}
+            assert len(labels) == 1, (alpha, inv_p, labels)
+            seen |= labels
+    # at n = 1 the window (alpha, 1) is the whole of the line inside the
+    # unit square, so no point of it lies outside
+    want = {"Boundary", "OutsideNecessary", "RegionI", "RegionII", "OpenGap"}
+    assert seen == (want - {"OutsideNecessary"} if n == 1 else want)
 
 
 # ---------------------------------------------------------------------------
@@ -1211,24 +1242,37 @@ def _ladder_members():
     return members, ["a", "b", "c", "d", "e"]
 
 
+def _assert_generic_ratios(got, members, m, inv_p, inv_q):
+    # got against lp_norm(apply_symbol(f, m), q) / lp_norm(f, p) member by
+    # member: bit for bit for a member of the generic route, and within
+    # the separable-member bound for one that is even on every axis, whose
+    # ladder measures the output's nonnegative orthant alone
+    assert len(got) == len(members)
+    for ratio, member in zip(got, members):
+        f = member() if callable(member) else member
+        want = lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
+        if fields._is_even(f):
+            assert ratio == pytest.approx(want, rel=4e-15, abs=0.0)
+        else:
+            assert ratio == want
+
+
 def test_ratio_ladder_is_the_generic_ratio_bit_for_bit():
+    # every member but the even separable one (the last) bit for bit
     m = _ladder_symbol()
     members, labels = _ladder_members()
+    assert [fields._is_even(f() if callable(f) else f) for f in members] == [False] * 4 + [True]
     probes = [(0.7, 0.3), (0.7, 0.35), (0.6, 0.2)]
     copies = [f.samples.copy() for f in members if not callable(f)]
     for pool_map in (None, lambda fn, items: [fn(it) for it in reversed(items)][::-1]):
         stats = ratio_ladder(m, probes, members, labels, pool_map=pool_map)
         assert len(stats) == len(probes)
         for (inv_p, inv_q), st in zip(probes, stats):
-            want = []
-            for member in members:
-                f = member() if callable(member) else member
-                want.append(lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p))
-            assert st.ratios == tuple(want)
+            _assert_generic_ratios(st.ratios, members, m, inv_p, inv_q)
             assert st.labels == tuple(labels)
-            assert st.maximum == max(want)
-            assert st.median == float(np.median(want))
-            assert st.mean == float(np.mean(want))
+            assert st.maximum == max(st.ratios)
+            assert st.median == float(np.median(st.ratios))
+            assert st.mean == float(np.mean(st.ratios))
     # the members the caller holds are left as they were
     held = [f.samples for f in members if not callable(f)]
     assert held[1].dtype == np.complex128
@@ -1245,10 +1289,8 @@ def test_ratio_ladder_takes_its_q_norms_as_the_output_is_made(grid):
                ens.wave_packet(grid, 1.0, k_x=0.5, k_t=0.25)]
     probes = [(0.7, 0.3), (0.6, 0.3), (0.9, 0.5), (0.55, 0.15)]
     stats = ratio_ladder(m, probes, members)
-    outputs = [apply_symbol(f, m) for f in members]
     for (inv_p, inv_q), st in zip(probes, stats):
-        assert st.ratios == tuple(lp_norm(out, 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
-                                  for out, f in zip(outputs, members))
+        _assert_generic_ratios(st.ratios, members, m, inv_p, inv_q)
 
 
 def test_ratio_ladder_guards():
@@ -1280,6 +1322,19 @@ def test_ratio_ladder_guards():
         ratio_ladder(m, [(0.7, 0.3)], [SpacetimeField(f.grid, f.samples, SPECTRAL)])
 
 
+def _spy_on_the_transforms(monkeypatch, seen):
+    # every forward transform of a ratio ladder member runs through
+    # fields._spectrum (the generic route) or fields._orthant_spectrum (an
+    # even separable member's); records (route, seen(member)) in order
+    transformed = []
+    for route, name in (("spectrum", "_spectrum"), ("orthant", "_orthant_spectrum")):
+        def spy(samples, route=route, transform=getattr(fields, name)):
+            transformed.append((route, seen(samples)))
+            return transform(samples)
+        monkeypatch.setattr(fields, name, spy)
+    return transformed
+
+
 @pytest.mark.parametrize("kind", ["field", "builder", "complex", "separable"])
 def test_ratio_ladder_refuses_a_zero_norm_member_before_any_transform(monkeypatch, kind):
     m = _ladder_symbol()
@@ -1294,14 +1349,14 @@ def test_ratio_ladder_refuses_a_zero_norm_member_before_any_transform(monkeypatc
         zeros = np.zeros(g.shape, np.complex128 if kind == "complex" else np.float64)
         zero = SpacetimeField(g, zeros)
         member = (lambda: zero) if kind == "builder" else zero
-    transformed = []
-    spectrum = fields._spectrum
-    monkeypatch.setattr(fields, "_spectrum",
-                        lambda samples: transformed.append(type(samples)) or spectrum(samples))
+    transformed = _spy_on_the_transforms(monkeypatch, type)
     with pytest.raises(ValueError, match="zero norm"):
         ratio_ladder(m, [(0.7, 0.3)], [first, member])
-    # the first member's transform, not the zero one's
-    assert transformed == [SeparableField if kind == "separable" else np.ndarray]
+    # the first member's transform, not the zero one's: a separable first
+    # member is the reference Gaussian, even on every axis, so its
+    # transform is the orthant's
+    assert transformed == [("orthant", SeparableField) if kind == "separable"
+                           else ("spectrum", np.ndarray)]
 
 
 def test_ratio_ladder_refuses_a_non_finite_norm(monkeypatch):
@@ -1312,17 +1367,14 @@ def test_ratio_ladder_refuses_a_non_finite_norm(monkeypatch):
     g = _LADDER_GRID
     first = ens.separable_gaussian(g, 1.0)
     huge = SeparableField(g, np.full(g.space.shape, 1e200), np.full(g.t_points, 1e200))
-    transformed = []
-    spectrum = fields._spectrum
-    monkeypatch.setattr(fields, "_spectrum",
-                        lambda samples: transformed.append(samples) or spectrum(samples))
+    transformed = _spy_on_the_transforms(monkeypatch, lambda samples: samples)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="member with a non-finite norm"):
             ratio_ladder(m, [(0.7, 0.3)], [first, huge])
-        assert len(transformed) == 1 and transformed[0] is first
+        assert transformed == [("orthant", first)]
         with pytest.raises(ValueError, match="output with a non-finite norm"):
             ratio_ladder(RadialSymbol(g, m.rows * 1e300), [(0.7, 0.3)], [first])
-    assert len(transformed) == 2
+    assert transformed == [("orthant", first)] * 2
 
 
 def test_ratio_probes_are_one_ladder_and_its_verdicts_bit_for_bit():
@@ -1355,9 +1407,10 @@ def test_ratio_probes_are_one_ladder_and_its_verdicts_bit_for_bit():
     SpacetimeGrid(Grid(2, 32, 16.0), 32, 16.0),
 ], ids=["256^2", "1024^2", "32^3"])
 def test_a_separable_member_agrees_with_its_materialized_field(grid):
-    # the factored route (1-d transforms and factor norms) against the
-    # generic one on the outer product; measured worst cases over these
-    # grids: spectrum 5.2e-16 of max |X|, p-norms 4.4e-16, ratios 4.6e-16
+    # the factored route (1-d transforms and factor norms, and the
+    # ladder's orthant route) against the generic one on the outer
+    # product; measured worst cases over these grids: spectrum 5.2e-16 of
+    # max |X|, p-norms 4.4e-16, ratios 4.4e-16
     widths = (0.25, 0.5, 1.0, 2.0, 4.0)
     inv_ps = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
     for width in widths:
@@ -1377,6 +1430,40 @@ def test_a_separable_member_agrees_with_its_materialized_field(grid):
                                             for w in widths])
     for a, b in zip(factored, materialized):
         np.testing.assert_allclose(a.ratios, b.ratios, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("grid", [_OUTPUT_GRIDS["64^3"], *(
+    SpacetimeGrid(Grid(n, points, extent), points, extent)
+    for n, points, extent in ((1, 256, 32.0), (1, 1024, 64.0), (2, 32, 16.0)))],
+    ids=["64^3", "256^2", "1024^2", "32^3"])
+def test_a_ladder_measures_an_even_member_on_its_orthant(monkeypatch, grid):
+    # the reference Gaussians are even on every axis and take the orthant
+    # route, within the separable bound of their materialized fields'
+    # ratios.  The same member with a factor rolled by one sample, and at
+    # n = 2 one even under x -> -x but not under one axis's reflection,
+    # fail the check and take the generic route, bit for bit
+    n = grid.space.n
+    m = _output_symbol(grid)
+    probes = [(0.7, 0.3), (0.6, 0.2), (0.9, 0.5)]
+    widths = (0.25, 0.5, 1.0, 2.0, 4.0)
+    materialized = ratio_ladder(m, probes, [partial(ens.gaussian_spacetime, grid, w)
+                                            for w in widths])
+    even = [ens.separable_gaussian(grid, w) for w in widths]
+    ref = even[2]
+    uneven = [SeparableField(grid, ref.space, np.roll(ref.time, 1)),
+              SeparableField(grid, np.roll(ref.space, 1, axis=n - 1), ref.time)]
+    if n == 2:
+        u, v = np.meshgrid(grid.space.axis(), grid.space.axis(), indexing="ij", sparse=True)
+        skew = np.exp(-np.pi * ((u - v) ** 2 / 4.0 + (u + v) ** 2))
+        assert np.array_equal(skew[1:, 1:], skew[:0:-1, :0:-1])
+        uneven.append(SeparableField(grid, skew, ref.time))
+    transformed = _spy_on_the_transforms(monkeypatch, lambda f: f)
+    stats = ratio_ladder(m, probes, even + uneven)
+    assert transformed == [("orthant", f) for f in even] + [("spectrum", f) for f in uneven]
+    for (inv_p, inv_q), st, want in zip(probes, stats, materialized):
+        np.testing.assert_allclose(st.ratios[:len(even)], want.ratios, rtol=4e-15, atol=0.0)
+        assert st.ratios[len(even):] == tuple(
+            lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p) for f in uneven)
 
 
 def test_separable_member_guards():

@@ -519,15 +519,21 @@ def test_scan_region_ratios_are_shared_per_alpha_and_worker_independent(tmp_path
     for name in ("report.json", "records.csv", "scan.csv"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
-    # every probe equals the one-probe-at-a-time ratio ladder exactly
+    # every probe equals the one-probe-at-a-time ratio ladder exactly, and
+    # the generic ratio of each member within the bound of the orthant
+    # route that the even reference Gaussians take
     grid = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
     quad = cw.RadialQuadrature.for_grid(grid)
     deltas = (0.5, 1.0, 2.0)
     family = [ens.separable_gaussian(grid, d) for d in deltas]
     for row in probed:
         m = cw.symbol(grid, cw.KernelSpec(float(row["alpha"]), 1), quad)
-        p, q = 1.0 / float(row["inv_p"]), 1.0 / float(row["inv_q"])
-        ratios = [lp_norm(cw.apply_symbol(f, m), q) / lp_norm(f, p) for f in family]
+        inv_p, inv_q = float(row["inv_p"]), float(row["inv_q"])
+        [stats] = cw.ratio_ladder(m, [(inv_p, inv_q)], family)
+        ratios = stats.ratios
+        generic = [lp_norm(cw.apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
+                   for f in family]
+        np.testing.assert_allclose(ratios, generic, rtol=4e-15, atol=0.0)
         assert row["ratio_max"] == repr(max(ratios))
         assert row["ratio_spread"] == repr(max(ratios) / min(ratios))
 
@@ -840,8 +846,13 @@ def test_norm_test_is_worker_independent_and_matches_width_by_width(tmp_path, mo
     m = cw.symbol(grid, spec, quad, path)
     got = {r["name"]: r["value"] for r in read_report(outs[1])["records"]}
     for d in (0.5, 1.0, 2.0, 4.0):
+        # the library's ladder of this width alone exactly, and the generic
+        # ratio within the bound of the orthant route the even member takes
         f = ens.separable_gaussian(grid, d)
-        want = lp_norm(cw.apply_symbol(f, m), 1.0 / (0.7 - 0.4)) / lp_norm(f, 1.0 / 0.7)
+        [stats] = cw.ratio_ladder(m, [(0.7, 0.7 - 0.4)], [f])
+        want = stats.ratios[0]
+        generic = lp_norm(cw.apply_symbol(f, m), 1.0 / (0.7 - 0.4)) / lp_norm(f, 1.0 / 0.7)
+        assert want == pytest.approx(generic, rel=4e-15, abs=0.0)
         assert got[f"ratio at width {d:g}"] == want
 
 
@@ -851,12 +862,15 @@ def _zero_member(grid, width):
 
 
 def _spy_on_the_forward_transform(monkeypatch):
-    # every transform of a ratio ladder member, of its samples or of a
-    # separable member's factors, runs through fields._spectrum
+    # every transform of a ratio ladder member runs through fields._spectrum,
+    # of its samples or of a separable member's factors, or through
+    # fields._orthant_spectrum, of an even separable member's factors
     transformed = []
-    spectrum = fields._spectrum
-    monkeypatch.setattr(fields, "_spectrum",
-                        lambda samples: transformed.append(samples.shape) or spectrum(samples))
+    for name in ("_spectrum", "_orthant_spectrum"):
+        def spy(samples, transform=getattr(fields, name)):
+            transformed.append(samples.shape)
+            return transform(samples)
+        monkeypatch.setattr(fields, name, spy)
     return transformed
 
 
@@ -881,28 +895,32 @@ def test_scan_region_refuses_a_zero_norm_member_before_applying(tmp_path, monkey
 
 
 # a norm-test box, the size of one float64 field on it, the share of a
-# field that its symbol's rows take, and the margin over the rows and one
-# field per worker
+# field that its symbol's rows take, the share a member in flight takes
+# (its orthant and its leaves), and the margin over the rows and one
+# member per worker
 _PEAK_BOXES = {
-    "n1-512^2": ("points = 512\nt_points = 512\n", 512**2 * 8, 0.5, 0.75),
-    "n2-64^3": ("n = 2\npoints = 64\nt_points = 64\n", 64**3 * 8, 0.125, 1.1),
+    "n1-512^2": ("points = 512\nt_points = 512\n", 512**2 * 8, 0.5, 0.75, 0.4),
+    "n2-64^3": ("n = 2\npoints = 64\nt_points = 64\n", 64**3 * 8, 0.125, 0.75, 0.3),
 }
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("box", sorted(_PEAK_BOXES))
 def test_norm_test_peak_is_the_rows_and_one_field_per_worker(tmp_path, box, jobs):
-    # the default ladder of five widths: a member in flight holds its
-    # spectrum, one array of a float64 field's size, and the leaves of its
-    # output as they are reduced; the symbol's rows are one more, half a
-    # field at n = 1 and an eighth of one on 64^3.  The margin covers the
-    # leaves and the leading inverse's scratch, and at n = 2 also the
-    # profile's evaluation on the (nodes x distinct |xi|) table, which is
-    # the peak at --jobs 1.  A first run leaves the imports out of the
-    # trace.  Measured: 1.79 and 2.94 to 2.98 fields on 512^2 at --jobs 1
-    # and 2, 2.15 and 2.67 on 64^3.  A whole-grid symbol read 2.28 and
-    # 3.35 to 3.43 on 512^2, 2.50 and 3.56 to 3.66 on 64^3
-    config, field, rows, margin = _PEAK_BOXES[box]
+    # the default ladder of five widths, reference Gaussians even on every
+    # axis: a member in flight holds the output's nonnegative orthant, a
+    # quarter of a float64 field at n = 1 and about an eighth on 64^3,
+    # and the leaves of its inverse as they are made and reduced, which
+    # on these small boxes take about half a field more.  The symbol's
+    # rows are half a field at n = 1 and an eighth of one on 64^3.  The
+    # margin covers the symbol's build, whose profile evaluation on a
+    # block of the (nodes x distinct |xi|) table is the peak at --jobs 1.
+    # A first run leaves the imports out of the trace.  Measured: 1.61
+    # and 1.70 to 1.80 fields on 512^2 at --jobs 1 and 2, 1.11 and 1.27
+    # to 1.49 on 64^3.  A member that held its whole spectrum, with the
+    # profile evaluated in one call, read 1.79 and 2.92 to 3.05 on
+    # 512^2, 2.15 and 2.72 on 64^3
+    config, field, rows, worker, margin = _PEAK_BOXES[box]
     config = "[norm-test]\n" + config
     assert run(tmp_path, "--jobs", str(jobs), "norm-test", config=config, name="warm")[0] in (0, 2)
     started = not tracemalloc.is_tracing()
@@ -915,7 +933,7 @@ def test_norm_test_peak_is_the_rows_and_one_field_per_worker(tmp_path, box, jobs
         if started:
             tracemalloc.stop()
     assert code in (0, 2)
-    assert peak <= (rows + jobs + margin) * field, peak / field
+    assert peak <= (rows + jobs * worker + margin) * field, peak / field
 
 
 @pytest.mark.parametrize("inv_q", ["1.5", "0.0"])

@@ -366,7 +366,8 @@ def test_symbol_off_the_cone_is_the_truncated_radial_integral(alpha):
 def test_symbol_peak_stays_within_the_per_cell_footprint():
     # the product over the distinct |xi| holds the table, the phases and
     # the rows, against the (nodes x cells) gather of the per-cell
-    # contraction
+    # contraction; the profile runs on blocks of the table.  Measured:
+    # 0.945 of the per-cell peak on this 1024^2 grid
     g, spec = _CONTRACTION_GRIDS["norm-test"]
     quad = RadialQuadrature.for_grid(g)
     peaks = []
@@ -377,7 +378,7 @@ def test_symbol_peak_stays_within_the_per_cell_footprint():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= peaks[1], peaks
+    assert peaks[0] <= 0.96 * peaks[1], peaks
 
 
 def test_symbol_and_apply_symbol_guards():
