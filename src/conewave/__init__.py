@@ -44,7 +44,6 @@ from .fields import (
 from .conop import (
     RadialQuadrature,
     UnderResolvedWarning,
-    apply_symbol,
     convergence_check,
     symbol,
     symbol_applier,

@@ -13,11 +13,11 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .conop import RadialQuadrature, _radial_symbol, _single_apply
+from .conop import RadialQuadrature, _radial_symbol, symbol_applier
 from .ensembles import separable_gaussian
 from .fields import PHYSICAL, DomainTagError, Field, SeparableField, SpacetimeField
 from .kernel import KernelSpec, omega_hat
@@ -169,10 +169,10 @@ def lp_norm(f, p: float) -> float:
 def _lp(source, ps, cell_volume: float, by_row: bool = False) -> list:
     # the one Lp reduction: source's p-norm for each p of ps, in order, as
     # numpy scalars.  source is an array, taken in memory order, or an
-    # inverse in progress (real_symbol_apply's last, or an even member's
-    # fields._Orthant), whose output is made a part at a time and never
-    # formed whole; a source with a weight(a, b) counts each element of
-    # part(a, b) that many times, so an orthant's sums are the full grid's.
+    # output in progress (real_symbol_apply's last), made a part at a time
+    # and never formed whole; a source with a weight(a, b) counts each
+    # element of part(a, b) that many times, so an orthant's sums are the
+    # full grid's.
     # With by_row, source is an array and each norm is an array of one
     # norm per leading index.  _power_sums gives np.sum's sums bit for
     # bit, and the last step keeps the numpy form of the whole-array
@@ -904,28 +904,16 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     comes, so a ladder need not hold its whole family.  m must be a
     fields.RadialSymbol (a bare array is refused with TypeError), and
     each member must be a physical-domain field on m's grid.  Each member
-    is built and its p-norms are taken (once per distinct p).  It is then
-    checked and transformed by the helper that apply_symbol runs, m is
-    multiplied into its spectrum in place, and the spectrum is transformed
-    back a leaf of rows at a time, each leaf adding to the q-norm of every
-    distinct q, so the output is never formed.  A member in flight holds
-    its samples and its spectrum while it is transformed, and then its
-    spectrum alone, with a few leaf-sized arrays; a separable member's
-    p-norms and spectrum come from its factors.  Such a ratio is
-    lp_norm(apply_symbol(f, m), q) / lp_norm(f, p), bit for bit.
-
-    A separable member whose factors equal their reflections on every
-    axis to the last bit (sample k equals sample N - k, as the
-    reference Gaussian's do) takes a second route, by that property
-    alone: its spectrum is real and even on every axis, and so is m, so
-    its output is even on every axis and fixed by the nonnegative orthant
-    of the grid, samples 0..N/2 of each axis.  The ladder forms the
-    spectrum, inverts it and takes the q-norms on that orthant alone
-    (fields._Orthant), counting each sample as often as it occurs in the
-    full grid: 2^(number of axes on which it is not an end sample, 0 or
-    N/2).  That member in flight holds an orthant, about 1/2^(n+1) of a
-    field, and its ratios agree with the materialized field's within a
-    few units in the last place, not bit for bit.
+    is built and its p-norms are taken (once per distinct p).  Its output
+    is conop.symbol_applier(f).last(m), whose rows come back a leaf at a
+    time, each leaf adding to the q-norm of every distinct q, so a member
+    in flight holds its samples and its spectrum while it is transformed,
+    then its spectrum alone, with a few leaf-sized arrays.  Such a ratio
+    is the q-norm of symbol_applier(f)(m) by lp_norm over lp_norm(f, p),
+    bit for bit, but for a separable member even on every axis (the
+    reference Gaussian), whose output fields.real_symbol_apply measures
+    on the nonnegative orthant, about 1/2^(n+1) of a field: within a few
+    units in the last place.
 
     pool_map(fn, members), when given, runs fn over the members in place
     of the in-order loop (to spread them over workers) and must return
@@ -962,12 +950,9 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
         if not all(math.isfinite(v) for v in norms.values()):
             raise ValueError("family member with a non-finite norm")
         cell = f.cell_volume
-        if _fields._is_even(f):
-            apply = partial(_fields._Orthant, f, _radial_symbol(m, f.grid))
-        else:
-            apply = _single_apply(f, m)
-        del f  # the spectrum replaces the samples
-        out_norms = dict(zip(distinct_qs, _lp(apply(), distinct_qs, cell)))
+        apply = symbol_applier(f)
+        del f  # the applier's spectrum replaces the samples
+        out_norms = dict(zip(distinct_qs, _lp(apply.last(m), distinct_qs, cell)))
         if not all(math.isfinite(v) for v in out_norms.values()):
             raise ValueError("operator output with a non-finite norm")
         return [float(out_norms[q]) / norms[p] for p, q in zip(ps, qs)]

@@ -156,6 +156,16 @@ def _to_float(cfg, sec, key) -> float:
         raise ConfigError(f"[{sec}] {key} must be a number, got {raw!r}")
 
 
+def _tolerance(cfg, sec, key) -> float:
+    # a gate or advisory tolerance: finite and > 0, since nan fails every
+    # comparison (and is no JSON number), inf passes every one, and a
+    # tolerance <= 0 fails every nonzero difference
+    value = _to_float(cfg, sec, key)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"[{sec}] {key} must be finite and > 0, got {cfg[sec][key]!r}")
+    return value
+
+
 def _to_int(cfg, sec, key) -> int:
     raw = cfg[sec][key]
     try:
@@ -1107,6 +1117,8 @@ def cmd_op_apply(cfg, args) -> dict:
     in_path = cfg[sec]["input"]
     if not in_path:
         raise ConfigError("op-apply needs [op-apply] input = <field file>")
+    tol = _tolerance(cfg, sec, "convergence_tol")
+    cross_tol = 1e-3 if cfg[sec]["cross_tol"] == "auto" else _tolerance(cfg, sec, "cross_tol")
     try:
         field = load_field(in_path)
     except FileNotFoundError:
@@ -1185,7 +1197,6 @@ def cmd_op_apply(cfg, args) -> dict:
     ]
     del out_field
 
-    tol = _to_float(cfg, sec, "convergence_tol")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
         diag = convergence_check(apply, spec, quad, m, path=path, tol=tol)
@@ -1206,8 +1217,6 @@ def cmd_op_apply(cfg, args) -> dict:
         records.append(_rec(f"sensitivity {key}", value, None, True, prov, note))
 
     if cross != "none":
-        raw_tol = cfg[sec]["cross_tol"]
-        cross_tol = 1e-3 if raw_tol == "auto" else _to_float(cfg, sec, "cross_tol")
         try:
             rel = apply.relative_change(symbol(grid, spec, quad, cross), m)
         except (ValueError, TypeError) as exc:

@@ -9,17 +9,16 @@ Fourier domain that is one (n+1)-dimensional multiplier
 
 with the radial rule's one-sided (r > 0) weights w_j and completion mass
 c; the 2s fold the even r < 0 half onto r > 0.  It is assembled once by
-`symbol` and applied by `apply_symbol`, so a ladder of inputs on one
-grid pays for the symbol once; `symbol_applier` serves the converse, one
-input under several symbols, and pays for its transform once; it also
-measures the L2 distance between two symbols' outputs on the spectrum it
-holds, by Parseval, with no inverse transform.  The profile depends on
-|xi| alone, so the symbol is a fields.RadialSymbol, one row per distinct
-|xi| from one product of the profile table with the phases: even in xi
-by type and checked even in tau when it is built, so it equals its point
-reflection and the apply is a circular convolution
-(fields.real_symbol_apply).  Every apply refuses a symbol that is not a
-RadialSymbol on its input's grid.
+`symbol`, and `symbol_applier` is the one way it reaches a field: one
+input under several symbols pays for its transform once, and the
+applier measures the L2 distance between two symbols' outputs on the
+spectrum it holds, by Parseval, with no inverse transform.  The profile
+depends on |xi| alone, so the symbol is a fields.RadialSymbol, one row
+per distinct |xi| from one product of the profile table with the phases:
+even in xi by type and checked even in tau when it is built, so it
+equals its point reflection and the apply is a circular convolution
+(fields.real_symbol_apply, which also picks the route).  Every apply
+refuses a symbol that is not a RadialSymbol on its input's grid.
 
 Only the spatial profile P varies between the two evaluation paths, and
 the two profiles share no arithmetic, so each path cross-checks the other.
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -64,7 +62,6 @@ __all__ = [
     "apply_path",
     "symbol",
     "symbol_applier",
-    "apply_symbol",
     "convergence_check",
 ]
 
@@ -324,69 +321,50 @@ class _Applier:
     # what symbol_applier returns; see there
 
     def __init__(self, f: SpacetimeField):
-        self._samples = _checked_input(f)
+        self._held = real_symbol_apply(_checked_input(f))
         self.grid = f.grid
-        self._held = None
-
-    def _spectrum(self):
-        if self._held is None:
-            self._held = real_symbol_apply(self._samples)
-            self._samples = None  # the spectrum replaces the samples
-        return self._held
 
     def __call__(self, m: RadialSymbol) -> np.ndarray:
-        m = _radial_symbol(m, self.grid)
-        return self._spectrum()(m)
+        return self._held(_radial_symbol(m, self.grid))
+
+    def last(self, m: RadialSymbol):
+        return self._held.last(_radial_symbol(m, self.grid))
+
+    def relative_norm(self, d: RadialSymbol, m: RadialSymbol) -> float:
+        d, m = _radial_symbol(d, self.grid), _radial_symbol(m, self.grid)
+        return self._held.relative_norm(d, m)
 
     def relative_change(self, m1: RadialSymbol, m0: RadialSymbol) -> float:
         m1, m0 = _radial_symbol(m1, self.grid), _radial_symbol(m0, self.grid)
-        return self._spectrum().relative_change(m1, m0)
+        return self._held.relative_norm(RadialSymbol(self.grid, m1.rows - m0.rows), m0)
 
 
 def symbol_applier(f: SpacetimeField):
-    """apply(m), the samples of the operator with symbol m applied to f.
+    """apply(m), the samples of the operator with symbol m applied to f:
+    the one way a symbol reaches a spacetime field.
 
-    Each m must be a fields.RadialSymbol on f's grid, as symbol's are;
+    f is a physical spacetime field or a fields.SeparableField, checked
+    here and transformed by fields.real_symbol_apply on the first
+    request, after which the applier holds only its spectrum, not f; f is
+    left unchanged.  Each m must be a fields.RadialSymbol on f's grid:
     before any transform, a bare array is refused with TypeError and a
-    symbol of another grid with ValueError.  f is transformed by
-    fields.real_symbol_apply on the first apply, after which the applier
-    holds only its spectrum, not f.  Every further symbol costs one
-    inverse transform, of a product copy.  A real f (float64, or complex
-    with an all-zero imaginary part, or a fields.SeparableField) gives
-    float64 outputs, any other f complex128.  f is left unchanged.
+    symbol of another grid with ValueError.  Every further symbol costs
+    one inverse transform, of a product copy.  A real f (float64, complex
+    with an all-zero imaginary part, or separable) gives float64 outputs,
+    any other f complex128.
 
-    apply.relative_change(m1, m0) is ||apply(m1) - apply(m0)||_2 /
-    ||apply(m0)||_2 (the numerator alone when apply(m0) is zero),
-    measured on the held spectrum by Parseval with no inverse transform;
-    m1 and m0 pass the same checks as apply's m.  apply.grid is f's grid.
+    apply.last(m) is the single-use apply, real_symbol_apply's last: m is
+    multiplied into the spectrum in place and the output in progress is
+    returned, whose part(a, b) the caller streams (for most inputs its
+    whole() is apply(m), bit for bit; fields picks an even separable f's
+    orthant route).  Any later request raises RuntimeError.
+    apply.relative_norm(d, m) is ||apply(d)||_2 / ||apply(m)||_2 (the
+    numerator alone when apply(m) is zero) and apply.relative_change(m1,
+    m0) that ratio for d = m1 - m0, by Parseval on the held spectrum with
+    no inverse transform; every symbol passes apply's checks.
+    apply.grid is f's grid.
     """
     return _Applier(f)
-
-
-def apply_symbol(f: SpacetimeField, m: RadialSymbol) -> SpacetimeField:
-    """The operator with symbol m applied to f: symbol_applier(f)(m), bit
-    for bit, with the same checks.
-
-    Used once, the spectrum takes the product in place, so the apply
-    holds the spectrum and, for a real f, the output, and no product
-    copy.  A real f gives a float64 output field, a complex f a
-    complex128 one; the output array is wrapped as it is, without a copy.
-    f and m are left unchanged.
-    """
-    return SpacetimeField(f.grid, _single_apply(f, m)().whole(), PHYSICAL)
-
-
-def _single_apply(f: SpacetimeField, m: RadialSymbol):
-    # apply_symbol's checks, then f's forward transform: returns a
-    # zero-argument callable that multiplies m into the spectrum in place
-    # and gives the inverse in progress (real_symbol_apply's last), whose
-    # whole() is apply_symbol(f, m)'s samples, bit for bit.  The callable
-    # holds f's spectrum, not f, so a caller that drops f before calling
-    # it holds one array of f's size from then on, besides the output
-    # when it takes it whole
-    samples = _checked_input(f)
-    m = _radial_symbol(m, f.grid)
-    return partial(real_symbol_apply(samples).last, m)
 
 
 def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
@@ -406,11 +384,10 @@ def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
     density adds the midpoints and halves the weights of quad's nodes.
     So each refinement's change of the symbol, refined minus m, is
     assembled from the nodes it adds and the weights it moves alone, by
-    symbol's own assembly, and its size is measured against m's on f's
-    spectrum by Parseval, with no inverse transform; each change is a
-    RadialSymbol too.  A bad path is refused first, then m is checked as
-    apply checks a symbol, so a zero input, whose changes are 0.0, is
-    refused the same.  When the cap leaves no room above r_max the r_max
+    symbol's own assembly, as a RadialSymbol, and measured against m by
+    the applier's relative_norm.  A bad path is refused first, then m is
+    checked as apply checks a symbol, so a zero input, whose changes are
+    0.0, is refused the same.  When the cap leaves no room above r_max the r_max
     refinement does not run: its entry is None, not a zero sensitivity,
     and it does not count towards the verdict.  The report also holds
     "tolerance", the verdict "under_resolved", and "windows": for each
@@ -425,7 +402,7 @@ def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
     m = _radial_symbol(m, grid)
     rules = _refinements(quad, grid)
     diag = {
-        key: None if refined is None else apply._spectrum().relative_norm(
+        key: None if refined is None else apply.relative_norm(
             _refinement_change(grid, spec, profile, quad, refined, m), m)
         for key, refined in rules.items()
     }

@@ -14,8 +14,8 @@ Conventions, fixed once here and relied on everywhere else:
   circular convolution, so it needs neither a centering shift nor a
   spacing scale, and real inputs take real-input FFTs on the half
   spectrum of the last axis and stay real; the same held spectrum gives
-  the L2 distance between two symbols' outputs by Parseval, with no
-  inverse transform;
+  the L2 norm of one symbol's output relative to another's by Parseval,
+  with no inverse transform;
 * a spacetime symbol is a RadialSymbol: it depends on (|xi|, tau) alone,
   so it is held as one row per distinct |xi| and is even in xi by type;
   its rows are checked once, when it is built, to be real and even in
@@ -23,8 +23,8 @@ Conventions, fixed once here and relied on everywhere else:
 * a physical spacetime field that is a product space(x) time(t) may be
   held as its two factors (SeparableField), which real_symbol_apply
   transforms one factor at a time; when both factors are even on every
-  axis, so is the output under a RadialSymbol, and a ratio ladder forms
-  and measures its nonnegative orthant alone (_Orthant).
+  axis, so is the output under a RadialSymbol, and the single-use apply
+  (real_symbol_apply's last) forms its nonnegative orthant alone.
 
 The torus stands in for R^n: inputs are expected to decay well inside the
 box, and kernels enter through their exact continuum multipliers rather
@@ -431,19 +431,16 @@ def _orthant_spectrum(f: SeparableField) -> np.ndarray:
 
 class _Orthant:
     # the output of an even member f (_is_even) under a RadialSymbol m on
-    # the nonnegative orthant of f's grid, samples 0..N/2 of each spatial
-    # axis and 0..N_t/2 of time: a real spectrum even on every axis times
-    # a real m even on every axis is the transform of an output that is
-    # even on every axis, sample N - k equal to sample k, so the orthant
-    # fixes the rest.  The spectrum is formed on the orthant alone
-    # (_orthant_spectrum) and m multiplied in, a block of cells at a time;
-    # each spatial axis is inverted here by irfft of its real even half,
-    # a slab at a time, keeping the first half in place.  As _Inverse
-    # does, the time axis is inverted on request over the rows that hold
-    # a range of the orthant (part); weight gives each of those elements'
-    # multiplicity in the full grid, the product over the axes of 1 on an
-    # axis's end samples 0 and N/2, which are their own reflections, and
-    # 2 inside
+    # the nonnegative orthant of f's grid, samples 0..N/2 of every axis: a
+    # real spectrum and a real m, both even on every axis, give an output
+    # even on every axis, so the orthant fixes the rest.  The spectrum is
+    # formed on the orthant alone and m multiplied in, a block of cells at
+    # a time; each spatial axis is inverted here by irfft of its real even
+    # half, a slab at a time, keeping the first half in place, and the
+    # time axis on request over the rows that hold a range (part), as
+    # _Inverse does.  weight gives each element's multiplicity in the full
+    # grid: the product over the axes of 1 on an end sample (0 or N/2,
+    # its own reflection) and 2 inside
 
     def __init__(self, f: SeparableField, m: RadialSymbol):
         g = f.grid
@@ -483,53 +480,53 @@ class _Orthant:
 
 
 class _HeldSpectrum:
-    # what real_symbol_apply returns: the samples' spectrum, applied under
-    # any number of symbols, and the power |X|^2 (weighted for the half
-    # spectrum) that measures, by Parseval, the size of one symbol's output
-    # against another's (relative_norm) and so the distance between two
-    # symbols' outputs (relative_change), computed on the first such request
+    # what real_symbol_apply returns: the samples until the first request,
+    # then their spectrum in their place, and the power |X|^2 (weighted
+    # for the half spectrum) that relative_norm measures by Parseval, on
+    # the first such request.  last(m) gives both up
 
     def __init__(self, samples):
+        self._source = samples
         self._shape = samples.shape
         self._count = math.prod(samples.shape)
-        self._spectrum, self._real = _spectrum(samples)
-        self._power = None
+        self._spectrum = self._real = self._power = None
+
+    def _held(self) -> np.ndarray:
+        if self._spectrum is None:
+            if self._source is None:
+                raise RuntimeError("this apply's spectrum was given up to last(m); "
+                                   "make a new apply for another request")
+            self._spectrum, self._real = _spectrum(self._source)
+            self._source = None  # the spectrum replaces the samples
+        return self._spectrum
 
     def __call__(self, m) -> np.ndarray:
-        return _Inverse(_multiply(self._spectrum, m), self._shape, self._real).whole()
+        return _Inverse(_multiply(self._held(), m), self._shape, self._real).whole()
 
-    def last(self, m) -> _Inverse:
-        # self(m) before its last stage, with m multiplied into the spectrum
-        # in place instead of a copy: whole() is self(m), bit for bit, and
-        # part(a, b) gives the output a part at a time.  The spectrum is
-        # given up to the output, so nothing may follow
-        spectrum, self._spectrum = self._spectrum, None
+    def last(self, m):
+        # the orthant of an untransformed even member (_is_even) under a
+        # RadialSymbol, else self(m) before its last stage
+        if self._spectrum is None and isinstance(m, RadialSymbol) and _is_even(self._source):
+            source, self._source = self._source, None
+            return _Orthant(source, m)
+        spectrum = self._held()
+        self._spectrum = self._power = None
         return _Inverse(_multiply(spectrum, m, out=spectrum), self._shape, self._real)
-
-    def relative_change(self, m1: RadialSymbol, m0: RadialSymbol) -> float:
-        d = RadialSymbol(m0.grid, m1.rows - m0.rows)  # the symbol of the difference
-        return self._ratio(np.empty((d.scatter.size, self._weighted_power().shape[-1])), d, m0)
 
     def relative_norm(self, d: RadialSymbol, m: RadialSymbol) -> float:
         # ||self(d)|| / ||self(m)||, or the numerator alone when self(m) is
-        # zero.  A half spectrum lies in rows one column wider: np.sum adds
-        # that strided array in another order than a contiguous one, the
-        # order that convergence_check's sensitivities are summed in
-        half = self._weighted_power().shape[-1]
-        wide = np.empty((d.scatter.size, half + (half < self._shape[-1])))
-        return self._ratio(wide[:, :half], d, m)
-
-    def _ratio(self, flat: np.ndarray, d: RadialSymbol, m: RadialSymbol) -> float:
-        # sum |X|^2 d^2 over sum |X|^2 m^2 under its square root, by numpy's
-        # pairwise sum, not BLAS, so the value does not depend on the BLAS
-        # threads; d's and then m's half spectrum are gathered into flat,
-        # one row per spatial cell, the one buffer
+        # zero: sum |X|^2 d^2 over sum |X|^2 m^2 under its square root, by
+        # numpy's pairwise sum, not BLAS, so the value does not depend on
+        # the BLAS threads.  d's and then m's half spectrum are gathered
+        # into one contiguous buffer, one row per spatial cell
         power = self._weighted_power()
+        width = power.shape[-1]
+        flat = np.empty((d.scatter.size, width))
         buf = flat.reshape(power.shape)
         sums = []
         for s in (d, m):
-            for c in _blocks(s.scatter.size, power.shape[-1]):
-                flat[c] = s.rows[s.scatter[c], :power.shape[-1]]
+            for c in _blocks(s.scatter.size, width):
+                flat[c] = s.rows[s.scatter[c], :width]
             buf *= buf
             buf *= power
             sums.append(math.sqrt(float(buf.sum()) / self._count))
@@ -537,8 +534,8 @@ class _HeldSpectrum:
         return moved / scale if scale > 0.0 else moved
 
     def _weighted_power(self) -> np.ndarray:
+        spectrum = self._held()
         if self._power is None:
-            spectrum = self._spectrum
             power = np.square(spectrum.real)
             power += np.square(spectrum.imag)
             if self._real:
@@ -560,27 +557,29 @@ def real_symbol_apply(samples):
 
     Such an m is the transform of a real, even kernel, so applying it is a
     circular convolution: no shift pair, no spacing scale, and real
-    samples stay real.  Samples are transformed once, here, into one
-    buffer: float64 samples, and complex ones whose imaginary part is all
-    zero, by rfftn, coming back into float64 by irfftn's steps on the
-    tau >= 0 half of m; others by one complex pair on the full m, into
-    complex128.  A SeparableField's spectrum is fftn of its space factor
-    times rfft of its time factor, in one fresh half-spectrum buffer.
+    samples stay real.  Samples are transformed once, on the first
+    request, into one buffer that replaces them: float64 samples, and
+    complex ones whose imaginary part is all zero, by rfftn, coming back
+    into float64 by irfftn's steps on the tau >= 0 half of m; others by
+    one complex pair on the full m, into complex128.  A SeparableField's
+    spectrum is fftn of its space factor times rfft of its time factor.
     apply(m) multiplies into a copy of the spectrum, so the bits are those
     of irfftn(rfftn(samples) * m_half) (ifftn(fftn(samples) * m)) and the
-    spectrum serves the next m.  apply.last(m) multiplies into the
-    spectrum itself and gives it up, so it must be the last call; it
-    returns the inverse before its last stage, whose whole() is apply(m)
-    bit for bit and whose part(a, b) is elements a..b-1 of the output (C
-    order), from the rows that hold them.
+    spectrum serves the next m.
 
-    apply.relative_change(m1, m0), for RadialSymbols, is ||apply(m1) -
-    apply(m0)|| / ||apply(m0)|| in the L2 norm (the numerator alone when
-    apply(m0) is zero), by Parseval on the held spectrum with no inverse
-    transform.  Callers check that m fits the samples; this does not.
-    This is the one apply of every output that is formed; a ratio ladder
-    measures the output of a SeparableField that is even on every axis
-    on the nonnegative orthant alone (_Orthant), without it.
+    apply.last(m), the single-use apply, multiplies into the spectrum
+    itself, gives it up and returns the output in progress, whose
+    part(a, b) is elements a..b-1 of the output (C order), made from the
+    rows that hold them; its whole() is apply(m), bit for bit.  The route
+    is chosen here: untransformed samples that are a SeparableField whose
+    factors equal their reflections on every axis, under a RadialSymbol,
+    have an output even on every axis, and last(m) gives its nonnegative
+    orthant instead (_Orthant), whose weight(a, b) is each element's
+    multiplicity in the full grid.  apply.relative_norm(d, m), for
+    RadialSymbols, is ||apply(d)|| / ||apply(m)|| in the L2 norm (the
+    numerator alone when apply(m) is zero), by Parseval on the held
+    spectrum.  After last(m) every request raises RuntimeError.  Callers
+    check that m fits the samples; this does not.
     """
     return _HeldSpectrum(samples)
 

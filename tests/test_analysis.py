@@ -31,7 +31,6 @@ from conewave import (
     SpacetimeField,
     SpacetimeGrid,
     SteinWeissParams,
-    apply_symbol,
     boundedness_verdict,
     case_bound_check,
     classify_exponents,
@@ -48,6 +47,7 @@ from conewave import (
     stein_weiss_ratios,
     sw_derived_params,
     symbol,
+    symbol_applier,
 )
 from conewave.analysis import CaseFit, _lp
 from conewave.fields import PHYSICAL, SPECTRAL, DomainTagError, RadialSymbol
@@ -324,7 +324,7 @@ def test_lp_over_leaves_is_the_whole_array_reduction_bit_for_bit(grid):
     m = _output_symbol(grid)
     cell = grid.cell_volume
     for f in (ens.gaussian_spacetime(grid, 0.5), ens.wave_packet(grid, 0.5, k_x=1.0)):
-        out = apply_symbol(f, m).samples
+        out = symbol_applier(f)(m)
         want = [oracles.lp_reference(out, p, cell) for p in _LP_EXPONENTS]
         _assert_same_norms(_lp(out, _LP_EXPONENTS, cell), want)
         streamed = fields.real_symbol_apply(f.samples).last(m)
@@ -1242,15 +1242,20 @@ def _ladder_members():
     return members, ["a", "b", "c", "d", "e"]
 
 
+def _applied(f, m):
+    # the operator with symbol m on one member, wrapped as a field
+    return SpacetimeField(f.grid, symbol_applier(f)(m))
+
+
 def _assert_generic_ratios(got, members, m, inv_p, inv_q):
-    # got against lp_norm(apply_symbol(f, m), q) / lp_norm(f, p) member by
+    # got against lp_norm(_applied(f, m), q) / lp_norm(f, p) member by
     # member: bit for bit for a member of the generic route, and within
     # the separable-member bound for one that is even on every axis, whose
     # ladder measures the output's nonnegative orthant alone
     assert len(got) == len(members)
     for ratio, member in zip(got, members):
         f = member() if callable(member) else member
-        want = lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
+        want = lp_norm(_applied(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
         if fields._is_even(f):
             assert ratio == pytest.approx(want, rel=4e-15, abs=0.0)
         else:
@@ -1463,7 +1468,7 @@ def test_a_ladder_measures_an_even_member_on_its_orthant(monkeypatch, grid):
     for (inv_p, inv_q), st, want in zip(probes, stats, materialized):
         np.testing.assert_allclose(st.ratios[:len(even)], want.ratios, rtol=4e-15, atol=0.0)
         assert st.ratios[len(even):] == tuple(
-            lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p) for f in uneven)
+            lp_norm(_applied(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p) for f in uneven)
 
 
 def test_separable_member_guards():
@@ -1488,15 +1493,15 @@ def test_separable_member_guards():
         SeparableField(g, np.ones(g.shape), time)
     with pytest.raises(ValueError, match="shape"):
         SeparableField(g, space, np.ones(g.t_points // 2))
-    # it passes apply_symbol's symbol checks unchanged
+    # it passes symbol_applier's symbol checks unchanged
     m = _ladder_symbol()
     sep = ens.separable_gaussian(g, 1.0)
     with pytest.raises(TypeError, match="RadialSymbol"):
-        apply_symbol(sep, m.array())
+        symbol_applier(sep)(m.array())
     wide = SpacetimeGrid(Grid(1, 64, 32.0), 64, 16.0)
     with pytest.raises(ValueError, match="grid"):
-        apply_symbol(sep, symbol(wide, KernelSpec(0.4, 1), RadialQuadrature.for_grid(wide, 32)))
-    assert apply_symbol(sep, m).samples.dtype == np.float64
+        symbol_applier(sep)(symbol(wide, KernelSpec(0.4, 1), RadialQuadrature.for_grid(wide, 32)))
+    assert symbol_applier(sep)(m).dtype == np.float64
 
 
 def test_boundedness_verdicts():

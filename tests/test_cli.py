@@ -531,8 +531,8 @@ def test_scan_region_ratios_are_shared_per_alpha_and_worker_independent(tmp_path
         inv_p, inv_q = float(row["inv_p"]), float(row["inv_q"])
         [stats] = cw.ratio_ladder(m, [(inv_p, inv_q)], family)
         ratios = stats.ratios
-        generic = [lp_norm(cw.apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
-                   for f in family]
+        generic = [lp_norm(cw.SpacetimeField(grid, cw.symbol_applier(f)(m)), 1.0 / inv_q)
+                   / lp_norm(f, 1.0 / inv_p) for f in family]
         np.testing.assert_allclose(ratios, generic, rtol=4e-15, atol=0.0)
         assert row["ratio_max"] == repr(max(ratios))
         assert row["ratio_spread"] == repr(max(ratios) / min(ratios))
@@ -636,6 +636,30 @@ def test_op_apply_refuses_a_non_finite_input_before_any_work(tmp_path, monkeypat
     assert "non-finite" in capsys.readouterr().err
     assert not (out / "result.field").exists()
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["cross_tol", "convergence_tol"])
+def test_op_apply_refuses_a_tolerance_that_is_not_finite_and_positive(tmp_path, monkeypatch,
+                                                                     capsys, key):
+    # nan fails every comparison and is no JSON number, inf passes every
+    # one, and a tolerance <= 0 fails every nonzero difference; each is
+    # refused before the input is loaded, so nothing is transformed or
+    # written
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("loaded the input")
+
+    monkeypatch.setattr(cli, "load_field", never)
+    for bad in ("nan", "inf", "-inf", "-1", "0"):
+        code, out = run(tmp_path, "op-apply", name=f"{key}{bad}",
+                        config=f"[op-apply]\ninput = {field_path}\n{key} = {bad}\n")
+        assert code == 3, bad
+        assert f"{key} must be finite and > 0" in capsys.readouterr().err, bad
+        assert not (out / "result.field").exists()
+        assert not (out / "report.json").exists()
 
 
 def test_op_apply_refuses_a_spectral_field_file(tmp_path, capsys):
@@ -851,7 +875,8 @@ def test_norm_test_is_worker_independent_and_matches_width_by_width(tmp_path, mo
         f = ens.separable_gaussian(grid, d)
         [stats] = cw.ratio_ladder(m, [(0.7, 0.7 - 0.4)], [f])
         want = stats.ratios[0]
-        generic = lp_norm(cw.apply_symbol(f, m), 1.0 / (0.7 - 0.4)) / lp_norm(f, 1.0 / 0.7)
+        out = cw.SpacetimeField(grid, cw.symbol_applier(f)(m))
+        generic = lp_norm(out, 1.0 / (0.7 - 0.4)) / lp_norm(f, 1.0 / 0.7)
         assert want == pytest.approx(generic, rel=4e-15, abs=0.0)
         assert got[f"ratio at width {d:g}"] == want
 

@@ -12,17 +12,18 @@ import offcone_table
 import oracles
 import conewave.conop as conop
 import conewave.ensembles as ens
+import conewave.fields as fields
 import conewave.kernel as kernel
 from conewave import (
     ExponentPoint,
     Field,
     KernelSpec,
     RadialQuadrature,
+    SeparableField,
     SpacetimeField,
     SpacetimeGrid,
     Grid,
     UnderResolvedWarning,
-    apply_symbol,
     convergence_check,
     lp_norm,
     ratio_ladder,
@@ -39,10 +40,15 @@ def _grid(points=128, extent=32.0):
     return SpacetimeGrid(Grid(1, points, extent), points, extent)
 
 
+def _applied(f, m: RadialSymbol) -> SpacetimeField:
+    # the operator with symbol m on one input, wrapped as a field
+    return SpacetimeField(f.grid, symbol_applier(f)(m))
+
+
 def _apply(f: SpacetimeField, spec: KernelSpec, quad: RadialQuadrature,
            path: str = "multiplier") -> SpacetimeField:
     # the operator of one path on one input: its symbol, applied once
-    return apply_symbol(f, symbol(f.grid, spec, quad, path))
+    return _applied(f, symbol(f.grid, spec, quad, path))
 
 
 def _rel(a: SpacetimeField, b: SpacetimeField) -> float:
@@ -251,20 +257,20 @@ def test_cone_direct_agrees_in_two_dimensions():
         assert _rel(b, a) < 1e-10, alpha
 
 
-def test_symbol_and_apply_symbol_compose_the_paths():
+def test_symbol_and_symbol_applier_compose_the_paths():
     # a symbol built once serves every field on its grid, with the bits of
     # a symbol built for that field alone, and leaves its input untouched
     g = _grid(64)
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 32)
-    fields = [ens.gaussian_spacetime(g, 1.0), ens.wave_packet(g, 2.0, k_x=1.5)]
+    inputs = [ens.gaussian_spacetime(g, 1.0), ens.wave_packet(g, 2.0, k_x=1.5)]
     for path in ("multiplier", "cone-direct"):
         m = symbol(g, spec, quad, path)
-        for f in fields:
+        for f in inputs:
             keep = f.samples.copy()
-            out = apply_symbol(f, m)
+            out = symbol_applier(f)(m)
             assert np.array_equal(f.samples, keep)
-            assert np.array_equal(out.samples, _apply(f, spec, quad, path).samples)
+            assert np.array_equal(out, _apply(f, spec, quad, path).samples)
     assert np.array_equal(symbol(g, spec, quad).rows, symbol(g, spec, quad, "multiplier").rows)
     assert np.array_equal(symbol(g, spec).rows, symbol(g, spec, RadialQuadrature.for_grid(g)).rows)
 
@@ -381,7 +387,7 @@ def test_symbol_peak_stays_within_the_per_cell_footprint():
     assert peaks[0] <= 0.96 * peaks[1], peaks
 
 
-def test_symbol_and_apply_symbol_guards():
+def test_symbol_and_symbol_applier_guards():
     g = _grid(32, 16.0)
     f = ens.gaussian_spacetime(g, 1.0)
     spec = KernelSpec(0.4, 1)
@@ -392,9 +398,9 @@ def test_symbol_and_apply_symbol_guards():
         symbol(g, KernelSpec(1.0, 2), quad)
     m = symbol(g, spec, quad)
     with pytest.raises(DomainTagError):
-        apply_symbol(SpacetimeField(g, f.samples, SPECTRAL), m)
+        symbol_applier(SpacetimeField(g, f.samples, SPECTRAL))(m)
     with pytest.raises(TypeError):
-        apply_symbol(ens.gaussian(Grid(1, 32, 16.0)), m)
+        symbol_applier(ens.gaussian(Grid(1, 32, 16.0)))(m)
 
 
 def _complex_pair(f: SpacetimeField, m: RadialSymbol) -> np.ndarray:
@@ -424,16 +430,16 @@ _APPLY_GRIDS = {
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
-def test_apply_symbol_agrees_with_the_complex_pair(path, n, kind):
+def test_symbol_applier_agrees_with_the_complex_pair(path, n, kind):
     # the half-spectrum real-input apply against the full complex pair
     g, spec = _APPLY_GRIDS[n]
     m = symbol(g, spec, RadialQuadrature.for_grid(g, 32), path)
     f = _random_field(g, kind, 11 + n)
     keep = f.samples.copy()
-    out = apply_symbol(f, m)
+    out = symbol_applier(f)(m)
     assert np.array_equal(f.samples, keep)
     want = _complex_pair(f, m)
-    assert np.linalg.norm(out.samples - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(out - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def _complex_typed_real_apply(samples: np.ndarray, m: RadialSymbol) -> np.ndarray:
@@ -448,17 +454,17 @@ def _complex_typed_real_apply(samples: np.ndarray, m: RadialSymbol) -> np.ndarra
     return np.asarray(out, dtype=np.complex128)
 
 
-def test_apply_symbol_keeps_real_inputs_real():
+def test_symbol_applier_keeps_real_inputs_real():
     g, spec = _APPLY_GRIDS[1]
     m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
     for f in (_random_field(g, "real", 3), ens.gaussian_spacetime(g, 1.5),
               SpacetimeField(g, _random_field(g, "real", 4).samples.astype(np.complex128))):
-        out = apply_symbol(f, m)
-        assert out.samples.dtype == np.float64
+        out = symbol_applier(f)(m)
+        assert out.dtype == np.float64
         want = _complex_typed_real_apply(f.samples, m)
         assert np.all(want.imag == 0.0)
-        assert np.array_equal(out.samples, want.real)
-        assert np.any(out.samples != 0.0)
+        assert np.array_equal(out, want.real)
+        assert np.any(out != 0.0)
 
 
 _TWIN_GRIDS = {
@@ -490,13 +496,13 @@ def test_real_fields_report_the_numbers_of_their_complex_twins(name):
         assert f.samples.dtype == np.float64 and twin.samples.dtype == np.complex128
         for p in _TWIN_EXPONENTS:
             assert lp_norm(f, p) == lp_norm(twin, p), p
-        out, twin_out = apply_symbol(f, m), apply_symbol(twin, m)
-        assert np.array_equal(out.samples, twin_out.samples)
-        assert np.array_equal(out.samples, _complex_typed_real_apply(f.samples, m).real)
+        out, twin_out = symbol_applier(f)(m), symbol_applier(twin)(m)
+        assert np.array_equal(out, twin_out)
+        assert np.array_equal(out, _complex_typed_real_apply(f.samples, m).real)
     inv_p = 0.7
     inv_q = inv_p - spec.alpha / spec.n
     ratios = [ratio_ladder(m, [(inv_p, inv_q)], family)[0].ratios for family in (real, twins)]
-    want = tuple(lp_norm(apply_symbol(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p) for f in real)
+    want = tuple(lp_norm(_applied(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p) for f in real)
     assert ratios[0] == ratios[1] == want
 
 
@@ -520,8 +526,9 @@ def test_every_apply_refuses_a_bare_array_before_any_transform(monkeypatch, kind
     point = ExponentPoint(0.7, 0.7 - spec.alpha, spec.alpha, 1)
     _no_transforms(monkeypatch)
     apply = symbol_applier(f)
-    for call in (lambda: apply_symbol(f, bare), lambda: apply(bare),
+    for call in (lambda: apply(bare), lambda: apply.last(bare),
                  lambda: apply.relative_change(bare, m), lambda: apply.relative_change(m, bare),
+                 lambda: apply.relative_norm(bare, m), lambda: apply.relative_norm(m, bare),
                  lambda: convergence_check(f, spec, quad, bare),
                  lambda: convergence_check(apply, spec, quad, bare),
                  lambda: ratio_ladder(bare, [(point.inv_p, point.inv_q)], [f]),
@@ -529,7 +536,7 @@ def test_every_apply_refuses_a_bare_array_before_any_transform(monkeypatch, kind
         with pytest.raises(TypeError, match="RadialSymbol"):
             call()
     with pytest.raises(AssertionError):
-        apply_symbol(f, m)  # the guard passes a symbol on
+        symbol_applier(f).last(m)  # the guard passes a symbol on
 
 
 def test_every_apply_refuses_a_symbol_of_another_grid_before_any_transform(monkeypatch):
@@ -545,8 +552,9 @@ def test_every_apply_refuses_a_symbol_of_another_grid_before_any_transform(monke
     own = symbol(far, spec, quad)
     _no_transforms(monkeypatch)
     apply = symbol_applier(f)
-    for call in (lambda: apply_symbol(f, m), lambda: apply(m),
+    for call in (lambda: apply(m), lambda: apply.last(m),
                  lambda: apply.relative_change(m, own), lambda: apply.relative_change(own, m),
+                 lambda: apply.relative_norm(m, own), lambda: apply.relative_norm(own, m),
                  lambda: convergence_check(f, spec, quad, m),
                  lambda: ratio_ladder(m, [(0.7, 0.3)], [f])):
         with pytest.raises(ValueError, match="grid"):
@@ -556,19 +564,19 @@ def test_every_apply_refuses_a_symbol_of_another_grid_before_any_transform(monke
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_apply_symbol_leaves_its_input_and_symbol_unchanged(kind):
+def test_a_single_use_apply_leaves_its_input_and_symbol_unchanged(kind):
     # used once, the apply multiplies into its own spectrum, never into f or m
     g, spec = _APPLY_GRIDS[2]
     m = symbol(g, spec, RadialQuadrature.for_grid(g, 32))
     f = _random_field(g, kind, 19)
     keep_f, keep_m = f.samples.copy(), m.rows.copy()
-    out = apply_symbol(f, m)
+    out = symbol_applier(f).last(m).whole()
     assert np.array_equal(f.samples, keep_f) and np.array_equal(m.rows, keep_m)
-    assert np.array_equal(out.samples, symbol_applier(f)(m))
+    assert np.array_equal(out, symbol_applier(f)(m))
 
 
 @pytest.mark.parametrize("kind, bound", [("real", 2.1), ("complex", 1.1)])
-def test_apply_symbol_holds_no_field_sized_temporaries(kind, bound):
+def test_a_single_use_apply_holds_no_field_sized_temporaries(kind, bound):
     # traced peak of one apply on a 512^2 field, in units of the field's
     # bytes: the spectrum and, for a real field, the float64 output; the
     # symbol's cells are gathered from its rows a block at a time
@@ -579,11 +587,11 @@ def test_apply_symbol_holds_no_field_sized_temporaries(kind, bound):
     del a
     tracemalloc.start()
     try:
-        out = apply_symbol(f, m)
+        out = symbol_applier(f).last(m).whole()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.samples.dtype == f.samples.dtype
+    assert out.dtype == f.samples.dtype
     assert peak <= bound * f.samples.nbytes, peak / f.samples.nbytes
 
 
@@ -606,7 +614,7 @@ def test_symbol_applier_transforms_once_and_then_holds_only_the_spectrum(monkeyp
     f = _random_field(g, kind, 7)
     symbols = [symbol(g, spec, RadialQuadrature.for_grid(g, count), path)
                for count in (16, 32) for path in ("multiplier", "cone-direct")]
-    want = [apply_symbol(f, m).samples for m in symbols]
+    want = [symbol_applier(f).last(m).whole() for m in symbols]
     calls = _count_transforms(monkeypatch)
     apply = symbol_applier(f)
     assert calls == []  # nothing is transformed before the first symbol
@@ -665,6 +673,48 @@ def test_relative_change_refuses_a_broken_symbol_before_any_transform(monkeypatc
     assert calls == []
     # a zero output reads 0.0, once the symbols have passed the checks
     assert apply.relative_change(other, m) == 0.0
+
+
+def test_a_single_use_apply_takes_the_orthant_route_for_an_even_separable_input_alone(
+        monkeypatch):
+    # fields picks the route: the reference Gaussian, even on every axis,
+    # gives the output's nonnegative orthant; a factor rolled by one
+    # sample, a materialized field and a wave packet give the generic
+    # output, bit for bit the reusable apply's, and the reusable apply
+    # never takes the orthant route
+    g = SpacetimeGrid(Grid(1, 64, 16.0), 64, 16.0)
+    m = symbol(g, KernelSpec(0.4, 1), RadialQuadrature.for_grid(g, 32))
+    sep = ens.separable_gaussian(g, 1.0)
+    generic = [SeparableField(g, sep.space, np.roll(sep.time, 1)),
+               ens.gaussian_spacetime(g, 1.0), ens.wave_packet(g, 1.0, k_x=0.5, k_t=0.25)]
+    full = symbol_applier(sep)(m)
+    wants = [symbol_applier(f)(m) for f in generic]
+    routes = []
+    for route, name in (("generic", "_spectrum"), ("orthant", "_orthant_spectrum")):
+        def spy(samples, route=route, transform=getattr(fields, name)):
+            routes.append(route)
+            return transform(samples)
+        monkeypatch.setattr(fields, name, spy)
+    apply = symbol_applier(sep)
+    out = apply.last(m)
+    assert routes == ["orthant"] and isinstance(out, fields._Orthant)
+    half = (g.space.points // 2 + 1, g.t_points // 2 + 1)
+    orthant = full[:half[0], :half[1]]
+    assert np.max(np.abs(out.part(0, out.size).reshape(half) - orthant)) <= (
+        1e-14 * np.max(np.abs(orthant)))
+    with pytest.raises(RuntimeError, match="given up"):
+        apply(m)
+    for f, want in zip(generic, wants):
+        routes.clear()
+        apply = symbol_applier(f)
+        assert np.array_equal(apply.last(m).whole(), want)
+        assert routes == ["generic"]
+        for call in (lambda: apply(m), lambda: apply.last(m), lambda: apply.relative_norm(m, m)):
+            with pytest.raises(RuntimeError, match="given up"):
+                call()
+    routes.clear()
+    assert np.array_equal(symbol_applier(sep)(m), full)
+    assert routes == ["generic"]
 
 
 def test_symbol_applier_guards_its_input():

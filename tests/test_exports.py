@@ -14,10 +14,6 @@ _NO_CALLER_YET = {
     # the cone-adapted probe family for the n >= 2 boundedness probes of
     # ROADMAP item 5, built to load the light-cone singularity
     "ensembles.cone_plate",
-    # the public one-symbol apply and the generic route every ratio-ladder
-    # test compares against; the ladder calls its helper itself, so that it
-    # can drop a member's samples between the transform and the inverse
-    "conop.apply_symbol",
     # the public one-field mixed norm and the direct route the mixed-norm
     # tests compare against; the verify battery measures its widths and
     # its refinement together through mixed_norms_refined
@@ -48,9 +44,11 @@ def _references(stmt: ast.stmt) -> set:
     return found
 
 
-def test_every_public_library_name_has_a_caller():
-    # callers are the library's own modules (not the package's re-exports)
-    # and the benchmark scripts; tests do not count
+def _library_names() -> tuple:
+    # (the public names the library defines, as module.name, and every
+    # name its callers load): callers are the library's own modules (not
+    # the package's re-exports) and the benchmark scripts; tests do not
+    # count
     sources = [p for p in sorted((_ROOT / "src" / "conewave").glob("*.py"))
                if p.name != "__init__.py"]
     sources += sorted((_ROOT / "bench").glob("*.py"))
@@ -62,6 +60,20 @@ def test_every_public_library_name_has_a_caller():
             if (path.stem in _LIBRARY and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and not stmt.name.startswith("_")):
                 defined.append(f"{path.stem}.{stmt.name}")
+    return defined, referenced
+
+
+def test_every_public_library_name_has_a_caller():
+    defined, referenced = _library_names()
     dead = [name for name in defined
             if name.split(".")[1] not in referenced and name not in _NO_CALLER_YET]
     assert not dead, f"public names nothing calls: {dead}"
+
+
+def test_the_no_caller_list_names_only_defined_names_without_a_caller():
+    # a listed name that was deleted, or that has gained a library caller,
+    # no longer belongs on the list
+    defined, referenced = _library_names()
+    stale = sorted(name for name in _NO_CALLER_YET
+                   if name not in defined or name.split(".")[1] in referenced)
+    assert not stale, f"stale entries of _NO_CALLER_YET: {stale}"

@@ -276,9 +276,10 @@ _RADIAL_GRIDS = [SpacetimeGrid(Grid(1, 16, 4.0), 8, 2.0), SpacetimeGrid(Grid(1, 
 
 @pytest.mark.parametrize("grid", _RADIAL_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
 @pytest.mark.parametrize("kind", ["real", "complex", "complex-typed real"])
-def test_relative_change_is_the_distance_of_the_two_outputs(kind, grid):
+def test_relative_norm_is_the_distance_of_the_two_outputs(kind, grid):
     # by Parseval on the held spectrum: the half spectrum's columns other
-    # than tau = 0 and Nyquist count twice, the full spectrum's once
+    # than tau = 0 and Nyquist count twice, the full spectrum's once; the
+    # symbol of m1 - m0 measures the distance of the two outputs
     rng = np.random.default_rng(41)
     x = rng.standard_normal(grid.shape)
     if kind == "complex":
@@ -287,18 +288,36 @@ def test_relative_change_is_the_distance_of_the_two_outputs(kind, grid):
         x = x.astype(np.complex128)
     m0 = _radial(rng, grid)
     m1 = RadialSymbol(grid, m0.rows + _radial(rng, grid, 0.01).rows)
+    d = RadialSymbol(grid, m1.rows - m0.rows)
     apply = real_symbol_apply(x)
     base = apply(m0)
     assert np.array_equal(base, apply(m0.array()))
     moved = np.linalg.norm(apply(m1) - base)
     want = moved / np.linalg.norm(base)
-    assert apply.relative_change(m1, m0) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert apply.relative_norm(d, m0) == pytest.approx(want, rel=1e-12, abs=1e-15)
     # the same value again from the kept power, and the change itself for
     # a zero base output
-    assert apply.relative_change(m1, m0) == apply.relative_change(m1, m0)
+    assert apply.relative_norm(d, m0) == apply.relative_norm(d, m0)
     zero = RadialSymbol(grid, 0.0 * m0.rows)
-    assert apply.relative_change(m1, zero) == pytest.approx(np.linalg.norm(apply(m1)), rel=1e-12)
-    assert real_symbol_apply(0.0 * x).relative_change(m1, m0) == 0.0
+    assert apply.relative_norm(m1, zero) == pytest.approx(np.linalg.norm(apply(m1)), rel=1e-12)
+    assert real_symbol_apply(0.0 * x).relative_norm(d, m0) == 0.0
+
+
+@pytest.mark.parametrize("route", ["generic", "orthant"])
+def test_an_apply_given_up_to_last_refuses_every_later_request(route):
+    # last(m) gives the spectrum (or the even member's factors) up to the
+    # output, so an apply, a second last and a relative norm after it all
+    # raise the one error that says so
+    grid = SpacetimeGrid(Grid(1, 32, 8.0), 32, 8.0)
+    f = ens.separable_gaussian(grid, 1.0)
+    source = f if route == "orthant" else np.multiply(f.space[..., None], f.time)
+    m = _radial(np.random.default_rng(47), grid)
+    apply = real_symbol_apply(source)
+    out = apply.last(m)
+    assert isinstance(out, fields._Orthant if route == "orthant" else fields._Inverse)
+    for call in (lambda: apply(m), lambda: apply.last(m), lambda: apply.relative_norm(m, m)):
+        with pytest.raises(RuntimeError, match=r"given up to last\(m\)"):
+            call()
 
 
 def test_a_radial_symbol_is_real_even_in_tau_and_read_only():
