@@ -52,6 +52,8 @@ from .fields import (
     SeparableField,
     SpacetimeField,
     SpacetimeGrid,
+    _adopt,
+    _radial_index,
     real_symbol_apply,
 )
 from .kernel import KernelSpec, omega_hat, omega_hat_jacobi
@@ -69,7 +71,8 @@ __all__ = [
 # profile arguments evaluated at a time by _profile_table: a profile holds
 # up to about 7.5 times its argument's bytes while it runs (52 MiB for the
 # 950 000 arguments of a 256^3 table in one call), so a block's transient
-# stays under 2 MiB
+# stays under 2 MiB.  _phases mirrors its columns in blocks of rows of at
+# most as many samples
 _PROFILE_POINTS = 2**15
 
 
@@ -264,18 +267,36 @@ def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
     # for one-sided w and completion: the one place the even r < 0 half is
     # folded onto r > 0.  The profile is evaluated once per node and
     # distinct |xi| value (_profile_table), and the rows of the symbol are
-    # one product of that table with the phases
+    # one product of that table with the phases, which the symbol adopts
     if spec.n != grid.space.n:
         raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
-    table, at_zero = _profile_table(profile, spec, r, np.unique(grid.space.freq_radius()))
+    xi, scatter = _radial_index(grid)
+    table, at_zero = _profile_table(profile, spec, r, xi)
     table *= w[:, None]
-    phases = np.outer(r, grid.t_freq_axis())  # (M, Nt)
-    phases *= 2.0 * np.pi
-    np.cos(phases, out=phases)
-    phases *= 2.0
-    rows = table.T @ phases
+    rows = table.T @ _phases(r, grid.t_freq_axis())
     rows += 2.0 * completion * at_zero
-    return RadialSymbol(grid, rows)
+    return _adopt(grid, rows, scatter)
+
+
+def _phases(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    # 2cos(2 pi r_j tau_l) for every node j and column l, (M, N_t), with
+    # the cosine taken on the columns 0..N_t/2 alone: fftfreq's tau at
+    # column N_t - l is -tau_l exactly, and the product, the 2 pi scale
+    # and cos are even to the last bit, so every later column is a copy
+    # of the one it reflects.  The copy runs a block of rows at a time,
+    # so numpy's copy of its overlapping source stays a block
+    half = tau.size // 2
+    phases = np.empty((r.size, tau.size))
+    left = phases[:, :half + 1]
+    np.outer(r, tau[:half + 1], out=left)
+    left *= 2.0 * np.pi
+    np.cos(left, out=left)
+    left *= 2.0
+    step = max(1, _PROFILE_POINTS // tau.size)
+    for a in range(0, r.size, step):
+        block = phases[a:a + step]
+        block[:, half + 1:] = block[:, half - 1:0:-1]
+    return phases
 
 
 def _profile_table(profile, spec: KernelSpec, r: np.ndarray, xi: np.ndarray) -> tuple:
@@ -336,7 +357,8 @@ class _Applier:
 
     def relative_change(self, m1: RadialSymbol, m0: RadialSymbol) -> float:
         m1, m0 = _radial_symbol(m1, self.grid), _radial_symbol(m0, self.grid)
-        return self._held.relative_norm(RadialSymbol(self.grid, m1.rows - m0.rows), m0)
+        d = _adopt(self.grid, np.subtract(m1.rows, m0.rows), m0.scatter)
+        return self._held.relative_norm(d, m0)
 
 
 def symbol_applier(f: SpacetimeField):
@@ -357,7 +379,9 @@ def symbol_applier(f: SpacetimeField):
     multiplied into the spectrum in place and the output in progress is
     returned, whose part(a, b) the caller streams (for most inputs its
     whole() is apply(m), bit for bit; fields picks an even separable f's
-    orthant route).  Any later request raises RuntimeError.
+    orthant route, whose whole() raises RuntimeError, so a caller that
+    needs that output whole takes apply(m)).  Any later request raises
+    RuntimeError.
     apply.relative_norm(d, m) is ||apply(d)||_2 / ||apply(m)||_2 (the
     numerator alone when apply(m) is zero) and apply.relative_change(m1,
     m0) that ratio for d = m1 - m0, by Parseval on the held spectrum with
@@ -458,4 +482,6 @@ def _refinement_change(grid: SpacetimeGrid, spec: KernelSpec, profile,
     # weight, so the difference is the midpoints' sum less half of m's
     # node sum
     d = _radial_sum(grid, spec, profile, r1[1::2], w1[1::2], c1 - c / 2.0)
-    return RadialSymbol(grid, d.rows - m.rows / 2.0)
+    rows = np.divide(m.rows, 2.0)
+    np.subtract(d.rows, rows, out=rows)
+    return _adopt(grid, rows, m.scatter)

@@ -307,24 +307,47 @@ class RadialSymbol:
 
     def __post_init__(self):
         rows = np.asarray(self.rows)
-        if np.iscomplexobj(rows):
-            raise ValueError(f"symbol rows must be real, got dtype {rows.dtype}")
-        rows = np.array(rows, dtype=np.float64)
-        _, scatter = np.unique(self.grid.space.freq_radius().ravel(), return_inverse=True)
-        want = (int(scatter.max()) + 1, self.grid.t_points)
-        if rows.shape != want:
-            raise ValueError(f"symbol rows of shape {rows.shape} != (distinct |xi|, N_t) "
-                             f"= {want}")
-        if not np.array_equal(rows[:, 1:], rows[:, :0:-1]):
-            raise ValueError("symbol rows must equal their tau reflection rows[:, -k mod N_t]")
-        rows.flags.writeable = False
-        scatter.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "scatter", scatter)
+        if not np.iscomplexobj(rows):
+            rows = np.array(rows, dtype=np.float64)  # the caller's array stays its own
+        _hold(self, rows, _radial_index(self.grid)[1])
 
     def array(self) -> np.ndarray:
         """The symbol on every cell of the grid, a fresh float64 array."""
         return self.rows[self.scatter].reshape(self.grid.shape)
+
+
+def _radial_index(grid: SpacetimeGrid) -> tuple:
+    # (the distinct |xi| of grid.space in increasing order, the index of
+    # each spatial cell's |xi| among them in C order): a RadialSymbol's
+    # radii and its scatter
+    return np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
+
+
+def _adopt(grid: SpacetimeGrid, rows: np.ndarray, scatter: np.ndarray) -> RadialSymbol:
+    # the RadialSymbol of rows on grid, checked as the constructor checks
+    # them, that holds rows itself, frozen in place, not a copy: for a
+    # fresh float64 array the package made and touches no more.  scatter
+    # is grid's (_radial_index, or a symbol's on grid)
+    m = object.__new__(RadialSymbol)
+    object.__setattr__(m, "grid", grid)
+    _hold(m, rows, scatter)
+    return m
+
+
+def _hold(m: RadialSymbol, rows: np.ndarray, scatter: np.ndarray) -> None:
+    # m holds rows and scatter, read-only, once rows pass the symbol's
+    # checks on m's grid
+    if rows.dtype != np.float64:
+        raise ValueError(f"symbol rows must be real, got dtype {rows.dtype}")
+    want = (int(scatter.max()) + 1, m.grid.t_points)
+    if rows.shape != want:
+        raise ValueError(f"symbol rows of shape {rows.shape} != (distinct |xi|, N_t) = {want}")
+    if not np.array_equal(rows[:, 1:], rows[:, :0:-1]):
+        raise ValueError("symbol rows must equal their tau reflection rows[:, -k mod N_t]")
+    rows.flags.writeable = False
+    scatter.flags.writeable = False
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "scatter", scatter)
 
 
 def _blocks(cells: int, width: int):
@@ -440,7 +463,8 @@ class _Orthant:
     # time axis on request over the rows that hold a range (part), as
     # _Inverse does.  weight gives each element's multiplicity in the full
     # grid: the product over the axes of 1 on an end sample (0 or N/2,
-    # its own reflection) and 2 inside
+    # its own reflection) and 2 inside.  The rest of the output is never
+    # formed, so whole() is refused
 
     def __init__(self, f: SeparableField, m: RadialSymbol):
         g = f.grid
@@ -466,6 +490,10 @@ class _Orthant:
         for _ in range(n):
             self._rows = np.multiply.outer(self._rows, along).ravel()
         self._columns = np.r_[1.0, np.full(width - 2, 2.0), 1.0]
+
+    def whole(self):
+        raise RuntimeError("the orthant route streams part(a, b) and weight(a, b) only; "
+                           "take the reusable apply(m) for the whole output")
 
     def part(self, a: int, b: int) -> np.ndarray:
         # orthant elements a..b-1 in C order, as one row (1, b - a)
@@ -575,11 +603,13 @@ def real_symbol_apply(samples):
     factors equal their reflections on every axis, under a RadialSymbol,
     have an output even on every axis, and last(m) gives its nonnegative
     orthant instead (_Orthant), whose weight(a, b) is each element's
-    multiplicity in the full grid.  apply.relative_norm(d, m), for
-    RadialSymbols, is ||apply(d)|| / ||apply(m)|| in the L2 norm (the
-    numerator alone when apply(m) is zero), by Parseval on the held
-    spectrum.  After last(m) every request raises RuntimeError.  Callers
-    check that m fits the samples; this does not.
+    multiplicity in the full grid and whose whole() raises RuntimeError:
+    a caller that needs the output whole takes apply(m).
+    apply.relative_norm(d, m), for RadialSymbols, is ||apply(d)|| /
+    ||apply(m)|| in the L2 norm (the numerator alone when apply(m) is
+    zero), by Parseval on the held spectrum.  After last(m) every request
+    raises RuntimeError.  Callers check that m fits the samples; this
+    does not.
     """
     return _HeldSpectrum(samples)
 

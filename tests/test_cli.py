@@ -938,13 +938,14 @@ def test_norm_test_peak_is_the_rows_and_one_field_per_worker(tmp_path, box, jobs
     # and the leaves of its inverse as they are made and reduced, which
     # on these small boxes take about half a field more.  The symbol's
     # rows are half a field at n = 1 and an eighth of one on 64^3.  The
-    # margin covers the symbol's build, whose profile evaluation on a
-    # block of the (nodes x distinct |xi|) table is the peak at --jobs 1.
-    # A first run leaves the imports out of the trace.  Measured: 1.61
-    # and 1.70 to 1.80 fields on 512^2 at --jobs 1 and 2, 1.11 and 1.27
-    # to 1.49 on 64^3.  A member that held its whole spectrum, with the
-    # profile evaluated in one call, read 1.79 and 2.92 to 3.05 on
-    # 512^2, 2.15 and 2.72 on 64^3
+    # margin covers the symbol's build, which holds its rows once: 0.98
+    # of a field on 512^2, under the ladder's 1.28 at --jobs 1, and 1.12
+    # on 64^3, where its profile evaluation on a block of the (nodes x
+    # distinct |xi|) table is the peak at --jobs 1.  A first run leaves
+    # the imports out of the trace.  Measured: 1.28 and 1.80 fields on
+    # 512^2 at --jobs 1 and 2, 1.12 and 1.12 to 1.49 on 64^3.  A member
+    # that held its whole spectrum, with the profile evaluated in one
+    # call, read 1.79 and 2.92 to 3.05 on 512^2, 2.15 and 2.72 on 64^3
     config, field, rows, worker, margin = _PEAK_BOXES[box]
     config = "[norm-test]\n" + config
     assert run(tmp_path, "--jobs", str(jobs), "norm-test", config=config, name="warm")[0] in (0, 2)

@@ -325,13 +325,16 @@ def test_symbol_equals_the_per_cell_contraction_bit_for_bit(name, path):
 
 
 # n = 1 on 256^2 at extents 32 and 64 and on 1024^2, and n = 2 on 32^3, 64^3
-# and 128^3
+# and 128^3; and the edges of the phases' tau mirror, N_t = 2 (no column
+# mirrored) at n = 1 and N_t = 4 (one) at n = 2
 _CELL_GRIDS = [SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0),
                SpacetimeGrid(Grid(1, 256, 64.0), 256, 64.0),
                SpacetimeGrid(Grid(1, 1024, 64.0), 1024, 64.0),
                SpacetimeGrid(Grid(2, 32, 32.0), 32, 32.0),
                SpacetimeGrid(Grid(2, 64, 32.0), 64, 32.0),
-               SpacetimeGrid.default(2)]
+               SpacetimeGrid.default(2),
+               SpacetimeGrid(Grid(1, 64, 16.0), 2, 6.0),
+               SpacetimeGrid(Grid(2, 32, 16.0), 4, 8.0)]
 
 
 @pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
@@ -385,6 +388,63 @@ def test_symbol_peak_stays_within_the_per_cell_footprint():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 0.96 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("name, count", [("norm-test", 160), ("norm-test", 640),
+                                         ("norm-test", 2560), ("n2-64", 160), ("n2-64", 640)])
+def test_a_symbol_build_holds_its_rows_once(name, count):
+    # traced peak of symbol, in units of its rows' bytes: at most the
+    # rows, the phases, the table and one profile block, which holds up
+    # to about 9 times its arguments' bytes (measured: 8.96 on the
+    # norm-test grid, 8.42 on 64^3).  Measured: 0.72, 0.84 and 0.94 of
+    # the bound on norm-test at 160, 640 and 2560 nodes, 0.72 and 0.90 on
+    # 64^3.  A second rows-sized copy breaks it on norm-test (1.29, 1.18
+    # and 1.07), and at 2560 nodes, more than twice the rows' count, so
+    # does a copy of half the phases while they are mirrored (1.10)
+    g, spec = _CONTRACTION_GRIDS[name]
+    quad = RadialQuadrature.for_grid(g, count)
+    tracemalloc.start()
+    try:
+        m = symbol(g, spec, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = m.rows.nbytes
+    phases, table = 8 * count * g.t_points, 8 * count * m.rows.shape[0]
+    block = 9 * 8 * conop._PROFILE_POINTS
+    assert peak <= rows + phases + table + block, peak / rows
+
+
+def test_the_symbols_the_package_builds_adopt_fresh_read_only_rows(monkeypatch):
+    # symbol's rows, each refinement change that convergence_check
+    # measures and the change that relative_change measures are arrays of
+    # their own, read-only, that share memory with no symbol or input
+    # they were made from
+    g, spec = _APPLY_GRIDS[1]
+    quad = RadialQuadrature.for_grid(g, 32)
+    f = _random_field(g, "real", 53)
+    m, other = symbol(g, spec, quad), symbol(g, spec, quad, "cone-direct")
+    measured = []
+    relative_norm = fields._HeldSpectrum.relative_norm
+
+    def spy(self, d, base):
+        measured.append(d)
+        return relative_norm(self, d, base)
+
+    monkeypatch.setattr(fields._HeldSpectrum, "relative_norm", spy)
+    apply = symbol_applier(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        convergence_check(apply, spec, quad, m)
+    apply.relative_change(other, m)
+    assert len(measured) == 4
+    assert np.array_equal(measured[-1].rows, other.rows - m.rows)
+    given = [m.rows, other.rows, f.samples]
+    for s in [m, other] + measured:
+        assert isinstance(s, RadialSymbol) and s.grid == g
+        with pytest.raises(ValueError, match="read-only"):
+            s.rows[0, 0] = 0.0
+        assert not any(np.shares_memory(s.rows, a) for a in given if a is not s.rows)
 
 
 def test_symbol_and_symbol_applier_guards():
@@ -715,6 +775,22 @@ def test_a_single_use_apply_takes_the_orthant_route_for_an_even_separable_input_
     routes.clear()
     assert np.array_equal(symbol_applier(sep)(m), full)
     assert routes == ["generic"]
+
+
+@pytest.mark.parametrize("route", ["generic", "orthant"])
+def test_the_whole_output_of_a_single_use_apply_is_the_apply_or_a_named_refusal(route):
+    # the orthant route streams part and weight alone, and its whole()
+    # says so; the generic route's whole() is the reusable apply, bit for bit
+    g = SpacetimeGrid(Grid(1, 32, 16.0), 32, 16.0)
+    m = symbol(g, KernelSpec(0.4, 1), RadialQuadrature.for_grid(g, 32))
+    sep = ens.separable_gaussian(g, 1.0)
+    f = sep if route == "orthant" else SeparableField(g, sep.space, np.roll(sep.time, 1))
+    out = symbol_applier(f).last(m)
+    if route == "orthant":
+        with pytest.raises(RuntimeError, match=r"streams part.*weight.*only.*apply\(m\)"):
+            out.whole()
+    else:
+        assert np.array_equal(out.whole(), symbol_applier(f)(m))
 
 
 def test_symbol_applier_guards_its_input():
