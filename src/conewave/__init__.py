@@ -35,7 +35,6 @@ from .fields import (
     SeparableField,
     SpacetimeField,
     SpacetimeGrid,
-    DomainTagError,
     FieldFormatError,
     RadialSymbol,
     load_field,

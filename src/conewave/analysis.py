@@ -19,7 +19,7 @@ import numpy as np
 
 from .conop import RadialQuadrature, _radial_symbol, symbol_applier
 from .ensembles import separable_gaussian
-from .fields import PHYSICAL, DomainTagError, Field, SeparableField, SpacetimeField
+from .fields import Field, SeparableField, SpacetimeField
 from .kernel import KernelSpec, omega_hat
 from .specialfn import bessel_remainder
 from . import fields as _fields
@@ -317,8 +317,6 @@ def _mixed_norm_inputs(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
     for f in fields:
         if not isinstance(f, Field):
             raise TypeError("mixed_norm acts on spatial fields")
-        if f.domain_tag != PHYSICAL:
-            raise DomainTagError("mixed_norm expects a physical-domain field")
         if spec.n != f.grid.n:
             raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
     if len({f.grid for f in fields}) > 1:
@@ -727,8 +725,6 @@ def stein_weiss_ratios(params_sets, f: Field, depth: int = 12, nodes_per_panel: 
             raise ValueError("direct quadrature is implemented for N = 1")
     if not isinstance(f, Field) or f.grid.n != 1:
         raise TypeError("stein_weiss_ratio takes a one-dimensional spatial field")
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("stein_weiss_ratio expects a physical-domain field")
     vals = f.samples
     # the comparisons below are False on NaN, so refuse non-finite samples first
     if not np.all(np.isfinite(vals)):
@@ -774,8 +770,6 @@ def crucial_estimate_ratio(spec: KernelSpec, q: float, r: float, s: float,
     """
     if not isinstance(f, Field):
         raise TypeError("crucial_estimate_ratio acts on spatial fields")
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("crucial_estimate_ratio expects a physical-domain field")
     q = float(q)
     if not q > 1.0:
         raise ValueError(f"exponent must exceed 1, got {q}")
@@ -900,11 +894,9 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
 
     This is the one place where norms become ratios.  A member is a
     spacetime field or a fields.SeparableField (a product held as its two
-    factors), or a zero-argument callable that builds one when its turn
-    comes, so a ladder need not hold its whole family.  m must be a
-    fields.RadialSymbol (a bare array is refused with TypeError), and
-    each member must be a physical-domain field on m's grid.  Each member
-    is built and its p-norms are taken (once per distinct p).  Its output
+    factors) on m's grid, and m must be a fields.RadialSymbol (a bare
+    array is refused with TypeError).  Each member's p-norms are taken
+    (once per distinct p).  Its output
     is conop.symbol_applier(f).last(m), whose rows come back a leaf at a
     time, each leaf adding to the q-norm of every distinct q, so a member
     in flight holds its samples and its spectrum while it is transformed,
@@ -918,7 +910,7 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     pool_map(fn, members), when given, runs fn over the members in place
     of the in-order loop (to spread them over workers) and must return
     the results in member order.  The probe, family, label and symbol
-    guards fire before any member is built, and a member's own checks
+    guards fire before any member is measured, and a member's own checks
     (its grid against m's among them) and the zero-norm and
     non-finite-norm guards before it is transformed.  A q-norm that is
     not finite (an output whose sum of powers overflows) is refused too,
@@ -942,17 +934,14 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     qs = [1.0 / inv_q for _, inv_q in probes]
     distinct_qs = list(dict.fromkeys(qs))
 
-    def ratios(member):
-        f = member() if callable(member) else member
+    def ratios(f):
         norms = {p: lp_norm(f, p) for p in ps}  # once per distinct p
         if 0.0 in norms.values():
             raise ValueError("family member with zero norm")
         if not all(math.isfinite(v) for v in norms.values()):
             raise ValueError("family member with a non-finite norm")
         cell = f.cell_volume
-        apply = symbol_applier(f)
-        del f  # the applier's spectrum replaces the samples
-        out_norms = dict(zip(distinct_qs, _lp(apply.last(m), distinct_qs, cell)))
+        out_norms = dict(zip(distinct_qs, _lp(symbol_applier(f).last(m), distinct_qs, cell)))
         if not all(math.isfinite(v) for v in out_norms.values()):
             raise ValueError("operator output with a non-finite norm")
         return [float(out_norms[q]) / norms[p] for p, q in zip(ps, qs)]

@@ -1121,12 +1121,8 @@ def cmd_op_apply(cfg, args) -> dict:
     cross_tol = 1e-3 if cfg[sec]["cross_tol"] == "auto" else _tolerance(cfg, sec, "cross_tol")
     try:
         field = load_field(in_path)
-    except FileNotFoundError:
-        raise ConfigError(f"input field file not found: {in_path}")
-    except (FieldFormatError, ValueError) as exc:
+    except FieldFormatError as exc:
         raise ConfigError(f"unreadable field file {in_path}: {exc}")
-    if not isinstance(field, SpacetimeField):
-        raise ConfigError("op-apply expects a spacetime field file")
     if not np.isfinite(field.samples).all():
         # a nan or inf sample spreads over every output sample through the
         # transform, so the field is refused before any transform or write
@@ -1349,11 +1345,18 @@ def main(argv=None) -> int:
     if jobs < 1:
         print("conewave: config error: --jobs must be >= 1", file=sys.stderr)
         return 3
+    if args.seed < 0:
+        # numpy's generators take no negative seed
+        print("conewave: config error: --seed must be >= 0", file=sys.stderr)
+        return 3
     args.jobs = jobs
 
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory {args.out}: {exc}")
         report = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"conewave: config error: {exc}", file=sys.stderr)

@@ -46,8 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    PHYSICAL,
-    DomainTagError,
     RadialSymbol,
     SeparableField,
     SpacetimeField,
@@ -318,14 +316,12 @@ def _profile_table(profile, spec: KernelSpec, r: np.ndarray, xi: np.ndarray) -> 
 
 def _checked_input(f):
     # what real_symbol_apply transforms for f, once f is refused unless it
-    # is a physical spacetime field: its samples, or a separable member
-    # itself, whose factors stand for its samples
+    # is a spacetime field: its samples, or a separable member itself,
+    # whose factors stand for its samples
     if isinstance(f, SeparableField):
         return f
     if not isinstance(f, SpacetimeField):
         raise TypeError("operator paths act on spacetime fields")
-    if f.domain_tag != PHYSICAL:
-        raise DomainTagError("operator input must be a physical-domain field")
     return f.samples
 
 

@@ -2,10 +2,10 @@
 
 Conventions, fixed once here and relied on everywhere else:
 
-* physical samples are stored in centered order, i.e. sample k sits at
-  x = (k - N//2) * spacing, so the domain is [-L/2, L/2);
-* spectral samples, as a spectral-tagged field or file carries them, are
-  stored in FFT layout at the frequencies numpy.fft.fftfreq(N, spacing);
+* every field holds physical samples, in centered order, i.e. sample k
+  sits at x = (k - N//2) * spacing, so the domain is [-L/2, L/2);
+  spectra exist only inside the multiplier apply, in FFT layout at the
+  frequencies numpy.fft.fftfreq(N, spacing);
 * complex samples are held as complex128 and all others as float64, so
   real fields stay real; the file format is complex128 either way;
 * a Fourier multiplier that is real and equal to its point reflection,
@@ -40,9 +40,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "PHYSICAL",
-    "SPECTRAL",
-    "DomainTagError",
     "FieldFormatError",
     "Grid",
     "Field",
@@ -55,26 +52,13 @@ __all__ = [
     "load_field",
 ]
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
 _FORMAT_VERSION = 1
 _SAVE_BLOCK = 2**17  # samples widened and written at a time by save_field
 _GATHER = 2**15  # symbol samples gathered from a RadialSymbol's rows at a time
 
 
-class DomainTagError(ValueError):
-    """Operation applied to a field in the wrong domain."""
-
-
 class FieldFormatError(ValueError):
     """Malformed field file or sidecar."""
-
-
-def _check_tag(tag: str) -> str:
-    if tag not in (PHYSICAL, SPECTRAL):
-        raise DomainTagError(f"domain tag must be {PHYSICAL!r} or {SPECTRAL!r}, got {tag!r}")
-    return tag
 
 
 def _as_samples(samples) -> np.ndarray:
@@ -152,7 +136,7 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Samples of a function on a Grid, tagged physical or spectral.
+    """Physical samples of a function on a Grid.
 
     Complex samples are held as complex128 and every other kind (real,
     integer, boolean) as float64; an array that already has that dtype is
@@ -162,10 +146,8 @@ class Field:
 
     grid: Grid
     samples: np.ndarray
-    domain_tag: str = PHYSICAL
 
     def __post_init__(self):
-        _check_tag(self.domain_tag)
         arr = _as_samples(self.samples)
         if arr.shape != self.grid.shape:
             raise ValueError(f"samples shape {arr.shape} != grid shape {self.grid.shape}")
@@ -173,8 +155,7 @@ class Field:
 
     @property
     def cell_volume(self) -> float:
-        cell = self.grid.cell_volume
-        return cell if self.domain_tag == PHYSICAL else self.grid.freq_spacing**self.grid.n
+        return self.grid.cell_volume
 
 
 @dataclass(frozen=True)
@@ -225,7 +206,7 @@ class SpacetimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpacetimeField:
-    """Samples of a function of (x, t) on a SpacetimeGrid.
+    """Physical samples of a function of (x, t) on a SpacetimeGrid.
 
     Held by Field's dtype rule: complex128 for complex samples, float64 for
     every other kind, with no copy of an array already of that dtype.
@@ -233,10 +214,8 @@ class SpacetimeField:
 
     grid: SpacetimeGrid
     samples: np.ndarray
-    domain_tag: str = PHYSICAL
 
     def __post_init__(self):
-        _check_tag(self.domain_tag)
         arr = _as_samples(self.samples)
         if arr.shape != self.grid.shape:
             raise ValueError(f"samples shape {arr.shape} != grid shape {self.grid.shape}")
@@ -244,15 +223,12 @@ class SpacetimeField:
 
     @property
     def cell_volume(self) -> float:
-        if self.domain_tag == PHYSICAL:
-            return self.grid.cell_volume
-        g = self.grid
-        return g.space.freq_spacing**g.space.n / g.t_extent
+        return self.grid.cell_volume
 
 
 @dataclass(frozen=True, eq=False)
 class SeparableField:
-    """A physical spacetime field space(x) time(t), held as its two factors.
+    """A spacetime field space(x) time(t), held as its two factors.
 
     space is sampled on grid.space and time on the time axis, both real
     and finite; they are held as float64 (without a copy of an array
@@ -265,7 +241,6 @@ class SeparableField:
     grid: SpacetimeGrid
     space: np.ndarray
     time: np.ndarray
-    domain_tag = PHYSICAL  # by construction; not a dataclass field
 
     def __post_init__(self):
         for name, want in (("space", self.grid.space.shape), ("time", (self.grid.t_points,))):
@@ -622,42 +597,32 @@ def _sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
-def save_field(f, path) -> None:
-    """Write samples as interleaved little-endian float64 plus a sidecar.
+def save_field(f: SpacetimeField, path) -> None:
+    """Write a spacetime field as interleaved little-endian float64 plus a
+    JSON sidecar, the authority on its grid: kind "spacetime", n, N, L,
+    N_t, L_t, domain_tag "physical" and the format version.
 
-    The sidecar is the authority on shape and domain; spacetime fields
-    extend the base schema with their time axis under kind "spacetime".
     A float64 field is written as its complex128 widening (imaginary parts
     +0.0), so its bytes are those of the same field held complex.  The
     samples are widened and written a block at a time, in C order, so no
     widened copy of the whole field is made.
     """
+    g = f.grid
+    meta = {
+        "kind": "spacetime",
+        "n": g.space.n,
+        "N": g.space.points,
+        "L": g.space.extent,
+        "N_t": g.t_points,
+        "L_t": g.t_extent,
+        "domain_tag": "physical",
+        "version": _FORMAT_VERSION,
+    }
     # a little-endian complex128 array is the interleaved (re, im) buffer
     flat = f.samples.reshape(-1)
     with open(path, "wb") as fh:
         for start in range(0, flat.size, _SAVE_BLOCK):
             np.asarray(flat[start:start + _SAVE_BLOCK], dtype="<c16").tofile(fh)
-
-    if isinstance(f, Field):
-        meta = {
-            "kind": "field",
-            "n": f.grid.n,
-            "N": f.grid.points,
-            "L": f.grid.extent,
-            "domain_tag": f.domain_tag,
-            "version": _FORMAT_VERSION,
-        }
-    else:
-        meta = {
-            "kind": "spacetime",
-            "n": f.grid.space.n,
-            "N": f.grid.space.points,
-            "L": f.grid.space.extent,
-            "N_t": f.grid.t_points,
-            "L_t": f.grid.t_extent,
-            "domain_tag": f.domain_tag,
-            "version": _FORMAT_VERSION,
-        }
     with open(_sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -679,53 +644,45 @@ def _sidecar_extent(meta: dict, key: str) -> float:
     return float(value)
 
 
-def load_field(path):
-    """Read a field written by save_field; dispatches on the sidecar kind.
+def load_field(path) -> SpacetimeField:
+    """Read a spacetime field written by save_field.
 
-    The sidecar must be a JSON object, its sizes n, N and N_t JSON
-    integers and its extents L and L_t finite JSON numbers; anything else
-    raises FieldFormatError.  The samples are always complex128, whatever
-    dtype the saved field had.
+    The sidecar must be a JSON object with kind "spacetime" and domain_tag
+    "physical", its sizes n, N and N_t JSON integers and its extents L and
+    L_t finite JSON numbers, and the blob must hold exactly the grid's
+    samples; anything else, an unreadable sidecar or blob included, raises
+    FieldFormatError, and the sidecar is checked before the blob is read.
+    The samples are always complex128, whatever dtype the saved field had.
     """
     try:
         with open(_sidecar_path(path)) as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise FieldFormatError(f"cannot read sidecar for {path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise FieldFormatError(f"bad sidecar for {path}: expected a JSON object, got {meta!r}")
-
-    kind = meta.get("kind", "field")
+    for key, want in (("kind", "spacetime"), ("domain_tag", "physical")):
+        if meta.get(key) != want:
+            raise FieldFormatError(f"bad sidecar for {path}: {key} must be {want!r}, "
+                                   f"got {meta.get(key)!r}")
     try:
-        if kind == "field":
-            grid = Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"),
-                        _sidecar_extent(meta, "L"))
-            shape = grid.shape
-            tag = _check_tag(meta["domain_tag"])
-        elif kind == "spacetime":
-            grid = SpacetimeGrid(
-                Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"),
-                     _sidecar_extent(meta, "L")),
-                _sidecar_int(meta, "N_t"),
-                _sidecar_extent(meta, "L_t"),
-            )
-            shape = grid.shape
-            tag = _check_tag(meta["domain_tag"])
-        else:
-            raise FieldFormatError(f"unknown field kind {kind!r}")
+        grid = SpacetimeGrid(
+            Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"), _sidecar_extent(meta, "L")),
+            _sidecar_int(meta, "N_t"),
+            _sidecar_extent(meta, "L_t"),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldFormatError(f"bad sidecar for {path}: {exc}") from exc
 
-    count = int(np.prod(shape))
-    raw = np.fromfile(path, dtype="<f8")
+    try:
+        raw = np.fromfile(path, dtype="<f8")
+    except OSError as exc:
+        raise FieldFormatError(f"cannot read samples of {path}: {exc}") from exc
+    count = math.prod(grid.shape)
     if raw.size != 2 * count:
         raise FieldFormatError(
-            f"{path}: expected {2 * count} floats for shape {shape}, found {raw.size}"
+            f"{path}: expected {2 * count} floats for shape {grid.shape}, found {raw.size}"
         )
     # the pairs read as complex128 in place, bit for bit (signed zeros,
     # infinities and nans included), with no full-size temporary
-    samples = raw.view("<c16").reshape(shape)
-    if kind == "field":
-        return Field(grid, samples, tag)
-    return SpacetimeField(grid, samples, tag)
-
+    return SpacetimeField(grid, raw.view("<c16").reshape(grid.shape))

@@ -6,7 +6,6 @@ import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -50,7 +49,7 @@ from conewave import (
     symbol_applier,
 )
 from conewave.analysis import CaseFit, _lp
-from conewave.fields import PHYSICAL, SPECTRAL, DomainTagError, RadialSymbol
+from conewave.fields import RadialSymbol
 from conewave.specialfn import bessel_remainder
 
 
@@ -652,18 +651,6 @@ def test_stein_weiss_input_guards():
         stein_weiss_ratio(two_d, _bump())
 
 
-@pytest.mark.parametrize("measure", [
-    lambda f: stein_weiss_ratio(SteinWeissParams(1, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0), f),
-    lambda f: crucial_estimate_ratio(KernelSpec(0.5, 1), 2.0, 2.0, 1.0, f),
-], ids=["stein-weiss", "crucial"])
-def test_spatial_measurements_refuse_spectral_fields(measure):
-    # spectral samples are not values at points of the box: refused, not
-    # measured as if they were
-    g = Grid(1, 256, 16.0)
-    with pytest.raises(DomainTagError, match="physical-domain"):
-        measure(Field(g, ens.gaussian(g, 1.0).samples, SPECTRAL))
-
-
 def _dyadic_panel_rule(a, b, singular, depth, nodes):
     # frozen one-rule form of the composite Gauss-Legendre rule: panels
     # halving dyadically toward each singular point
@@ -1232,13 +1219,12 @@ def _ladder_symbol():
 
 
 def _ladder_members():
-    # real members given as fields and as builders, a complex one, and a
-    # separable one held as its factors
+    # real members, a complex one, and a separable one held as its factors
     g = _LADDER_GRID
-    members = [ens.gaussian_spacetime(g, 0.5), partial(ens.gaussian_spacetime, g, 1.0),
+    members = [ens.gaussian_spacetime(g, 0.5), ens.gaussian_spacetime(g, 1.0),
                ens.wave_packet(g, 1.0, k_x=0.5, k_t=0.25),
-               partial(ens.cone_plate, g, 1.0, t_span=3.0),
-               partial(ens.separable_gaussian, g, 2.0)]
+               ens.cone_plate(g, 1.0, t_span=3.0),
+               ens.separable_gaussian(g, 2.0)]
     return members, ["a", "b", "c", "d", "e"]
 
 
@@ -1253,8 +1239,7 @@ def _assert_generic_ratios(got, members, m, inv_p, inv_q):
     # the separable-member bound for one that is even on every axis, whose
     # ladder measures the output's nonnegative orthant alone
     assert len(got) == len(members)
-    for ratio, member in zip(got, members):
-        f = member() if callable(member) else member
+    for ratio, f in zip(got, members):
         want = lp_norm(_applied(f, m), 1.0 / inv_q) / lp_norm(f, 1.0 / inv_p)
         if fields._is_even(f):
             assert ratio == pytest.approx(want, rel=4e-15, abs=0.0)
@@ -1266,9 +1251,9 @@ def test_ratio_ladder_is_the_generic_ratio_bit_for_bit():
     # every member but the even separable one (the last) bit for bit
     m = _ladder_symbol()
     members, labels = _ladder_members()
-    assert [fields._is_even(f() if callable(f) else f) for f in members] == [False] * 4 + [True]
+    assert [fields._is_even(f) for f in members] == [False] * 4 + [True]
     probes = [(0.7, 0.3), (0.7, 0.35), (0.6, 0.2)]
-    copies = [f.samples.copy() for f in members if not callable(f)]
+    copies = [f.samples.copy() for f in members[:4]]  # the last is held as its factors
     for pool_map in (None, lambda fn, items: [fn(it) for it in reversed(items)][::-1]):
         stats = ratio_ladder(m, probes, members, labels, pool_map=pool_map)
         assert len(stats) == len(probes)
@@ -1279,8 +1264,8 @@ def test_ratio_ladder_is_the_generic_ratio_bit_for_bit():
             assert st.median == float(np.median(st.ratios))
             assert st.mean == float(np.mean(st.ratios))
     # the members the caller holds are left as they were
-    held = [f.samples for f in members if not callable(f)]
-    assert held[1].dtype == np.complex128
+    held = [f.samples for f in members[:4]]
+    assert held[2].dtype == np.complex128
     assert all(np.array_equal(a, b) for a, b in zip(held, copies))
 
 
@@ -1303,10 +1288,11 @@ def test_ratio_ladder_guards():
     f = ens.gaussian_spacetime(_LADDER_GRID, 1.0)
 
     def never():
-        raise AssertionError("a member was built before the guards")
+        raise AssertionError("a member was measured before the guards")
 
     # the probe, family, label and symbol guards fire before any member is
-    # built, whatever kinds of member follow
+    # measured, whatever kinds of member follow: never is no field, and
+    # measuring it would raise another error
     members = [f, never, ens.wave_packet(_LADDER_GRID, 1.0)]
     with pytest.raises(ValueError, match="empty"):
         ratio_ladder(m, [(0.7, 0.3)], [])
@@ -1319,12 +1305,10 @@ def test_ratio_ladder_guards():
         ratio_ladder(m, [], members)
     with pytest.raises(TypeError, match="RadialSymbol"):
         ratio_ladder(m.array(), [(0.7, 0.3)], members)
-    # a member of another grid or domain is refused
+    # a member of another grid is refused
     small = SpacetimeGrid(Grid(1, 32, 8.0), 32, 8.0)
     with pytest.raises(ValueError, match="grid"):
         ratio_ladder(m, [(0.7, 0.3)], [ens.gaussian_spacetime(small, 1.0)])
-    with pytest.raises(DomainTagError):
-        ratio_ladder(m, [(0.7, 0.3)], [SpacetimeField(f.grid, f.samples, SPECTRAL)])
 
 
 def _spy_on_the_transforms(monkeypatch, seen):
@@ -1340,7 +1324,7 @@ def _spy_on_the_transforms(monkeypatch, seen):
     return transformed
 
 
-@pytest.mark.parametrize("kind", ["field", "builder", "complex", "separable"])
+@pytest.mark.parametrize("kind", ["field", "complex", "separable"])
 def test_ratio_ladder_refuses_a_zero_norm_member_before_any_transform(monkeypatch, kind):
     m = _ladder_symbol()
     g = _LADDER_GRID
@@ -1352,8 +1336,7 @@ def test_ratio_ladder_refuses_a_zero_norm_member_before_any_transform(monkeypatc
     else:
         first = ens.gaussian_spacetime(g, 1.0)
         zeros = np.zeros(g.shape, np.complex128 if kind == "complex" else np.float64)
-        zero = SpacetimeField(g, zeros)
-        member = (lambda: zero) if kind == "builder" else zero
+        member = SpacetimeField(g, zeros)
     transformed = _spy_on_the_transforms(monkeypatch, type)
     with pytest.raises(ValueError, match="zero norm"):
         ratio_ladder(m, [(0.7, 0.3)], [first, member])
@@ -1430,9 +1413,8 @@ def test_a_separable_member_agrees_with_its_materialized_field(grid):
     n = grid.space.n
     m = symbol(grid, KernelSpec(0.4 * n, n), RadialQuadrature.for_grid(grid, 32))
     probes = [(0.7, 0.3), (0.6, 0.2), (0.9, 0.5)]
-    factored = ratio_ladder(m, probes, [partial(ens.separable_gaussian, grid, w) for w in widths])
-    materialized = ratio_ladder(m, probes, [partial(ens.gaussian_spacetime, grid, w)
-                                            for w in widths])
+    factored = ratio_ladder(m, probes, [ens.separable_gaussian(grid, w) for w in widths])
+    materialized = ratio_ladder(m, probes, [ens.gaussian_spacetime(grid, w) for w in widths])
     for a, b in zip(factored, materialized):
         np.testing.assert_allclose(a.ratios, b.ratios, rtol=4e-15, atol=0.0)
 
@@ -1451,8 +1433,7 @@ def test_a_ladder_measures_an_even_member_on_its_orthant(monkeypatch, grid):
     m = _output_symbol(grid)
     probes = [(0.7, 0.3), (0.6, 0.2), (0.9, 0.5)]
     widths = (0.25, 0.5, 1.0, 2.0, 4.0)
-    materialized = ratio_ladder(m, probes, [partial(ens.gaussian_spacetime, grid, w)
-                                            for w in widths])
+    materialized = ratio_ladder(m, probes, [ens.gaussian_spacetime(grid, w) for w in widths])
     even = [ens.separable_gaussian(grid, w) for w in widths]
     ref = even[2]
     uneven = [SeparableField(grid, ref.space, np.roll(ref.time, 1)),
@@ -1474,10 +1455,10 @@ def test_a_ladder_measures_an_even_member_on_its_orthant(monkeypatch, grid):
 def test_separable_member_guards():
     g = _LADDER_GRID
     space, time = np.ones(g.space.shape), np.ones(g.t_points)
-    # held as float64, physical by construction, with the grid's shape
+    # held as float64, with the grid's shape
     f = SeparableField(g, space.astype(np.int64), time)
     assert f.space.dtype == np.float64 and f.time is time
-    assert f.domain_tag == PHYSICAL and f.shape == g.shape
+    assert f.shape == g.shape
     assert f.cell_volume == g.cell_volume
     # complex, non-finite or wrongly shaped factors are refused
     with pytest.raises(ValueError, match="real"):

@@ -23,7 +23,6 @@ import conewave.ensembles as ens
 import conewave.fields as fields
 from conewave.analysis import lp_norm
 from conewave.cli import _bump_stream, _pool_map, main
-from conewave.fields import SPECTRAL
 
 
 def run(tmp_path, *args, config=None, name="run"):
@@ -123,6 +122,28 @@ def test_bad_jobs_env_exits_three(tmp_path, monkeypatch):
     monkeypatch.setenv("CONEWAVE_JOBS", "lots")
     code, _ = run(tmp_path, "verify", "bessel")
     assert code == 3
+
+
+@pytest.mark.parametrize("suite", ["stein-weiss", "bessel"])
+def test_negative_seed_exits_three_before_any_command(tmp_path, monkeypatch, capsys, suite):
+    # numpy's generators take no negative seed, and a suite that draws
+    # nothing would echo it into its report
+    def never(*args, **kwargs):
+        raise AssertionError("ran the suite")
+
+    monkeypatch.setitem(cli._SUITES, suite, never)
+    code, out = run(tmp_path, "--seed", "-1", "verify", suite)
+    assert code == 3
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_out_naming_a_file_exits_three(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["--out", str(taken), "verify", "bessel"]) == 3
+    assert f"cannot make the output directory {taken}" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory"
 
 
 def test_numerical_failure_exits_two(tmp_path):
@@ -667,12 +688,39 @@ def test_op_apply_refuses_a_spectral_field_file(tmp_path, capsys):
     # not an operator input
     g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
     field_path = tmp_path / "g.field"
-    samples = ens.gaussian_spacetime(g, 1.0).samples
-    cw.save_field(cw.SpacetimeField(g, samples, SPECTRAL), field_path)
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+    sidecar = tmp_path / "g.field.json"
+    sidecar.write_text(sidecar.read_text().replace('"physical"', '"spectral"'))
     code, out = run(tmp_path, "op-apply", config=f"[op-apply]\ninput = {field_path}\n")
     assert code == 3
-    assert "physical-domain" in capsys.readouterr().err
+    assert "domain_tag must be 'physical', got 'spectral'" in capsys.readouterr().err
     assert not (out / "result.field").exists()
+
+
+@pytest.mark.parametrize("fault", ["spatial-sidecar", "missing-blob", "directory-blob"])
+def test_op_apply_refuses_a_field_file_it_cannot_read(tmp_path, monkeypatch, capsys, fault):
+    # a sidecar that is not a spacetime field's, or a valid one next to
+    # samples that cannot be read, is refused before any transform or write
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+    if fault == "spatial-sidecar":
+        sidecar = tmp_path / "g.field.json"
+        sidecar.write_text(sidecar.read_text().replace('"spacetime"', '"field"'))
+    else:
+        field_path.unlink()
+        if fault == "directory-blob":
+            field_path.mkdir()
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached the operator")
+
+    monkeypatch.setattr(cli, "symbol_applier", never)
+    code, out = run(tmp_path, "op-apply", config=f"[op-apply]\ninput = {field_path}\n")
+    assert code == 3
+    assert f"unreadable field file {field_path}" in capsys.readouterr().err
+    assert not (out / "result.field").exists()
+    assert not (out / "report.json").exists()
 
 
 def test_op_apply_refuses_a_sidecar_size_that_is_not_an_integer(tmp_path, capsys):

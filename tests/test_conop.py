@@ -32,7 +32,7 @@ from conewave import (
     symbol_applier,
 )
 from conewave.conop import apply_path
-from conewave.fields import SPECTRAL, DomainTagError, RadialSymbol
+from conewave.fields import RadialSymbol
 from conewave.kernel import omega_hat, omega_hat_jacobi
 
 
@@ -449,7 +449,6 @@ def test_the_symbols_the_package_builds_adopt_fresh_read_only_rows(monkeypatch):
 
 def test_symbol_and_symbol_applier_guards():
     g = _grid(32, 16.0)
-    f = ens.gaussian_spacetime(g, 1.0)
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 16)
     with pytest.raises(ValueError, match="cone-direct"):
@@ -457,8 +456,6 @@ def test_symbol_and_symbol_applier_guards():
     with pytest.raises(ValueError, match="dimension"):
         symbol(g, KernelSpec(1.0, 2), quad)
     m = symbol(g, spec, quad)
-    with pytest.raises(DomainTagError):
-        symbol_applier(SpacetimeField(g, f.samples, SPECTRAL))(m)
     with pytest.raises(TypeError):
         symbol_applier(ens.gaussian(Grid(1, 32, 16.0)))(m)
 
@@ -794,10 +791,6 @@ def test_the_whole_output_of_a_single_use_apply_is_the_apply_or_a_named_refusal(
 
 
 def test_symbol_applier_guards_its_input():
-    g = _grid(32, 16.0)
-    f = ens.gaussian_spacetime(g, 1.0)
-    with pytest.raises(DomainTagError):
-        symbol_applier(SpacetimeField(g, f.samples, SPECTRAL))
     with pytest.raises(TypeError):
         symbol_applier(ens.gaussian(Grid(1, 32, 16.0)))
 

@@ -22,7 +22,7 @@ from conewave import (
     omega_hat,
     save_field,
 )
-from conewave.fields import SPECTRAL, DomainTagError, RadialSymbol, real_symbol_apply
+from conewave.fields import RadialSymbol, real_symbol_apply
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +64,6 @@ def test_field_shape_check():
     g = Grid(1, 64, 16.0)
     with pytest.raises(ValueError):
         Field(g, np.zeros(32))
-    with pytest.raises(DomainTagError):
-        Field(g, np.zeros(64), domain_tag="frequency")
 
 
 _DTYPE_GRIDS = [
@@ -93,8 +91,6 @@ def test_fields_hold_real_samples_as_float64_and_complex_as_complex128(kind, gri
     # the guards are those of every dtype
     with pytest.raises(ValueError, match="shape"):
         kind(grid, x[:-1])
-    with pytest.raises(DomainTagError):
-        kind(grid, x, domain_tag="frequency")
 
 
 def test_fields_hold_lists_by_the_same_rule():
@@ -108,8 +104,8 @@ def test_fields_hold_lists_by_the_same_rule():
 # the continuum reference pair and the spectral layout
 #
 # Tests judge the multiplier apply against oracles.transform_reference and
-# its inverse, and spectral fields are stored at Grid.freq_axis(); these
-# pin that pair's normalization and layout.
+# its inverse, whose spectra are laid out at Grid.freq_axis(); these pin
+# that pair's normalization and layout.
 
 
 def _spacings(f) -> tuple:
@@ -146,9 +142,8 @@ def test_parseval():
     g = Grid(2, 64, 16.0)
     rng = np.random.default_rng(3)
     f = Field(g, rng.standard_normal(g.shape))
-    fhat = Field(g, _forward(f), SPECTRAL)
     phys = np.sum(np.abs(f.samples) ** 2) * f.cell_volume
-    spec = np.sum(np.abs(fhat.samples) ** 2) * fhat.cell_volume
+    spec = np.sum(np.abs(_forward(f)) ** 2) * g.freq_spacing**g.n
     assert phys == pytest.approx(spec, rel=1e-12)
 
 
@@ -388,30 +383,36 @@ def test_convolve_omega_is_spectral_multiplication():
 
 
 def test_save_load_round_trip(tmp_path):
-    g = Grid(2, 32, 8.0)
+    # a time axis of its own size and extent comes back from the sidecar
+    sg = SpacetimeGrid(Grid(2, 16, 8.0), 64, 16.0)
     rng = np.random.default_rng(1)
-    f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    f = SpacetimeField(sg, rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape))
     path = tmp_path / "field.npz"
     save_field(f, path)
     back = load_field(path)
-    assert isinstance(back, Field)
-    assert back.grid == f.grid
-    assert back.domain_tag == f.domain_tag
-    assert np.array_equal(back.samples, f.samples)
-
-
-def test_save_load_spacetime_and_tag(tmp_path):
-    sg = SpacetimeGrid(Grid(1, 32, 8.0), 64, 16.0)
-    rng = np.random.default_rng(4)
-    f = SpacetimeField(sg, rng.standard_normal(sg.shape) + 1j * rng.standard_normal(sg.shape),
-                       SPECTRAL)
-    path = tmp_path / "spec.npz"
-    save_field(f, path)
-    back = load_field(path)
     assert isinstance(back, SpacetimeField)
-    assert back.domain_tag == "spectral"
+    assert back.grid == f.grid
     assert back.grid.t_points == 64
     assert np.array_equal(back.samples, f.samples)
+
+
+def test_save_field_writes_the_sidecar_text(tmp_path):
+    # the sidecar's bytes are part of the file format, which op-apply's
+    # result.field.json carries
+    g = SpacetimeGrid(Grid(1, 256, 64.0), 256, 64.0)
+    save_field(SpacetimeField(g, np.zeros(g.shape)), tmp_path / "f.field")
+    assert (tmp_path / "f.field.json").read_bytes() == (
+        b'{\n'
+        b'  "L": 64.0,\n'
+        b'  "L_t": 64.0,\n'
+        b'  "N": 256,\n'
+        b'  "N_t": 256,\n'
+        b'  "domain_tag": "physical",\n'
+        b'  "kind": "spacetime",\n'
+        b'  "n": 1,\n'
+        b'  "version": 1\n'
+        b'}\n'
+    )
 
 
 def test_save_load_is_bit_exact_on_special_values(tmp_path):
@@ -434,13 +435,14 @@ def test_save_load_is_bit_exact_on_special_values(tmp_path):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Field(Grid(2, 16, 8.0), np.random.default_rng(2).standard_normal((16, 16))),
+    lambda: SpacetimeField(SpacetimeGrid(Grid(2, 16, 8.0), 8, 4.0),
+                           np.random.default_rng(2).standard_normal((16, 16, 8))),
     lambda: ens.gaussian_spacetime(SpacetimeGrid(Grid(1, 16, 8.0), 8, 4.0), 1.0),
-], ids=["field", "spacetime"])
+], ids=["random", "gaussian"])
 def test_a_float64_field_saves_the_bytes_of_its_complex_widening(tmp_path, make):
     f = make()
     assert f.samples.dtype == np.float64
-    wide = type(f)(f.grid, f.samples.astype(np.complex128), f.domain_tag)
+    wide = SpacetimeField(f.grid, f.samples.astype(np.complex128))
     save_field(f, tmp_path / "real.field")
     save_field(wide, tmp_path / "wide.field")
     assert (tmp_path / "real.field").read_bytes() == (tmp_path / "wide.field").read_bytes()
@@ -451,14 +453,18 @@ def test_a_float64_field_saves_the_bytes_of_its_complex_widening(tmp_path, make)
     assert back.samples.tobytes() == wide.samples.tobytes()
 
 
+_SAVE_GRID = SpacetimeGrid(Grid(1, 64, 8.0), 64, 8.0)
+
+
 @pytest.mark.parametrize("block", [2**17, 1000, 7])
 @pytest.mark.parametrize("make", [
-    lambda: Field(Grid(2, 64, 8.0), np.random.default_rng(3).standard_normal((64, 64))),
-    lambda: Field(Grid(2, 64, 8.0), np.random.default_rng(3).standard_normal((64, 64))
-                  + 1j * np.random.default_rng(4).standard_normal((64, 64)), SPECTRAL),
+    lambda: SpacetimeField(_SAVE_GRID, np.random.default_rng(3).standard_normal((64, 64))),
+    lambda: SpacetimeField(_SAVE_GRID, np.random.default_rng(3).standard_normal((64, 64))
+                           + 1j * np.random.default_rng(4).standard_normal((64, 64))),
     lambda: SpacetimeField(SpacetimeGrid(Grid(1, 32, 8.0), 8, 4.0),
                            np.random.default_rng(5).standard_normal((32, 8))),
-    lambda: Field(Grid(2, 16, 8.0), np.random.default_rng(6).standard_normal((16, 16)).T),
+    lambda: SpacetimeField(SpacetimeGrid(Grid(1, 16, 8.0), 16, 8.0),
+                           np.random.default_rng(6).standard_normal((16, 16)).T),
 ], ids=["float", "complex", "spacetime-32x8", "transposed-view"])
 def test_save_field_writes_the_whole_widening_block_by_block(tmp_path, monkeypatch, make, block):
     # blocks that do not divide the field, and a view that is not in C
@@ -472,7 +478,8 @@ def test_save_field_writes_the_whole_widening_block_by_block(tmp_path, monkeypat
 
 def test_save_field_holds_no_widened_copy_of_the_field(tmp_path):
     # a whole complex128 widening of a float64 field is twice its bytes
-    f = Field(Grid(2, 1024, 32.0), np.random.default_rng(7).standard_normal((1024, 1024)))
+    g = SpacetimeGrid(Grid(1, 1024, 32.0), 1024, 32.0)
+    f = SpacetimeField(g, np.random.default_rng(7).standard_normal(g.shape))
     tracemalloc.start()
     try:
         save_field(f, tmp_path / "big.field")
@@ -492,74 +499,99 @@ def test_load_rejects_garbage(tmp_path):
         load_field(tmp_path / "missing.npz")
 
 
-@pytest.mark.parametrize("kind, key, value", [
-    ("spacetime", "N", 64.9),
-    ("spacetime", "N_t", 64.5),
-    ("spacetime", "n", True),
-    ("spacetime", "N", 64.0),
-    ("spacetime", "N_t", "64"),
-    ("field", "N", 64.9),
-    ("field", "n", True),
+def _saved_with(tmp_path, **changes):
+    # a saved spacetime field whose sidecar has the given keys changed (to
+    # None: removed); returns the field's path
+    path = tmp_path / "f.field"
+    save_field(SpacetimeField(SpacetimeGrid(Grid(1, 64, 16.0), 64, 16.0), np.zeros((64, 64))),
+               path)
+    sidecar = tmp_path / "f.field.json"
+    meta = json.loads(sidecar.read_text())
+    for key, value in changes.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    return path
+
+
+@pytest.mark.parametrize("key, value", [
+    ("N", 64.9),
+    ("N_t", 64.5),
+    ("n", True),
+    ("N", 64.0),
+    ("N_t", "64"),
 ])
-def test_load_refuses_sizes_that_are_not_integers(tmp_path, kind, key, value):
+def test_load_refuses_sizes_that_are_not_integers(tmp_path, key, value):
     # a float size would be truncated and a boolean read as 1; the sidecar
     # must carry JSON integers
-    g = Grid(1, 64, 16.0)
-    f = Field(g, np.zeros(g.shape)) if kind == "field" else SpacetimeField(
-        SpacetimeGrid(g, 64, 16.0), np.zeros((64, 64)))
-    path = tmp_path / "f.field"
-    save_field(f, path)
-    sidecar = tmp_path / "f.field.json"
-    meta = json.loads(sidecar.read_text())
-    meta[key] = value
-    sidecar.write_text(json.dumps(meta))
     with pytest.raises(FieldFormatError, match=f"{key} must be an integer"):
-        load_field(path)
+        load_field(_saved_with(tmp_path, **{key: value}))
 
 
-@pytest.mark.parametrize("kind, key, value", [
-    ("spacetime", "L", True),
-    ("spacetime", "L", "16"),
-    ("spacetime", "L_t", "1e1"),
-    ("spacetime", "L_t", float("inf")),
-    ("spacetime", "L", float("nan")),
-    ("field", "L", False),
-    ("field", "L", "16.0"),
-    ("field", "L", float("-inf")),
+@pytest.mark.parametrize("key, value", [
+    ("L", True),
+    ("L", "16"),
+    ("L_t", "1e1"),
+    ("L_t", float("inf")),
+    ("L", float("nan")),
+    ("L", False),
+    ("L", "16.0"),
+    ("L", float("-inf")),
 ])
-def test_load_refuses_extents_that_are_not_finite_numbers(tmp_path, kind, key, value):
+def test_load_refuses_extents_that_are_not_finite_numbers(tmp_path, key, value):
     # a boolean would load as extent 1.0 and a string would be parsed
-    g = Grid(1, 64, 16.0)
-    f = Field(g, np.zeros(g.shape)) if kind == "field" else SpacetimeField(
-        SpacetimeGrid(g, 64, 16.0), np.zeros((64, 64)))
-    path = tmp_path / "f.field"
-    save_field(f, path)
-    sidecar = tmp_path / "f.field.json"
-    meta = json.loads(sidecar.read_text())
-    meta[key] = value
-    sidecar.write_text(json.dumps(meta))
     with pytest.raises(FieldFormatError, match=f"{key} must be a finite number"):
+        load_field(_saved_with(tmp_path, **{key: value}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kind", "field"),
+    ("kind", None),
+    ("domain_tag", "spectral"),
+    ("domain_tag", None),
+])
+def test_load_refuses_a_sidecar_that_is_not_a_physical_spacetime_field(tmp_path, monkeypatch,
+                                                                       key, value):
+    # a spatial or spectral sidecar, or one that does not say, is refused
+    # before the samples are read
+    def never(*args, **kwargs):
+        raise AssertionError("read the samples")
+
+    path = _saved_with(tmp_path, **{key: value})
+    monkeypatch.setattr(np, "fromfile", never)
+    with pytest.raises(FieldFormatError, match=f"{key} must be"):
         load_field(path)
 
 
 @pytest.mark.parametrize("meta", [[], ["kind", "field"], "field", 3, None])
 def test_load_refuses_a_sidecar_that_is_not_an_object(tmp_path, meta):
     # any JSON value parses; only an object carries the keys
-    g = Grid(1, 64, 16.0)
-    path = tmp_path / "f.field"
-    save_field(Field(g, np.zeros(g.shape)), path)
+    path = _saved_with(tmp_path)
     (tmp_path / "f.field.json").write_text(json.dumps(meta))
     with pytest.raises(FieldFormatError, match="expected a JSON object"):
         load_field(path)
 
 
+def test_load_refuses_a_sidecar_that_is_not_utf8(tmp_path):
+    path = _saved_with(tmp_path)
+    (tmp_path / "f.field.json").write_bytes(b"\xff\xfe{}")
+    with pytest.raises(FieldFormatError, match="cannot read sidecar"):
+        load_field(path)
+
+
+@pytest.mark.parametrize("blob", ["missing", "directory"])
+def test_load_refuses_an_unreadable_blob(tmp_path, blob):
+    # a valid sidecar next to samples that cannot be read
+    path = _saved_with(tmp_path)
+    path.unlink()
+    if blob == "directory":
+        path.mkdir()
+    with pytest.raises(FieldFormatError, match="cannot read samples"):
+        load_field(path)
+
+
 def test_load_accepts_an_integer_extent(tmp_path):
-    g = Grid(1, 64, 16.0)
-    path = tmp_path / "f.field"
-    save_field(SpacetimeField(SpacetimeGrid(g, 64, 16.0), np.zeros((64, 64))), path)
-    sidecar = tmp_path / "f.field.json"
-    meta = json.loads(sidecar.read_text())
-    meta["L"], meta["L_t"] = 16, 16
-    sidecar.write_text(json.dumps(meta))
-    back = load_field(path)
+    back = load_field(_saved_with(tmp_path, L=16, L_t=16))
     assert back.grid.space.extent == 16.0 and back.grid.t_extent == 16.0
