@@ -61,14 +61,12 @@ from .analysis import (
     classify_exponents,
     crucial_estimate_ratio,
     lp_norm,
-    mixed_norm,
     mixed_norms,
     mixed_norms_refined,
     necessary_window,
     ratio_ladder,
     ratio_probes,
-    stein_weiss_ratio,
-    stein_weiss_ratios,
+    stein_weiss_measure,
     sw_derived_params,
 )
 

@@ -10,7 +10,6 @@ only because its inputs are floats.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -19,7 +18,7 @@ import numpy as np
 
 from .conop import RadialQuadrature, _radial_symbol, symbol_applier
 from .ensembles import separable_gaussian
-from .fields import Field, SeparableField, SpacetimeField
+from .fields import Field, Grid, SeparableField, SpacetimeField
 from .kernel import KernelSpec, omega_hat
 from .specialfn import bessel_remainder
 from . import fields as _fields
@@ -31,14 +30,12 @@ __all__ = [
     "necessary_window",
     "lp_norm",
     "MixedNormSpec",
-    "mixed_norm",
     "mixed_norms",
     "mixed_norms_refined",
     "SteinWeissParams",
     "InadmissibleParamsError",
     "sw_derived_params",
-    "stein_weiss_ratio",
-    "stein_weiss_ratios",
+    "stein_weiss_measure",
     "crucial_estimate_ratio",
     "CaseFit",
     "CaseBoundReport",
@@ -259,26 +256,20 @@ class MixedNormSpec:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
-def mixed_norm(f: Field, spec: KernelSpec, mn: MixedNormSpec) -> float:
-    """( integral r^(alpha s) ||f * Omega_r||_q^s dr/r )^(1/s) over the r grid.
+def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
+    """( integral r^(alpha s) ||f * Omega_r||_q^s dr/r )^(1/s) over the r
+    grid, for each of one or more fields f on one grid, in order.
 
-    Physical-space route: f is transformed once (real_symbol_apply), the
-    profile is evaluated once per node on the distinct |xi| values and
+    Physical-space route: each f is transformed once (real_symbol_apply),
+    the profile is evaluated once per node on the distinct |xi| values and
     scattered back, and blocks of nodes are transformed back together
     along a leading axis; the q-norm of each node's convolution is taken
-    on its physical samples.  The (0, r_min) mass is restored in closed
-    form: there the convolution tends to omega_hat(0) * f, so the
+    on its physical samples.  The profile depends only on the grid, the
+    kernel and the r grid, so each block of it is evaluated once and
+    applied to every field; a field's value does not depend on the others
+    measured with it, bit for bit.  The (0, r_min) mass is restored in
+    closed form: there the convolution tends to omega_hat(0) * f, so the
     integrand's limit is known exactly.
-    """
-    return mixed_norms([f], spec, mn)[0]
-
-
-def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
-    """mixed_norm of each of one or more fields on one grid, in order.
-
-    The profile depends only on the grid, the kernel and the r grid, so
-    each block of it is evaluated once and applied to every field; the
-    values are those of one mixed_norm call per field, bit for bit.
     """
     fields = _mixed_norm_inputs(fields, spec, mn)
     f_norms = [lp_norm(f, mn.q) for f in fields]
@@ -289,7 +280,7 @@ def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
 def mixed_norms_refined(fields, spec: KernelSpec, mn: MixedNormSpec, index: int) -> tuple:
     """(mixed_norms(fields, spec, mn), the mixed norm of fields[index] on
     mn's r grid at twice the node density), the second bit for bit
-    mixed_norm's on mn.r_grid.refined(density=2).
+    mixed_norms' on mn.r_grid.refined(density=2).
 
     The doubled rule keeps every node of mn's as every second node, so the
     profile is evaluated once more on the midpoints alone, for
@@ -310,13 +301,13 @@ def mixed_norms_refined(fields, spec: KernelSpec, mn: MixedNormSpec, index: int)
 
 
 def _mixed_norm_inputs(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
-    # the fields as a list, refused unless mixed_norm can measure them all
+    # the fields as a list, refused unless mixed_norms can measure them all
     fields = list(fields)
     if not fields:
         raise ValueError("mixed_norms needs at least one field; the input is empty")
     for f in fields:
         if not isinstance(f, Field):
-            raise TypeError("mixed_norm acts on spatial fields")
+            raise TypeError("mixed_norms acts on spatial fields")
         if spec.n != f.grid.n:
             raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
     if len({f.grid for f in fields}) > 1:
@@ -494,7 +485,7 @@ def _sw_points(lo, width, gx):
 
 
 def _sw_geometry(half: float, depth: int, nodes: int):
-    """The composite Gauss-Legendre rules of stein_weiss_ratio on
+    """The composite Gauss-Legendre rules of stein_weiss_measure on
     [-half, half], with `nodes` points per panel.
 
     Returns (xs, xw, lo, width, offsets).  (xs, xw) is the outer rule,
@@ -517,7 +508,7 @@ def _sw_geometry(half: float, depth: int, nodes: int):
 
 
 def _sw_rows(geom, half: float, nodes: int, points: int, exponents) -> tuple:
-    """The potentials of stein_weiss_ratio as rows of product-integration
+    """The potentials of stein_weiss_measure as rows of product-integration
     weights on the grid samples, for each pair (a - N, delta_w) of
     exponents: ([data per pair], cols, indptr).
 
@@ -624,107 +615,84 @@ def _sw_rows(geom, half: float, nodes: int, points: int, exponents) -> tuple:
     return datas, cols, indptr[:-1]
 
 
-# The rule of the latest stein_weiss_ratios call and its rows for one grid
-# and the exponent sets that call measured: (rule key, geometry, {exponent
-# key: rows}).  Worker threads read it; it is swapped whole under the
-# lock, and a call keeps the tuple it read.
-_sw_slot = None
-_sw_lock = threading.Lock()
-
-
-def _sw_rule(half: float, depth: int, nodes: int, points: int, sets) -> tuple:
-    """(geometry, [rows per set]) of stein_weiss_ratios for one box,
-    depth, panel order and grid point count, and one or more exponent sets.
-
-    A set's rows are (data, cols, indptr, x_weight): the product-
-    integration rows of _sw_rows, which fold |u - x|^(a - N),
-    |u|^(-delta_w), the inner weights and the interpolation onto the
-    samples, and |x|^(-gamma_w) on the outer nodes.  Every set's rows
-    come from one _sw_rows pass and share cols and indptr; each set holds
-    its own data and x_weight.  The latest rule and rows are kept for the
-    next call, which reuses them when they cover every set it asks for,
-    and the geometry also while only the grid's point count or the
-    exponents change; the slot is emptied before a replacement is built,
-    so two passes' rows are never held at once.
-    """
-    global _sw_slot
-    rule = (half, depth, nodes, points)
-    keys = [(params.a - params.N, params.delta_w, params.gamma_w) for params in sets]
-    with _sw_lock:
-        slot = _sw_slot
-        if slot is not None and slot[0] == rule and all(key in slot[2] for key in keys):
-            return slot[1], [slot[2][key] for key in keys]
-        geom = slot[1] if slot is not None and slot[0][:3] == rule[:3] else None
-        _sw_slot = slot = None
-        if geom is None:
-            geom = _sw_geometry(half, depth, nodes)
-        datas, cols, indptr = _sw_rows(geom, half, nodes, points, [key[:2] for key in keys])
-        rows = {key: (data, cols, indptr, np.abs(geom[0]) ** -key[2])
-                for key, data in zip(keys, datas)}
-        for set_rows in rows.values():
-            for arr in set_rows:
-                arr.setflags(write=False)
-        _sw_slot = (rule, geom, rows)
-    return geom, [rows[key] for key in keys]
-
-
 def _positive_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
 
 
-def stein_weiss_ratio(params: SteinWeissParams, f: Field,
-                      depth: int = 12, nodes_per_panel: int = 8,
-                      allow_inadmissible: bool = False) -> float:
-    """Measured constant of the weighted inequality on one input.
+def stein_weiss_measure(params_sets, grid: Grid, depth: int = 12, nodes_per_panel: int = 8,
+                        allow_inadmissible=()):
+    """The measurer of the weighted inequality's constant on `grid` under
+    each of one or more exponent sets: measure(f) gives the measured
+    constant of f under each set, in set order.
 
     Direct one-dimensional quadrature: the potential integral refines
     dyadically toward its singular points u = 0 and u = x, the outer norm
-    toward x = 0, both over the field's box.  The potentials are linear in
+    toward x = 0, both over the grid's box.  The potentials are linear in
     the field's samples, so the inner rules, the powers of the kernel and
     the weights, and the interpolation onto the samples fold into one
-    sparse row of weights per outer node.  The rows depend only on the
-    box, the depth, the panel order, the grid's point count and the
-    exponents; they are built once per such set, or per group of sets
-    that stein_weiss_ratios measures together (_sw_rule), and kept for the
-    next call.  A call then takes every potential with one gather, one
-    product and one segmented sum, and interpolates the field only onto
-    the outer nodes, for the input norm.  Inadmissible parameter sets
-    raise, naming every violated condition; passing allow_inadmissible
-    runs them anyway, which is exactly how the failure of the inequality
-    is demonstrated (the measured value then tracks the truncation depth
-    instead of converging).
-    """
-    allowed = (params,) if allow_inadmissible else ()
-    return stein_weiss_ratios([params], f, depth, nodes_per_panel, allowed)[0]
+    sparse row of weights per outer node.  The measurer builds every set's
+    rows in one pass that finds their exponent-free structure once
+    (_sw_rows), and holds them until it goes.  A call then takes each
+    set's potentials with one gather, one product and one segmented sum,
+    and interpolates the field only onto the outer nodes, for the input
+    norm.  It takes a real, nonnegative, finite field on `grid` alone.
 
-
-def stein_weiss_ratios(params_sets, f: Field, depth: int = 12, nodes_per_panel: int = 8,
-                       allow_inadmissible=()) -> list:
-    """stein_weiss_ratio of one input under each of one or more exponent
-    sets, in order, bit for bit.
-
-    The rows of every set come from one pass that finds the exponent-free
-    structure for all of them (_sw_rule), and the field is interpolated
-    onto the outer nodes once.  allow_inadmissible names the sets that
-    may be inadmissible; any other inadmissible set raises before any
-    work, so a set measured beside a deliberately inadmissible one is
-    held to the same guard as when it is measured alone.
+    Inadmissible parameter sets raise before any work, naming every
+    violated condition, unless allow_inadmissible names them: that runs
+    them anyway, which is exactly how the failure of the inequality is
+    demonstrated (the measured value then tracks the truncation depth
+    instead of converging).  A set measured beside a deliberately
+    inadmissible one is held to the same guard as when it is measured
+    alone.
     """
     depth = _positive_int(depth, "depth")
     nodes = _positive_int(nodes_per_panel, "nodes_per_panel")
     params_sets = list(params_sets)
     if not params_sets:
-        raise ValueError("stein_weiss_ratios needs at least one exponent set")
+        raise ValueError("stein_weiss_measure needs at least one exponent set")
     for params in params_sets:
         fails = params.constraint_failures()
         if fails and params not in allow_inadmissible:
             raise InadmissibleParamsError("; ".join(fails))
         if params.N != 1:
             raise ValueError("direct quadrature is implemented for N = 1")
+    if not isinstance(grid, Grid) or grid.n != 1:
+        raise TypeError("stein_weiss_measure takes a one-dimensional spatial grid")
+
+    half = grid.extent / 2.0
+    geom = _sw_geometry(half, depth, nodes)
+    xs, xw = geom[:2]
+    datas, cols, indptr = _sw_rows(geom, half, nodes, grid.points,
+                                   [(params.a - params.N, params.delta_w) for params in params_sets])
+    x_weights = [np.abs(xs) ** -params.gamma_w for params in params_sets]
+    axis = grid.axis()
+
+    def measure(f) -> list:
+        fr = _sw_samples(f, grid)
+        outer = np.interp(xs, axis, fr, left=0.0, right=0.0)
+        out = []
+        for params, data, x_weight in zip(params_sets, datas, x_weights):
+            pot = np.add.reduceat(data * fr[cols], indptr)
+            weighted = x_weight * pot
+            out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
+            in_norm = float(np.sum(xw * outer**params.p) ** (1.0 / params.p))
+            if in_norm == 0.0:
+                raise ValueError("input field is identically zero")
+            out.append(out_norm / in_norm)
+        return out
+
+    return measure
+
+
+def _sw_samples(f, grid: Grid) -> np.ndarray:
+    # the real samples of f, refused unless f is a finite, real,
+    # nonnegative field on the measurer's grid
     if not isinstance(f, Field) or f.grid.n != 1:
-        raise TypeError("stein_weiss_ratio takes a one-dimensional spatial field")
+        raise TypeError("stein_weiss_measure takes a one-dimensional spatial field")
+    if f.grid != grid:
+        raise ValueError(f"the field's grid {f.grid} is not the measurer's {grid}")
     vals = f.samples
     # the comparisons below are False on NaN, so refuse non-finite samples first
     if not np.all(np.isfinite(vals)):
@@ -736,21 +704,7 @@ def stein_weiss_ratios(params_sets, f: Field, depth: int = 12, nodes_per_panel: 
     fr = vals.real
     if fr.min() < -1e-12 * max(fr.max(), 1e-300):
         raise ValueError("input must be nonnegative")
-
-    grid = f.grid
-    geom, rows = _sw_rule(grid.extent / 2.0, depth, nodes, grid.points, params_sets)
-    xs, xw = geom[:2]
-    outer = np.interp(xs, grid.axis(), fr, left=0.0, right=0.0)
-    out = []
-    for params, (data, cols, indptr, x_weight) in zip(params_sets, rows):
-        pot = np.add.reduceat(data * fr[cols], indptr)
-        weighted = x_weight * pot
-        out_norm = float(np.sum(xw * weighted**params.q) ** (1.0 / params.q))
-        in_norm = float(np.sum(xw * outer**params.p) ** (1.0 / params.p))
-        if in_norm == 0.0:
-            raise ValueError("input field is identically zero")
-        out.append(out_norm / in_norm)
-    return out
+    return fr
 
 
 # ---------------------------------------------------------------------------

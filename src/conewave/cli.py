@@ -45,8 +45,7 @@ from .analysis import (
     lp_norm,
     mixed_norms_refined,
     ratio_probes,
-    stein_weiss_ratio,
-    stein_weiss_ratios,
+    stein_weiss_measure,
     sw_derived_params,
 )
 from .conop import (
@@ -132,7 +131,7 @@ def load_config(path=None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}")
@@ -663,29 +662,12 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
     probes = ({(w, depth) for w in widths} | set(zip(conc, conc_depths))
               | {(2.0, d) for d in depths})
 
-    # each depth is visited once: the bumps' set in one pass of rows at the
-    # default depth, and the two ladder sets together in one pass at every
-    # depth, so every quadrature rule and its rows are built once per run
-    # (the analysis keeps only the latest, and deepest first leaves the
-    # smallest held); a (width, depth) probe shared by two ladders is
-    # measured once, and no value depends on the visiting order.  Only
-    # inad may be inadmissible: adm is refused if it ever is
-    measured = {}
-    for d in sorted({d for _, d in probes} | {depth}, reverse=True):
-        if d == depth:
-            rng = np.random.default_rng(seed)
-            # the dyadic panels refine toward the origin, so keep the bumps
-            # wide and central enough to be resolved; a narrow bump far out
-            # measures panel coarseness, not the inequality
-            fields = _bump_stream(grid, int(bumps), rng,
-                                  width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
-            ratios = _pool_map(lambda f: stein_weiss_ratio(hls, f, depth=depth), fields, jobs)
-        for w, pd in sorted(probes):
-            if pd == d:
-                measured[inad, w, d], measured[adm, w, d] = stein_weiss_ratios(
-                    (inad, adm), gaussian(grid, w), depth=d, allow_inadmissible=(inad,))
-
-    arr = np.asarray(ratios)
+    # the dyadic panels refine toward the origin, so keep the bumps wide
+    # and central enough to be resolved; a narrow bump far out measures
+    # panel coarseness, not the inequality
+    draws = _bump_stream(grid, int(bumps), np.random.default_rng(seed),
+                         width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
+    arr = np.ravel(_pool_map(stein_weiss_measure([hls], grid, depth), draws, jobs))
     med = float(np.median(arr))
     records.append(
         _rec(
@@ -698,6 +680,17 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
             "x10 gate for a bounded inequality",
         )
     )
+
+    # one measurer of the two ladder sets per depth, dropped before the
+    # next is built so that one depth's rows are held at a time; a (width,
+    # depth) probe shared by two ladders is measured once.  Only inad may
+    # be inadmissible: adm is refused if it ever is
+    measured = {}
+    for d in sorted({d for _, d in probes}):
+        measure = stein_weiss_measure((inad, adm), grid, d, allow_inadmissible=(inad,))
+        for w in sorted(w for w, pd in probes if pd == d):
+            measured[inad, w, d], measured[adm, w, d] = measure(gaussian(grid, w))
+        del measure
 
     lad_in = [measured[inad, w, depth] for w in widths]
     lad_ad = [measured[adm, w, depth] for w in widths]

@@ -647,11 +647,12 @@ def _sidecar_extent(meta: dict, key: str) -> float:
 def load_field(path) -> SpacetimeField:
     """Read a spacetime field written by save_field.
 
-    The sidecar must be a JSON object with kind "spacetime" and domain_tag
-    "physical", its sizes n, N and N_t JSON integers and its extents L and
-    L_t finite JSON numbers, and the blob must hold exactly the grid's
-    samples; anything else, an unreadable sidecar or blob included, raises
-    FieldFormatError, and the sidecar is checked before the blob is read.
+    The sidecar must be a JSON object with kind "spacetime", domain_tag
+    "physical" and version the JSON integer 1, its sizes n, N and N_t JSON
+    integers and its extents L and L_t finite JSON numbers, and the blob
+    must hold exactly the grid's samples; anything else, an unreadable
+    sidecar or blob included, raises FieldFormatError, and the sidecar is
+    checked before the blob is read.
     The samples are always complex128, whatever dtype the saved field had.
     """
     try:
@@ -666,6 +667,8 @@ def load_field(path) -> SpacetimeField:
             raise FieldFormatError(f"bad sidecar for {path}: {key} must be {want!r}, "
                                    f"got {meta.get(key)!r}")
     try:
+        if _sidecar_int(meta, "version") != _FORMAT_VERSION:
+            raise FieldFormatError(f"version must be {_FORMAT_VERSION}, got {meta['version']!r}")
         grid = SpacetimeGrid(
             Grid(_sidecar_int(meta, "n"), _sidecar_int(meta, "N"), _sidecar_extent(meta, "L")),
             _sidecar_int(meta, "N_t"),

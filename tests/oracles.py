@@ -372,7 +372,7 @@ def _gaussian_bump(u, width, center):
 
 def stein_weiss_potential_reference(params, x: float, half: float,
                                     width: float = 1.0, center: float = 0.0) -> float:
-    """The potential of stein_weiss_ratio at the outer point x != 0, for
+    """The potential of stein_weiss_measure at the outer point x != 0, for
     the Gaussian bump exp(-pi (u - center)^2 / width^2) itself (not its
     samples): the integral over [-half, half] of
     g(u) |u|^(-delta_w) |x - u|^(a - N).
@@ -403,7 +403,7 @@ def stein_weiss_potential_reference(params, x: float, half: float,
 
 def stein_weiss_ratio_reference(params, half: float, depth: int, width: float = 1.0,
                                 center: float = 0.0, nodes: int = 8) -> float:
-    """The measured constant of stein_weiss_ratio for the Gaussian bump
+    """The measured constant of stein_weiss_measure for the Gaussian bump
     itself: its outer norms on the composite Gauss-Legendre rule over
     [-half, half] that the package refines toward 0 (breaks +-half 2^-k,
     k = 1..depth - 1), with every potential from

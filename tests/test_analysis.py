@@ -2,9 +2,7 @@
 
 import gc
 import re
-import sys
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -35,15 +33,13 @@ from conewave import (
     classify_exponents,
     crucial_estimate_ratio,
     lp_norm,
-    mixed_norm,
     mixed_norms,
     mixed_norms_refined,
     necessary_window,
     omega_hat,
     ratio_ladder,
     ratio_probes,
-    stein_weiss_ratio,
-    stein_weiss_ratios,
+    stein_weiss_measure,
     sw_derived_params,
     symbol,
     symbol_applier,
@@ -395,7 +391,7 @@ def test_mixed_norm_alpha_must_match_kernel():
     f = ens.gaussian(g, 1.0)
     mn = MixedNormSpec(2.0, 2.0, 0.5, _r_grid())
     with pytest.raises(ValueError):
-        mixed_norm(f, KernelSpec(0.4, 1), mn)
+        mixed_norms([f], KernelSpec(0.4, 1), mn)
 
 
 def test_mixed_norm_plancherel_route_agrees_only_at_q_two():
@@ -421,11 +417,11 @@ def test_mixed_norm_plancherel_route_agrees_only_at_q_two():
         return (total + mass * inner0) ** (1.0 / q)
 
     mn2 = MixedNormSpec(2.0, 2.0, 0.4, quad)
-    physical = mixed_norm(f, spec, mn2)
+    physical = mixed_norms([f], spec, mn2)[0]
     assert physical == pytest.approx(spectral_route(2.0), rel=1e-10)
 
     mn10 = MixedNormSpec(10.0, 10.0, 0.4, quad)
-    physical10 = mixed_norm(f, spec, mn10)
+    physical10 = mixed_norms([f], spec, mn10)[0]
     assert abs(physical10 - spectral_route(10.0)) > 0.01 * physical10
 
 
@@ -433,7 +429,7 @@ def test_mixed_norm_requires_spatial_field():
     sg = SpacetimeGrid(Grid(1, 32, 8.0), 32, 8.0)
     mn = MixedNormSpec(2.0, 2.0, 0.4, _r_grid())
     with pytest.raises(TypeError):
-        mixed_norm(ens.gaussian_spacetime(sg, 1.0), KernelSpec(0.4, 1), mn)
+        mixed_norms([ens.gaussian_spacetime(sg, 1.0)], KernelSpec(0.4, 1), mn)
 
 
 def _mixed_norm_reference(f, spec, mn):
@@ -461,7 +457,7 @@ def test_mixed_norm_matches_node_by_node_reference(q):
     quad = RadialQuadrature(1e-3, 8.0, 100)
     mn = MixedNormSpec(q, q, 0.4, quad)
     f = ens.gaussian(Grid(1, 2048, 64.0), 1.0, 0.5)
-    assert mixed_norm(f, spec, mn) == pytest.approx(
+    assert mixed_norms([f], spec, mn)[0] == pytest.approx(
         _mixed_norm_reference(f, spec, mn), rel=1e-12, abs=0.0
     )
 
@@ -471,19 +467,19 @@ def test_mixed_norm_matches_node_by_node_reference_in_two_dimensions():
     spec = KernelSpec(0.5, 2)
     mn = MixedNormSpec(2.0, 4.0, 0.5, RadialQuadrature(1e-2, 4.0, 40))
     f = ens.gaussian(Grid(2, 64, 16.0), 1.5)
-    assert mixed_norm(f, spec, mn) == pytest.approx(
+    assert mixed_norms([f], spec, mn)[0] == pytest.approx(
         _mixed_norm_reference(f, spec, mn), rel=1e-12, abs=0.0
     )
 
 
 def test_mixed_norms_gives_one_mixed_norm_per_field():
     # one profile evaluation serves every field, with the bits of one
-    # mixed_norm call per field, in order
+    # one-field call per field, in order
     spec = KernelSpec(0.4, 1)
     mn = MixedNormSpec(4.0, 6.0, 0.4, RadialQuadrature(1e-2, 8.0, 70))
     g = Grid(1, 1024, 32.0)
     fields = [ens.gaussian(g, w, c) for w, c in ((0.5, 0.0), (1.0, 0.5), (2.0, -1.0))]
-    assert mixed_norms(fields, spec, mn) == [mixed_norm(f, spec, mn) for f in fields]
+    assert mixed_norms(fields, spec, mn) == [mixed_norms([f], spec, mn)[0] for f in fields]
     with pytest.raises(ValueError, match="one grid"):
         mixed_norms([fields[0], ens.gaussian(Grid(1, 512, 32.0), 1.0)], spec, mn)
     with pytest.raises(TypeError):
@@ -501,7 +497,7 @@ def test_mixed_norms_refuses_an_empty_input_before_any_work(monkeypatch):
 def test_mixed_norms_refined_is_the_doubled_rule_bit_for_bit(monkeypatch):
     # the doubled rule keeps every base node, so the refined value reuses
     # the base norms of its field and evaluates the profile on the
-    # midpoints alone, with the bits of a direct mixed_norm on that rule
+    # midpoints alone, with the bits of a direct one-field call on that rule
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature(1e-2, 8.0, 70)
     mn = MixedNormSpec(4.0, 6.0, 0.4, quad)
@@ -522,7 +518,7 @@ def test_mixed_norms_refined_is_the_doubled_rule_bit_for_bit(monkeypatch):
         norms, refined = mixed_norms_refined(fields, spec, mn, index)
         assert sum(rows) == quad.count + quad.count - 1
         assert norms == mixed_norms(fields, spec, mn)
-        assert refined == mixed_norm(fields[index], spec, fine)
+        assert refined == mixed_norms([fields[index]], spec, fine)[0]
     with pytest.raises(IndexError):
         mixed_norms_refined(fields, spec, mn, 3)
 
@@ -530,7 +526,7 @@ def test_mixed_norms_refined_is_the_doubled_rule_bit_for_bit(monkeypatch):
 def test_mixed_norm_guards_of_the_convolution():
     f = ens.gaussian(Grid(1, 256, 32.0), 1.0)
     with pytest.raises(ValueError, match="dimension"):
-        mixed_norm(f, KernelSpec(0.4, 2), MixedNormSpec(2.0, 2.0, 0.4, _r_grid()))
+        mixed_norms([f], KernelSpec(0.4, 2), MixedNormSpec(2.0, 2.0, 0.4, _r_grid()))
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +604,24 @@ def _bump(center=0.0, width=1.0, grid=None):
     return ens.gaussian(g, width, center)
 
 
+def _sw_ratio(params, f, depth=12, nodes_per_panel=8, allow_inadmissible=False):
+    # the measured constant of one set on one field, by a measurer of its own
+    allowed = (params,) if allow_inadmissible else ()
+    return stein_weiss_measure([params], f.grid, depth, nodes_per_panel, allowed)(f)[0]
+
+
+def _sw_pass(sets, half, depth, points, nodes=8):
+    # (geometry, (datas, cols, indptr)) of one row pass for the sets
+    geom = analysis._sw_geometry(half, depth, nodes)
+    return geom, analysis._sw_rows(geom, half, nodes, points,
+                                   [(params.a - params.N, params.delta_w) for params in sets])
+
+
 def test_stein_weiss_ratio_scale_and_translation_invariance():
     params = SteinWeissParams(1, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0)
-    base = stein_weiss_ratio(params, _bump(0.0, 1.0))
-    wide = stein_weiss_ratio(params, _bump(0.0, 2.0))
-    moved = stein_weiss_ratio(params, _bump(3.0, 1.0))
+    base = _sw_ratio(params, _bump(0.0, 1.0))
+    wide = _sw_ratio(params, _bump(0.0, 2.0))
+    moved = _sw_ratio(params, _bump(3.0, 1.0))
     assert wide == pytest.approx(base, rel=0.05)
     assert moved == pytest.approx(base, rel=0.05)
 
@@ -620,7 +629,7 @@ def test_stein_weiss_ratio_scale_and_translation_invariance():
 def test_inadmissible_sets_raise_with_condition_names():
     bad = SteinWeissParams(1, 0.9 - 1e-9, 0.3, 0.0, 4.0 / 3.0, 4.0)
     with pytest.raises(InadmissibleParamsError, match="gamma_w"):
-        stein_weiss_ratio(bad, _bump())
+        _sw_ratio(bad, _bump())
 
 
 def test_inadmissible_ratio_tracks_truncation_depth():
@@ -632,8 +641,8 @@ def test_inadmissible_ratio_tracks_truncation_depth():
     bad = SteinWeissParams(1, a, gamma, 0.0, 4.0 / 3.0, q)
     assert not bad.admissible()
     f = _bump(0.0, 1.0)
-    shallow = stein_weiss_ratio(bad, f, depth=8, allow_inadmissible=True)
-    deep = stein_weiss_ratio(bad, f, depth=14, allow_inadmissible=True)
+    shallow = _sw_ratio(bad, f, depth=8, allow_inadmissible=True)
+    deep = _sw_ratio(bad, f, depth=14, allow_inadmissible=True)
     assert deep > shallow * 1.05
 
 
@@ -641,14 +650,14 @@ def test_stein_weiss_input_guards():
     params = SteinWeissParams(1, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0)
     g = Grid(1, 128, 16.0)
     with pytest.raises(ValueError):
-        stein_weiss_ratio(params, Field(g, np.zeros(128)))
+        _sw_ratio(params, Field(g, np.zeros(128)))
     with pytest.raises(ValueError):
-        stein_weiss_ratio(params, Field(g, np.full(128, -1.0)))
+        _sw_ratio(params, Field(g, np.full(128, -1.0)))
     with pytest.raises(ValueError):
-        stein_weiss_ratio(params, Field(g, np.full(128, 1.0j)))
+        _sw_ratio(params, Field(g, np.full(128, 1.0j)))
     two_d = SteinWeissParams(2, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0)
     with pytest.raises(ValueError):
-        stein_weiss_ratio(two_d, _bump())
+        _sw_ratio(two_d, _bump())
 
 
 def _dyadic_panel_rule(a, b, singular, depth, nodes):
@@ -706,19 +715,18 @@ def _stein_weiss_reference(params, f, depth=12, nodes_per_panel=8):
 )
 def test_stein_weiss_ratio_matches_per_x_reference(params, depth):
     f = _bump(1.0, 1.5)
-    got = stein_weiss_ratio(params, f, depth=depth,
+    got = _sw_ratio(params, f, depth=depth,
                             allow_inadmissible=not params.admissible())
     assert got == pytest.approx(_stein_weiss_reference(params, f, depth), rel=1e-12, abs=0.0)
 
 
 def test_stein_weiss_ratio_geometry_follows_the_box_and_depth():
-    # alternating boxes and depths must rebuild the shared geometry, never
-    # reuse a stale one
+    # the rules follow the box and the depth of each measurer
     params = sw_derived_params(0.4, 2)
     for grid, depth in ((Grid(1, 512, 32.0), 8), (Grid(1, 256, 16.0), 8),
                         (Grid(1, 256, 16.0), 10), (Grid(1, 512, 32.0), 8)):
         f = _bump(0.5, 1.0, grid)
-        assert stein_weiss_ratio(params, f, depth=depth) == pytest.approx(
+        assert _sw_ratio(params, f, depth=depth) == pytest.approx(
             _stein_weiss_reference(params, f, depth), rel=1e-12, abs=0.0
         )
 
@@ -810,14 +818,14 @@ def test_stein_weiss_ratio_is_the_per_call_route_bit_for_bit(name, depth):
     # reassociate the sums, so they now agree to _SW_REL
     params = _SW_PARAM_SETS[name]
     for f in (_bump(1.0, 1.5), _bump(-2.0, 0.6, Grid.default(1))):
-        got = stein_weiss_ratio(params, f, depth=depth, allow_inadmissible=True)
+        got = _sw_ratio(params, f, depth=depth, allow_inadmissible=True)
         assert got == pytest.approx(_frozen_stein_weiss(params, f, depth), rel=_SW_REL, abs=0.0)
 
 
 def test_stein_weiss_tables_follow_exponents_depths_and_boxes_bit_for_bit():
-    # the kept rule and rows must be rebuilt whenever the exponents, the
-    # depth or the box change, and reused only when none does (agreeing
-    # with the frozen route to _SW_REL, no longer bit for bit)
+    # the rows follow the exponents, the depth and the box of each
+    # measurer (agreeing with the frozen route to _SW_REL, no longer bit
+    # for bit)
     big, small = Grid(1, 512, 32.0), Grid(1, 256, 16.0)
     sequence = [("hls", big, 12), ("hls", big, 12), ("derived", big, 12),
                 ("inadmissible", big, 12), ("derived", big, 12), ("derived", big, 10),
@@ -827,13 +835,13 @@ def test_stein_weiss_tables_follow_exponents_depths_and_boxes_bit_for_bit():
     for k, (name, grid, depth) in enumerate(sequence):
         params = _SW_PARAM_SETS[name]
         f = _bump(0.25 * k - 1.0, 0.8 + 0.1 * k, grid)
-        got = stein_weiss_ratio(params, f, depth=depth, allow_inadmissible=True)
+        got = _sw_ratio(params, f, depth=depth, allow_inadmissible=True)
         assert got == pytest.approx(_frozen_stein_weiss(params, f, depth),
                                     rel=_SW_REL, abs=0.0), (k, name, grid, depth)
-    # the panel order is part of the rule too
+    # and the panel order
     f = _bump(0.5, 1.0, big)
     for nodes in (8, 5, 8):
-        got = stein_weiss_ratio(_SW_PARAM_SETS["hls"], f, depth=9, nodes_per_panel=nodes)
+        got = _sw_ratio(_SW_PARAM_SETS["hls"], f, depth=9, nodes_per_panel=nodes)
         assert got == pytest.approx(_frozen_stein_weiss(_SW_PARAM_SETS["hls"], f, 9, nodes),
                                     rel=_SW_REL, abs=0.0)
 
@@ -844,9 +852,9 @@ def test_stein_weiss_rows_follow_the_grid_spacing():
     params = _SW_PARAM_SETS["derived"]
     for k, points in enumerate((512, 1024, 512, 1024, 1024, 512)):
         f = _bump(0.3 * k - 0.8, 1.0, Grid(1, points, 32.0))
-        got = stein_weiss_ratio(params, f, depth=10)
+        got = _sw_ratio(params, f, depth=10)
         assert got == pytest.approx(_frozen_stein_weiss(params, f, 10), rel=_SW_REL, abs=0.0)
-        geom, [(data, cols, indptr, _)] = analysis._sw_rule(16.0, 10, 8, points, [params])
+        geom, ([data], cols, indptr) = _sw_pass([params], 16.0, 10, points)
         # np.add.reduceat gives an empty segment the next row's first entry
         assert indptr.size == geom[0].size
         assert indptr[0] == 0 and np.all(np.diff(indptr) > 0) and indptr[-1] < data.size
@@ -855,53 +863,102 @@ def test_stein_weiss_rows_follow_the_grid_spacing():
 
 @pytest.mark.parametrize("grid", [Grid.default(1), Grid(1, 512, 32.0)], ids=["default", "512"])
 @pytest.mark.parametrize("depth", [8, 18])
-def test_stein_weiss_rows_of_several_sets_are_the_one_set_rows(monkeypatch, grid, depth):
+def test_stein_weiss_rows_of_several_sets_are_the_one_set_rows(grid, depth):
     # one pass builds every set's rows: each equals the rows of that set
-    # built alone, bit for bit, and all share one cols and one indptr
+    # built alone, bit for bit, beside one cols and one indptr
     names = ("hls", "inadmissible", "derived")
     sets = [_SW_PARAM_SETS[name] for name in names]
     half = grid.extent / 2.0
-    monkeypatch.setattr(analysis, "_sw_slot", None)
-    geom, together = analysis._sw_rule(half, depth, 8, grid.points, sets)
-    for name, params, rows in zip(names, sets, together):
-        assert rows[1] is together[0][1] and rows[2] is together[0][2]
-        monkeypatch.setattr(analysis, "_sw_slot", None)
-        _, [alone] = analysis._sw_rule(half, depth, 8, grid.points, [params])
-        for got, want in zip(rows, alone):
+    _, (datas, cols, indptr) = _sw_pass(sets, half, depth, grid.points)
+    for name, params, data in zip(names, sets, datas):
+        _, alone = _sw_pass([params], half, depth, grid.points)
+        for got, want in zip((data, cols, indptr), (alone[0][0], *alone[1:])):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-def test_stein_weiss_ratios_are_one_set_calls_bit_for_bit(monkeypatch):
-    # several sets measured together give each set's own ratio, and a later
-    # call for any of those sets on the same rule builds nothing
+def test_stein_weiss_measurer_of_several_sets_is_the_one_set_measurers_bit_for_bit(monkeypatch):
+    # several sets measured together give each set's own ratio, in either
+    # order, and one measurer builds its rows once for several fields
     names = ("hls", "inadmissible", "derived")
     sets = [_SW_PARAM_SETS[name] for name in names]
-    f = _bump(0.5, 1.2)
-    alone = []
-    for params in sets:
-        monkeypatch.setattr(analysis, "_sw_slot", None)
-        alone.append(stein_weiss_ratio(params, f, depth=10, allow_inadmissible=True))
-    monkeypatch.setattr(analysis, "_sw_slot", None)
-    assert stein_weiss_ratios(sets, f, depth=10, allow_inadmissible=sets) == alone
-    monkeypatch.setattr(analysis, "_sw_rows", lambda *a: pytest.fail("rows rebuilt"))
-    for params, want in zip(sets, alone):
-        assert stein_weiss_ratio(params, f, depth=10, allow_inadmissible=True) == want
-    assert stein_weiss_ratios(sets[::-1], f, depth=10, allow_inadmissible=sets) == alone[::-1]
+    fields = [_bump(0.5, 1.2), _bump(-1.0, 0.9), _bump(2.0, 1.6)]
+    alone = [[_sw_ratio(params, f, depth=10, allow_inadmissible=True) for params in sets]
+             for f in fields]
+    passes = []
+    rows = analysis._sw_rows
+    monkeypatch.setattr(analysis, "_sw_rows", lambda *a: passes.append(a) or rows(*a))
+    for order in (sets, sets[::-1]):
+        passes.clear()
+        measure = stein_weiss_measure(order, Grid(1, 512, 32.0), 10, allow_inadmissible=sets)
+        for f, want in zip(fields, alone):
+            assert measure(f) == (want if order is sets else want[::-1])
+        assert len(passes) == 1
 
 
-def test_stein_weiss_ratios_guard_every_set_it_is_not_told_to_allow(monkeypatch):
-    # allowing one inadmissible set does not allow another measured with it
+def test_stein_weiss_measure_guards_every_set_it_is_not_told_to_allow(monkeypatch):
+    # allowing one inadmissible set does not allow another measured with
+    # it; every refusal comes before any rule is built
     inad = _SW_PARAM_SETS["inadmissible"]
     broken = SteinWeissParams(1, 0.9 - 1e-9, 0.3, 0.0, 4.0 / 3.0, 4.0)
-    monkeypatch.setattr(analysis, "_sw_slot", None)
+    grid = _bump().grid
+    monkeypatch.setattr(analysis, "_sw_geometry", lambda *a: pytest.fail("geometry built"))
     monkeypatch.setattr(analysis, "_sw_rows", lambda *a: pytest.fail("rows built"))
     for sets in ([inad, broken], [broken, inad]):
         with pytest.raises(InadmissibleParamsError, match="gamma_w < N/q"):
-            stein_weiss_ratios(sets, _bump(), depth=8, allow_inadmissible=(inad,))
+            stein_weiss_measure(sets, grid, depth=8, allow_inadmissible=(inad,))
     with pytest.raises(InadmissibleParamsError):
-        stein_weiss_ratios([inad, _SW_PARAM_SETS["hls"]], _bump(), depth=8)
+        stein_weiss_measure([inad, _SW_PARAM_SETS["hls"]], grid, depth=8)
     with pytest.raises(ValueError, match="at least one"):
-        stein_weiss_ratios([], _bump(), depth=8)
+        stein_weiss_measure([], grid, depth=8)
+    with pytest.raises(ValueError, match="N = 1"):
+        stein_weiss_measure([SteinWeissParams(2, 0.5, 0.0, 0.0, 4.0 / 3.0, 4.0)], grid)
+    with pytest.raises(ValueError, match="^depth must be an integer >= 1"):
+        stein_weiss_measure([inad], grid, depth=0, allow_inadmissible=(inad,))
+    for not_a_line in (Grid(2, 64, 16.0), _bump()):
+        with pytest.raises(TypeError, match="one-dimensional spatial grid"):
+            stein_weiss_measure([_SW_PARAM_SETS["hls"]], not_a_line)
+
+
+def test_stein_weiss_measure_refuses_a_field_off_its_grid_before_any_sum(monkeypatch):
+    # a call reads the field (np.interp) before it sums anything, so a
+    # refusal that comes before any read comes before any sum
+    measure = stein_weiss_measure([_SW_PARAM_SETS["hls"]], Grid(1, 512, 32.0), depth=8)
+    reads = []
+    interp = np.interp
+
+    def spy(*args, **kwargs):
+        reads.append(args)
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", spy)
+    for other in (Grid(1, 256, 32.0), Grid(1, 512, 16.0)):
+        with pytest.raises(ValueError, match="measurer's"):
+            measure(_bump(0.5, 1.0, other))
+    with pytest.raises(TypeError, match="one-dimensional spatial field"):
+        measure(ens.gaussian(Grid(2, 64, 16.0), 1.0))
+    with pytest.raises(TypeError, match="one-dimensional spatial field"):
+        measure(_bump().samples)
+    assert reads == []
+
+
+def test_stein_weiss_measurer_frees_its_rows_when_it_goes(monkeypatch):
+    # the rows live in the measurer alone: nothing else keeps them alive
+    alive = []
+    rows = analysis._sw_rows
+
+    def spy(*args):
+        datas, cols, indptr = out = rows(*args)
+        alive.extend(weakref.ref(arr) for arr in (*datas, cols, indptr))
+        return out
+
+    monkeypatch.setattr(analysis, "_sw_rows", spy)
+    measure = stein_weiss_measure([_SW_PARAM_SETS["hls"], _SW_PARAM_SETS["derived"]],
+                                  Grid(1, 512, 32.0), depth=9)
+    assert len(measure(_bump(0.5, 1.0))) == 2
+    assert len(alive) == 4 and all(ref() is not None for ref in alive)
+    del measure
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * 4
 
 
 def test_stein_weiss_interpolates_the_field_on_the_outer_nodes_only(monkeypatch):
@@ -909,7 +966,7 @@ def test_stein_weiss_interpolates_the_field_on_the_outer_nodes_only(monkeypatch)
     # the outer nodes once, for the input norm
     params = _SW_PARAM_SETS["hls"]
     f = _bump(0.5, 1.0)
-    stein_weiss_ratio(params, f, depth=11)
+    measure = stein_weiss_measure([params], f.grid, depth=11)
     sizes = []
     interp = np.interp
 
@@ -918,8 +975,8 @@ def test_stein_weiss_interpolates_the_field_on_the_outer_nodes_only(monkeypatch)
         return interp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "interp", spy)
-    stein_weiss_ratio(params, f, depth=11)
-    assert sizes == [analysis._sw_slot[1][0].size]
+    measure(f)
+    assert sizes == [analysis._sw_geometry(16.0, 11, 8)[0].size]
 
 
 @pytest.mark.parametrize("name, ratio_rel", [("hls", 1.1e-2), ("derived", 7e-4)])
@@ -935,8 +992,8 @@ def test_stein_weiss_potentials_match_the_quadpack_oracle(name, ratio_rel):
     params = _SW_PARAM_SETS[name]
     grid, width, center, depth = Grid(1, 512, 32.0), 1.0, 0.5, 12
     f = _bump(center, width, grid)
-    got = stein_weiss_ratio(params, f, depth=depth)
-    geom, [(data, cols, indptr, _)] = analysis._sw_rule(16.0, depth, 8, grid.points, [params])
+    got = _sw_ratio(params, f, depth=depth)
+    geom, ([data], cols, indptr) = _sw_pass([params], 16.0, depth, grid.points)
     xs = geom[0]
     pot = np.add.reduceat(data * f.samples[cols], indptr)
     for target in (-3.0, -0.6, 1.6, 5.0):
@@ -951,37 +1008,6 @@ def test_stein_weiss_potentials_match_the_quadpack_oracle(name, ratio_rel):
     assert got == pytest.approx(ref, rel=ratio_rel, abs=0.0)
 
 
-def test_stein_weiss_kept_rule_under_concurrent_callers():
-    # threads that alternate exponent sets, groups of sets measured
-    # together and depths swap the kept rule under each other; every call
-    # must still read one whole rule and its own tables
-    grid = Grid(1, 256, 16.0)
-    groups = [(name,) for name in sorted(_SW_PARAM_SETS)] + [("derived", "inadmissible")]
-    cases = [(names, depth, 0.3 * k - 1.0) for k in range(4)
-             for names in groups for depth in (6, 9)]
-
-    def measure(case):
-        names, depth, center = case
-        sets = [_SW_PARAM_SETS[name] for name in names]
-        return stein_weiss_ratios(sets, _bump(center, 1.0, grid), depth=depth,
-                                  allow_inadmissible=sets)
-
-    frozen = [[_frozen_stein_weiss(_SW_PARAM_SETS[name], _bump(center, 1.0, grid), depth)
-               for name in names] for names, depth, center in cases]
-    expected = [measure(case) for case in cases]
-    for got, want in zip(expected, frozen):
-        assert got == pytest.approx(want, rel=_SW_REL, abs=0.0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(measure, case) for case in cases * 3]
-            got = [fut.result(timeout=120) for fut in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected * 3
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stein_weiss_refuses_non_finite_samples(bad):
     params = _SW_PARAM_SETS["hls"]
@@ -989,11 +1015,11 @@ def test_stein_weiss_refuses_non_finite_samples(bad):
     samples = f.samples.copy()
     samples[200] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        stein_weiss_ratio(params, Field(f.grid, samples))
+        _sw_ratio(params, Field(f.grid, samples))
     samples = f.samples.astype(np.complex128)
     samples[200] += 1j * bad
     with pytest.raises(ValueError, match="non-finite"):
-        stein_weiss_ratio(params, Field(f.grid, samples))
+        _sw_ratio(params, Field(f.grid, samples))
 
 
 def test_stein_weiss_refuses_a_complex_bump_and_takes_its_real_twin():
@@ -1001,11 +1027,11 @@ def test_stein_weiss_refuses_a_complex_bump_and_takes_its_real_twin():
     f = _bump(0.0, 1.0)
     assert f.samples.dtype == np.float64
     twin = Field(f.grid, f.samples.astype(np.complex128))
-    assert stein_weiss_ratio(params, twin) == stein_weiss_ratio(params, f)
+    assert _sw_ratio(params, twin) == _sw_ratio(params, f)
     samples = f.samples.astype(np.complex128)
     samples[200] += 1e-3j
     with pytest.raises(ValueError, match=r"^input must be real and nonnegative$"):
-        stein_weiss_ratio(params, Field(f.grid, samples))
+        _sw_ratio(params, Field(f.grid, samples))
 
 
 @pytest.mark.parametrize("name, value", [
@@ -1016,14 +1042,14 @@ def test_stein_weiss_refuses_a_complex_bump_and_takes_its_real_twin():
 def test_stein_weiss_refuses_bad_rule_sizes(name, value):
     params = _SW_PARAM_SETS["hls"]
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
-        stein_weiss_ratio(params, _bump(), **{name: value})
+        _sw_ratio(params, _bump(), **{name: value})
 
 
 def test_stein_weiss_accepts_numpy_integer_rule_sizes():
     params = _SW_PARAM_SETS["hls"]
     f = _bump(0.5, 1.0)
-    assert stein_weiss_ratio(params, f, depth=np.int64(9), nodes_per_panel=np.int32(6)) \
-        == stein_weiss_ratio(params, f, depth=9, nodes_per_panel=6)
+    assert _sw_ratio(params, f, depth=np.int64(9), nodes_per_panel=np.int32(6)) \
+        == _sw_ratio(params, f, depth=9, nodes_per_panel=6)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,15 @@ def test_readme_config_block_matches_the_defaults():
 def test_unknown_config_section_exits_three(tmp_path):
     code, _ = run(tmp_path, "verify", "bessel", config="[kernels]\nalpha = 0.5\n")
     assert code == 3
+
+
+def test_config_file_that_is_not_utf8_exits_three(tmp_path, capsys):
+    cfg_path = tmp_path / "latin.ini"
+    cfg_path.write_bytes(b"[stein-weiss]\nbumps = 8 \xff\n")
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "--config", str(cfg_path), "verify", "bessel"]) == 3
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_missing_input_field_exits_three(tmp_path):
@@ -334,11 +344,9 @@ def test_reports_are_deterministic_across_workers(tmp_path):
 
 
 def test_verify_stein_weiss_is_worker_independent(tmp_path, monkeypatch):
-    # the bump ensemble runs on worker threads that share the kept
-    # quadrature rule and rows
+    # the bump ensemble runs on worker threads that share one measurer
     outs = {}
     for jobs in (1, 2):
-        monkeypatch.setattr(analysis, "_sw_slot", None)
         code, outs[jobs] = run_at_jobs(tmp_path, monkeypatch, jobs, "verify", "stein-weiss",
                                        config="[stein-weiss]\nbumps = 8\n")
         assert code == 0
@@ -347,7 +355,7 @@ def test_verify_stein_weiss_is_worker_independent(tmp_path, monkeypatch):
 
 
 def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
-    built, rows_built = [], []
+    built, rows_built, alive = [], [], []
     geometry, rows = analysis._sw_geometry, analysis._sw_rows
 
     def counted(*rule):
@@ -355,17 +363,20 @@ def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
         return geometry(*rule)
 
     def counted_rows(geom, *args):
+        # an earlier pass's rows are gone before the next pass is built
+        assert [ref() for ref in alive] == [None] * len(alive)
         rows_built.append((geom[0].size, tuple(args[-1])))
-        return rows(geom, *args)
+        datas, cols, indptr = out = rows(geom, *args)
+        alive.extend(weakref.ref(arr) for arr in (*datas, cols, indptr))
+        return out
 
-    monkeypatch.setattr(analysis, "_sw_slot", None)
     monkeypatch.setattr(analysis, "_sw_geometry", counted)
     monkeypatch.setattr(analysis, "_sw_rows", counted_rows)
     records = {r["name"]: r["value"] for r in cli.battery_stein_weiss(seed=3, bumps=4)}
-    assert sorted(built) == [8, 10, 12, 14, 16, 18]
-    # and the rows in one pass per depth for the two ladder sets, and one
-    # for the bumps' set at the default depth 12: every (depth, exponent
-    # set) pair is built exactly once
+    # one measurer of the bumps' set at the default depth 12, and one of
+    # the two ladder sets per depth: every (depth, exponent set) pair is
+    # built exactly once
+    assert sorted(built) == [8, 10, 12, 12, 14, 16, 18]
     assert len(rows_built) == 7
     assert sorted(len(keys) for _, keys in rows_built) == [1] + [2] * 6
     pairs = [(size, key) for size, keys in rows_built for key in keys]
@@ -376,8 +387,9 @@ def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
     adm = cw.sw_derived_params(0.4, 2)
 
     def ladder(params, probes):
-        return [cw.stein_weiss_ratio(params, ens.gaussian(grid, w), depth=d,
-                                     allow_inadmissible=params is inad) for w, d in probes]
+        allowed = (params,) if params is inad else ()
+        return [cw.stein_weiss_measure([params], grid, d, allow_inadmissible=allowed)(
+            ens.gaussian(grid, w))[0] for w, d in probes]
 
     widths = (1.0, 2.0, 4.0, 8.0)
     conc = ((4.0, 10), (2.0, 12), (1.0, 14), (0.5, 16), (0.25, 18))
@@ -397,8 +409,8 @@ def test_stein_weiss_battery_builds_one_geometry_per_depth(monkeypatch):
 
 
 def test_stein_weiss_battery_refuses_an_admissible_set_that_turns_inadmissible(monkeypatch):
-    # adm is measured in one call with the deliberately inadmissible inad,
-    # and is still refused the moment it is inadmissible itself
+    # adm is measured by one measurer with the deliberately inadmissible
+    # inad, and is still refused the moment it is inadmissible itself
     derived = cli.sw_derived_params
 
     def broken(alpha, n):
@@ -409,7 +421,6 @@ def test_stein_weiss_battery_refuses_an_admissible_set_that_turns_inadmissible(m
         return params
 
     monkeypatch.setattr(cli, "sw_derived_params", broken)
-    monkeypatch.setattr(analysis, "_sw_slot", None)
     with pytest.raises(cw.InadmissibleParamsError, match="gamma_w < N/q"):
         cli.battery_stein_weiss(seed=3, bumps=4)
 
@@ -417,7 +428,7 @@ def test_stein_weiss_battery_refuses_an_admissible_set_that_turns_inadmissible(m
 def test_mixed_norm_battery_refines_on_the_base_nodes(monkeypatch):
     # the refinement doubles the node density of the base rule and
     # evaluates the profile on the 159 midpoints alone, for the width-1
-    # input alone; its value is a direct mixed_norm on the doubled rule
+    # input alone; its value is a direct one-field mixed_norms on the doubled rule
     rows = []
     profile = analysis.omega_hat
 
@@ -434,8 +445,8 @@ def test_mixed_norm_battery_refines_on_the_base_nodes(monkeypatch):
     spec = cw.KernelSpec(0.4, 1)
     quad = cw.RadialQuadrature(g.spacing / 4.0, 16.0, 160)
     f = ens.gaussian(g, 1.0)
-    m1 = cw.mixed_norm(f, spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad))
-    m2 = cw.mixed_norm(f, spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad.refined(density=2)))
+    m1 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad))[0]
+    m2 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad.refined(density=2)))[0]
     assert records["radial refinement"]["value"] == abs(m1 - m2) / m2
     assert records["radial refinement"]["passed"]
 
@@ -733,6 +744,19 @@ def test_op_apply_refuses_a_sidecar_size_that_is_not_an_integer(tmp_path, capsys
     assert code == 3
     assert "N must be an integer" in capsys.readouterr().err
     assert not (out / "result.field").exists()
+
+
+def test_op_apply_refuses_a_sidecar_of_another_version(tmp_path, capsys):
+    g = cw.SpacetimeGrid(cw.Grid(1, 64, 16.0), 64, 16.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
+    sidecar = tmp_path / "g.field.json"
+    sidecar.write_text(sidecar.read_text().replace('"version": 1', '"version": 2'))
+    code, out = run(tmp_path, "op-apply", config=f"[op-apply]\ninput = {field_path}\n")
+    assert code == 3
+    assert "version must be 1, got 2" in capsys.readouterr().err
+    assert not (out / "result.field").exists()
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("meta", ["[]", '"spacetime"', "64", "null"])

@@ -14,10 +14,10 @@ _NO_CALLER_YET = {
     # the cone-adapted probe family for the n >= 2 boundedness probes of
     # ROADMAP item 5, built to load the light-cone singularity
     "ensembles.cone_plate",
-    # the public one-field mixed norm and the direct route the mixed-norm
-    # tests compare against; the verify battery measures its widths and
-    # its refinement together through mixed_norms_refined
-    "analysis.mixed_norm",
+    # the public mixed norm of one or more fields, and the direct route the
+    # mixed-norm tests compare against; the verify battery measures its
+    # widths and its refinement together through mixed_norms_refined
+    "analysis.mixed_norms",
 }
 
 

@@ -565,6 +565,19 @@ def test_load_refuses_a_sidecar_that_is_not_a_physical_spacetime_field(tmp_path,
         load_field(path)
 
 
+@pytest.mark.parametrize("version", ["x", 99, None, True, 1.0])
+def test_load_refuses_any_version_but_the_integer_one(tmp_path, monkeypatch, version):
+    # another format, a missing version, or a boolean or float that equals
+    # 1 is refused before the samples are read
+    def never(*args, **kwargs):
+        raise AssertionError("read the samples")
+
+    path = _saved_with(tmp_path, version=version)
+    monkeypatch.setattr(np, "fromfile", never)
+    with pytest.raises(FieldFormatError, match="version"):
+        load_field(path)
+
+
 @pytest.mark.parametrize("meta", [[], ["kind", "field"], "field", 3, None])
 def test_load_refuses_a_sidecar_that_is_not_an_object(tmp_path, meta):
     # any JSON value parses; only an object carries the keys
