@@ -19,7 +19,7 @@ import numpy as np
 from .conop import RadialQuadrature, _radial_symbol, symbol_applier
 from .ensembles import separable_gaussian
 from .fields import Field, Grid, SeparableField, SpacetimeField
-from .kernel import KernelSpec, omega_hat
+from .kernel import KernelSpec, _jacobi_rules, omega_hat
 from .specialfn import bessel_remainder
 from . import fields as _fields
 
@@ -447,8 +447,12 @@ def sw_derived_params(alpha: float, n: int) -> SteinWeissParams:
 
 @lru_cache(maxsize=32)
 def _gl_rule(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+    # Gauss-Legendre is the Gauss-Jacobi rule of weight (1 - s^2)^0; every
+    # caller shares the cached arrays, so they are read-only
+    rule = _jacobi_rules([nodes], 0.0)[0]
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def _dyadic_panels(a: float, b: float, singular: np.ndarray, depth: int):
@@ -842,6 +846,19 @@ class RatioStats:
     mean: float
 
 
+def _median(values) -> float:
+    # np.median's value bit for bit (nan if any value is nan, else the
+    # middle value, or the mean of the two middle values of an even count)
+    # without np.median's import of numpy.ma
+    s = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    mid = s.size // 2
+    if np.isnan(s[-1]):
+        return math.nan
+    if s.size % 2:
+        return float(s[mid])
+    return float((s[mid - 1] + s[mid]) / 2.0)
+
+
 def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     """Norm ratios ||T f||_q / ||f||_p of the operator T with symbol m over
     a family, one RatioStats per (1/p, 1/q) probe, in probe order.
@@ -905,7 +922,7 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     for column in zip(*per_member):
         arr = np.asarray(column)
         stats.append(RatioStats(tuple(float(v) for v in column), tuple(labels),
-                                float(arr.max()), float(np.median(arr)), float(arr.mean())))
+                                float(arr.max()), _median(arr), float(arr.mean())))
     return stats
 
 
@@ -931,10 +948,11 @@ def boundedness_verdict(scales, ratios, spread_limit: float = 2.0,
     """
     scales = np.asarray(list(scales), dtype=float)
     ratios = np.asarray(list(ratios), dtype=float)
-    if scales.size != ratios.size or np.unique(scales).size < 2:
+    # the scales are compared, not passed to np.unique, which imports numpy.ma
+    if scales.size != ratios.size or scales.size < 2 or np.all(scales == scales[0]):
         raise ValueError("need matching ladders with at least two distinct scales")
-    if np.any(ratios <= 0.0) or np.any(scales <= 0.0):
-        raise ValueError("scales and ratios must be positive")
+    if np.any(ratios <= 0.0) or not np.all((scales > 0.0) & (scales < np.inf)):
+        raise ValueError("scales must be positive and finite, and ratios positive")
     order = np.argsort(scales)
     scales, ratios = scales[order], ratios[order]
     spread = float(ratios.max() / ratios.min())

@@ -23,11 +23,11 @@ import json
 import math
 import os
 import platform
+import random
 import sys
 import time
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import numpy as np
@@ -38,6 +38,7 @@ from .analysis import (
     MixedNormSpec,
     Region,
     SteinWeissParams,
+    _median,
     boundedness_verdict,
     case_bound_check,
     classify_exponents,
@@ -368,6 +369,9 @@ def _pool_map(fn, items, jobs):
     # most `jobs` items are in flight and a streamed input is never held whole
     if jobs <= 1:
         return [fn(it) for it in items]
+    # imported here, so a one-worker run loads no concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     results = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         pending = deque()
@@ -665,10 +669,10 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
     # the dyadic panels refine toward the origin, so keep the bumps wide
     # and central enough to be resolved; a narrow bump far out measures
     # panel coarseness, not the inequality
-    draws = _bump_stream(grid, int(bumps), np.random.default_rng(seed),
+    draws = _bump_stream(grid, int(bumps), random.Random(seed),
                          width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
     arr = np.ravel(_pool_map(stein_weiss_measure([hls], grid, depth), draws, jobs))
-    med = float(np.median(arr))
+    med = _median(arr)
     records.append(
         _rec(
             "hls constant stability",
@@ -1339,7 +1343,7 @@ def main(argv=None) -> int:
         print("conewave: config error: --jobs must be >= 1", file=sys.stderr)
         return 3
     if args.seed < 0:
-        # numpy's generators take no negative seed
+        # random.Random seeds on |seed|, so -S would draw the ensemble of S
         print("conewave: config error: --seed must be >= 0", file=sys.stderr)
         return 3
     args.jobs = jobs

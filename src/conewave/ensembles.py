@@ -87,23 +87,26 @@ def cone_plate(grid: SpacetimeGrid, thickness: float = 1.0,
     return SpacetimeField(grid, across * along)
 
 
-def random_bumps(grid: Grid, count: int, rng: np.random.Generator,
+def random_bumps(grid: Grid, count: int, rng,
                  width_range=(0.5, 2.0), center_range=None) -> list:
     """Nonnegative random Gaussian bumps on a one-dimensional grid.
 
-    Centers stay inside the middle half of the box by default so that
-    potentials and norms are not contaminated by the periodic seam.
+    rng is any generator with uniform(lo, hi), a numpy Generator or a
+    random.Random; each bump draws its width, center and amplitude in
+    that order.  Centers stay inside the middle half of the box by
+    default so that potentials and norms are not contaminated by the
+    periodic seam.
     """
     if grid.n != 1:
         raise ValueError("random_bumps generates one-dimensional fields")
     if center_range is None:
         center_range = (-grid.extent / 4.0, grid.extent / 4.0)
+    x = grid.axis()
     out = []
     for _ in range(int(count)):
         width = float(rng.uniform(*width_range))
         center = float(rng.uniform(*center_range))
         amp = float(rng.uniform(0.5, 2.0))
-        x = grid.axis()
         out.append(Field(grid, amp * np.exp(-np.pi * (x - center) ** 2 / width**2)))
     return out
 

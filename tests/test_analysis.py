@@ -1052,6 +1052,24 @@ def test_stein_weiss_accepts_numpy_integer_rule_sizes():
         == _sw_ratio(params, f, depth=9, nodes_per_panel=6)
 
 
+@pytest.mark.parametrize("nodes", [1, 2, 5, 8, 16, 24])
+def test_stein_weiss_panel_rule_is_gauss_legendre(nodes):
+    # the panels' rule is the Gauss-Jacobi rule at a = 0: exact on every
+    # monomial up to degree 2K - 1 (the odd ones integrate to 0) and
+    # numpy's Gauss-Legendre rule to rounding
+    s, w = analysis._gl_rule(nodes)
+    assert s.shape == w.shape == (nodes,)
+    for m in range(2 * nodes):
+        got = float(w @ s**m)
+        if m % 2:
+            assert abs(got) <= 3e-13, m
+        else:
+            assert got == pytest.approx(2.0 / (m + 1), rel=3e-13), m
+    x, v = np.polynomial.legendre.leggauss(nodes)
+    assert np.max(np.abs(s - x)) <= 2e-15
+    assert np.max(np.abs(w - v)) <= 2e-15
+
+
 # ---------------------------------------------------------------------------
 # composition estimate
 

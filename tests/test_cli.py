@@ -4,6 +4,7 @@ import configparser
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -136,8 +137,8 @@ def test_bad_jobs_env_exits_three(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["stein-weiss", "bessel"])
 def test_negative_seed_exits_three_before_any_command(tmp_path, monkeypatch, capsys, suite):
-    # numpy's generators take no negative seed, and a suite that draws
-    # nothing would echo it into its report
+    # random.Random seeds on |seed|, so -S would draw S's ensemble, and a
+    # suite that draws nothing would echo it into its report
     def never(*args, **kwargs):
         raise AssertionError("ran the suite")
 
@@ -289,16 +290,29 @@ def test_stein_weiss_bump_stream_draws_the_batch_ensemble():
     # out exactly the fields random_bumps would have built in one batch
     grid = cw.Grid.default(1)
     ranges = dict(width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
-    batch = ens.random_bumps(grid, 200, np.random.default_rng(11), **ranges)
-    stream = _bump_stream(grid, 200, np.random.default_rng(11), **ranges)
+    batch = ens.random_bumps(grid, 200, random.Random(11), **ranges)
+    stream = _bump_stream(grid, 200, random.Random(11), **ranges)
     assert not isinstance(stream, list)
     got = [f.samples for f in stream]
     assert len(got) == len(batch)
     assert all(np.array_equal(a, f.samples) for a, f in zip(got, batch))
     # a worker pool consumes the stream in draw order too
     peaks = _pool_map(lambda f: float(f.samples.real.max()),
-                      _bump_stream(grid, 20, np.random.default_rng(11), **ranges), 2)
+                      _bump_stream(grid, 20, random.Random(11), **ranges), 2)
     assert peaks == [float(f.samples.real.max()) for f in batch[:20]]
+
+
+def test_stein_weiss_bumps_come_from_the_standard_library_generator():
+    # the battery's ensemble is random.Random(seed)'s draws, so the suite
+    # needs no numpy.random
+    grid = cw.Grid.default(1)
+    hls = cw.SteinWeissParams(N=1, a=0.5, gamma_w=0.0, delta_w=0.0, p=4 / 3, q=4.0)
+    measure = cw.stein_weiss_measure([hls], grid, 12)
+    bumps = ens.random_bumps(grid, 4, random.Random(3), width_range=(0.75, 2.0),
+                             center_range=(-8.0, 8.0))
+    want = max(measure(f)[0] for f in bumps)
+    records = {r["name"]: r["value"] for r in cli.battery_stein_weiss(seed=3, bumps=4)}
+    assert records["hls constant stability"] == want
 
 
 @pytest.mark.parametrize("jobs", [2, 3])

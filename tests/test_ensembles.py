@@ -1,5 +1,7 @@
 """Test-function families: exact values of the reference inputs."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,19 @@ def test_real_families_are_float64_and_modulated_ones_complex128():
         assert f.samples.dtype == np.float64
     assert ens.wave_packet(sg, 1.0, k_x=0.5).samples.dtype == np.complex128
     assert ens.wave_packet(sg, 1.0, k_x=0.0, k_t=0.5).samples.dtype == np.complex128
+
+
+@pytest.mark.parametrize("make", [random.Random, np.random.default_rng],
+                         ids=["random.Random", "numpy"])
+def test_random_bumps_take_any_uniform_generator(make):
+    # each bump draws its width, center and amplitude, in that order, from
+    # the generator's uniform(lo, hi); the samples are the bump formula
+    g = Grid(1, 256, 32.0)
+    ranges = dict(width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
+    bumps = ens.random_bumps(g, 5, make(4), **ranges)
+    rng, x = make(4), g.axis()
+    for f in bumps:
+        width = float(rng.uniform(0.75, 2.0))
+        center = float(rng.uniform(-8.0, 8.0))
+        amp = float(rng.uniform(0.5, 2.0))
+        assert np.array_equal(f.samples, amp * np.exp(-np.pi * (x - center) ** 2 / width**2))

@@ -172,7 +172,7 @@ def test_profiles_refuse_non_finite_frequencies(bad, monkeypatch):
     assert counts == []  # refused before any rule is built
 
 
-@pytest.mark.parametrize("nodes", [1, 2, 24, 25])
+@pytest.mark.parametrize("nodes", [1, 2, 8, 24, 25])
 @pytest.mark.parametrize("a", [-0.925, -0.5, 0.0, 0.3, 1.0])
 def test_jacobi_rule_integrates_its_even_moments_exactly(nodes, a):
     # a Gauss rule on K nodes is exact up to degree 2K - 1; the even moments

@@ -1,4 +1,5 @@
-"""Start-up cost: the library neither imports nor needs scipy."""
+"""Start-up cost and footprint: the library neither imports nor needs
+scipy, and its commands load no numpy submodule they do not compute with."""
 
 import json
 import os
@@ -26,6 +27,51 @@ def test_importing_the_cli_loads_no_scipy_module(tmp_path):
                if line.startswith("import time:")]
     assert "conewave.cli" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    # the worker pool is imported only by a run with --jobs above 1
+    assert [m for m in modules if m.split(".")[0] == "concurrent"] == []
+
+
+_FOOTPRINT = """
+import json, sys
+from conewave import cli, ensembles, fields
+
+g = fields.SpacetimeGrid(fields.Grid(1, 64, 16.0), 64, 16.0)
+fields.save_field(ensembles.gaussian_spacetime(g, 1.5), "g.field")
+with open("sw.ini", "w") as fh:
+    fh.write("[stein-weiss]\\nbumps = 2\\n")
+with open("op.ini", "w") as fh:
+    fh.write("[op-apply]\\ninput = g.field\\ncount = 48\\n")
+with open("kt.ini", "w") as fh:
+    fh.write("[kernel-table]\\nxi_count = 9\\nx_count = 9\\n")
+with open("nt.ini", "w") as fh:
+    fh.write("[norm-test]\\nalpha = 0.4\\nn = 1\\ninv_p = 0.6\\n")
+codes = [
+    cli.main(["--out", "sw", "--config", "sw.ini", "verify", "stein-weiss"]),
+    cli.main(["--out", "mn", "verify", "mixed-norm"]),
+    cli.main(["--out", "op", "--config", "op.ini", "op-apply"]),
+    cli.main(["--out", "kt", "--config", "kt.ini", "kernel-table"]),
+    cli.main(["--out", "nt", "--config", "nt.ini", "norm-test"]),
+]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_commands_load_no_numpy_random_polynomial_or_masked_arrays(tmp_path):
+    # the bumps come from random.Random, the panel rule from the library's
+    # Jacobi rules, and medians (of the bumps and of norm-test's ratio
+    # ladder) and distinct scales are taken without the numpy calls that
+    # import numpy.ma: together these trees cost about 6 MB of resident
+    # memory that no computation here uses
+    proc = _python(_FOOTPRINT, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"][:2] == [0, 0]
+    assert out["codes"][2] in (0, 2)
+    assert out["codes"][3] == 0
+    assert out["codes"][4] in (0, 2)
+    loaded = [m for m in out["modules"]
+              if m.split(".")[:2] in (["numpy", "random"], ["numpy", "polynomial"], ["numpy", "ma"])]
+    assert loaded == []
 
 
 _WITHOUT_SCIPY = """
