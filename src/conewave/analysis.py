@@ -280,7 +280,8 @@ def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
 def mixed_norms_refined(fields, spec: KernelSpec, mn: MixedNormSpec, index: int) -> tuple:
     """(mixed_norms(fields, spec, mn), the mixed norm of fields[index] on
     mn's r grid at twice the node density), the second bit for bit
-    mixed_norms' on mn.r_grid.refined(density=2).
+    mixed_norms' on RadialQuadrature(r_min, r_max, 2 * count - 1) for mn's
+    r_min, r_max and count.
 
     The doubled rule keeps every node of mn's as every second node, so the
     profile is evaluated once more on the midpoints alone, for
@@ -292,7 +293,8 @@ def mixed_norms_refined(fields, spec: KernelSpec, mn: MixedNormSpec, index: int)
     f_norms = [lp_norm(f, mn.q) for f in fields]
     base = mn.r_grid
     rows = _node_norms(fields, spec, mn.q, base.nodes())
-    fine = MixedNormSpec(mn.q, mn.s, mn.alpha, base.refined(density=2))
+    fine = MixedNormSpec(mn.q, mn.s, mn.alpha,
+                         RadialQuadrature(base.r_min, base.r_max, 2 * base.count - 1))
     row = np.empty(fine.r_grid.count)
     row[::2] = rows[index]
     row[1::2] = _node_norms([target], spec, mn.q, fine.r_grid.nodes()[1::2])[0]
@@ -326,7 +328,7 @@ def _node_norms(fields, spec: KernelSpec, q: float, r: np.ndarray) -> np.ndarray
     # rule's nodes may be measured in parts
     grid = fields[0].grid
     applies = [_fields.real_symbol_apply(f.samples) for f in fields]
-    xi, scatter = np.unique(grid.freq_radius().ravel(), return_inverse=True)
+    xi, scatter = _fields._radial_index(grid)
     norms = np.empty((len(fields), r.size))
     step = max(1, _BLOCK // scatter.size)
     for i in range(0, r.size, step):

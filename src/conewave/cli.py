@@ -97,8 +97,7 @@ _DEFAULTS = {
     "op-apply": {
         "input": "",
         "path": "multiplier",
-        "cross_check": "auto",
-        "cross_tol": "auto",
+        "cross_tol": "1e-3",
         "convergence_tol": "1e-3",
         "r_min": "auto",
         "r_max": "auto",
@@ -1115,7 +1114,7 @@ def cmd_op_apply(cfg, args) -> dict:
     if not in_path:
         raise ConfigError("op-apply needs [op-apply] input = <field file>")
     tol = _tolerance(cfg, sec, "convergence_tol")
-    cross_tol = 1e-3 if cfg[sec]["cross_tol"] == "auto" else _tolerance(cfg, sec, "cross_tol")
+    cross_tol = _tolerance(cfg, sec, "cross_tol")
     try:
         field = load_field(in_path)
     except FieldFormatError as exc:
@@ -1127,25 +1126,13 @@ def cmd_op_apply(cfg, args) -> dict:
 
     spec = _kernel_from(cfg)
     path = cfg[sec]["path"]
-    cross = cfg[sec]["cross_check"]
-    if cross == "auto":
-        cross = "cone-direct" if path == "multiplier" else "multiplier"
     try:
         apply_path(path)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if cross != "none":
-        try:
-            apply_path(cross)
-        except ValueError as exc:
-            raise ConfigError(f"cross_check: {exc}")
-        if cross == path:
-            # the same route run twice agrees with itself to the last bit,
-            # so the gate would pass whatever the operator did
-            raise ConfigError(
-                f"cross_check = {cross} is the same route as path = {path}; "
-                "choose the other path, or none"
-            )
+    # the agreement gate runs the other path: the two share no profile
+    # arithmetic, while a path run twice agrees with itself to the last bit
+    cross = "cone-direct" if path == "multiplier" else "multiplier"
 
     grid = field.grid
     if cfg[sec]["r_min"] == "auto" and cfg[sec]["r_max"] == "auto":
@@ -1209,16 +1196,15 @@ def cmd_op_apply(cfg, args) -> dict:
         # sensitive window as a warning, and the CLI keeps that severity
         records.append(_rec(f"sensitivity {key}", value, None, True, prov, note))
 
-    if cross != "none":
-        try:
-            rel = apply.relative_change(symbol(grid, spec, quad, cross), m)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"cross_check path {cross!r}: {exc}")
-        records.append(
-            _rec(f"cross-path agreement vs {cross}", rel, cross_tol,
-                 rel <= cross_tol, prov,
-                 "relative L2 difference between independent evaluation routes")
-        )
+    try:
+        rel = apply.relative_change(symbol(grid, spec, quad, cross), m)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"cross-check path {cross!r}: {exc}")
+    records.append(
+        _rec(f"cross-path agreement vs {cross}", rel, cross_tol,
+             rel <= cross_tol, prov,
+             "relative L2 difference between independent evaluation routes")
+    )
 
     return _report("op-apply", cfg, args.seed, records,
                    files={"result": out_path}, diagnostics=diag)

@@ -33,15 +33,16 @@ The radial grid is log-uniform.  Its floor truncates an integrable
 singularity at r = 0; the truncated mass is restored by a closed-form
 completion term (the integrand's exact r -> 0 limit), and sensitivity to
 the floor, cap, and node density is reported by convergence_check rather
-than silently absorbed, measured on the input's spectrum.  Each refined
-grid keeps every node of the grid it refines, so its change of the symbol
-is assembled from the nodes it adds alone.
+than silently absorbed, measured on the input's spectrum.  Each refinement
+keeps every node of the grid it refines, so its change of the symbol is
+assembled from the nodes it adds, and the one base node whose weight it
+moves, alone.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,32 +128,6 @@ class RadialQuadrature:
             raise ValueError(f"non-integrable radial exponent {exponent}")
         return self.r_min ** (exponent + 1.0) / (exponent + 1.0)
 
-    def refined(self, r_min=None, r_max=None, density=1.0) -> "RadialQuadrature":
-        """A rule that keeps every node of this one, refined one way.
-
-        A lower r_min or a higher r_max carries the rule out to it: whole
-        log steps of this rule beyond the moved end, then one shorter
-        panel that ends exactly there, and the node at the moved end gains
-        the half panel next to it; every other node keeps its log weight.
-        A whole density k splits each log step into k, so every k-th node
-        is one of this rule's, bit for bit.  Unmoved, the rule itself.
-        """
-        lo = self.r_min if r_min is None else float(r_min)
-        hi = self.r_max if r_max is None else float(r_max)
-        ways = (lo < self.r_min) + (hi > self.r_max) + (density != 1)
-        if (lo > self.r_min or hi < self.r_max or density < 1 or density != int(density)
-                or ways > 1):
-            raise ValueError(
-                "a refinement lowers r_min, raises r_max or multiplies the density "
-                f"by a whole number, one at a time; got r_min={lo}, r_max={hi}, "
-                f"density={density} for the window [{self.r_min}, {self.r_max}]"
-            )
-        if lo < self.r_min or hi > self.r_max:
-            return _NestedQuadrature.beyond(self, lo if lo < self.r_min else hi)
-        if density > 1:
-            return RadialQuadrature(self.r_min, self.r_max, int(density) * (self.count - 1) + 1)
-        return self
-
     @classmethod
     def for_grid(cls, grid: SpacetimeGrid, count: int = 160) -> "RadialQuadrature":
         # floor at a quarter time-step: shifts below one sample still move
@@ -160,60 +135,6 @@ class RadialQuadrature:
         # dilation-invariance checks close on default grids; cap at a
         # quarter extent to keep shifted slices clear of the torus seam
         return cls(grid.t_spacing / 4.0, grid.t_extent / 4.0, count)
-
-
-@dataclass(frozen=True)
-class _NestedQuadrature(RadialQuadrature):
-    # base's rule carried out to a lower r_min or a higher r_max, keeping
-    # every base node at its base log weight: whole base log steps beyond
-    # the moved end, then one shorter panel that ends exactly at the new
-    # end, and the base node at the moved end gains the half panel next to
-    # it; measure_weights and completion_mass are RadialQuadrature's, on
-    # these nodes and log weights
-    base: RadialQuadrature
-
-    @classmethod
-    def beyond(cls, base: RadialQuadrature, end: float) -> "_NestedQuadrature":
-        edge = base.r_min if end < base.r_min else base.r_max
-        whole = int(np.ceil(abs(np.log(end / edge)) / base.log_weights()[1])) - 1
-        lo, hi = (end, base.r_max) if end < base.r_min else (base.r_min, end)
-        return cls(lo, hi, base.count + whole + 1, base)
-
-    def refined(self, r_min=None, r_max=None, density=1.0) -> "RadialQuadrature":
-        # the log step beyond is base's, which this rule's own steps are not
-        raise ValueError("a refined rule is not refined again; refine its base")
-
-    def _added(self):
-        # the added nodes and their log weights, outward from the base
-        # rule, the log weight the base node at the moved end gains, and
-        # whether the rule grew below r_min
-        base = self.base
-        dlog = base.log_weights()[1]
-        below = self.r_min < base.r_min
-        edge, end = (base.r_min, self.r_min) if below else (base.r_max, self.r_max)
-        whole = self.count - base.count - 1
-        steps = dlog * np.arange(1, whole + 1)
-        nodes = np.append(edge * np.exp(-steps if below else steps), end)
-        # panel k ends at added node k; a node's weight is half of each
-        # panel it bounds
-        panels = np.append(np.full(whole, dlog), abs(np.log(end / edge)) - dlog * whole)
-        weights = 0.5 * (panels + np.append(panels[1:], 0.0))
-        return nodes, weights, 0.5 * panels[0], below
-
-    def nodes(self) -> np.ndarray:
-        added, _, _, below = self._added()
-        if below:
-            return np.concatenate([added[::-1], self.base.nodes()])
-        return np.concatenate([self.base.nodes(), added])
-
-    def log_weights(self) -> np.ndarray:
-        _, added, gain, below = self._added()
-        w = self.base.log_weights()
-        if below:
-            w[0] += gain
-            return np.concatenate([added[::-1], w])
-        w[-1] += gain
-        return np.concatenate([w, added])
 
 
 def apply_path(name: str):
@@ -248,15 +169,16 @@ def symbol(grid: SpacetimeGrid, spec: KernelSpec, quad: RadialQuadrature | None 
     profile = apply_path(path)
     if quad is None:
         quad = RadialQuadrature.for_grid(grid)
-    return _radial_sum(grid, spec, profile, *_rule(quad, spec))
+    e = _exponent(spec)
+    return _radial_sum(grid, spec, profile, quad.nodes(), quad.measure_weights(e),
+                       quad.completion_mass(e))
 
 
-def _rule(quad: RadialQuadrature, spec: KernelSpec):
-    # quad's nodes, one-sided weights and completion mass for the radial
-    # measure r^(B alpha - 1), integrable at 0 since B alpha > 0: symbol
-    # and convergence_check's refinements take them from here alone
-    e = spec.time_scale_power * spec.alpha - 1.0
-    return quad.nodes(), quad.measure_weights(e), quad.completion_mass(e)
+def _exponent(spec: KernelSpec) -> float:
+    # e of the radial measure r^e dr, B alpha - 1, integrable at 0 since
+    # B alpha > 0: symbol and convergence_check's refinements take it from
+    # here alone
+    return spec.time_scale_power * spec.alpha - 1.0
 
 
 def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
@@ -268,7 +190,7 @@ def _radial_sum(grid: SpacetimeGrid, spec: KernelSpec, profile, r: np.ndarray,
     # one product of that table with the phases, which the symbol adopts
     if spec.n != grid.space.n:
         raise ValueError(f"kernel dimension {spec.n} != spatial grid dimension {grid.space.n}")
-    xi, scatter = _radial_index(grid)
+    xi, scatter = _radial_index(grid.space)
     table, at_zero = _profile_table(profile, spec, r, xi)
     table *= w[:, None]
     rows = table.T @ _phases(r, grid.t_freq_axis())
@@ -387,55 +309,47 @@ def symbol_applier(f: SpacetimeField):
     return _Applier(f)
 
 
-def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
+def convergence_check(apply, spec: KernelSpec, quad: RadialQuadrature,
                       m: RadialSymbol, path: str = "multiplier",
                       tol: float = 1e-3) -> dict:
     """Sensitivity of the output to the radial grid's floor, cap, and density.
 
-    m is the path's symbol for (grid, spec, quad), which callers already
-    hold.  f is the input field, or the symbol_applier of that field when
-    the caller holds one, so the refinements reuse its one forward
-    transform; the grid is f's.  Reports the relative L2 changes of the
-    output under halving r_min, doubling r_max (capped at half the time
-    extent), and doubling the node density.  Each refined rule,
-    quad.refined, keeps every node of quad: halving r_min adds whole log
-    steps of quad below r_min and one shorter panel that ends exactly at
-    r_min / 2, doubling r_max the same above r_max, and doubling the
-    density adds the midpoints and halves the weights of quad's nodes.
-    So each refinement's change of the symbol, refined minus m, is
-    assembled from the nodes it adds and the weights it moves alone, by
-    symbol's own assembly, as a RadialSymbol, and measured against m by
-    the applier's relative_norm.  A bad path is refused first, then m is
-    checked as apply checks a symbol, so a zero input, whose changes are
-    0.0, is refused the same.  When the cap leaves no room above r_max the r_max
-    refinement does not run: its entry is None, not a zero sensitivity,
-    and it does not count towards the verdict.  The report also holds
-    "tolerance", the verdict "under_resolved", and "windows": for each
-    refinement that runs, its rule's r_min and r_max and the number of
-    nodes it adds to quad ("added_nodes"), and None for one that does
-    not.  Emits UnderResolvedWarning when any measured movement exceeds
-    tol.
+    apply is the symbol_applier of the input field, so the refinements
+    reuse its one forward transform; the grid is apply's.  m is the
+    path's symbol for (grid, spec, quad), which callers already hold.
+    Reports the relative L2 changes of the output under halving r_min,
+    doubling r_max (capped at half the time extent), and doubling the
+    node density.  Each refinement keeps every node of quad: halving
+    r_min adds whole log steps of quad below r_min and one shorter panel
+    that ends exactly at r_min / 2, and the base node at r_min gains the
+    half panel next to it; doubling r_max does the same above r_max; and
+    doubling the density adds the midpoints and halves the weights of
+    quad's nodes.  So each refinement's change of the symbol is assembled
+    from the nodes it adds, and the one base node whose weight it moves,
+    alone, by symbol's own assembly, as a RadialSymbol, and measured
+    against m by the applier's relative_norm.  A bad path is refused
+    first, then m is checked as apply checks a symbol, so a zero input,
+    whose changes are 0.0, is refused the same.  When the cap leaves no
+    room above r_max the r_max refinement does not run: its entry is
+    None, not a zero sensitivity, and it does not count towards the
+    verdict.  The report also holds "tolerance", the verdict
+    "under_resolved", and "windows": for each refinement that runs, its
+    rule's r_min and r_max and the number of nodes it adds to quad
+    ("added_nodes"), and None for one that does not.  Emits
+    UnderResolvedWarning when any measured movement exceeds tol.
     """
     profile = apply_path(path)
-    apply = f if isinstance(f, _Applier) else symbol_applier(f)
     grid = apply.grid
     m = _radial_symbol(m, grid)
-    rules = _refinements(quad, grid)
-    diag = {
-        key: None if refined is None else apply.relative_norm(
-            _refinement_change(grid, spec, profile, quad, refined, m), m)
-        for key, refined in rules.items()
-    }
-    worst = max(diag[key] for key in rules if diag[key] is not None)
+    diag, windows = {}, {}
+    for key, window, change in _refinement_changes(grid, spec, profile, quad, m):
+        diag[key] = None if change is None else apply.relative_norm(change, m)
+        windows[key] = window
+        del change  # so it is not held while the next one is built
+    worst = max(value for value in diag.values() if value is not None)
     diag["tolerance"] = float(tol)
     diag["under_resolved"] = bool(worst > tol)
-    diag["windows"] = {
-        key: None if refined is None else {
-            "r_min": refined.r_min, "r_max": refined.r_max,
-            "added_nodes": refined.count - quad.count,
-        }
-        for key, refined in rules.items()
-    }
+    diag["windows"] = windows
     if diag["under_resolved"]:
         warnings.warn(
             f"radial quadrature under-resolved: max sensitivity {worst:.3e} > {tol:.1e}",
@@ -445,39 +359,56 @@ def convergence_check(f, spec: KernelSpec, quad: RadialQuadrature,
     return diag
 
 
-def _refinements(quad: RadialQuadrature, grid: SpacetimeGrid) -> dict:
-    # the refined rules convergence_check measures, by sensitivity name;
-    # each keeps every node of quad.  The r_max refinement is capped at
-    # half the time extent, and None when that leaves no room above r_max
+def _refinement_changes(grid: SpacetimeGrid, spec: KernelSpec, profile,
+                        quad: RadialQuadrature, m: RadialSymbol):
+    # for each refinement convergence_check measures, in order: its
+    # sensitivity name, its window (r_min, r_max and the number of nodes
+    # it adds) and its change of the symbol, the symbol on the refined rule
+    # less m, the symbol on quad; the window and change are None for the
+    # r_max refinement when the cap at half the time extent leaves no room
+    # above r_max.  Each change is one _radial_sum of the nodes the
+    # refinement adds and the base node whose weight it moves, in
+    # increasing order: their one-sided weights are the refined rule's
+    # less quad's, and the power is taken on a contiguous node array, as
+    # quad.measure_weights takes it (numpy's pow differs in the last bit
+    # on a reversed one)
+    e = _exponent(spec)
+    r, lw, w = quad.nodes(), quad.log_weights(), quad.measure_weights(e)
+    c = quad.completion_mass(e)
+    dlog = lw[1]
     hi = min(2.0 * quad.r_max, grid.t_extent / 2.0)
-    return {
-        "r_min_halved": quad.refined(r_min=quad.r_min / 2.0),
-        "r_max_doubled": quad.refined(r_max=hi) if hi > quad.r_max else None,
-        "nodes_doubled": quad.refined(density=2),
-    }
-
-
-def _refinement_change(grid: SpacetimeGrid, spec: KernelSpec, profile,
-                       quad: RadialQuadrature, refined: RadialQuadrature,
-                       m: RadialSymbol) -> RadialSymbol:
-    # the symbol on the rule refined less m, the symbol on quad, for a
-    # refined rule that keeps every node of quad (one of _refinements):
-    # the profile is evaluated on the nodes the refinement adds, and on
-    # the one base node whose weight it moves, alone
-    _, w, c = _rule(quad, spec)
-    r1, w1, c1 = _rule(refined, spec)
-    if isinstance(refined, _NestedQuadrature):
-        # every base node keeps its weight but the one at the moved end,
-        # so the added nodes and that one carry the difference, with the
-        # completion's
-        start = refined.count - quad.count if refined.r_min < quad.r_min else 0
-        w1[start:start + quad.count] -= w
-        moved = w1 != 0.0
-        return _radial_sum(grid, spec, profile, r1[moved], w1[moved], c1 - c)
+    for key, end in (("r_min_halved", quad.r_min / 2.0), ("r_max_doubled", hi)):
+        below = end < quad.r_min
+        if not below and end <= quad.r_max:
+            yield key, None, None
+            continue
+        # whole log steps of quad beyond the moved end, then one shorter
+        # panel that ends exactly there, outward from the base node k at
+        # that end (quad's own node, whose log round trip may differ from
+        # r_min or r_max in the last bit); a node's log weight is half of
+        # each panel it bounds, so k gains half the first panel
+        edge, k = (quad.r_min, 0) if below else (quad.r_max, -1)
+        span = abs(np.log(end / edge))
+        whole = int(np.ceil(span / dlog)) - 1
+        steps = dlog * np.arange(1, whole + 1)
+        panels = np.append(np.full(whole, dlog), span - dlog * whole)
+        r1 = np.concatenate([r[[k]], edge * np.exp(-steps if below else steps), [end]])
+        w1 = np.append(lw[k] + 0.5 * panels[0], 0.5 * (panels + np.append(panels[1:], 0.0)))
+        w1 *= r1 ** (e + 1.0)
+        w1[0] -= w[k]
+        lo = min(end, quad.r_min)
+        window = {"r_min": lo, "r_max": max(end, quad.r_max), "added_nodes": whole + 1}
+        if below:
+            r1, w1 = r1[::-1], w1[::-1]
+        c1 = replace(quad, r_min=lo).completion_mass(e)
+        yield key, window, _radial_sum(grid, spec, profile, r1, w1, c1 - c)
     # the doubled density: quad's nodes are its even nodes, at half their
-    # weight, so the difference is the midpoints' sum less half of m's
-    # node sum
-    d = _radial_sum(grid, spec, profile, r1[1::2], w1[1::2], c1 - c / 2.0)
+    # weight, so the change is the midpoints' sum less half of m
+    fine = RadialQuadrature(quad.r_min, quad.r_max, 2 * quad.count - 1)
+    w1 = fine.measure_weights(e)
+    d = _radial_sum(grid, spec, profile, fine.nodes()[1::2], w1[1::2],
+                    fine.completion_mass(e) - c / 2.0)
     rows = np.divide(m.rows, 2.0)
     np.subtract(d.rows, rows, out=rows)
-    return _adopt(grid, rows, m.scatter)
+    window = {"r_min": quad.r_min, "r_max": quad.r_max, "added_nodes": quad.count - 1}
+    yield "nodes_doubled", window, _adopt(grid, rows, m.scatter)

@@ -92,14 +92,6 @@ class Grid:
         return self.extent / self.points
 
     @property
-    def freq_spacing(self) -> float:
-        return 1.0 / self.extent
-
-    @property
-    def nyquist(self) -> float:
-        return self.points / (2.0 * self.extent)
-
-    @property
     def shape(self) -> tuple:
         return (self.points,) * self.n
 
@@ -284,25 +276,25 @@ class RadialSymbol:
         rows = np.asarray(self.rows)
         if not np.iscomplexobj(rows):
             rows = np.array(rows, dtype=np.float64)  # the caller's array stays its own
-        _hold(self, rows, _radial_index(self.grid)[1])
+        _hold(self, rows, _radial_index(self.grid.space)[1])
 
     def array(self) -> np.ndarray:
         """The symbol on every cell of the grid, a fresh float64 array."""
         return self.rows[self.scatter].reshape(self.grid.shape)
 
 
-def _radial_index(grid: SpacetimeGrid) -> tuple:
-    # (the distinct |xi| of grid.space in increasing order, the index of
-    # each spatial cell's |xi| among them in C order): a RadialSymbol's
-    # radii and its scatter
-    return np.unique(grid.space.freq_radius().ravel(), return_inverse=True)
+def _radial_index(grid: Grid) -> tuple:
+    # (the distinct |xi| of the spatial grid in increasing order, the index
+    # of each cell's |xi| among them in C order): a RadialSymbol's radii
+    # and its scatter, for the symbol's grid.space
+    return np.unique(grid.freq_radius().ravel(), return_inverse=True)
 
 
 def _adopt(grid: SpacetimeGrid, rows: np.ndarray, scatter: np.ndarray) -> RadialSymbol:
     # the RadialSymbol of rows on grid, checked as the constructor checks
     # them, that holds rows itself, frozen in place, not a copy: for a
     # fresh float64 array the package made and touches no more.  scatter
-    # is grid's (_radial_index, or a symbol's on grid)
+    # is grid's (_radial_index of grid.space, or a symbol's on grid)
     m = object.__new__(RadialSymbol)
     object.__setattr__(m, "grid", grid)
     _hold(m, rows, scatter)

@@ -7,8 +7,9 @@ shifts and spacing scales stands in for the continuum Fourier transform
 (the package's one multiplier apply uses neither), mpmath's tanh-sinh
 rule integrates the symbol's truncated radial integral, QUADPACK's
 algebraic-weight rule integrates the Stein-Weiss potential of a Gaussian
-bump across its singular points, and the exponent classifier is
-re-derived in exact rational arithmetic.  Agreement
+bump across its singular points, the refined radial rules are laid out
+from their definition one log step at a time, and the exponent classifier
+is re-derived in exact rational arithmetic.  Agreement
 between these and the package is evidence, not an identity check
 against shared code.  Three entries are instead frozen package code,
 which the package must match bit for bit: the per-count Gauss-Jacobi
@@ -241,6 +242,39 @@ def rule_symbol_reference(grid, spec, path: str, nodes, weights, completion) -> 
     for r, w, row in zip(nodes, weights, rows):
         m += (w * row)[..., None] * (2.0 * np.cos(2.0 * np.pi * r * tau))
     return m
+
+
+def refined_rule_reference(quad, r_min=None, r_max=None, density: int = 1) -> tuple:
+    """quad's log-trapezoid rule refined one way, from its definition:
+    (nodes, log weights), in increasing order of the nodes.
+
+    A lower r_min or a higher r_max carries the rule out to it: whole log
+    steps of quad past the moved end, then one shorter panel that ends
+    exactly there.  A whole density k splits every log step into k.  The
+    log positions are laid out one step at a time in Python floats, the
+    panels are their differences, and a node's log weight is half of each
+    panel it bounds, so the rule shares no arithmetic with conop.
+    """
+    lo, hi = math.log(quad.r_min), math.log(quad.r_max)
+    step = (hi - lo) / (quad.count - 1)
+    logs = [lo + j * step / density for j in range(density * (quad.count - 1))] + [hi]
+    below, above = [], []
+    if r_min is not None:
+        x = lo - step
+        while x > math.log(r_min):
+            below.append(x)
+            x -= step
+        below = [math.log(r_min)] + below[::-1]
+    if r_max is not None:
+        x = hi + step
+        while x < math.log(r_max):
+            above.append(x)
+            x += step
+        above.append(math.log(r_max))
+    logs = np.array(below + logs + above)
+    panels = np.diff(logs)
+    weights = 0.5 * (np.append(panels, 0.0) + np.append(0.0, panels))
+    return np.exp(logs), weights
 
 
 def zero_frequency_reference(alpha: float, n: int) -> float:

@@ -405,7 +405,7 @@ def test_mixed_norm_plancherel_route_agrees_only_at_q_two():
 
     def spectral_route(q):
         fhat = np.abs(oracles.transform_reference(f.samples, (0,), (g.spacing,)))
-        dxi = g.freq_spacing
+        dxi = 1.0 / g.extent
         r = quad.nodes()
         w = quad.measure_weights(spec.alpha * q - 1.0)
         total = 0.0
@@ -503,7 +503,8 @@ def test_mixed_norms_refined_is_the_doubled_rule_bit_for_bit(monkeypatch):
     mn = MixedNormSpec(4.0, 6.0, 0.4, quad)
     g = Grid(1, 1024, 32.0)
     fields = [ens.gaussian(g, w, c) for w, c in ((0.5, 0.0), (1.0, 0.5), (2.0, -1.0))]
-    fine = MixedNormSpec(4.0, 6.0, 0.4, quad.refined(density=2))
+    fine = MixedNormSpec(4.0, 6.0, 0.4,
+                         RadialQuadrature(quad.r_min, quad.r_max, 2 * quad.count - 1))
     rows = []
     profile = analysis.omega_hat
 

@@ -458,9 +458,10 @@ def test_mixed_norm_battery_refines_on_the_base_nodes(monkeypatch):
     g = cw.Grid.default(1)
     spec = cw.KernelSpec(0.4, 1)
     quad = cw.RadialQuadrature(g.spacing / 4.0, 16.0, 160)
+    fine = cw.RadialQuadrature(quad.r_min, quad.r_max, 2 * quad.count - 1)
     f = ens.gaussian(g, 1.0)
     m1 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad))[0]
-    m2 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad.refined(density=2)))[0]
+    m2 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, 0.4, fine))[0]
     assert records["radial refinement"]["value"] == abs(m1 - m2) / m2
     assert records["radial refinement"]["passed"]
 
@@ -653,12 +654,17 @@ def test_op_apply_rejects_removed_paths(tmp_path, capsys):
     g = cw.SpacetimeGrid(cw.Grid(1, 32, 16.0), 32, 16.0)
     field_path = tmp_path / "g.field"
     cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
-    for key in ("path", "cross_check"):
-        code, _ = run(tmp_path, "op-apply", name=key,
-                      config=f"[op-apply]\ninput = {field_path}\n{key} = slices\n")
-        assert code == 3, key
-        err = capsys.readouterr().err
-        assert "slices" in err and "'cone-direct', 'multiplier'" in err, key
+    code, _ = run(tmp_path, "op-apply", name="path",
+                  config=f"[op-apply]\ninput = {field_path}\npath = slices\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "slices" in err and "'cone-direct', 'multiplier'" in err
+    # the cross-check runs the other path, so a stale cross_check line is
+    # an unknown key
+    code, _ = run(tmp_path, "op-apply", name="cross_check",
+                  config=f"[op-apply]\ninput = {field_path}\ncross_check = multiplier\n")
+    assert code == 3
+    assert "unknown key 'cross_check'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
@@ -783,28 +789,6 @@ def test_op_apply_refuses_a_sidecar_that_is_not_an_object(tmp_path, capsys, meta
     assert code == 3
     assert "expected a JSON object" in capsys.readouterr().err
     assert not (out / "result.field").exists()
-
-
-@pytest.mark.parametrize("path", ["multiplier", "cone-direct"])
-def test_op_apply_refuses_a_cross_check_on_its_own_path(tmp_path, capsys, monkeypatch, path):
-    # the same route run twice agrees with itself exactly, so such a gate
-    # could never fail; it is refused before any transform
-    g = cw.SpacetimeGrid(cw.Grid(1, 32, 16.0), 32, 16.0)
-    field_path = tmp_path / "g.field"
-    cw.save_field(ens.gaussian_spacetime(g, 1.0), field_path)
-
-    def no_fft(*args, **kwargs):
-        raise AssertionError("a transform ran before the configuration was checked")
-
-    for name in ("rfftn", "fftn"):
-        monkeypatch.setattr(np.fft, name, no_fft)
-    code, out = run(tmp_path, "op-apply",
-                    config=f"[op-apply]\ninput = {field_path}\npath = {path}\n"
-                           f"cross_check = {path}\n")
-    assert code == 3
-    err = capsys.readouterr().err
-    assert f"cross_check = {path}" in err and f"path = {path}" in err
-    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

@@ -117,33 +117,12 @@ def test_completion_mass_closed_form():
         q.completion_mass(-1.0)
 
 
-def test_refined_and_for_grid():
+def test_for_grid():
     g = _grid()
     q = RadialQuadrature.for_grid(g, 48)
     assert q.r_min == pytest.approx(g.t_spacing / 4.0)
     assert q.r_max == pytest.approx(g.t_extent / 4.0)
     assert q.count == 48
-    finer = q.refined(density=2.0)
-    # density scales intervals, not endpoints: count-1 intervals double
-    assert finer.count == 2 * (q.count - 1) + 1 and finer.r_min == q.r_min
-    wider = q.refined(r_max=2.0 * q.r_max)
-    assert wider.r_max == pytest.approx(2.0 * q.r_max)
-
-
-def test_refined_moves_one_way_and_only_outward():
-    q = RadialQuadrature.for_grid(_grid(), 48)
-    assert q.refined() is q and q.refined(r_max=q.r_max, density=1) is q
-    bad = [dict(r_min=2.0 * q.r_min), dict(r_max=0.5 * q.r_max), dict(density=1.5),
-           dict(density=0), dict(r_min=0.5 * q.r_min, r_max=2.0 * q.r_max),
-           dict(r_min=0.5 * q.r_min, density=2)]
-    for kwargs in bad:
-        with pytest.raises(ValueError, match="one at a time"):
-            q.refined(**kwargs)
-    # a refined rule's steps beyond its base are not its own log step, so
-    # it is not refined again
-    for wider in (q.refined(r_min=0.5 * q.r_min), q.refined(r_max=2.0 * q.r_max)):
-        with pytest.raises(ValueError, match="not refined again"):
-            wider.refined(density=2)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +298,7 @@ def test_symbol_equals_the_per_cell_contraction_bit_for_bit(name, path):
     # the bits of one row per cell, for the base rule and a denser one
     g, spec = _CONTRACTION_GRIDS[name]
     quad = RadialQuadrature.for_grid(g)
-    for q in (quad, quad.refined(density=2.0)):
+    for q in (quad, RadialQuadrature(quad.r_min, quad.r_max, 2 * quad.count - 1)):
         want = oracles.symbol_per_cell_reference(g, spec, q, path)
         assert np.array_equal(symbol(g, spec, q, path).array(), want)
 
@@ -586,7 +565,6 @@ def test_every_apply_refuses_a_bare_array_before_any_transform(monkeypatch, kind
     for call in (lambda: apply(bare), lambda: apply.last(bare),
                  lambda: apply.relative_change(bare, m), lambda: apply.relative_change(m, bare),
                  lambda: apply.relative_norm(bare, m), lambda: apply.relative_norm(m, bare),
-                 lambda: convergence_check(f, spec, quad, bare),
                  lambda: convergence_check(apply, spec, quad, bare),
                  lambda: ratio_ladder(bare, [(point.inv_p, point.inv_q)], [f]),
                  lambda: ratio_probes(bare, [point], [1.0, 2.0])):
@@ -612,7 +590,7 @@ def test_every_apply_refuses_a_symbol_of_another_grid_before_any_transform(monke
     for call in (lambda: apply(m), lambda: apply.last(m),
                  lambda: apply.relative_change(m, own), lambda: apply.relative_change(own, m),
                  lambda: apply.relative_norm(m, own), lambda: apply.relative_norm(own, m),
-                 lambda: convergence_check(f, spec, quad, m),
+                 lambda: convergence_check(apply, spec, quad, m),
                  lambda: ratio_ladder(m, [(0.7, 0.3)], [f])):
         with pytest.raises(ValueError, match="grid"):
             call()
@@ -701,7 +679,7 @@ def test_relative_change_equals_the_sample_domain_change(kind, n, pair):
     quad = RadialQuadrature.for_grid(g, 32)
     m0 = symbol(g, spec, quad)
     if pair == "refinement":
-        m1 = symbol(g, spec, quad.refined(r_min=quad.r_min / 2.0))
+        m1 = symbol(g, spec, RadialQuadrature(quad.r_min / 2.0, quad.r_max, quad.count))
     else:
         m1 = symbol(g, spec, quad, "cone-direct")
     samples = _random_field(g, "complex" if kind == "complex" else "real", 23 + n).samples
@@ -844,7 +822,7 @@ def test_convergence_check_reports_and_warns():
     spec = KernelSpec(0.4, 1)
     coarse = RadialQuadrature.for_grid(g, 48)
     with pytest.warns(UnderResolvedWarning):
-        rep = convergence_check(f, spec, coarse, symbol(g, spec, coarse))
+        rep = convergence_check(symbol_applier(f), spec, coarse, symbol(g, spec, coarse))
     assert set(rep) == {
         "r_min_halved",
         "r_max_doubled",
@@ -854,9 +832,9 @@ def test_convergence_check_reports_and_warns():
         "windows",
     }
     assert rep["under_resolved"] is True
-    for key, rule in conop._refinements(coarse, g).items():
-        assert rep["windows"][key] == {"r_min": rule.r_min, "r_max": rule.r_max,
-                                       "added_nodes": rule.count - coarse.count}
+    for key, args in _refinement_args(coarse, g).items():
+        nodes, _ = oracles.refined_rule_reference(coarse, **args)
+        assert rep["windows"][key] == _window(coarse, args, nodes.size - coarse.count)
 
     # a deep, dense window on a short frequency range stays quiet: the
     # inner-cutoff completion error scales like r_min^(B alpha), so the
@@ -866,23 +844,22 @@ def test_convergence_check_reports_and_warns():
     roomy = RadialQuadrature(g2.t_spacing / 2048.0, 16.0, 960)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnderResolvedWarning)
-        rep2 = convergence_check(f2, spec, roomy, symbol(g2, spec, roomy),
+        rep2 = convergence_check(symbol_applier(f2), spec, roomy, symbol(g2, spec, roomy),
                                  tol=1e-3)
     assert rep2["under_resolved"] is False
 
 
-def test_convergence_check_takes_an_applier_with_the_same_bits(monkeypatch):
+def test_convergence_check_transforms_the_input_once(monkeypatch):
+    # the three refinements are measured on the applier's one spectrum
     g = _grid(64, 16.0)
     f = ens.gaussian_spacetime(g, 1.0)
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 48)
     m = symbol(g, spec, quad)
+    calls = _count_transforms(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
-        want = convergence_check(f, spec, quad, m)
-        calls = _count_transforms(monkeypatch)
-        got = convergence_check(symbol_applier(f), spec, quad, m)
-    assert got == want
+        convergence_check(symbol_applier(f), spec, quad, m)
     assert len(calls) == 1
 
 
@@ -891,37 +868,37 @@ def test_convergence_check_reports_an_unrun_r_max_refinement_as_not_measured():
     # larger window, so that refinement is not run and must not read as a
     # zero sensitivity or enter the verdict
     g = _grid(64, 16.0)
-    f = ens.gaussian_spacetime(g, 1.0)
+    apply = symbol_applier(ens.gaussian_spacetime(g, 1.0))
     spec = KernelSpec(0.4, 1)
     for r_max in (g.t_extent / 2.0, g.t_extent):
         quad = RadialQuadrature(g.t_spacing / 4.0, r_max, 48)
         m = symbol(g, spec, quad)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnderResolvedWarning)
-            rep = convergence_check(f, spec, quad, m)
+            rep = convergence_check(apply, spec, quad, m)
         assert rep["r_max_doubled"] is None
         measured = [rep["r_min_halved"], rep["nodes_doubled"]]
         assert all(v > 0.0 for v in measured)
         for tol in (0.5 * min(measured), 2.0 * max(measured)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnderResolvedWarning)
-                again = convergence_check(f, spec, quad, m, tol=tol)
+                again = convergence_check(apply, spec, quad, m, tol=tol)
             assert again["under_resolved"] is (max(measured) > tol)
 
 
 def test_convergence_check_of_a_zero_input_reads_zero_after_the_checks():
     g = _grid(64, 16.0)
-    f = SpacetimeField(g, np.zeros(g.shape))
+    apply = symbol_applier(SpacetimeField(g, np.zeros(g.shape)))
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature.for_grid(g, 48)
     m = symbol(g, spec, quad)
-    rep = convergence_check(f, spec, quad, m)
+    rep = convergence_check(apply, spec, quad, m)
     assert [rep[k] for k in ("r_min_halved", "r_max_doubled", "nodes_doubled")] == [0.0] * 3
     assert rep["under_resolved"] is False
     with pytest.raises(ValueError, match="cone-direct"):
-        convergence_check(f, spec, quad, m, path="slices")
+        convergence_check(apply, spec, quad, m, path="slices")
     with pytest.raises(TypeError, match="RadialSymbol"):
-        convergence_check(f, spec, quad, m.array())
+        convergence_check(apply, spec, quad, m.array())
 
 
 # the benchmark's op-apply boxes and the applier grids at their default
@@ -935,49 +912,80 @@ _REFINED_GRIDS = {
 }
 
 
+def _refinement_args(quad: RadialQuadrature, g: SpacetimeGrid) -> dict:
+    # convergence_check's refinements of quad on g, by sensitivity name, as
+    # oracles.refined_rule_reference's arguments; None for the r_max
+    # refinement when the cap at half the time extent leaves it no room
+    hi = min(2.0 * quad.r_max, g.t_extent / 2.0)
+    return {"r_min_halved": {"r_min": quad.r_min / 2.0},
+            "r_max_doubled": {"r_max": hi} if hi > quad.r_max else None,
+            "nodes_doubled": {"density": 2}}
+
+
+def _window(quad: RadialQuadrature, args: dict, added: int) -> dict:
+    # the diagnostics.windows entry of a refinement
+    return {"r_min": args.get("r_min", quad.r_min), "r_max": args.get("r_max", quad.r_max),
+            "added_nodes": added}
+
+
 @pytest.mark.parametrize("name", sorted(_REFINED_GRIDS))
-def test_refined_rules_keep_every_base_node_and_end_where_asked(name):
+def test_refined_rules_keep_every_base_node_and_end_where_asked(name, monkeypatch):
+    # what each refinement hands to _radial_sum, against its refined rule
+    # laid out from its definition: the nodes it adds, and the base node at
+    # a moved end (the new end exactly where asked), at their refined
+    # weights less their base ones; the doubled density's midpoints
     g = _REFINED_GRIDS[name]
     if name == "capped":
         quad = RadialQuadrature(g.t_spacing / 4.0, 0.375 * g.t_extent, 48)
     else:
         quad = RadialQuadrature.for_grid(g)
-    base = quad.nodes()
-    dlog = np.log(quad.r_max / quad.r_min) / (quad.count - 1)
-    rules = conop._refinements(quad, g)
-    assert list(rules) == ["r_min_halved", "r_max_doubled", "nodes_doubled"]
+    spec = KernelSpec(0.5, g.space.n)
+    e = spec.time_scale_power * spec.alpha - 1.0
+    base, base_w = quad.nodes(), quad.measure_weights(e)
+    c = quad.completion_mass(e)
+    m = symbol(g, spec, quad)
+    handed = []
+    radial_sum = conop._radial_sum
 
-    low = rules["r_min_halved"]
-    nodes = low.nodes()
-    added = low.count - quad.count
-    assert np.array_equal(nodes[added:], base)
-    assert nodes[0] == low.r_min == quad.r_min / 2.0
-    steps = np.diff(np.log(nodes[:added + 1]))
-    assert 0.0 < steps[0] < dlog
-    assert np.allclose(steps[1:], dlog, rtol=1e-12, atol=0.0)
+    def spy(grid, spec, profile, r, w, completion):
+        handed.append((r.copy(), w.copy(), completion))
+        return radial_sum(grid, spec, profile, r, w, completion)
 
-    hi = min(2.0 * quad.r_max, g.t_extent / 2.0)
-    high = rules["r_max_doubled"]
-    nodes = high.nodes()
-    assert np.array_equal(nodes[:quad.count], base)
-    assert nodes[-1] == high.r_max == hi
+    monkeypatch.setattr(conop, "_radial_sum", spy)
+    changes = list(conop._refinement_changes(g, spec, omega_hat, quad, m))
+    args = _refinement_args(quad, g)
+    assert [key for key, *_ in changes] == list(args)
+    assert list(args) == ["r_min_halved", "r_max_doubled", "nodes_doubled"]
+    hi = args["r_max_doubled"]["r_max"]
     assert (hi < 2.0 * quad.r_max) is (name == "capped")
-    steps = np.diff(np.log(nodes[quad.count - 1:]))
-    assert 0.0 < steps[-1] < dlog
-    assert np.allclose(steps[:-1], dlog, rtol=1e-12, atol=0.0)
-
-    double = rules["nodes_doubled"]
-    assert double.count == 2 * quad.count - 1
-    assert np.array_equal(double.nodes()[::2], base)
-
-    # each rule is a trapezoid rule in log r: its log weights add up to
-    # its window, and a base node's weight moves only at a moved end
-    for rule in (low, high, double):
-        assert rule.log_weights().sum() == pytest.approx(np.log(rule.r_max / rule.r_min),
-                                                         rel=1e-13)
-    w = quad.log_weights()
-    assert np.array_equal(low.log_weights()[added + 1:], w[1:])
-    assert np.array_equal(high.log_weights()[:quad.count - 1], w[:-1])
+    assert len(handed) == 3
+    for (key, window, _), (r, w, completion) in zip(changes, handed):
+        nodes, lw = oracles.refined_rule_reference(quad, **args[key])
+        added = nodes.size - quad.count
+        assert window == _window(quad, args[key], added), key
+        assert np.all(np.diff(r) > 0.0), key
+        if key == "nodes_doubled":
+            assert r.size == added == quad.count - 1
+            want_r, want_w = nodes[1::2], lw[1::2] * nodes[1::2] ** (e + 1.0)
+            assert completion == c / 2.0
+        else:
+            assert r.size == added + 1
+            below = key == "r_min_halved"
+            # the base node at the moved end keeps its bits, and the new
+            # end is exactly where asked
+            at, end = (-1, 0) if below else (0, -1)
+            assert r[at] == base[end] and r[end] == (quad.r_min / 2.0 if below else hi)
+            # in the refined rule, the base node at the moved end (moved),
+            # the nodes grown past it, and where the one goes among the other
+            moved, grown, spot = ((added, slice(0, added), added) if below
+                                  else (quad.count - 1, slice(quad.count, None), 0))
+            want_w = lw * nodes ** (e + 1.0)
+            want_r = np.insert(nodes[grown], spot, nodes[moved])
+            want_w = np.insert(want_w[grown], spot, want_w[moved] - base_w[end])
+            want_c = (nodes[0] ** (e + 1.0) / (e + 1.0) - c) if below else 0.0
+            assert completion == pytest.approx(want_c, rel=1e-13, abs=0.0)
+        np.testing.assert_allclose(r, want_r, rtol=1e-13, atol=0.0, err_msg=key)
+        np.testing.assert_allclose(w, want_w, rtol=1e-9, atol=0.0, err_msg=key)
 
 
 @pytest.mark.parametrize("key", ["r_min_halved", "r_max_doubled", "nodes_doubled"])
@@ -985,16 +993,17 @@ def test_refined_rules_keep_every_base_node_and_end_where_asked(name):
 @pytest.mark.parametrize("n", [1, 2])
 def test_base_plus_a_refinement_change_is_the_refined_rule_summed_per_cell(n, path, key):
     # the change assembled from the added nodes alone, added to the base
-    # symbol, against the refined rule's whole symbol summed node by node
+    # symbol, against the refined rule laid out from its definition and
+    # summed node by node
     g, spec = _APPLY_GRIDS[n]
     quad = RadialQuadrature.for_grid(g)
     m = symbol(g, spec, quad, path)
-    refined = conop._refinements(quad, g)[key]
-    change = conop._refinement_change(g, spec, apply_path(path), quad, refined, m)
+    changes = conop._refinement_changes(g, spec, apply_path(path), quad, m)
+    change = {k: change for k, _, change in changes}[key]
     e = spec.time_scale_power * spec.alpha - 1.0
-    want = oracles.rule_symbol_reference(g, spec, path, refined.nodes(),
-                                         refined.measure_weights(e),
-                                         refined.completion_mass(e))
+    nodes, lw = oracles.refined_rule_reference(quad, **_refinement_args(quad, g)[key])
+    want = oracles.rule_symbol_reference(g, spec, path, nodes, lw * nodes ** (e + 1.0),
+                                         nodes[0] ** (e + 1.0) / (e + 1.0))
     assert isinstance(change, RadialSymbol) and change.grid == g
     m = m.array()
     assert np.max(np.abs(m + change.array() - want)) <= 1e-12 * np.max(np.abs(m))

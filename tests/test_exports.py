@@ -1,4 +1,5 @@
-"""Every exported name resolves, and every public library name has a caller."""
+"""Every exported name resolves, and every public library name, method and
+property has a caller."""
 
 import ast
 import importlib
@@ -30,25 +31,41 @@ def test_all_names_resolve():
     assert not missing
 
 
-def _references(stmt: ast.stmt) -> set:
-    # names a top-level statement loads, by bare name or as an attribute;
-    # a definition's references to its own name do not count
+def _loads(tree: ast.AST) -> set:
+    # the names a tree loads, by bare name or as an attribute
     found = set()
-    for node in ast.walk(stmt):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add(node.attr)
+    return found
+
+
+def _references(stmt: ast.stmt) -> set:
+    # names a statement loads; a definition's references to its own name
+    # do not count, and a class's body is taken a statement at a time, so
+    # neither do a method's to its own
+    if isinstance(stmt, ast.ClassDef):
+        heads = stmt.bases + stmt.keywords + stmt.decorator_list
+        found = set().union(*map(_loads, heads), *map(_references, stmt.body))
+    else:
+        found = _loads(stmt)
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         found.discard(stmt.name)
     return found
 
 
+def _public(stmts, kinds) -> list:
+    return [s.name for s in stmts if isinstance(s, kinds) and not s.name.startswith("_")]
+
+
 def _library_names() -> tuple:
-    # (the public names the library defines, as module.name, and every
-    # name its callers load): callers are the library's own modules (not
-    # the package's re-exports) and the benchmark scripts; tests do not
-    # count
+    # (the public names the library defines, as module.name, and the
+    # public methods and properties of its public classes, as
+    # module.Class.name, and every name its callers load): callers are the
+    # library's own modules (not the package's re-exports) and the
+    # benchmark scripts; tests do not count
     sources = [p for p in sorted((_ROOT / "src" / "conewave").glob("*.py"))
                if p.name != "__init__.py"]
     sources += sorted((_ROOT / "bench").glob("*.py"))
@@ -57,16 +74,21 @@ def _library_names() -> tuple:
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
             referenced |= _references(stmt)
-            if (path.stem in _LIBRARY and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                defined.append(f"{path.stem}.{stmt.name}")
+        if path.stem not in _LIBRARY:
+            continue
+        defined += [f"{path.stem}.{name}"
+                    for name in _public(tree.body, (ast.FunctionDef, ast.ClassDef))]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defined += [f"{path.stem}.{cls.name}.{name}"
+                            for name in _public(cls.body, ast.FunctionDef)]
     return defined, referenced
 
 
 def test_every_public_library_name_has_a_caller():
     defined, referenced = _library_names()
     dead = [name for name in defined
-            if name.split(".")[1] not in referenced and name not in _NO_CALLER_YET]
+            if name.rsplit(".", 1)[1] not in referenced and name not in _NO_CALLER_YET]
     assert not dead, f"public names nothing calls: {dead}"
 
 
@@ -75,5 +97,5 @@ def test_the_no_caller_list_names_only_defined_names_without_a_caller():
     # no longer belongs on the list
     defined, referenced = _library_names()
     stale = sorted(name for name in _NO_CALLER_YET
-                   if name not in defined or name.split(".")[1] in referenced)
+                   if name not in defined or name.rsplit(".", 1)[1] in referenced)
     assert not stale, f"stale entries of _NO_CALLER_YET: {stale}"

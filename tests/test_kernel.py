@@ -260,11 +260,13 @@ def default_tables():
             g = SpacetimeGrid.default(n)
             quad = RadialQuadrature.for_grid(g)
             xi = np.unique(g.space.freq_radius().ravel())
-            for r_max in (quad.r_max, min(2.0 * quad.r_max, g.t_extent / 2.0)):
-                rho = np.outer(quad.refined(r_max=r_max).nodes(), xi)
+            hi = min(2.0 * quad.r_max, g.t_extent / 2.0)
+            wide = oracles.refined_rule_reference(quad, r_max=hi)[0]
+            for default, nodes in ((True, quad.nodes()), (False, wide)):
+                rho = np.outer(nodes, xi)
                 del counts[:]
                 omega_hat_jacobi(rho, KernelSpec(0.5, n))
-                tables.append((n, r_max == quad.r_max, rho.ravel(), list(counts)))
+                tables.append((n, default, rho.ravel(), list(counts)))
     return tables
 
 
