@@ -650,6 +650,24 @@ def test_op_apply_cross_check_and_sensitivity_are_reported(tmp_path):
         assert recs[name]["threshold"] == ""
 
 
+def test_op_apply_cross_checks_the_other_path_at_its_default_tolerance(tmp_path):
+    # the multiplier path is gated against cone-direct at cross_tol's
+    # default of 1e-3, and the config echo has no cross_check key
+    g = cw.SpacetimeGrid(cw.Grid(1, 128, 32.0), 128, 32.0)
+    field_path = tmp_path / "g.field"
+    cw.save_field(ens.gaussian_spacetime(g, 1.5), field_path)
+    code, out = run(tmp_path, "op-apply",
+                    config=f"[op-apply]\ninput = {field_path}\ncount = 64\n")
+    assert code == 0
+    report = read_report(out)
+    echo = report["config"]["op-apply"]
+    assert echo["path"] == "multiplier"
+    assert echo["cross_tol"] == "1e-3" and "cross_check" not in echo
+    gate = [r for r in report["records"] if r["name"].startswith("cross-path agreement")]
+    assert [r["name"] for r in gate] == ["cross-path agreement vs cone-direct"]
+    assert gate[0]["passed"] and gate[0]["threshold"] == 1e-3 and gate[0]["value"] < 1e-10
+
+
 def test_op_apply_rejects_removed_paths(tmp_path, capsys):
     g = cw.SpacetimeGrid(cw.Grid(1, 32, 16.0), 32, 16.0)
     field_path = tmp_path / "g.field"

@@ -92,6 +92,16 @@ def test_every_public_library_name_has_a_caller():
     assert not dead, f"public names nothing calls: {dead}"
 
 
+def test_the_caller_scan_reaches_methods_and_properties_of_public_classes():
+    # public methods, properties and classmethods of public classes are
+    # listed; private names, dunders and private classes' methods are not
+    defined, _ = _library_names()
+    assert {"fields.Grid.spacing", "fields.Grid.freq_radius", "conop.RadialQuadrature.nodes",
+            "conop.RadialQuadrature.for_grid"} <= set(defined)
+    assert not [name for name in defined if any(part.startswith("_") for part in name.split("."))]
+    assert "fields.Grid.__post_init__" not in defined
+
+
 def test_the_no_caller_list_names_only_defined_names_without_a_caller():
     # a listed name that was deleted, or that has gained a library caller,
     # no longer belongs on the list

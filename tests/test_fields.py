@@ -58,6 +58,18 @@ def test_grid_geometry():
     assert g.shape == (64, 64)
 
 
+@pytest.mark.parametrize("grid", [Grid(1, 64, 16.0), Grid(2, 16, 8.0)], ids=["n1", "n2"])
+def test_radial_index_of_a_spatial_grid(grid):
+    # the distinct |xi| in increasing order and each cell's place among
+    # them in C order: the radii and scatter of a RadialSymbol on that
+    # space, and what the mixed norms evaluate their profile through
+    radii, scatter = fields._radial_index(grid)
+    assert np.all(np.diff(radii) > 0.0)
+    assert radii.size == len(set(grid.freq_radius().ravel().tolist()))
+    assert scatter.shape == (int(np.prod(grid.shape)),)
+    assert np.array_equal(radii[scatter].reshape(grid.shape), grid.freq_radius())
+
+
 def test_field_shape_check():
     g = Grid(1, 64, 16.0)
     with pytest.raises(ValueError):
