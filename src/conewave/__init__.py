@@ -11,7 +11,8 @@ The package is organized bottom-up:
   apply, and the binary interchange format;
 * conop     - the fractional light-cone integral as one assembled
   (n+1)-dimensional symbol, with two independent spatial profiles
-  (Bessel series, Gauss-Jacobi quadrature of the cone kernel);
+  (Bessel series, Gauss-Jacobi quadrature of the cone kernel), which
+  fields applies;
 * analysis  - norms, the weighted-inequality and composition-estimate
   checkers, empirical ratio statistics, and the exponent-region
   classifier;
@@ -39,13 +40,13 @@ from .fields import (
     RadialSymbol,
     load_field,
     save_field,
+    symbol_applier,
 )
 from .conop import (
     RadialQuadrature,
     UnderResolvedWarning,
     convergence_check,
     symbol,
-    symbol_applier,
 )
 from .analysis import (
     CaseBoundReport,

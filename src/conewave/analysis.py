@@ -16,12 +16,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conop import RadialQuadrature, _radial_symbol, symbol_applier
+from .conop import RadialQuadrature
 from .ensembles import separable_gaussian
-from .fields import Field, Grid, SeparableField, SpacetimeField
+from .fields import (
+    Field,
+    Grid,
+    SeparableField,
+    SpacetimeField,
+    _radial_index,
+    _radial_symbol,
+    symbol_applier,
+)
 from .kernel import KernelSpec, _jacobi_rules, omega_hat
 from .specialfn import bessel_remainder
-from . import fields as _fields
 
 __all__ = [
     "Region",
@@ -48,6 +55,11 @@ __all__ = [
 ]
 
 _EQ_TOL = 1e-12  # classification equality tolerance: pure arithmetic, no noise
+# boundedness_verdict's gates: a ladder passes with a total spread (max /
+# min) below SPREAD_LIMIT, and fails on a strictly monotone drift whose
+# fitted |exponent| exceeds GROWTH_CUTOFF
+SPREAD_LIMIT = 2.0
+GROWTH_CUTOFF = 0.05
 _BLOCK = 2**16  # elements per temporary block in the vectorized batteries
 # elements per leaf of the Lp reduction (_power_sums): 256 KiB of float64,
 # so a leaf's magnitudes and powers stay in cache
@@ -166,7 +178,7 @@ def lp_norm(f, p: float) -> float:
 def _lp(source, ps, cell_volume: float, by_row: bool = False) -> list:
     # the one Lp reduction: source's p-norm for each p of ps, in order, as
     # numpy scalars.  source is an array, taken in memory order, or an
-    # output in progress (real_symbol_apply's last), made a part at a time
+    # output in progress (a symbol_applier's last), made a part at a time
     # and never formed whole; a source with a weight(a, b) counts each
     # element of part(a, b) that many times, so an orthant's sums are the
     # full grid's.
@@ -235,12 +247,13 @@ class MixedNormSpec:
 
     s is the outer exponent in r, q the inner one in x; the estimate being
     probed interpolates from s = q, and only s >= q > 1 makes sense here
-    (the q-norm of a convolution is an lp_norm, which needs q > 1).
+    (the q-norm of a convolution is an lp_norm, which needs q > 1).  The
+    power of r is the kernel's alpha, which mixed_norms takes from its
+    KernelSpec.
     """
 
     q: float
     s: float
-    alpha: float
     r_grid: RadialQuadrature
 
     def __post_init__(self):
@@ -249,18 +262,16 @@ class MixedNormSpec:
             raise ValueError("mixed-norm exponents must be finite")
         if not 1.0 < q <= s:
             raise ValueError(f"need s >= q > 1, got q={q}, s={s}")
-        if not float(self.alpha) > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 def mixed_norms(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
-    """( integral r^(alpha s) ||f * Omega_r||_q^s dr/r )^(1/s) over the r
-    grid, for each of one or more fields f on one grid, in order.
+    """( integral r^(alpha s) ||f * Omega_r||_q^s dr/r )^(1/s), with the
+    kernel's alpha, over the r grid, for each of one or more fields f on
+    one grid, in order.
 
-    Physical-space route: each f is transformed once (real_symbol_apply),
+    Physical-space route: each f is transformed once (symbol_applier),
     the profile is evaluated once per node on the distinct |xi| values and
     scattered back, and blocks of nodes are transformed back together
     along a leading axis; the q-norm of each node's convolution is taken
@@ -293,8 +304,7 @@ def mixed_norms_refined(fields, spec: KernelSpec, mn: MixedNormSpec, index: int)
     f_norms = [lp_norm(f, mn.q) for f in fields]
     base = mn.r_grid
     rows = _node_norms(fields, spec, mn.q, base.nodes())
-    fine = MixedNormSpec(mn.q, mn.s, mn.alpha,
-                         RadialQuadrature(base.r_min, base.r_max, 2 * base.count - 1))
+    fine = MixedNormSpec(mn.q, mn.s, RadialQuadrature(base.r_min, base.r_max, 2 * base.count - 1))
     row = np.empty(fine.r_grid.count)
     row[::2] = rows[index]
     row[1::2] = _node_norms([target], spec, mn.q, fine.r_grid.nodes()[1::2])[0]
@@ -314,10 +324,6 @@ def _mixed_norm_inputs(fields, spec: KernelSpec, mn: MixedNormSpec) -> list:
             raise ValueError(f"kernel dimension {spec.n} != grid dimension {f.grid.n}")
     if len({f.grid for f in fields}) > 1:
         raise ValueError("mixed_norms needs fields on one grid")
-    if spec.alpha != mn.alpha:
-        raise ValueError(
-            f"kernel alpha {spec.alpha:g} != mixed-norm alpha {mn.alpha:g}"
-        )
     return fields
 
 
@@ -327,8 +333,8 @@ def _node_norms(fields, spec: KernelSpec, q: float, r: np.ndarray) -> np.ndarray
     # field; a node's norm does not depend on the block it falls in, so a
     # rule's nodes may be measured in parts
     grid = fields[0].grid
-    applies = [_fields.real_symbol_apply(f.samples) for f in fields]
-    xi, scatter = _fields._radial_index(grid)
+    applies = [symbol_applier(f) for f in fields]
+    xi, scatter = _radial_index(grid)
     norms = np.empty((len(fields), r.size))
     step = max(1, _BLOCK // scatter.size)
     for i in range(0, r.size, step):
@@ -343,9 +349,9 @@ def _mixed_norm_total(row: np.ndarray, f_norm: float, spec: KernelSpec,
                       mn: MixedNormSpec) -> float:
     # the radial sum of one field's node norms on mn's r grid, with the
     # (0, r_min) mass restored in closed form
-    quad = mn.r_grid
-    total = float(np.sum(quad.measure_weights(mn.alpha * mn.s - 1.0) * row**mn.s))
-    total += quad.completion_mass(mn.alpha * mn.s - 1.0) * (omega_hat(0.0, spec) * f_norm) ** mn.s
+    quad, e = mn.r_grid, spec.alpha * mn.s - 1.0
+    total = float(np.sum(quad.measure_weights(e) * row**mn.s))
+    total += quad.completion_mass(e) * (omega_hat(0.0, spec) * f_norm) ** mn.s
     return float(total ** (1.0 / mn.s))
 
 
@@ -745,8 +751,7 @@ def crucial_estimate_ratio(spec: KernelSpec, q: float, r: float, s: float,
     xi = f.grid.freq_radius()
     symbol = omega_hat(r * xi, spec) * omega_hat(s * xi, spec)
     # the q-norm of f * Omega_r * Omega_s, taken as its output is made
-    [g_norm] = _lp(_fields.real_symbol_apply(f.samples).last(symbol), [q],
-                   f.grid.cell_volume)
+    [g_norm] = _lp(symbol_applier(f).last(symbol), [q], f.grid.cell_volume)
 
     big_a = (n + 1) / (2.0 * n) * spec.alpha
     mid = 1.0 if n == 1 else abs(r - s) ** (-(n - 1) / n * spec.alpha)
@@ -870,13 +875,13 @@ def ratio_ladder(m, probes, family, labels=None, pool_map=None) -> list:
     factors) on m's grid, and m must be a fields.RadialSymbol (a bare
     array is refused with TypeError).  Each member's p-norms are taken
     (once per distinct p).  Its output
-    is conop.symbol_applier(f).last(m), whose rows come back a leaf at a
+    is fields.symbol_applier(f).last(m), whose rows come back a leaf at a
     time, each leaf adding to the q-norm of every distinct q, so a member
     in flight holds its samples and its spectrum while it is transformed,
     then its spectrum alone, with a few leaf-sized arrays.  Such a ratio
     is the q-norm of symbol_applier(f)(m) by lp_norm over lp_norm(f, p),
     bit for bit, but for a separable member even on every axis (the
-    reference Gaussian), whose output fields.real_symbol_apply measures
+    reference Gaussian), whose output the applier's last measures
     on the nonnegative orthant, about 1/2^(n+1) of a field: within a few
     units in the last place.
 
@@ -938,15 +943,13 @@ class TrendVerdict:
     verdict: str  # pass | fail | inconclusive
 
 
-def boundedness_verdict(scales, ratios, spread_limit: float = 2.0,
-                        growth_cutoff: float = 0.05) -> TrendVerdict:
+def boundedness_verdict(scales, ratios) -> TrendVerdict:
     """Trend-based call on a ladder of ratios indexed by a scale.
 
-    pass: total spread below spread_limit.  fail: strictly monotone drift
-    with fitted |exponent| above growth_cutoff (a power-law trend is how
+    pass: total spread below SPREAD_LIMIT.  fail: strictly monotone drift
+    with fitted |exponent| above GROWTH_CUTOFF (a power-law trend is how
     unboundedness shows up on a finite grid).  Anything else is
-    inconclusive.  Thresholds are configuration; these defaults match the
-    reporting contract.
+    inconclusive.
     """
     scales = np.asarray(list(scales), dtype=float)
     ratios = np.asarray(list(ratios), dtype=float)
@@ -961,9 +964,9 @@ def boundedness_verdict(scales, ratios, spread_limit: float = 2.0,
     diffs = np.diff(ratios)
     monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
     slope = float(np.polyfit(np.log(scales), np.log(ratios), 1)[0])
-    if monotone and abs(slope) > growth_cutoff:
+    if monotone and abs(slope) > GROWTH_CUTOFF:
         verdict = "fail"
-    elif spread < spread_limit:
+    elif spread < SPREAD_LIMIT:
         verdict = "pass"
     else:
         verdict = "inconclusive"

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    SPREAD_LIMIT,
     ExponentPoint,
     MixedNormSpec,
     Region,
@@ -55,10 +56,17 @@ from .conop import (
     apply_path,
     convergence_check,
     symbol,
-    symbol_applier,
 )
 from .ensembles import gaussian, random_bumps
-from .fields import FieldFormatError, Grid, SpacetimeField, SpacetimeGrid, load_field, save_field
+from .fields import (
+    FieldFormatError,
+    Grid,
+    SpacetimeField,
+    SpacetimeGrid,
+    load_field,
+    save_field,
+    symbol_applier,
+)
 from .kernel import KernelSpec, multiplier_split, omega_hat, omega_hat_jacobi, write_kernel_tables
 from .specialfn import bessel_remainder, reciprocal_gamma
 
@@ -575,12 +583,6 @@ _SW_TRUTH_TABLE = (
 )
 
 
-def _bump_stream(grid: Grid, count: int, rng, **ranges):
-    # the draws of random_bumps(grid, count, rng, **ranges), one field at a time
-    for _ in range(count):
-        yield random_bumps(grid, 1, rng, **ranges)[0]
-
-
 def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: int = 12) -> list:
     """Weighted-inequality battery: validator truth table, measured
     constants on a bump ensemble, and growth ladders that separate an
@@ -668,7 +670,7 @@ def battery_stein_weiss(seed: int = 0, jobs: int = 1, bumps: int = 200, depth: i
     # the dyadic panels refine toward the origin, so keep the bumps wide
     # and central enough to be resolved; a narrow bump far out measures
     # panel coarseness, not the inequality
-    draws = _bump_stream(grid, int(bumps), random.Random(seed),
+    draws = random_bumps(grid, int(bumps), random.Random(seed),
                          width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
     arr = np.ravel(_pool_map(stein_weiss_measure([hls], grid, depth), draws, jobs))
     med = _median(arr)
@@ -849,7 +851,7 @@ def battery_mixed_norm() -> list:
     g = Grid.default(1)
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature(g.spacing / 4.0, 16.0, 160)
-    mn = MixedNormSpec(10.0, 10.0, 0.4, quad)
+    mn = MixedNormSpec(10.0, 10.0, quad)
     prov = f"grid n=1 N={g.points} L={g.extent:g}; {_quad_prov(quad)}"
 
     # one evaluation of the profile serves every width; the refinement
@@ -888,7 +890,7 @@ def battery_mixed_norm() -> list:
     )
 
     try:
-        MixedNormSpec(10.0, 2.0, 0.4, quad)
+        MixedNormSpec(10.0, 2.0, quad)
         records.append(
             _rec("exponent ordering refusal", None, None, False,
                  "mixed-norm domain", "s < q was accepted")
@@ -1253,7 +1255,7 @@ def cmd_norm_test(cfg, args) -> dict:
         _rec(
             "trend verdict",
             tv.spread,
-            2.0,
+            SPREAD_LIMIT,
             tv.verdict == "pass",
             prov,
             f"verdict {tv.verdict}; fitted exponent {tv.fitted_exponent:+.4g}; "

@@ -8,17 +8,15 @@ Fourier domain that is one (n+1)-dimensional multiplier
     m(xi, tau) = sum_j w_j P(r_j |xi|) 2 cos(2 pi r_j tau) + 2 c P(0),
 
 with the radial rule's one-sided (r > 0) weights w_j and completion mass
-c; the 2s fold the even r < 0 half onto r > 0.  It is assembled once by
-`symbol`, and `symbol_applier` is the one way it reaches a field: one
-input under several symbols pays for its transform once, and the
-applier measures the L2 distance between two symbols' outputs on the
-spectrum it holds, by Parseval, with no inverse transform.  The profile
-depends on |xi| alone, so the symbol is a fields.RadialSymbol, one row
-per distinct |xi| from one product of the profile table with the phases:
-even in xi by type and checked even in tau when it is built, so it
-equals its point reflection and the apply is a circular convolution
-(fields.real_symbol_apply, which also picks the route).  Every apply
-refuses a symbol that is not a RadialSymbol on its input's grid.
+c; the 2s fold the even r < 0 half onto r > 0.  This module only builds
+symbols: `symbol` assembles m once, and `convergence_check` measures its
+sensitivity to the radial rule; fields.symbol_applier alone applies
+them, and one input under several symbols pays for its transform once.
+The profile depends on |xi| alone, so the symbol is a
+fields.RadialSymbol, one row per distinct |xi| from one product of the
+profile table with the phases: even in xi by type and checked even in
+tau when it is built, so it equals its point reflection and the apply
+is a circular convolution.
 
 Only the spatial profile P varies between the two evaluation paths, and
 the two profiles share no arithmetic, so each path cross-checks the other.
@@ -48,12 +46,11 @@ import numpy as np
 
 from .fields import (
     RadialSymbol,
-    SeparableField,
-    SpacetimeField,
     SpacetimeGrid,
     _adopt,
+    _HeldSpectrum,
     _radial_index,
-    real_symbol_apply,
+    _radial_symbol,
 )
 from .kernel import KernelSpec, omega_hat, omega_hat_jacobi
 
@@ -62,7 +59,6 @@ __all__ = [
     "RadialQuadrature",
     "apply_path",
     "symbol",
-    "symbol_applier",
     "convergence_check",
 ]
 
@@ -236,79 +232,6 @@ def _profile_table(profile, spec: KernelSpec, r: np.ndarray, xi: np.ndarray) -> 
     return values[:-1].reshape(r.size, xi.size), float(values[-1])
 
 
-def _checked_input(f):
-    # what real_symbol_apply transforms for f, once f is refused unless it
-    # is a spacetime field: its samples, or a separable member itself,
-    # whose factors stand for its samples
-    if isinstance(f, SeparableField):
-        return f
-    if not isinstance(f, SpacetimeField):
-        raise TypeError("operator paths act on spacetime fields")
-    return f.samples
-
-
-def _radial_symbol(m, grid: SpacetimeGrid | None = None) -> RadialSymbol:
-    # m, refused unless it is a RadialSymbol, on grid when grid is given
-    if not isinstance(m, RadialSymbol):
-        raise TypeError(f"a symbol is a fields.RadialSymbol, got {type(m).__name__}")
-    if grid is not None and m.grid != grid:
-        raise ValueError(f"symbol grid {m.grid} != field grid {grid}")
-    return m
-
-
-class _Applier:
-    # what symbol_applier returns; see there
-
-    def __init__(self, f: SpacetimeField):
-        self._held = real_symbol_apply(_checked_input(f))
-        self.grid = f.grid
-
-    def __call__(self, m: RadialSymbol) -> np.ndarray:
-        return self._held(_radial_symbol(m, self.grid))
-
-    def last(self, m: RadialSymbol):
-        return self._held.last(_radial_symbol(m, self.grid))
-
-    def relative_norm(self, d: RadialSymbol, m: RadialSymbol) -> float:
-        d, m = _radial_symbol(d, self.grid), _radial_symbol(m, self.grid)
-        return self._held.relative_norm(d, m)
-
-    def relative_change(self, m1: RadialSymbol, m0: RadialSymbol) -> float:
-        m1, m0 = _radial_symbol(m1, self.grid), _radial_symbol(m0, self.grid)
-        d = _adopt(self.grid, np.subtract(m1.rows, m0.rows), m0.scatter)
-        return self._held.relative_norm(d, m0)
-
-
-def symbol_applier(f: SpacetimeField):
-    """apply(m), the samples of the operator with symbol m applied to f:
-    the one way a symbol reaches a spacetime field.
-
-    f is a physical spacetime field or a fields.SeparableField, checked
-    here and transformed by fields.real_symbol_apply on the first
-    request, after which the applier holds only its spectrum, not f; f is
-    left unchanged.  Each m must be a fields.RadialSymbol on f's grid:
-    before any transform, a bare array is refused with TypeError and a
-    symbol of another grid with ValueError.  Every further symbol costs
-    one inverse transform, of a product copy.  A real f (float64, complex
-    with an all-zero imaginary part, or separable) gives float64 outputs,
-    any other f complex128.
-
-    apply.last(m) is the single-use apply, real_symbol_apply's last: m is
-    multiplied into the spectrum in place and the output in progress is
-    returned, whose part(a, b) the caller streams (for most inputs its
-    whole() is apply(m), bit for bit; fields picks an even separable f's
-    orthant route, whose whole() raises RuntimeError, so a caller that
-    needs that output whole takes apply(m)).  Any later request raises
-    RuntimeError.
-    apply.relative_norm(d, m) is ||apply(d)||_2 / ||apply(m)||_2 (the
-    numerator alone when apply(m) is zero) and apply.relative_change(m1,
-    m0) that ratio for d = m1 - m0, by Parseval on the held spectrum with
-    no inverse transform; every symbol passes apply's checks.
-    apply.grid is f's grid.
-    """
-    return _Applier(f)
-
-
 def convergence_check(apply, spec: KernelSpec, quad: RadialQuadrature,
                       m: RadialSymbol, path: str = "multiplier",
                       tol: float = 1e-3) -> dict:
@@ -328,8 +251,9 @@ def convergence_check(apply, spec: KernelSpec, quad: RadialQuadrature,
     from the nodes it adds, and the one base node whose weight it moves,
     alone, by symbol's own assembly, as a RadialSymbol, and measured
     against m by the applier's relative_norm.  A bad path is refused
-    first, then m is checked as apply checks a symbol, so a zero input,
-    whose changes are 0.0, is refused the same.  When the cap leaves no
+    first, then an apply that is not a symbol_applier (TypeError), then m
+    is checked as apply checks a symbol, so a zero input, whose changes
+    are 0.0, is refused the same; all before any change is built.  When the cap leaves no
     room above r_max the r_max refinement does not run: its entry is
     None, not a zero sensitivity, and it does not count towards the
     verdict.  The report also holds "tolerance", the verdict
@@ -339,6 +263,9 @@ def convergence_check(apply, spec: KernelSpec, quad: RadialQuadrature,
     UnderResolvedWarning when any measured movement exceeds tol.
     """
     profile = apply_path(path)
+    if not isinstance(apply, _HeldSpectrum):
+        raise TypeError(f"convergence_check takes a fields.symbol_applier, "
+                        f"got {type(apply).__name__}")
     grid = apply.grid
     m = _radial_symbol(m, grid)
     diag, windows = {}, {}

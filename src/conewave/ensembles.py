@@ -88,25 +88,29 @@ def cone_plate(grid: SpacetimeGrid, thickness: float = 1.0,
 
 
 def random_bumps(grid: Grid, count: int, rng,
-                 width_range=(0.5, 2.0), center_range=None) -> list:
-    """Nonnegative random Gaussian bumps on a one-dimensional grid.
+                 width_range=(0.5, 2.0), center_range=None):
+    """Nonnegative random Gaussian bumps on a one-dimensional grid, yielded
+    one at a time as they are drawn.
 
     rng is any generator with uniform(lo, hi), a numpy Generator or a
     random.Random; each bump draws its width, center and amplitude in
-    that order.  Centers stay inside the middle half of the box by
-    default so that potentials and norms are not contaminated by the
-    periodic seam.
+    that order, when it is asked for.  Centers stay inside the middle
+    half of the box by default so that potentials and norms are not
+    contaminated by the periodic seam.  A grid of another dimension is
+    refused here, at the call.
     """
     if grid.n != 1:
         raise ValueError("random_bumps generates one-dimensional fields")
     if center_range is None:
         center_range = (-grid.extent / 4.0, grid.extent / 4.0)
+    return _bumps(grid, int(count), rng, width_range, center_range)
+
+
+def _bumps(grid: Grid, count: int, rng, width_range, center_range):
+    # random_bumps' draws, a bump at a time
     x = grid.axis()
-    out = []
-    for _ in range(int(count)):
+    for _ in range(count):
         width = float(rng.uniform(*width_range))
         center = float(rng.uniform(*center_range))
         amp = float(rng.uniform(0.5, 2.0))
-        out.append(Field(grid, amp * np.exp(-np.pi * (x - center) ** 2 / width**2)))
-    return out
-
+        yield Field(grid, amp * np.exp(-np.pi * (x - center) ** 2 / width**2))

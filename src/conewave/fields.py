@@ -10,21 +10,23 @@ Conventions, fixed once here and relied on everywhere else:
   real fields stay real; the file format is complex128 either way;
 * a Fourier multiplier that is real and equal to its point reflection,
   as every operator symbol and kernel profile of this package is, is
-  applied by real_symbol_apply, the package's one multiplier apply: a
-  circular convolution, so it needs neither a centering shift nor a
-  spacing scale, and real inputs take real-input FFTs on the half
-  spectrum of the last axis and stay real; the same held spectrum gives
-  the L2 norm of one symbol's output relative to another's by Parseval,
-  with no inverse transform;
+  applied by symbol_applier, the package's one multiplier apply, which
+  checks each multiplier against its input's type and grid: a circular
+  convolution, so it needs neither a centering shift nor a spacing
+  scale, and real inputs take real-input FFTs on the half spectrum of
+  the last axis and stay real; the same held spectrum gives the L2 norm
+  of one symbol's output relative to another's by Parseval, with no
+  inverse transform;
 * a spacetime symbol is a RadialSymbol: it depends on (|xi|, tau) alone,
   so it is held as one row per distinct |xi| and is even in xi by type;
   its rows are checked once, when it is built, to be real and even in
-  tau, so it equals its point reflection on every axis;
+  tau, so it equals its point reflection on every axis; a spacetime
+  input takes no other multiplier, and a spatial one takes plain arrays;
 * a physical spacetime field that is a product space(x) time(t) may be
-  held as its two factors (SeparableField), which real_symbol_apply
+  held as its two factors (SeparableField), which symbol_applier
   transforms one factor at a time; when both factors are even on every
   axis, so is the output under a RadialSymbol, and the single-use apply
-  (real_symbol_apply's last) forms its nonnegative orthant alone.
+  (the applier's last) forms its nonnegative orthant alone.
 
 The torus stands in for R^n: inputs are expected to decay well inside the
 box, and kernels enter through their exact continuum multipliers rather
@@ -47,7 +49,7 @@ __all__ = [
     "SpacetimeField",
     "SeparableField",
     "RadialSymbol",
-    "real_symbol_apply",
+    "symbol_applier",
     "save_field",
     "load_field",
 ]
@@ -185,16 +187,6 @@ class SpacetimeGrid:
     def t_freq_axis(self) -> np.ndarray:
         return np.fft.fftfreq(self.t_points, self.t_spacing)
 
-    @classmethod
-    def default(cls, n: int = 1) -> "SpacetimeGrid":
-        # the n+1 dimensional product is kept coarser than Grid.default(n):
-        # operator runs touch the full spacetime volume per radial node
-        table = {1: (512, 64.0, 512, 64.0), 2: (128, 32.0, 128, 32.0)}
-        if n not in table:
-            raise ValueError(f"no default spacetime grid for dimension {n}")
-        pts, ext, tp, te = table[n]
-        return cls(Grid(n, pts, ext), tp, te)
-
 
 @dataclass(frozen=True, eq=False)
 class SpacetimeField:
@@ -225,7 +217,7 @@ class SeparableField:
     space is sampled on grid.space and time on the time axis, both real
     and finite; they are held as float64 (without a copy of an array
     already of that dtype), and the (n+1)-dimensional samples are never
-    formed.  real_symbol_apply transforms the factors one axis group each,
+    formed.  symbol_applier transforms the factors one axis group each,
     so the member's first full-size array is its half spectrum, and
     analysis.lp_norm takes its norm as the product of the factors' norms.
     """
@@ -475,16 +467,36 @@ class _Orthant:
 
 
 class _HeldSpectrum:
-    # what real_symbol_apply returns: the samples until the first request,
-    # then their spectrum in their place, and the power |X|^2 (weighted
-    # for the half spectrum) that relative_norm measures by Parseval, on
-    # the first such request.  last(m) gives both up
+    # what symbol_applier returns: the input's samples (a separable
+    # member itself) until the first request, then their spectrum in
+    # their place, and the power |X|^2 (weighted for the half spectrum)
+    # that relative_norm measures by Parseval, on the first such request.
+    # last(m) gives both up
 
-    def __init__(self, samples):
-        self._source = samples
-        self._shape = samples.shape
-        self._count = math.prod(samples.shape)
+    def __init__(self, f):
+        if isinstance(f, SeparableField):
+            self._source = f
+        elif isinstance(f, (SpacetimeField, Field)):
+            self._source = f.samples
+        else:
+            raise TypeError("symbol_applier acts on a SpacetimeField, a SeparableField "
+                            f"or a spatial Field, got {type(f).__name__}")
+        self.grid = f.grid
+        self._shape = f.grid.shape
+        self._count = math.prod(self._shape)
         self._spectrum = self._real = self._power = None
+
+    def _checked(self, m):
+        # m, refused unless the input takes it: a RadialSymbol on its grid,
+        # or on a spatial input an array over the grid's axes, which may
+        # carry leading axes
+        if isinstance(m, RadialSymbol) or isinstance(self.grid, SpacetimeGrid):
+            return _radial_symbol(m, self.grid)
+        shape = np.shape(m)
+        if shape[len(shape) - self.grid.n:] != self.grid.shape:
+            raise ValueError(f"multiplier shape {shape} does not end in the grid shape "
+                             f"{self.grid.shape}")
+        return m
 
     def _held(self) -> np.ndarray:
         if self._spectrum is None:
@@ -496,11 +508,13 @@ class _HeldSpectrum:
         return self._spectrum
 
     def __call__(self, m) -> np.ndarray:
+        m = self._checked(m)
         return _Inverse(_multiply(self._held(), m), self._shape, self._real).whole()
 
     def last(self, m):
         # the orthant of an untransformed even member (_is_even) under a
         # RadialSymbol, else self(m) before its last stage
+        m = self._checked(m)
         if self._spectrum is None and isinstance(m, RadialSymbol) and _is_even(self._source):
             source, self._source = self._source, None
             return _Orthant(source, m)
@@ -508,12 +522,18 @@ class _HeldSpectrum:
         self._spectrum = self._power = None
         return _Inverse(_multiply(spectrum, m, out=spectrum), self._shape, self._real)
 
+    def relative_change(self, m1: RadialSymbol, m0: RadialSymbol) -> float:
+        m1, m0 = _radial_symbol(m1, self.grid), _radial_symbol(m0, self.grid)
+        d = _adopt(self.grid, np.subtract(m1.rows, m0.rows), m0.scatter)
+        return self.relative_norm(d, m0)
+
     def relative_norm(self, d: RadialSymbol, m: RadialSymbol) -> float:
         # ||self(d)|| / ||self(m)||, or the numerator alone when self(m) is
         # zero: sum |X|^2 d^2 over sum |X|^2 m^2 under its square root, by
         # numpy's pairwise sum, not BLAS, so the value does not depend on
         # the BLAS threads.  d's and then m's half spectrum are gathered
         # into one contiguous buffer, one row per spatial cell
+        d, m = _radial_symbol(d, self.grid), _radial_symbol(m, self.grid)
         power = self._weighted_power()
         width = power.shape[-1]
         flat = np.empty((d.scatter.size, width))
@@ -541,44 +561,61 @@ class _HeldSpectrum:
         return self._power
 
 
-def real_symbol_apply(samples):
-    """Prepare samples for real Fourier multipliers m equal to their point
-    reflection, m[-k mod N] == m[k] on every axis in FFT layout; returns
-    apply, with apply(m) the samples under m.  samples is an array or a
-    SeparableField (its factors stand for their outer product); m is an
-    array of the samples' shape, which may carry leading axes (one output
-    per leading index), or a RadialSymbol on their grid, whose samples
-    are gathered from its rows a block of cells at a time.
+def _radial_symbol(m, grid=None) -> RadialSymbol:
+    # m, refused unless it is a RadialSymbol, on grid when grid is given
+    if not isinstance(m, RadialSymbol):
+        raise TypeError(f"a symbol is a fields.RadialSymbol, got {type(m).__name__}")
+    if grid is not None and m.grid != grid:
+        raise ValueError(f"symbol grid {m.grid} != field grid {grid}")
+    return m
+
+
+def symbol_applier(f):
+    """apply(m), the samples of the field f under the Fourier multiplier m:
+    the package's one multiplier apply.
+
+    f is a SpacetimeField, a SeparableField (its factors stand for their
+    outer product) or a spatial Field; anything else raises TypeError.
+    Each m is checked by f's type before any transform.  A RadialSymbol
+    must be on f's grid (ValueError), so a spatial f refuses one; a
+    spacetime f takes nothing else (TypeError); a spatial f takes an
+    array of its grid's shape, which may carry leading axes (one output
+    per leading index).  An m must be real and equal to its point
+    reflection, m[-k mod N] == m[k] on every axis in FFT layout, which a
+    RadialSymbol is by type and an array by its caller's construction.
 
     Such an m is the transform of a real, even kernel, so applying it is a
     circular convolution: no shift pair, no spacing scale, and real
-    samples stay real.  Samples are transformed once, on the first
-    request, into one buffer that replaces them: float64 samples, and
-    complex ones whose imaginary part is all zero, by rfftn, coming back
-    into float64 by irfftn's steps on the tau >= 0 half of m; others by
-    one complex pair on the full m, into complex128.  A SeparableField's
-    spectrum is fftn of its space factor times rfft of its time factor.
-    apply(m) multiplies into a copy of the spectrum, so the bits are those
-    of irfftn(rfftn(samples) * m_half) (ifftn(fftn(samples) * m)) and the
-    spectrum serves the next m.
+    samples stay real.  f is transformed once, on the first request, into
+    one buffer that replaces its samples in the applier (f is left
+    unchanged): float64 samples, and complex ones whose imaginary part is
+    all zero, by rfftn, coming back into float64 by irfftn's steps on the
+    tau >= 0 half of m; others by one complex pair on the full m, into
+    complex128.  A SeparableField's spectrum is fftn of its space factor
+    times rfft of its time factor.  apply(m) multiplies into a copy of the
+    spectrum, so the bits are those of irfftn(rfftn(samples) * m_half)
+    (ifftn(fftn(samples) * m)) and the spectrum serves the next m; a
+    RadialSymbol's samples are gathered from its rows a block of cells at
+    a time.
 
     apply.last(m), the single-use apply, multiplies into the spectrum
     itself, gives it up and returns the output in progress, whose
     part(a, b) is elements a..b-1 of the output (C order), made from the
     rows that hold them; its whole() is apply(m), bit for bit.  The route
-    is chosen here: untransformed samples that are a SeparableField whose
-    factors equal their reflections on every axis, under a RadialSymbol,
-    have an output even on every axis, and last(m) gives its nonnegative
-    orthant instead (_Orthant), whose weight(a, b) is each element's
-    multiplicity in the full grid and whose whole() raises RuntimeError:
-    a caller that needs the output whole takes apply(m).
-    apply.relative_norm(d, m), for RadialSymbols, is ||apply(d)|| /
-    ||apply(m)|| in the L2 norm (the numerator alone when apply(m) is
-    zero), by Parseval on the held spectrum.  After last(m) every request
-    raises RuntimeError.  Callers check that m fits the samples; this
-    does not.
+    is chosen here: an untransformed SeparableField whose factors equal
+    their reflections on every axis, under a RadialSymbol, has an output
+    even on every axis, and last(m) gives its nonnegative orthant instead
+    (_Orthant), whose weight(a, b) is each element's multiplicity in the
+    full grid and whose whole() raises RuntimeError: a caller that needs
+    the output whole takes apply(m).
+    apply.relative_norm(d, m) is ||apply(d)||_2 / ||apply(m)||_2 (the
+    numerator alone when apply(m) is zero) and apply.relative_change(m1,
+    m0) that ratio for d = m1 - m0, by Parseval on the held spectrum with
+    no inverse transform; they take RadialSymbols alone, checked as apply
+    checks them.  After last(m) every request raises RuntimeError.
+    apply.grid is f's grid.
     """
-    return _HeldSpectrum(samples)
+    return _HeldSpectrum(f)
 
 
 # ---------------------------------------------------------------------------

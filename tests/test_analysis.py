@@ -322,7 +322,7 @@ def test_lp_over_leaves_is_the_whole_array_reduction_bit_for_bit(grid):
         out = symbol_applier(f)(m)
         want = [oracles.lp_reference(out, p, cell) for p in _LP_EXPONENTS]
         _assert_same_norms(_lp(out, _LP_EXPONENTS, cell), want)
-        streamed = fields.real_symbol_apply(f.samples).last(m)
+        streamed = symbol_applier(f).last(m)
         _assert_same_norms(_lp(streamed, _LP_EXPONENTS, cell), want)
         for p, norm in zip(_LP_EXPONENTS, want):
             assert lp_norm(SpacetimeField(grid, out), p) == float(norm)
@@ -358,8 +358,7 @@ def test_a_streamed_norm_leaves_nothing_for_the_cyclic_collector():
     # the spectrum a member's inverse holds is freed when the norms are
     # taken, without waiting for a garbage collection
     grid = _OUTPUT_GRIDS["512^2"]
-    inverse = fields.real_symbol_apply(ens.gaussian_spacetime(grid, 1.0).samples).last(
-        _output_symbol(grid))
+    inverse = symbol_applier(ens.gaussian_spacetime(grid, 1.0)).last(_output_symbol(grid))
     alive = weakref.ref(inverse)
     gc.disable()
     try:
@@ -376,22 +375,12 @@ def _r_grid(count=96):
 
 def test_mixed_norm_spec_validation():
     with pytest.raises(ValueError):
-        MixedNormSpec(10.0, 5.0, 0.4, _r_grid())  # s < q
+        MixedNormSpec(10.0, 5.0, _r_grid())  # s < q
     with pytest.raises(ValueError):
-        MixedNormSpec(0.9, 2.0, 0.4, _r_grid())  # q < 1
+        MixedNormSpec(0.9, 2.0, _r_grid())  # q < 1
     # q = 1 has no lp_norm, so no mixed norm could be computed with it
     with pytest.raises(ValueError, match="q > 1"):
-        MixedNormSpec(1.0, 2.0, 0.4, _r_grid())
-    with pytest.raises(ValueError):
-        MixedNormSpec(2.0, 2.0, -0.1, _r_grid())
-
-
-def test_mixed_norm_alpha_must_match_kernel():
-    g = Grid(1, 256, 32.0)
-    f = ens.gaussian(g, 1.0)
-    mn = MixedNormSpec(2.0, 2.0, 0.5, _r_grid())
-    with pytest.raises(ValueError):
-        mixed_norms([f], KernelSpec(0.4, 1), mn)
+        MixedNormSpec(1.0, 2.0, _r_grid())
 
 
 def test_mixed_norm_plancherel_route_agrees_only_at_q_two():
@@ -416,18 +405,18 @@ def test_mixed_norm_plancherel_route_agrees_only_at_q_two():
         inner0 = (np.sum(fhat**2 * omega_hat(0.0, spec) ** 2) * dxi) ** (q / 2.0)
         return (total + mass * inner0) ** (1.0 / q)
 
-    mn2 = MixedNormSpec(2.0, 2.0, 0.4, quad)
+    mn2 = MixedNormSpec(2.0, 2.0, quad)
     physical = mixed_norms([f], spec, mn2)[0]
     assert physical == pytest.approx(spectral_route(2.0), rel=1e-10)
 
-    mn10 = MixedNormSpec(10.0, 10.0, 0.4, quad)
+    mn10 = MixedNormSpec(10.0, 10.0, quad)
     physical10 = mixed_norms([f], spec, mn10)[0]
     assert abs(physical10 - spectral_route(10.0)) > 0.01 * physical10
 
 
 def test_mixed_norm_requires_spatial_field():
     sg = SpacetimeGrid(Grid(1, 32, 8.0), 32, 8.0)
-    mn = MixedNormSpec(2.0, 2.0, 0.4, _r_grid())
+    mn = MixedNormSpec(2.0, 2.0, _r_grid())
     with pytest.raises(TypeError):
         mixed_norms([ens.gaussian_spacetime(sg, 1.0)], KernelSpec(0.4, 1), mn)
 
@@ -437,7 +426,7 @@ def _mixed_norm_reference(f, spec, mn):
     # the continuum reference pair
     quad = mn.r_grid
     r = quad.nodes()
-    w = quad.measure_weights(mn.alpha * mn.s - 1.0)
+    w = quad.measure_weights(spec.alpha * mn.s - 1.0)
     axes, spacings = range(f.grid.n), (f.grid.spacing,) * f.grid.n
     fhat = oracles.transform_reference(f.samples, axes, spacings)
     xi = f.grid.freq_radius()
@@ -445,7 +434,7 @@ def _mixed_norm_reference(f, spec, mn):
     for j in range(quad.count):
         conv = oracles.inverse_transform_reference(fhat * omega_hat(r[j] * xi, spec), axes, spacings)
         total += w[j] * lp_norm(Field(f.grid, conv), mn.q) ** mn.s
-    mass = quad.completion_mass(mn.alpha * mn.s - 1.0)
+    mass = quad.completion_mass(spec.alpha * mn.s - 1.0)
     total += mass * (omega_hat(0.0, spec) * lp_norm(f, mn.q)) ** mn.s
     return float(total ** (1.0 / mn.s))
 
@@ -455,7 +444,7 @@ def test_mixed_norm_matches_node_by_node_reference(q):
     # 2048 samples: blocks of 32 nodes, the last of the 100 short
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature(1e-3, 8.0, 100)
-    mn = MixedNormSpec(q, q, 0.4, quad)
+    mn = MixedNormSpec(q, q, quad)
     f = ens.gaussian(Grid(1, 2048, 64.0), 1.0, 0.5)
     assert mixed_norms([f], spec, mn)[0] == pytest.approx(
         _mixed_norm_reference(f, spec, mn), rel=1e-12, abs=0.0
@@ -465,7 +454,7 @@ def test_mixed_norm_matches_node_by_node_reference(q):
 def test_mixed_norm_matches_node_by_node_reference_in_two_dimensions():
     # 64^2 samples: blocks of 16 nodes, the last of the 40 short
     spec = KernelSpec(0.5, 2)
-    mn = MixedNormSpec(2.0, 4.0, 0.5, RadialQuadrature(1e-2, 4.0, 40))
+    mn = MixedNormSpec(2.0, 4.0, RadialQuadrature(1e-2, 4.0, 40))
     f = ens.gaussian(Grid(2, 64, 16.0), 1.5)
     assert mixed_norms([f], spec, mn)[0] == pytest.approx(
         _mixed_norm_reference(f, spec, mn), rel=1e-12, abs=0.0
@@ -476,7 +465,7 @@ def test_mixed_norms_gives_one_mixed_norm_per_field():
     # one profile evaluation serves every field, with the bits of one
     # one-field call per field, in order
     spec = KernelSpec(0.4, 1)
-    mn = MixedNormSpec(4.0, 6.0, 0.4, RadialQuadrature(1e-2, 8.0, 70))
+    mn = MixedNormSpec(4.0, 6.0, RadialQuadrature(1e-2, 8.0, 70))
     g = Grid(1, 1024, 32.0)
     fields = [ens.gaussian(g, w, c) for w, c in ((0.5, 0.0), (1.0, 0.5), (2.0, -1.0))]
     assert mixed_norms(fields, spec, mn) == [mixed_norms([f], spec, mn)[0] for f in fields]
@@ -489,7 +478,7 @@ def test_mixed_norms_gives_one_mixed_norm_per_field():
 def test_mixed_norms_refuses_an_empty_input_before_any_work(monkeypatch):
     monkeypatch.setattr("conewave.analysis.omega_hat",
                         lambda *a: pytest.fail("profile evaluated"))
-    mn = MixedNormSpec(4.0, 6.0, 0.4, RadialQuadrature(1e-2, 8.0, 70))
+    mn = MixedNormSpec(4.0, 6.0, RadialQuadrature(1e-2, 8.0, 70))
     with pytest.raises(ValueError, match="empty"):
         mixed_norms([], KernelSpec(0.4, 1), mn)
 
@@ -500,11 +489,10 @@ def test_mixed_norms_refined_is_the_doubled_rule_bit_for_bit(monkeypatch):
     # midpoints alone, with the bits of a direct one-field call on that rule
     spec = KernelSpec(0.4, 1)
     quad = RadialQuadrature(1e-2, 8.0, 70)
-    mn = MixedNormSpec(4.0, 6.0, 0.4, quad)
+    mn = MixedNormSpec(4.0, 6.0, quad)
     g = Grid(1, 1024, 32.0)
     fields = [ens.gaussian(g, w, c) for w, c in ((0.5, 0.0), (1.0, 0.5), (2.0, -1.0))]
-    fine = MixedNormSpec(4.0, 6.0, 0.4,
-                         RadialQuadrature(quad.r_min, quad.r_max, 2 * quad.count - 1))
+    fine = MixedNormSpec(4.0, 6.0, RadialQuadrature(quad.r_min, quad.r_max, 2 * quad.count - 1))
     rows = []
     profile = analysis.omega_hat
 
@@ -527,7 +515,7 @@ def test_mixed_norms_refined_is_the_doubled_rule_bit_for_bit(monkeypatch):
 def test_mixed_norm_guards_of_the_convolution():
     f = ens.gaussian(Grid(1, 256, 32.0), 1.0)
     with pytest.raises(ValueError, match="dimension"):
-        mixed_norms([f], KernelSpec(0.4, 2), MixedNormSpec(2.0, 2.0, 0.4, _r_grid()))
+        mixed_norms([f], KernelSpec(0.4, 2), MixedNormSpec(2.0, 2.0, _r_grid()))
 
 
 # ---------------------------------------------------------------------------

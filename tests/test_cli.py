@@ -24,7 +24,7 @@ import conewave.cli as cli
 import conewave.ensembles as ens
 import conewave.fields as fields
 from conewave.analysis import lp_norm
-from conewave.cli import _bump_stream, _pool_map, main
+from conewave.cli import _pool_map, main
 
 
 def run(tmp_path, *args, config=None, name="run"):
@@ -286,20 +286,29 @@ def test_verify_crucial_and_mixed_norm_pass(tmp_path):
 
 
 def test_stein_weiss_bump_stream_draws_the_batch_ensemble():
-    # the battery measures bumps as they are drawn; the stream must hand
-    # out exactly the fields random_bumps would have built in one batch
+    # the battery measures bumps as they are drawn: random_bumps yields
+    # them one draw at a time, each the bump of the generator's next
+    # width, center and amplitude
     grid = cw.Grid.default(1)
     ranges = dict(width_range=(0.75, 2.0), center_range=(-8.0, 8.0))
-    batch = ens.random_bumps(grid, 200, random.Random(11), **ranges)
-    stream = _bump_stream(grid, 200, random.Random(11), **ranges)
+    rng, x = random.Random(11), grid.axis()
+    batch = []
+    for _ in range(200):
+        width, center = rng.uniform(0.75, 2.0), rng.uniform(-8.0, 8.0)
+        amp = rng.uniform(0.5, 2.0)
+        batch.append(amp * np.exp(-np.pi * (x - center) ** 2 / width**2))
+    stream = ens.random_bumps(grid, 200, random.Random(11), **ranges)
     assert not isinstance(stream, list)
     got = [f.samples for f in stream]
     assert len(got) == len(batch)
-    assert all(np.array_equal(a, f.samples) for a, f in zip(got, batch))
+    assert all(np.array_equal(a, b) for a, b in zip(got, batch))
+    # the n != 1 refusal comes at the call, before any draw
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ens.random_bumps(cw.Grid(2, 16, 8.0), 3, random.Random(11))
     # a worker pool consumes the stream in draw order too
     peaks = _pool_map(lambda f: float(f.samples.real.max()),
-                      _bump_stream(grid, 20, random.Random(11), **ranges), 2)
-    assert peaks == [float(f.samples.real.max()) for f in batch[:20]]
+                      ens.random_bumps(grid, 20, random.Random(11), **ranges), 2)
+    assert peaks == [float(b.max()) for b in batch[:20]]
 
 
 def test_stein_weiss_bumps_come_from_the_standard_library_generator():
@@ -460,8 +469,8 @@ def test_mixed_norm_battery_refines_on_the_base_nodes(monkeypatch):
     quad = cw.RadialQuadrature(g.spacing / 4.0, 16.0, 160)
     fine = cw.RadialQuadrature(quad.r_min, quad.r_max, 2 * quad.count - 1)
     f = ens.gaussian(g, 1.0)
-    m1 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, 0.4, quad))[0]
-    m2 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, 0.4, fine))[0]
+    m1 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, quad))[0]
+    m2 = cw.mixed_norms([f], spec, cw.MixedNormSpec(10.0, 10.0, fine))[0]
     assert records["radial refinement"]["value"] == abs(m1 - m2) / m2
     assert records["radial refinement"]["passed"]
 

@@ -203,9 +203,9 @@ def test_cone_direct_agrees_with_multiplier():
 
 def test_cone_direct_resolves_the_default_grid_nyquist():
     # a packet at k_x = 3.5 puts its mass at r |xi| up to r_max * Nyquist
-    # = 16 * 4 = 64 on the default grid, so the Jacobi rule has to follow
-    # the largest profile argument instead of a fixed node count
-    g = SpacetimeGrid.default(1)
+    # = 16 * 4 = 64 on a 512^2 grid of extent 64, so the Jacobi rule has
+    # to follow the largest profile argument instead of a fixed node count
+    g = SpacetimeGrid(Grid(1, 512, 64.0), 512, 64.0)
     f = ens.wave_packet(g, 2.0, k_x=3.5)
     quad = RadialQuadrature.for_grid(g)
     for alpha in (0.4, 0.6):
@@ -280,11 +280,11 @@ def test_a_symbol_evaluates_its_profile_once(monkeypatch, path):
     assert len(builds) == (path == "cone-direct")
 
 
-# the default grids of op-apply (SpacetimeGrid.default), of the scan-region
-# ratio probes and of norm-test, and a 64^3 n = 2 grid
+# 512^2 and 128^3 grids, the default grids of the scan-region ratio
+# probes and of norm-test, and a 64^3 n = 2 grid
 _CONTRACTION_GRIDS = {
-    "op-apply-n1": (SpacetimeGrid.default(1), KernelSpec(0.5, 1)),
-    "op-apply-n2": (SpacetimeGrid.default(2), KernelSpec(1.0, 2)),
+    "op-apply-n1": (SpacetimeGrid(Grid(1, 512, 64.0), 512, 64.0), KernelSpec(0.5, 1)),
+    "op-apply-n2": (SpacetimeGrid(Grid(2, 128, 32.0), 128, 32.0), KernelSpec(1.0, 2)),
     "scan-region": (SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0), KernelSpec(0.4, 1)),
     "norm-test": (SpacetimeGrid(Grid(1, 1024, 64.0), 1024, 64.0), KernelSpec(0.4, 1)),
     "n2-64": (SpacetimeGrid(Grid(2, 64, 32.0), 64, 32.0), KernelSpec(1.0, 2)),
@@ -311,7 +311,7 @@ _CELL_GRIDS = [SpacetimeGrid(Grid(1, 256, 32.0), 256, 32.0),
                SpacetimeGrid(Grid(1, 1024, 64.0), 1024, 64.0),
                SpacetimeGrid(Grid(2, 32, 32.0), 32, 32.0),
                SpacetimeGrid(Grid(2, 64, 32.0), 64, 32.0),
-               SpacetimeGrid.default(2),
+               SpacetimeGrid(Grid(2, 128, 32.0), 128, 32.0),
                SpacetimeGrid(Grid(1, 64, 16.0), 2, 6.0),
                SpacetimeGrid(Grid(2, 32, 16.0), 4, 8.0)]
 
@@ -435,7 +435,8 @@ def test_symbol_and_symbol_applier_guards():
     with pytest.raises(ValueError, match="dimension"):
         symbol(g, KernelSpec(1.0, 2), quad)
     m = symbol(g, spec, quad)
-    with pytest.raises(TypeError):
+    # a spatial field takes arrays alone: no RadialSymbol is on its grid
+    with pytest.raises(ValueError, match="grid"):
         symbol_applier(ens.gaussian(Grid(1, 32, 16.0)))(m)
 
 
@@ -769,8 +770,36 @@ def test_the_whole_output_of_a_single_use_apply_is_the_apply_or_a_named_refusal(
 
 
 def test_symbol_applier_guards_its_input():
-    with pytest.raises(TypeError):
-        symbol_applier(ens.gaussian(Grid(1, 32, 16.0)))
+    for wrong in (np.ones((32, 32)), None):
+        with pytest.raises(TypeError, match="SpacetimeField"):
+            symbol_applier(wrong)
+    # a spatial field is taken, with arrays of its grid's shape, leading
+    # axes included, and no other
+    f = ens.gaussian(Grid(1, 32, 16.0))
+    apply = symbol_applier(f)
+    assert apply.grid == f.grid
+    assert apply(np.ones((3, 32))).shape == (3, 32)
+    for shape in ((16,), (32, 16), ()):
+        with pytest.raises(ValueError, match="grid shape"):
+            apply(np.ones(shape))
+
+
+def test_convergence_check_refuses_a_field_before_any_change_is_built(monkeypatch):
+    # a field in place of its applier is refused by name, before the first
+    # refinement's change symbol is assembled
+    g = _grid(64, 16.0)
+    f = ens.gaussian_spacetime(g, 1.0)
+    spec = KernelSpec(0.4, 1)
+    quad = RadialQuadrature.for_grid(g, 48)
+    m = symbol(g, spec, quad)
+
+    def never(*args):
+        raise AssertionError("a change symbol was built")
+
+    monkeypatch.setattr(conop, "_radial_sum", never)
+    for wrong in (f, m, None):
+        with pytest.raises(TypeError, match="symbol_applier"):
+            convergence_check(wrong, spec, quad, m)
 
 
 def test_apply_path_lookup():

@@ -60,17 +60,20 @@ def _public(stmts, kinds) -> list:
     return [s.name for s in stmts if isinstance(s, kinds) and not s.name.startswith("_")]
 
 
+def _sources() -> list:
+    # the files whose calls count: the library's own modules (not the
+    # package's re-exports) and the benchmark scripts; tests do not count
+    sources = [p for p in sorted((_ROOT / "src" / "conewave").glob("*.py"))
+               if p.name != "__init__.py"]
+    return sources + sorted((_ROOT / "bench").glob("*.py"))
+
+
 def _library_names() -> tuple:
     # (the public names the library defines, as module.name, and the
     # public methods and properties of its public classes, as
-    # module.Class.name, and every name its callers load): callers are the
-    # library's own modules (not the package's re-exports) and the
-    # benchmark scripts; tests do not count
-    sources = [p for p in sorted((_ROOT / "src" / "conewave").glob("*.py"))
-               if p.name != "__init__.py"]
-    sources += sorted((_ROOT / "bench").glob("*.py"))
+    # module.Class.name, and every name its callers load)
     referenced, defined = set(), []
-    for path in sources:
+    for path in _sources():
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
             referenced |= _references(stmt)
@@ -109,3 +112,26 @@ def test_the_no_caller_list_names_only_defined_names_without_a_caller():
     stale = sorted(name for name in _NO_CALLER_YET
                    if name not in defined or name.rsplit(".", 1)[1] in referenced)
     assert not stale, f"stale entries of _NO_CALLER_YET: {stale}"
+
+
+def test_every_public_classmethod_has_a_caller_that_names_its_class():
+    # a classmethod is called through its class, Class.name(...): a bare
+    # attribute match would let Grid.default stand in for another class's
+    # default
+    defined, called = [], set()
+    for path in _sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                called.add((node.value.id, node.attr))
+        if path.stem not in _LIBRARY:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defined += [(path.stem, cls.name, fn.name) for fn in cls.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                            and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                    for d in fn.decorator_list)]
+    assert ("fields", "Grid", "default") in defined
+    dead = [".".join(name) for name in defined if name[1:] not in called]
+    assert not dead, f"public classmethods nothing calls through their class: {dead}"

@@ -22,7 +22,7 @@ from conewave import (
     omega_hat,
     save_field,
 )
-from conewave.fields import RadialSymbol, real_symbol_apply
+from conewave.fields import RadialSymbol, symbol_applier
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +44,6 @@ def test_grid_defaults():
     for n, (points, extent) in {1: (4096, 64.0), 2: (256, 32.0), 3: (64, 16.0)}.items():
         g = Grid.default(n)
         assert (g.points, g.extent) == (points, extent)
-    sg = SpacetimeGrid.default(1)
-    assert (sg.space.points, sg.t_points, sg.t_extent) == (512, 512, 64.0)
     with pytest.raises(ValueError):
         Grid.default(4)
 
@@ -197,24 +195,25 @@ def _reflect(a: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "complex-typed real"])
-def test_real_symbol_apply_takes_stacks_of_symbols(kind):
+def test_symbol_applier_takes_stacks_of_symbols_on_a_spatial_field(kind):
     # a stack of symbols along a leading axis gives, row by row, the bits of
     # one apply per symbol, and each agrees with the full complex pair
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((16, 8))
+    grid = Grid(2, 16, 8.0)
+    x = rng.standard_normal(grid.shape)
     if kind == "complex":
         x = x + 1j * rng.standard_normal(x.shape)
     elif kind == "complex-typed real":
         x = x.astype(np.complex128)
     keep = x.copy()
-    raw = rng.standard_normal((3, 16, 8))
+    raw = rng.standard_normal((3,) + grid.shape)
     stack = np.stack([a + _reflect(a) for a in raw])
-    apply = real_symbol_apply(x)
+    apply = symbol_applier(Field(grid, x))
     out = apply(stack)
     assert np.array_equal(x, keep)
     assert out.shape == stack.shape
     assert out.dtype == (np.complex128 if kind == "complex" else np.float64)
-    spacings = (0.5, 0.25)
+    spacings = (grid.spacing,) * grid.n
     for m, row in zip(stack, out):
         assert np.array_equal(row, apply(m))
         want = oracles.inverse_transform_reference(
@@ -228,39 +227,41 @@ def _symmetric(rng, shape) -> np.ndarray:
     return a + _reflect(a)
 
 
-@pytest.mark.parametrize("shape", [(256, 256), (32, 32, 32), (33, 17, 9)])
-def test_real_symbol_apply_has_the_bits_of_the_plain_transform_pair(shape):
+@pytest.mark.parametrize("grid", [Grid(2, 256, 32.0), Grid(3, 32, 8.0)], ids=["256^2", "32^3"])
+def test_symbol_applier_has_the_bits_of_the_plain_transform_pair(grid):
     # the spectrum in one out= buffer and the inverse run in place give the
     # bits of numpy's own n-d pair, real, complex and on a leading-axis
     # block of symbols as mixed_norms applies it
     rng = np.random.default_rng(13)
+    shape = grid.shape
     axes = tuple(range(len(shape)))
     half = shape[-1] // 2 + 1
     m = _symmetric(rng, shape)
     x = rng.standard_normal(shape)
     want = np.fft.irfftn(np.fft.rfftn(x) * m[..., :half], s=shape, axes=axes)
-    assert np.array_equal(real_symbol_apply(x)(m), want)
-    z = x + 1j * rng.standard_normal(shape)
-    assert np.array_equal(real_symbol_apply(z)(m), np.fft.ifftn(np.fft.fftn(z) * m))
+    assert np.array_equal(symbol_applier(Field(grid, x))(m), want)
+    z = Field(grid, x + 1j * rng.standard_normal(shape))
+    assert np.array_equal(symbol_applier(z)(m), np.fft.ifftn(np.fft.fftn(z.samples) * m))
     block = np.stack([m, _symmetric(rng, shape)])
     lead = tuple(k + 1 for k in axes)
     want = np.fft.irfftn(np.fft.rfftn(x) * block[..., :half], s=shape, axes=lead)
-    assert np.array_equal(real_symbol_apply(x)(block), want)
-    assert np.array_equal(real_symbol_apply(z)(block),
-                          np.fft.ifftn(np.fft.fftn(z) * block, axes=lead))
+    assert np.array_equal(symbol_applier(Field(grid, x))(block), want)
+    assert np.array_equal(symbol_applier(z)(block),
+                          np.fft.ifftn(np.fft.fftn(z.samples) * block, axes=lead))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_a_reused_real_symbol_apply_keeps_its_spectrum(kind):
+def test_a_reused_symbol_applier_keeps_its_spectrum(kind):
     # an apply multiplies into a copy, so one symbol gives the same bits
     # before and after others, stacks included
     rng = np.random.default_rng(17)
-    shape = (32, 16, 8)
+    grid = Grid(3, 16, 8.0)
+    shape = grid.shape
     x = rng.standard_normal(shape)
     if kind == "complex":
         x = x + 1j * rng.standard_normal(shape)
     first, second = _symmetric(rng, shape), _symmetric(rng, shape)
-    apply = real_symbol_apply(x)
+    apply = symbol_applier(Field(grid, x))
     before = apply(first)
     apply(second)
     apply(np.stack([second, first]))
@@ -294,9 +295,16 @@ def test_relative_norm_is_the_distance_of_the_two_outputs(kind, grid):
     m0 = _radial(rng, grid)
     m1 = RadialSymbol(grid, m0.rows + _radial(rng, grid, 0.01).rows)
     d = RadialSymbol(grid, m1.rows - m0.rows)
-    apply = real_symbol_apply(x)
+    apply = symbol_applier(SpacetimeField(grid, x))
     base = apply(m0)
-    assert np.array_equal(base, apply(m0.array()))
+    cells = m0.array()
+    if kind == "complex":
+        pair = np.fft.ifftn(np.fft.fftn(x) * cells)
+    else:
+        half = cells[..., :grid.t_points // 2 + 1]
+        pair = np.fft.irfftn(np.fft.rfftn(x.real) * half, s=grid.shape,
+                             axes=range(x.ndim))
+    assert np.array_equal(base, pair)
     moved = np.linalg.norm(apply(m1) - base)
     want = moved / np.linalg.norm(base)
     assert apply.relative_norm(d, m0) == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -305,7 +313,7 @@ def test_relative_norm_is_the_distance_of_the_two_outputs(kind, grid):
     assert apply.relative_norm(d, m0) == apply.relative_norm(d, m0)
     zero = RadialSymbol(grid, 0.0 * m0.rows)
     assert apply.relative_norm(m1, zero) == pytest.approx(np.linalg.norm(apply(m1)), rel=1e-12)
-    assert real_symbol_apply(0.0 * x).relative_norm(d, m0) == 0.0
+    assert symbol_applier(SpacetimeField(grid, 0.0 * x)).relative_norm(d, m0) == 0.0
 
 
 @pytest.mark.parametrize("route", ["generic", "orthant"])
@@ -315,9 +323,10 @@ def test_an_apply_given_up_to_last_refuses_every_later_request(route):
     # raise the one error that says so
     grid = SpacetimeGrid(Grid(1, 32, 8.0), 32, 8.0)
     f = ens.separable_gaussian(grid, 1.0)
-    source = f if route == "orthant" else np.multiply(f.space[..., None], f.time)
+    whole = SpacetimeField(grid, np.multiply(f.space[..., None], f.time))
+    source = f if route == "orthant" else whole
     m = _radial(np.random.default_rng(47), grid)
-    apply = real_symbol_apply(source)
+    apply = symbol_applier(source)
     out = apply.last(m)
     assert isinstance(out, fields._Orthant if route == "orthant" else fields._Inverse)
     for call in (lambda: apply(m), lambda: apply.last(m), lambda: apply.relative_norm(m, m)):
@@ -365,7 +374,7 @@ def test_a_radial_symbol_is_real_even_in_tau_and_read_only():
 
 
 def _convolve_omega(f: Field, spec: KernelSpec, r: float) -> np.ndarray:
-    return real_symbol_apply(f.samples)(omega_hat(r * f.grid.freq_radius(), spec))
+    return symbol_applier(f)(omega_hat(r * f.grid.freq_radius(), spec))
 
 
 def test_convolve_omega_small_scale_limit():

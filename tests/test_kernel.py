@@ -13,6 +13,7 @@ from scipy.special import roots_jacobi
 import conewave.kernel as kernel
 import oracles
 from conewave import (
+    Grid,
     KernelSpec,
     RadialQuadrature,
     SpacetimeGrid,
@@ -250,14 +251,16 @@ def test_folded_jacobi_profile_matches_the_unfolded_sum(monkeypatch):
 
 @pytest.fixture(scope="module")
 def default_tables():
-    # the cone-direct tables of each default spacetime grid, at the default
-    # radial window and at the r_max refinement of the convergence check:
-    # for each, the arguments and the node counts of the rules drawn
+    # the cone-direct tables of a 512^2 grid at n = 1 and a 128^3 one at
+    # n = 2, at the default radial window and at the r_max refinement of
+    # the convergence check: for each, the arguments and the node counts
+    # of the rules drawn
     tables = []
     with pytest.MonkeyPatch.context() as mp:
         counts = _spy_node_counts(mp)
-        for n in (1, 2):
-            g = SpacetimeGrid.default(n)
+        for g in (SpacetimeGrid(Grid(1, 512, 64.0), 512, 64.0),
+                  SpacetimeGrid(Grid(2, 128, 32.0), 128, 32.0)):
+            n = g.space.n
             quad = RadialQuadrature.for_grid(g)
             xi = np.unique(g.space.freq_radius().ravel())
             hi = min(2.0 * quad.r_max, g.t_extent / 2.0)
